@@ -6,6 +6,7 @@ from .errors import (  # noqa: F401
     BoundExceeded,
     InvalidSupport,
     InvalidType,
+    InvariantViolation,
     LieramError,
     NoParabolicConjugate,
     NonInvertibleDenominator,

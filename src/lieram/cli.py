@@ -182,10 +182,10 @@ def cmd_modular_unramified(args):
 
 
 def cmd_modular_poincare(args):
-    fb, gb = _bounds(args)
+    fb, _gb = _bounds(args)
     rs = build_root_system(args.type)
     values, _field = parse_field_values(args.weight, args.p, rs.rank, fb)
-    coeffs = poincare_series(rs, ModWeight(values), group_bound=gb)
+    coeffs = poincare_series(rs, ModWeight(values))
     payload = {
         "command": "modular.poincare",
         "type": rs.type_str,

@@ -51,3 +51,7 @@ class InvalidSupport(LieramError):
 
 class HypothesisFailure(LieramError):
     pass
+
+
+class InvariantViolation(LieramError):
+    pass

@@ -17,15 +17,21 @@ from __future__ import annotations
 from .errors import (
     HypothesisFailure,
     InvalidSupport,
+    InvariantViolation,
     NoParabolicConjugate,
     NotNilpotentContext,
 )
-from .rootdata import RootSystem, close_up, hypothesis_check, pair, subsystem_classify
+from .rootdata import (
+    RootSystem,
+    close_up,
+    coxeter_type,
+    hypothesis_check,
+    pair,
+    subsystem_classify,
+)
 from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
 from .weyl import (
     DEFAULT_GROUP_BOUND,
-    enumerate_group,
-    min_coset_reps,
     orbit_partition,
     reflection_stabilizer,
     simple_reflection,
@@ -167,8 +173,14 @@ def eta_subsystems(rs: RootSystem, eta: ModWeight):
 def dim_C(rs: RootSystem, eta: ModWeight) -> int:
     """dim of the primary component at eta: [W(eta + Lambda) : W(eta)],
     computed from the classified subsystem orders."""
-    zero, fp = eta_subsystems(rs, eta)
-    assert fp.order % zero.order == 0
+    return _index(*eta_subsystems(rs, eta))
+
+
+def _index(zero, fp) -> int:
+    if fp.order % zero.order:
+        raise InvariantViolation(
+            f"|W({zero.subsystem.type_str})| does not divide "
+            f"|W({fp.subsystem.type_str})|")
     return fp.order // zero.order
 
 
@@ -244,13 +256,9 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND,
         eta = ModWeight(cls[0])
         lam = eta - rho
         zero, fp = eta_subsystems(rs, eta)
-        assert fp.order % zero.order == 0
-        dim = fp.order // zero.order
-        poincare = None
-        if chi.nilpotent:
-            poincare = poincare_series(rs, eta, group_bound=group_bound)
-        verdict, witness = finite_type_verdict(
-            rs, eta, assume_unique_simple=assume_unique_simple)
+        dim = _index(zero, fp)
+        poincare = _poincare(zero) if chi.nilpotent else None
+        verdict, witness = _finite_type(rs, zero, fp, assume_unique_simple)
         reports.append(BlockReport(
             lam=lam, eta=eta, orbit_size=len(cls), dim=dim,
             unramified=(dim == 1),
@@ -272,54 +280,23 @@ def unramified_count(chi: PChar, blocks=None, **kw):
             "agree": predicted == enumerated}
 
 
-def poincare_series(rs: RootSystem, eta: ModWeight, group_bound=DEFAULT_GROUP_BOUND):
-    """Coefficients of P(C_eta, t): minimal coset representatives counted by
-    length, for W(eta) parabolic (eta conjugated within its orbit if needed).
+def poincare_series(rs: RootSystem, eta: ModWeight):
+    """Coefficients of P(C_eta, t): minimal coset representatives of W(eta),
+    once conjugated to a standard parabolic W_J, counted by length.  That sum
+    is W(t)/W_J(t), read from the degrees of W and of W(eta)'s type.
 
     Requires a nilpotent context (all coordinates of eta in F_p)."""
     if not eta.in_lambda():
         raise NotNilpotentContext("Poincare series needs all coordinates in F_p")
-    gens = [simple_reflection(rs, j) for j in range(rs.rank)]
-    actions = [lambda t, w=w: w.act_values(t) for w in gens]
-    seen = {eta.values}
-    frontier = [eta.values]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for act in actions:
-                u = act(t)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    simples = {tuple(1 if k == j else 0 for k in range(rs.rank)): j
-               for j in range(rs.rank)}
-    for t in sorted(seen, key=lambda tt: tuple(v.coeffs for v in tt)):
-        zero = reflection_stabilizer(
-            rs, lambda b, t=t: pair(rs, t, b).is_zero())
-        basis = zero.subsystem.basis
-        if all(b in simples for b in basis):
-            par = [simples[b] for b in basis]
-            W = enumerate_group(rs, group_bound)
-            reps = min_coset_reps(rs, W, par)
-            top = max(w.length for w in reps)
-            coeffs = [0] * (top + 1)
-            for w in reps:
-                coeffs[w.length] += 1
-            return tuple(coeffs)
-    raise NoParabolicConjugate(
-        "no W-conjugate of eta has a stabilizer generated by simple reflections")
+    return _poincare(reflection_stabilizer(
+        rs, lambda b: pair(rs, eta.values, b).is_zero()))
 
 
-_FINITE_PAIRS_HINT = "(A_n,A_{n-1}), (B_n,B_{n-1}), (G2,A1)"
-
-
-def _coxeter_type(letter, rank):
-    if letter == "C":
-        letter = "B"
-    if letter == "B" and rank == 1:
-        letter = "A"
-    return (letter, rank)
+def _poincare(zero):
+    if not zero.subsystem.is_parabolic():
+        raise NoParabolicConjugate(
+            "no W-conjugate of eta has a stabilizer generated by simple reflections")
+    return zero.subsystem.coset_poincare()
 
 
 def finite_type_verdict(rs: RootSystem, eta: ModWeight,
@@ -333,7 +310,10 @@ def finite_type_verdict(rs: RootSystem, eta: ModWeight,
     is not decidable here: without `assume_unique_simple` the best positive
     verdict is "unknown-boundary".
     """
-    zero, fp = eta_subsystems(rs, eta)
+    return _finite_type(rs, *eta_subsystems(rs, eta), assume_unique_simple)
+
+
+def _finite_type(rs, zero, fp, assume_unique_simple):
     small_roots = zero.subsystem.roots
     big = fp.subsystem
     witness = {"point_type": zero.subsystem.type_str, "coset_type": big.type_str,
@@ -358,9 +338,8 @@ def finite_type_verdict(rs: RootSystem, eta: ModWeight,
     }
     if len(small_sub.components) > 1:
         return "infinite", witness
-    bt = _coxeter_type(*big_type)
-    st = _coxeter_type(*small_sub.components[0][:2]) if small_sub.components \
-        else ("A", 0)
+    bt = coxeter_type(*big_type)
+    st = small_sub.coxeter_components()[0] if small_sub.components else ("A", 0)
     ok = ((bt[0] == "A" and st[0] == "A" and st[1] == bt[1] - 1)
           or (bt[0] == "B" and bt[1] >= 2 and st[1] == bt[1] - 1
               and (st[0] == "B" or (st[0] == "A" and st[1] == 1)))

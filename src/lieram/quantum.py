@@ -20,7 +20,13 @@ import math
 from fractions import Fraction
 
 from .errors import HypothesisFailure, InvalidSupport, UnknownRow
-from .rootdata import RootSystem, close_up, subsystem_classify, two_rho_dot
+from .rootdata import (
+    RootSystem,
+    close_up,
+    solve_rational,
+    subsystem_classify,
+    two_rho_dot,
+)
 from .scalars import UnityExp, eps_pow
 from .weyl import (
     DEFAULT_GROUP_BOUND,
@@ -214,32 +220,10 @@ def _delta_tilde(rs: RootSystem):
 def _is_simple_system(rs, T, roots):
     """Is T a simple system of the closed subsystem `roots`?  Every root must
     be an all-nonnegative or all-nonpositive integer combination of T."""
-    k = len(T)
-    r = rs.rank
-    cols = [list(b) for b in T]
+    cols = [[b[row] for b in T] for row in range(rs.rank)]
     for beta in roots:
-        # solve sum c_i T_i = beta over Q
-        aug = [[Fraction(cols[i][row]) for i in range(k)] + [Fraction(beta[row])]
-               for row in range(r)]
-        piv_rows, piv_cols = [], []
-        rr = 0
-        for c in range(k):
-            piv = next((i for i in range(rr, r) if aug[i][c] != 0), None)
-            if piv is None:
-                return False  # T not independent enough
-            aug[rr], aug[piv] = aug[piv], aug[rr]
-            inv = 1 / aug[rr][c]
-            aug[rr] = [x * inv for x in aug[rr]]
-            for i in range(r):
-                if i != rr and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[rr])]
-            piv_cols.append(c)
-            rr += 1
-        if any(aug[i][k] != 0 for i in range(rr, r)):
-            return False
-        coeffs = [aug[i][k] for i in range(rr)]
-        if not all(c.denominator == 1 for c in coeffs):
+        coeffs = solve_rational(cols, beta)
+        if coeffs is None or not all(c.denominator == 1 for c in coeffs):
             return False
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
             return False
@@ -315,22 +299,6 @@ def steinberg_fiber_point(chi: QChar):
 
 # -- exceptional elements ----------------------------------------------------
 
-def _solve_fraction_system(rows, rhs):
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(row for row in range(col, n) if aug[row][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for row in range(n):
-            if row != col and aug[row][col] != 0:
-                f = aug[row][col]
-                aug[row] = [x - f * y for x, y in zip(aug[row], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def beta_minimal(rs: RootSystem, m: int):
     """The minimal positive root whose alpha_m-coefficient (0-based m) equals
     the highest-root coefficient a_m; uniqueness is asserted."""
@@ -359,7 +327,7 @@ def exceptional_elements(rs: RootSystem):
         am = rs.a[m]
         rows = [[rs.cartan[i][j] for i in range(r)] for j in range(r)]
         rhs = [Fraction(1, am) if j == m else 0 for j in range(r)]
-        q = _solve_fraction_system(rows, rhs)
+        q = solve_rational(rows, rhs)
         s_m = TorusElement(tuple(UnityExp(x) for x in q))
         vals = tuple(root_value(rs, s_m, tuple(1 if k == j else 0 for k in range(r)))
                      for j in range(r))

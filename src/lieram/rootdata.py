@@ -25,28 +25,23 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import InvalidType, NotClosed
+from .errors import InvalidType, InvariantViolation, NotClosed
 
 _TYPE_RE = re.compile(r"([A-G])(\d+)")
 
-WEYL_ORDERS = {
-    "A": lambda n: math.factorial(n + 1),
-    "B": lambda n: 2**n * math.factorial(n),
-    "C": lambda n: 2**n * math.factorial(n),
-    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-}
-
-POSITIVE_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
+# Degrees of the basic invariants (Humphreys, Reflection Groups and Coxeter
+# Groups, 3.7): |W| = prod d_i, N = sum (d_i - 1), and the Poincare
+# polynomial of W is prod [d_i]_t with [d]_t = 1 + t + ... + t^(d-1).
+DEGREES = {
+    "A": lambda n: tuple(range(2, n + 2)),
+    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "C": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "D": lambda n: tuple(range(2, 2 * n - 1, 2)) + (n,),
+    "E": lambda n: {6: (2, 5, 6, 8, 9, 12),
+                    7: (2, 6, 8, 10, 12, 14, 18),
+                    8: (2, 8, 12, 14, 18, 20, 24, 30)}[n],
+    "F": lambda n: (2, 6, 8, 12),
+    "G": lambda n: (2, 6),
 }
 
 INDEX_OF_CONNECTION = {
@@ -232,7 +227,9 @@ class RootSystem:
             nodeset = set(nodes)
             comp_pos = [b for b in self.pos_roots
                         if set(k for k in range(r) if b[k]) <= nodeset]
-            assert len(comp_pos) == POSITIVE_COUNTS[letter](n)
+            if len(comp_pos) != sum(d - 1 for d in DEGREES[letter](n)):
+                raise InvariantViolation(
+                    f"{letter}{n}: {len(comp_pos)} positive roots, degrees say otherwise")
             mx = [b for b in comp_pos
                   if all(self.leq(c, b) for c in comp_pos)]
             assert len(mx) == 1, "unique maximal root per component"
@@ -295,32 +292,59 @@ class RootSystem:
             r = self.rank
             out = []
             for i in range(r):
-                x = _solve_fraction(self.cartan, i, r)  # alpha-coords of varpi_i
+                # alpha-coords of varpi_i
+                x = solve_rational(self.cartan, [int(j == i) for j in range(r)])
                 out.append(sum(x[k] * self.d[k] for k in range(r)))
             self._rho_weight_pairs = tuple(out)
         return self._rho_weight_pairs
 
     def weyl_order(self) -> int:
-        return math.prod(WEYL_ORDERS[l](n) for l, n, _ in self.components)
+        return math.prod(degrees(self.components))
 
     def __repr__(self):
         return f"RootSystem({self.type_str})"
 
 
-def _solve_fraction(C, i, r):
-    # solve sum_k C[j][k] x_k = delta_ij over Q
-    aug = [[Fraction(C[j][k]) for k in range(r)] + [Fraction(1 if j == i else 0)]
-           for j in range(r)]
-    for col in range(r):
-        piv = next(row for row in range(col, r) if aug[row][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for row in range(r):
-            if row != col and aug[row][col] != 0:
+def degrees(components):
+    """Degrees of the basic invariants of a product of (letter, rank, ...)."""
+    return tuple(d for letter, n, *_ in components for d in DEGREES[letter](n))
+
+
+def coxeter_type(letter, rank):
+    """A component type up to Coxeter-graph equivalence (C->B, B1->A1)."""
+    if letter == "C":
+        letter = "B"
+    if letter == "B" and rank == 1:
+        letter = "A"
+    return (letter, rank)
+
+
+def solve_rational(A, b):
+    """A solution x of A x = b over Q for any m x n matrix A, with the free
+    unknowns set to 0, or None when the system is inconsistent."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
+    pivots = []
+    for col in range(n):
+        rr = len(pivots)
+        piv = next((row for row in range(rr, m) if aug[row][col] != 0), None)
+        if piv is None:
+            continue
+        aug[rr], aug[piv] = aug[piv], aug[rr]
+        inv = 1 / aug[rr][col]
+        aug[rr] = [x * inv for x in aug[rr]]
+        for row in range(m):
+            if row != rr and aug[row][col] != 0:
                 f = aug[row][col]
-                aug[row] = [x - f * y for x, y in zip(aug[row], aug[col])]
-    return [aug[k][r] for k in range(r)]
+                aug[row] = [x - f * y for x, y in zip(aug[row], aug[rr])]
+        pivots.append(col)
+    if any(aug[row][n] != 0 for row in range(len(pivots), m)):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in enumerate(pivots):
+        x[col] = aug[row][n]
+    return x
 
 
 @functools.lru_cache(maxsize=None)
@@ -367,8 +391,7 @@ class Subsystem:
         self.components = components  # tuple of (letter, rank, basis-subtuple)
         self.type_str = type_string([(l, n) for l, n, _ in components]) \
             if components else "1"
-        self.order = math.prod(WEYL_ORDERS[l](n) for l, n, _ in components) \
-            if components else 1
+        self.order = math.prod(degrees(components))
 
     @property
     def rank(self) -> int:
@@ -380,14 +403,36 @@ class Subsystem:
 
     def coxeter_components(self):
         """Component types up to Coxeter-graph equivalence (C->B, B1->A1)."""
-        out = []
-        for letter, n, _ in self.components:
-            if letter == "C":
-                letter = "B"
-            if letter == "B" and n == 1:
-                letter = "A"
-            out.append((letter, n))
-        return sorted(out)
+        return sorted(coxeter_type(l, n) for l, n, _ in self.components)
+
+    def is_parabolic(self) -> bool:
+        """Is this W-conjugate to a standard parabolic subsystem?  That holds
+        exactly when it equals Phi inter span_Q(self) (Bourbaki, Lie Groups
+        and Lie Algebras, Ch. VI 1.7)."""
+        cols = [[b[i] for b in self.basis] for i in range(self.rs.rank)]
+        return not any(b not in self.roots and solve_rational(cols, b) is not None
+                       for b in self.rs.pos_roots)
+
+    def coset_poincare(self):
+        """Coefficients of W(t)/W_self(t), the length generating function of
+        the minimal coset representatives when this subsystem is a standard
+        parabolic; each division by [d]_t = (1 - t^d)/(1 - t) is exact."""
+        series = [1]
+        for d in degrees(self.rs.components):
+            series = [sum(series[max(0, i - d + 1):i + 1])
+                      for i in range(len(series) + d - 1)]
+        for d in degrees(self.components):
+            # times (1 - t), then divided by (1 - t^d) with zero remainder
+            num = [a - b for a, b in zip(series + [0], [0] + series)]
+            series = []
+            for i, c in enumerate(num):
+                c += series[i - d] if i >= d else 0
+                if i < len(num) - d:
+                    series.append(c)
+                elif c:
+                    raise InvariantViolation(
+                        f"[{d}]_t does not divide the Poincare series")
+        return tuple(series)
 
     def __repr__(self):
         return f"Subsystem({self.type_str}, |W|={self.order})"

@@ -6,6 +6,9 @@ import pathlib
 import pytest
 
 from lieram.cli import main
+from lieram.modular import ModWeight, dim_C
+from lieram.rootdata import build_root_system
+from lieram.scalars import make_field
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -133,6 +136,19 @@ def test_selftest_suite_filter(capsys):
     assert out.strip().endswith("ALL PASS")
     code = main(["selftest", "--suite", "nosuch"])
     assert code == 1
+
+
+def test_poincare_e7_beyond_group_bound(capsys):
+    # |W(E7)| = 2903040 exceeds the default group bound; the closed form
+    # never enumerates W
+    code, out = run_cli(["modular", "poincare", "--type", "E7", "--p", "7",
+                         "--weight", "1,1,1,1,1,1,1"], capsys)
+    assert code == 0
+    P = json.loads(out)["coefficients"]
+    eta = ModWeight((make_field(7, 1).one(),) * 7)
+    assert len(P) - 1 == 57
+    assert sum(P) == 60480 == dim_C(build_root_system("E7"), eta)
+    assert P[-1] == 1 and P == P[::-1]
 
 
 def test_quantum_unramified_cli(capsys):

@@ -7,6 +7,7 @@ import pytest
 from lieram.errors import (
     HypothesisFailure,
     InvalidSupport,
+    NoParabolicConjugate,
     NotNilpotentContext,
 )
 from lieram.modular import (
@@ -198,11 +199,20 @@ def test_poincare_series():
     b2 = build_root_system("B2")
     eta_b = ModWeight((f5.zero(), f5.from_int(1)))
     assert poincare_series(b2, eta_b) == (1, 1, 1, 1)
-    # P(1) = [W : W(eta)]
+    # P(1) = [W : W(eta)], also where |W| is far beyond enumeration
     assert sum(poincare_series(a2, eta)) == dim_C(a2, eta)
+    e8 = build_root_system("E8")
+    eta_e8 = ModWeight(tuple(F(7).from_int(k) for k in (1, 2, 3, 4, 5, 6, 0, 1)))
+    P = poincare_series(e8, eta_e8)
+    assert sum(P) == dim_C(e8, eta_e8) and P[-1] == 1 and P == P[::-1]
     with pytest.raises(NotNilpotentContext):
         f25 = F(5, 2)
         poincare_series(a2, ModWeight((f25.generator(), f25.zero())))
+    # bad primes: W(eta) is not conjugate to a standard parabolic
+    for t, p, values in (("G2", 2, (1, 0)), ("F4", 3, (1, 1, 1, 1))):
+        with pytest.raises(NoParabolicConjugate):
+            poincare_series(build_root_system(t),
+                            ModWeight(tuple(F(p).from_int(v) for v in values)))
 
 
 def test_poincare_nonsimple_stabilizer_conjugates():

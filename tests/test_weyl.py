@@ -242,6 +242,12 @@ def test_min_coset_reps_laws_all_parabolics():
                                       for i, c in enumerate(b)))
                 reps = min_coset_reps(rs, W, par)
                 assert len(reps) * sub.order == len(W)
+                # closed form W(t)/W_J(t) = representatives counted by length
+                counts = [0] * (max(w.length for w in reps) + 1)
+                for w in reps:
+                    counts[w.length] += 1
+                assert sub.subsystem.is_parabolic()
+                assert sub.subsystem.coset_poincare() == tuple(counts)
                 assert reps[0].is_identity()
                 top = max(w.length for w in reps)
                 assert sum(1 for w in reps if w.length == top) == 1
