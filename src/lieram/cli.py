@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -57,12 +58,40 @@ from .selftest import SUITES, run_suites
 from .weyl import DEFAULT_GROUP_BOUND
 
 
+class UsageError(Exception):
+    """A malformed literal in an argument; main() reports it with the usage
+    line and exit status 2."""
+
+
+def _bound_value(text):
+    """The --bound (and LIERAM_BOUND) value: a non-negative integer."""
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = None
+    if bound is None or bound < 0:
+        raise argparse.ArgumentTypeError(
+            f"bound must be a non-negative integer, not {text!r}")
+    return bound
+
+
 def _bounds(args):
     env = os.environ.get("LIERAM_BOUND")
-    bound = args.bound if args.bound is not None else (int(env) if env else None)
+    if args.bound is not None:
+        bound = args.bound
+    elif env:
+        try:
+            bound = _bound_value(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"LIERAM_BOUND: {exc}") from None
+    else:
+        bound = None
     if bound is None:
         return DEFAULT_FIELD_BOUND, DEFAULT_GROUP_BOUND
     return bound, bound
+
+
+_FIELD_LITERAL = re.compile(r"[+-]?\d+|g(\^[+-]?\d+)?|AS\([+-]?\d+\)")
 
 
 def parse_field_values(text: str, p: int, rank: int, bound: int):
@@ -70,6 +99,10 @@ def parse_field_values(text: str, p: int, rank: int, bound: int):
     tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated values, got {len(tokens)}")
+    for t in tokens:
+        if not _FIELD_LITERAL.fullmatch(t):
+            raise UsageError(
+                f"malformed field literal {t!r}: expected an integer, g, g^k or AS(c)")
     base = make_field(p, 1, bound)
     needs_ext = any(t.startswith("AS(") and int(t[3:-1]) % p != 0 for t in tokens)
     ambient = make_field(p, p, bound) if needs_ext else base
@@ -94,13 +127,20 @@ def parse_torus(text: str, rank: int) -> TorusElement:
     tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated exponents, got {len(tokens)}")
-    return TorusElement(tuple(Fraction(t) for t in tokens))
+    return TorusElement(tuple(_literal(Fraction, t, "exact rational") for t in tokens))
 
 
 def parse_support(text: str):
     if not text or not text.strip():
         return ()
-    return tuple(int(t.strip()) - 1 for t in text.split(","))
+    return tuple(_literal(int, t.strip(), "support index") - 1 for t in text.split(","))
+
+
+def _literal(convert, text, what):
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"malformed {what} {text!r}") from None
 
 
 def _ffstr(v):
@@ -380,17 +420,19 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--bound", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--bound", type=_bound_value, default=argparse.SUPPRESS,
                         help="cap for field size and group enumeration "
                              "(defaults 10^9 / 10^6; env LIERAM_BOUND)")
     top = argparse.ArgumentParser(prog="lieram", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--format", choices=("json", "tsv"), default="json")
-    top.add_argument("--bound", type=int, default=None)
+    top.add_argument("--bound", type=_bound_value, default=None)
     sub = top.add_subparsers(dest="group", required=True)
 
     def leaf(parent, name):
-        return parent.add_parser(name, parents=[common])
+        p = parent.add_parser(name, parents=[common])
+        p.set_defaults(parser=p)  # its usage line goes with a UsageError
+        return p
 
     mod = sub.add_parser("modular").add_subparsers(dest="command", required=True)
     for name, fn, extra in (
@@ -446,7 +488,7 @@ def build_parser():
 
     st = sub.add_parser("selftest", parents=[common])
     st.add_argument("--suite", default=None)
-    st.set_defaults(func=cmd_selftest)
+    st.set_defaults(func=cmd_selftest, parser=st)
     return top
 
 
@@ -459,6 +501,8 @@ def main(argv=None) -> int:
             rs = build_root_system(args.type)
             args.chi_s = ",".join(["0"] * rs.rank)
         return args.func(args)
+    except UsageError as exc:
+        args.parser.error(str(exc))
     except LieramError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -14,6 +14,8 @@ of the centralizer subsystem's basis on which it is regular.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     HypothesisFailure,
     InvalidSupport,
@@ -32,9 +34,9 @@ from .rootdata import (
 from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
 from .weyl import (
     DEFAULT_GROUP_BOUND,
+    integer_actions,
     orbit_partition,
     reflection_stabilizer,
-    simple_reflection,
 )
 
 
@@ -136,7 +138,7 @@ def enumerate_lambda_chi(chi: PChar, bound=DEFAULT_FIELD_BOUND):
     Returns (weights, ambient field); the set is base + F_p^r, listed with the
     F_p-translate in lex order.
     """
-    rs, p = chi.rs, chi.p
+    p = chi.p
     sols = []
     fields = []
     for c in chi.values:
@@ -145,18 +147,9 @@ def enumerate_lambda_chi(chi: PChar, bound=DEFAULT_FIELD_BOUND):
         sols.append(x)
         fields.append(fld)
     ambient = max(fields, key=lambda f: f.e)
-    base = tuple(embed(x, ambient) for x in sols)
-    weights = []
-    for k in range(p**rs.rank):
-        digits = []
-        n = k
-        for _ in range(rs.rank):
-            digits.append(n % p)
-            n //= p
-        digits.reverse()
-        weights.append(ModWeight(tuple(b + ambient.from_int(d)
-                                       for b, d in zip(base, digits))))
-    return weights, ambient
+    axes = [[b + ambient.from_int(d) for d in range(p)]
+            for b in (embed(x, ambient) for x in sols)]
+    return [ModWeight(vals) for vals in itertools.product(*axes)], ambient
 
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
@@ -242,18 +235,27 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND,
             f"|W| = {rs.weyl_order()} exceeds bound {group_bound}; "
             "block partitions need tractable orbits")
     weights, ambient = enumerate_lambda_chi(chi, bound)
+    p, e = ambient.p, ambient.e
     rho = rho_weight(rs, ambient)
-    etas = [w + rho for w in weights]
-    gens = [simple_reflection(rs, j) for j in range(rs.rank)]
-    actions = [lambda t, w=w: w.act_values(t) for w in gens]
+    # the walk runs on eta = lambda + rho as r*e coefficients mod p, each
+    # value padded to e; rho adds 1 to every constant term
+    one = tuple(int(k % e == 0) for k in range(rs.rank * e))
+    pad = (0,) * e
+    points = []
+    for lam in weights:
+        code = [c for v in lam.values for c in (v.coeffs + pad)[:e]]
+        points.append(tuple((c + s) % p for c, s in zip(code, one)))
 
-    def key(eta_tuple):
-        return tuple((v - ambient.one()).coeffs for v in eta_tuple)  # lambda encoding
+    def key(code):
+        # the lambda encoding: padded coefficients of eta - rho, in the order
+        # of the trimmed tuples (v - 1).coeffs
+        return tuple((c - s) % p for c, s in zip(code, one))
 
-    classes = orbit_partition([e.values for e in etas], actions, key)
+    classes = orbit_partition(points, integer_actions(rs, "values", p, e), key)
     reports = []
     for cls in classes:
-        eta = ModWeight(cls[0])
+        eta = ModWeight(ambient.elem(cls[0][i * e:(i + 1) * e])
+                        for i in range(rs.rank))
         lam = eta - rho
         zero, fp = eta_subsystems(rs, eta)
         dim = _index(zero, fp)

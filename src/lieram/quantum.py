@@ -16,10 +16,17 @@ block is u^2, living in {f : f^ell = chi_s^2}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from .errors import HypothesisFailure, InvalidSupport, UnknownRow
+from .errors import (
+    HypothesisFailure,
+    InvalidSupport,
+    InvalidType,
+    InvariantViolation,
+    UnknownRow,
+)
 from .rootdata import (
     RootSystem,
     close_up,
@@ -33,9 +40,9 @@ from .weyl import (
     act_torus,
     enumerate_group,
     hc_shift_vector,
+    integer_actions,
     orbit_partition,
     reflection_stabilizer,
-    simple_reflection,
 )
 
 
@@ -89,19 +96,8 @@ def w_t(rs: RootSystem, t: TorusElement):
 def ell_fiber(rs: RootSystem, chi_s: TorusElement, ell: int):
     """The ell^r torus elements t with t^ell = chi_s^2, in lex order of the
     coordinatewise offsets."""
-    r = rs.rank
-    out = []
-    for k in range(ell**r):
-        digits = []
-        n = k
-        for _ in range(r):
-            digits.append(n % ell)
-            n //= ell
-        digits.reverse()
-        out.append(TorusElement(tuple(
-            UnityExp(Fraction(2) * chi_s.exps[i].q / ell + Fraction(digits[i], ell))
-            for i in range(r))))
-    return out
+    axes = [[UnityExp((2 * e.q + d) / ell) for d in range(ell)] for e in chi_s.exps]
+    return [TorusElement(exps) for exps in itertools.product(*axes)]
 
 
 class QChar:
@@ -175,15 +171,29 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
             f"|W| = {rs.weyl_order()} exceeds bound {group_bound}; "
             "block partitions need tractable orbits")
     fiber = ell_fiber(rs, chi.chi_s, chi.ell)
-    gens = [simple_reflection(rs, j) for j in range(rs.rank)]
-    actions = [lambda t, w=w: TorusElement(w.act_torus_exponents(t.exps))
-               for w in gens]
-    classes = orbit_partition(fiber, actions, key=lambda t: t.key())
+    # the walk runs on exponent numerators over the common denominator N;
+    # W acts by integer matrices, so every orbit stays on (1/N)Z^r
+    N = math.lcm(*{e.q.denominator for t in fiber for e in t.exps})
+    points = [tuple(e.q.numerator * (N // e.q.denominator) for e in t.exps)
+              for t in fiber]
+
+    def key(code):
+        # UnityExp.key() of each exponent n/N: (n/g, N/g) with g = gcd(n, N)
+        out = []
+        for n in code:
+            g = math.gcd(n, N)
+            out.append((n // g, N // g))
+        return tuple(out)
+
+    classes = orbit_partition(points, integer_actions(rs, "torus", N), key)
     reports = []
     for cls in classes:
-        rep = cls[0]
+        rep = TorusElement(tuple(Fraction(n, N) for n in cls[0]))
         stab = w_t(rs, rep)
-        assert chi.levi.order % stab.order == 0
+        if chi.levi.order % stab.order:
+            raise InvariantViolation(
+                f"|W({stab.subsystem.type_str})| does not divide "
+                f"|W({chi.levi.type_str})|")
         dim = chi.levi.order // stab.order
         reports.append(QBlockReport(
             rep=rep, orbit_size=len(cls), dim=dim, unramified=(dim == 1),
@@ -314,7 +324,10 @@ def exceptional_elements(rs: RootSystem):
     irreducible system: alpha_j(s_m) = e^{2 pi i delta_jm / a_m}, with
     centralizer subsystem {beta : a_m | b_m} and its two descriptions checked
     against each other."""
-    assert len(rs.components) == 1, "exceptional classification is per component"
+    if len(rs.components) != 1:
+        raise InvalidType(
+            f"exceptional elements are classified per irreducible type, "
+            f"not for {rs.type_str}")
     r = rs.rank
     out = [{
         "m": 0,

@@ -87,7 +87,7 @@ def _validate_component(letter, rank):
             return ("A", 1)
         if rank >= 2:
             return (letter, rank)
-    if letter == "D" and rank >= 2:
+    if letter == "D" and rank >= 3:
         return (letter, rank)
     if letter == "E" and rank in (6, 7, 8):
         return (letter, rank)
@@ -232,7 +232,9 @@ class RootSystem:
                     f"{letter}{n}: {len(comp_pos)} positive roots, degrees say otherwise")
             mx = [b for b in comp_pos
                   if all(self.leq(c, b) for c in comp_pos)]
-            assert len(mx) == 1, "unique maximal root per component"
+            if len(mx) != 1:
+                raise InvariantViolation(
+                    f"{letter}{n}: {len(mx)} maximal roots, expected one")
             self._highest.append(mx[0])
             for k in nodes:
                 a[k] = mx[0][k]

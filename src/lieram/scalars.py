@@ -139,8 +139,9 @@ def _irreducible(f, p, e):
 def _smallest_irreducible(p: int, e: int):
     if e == 1:
         return (0, 1)  # the polynomial x
-    # enumerate monic degree-e moduli in increasing low-degree-first lex order
-    for k in range(p**e):
+    # enumerate monic degree-e moduli in increasing low-degree-first lex order,
+    # from the first with constant term 1 (x divides every f with c0 = 0)
+    for k in range(p**(e - 1), p**e):
         coeffs = []
         n = k
         for _ in range(e):
@@ -148,8 +149,6 @@ def _smallest_irreducible(p: int, e: int):
             n //= p
         coeffs.reverse()  # c0 is the most significant digit of k
         f = tuple(coeffs) + (1,)
-        if f[0] == 0:
-            continue  # x | f
         if _irreducible(f, p, e):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -11,13 +11,17 @@ Actions implemented on raw coordinate tuples:
 
 The dot actions are the rho-shifted (modular) and Harish-Chandra-conjugated
 (quantum) versions; see act_modular / act_torus.
+
+Block partitions walk orbits on flat integer encodings instead (see
+integer_actions): coroot values over F_{p^e} as r*e coefficients mod p,
+torus exponents as numerators mod a common denominator N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BoundExceeded, NotParabolic
+from .errors import BoundExceeded, InvariantViolation, NotParabolic
 from .rootdata import RootSystem, subsystem_classify
 from .scalars import UnityExp, eps_pow
 
@@ -230,7 +234,10 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_GROUP_BOUND):
                     seen[nw.M] = nw
                     nxt.append(nw)
         frontier = nxt
-    assert len(seen) == order
+    if len(seen) != order:
+        raise InvariantViolation(
+            f"closure of the simple reflections has {len(seen)} elements, "
+            f"|W({rs.type_str})| = {order}")
     return tuple(sorted(seen.values(), key=lambda w: (w.length, w.word)))
 
 
@@ -269,6 +276,48 @@ def act_torus(w: WeylElement, qs, dot: bool = False, ell: int = None, eps: int =
     return tuple(q - s for q, s in zip(moved, shift))
 
 
+def integer_actions(rs: RootSystem, on: str, modulus: int, width: int = 1):
+    """The simple reflections s_1..s_r as maps on flat integer tuples.
+
+    on="values": a point lists lambda(h_1), ..., lambda(h_r), each as `width`
+    coefficients mod `modulus` (= p), and map j is s_j.act_values;
+    on="torus": a point lists the exponent numerators of a torus element over
+    the common denominator `modulus`, and map j is s_j.act_torus_exponents.
+    Map j rewrites only the coordinates whose row of s_j is not an identity
+    row: node j and its Dynkin neighbours for values, node j for exponents.
+    """
+    maps = []
+    for j in range(rs.rank):
+        s = simple_reflection(rs, j)
+        if on == "values":
+            rows = s._value_rows()
+        elif on == "torus":
+            rows = s._torus_rows()
+        else:
+            raise ValueError(f"unknown encoding {on!r}")
+        ops = tuple(
+            (i * width + t, tuple((k * width + t, c) for k, c in enumerate(row) if c))
+            for i, row in enumerate(rows)
+            if any(c != int(k == i) for k, c in enumerate(row))
+            for t in range(width))
+        maps.append(_integer_map(ops, modulus))
+    return maps
+
+
+def _integer_map(ops, modulus):
+    # ops: (target slot, ((source slot, coefficient), ...)); sources are read
+    # from the input, so the rewrites do not see each other
+    def act(x):
+        y = list(x)
+        for dst, terms in ops:
+            acc = 0
+            for k, c in terms:
+                acc += c * x[k]
+            y[dst] = acc % modulus
+        return tuple(y)
+    return act
+
+
 class ReflectionSubgroup:
     """Subgroup generated by the reflections of a closed root subset."""
 
@@ -301,7 +350,10 @@ class ReflectionSubgroup:
                             seen[nw.M] = nw
                             nxt.append(nw)
                 frontier = nxt
-            assert len(seen) == self.order
+            if len(seen) != self.order:
+                raise InvariantViolation(
+                    f"closure of the reflections has {len(seen)} elements, "
+                    f"|W({self.subsystem.type_str})| = {self.order}")
             self._elements = tuple(sorted(seen.values(), key=lambda w: (w.length, w.word)))
         return self._elements
 
@@ -380,5 +432,7 @@ def burnside_count(elements, points, act) -> int:
     total = 0
     for w in elements:
         total += sum(1 for x in pointlist if act(w, x) == x)
-    assert total % len(elements) == 0, "Burnside sum must divide evenly"
+    if total % len(elements):
+        raise InvariantViolation(
+            f"Burnside sum {total} is not divisible by |G| = {len(elements)}")
     return total // len(elements)

@@ -180,3 +180,48 @@ def test_bound_env_var(capsys, monkeypatch):
                  "--chi-s", "1", "--support", "", "--bound", "1000000"])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular", "poincare", "--type", "D2", "--p", "5", "--weight", "1,1"],
+    ["quantum", "blocks", "--type", "D2", "--ell", "5"],
+])
+def test_d2_is_an_invalid_component(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: invalid component D2\n"
+
+
+def test_exceptional_on_product_type_is_a_domain_error(capsys):
+    code = main(["quantum", "exceptional", "--type", "A1xA1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "A1xA1" in err
+
+
+MALFORMED = {
+    "as-literal": ["modular", "blocks", "--type", "A2", "--p", "5",
+                   "--chi-s", "AS(x),0"],
+    "modular-fraction": ["modular", "blocks", "--type", "A2", "--p", "5",
+                         "--chi-s", "1/0,0"],
+    "quantum-chi-zero-denominator": ["quantum", "blocks", "--type", "A2",
+                                     "--ell", "5", "--chi-s", "1/0,0"],
+    "torus-zero-denominator": ["quantum", "unramified", "--type", "A1",
+                               "--ell", "5", "--torus", "1/0"],
+    "support": ["modular", "blocks", "--type", "A2", "--p", "5",
+                "--support", "a"],
+    "negative-bound": ["modular", "blocks", "--type", "A2", "--p", "5",
+                       "--bound", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_literal_is_a_usage_error(case, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(MALFORMED[case])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lieram ")
+    assert "error: " in captured.err and "Traceback" not in captured.err

@@ -189,6 +189,10 @@ def test_type_parsing():
         parse_cartan_type("H4")
     with pytest.raises(InvalidType):
         parse_cartan_type("E9")
+    # D2 = A1xA1 has two maximal roots; D starts at rank 3
+    with pytest.raises(InvalidType, match="invalid component D2"):
+        parse_cartan_type("D2")
+    assert parse_cartan_type("D3") == (("D", 3),)
     with pytest.raises(InvalidType):
         parse_cartan_type("")
 

@@ -57,6 +57,13 @@ def test_make_field_f25_lex_smallest():
     assert F.modulus == smallest_irreducible_by_roots(5, 2)
 
 
+def test_make_field_pinned_large_moduli():
+    # the search starts at constant term 1 and finds the same lex-smallest
+    # moduli as a scan from 0 (every modulus with c0 = 0 is divisible by x)
+    assert make_field(5, 10).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1)
+    assert make_field(7, 7).modulus == (1, 0, 0, 0, 0, 0, 6, 1)
+
+
 def test_make_field_idempotent_and_errors():
     assert make_field(7, 2) is make_field(7, 2)
     with pytest.raises(NonPrime):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieram.errors import BoundExceeded, NotParabolic
+from lieram.errors import BoundExceeded, InvariantViolation, NotParabolic
 from lieram.rootdata import build_root_system
 from lieram.scalars import UnityExp, eps_pow, make_field
 from lieram.weyl import (
@@ -291,6 +291,11 @@ def test_burnside_examples():
     W2 = enumerate_group(a2)
     assert burnside_count(W2, pts2,
                           lambda w, x: act_modular(w, x, dot=True)) == 7
+
+    # a list that is not a group: 3 + 1 + 1 fixed points over 3 elements
+    s = simple_reflection(a1, 0)
+    with pytest.raises(InvariantViolation):
+        burnside_count((e, s, s), pts, lambda w, x: act_modular(w, x, dot=True))
 
 
 def test_value_action_duality():
