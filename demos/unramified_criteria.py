@@ -8,8 +8,10 @@ the simple-root criterion, so neither route is allowed to replace the other.
 
 Quantum side: the component-coordinate test checks beta(u)^{2l} = 1 implies
 beta(u)^2 = 1 over all positive roots; the highest-weight test checks the
-affine-simple set Delta union {-alpha_0} after a W-conjugation.  Both agree
-with dimension one via the Harish-Chandra shift.
+affine-simple set Delta union {-alpha_0} after a W-conjugation, read off the
+alcove descent of 2 ell t (the Delta-tilde nodes with Kac coordinate 0 are a
+simple system of the conjugated root set).  Both agree with dimension one via
+the Harish-Chandra shift.
 """
 
 from fractions import Fraction
@@ -18,7 +20,6 @@ from lieram.modular import PChar, enumerate_lambda_chi, is_unramified, dim_C, rh
 from lieram.quantum import QChar, TorusElement, hc_shift, q_unramified, w_t
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
-from lieram.weyl import enumerate_group
 
 rs = build_root_system("B2")
 chi = PChar(rs, 3, values=(make_field(3, 1).zero(), make_field(3, 1).one()),
@@ -37,14 +38,13 @@ print(f"B2, p=3, mixed Levi character: {agree}/{len(weights)} weights "
 
 ell = 5
 chiq = QChar(rs, ell)
-W = enumerate_group(rs)
 agree = 0
 labels = []
 for k1 in range(ell):
     for k2 in range(ell):
         labels.append(TorusElement((Fraction(k1, ell), Fraction(k2, ell))))
 for t in labels:
-    hw = q_unramified(rs, t, "highestWeight", ell, elements=W)
+    hw = q_unramified(rs, t, "highestWeight", ell)
     u = hc_shift(rs, t, ell, "forward")
     comp = q_unramified(rs, u, "component", ell)
     dim1 = chiq.levi.order == w_t(rs, u.pow(2)).order

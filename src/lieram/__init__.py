@@ -4,6 +4,7 @@ algebras at roots of unity."""
 
 from .errors import (  # noqa: F401
     BoundExceeded,
+    HypothesisFailure,
     InvalidSupport,
     InvalidType,
     InvariantViolation,
@@ -23,6 +24,7 @@ from .weyl import (  # noqa: F401
     WeylElement,
     act_modular,
     act_torus,
+    alcove_descent,
     burnside_count,
     enumerate_group,
     inversion_set,

@@ -33,6 +33,7 @@ from .errors import LieramError
 from .modular import (
     ModWeight,
     PChar,
+    check_hypotheses,
     finite_type_verdict,
     is_unramified,
     mod_blocks,
@@ -45,6 +46,7 @@ from .quantum import (
     QChar,
     TorusElement,
     appendix_rows,
+    check_root_of_unity,
     exceptional_elements,
     q_blocks,
     q_regularity_and_counts,
@@ -208,6 +210,7 @@ def cmd_modular_blocks(args):
 def cmd_modular_unramified(args):
     fb, _gb = _bounds(args)
     rs = build_root_system(args.type)
+    check_hypotheses(rs, args.p)
     values, _field = parse_field_values(args.weight, args.p, rs.rank, fb)
     lam = ModWeight(values)
     payload = {
@@ -240,6 +243,7 @@ def cmd_modular_poincare(args):
 def cmd_modular_finite_type(args):
     fb, _gb = _bounds(args)
     rs = build_root_system(args.type)
+    check_hypotheses(rs, args.p)
     values, field = parse_field_values(args.weight, args.p, rs.rank, fb)
     lam = ModWeight(values)
     eta = lam + rho_weight(rs, field)
@@ -309,8 +313,8 @@ def cmd_quantum_blocks(args):
 
 
 def cmd_quantum_unramified(args):
-    _fb, gb = _bounds(args)
     rs = build_root_system(args.type)
+    check_root_of_unity(rs, args.ell, args.eps)
     t = parse_torus(args.torus, rs.rank)
     payload = {
         "command": "quantum.unramified",

@@ -83,6 +83,15 @@ def zero_weight(rs: RootSystem, field) -> ModWeight:
     return ModWeight(tuple(field.zero() for _ in range(rs.rank)))
 
 
+def check_hypotheses(rs: RootSystem, p: int):
+    """Raise HypothesisFailure unless p meets the standing hypotheses for rs:
+    an odd good prime with a nondegenerate trace form."""
+    hyp = hypothesis_check(rs.ctype, p)
+    if not hyp["ok"]:
+        raise HypothesisFailure(
+            f"(type {rs.type_str}, p={p}) fails hypotheses: {hyp}")
+
+
 class PChar:
     """chi = chi_s + chi_n with semisimple values and standard-Levi support.
 
@@ -92,10 +101,7 @@ class PChar:
 
     def __init__(self, rs, p, values=None, support=(), field=None,
                  bound=DEFAULT_FIELD_BOUND):
-        hyp = hypothesis_check(rs.ctype, p)
-        if not hyp["ok"]:
-            raise HypothesisFailure(
-                f"(type {rs.type_str}, p={p}) fails hypotheses: {hyp}")
+        check_hypotheses(rs, p)
         self.rs = rs
         self.p = p
         if field is None:

@@ -38,7 +38,7 @@ from .scalars import UnityExp, eps_pow
 from .weyl import (
     DEFAULT_GROUP_BOUND,
     act_torus,
-    enumerate_group,
+    alcove_descent,
     hc_shift_vector,
     integer_actions,
     orbit_partition,
@@ -100,18 +100,24 @@ def ell_fiber(rs: RootSystem, chi_s: TorusElement, ell: int):
     return [TorusElement(exps) for exps in itertools.product(*axes)]
 
 
+def check_root_of_unity(rs: RootSystem, ell: int, eps: int):
+    """The standing hypotheses on ell and epsilon: ell odd and >= 3, prime to
+    3 when a G2 component is present, and eps coprime to ell."""
+    if ell % 2 == 0 or ell < 3:
+        raise HypothesisFailure(f"ell = {ell} must be odd and >= 3")
+    if any(l == "G" for l, _, _ in rs.components) and ell % 3 == 0:
+        raise HypothesisFailure(
+            f"ell = {ell} must be prime to 3 for G2 components")
+    if math.gcd(eps, ell) != 1:
+        raise HypothesisFailure(f"eps = {eps} must be coprime to ell")
+
+
 class QChar:
     """chi = chi_u chi_s with chi_s a torsion torus element and unipotent
     support a subset of the basis of Phi' = {beta : beta(chi_s^2) = 1}."""
 
     def __init__(self, rs, ell, chi_s=None, support=(), eps=1):
-        if ell % 2 == 0 or ell < 3:
-            raise HypothesisFailure(f"ell = {ell} must be odd and >= 3")
-        if any(l == "G" for l, _, _ in rs.components) and ell % 3 == 0:
-            raise HypothesisFailure(
-                f"ell = {ell} must be prime to 3 for G2 components")
-        if math.gcd(eps, ell) != 1:
-            raise HypothesisFailure(f"eps = {eps} must be coprime to ell")
+        check_root_of_unity(rs, ell, eps)
         self.rs = rs
         self.ell = ell
         self.eps = eps
@@ -227,39 +233,38 @@ def _delta_tilde(rs: RootSystem):
     return out
 
 
-def _is_simple_system(rs, T, roots):
-    """Is T a simple system of the closed subsystem `roots`?  Every root must
-    be an all-nonnegative or all-nonpositive integer combination of T."""
-    cols = [[b[row] for b in T] for row in range(rs.rank)]
-    for beta in roots:
-        coeffs = solve_rational(cols, beta)
-        if coeffs is None or not all(c.denominator == 1 for c in coeffs):
-            return False
-        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
-            return False
-    return True
-
-
-def conjugate_into_delta_tilde(rs: RootSystem, roots, elements):
-    """Find w with some simple system of w(roots) inside Delta-tilde =
-    Delta union {-alpha_0 (per component)}.  Returns (w, None) or (None, msg)."""
-    import itertools
+def _check_simple_system(rs: RootSystem, kac, roots):
+    """Raise InvariantViolation unless the Delta-tilde nodes with Kac
+    coordinate 0 form a simple system of `roots`: each lies in `roots`, and
+    every root is an all-nonnegative or all-nonpositive integer combination
+    of them.  On one component the only relation among the nodes -theta,
+    alpha_j is theta = sum_j a_j alpha_j, so a root's combination is fixed by
+    the vanishing of its coefficient on a node with nonzero Kac coordinate."""
     dt = _delta_tilde(rs)
-    base = subsystem_classify(rs, roots)
-    rank = base.rank
-    for w in elements:
-        moved = frozenset(w.apply_root(b) for b in roots)
-        inside = [b for b in dt if b in moved]
-        if len(inside) < rank:
-            continue
-        for T in itertools.combinations(inside, rank):
-            if _is_simple_system(rs, T, moved):
-                return w, None
-    return None, "no W-conjugate has a basis inside Delta-tilde"
+    for c, (_l, _n, nodes) in enumerate(rs.components):
+        coords = kac[c]
+        ext_nodes = [dt[rs.rank + c]] + [dt[j] for j in nodes]
+        if any(a not in roots for a, s in zip(ext_nodes, coords) if s == 0):
+            raise InvariantViolation(
+                f"a zero Kac node of {rs.type_str} lies outside the roots")
+        marks = (1,) + tuple(rs.a[j] for j in nodes)
+        free = next(k for k, s in enumerate(coords) if s)
+        for b in roots:
+            if not any(b[j] for j in nodes):
+                continue
+            ext = (0,) + tuple(b[j] for j in nodes)
+            k = Fraction(-ext[free], marks[free])
+            coeffs = [e + k * m for e, m in zip(ext, marks)]
+            if not (all(x == 0 for x, s in zip(coeffs, coords) if s)
+                    and all(x.denominator == 1 for x in coeffs)
+                    and (min(coeffs) >= 0 or max(coeffs) <= 0)):
+                raise InvariantViolation(
+                    f"the zero Kac nodes of {rs.type_str} do not generate "
+                    f"the root {b}")
 
 
 def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
-                 eps: int = 1, elements=None) -> bool:
+                 eps: int = 1) -> bool:
     """Quantum unramified criterion.
 
     coords="component": the robust all-roots test on the shifted label u
@@ -269,7 +274,9 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     coords="highestWeight": the Delta-tilde test on a baby-Verma label t,
     after W-(dot-)conjugating so that {beta : beta(t)^{2 ell} = 1} has a
     simple system inside Delta union {-alpha_0}: alpha(t)^{2 ell} = 1 implies
-    alpha(t)^2 = eps^{-(2 rho, alpha)}.
+    alpha(t)^2 = eps^{-(2 rho, alpha)}.  The conjugating w comes from the
+    alcove descent of 2 ell t; the simple system is read off its zero Kac
+    coordinates.
     """
     if coords == "component":
         for b in rs.pos_roots:
@@ -282,14 +289,17 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     sat = [b for b in rs.pos_roots
            if (root_value(rs, point, b) * (2 * ell)).is_one()]
     roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
-    if elements is None:
-        elements = enumerate_group(rs)
-    w, msg = conjugate_into_delta_tilde(rs, roots, elements)
-    if w is None:
-        raise HypothesisFailure(msg)
+    w, kac = alcove_descent(rs, [2 * ell * e.q for e in point.exps])
+    _check_simple_system(rs, kac, frozenset(w.apply_root(b) for b in roots))
     moved = TorusElement(act_torus(w, point.exps, dot=True, ell=ell, eps=eps, rs=rs))
+    return _delta_tilde_test(rs, moved, ell, eps)
+
+
+def _delta_tilde_test(rs: RootSystem, t: TorusElement, ell: int, eps: int = 1) -> bool:
+    """alpha(t)^{2 ell} = 1 implies alpha(t)^2 = eps^{-(2 rho, alpha)} for
+    every alpha in Delta-tilde."""
     for alpha in _delta_tilde(rs):
-        x = root_value(rs, moved, alpha)
+        x = root_value(rs, t, alpha)
         if (x * (2 * ell)).is_one():
             target = eps_pow(-two_rho_dot(rs, alpha), ell, eps)
             if (x * 2) != target:
@@ -311,11 +321,14 @@ def steinberg_fiber_point(chi: QChar):
 
 def beta_minimal(rs: RootSystem, m: int):
     """The minimal positive root whose alpha_m-coefficient (0-based m) equals
-    the highest-root coefficient a_m; uniqueness is asserted."""
+    the highest-root coefficient a_m; it must be unique."""
     am = rs.a[m]
     cands = [b for b in rs.pos_roots if b[m] == am]
     minimal = [b for b in cands if all(rs.leq(b, c) for c in cands)]
-    assert len(minimal) == 1, "minimal root with full coefficient must be unique"
+    if len(minimal) != 1:
+        raise InvariantViolation(
+            f"{rs.type_str}: {len(minimal)} minimal roots with coefficient "
+            f"{am} at node {m + 1}, expected one")
     return minimal[0]
 
 
@@ -344,17 +357,23 @@ def exceptional_elements(rs: RootSystem):
         s_m = TorusElement(tuple(UnityExp(x) for x in q))
         vals = tuple(root_value(rs, s_m, tuple(1 if k == j else 0 for k in range(r)))
                      for j in range(r))
-        assert all(vals[j] == UnityExp(Fraction(1, am) if j == m else 0)
-                   for j in range(r))
+        if any(vals[j] != UnityExp(Fraction(1, am) if j == m else 0)
+               for j in range(r)):
+            raise InvariantViolation(
+                f"{rs.type_str}: s_{m + 1} has simple-root values {vals}")
         cent_roots = frozenset(b for b in rs.all_roots() if b[m] % am == 0)
         by_value = frozenset(b for b in rs.all_roots()
                              if root_value(rs, s_m, b).is_one())
-        assert cent_roots == by_value
+        if cent_roots != by_value:
+            raise InvariantViolation(
+                f"{rs.type_str}: the two centralizers of s_{m + 1} differ")
         bm = beta_minimal(rs, m)
         gens = [tuple(1 if k == j else 0 for k in range(r))
                 for j in range(r) if j != m] + [bm]
-        assert close_up(rs, gens) == cent_roots, \
-            "centralizer must equal the closure of the off-node simples and beta_m"
+        if close_up(rs, gens) != cent_roots:
+            raise InvariantViolation(
+                f"{rs.type_str}: the centralizer of s_{m + 1} is not the closure "
+                "of the off-node simples and beta_m")
         out.append({
             "m": m + 1,
             "torus": s_m,

@@ -211,12 +211,15 @@ class RootSystem:
         self._coroot = {}
         for b in self.pos_roots:
             nb2 = sum(b[i] * b[j] * S[i][j] for i in range(r) for j in range(r))
-            assert nb2 % 2 == 0
+            if nb2 % 2:
+                raise InvariantViolation(f"{self.type_str}: root {b} has odd norm {nb2}")
             db = nb2 // 2
             cv = []
             for i in range(r):
                 num = self.d[i] * b[i]
-                assert num % db == 0
+                if num % db:
+                    raise InvariantViolation(
+                        f"{self.type_str}: coroot of {b} is not integral")
                 cv.append(num // db)
             self._norm[b] = db
             self._coroot[b] = tuple(cv)
@@ -473,19 +476,23 @@ def _classify_component(rs, nodes, m):
     if n == 1:
         return ("A", 1, tuple(nodes))
     if maxw == 3:
-        assert n == 2
+        if n != 2:
+            raise InvariantViolation(f"a triple bond in a component of rank {n}")
         i, j = nodes
         short, longn = (i, j) if rs.norm_key(i) < rs.norm_key(j) else (j, i)
         return ("G", 2, (short, longn))
     if maxw == 2:
         dbl = [e for e, w in weights.items() if w == 2 and e[0] < e[1]]
-        assert len(dbl) == 1
+        if len(dbl) != 1:
+            raise InvariantViolation(f"{len(dbl)} double bonds in one component")
         u, v = dbl[0]
         if n == 2:
             longn, short = (u, v) if rs.norm_key(u) > rs.norm_key(v) else (v, u)
             return ("B", 2, (longn, short))
         if deg[u] == 2 and deg[v] == 2:
-            assert n == 4
+            if n != 4:
+                raise InvariantViolation(
+                    f"a double bond between two inner nodes in rank {n}")
             ends = [i for i in nodes if deg[i] == 1]
             start = next(e for e in ends if rs.norm_key(e) == max(rs.norm_key(x) for x in ends))
             return ("F", 4, tuple(path_order(start)))
@@ -500,7 +507,9 @@ def _classify_component(rs, nodes, m):
         orders = [path_order(e) for e in ends[:2]] or [list(nodes)]
         best = min(orders, key=lambda o: tuple(o))
         return ("A", n, tuple(best))
-    assert len(branchers) == 1 and deg[branchers[0]] == 3
+    if len(branchers) != 1 or deg[branchers[0]] != 3:
+        raise InvariantViolation(
+            f"simply-laced component with branch degrees {sorted(deg.values())}")
     c = branchers[0]
     branches = []
     for start in adj[c]:

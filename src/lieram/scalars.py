@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import BoundExceeded, NonInvertibleDenominator, NonPrime
+from .errors import BoundExceeded, InvariantViolation, NonInvertibleDenominator, NonPrime
 
 DEFAULT_FIELD_BOUND = 10**9
 
@@ -347,7 +347,8 @@ class FFElem:
         for _ in range(self.field.e - 1):
             t = t.frobenius()
             acc = acc + t
-        assert len(acc.coeffs) <= 1
+        if len(acc.coeffs) > 1:
+            raise InvariantViolation(f"the trace of {self} is not in F_{self.field.p}")
         return acc.coeffs[0] if acc.coeffs else 0
 
     def as_int(self) -> int:
@@ -423,7 +424,8 @@ def _subfield_embedding(small: FieldDescriptor, big: FieldDescriptor) -> FFElem:
     Frobenius^e - id); deterministic (lex-smallest root).
     """
     p, e, ee = small.p, small.e, big.e
-    assert big.p == p and ee % e == 0
+    if big.p != p or ee % e:
+        raise InvariantViolation(f"F_{p}^{e} does not embed in F_{big.p}^{ee}")
     # kernel of frob^e - id as an F_p-subspace of big
     rows = big.frobenius_rows()
 
@@ -463,7 +465,9 @@ def _subfield_embedding(small: FieldDescriptor, big: FieldDescriptor) -> FFElem:
         for c, rr in pivots.items():
             v[c] = (-aug[rr][free]) % p
         basis.append(tuple(v))
-    assert len(basis) == e
+    if len(basis) != e:
+        raise InvariantViolation(
+            f"the fixed space of Frobenius^{e} has dimension {len(basis)}, not {e}")
     # scan the p^e subfield elements for roots of small.modulus
     f = small.modulus
     roots = []
@@ -483,7 +487,9 @@ def _subfield_embedding(small: FieldDescriptor, big: FieldDescriptor) -> FFElem:
             acc = acc * cand + big.from_int(c)
         if acc.is_zero():
             roots.append(cand)
-    assert len(roots) == e
+    if len(roots) != e:
+        raise InvariantViolation(
+            f"the modulus of F_{p}^{e} has {len(roots)} roots in the subfield, not {e}")
     return min(roots, key=lambda x: x.coeffs)
 
 
@@ -492,7 +498,9 @@ def embed(x: FFElem, big: FieldDescriptor) -> FFElem:
     small = x.field
     if small == big:
         return x
-    assert big.p == small.p and big.e % small.e == 0
+    if big.p != small.p or big.e % small.e:
+        raise InvariantViolation(
+            f"F_{small.p}^{small.e} does not embed in F_{big.p}^{big.e}")
     if small.e == 1:
         return big.from_int(x.as_int())
     r = _subfield_embedding(small, big)
@@ -523,9 +531,11 @@ def artin_schreier_solve(c: FFElem, bound: int = DEFAULT_FIELD_BOUND):
                 for i in range(ee)]
     rhs_vec = [rhs.coeffs[i] if i < len(rhs.coeffs) else 0 for i in range(ee)]
     sol = _solve_fp_linear(mat_rows, rhs_vec, p)
-    assert sol is not None, "Artin-Schreier equation must be solvable here"
+    if sol is None:
+        raise InvariantViolation(f"x^p - x = {rhs} has no solution in F_{p}^{ee}")
     x = FFElem(target, _ptrim(sol))
-    assert x.frobenius() - x == rhs
+    if x.frobenius() - x != rhs:
+        raise InvariantViolation(f"{x} does not solve x^p - x = {rhs}")
     return x, target
 
 

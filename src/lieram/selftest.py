@@ -12,10 +12,11 @@ order and all suites enumerate exhaustively (no randomness anywhere).
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 
-from .errors import NoParabolicConjugate
+from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate
 from .modular import (
     PChar,
     dim_C,
@@ -28,6 +29,8 @@ from .modular import (
 from .quantum import (
     QChar,
     TorusElement,
+    _delta_tilde,
+    _delta_tilde_test,
     ell_fiber,
     hc_shift,
     q_blocks,
@@ -39,10 +42,17 @@ from .quantum import (
     appendix_rows,
     w_t,
 )
-from .rootdata import build_root_system, hypothesis_check, pair
-from .scalars import UnityExp, make_field
+from .rootdata import (
+    build_root_system,
+    hypothesis_check,
+    pair,
+    solve_rational,
+    subsystem_classify,
+)
+from .scalars import make_field
 from .weyl import (
     act_modular,
+    act_torus,
     burnside_count,
     enumerate_group,
     min_coset_reps,
@@ -102,7 +112,9 @@ def modular_characters(rs, p):
                 break
         if regss is not None:
             break
-    assert regss is not None, f"no regular semisimple character for {rs.type_str}, p={p}"
+    if regss is None:
+        raise InvariantViolation(
+            f"no regular semisimple character for {rs.type_str}, p={p}")
     out.append(("regss", PChar(rs, p, values=regss, field=regss_field)))
     if mixed is not None:
         chi = PChar(rs, p, values=mixed)
@@ -142,7 +154,9 @@ def quantum_characters(rs, ell):
                 break
         if regss is not None and (mixed is not None or r == 1):
             break
-    assert regss is not None
+    if regss is None:
+        raise InvariantViolation(
+            f"no regular semisimple character for {rs.type_str}, ell={ell}")
     out.append(("regss", QChar(rs, ell, chi_s=TorusElement(regss))))
     if mixed is not None:
         chi = QChar(rs, ell, chi_s=TorusElement(mixed))
@@ -306,22 +320,47 @@ def suite_unramified_counts():
                        if not bad else f"{bad}")
 
 
-def _quantum_label_set(chi):
-    """Baby-Verma labels: the ell^r torus elements t with t^ell = chi_s."""
-    rs, ell = chi.rs, chi.ell
-    out = []
-    r = rs.rank
-    for k in range(ell**r):
-        digits = []
-        n = k
-        for _ in range(r):
-            digits.append(n % ell)
-            n //= ell
-        digits.reverse()
-        out.append(TorusElement(tuple(
-            UnityExp(chi.chi_s.exps[i].q / ell + Fraction(digits[i], ell))
-            for i in range(r))))
-    return out
+def _baby_verma_labels(chi):
+    """Baby-Verma labels: the ell^r torus elements t with t^ell = chi_s, in
+    lex order of the coordinatewise offsets."""
+    half = TorusElement(tuple(e.q / 2 for e in chi.chi_s.exps))
+    return ell_fiber(chi.rs, half, chi.ell)
+
+
+def _is_simple_system(rs, T, roots):
+    """Is T a simple system of the closed subsystem `roots`?  Every root must
+    be an all-nonnegative or all-nonpositive integer combination of T."""
+    cols = [[b[row] for b in T] for row in range(rs.rank)]
+    for beta in roots:
+        coeffs = solve_rational(cols, beta)
+        if coeffs is None or not all(c.denominator == 1 for c in coeffs):
+            return False
+        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            return False
+    return True
+
+
+def _delta_tilde_by_search(rs, point, ell, elements, eps=1):
+    """Oracle for the highest-weight criterion: search the Weyl group
+    `elements`, in order, for a w such that w{beta : beta(t)^{2 ell} = 1}
+    has a simple system inside Delta-tilde, then run the Delta-tilde test at
+    the dot-moved label."""
+    sat = [b for b in rs.pos_roots
+           if (root_value(rs, point, b) * (2 * ell)).is_one()]
+    roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
+    dt = _delta_tilde(rs)
+    rank = subsystem_classify(rs, roots).rank
+    for w in elements:
+        moved = frozenset(w.apply_root(b) for b in roots)
+        inside = [b for b in dt if b in moved]
+        if len(inside) < rank:
+            continue
+        for T in itertools.combinations(inside, rank):
+            if _is_simple_system(rs, T, moved):
+                label = TorusElement(act_torus(w, point.exps, dot=True, ell=ell,
+                                               eps=eps, rs=rs))
+                return _delta_tilde_test(rs, label, ell, eps)
+    raise HypothesisFailure("no W-conjugate has a basis inside Delta-tilde")
 
 
 @_suite
@@ -347,17 +386,19 @@ def suite_criterion_equivalences():
     for t, ell, name, chi in quantum_cells():
         rs = chi.rs
         W = enumerate_group(rs)
-        for lab in _quantum_label_set(chi):
-            hw = q_unramified(rs, lab, "highestWeight", ell, elements=W)
+        for lab in _baby_verma_labels(chi):
+            hw = q_unramified(rs, lab, "highestWeight", ell)
+            oracle = _delta_tilde_by_search(rs, lab, ell, W)
             u = hc_shift(rs, lab, ell, "forward")
             comp = q_unramified(rs, u, "component", ell)
             f = u.pow(2)
             dim1 = chi.levi.order == w_t(rs, f).order
-            if not (hw == comp == dim1):
+            if not (hw == oracle == comp == dim1):
                 bad.append(("q", t, ell, name, lab.key()))
                 break
     return (not bad), ("simple-root == definitional == dim-1 (modular); "
-                       "Delta-tilde == all-roots == dim-1 (quantum)"
+                       "Delta-tilde after alcove descent == W-search oracle "
+                       "== all-roots == dim-1 (quantum)"
                        if not bad else f"{bad}")
 
 
@@ -435,7 +476,7 @@ def suite_steinberg():
         # the shifted route: a baby Verma label of Steinberg type satisfies
         # alpha(t)^2 = eps^{-(2 rho, alpha)} on the basis of Phi'; its shifted
         # square must land in a dimension-one block
-        labels = [lab for lab in _quantum_label_set(chi)
+        labels = [lab for lab in _baby_verma_labels(chi)
                   if all(root_value(rs, lab, a) * 2
                          == eps_pow(-two_rho_dot(rs, a), ell, chi.eps)
                          for a in chi.levi.basis)]

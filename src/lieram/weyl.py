@@ -19,6 +19,7 @@ torus exponents as numerators mod a common denominator N.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import BoundExceeded, InvariantViolation, NotParabolic
@@ -184,14 +185,72 @@ def _word_for_reflection(rs, beta):
                     b = nb
                     break
         else:
-            raise AssertionError("descent must exist for a positive root")
+            raise InvariantViolation(f"no descent step from the root {b}")
 
 
 def word_element(rs: RootSystem, word) -> WeylElement:
-    w = identity(rs)
-    for i in word:
-        w = w * simple_reflection(rs, i)
-    return WeylElement(rs, w.M, w.Minv, tuple(word))
+    """s_{i1} s_{i2} ... s_{ik} for the word (i1, ..., ik), built once from
+    the images of the simple roots under the letters."""
+    word = tuple(word)
+    r = rs.rank
+
+    def columns(letters):
+        # column j = image of alpha_j, the first letter applied first
+        cols = []
+        for j in range(r):
+            b = tuple(int(k == j) for k in range(r))
+            for i in letters:
+                b = rs.reflect(i, b)
+            cols.append(b)
+        return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+
+    return WeylElement(rs, columns(word[::-1]), columns(word), word)
+
+
+def alcove_descent(rs: RootSystem, x):
+    """Carry a rational point into the closed fundamental alcove.
+
+    x lists coroot coordinates (x = sum_i x_i alpha_i^vee, so alpha_j(x) =
+    sum_i C[i][j] x_i).  The point is first reduced mod Q^vee into [0, 1)^r;
+    then s_j is applied while alpha_j(x) < 0, and the affine reflection s_0
+    of a component (in the hyperplane theta = 1) while theta(x) > 1.
+    Returns (w, kac): w is the finite part of the affine Weyl element used,
+    so x' = w x + (an element of Q^vee) lies in the alcove, and kac holds per
+    component (s_0, s_j for the component's nodes) with s_j = alpha_j(x') and
+    s_0 = 1 - theta(x').  Borel-de Siebenthal (Kac, Infinite-Dimensional Lie
+    Algebras, Ch. 8): the roots integral on x' have as a simple system the
+    Delta-tilde nodes with Kac coordinate 0, -theta standing for s_0.
+    """
+    r = rs.rank
+    C = rs.cartan
+    x = [Fraction(v) for v in x]
+    # integer numerators over the common denominator D keep each step exact
+    D = math.lcm(*(v.denominator for v in x))
+    n = [(v.numerator * (D // v.denominator)) % D for v in x]
+    thetas = [(theta, rs.coroot(theta), _word_for_reflection(rs, theta))
+              for theta in map(rs.highest_root, range(len(rs.components)))]
+    letters = []  # simple reflections in the order applied
+    while True:
+        v = [sum(C[i][j] * n[i] for i in range(r)) for j in range(r)]  # D alpha_j(x)
+        j = next((j for j in range(r) if v[j] < 0), None)
+        if j is not None:
+            n[j] -= v[j]
+            letters.append(j)
+            continue
+        over = [(k, coroot, word) for theta, coroot, word in thetas
+                if (k := _dot(theta, v) - D) > 0]
+        if not over:
+            break
+        k, coroot, word = over[0]
+        n = [a - k * c for a, c in zip(n, coroot)]
+        letters.extend(word)  # the finite part of s_0 is s_theta
+    kac = tuple((Fraction(D - _dot(theta, v), D),) + tuple(Fraction(v[j], D) for j in nodes)
+                for (theta, _c, _w), (_l, _n, nodes) in zip(thetas, rs.components))
+    return word_element(rs, letters[::-1]), kac
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def inversion_set(rs: RootSystem, word):

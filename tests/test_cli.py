@@ -2,11 +2,13 @@
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from lieram.cli import main
 from lieram.modular import ModWeight, dim_C
+from lieram.quantum import TorusElement, hc_shift
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
 
@@ -225,3 +227,52 @@ def test_malformed_literal_is_a_usage_error(case, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: lieram ")
     assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["quantum", "unramified", "--type", "A1", "--ell", "1", "--torus", "0"],
+     "ell = 1 must be odd and >= 3"),
+    (["quantum", "unramified", "--type", "A1", "--ell", "4", "--torus", "0"],
+     "ell = 4 must be odd and >= 3"),
+    (["quantum", "unramified", "--type", "G2", "--ell", "3", "--torus", "0,0"],
+     "ell = 3 must be prime to 3 for G2 components"),
+    (["quantum", "unramified", "--type", "A1", "--ell", "5", "--eps", "10",
+      "--torus", "0"], "eps = 10 must be coprime to ell"),
+    (["modular", "unramified", "--type", "A1", "--p", "2", "--weight", "1"],
+     "(type A1, p=2) fails hypotheses"),
+    (["modular", "finite-type", "--type", "G2", "--p", "3", "--weight", "1,1"],
+     "(type G2, p=3) fails hypotheses"),
+])
+def test_standalone_commands_check_the_standing_hypotheses(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: " + message)
+
+
+# (type, highest-weight label, verdict): the alcove descent of each label
+# takes a Weyl word of length 11 to 100 and leaves a proper Levi of zero Kac
+# nodes; |W(E7)| and |W(E8)| exceed the default group bound
+E_LABELS = [
+    ("E6", "6/7,13/14,0,1/3,6/7,6/7", False),
+    ("E6", "11/21,13/14,6/7,1/3,1/42,11/21", True),
+    ("E7", "4/7,5/7,2/7,1/7,10/21,5/14,9/14", False),
+    ("E7", "1/14,2/3,11/14,9/14,9/14,13/21,19/21", True),
+    ("E8", "13/14,11/14,1/6,5/7,1/2,1/6,13/14,13/14", False),
+    ("E8", "3/7,11/14,1/3,1/21,2/7,2/3,5/14,6/7", True),
+]
+
+
+@pytest.mark.parametrize("type_str,torus,verdict", E_LABELS)
+def test_quantum_unramified_exceptional_types(type_str, torus, verdict, capsys):
+    rs = build_root_system(type_str)
+    code, out = run_cli(["quantum", "unramified", "--type", type_str, "--ell", "7",
+                         "--torus", torus, "--coords", "both"], capsys)
+    assert code == 0
+    assert json.loads(out)["highestWeight"] is verdict
+    t = TorusElement(tuple(Fraction(x) for x in torus.split(",")))
+    u = ",".join(str(e.q) for e in hc_shift(rs, t, 7, "forward").exps)
+    code, out = run_cli(["quantum", "unramified", "--type", type_str, "--ell", "7",
+                         "--torus", u, "--coords", "component"], capsys)
+    assert code == 0
+    assert json.loads(out)["component"] is verdict

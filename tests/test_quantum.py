@@ -1,13 +1,15 @@
 """Torus elements, the ell-fiber and its blocks, quantum criteria, shifts,
 exceptional elements, the appendix table, simplicity and counts."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from lieram.errors import HypothesisFailure, InvalidSupport, UnknownRow
+from lieram.errors import HypothesisFailure, InvalidSupport, InvariantViolation, UnknownRow
 from lieram.quantum import (
     QChar,
+    _check_simple_system,
     TorusElement,
     appendix_rows,
     beta_minimal,
@@ -25,6 +27,7 @@ from lieram.quantum import (
 )
 from lieram.rootdata import build_root_system
 from lieram.scalars import UnityExp, eps_pow
+from lieram.selftest import _baby_verma_labels, _delta_tilde_by_search, quantum_cells
 from lieram.weyl import act_torus, enumerate_group
 
 
@@ -154,7 +157,8 @@ def test_quantum_criteria_coherent_on_sl2():
     hw_flags = {}
     for k in range(5):
         t = T(Fraction(k, 5))
-        hw = q_unramified(a1, t, "highestWeight", 5, elements=W)
+        hw = q_unramified(a1, t, "highestWeight", 5)
+        assert hw == _delta_tilde_by_search(a1, t, 5, W)
         u = hc_shift(a1, t, 5, "forward")
         comp = q_unramified(a1, u, "component", 5)
         assert hw == comp
@@ -198,7 +202,8 @@ def test_reducible_type_coherence():
     for k1 in range(5):
         for k2 in range(5):
             t = TorusElement((Fraction(k1, 5), Fraction(k2, 5)))
-            hw = q_unramified(rs, t, "highestWeight", 5, elements=W)
+            hw = q_unramified(rs, t, "highestWeight", 5)
+            assert hw == _delta_tilde_by_search(rs, t, 5, W)
             u = hc_shift(rs, t, 5, "forward")
             comp = q_unramified(rs, u, "component", 5)
             dim1 = chi.levi.order == w_t(rs, u.pow(2)).order
@@ -347,6 +352,71 @@ def test_eps_override_recorded():
         t = T(Fraction(k, 5))
         u = hc_shift(a1, t, 5, "forward", eps=2)
         flags[k] = q_unramified(a1, u, "component", 5, eps=2)
-        assert flags[k] == q_unramified(a1, t, "highestWeight", 5, eps=2,
-                                        elements=W)
+        assert flags[k] == q_unramified(a1, t, "highestWeight", 5, eps=2)
+        assert flags[k] == _delta_tilde_by_search(a1, t, 5, W, eps=2)
     assert sum(flags.values()) == 1 and flags[4]
+
+
+def _labels_by_digits(chi):
+    """The baby-Verma labels t^ell = chi_s built digit by digit: the k-th
+    label has t_i = (q_i + d_i) / ell for the base-ell digits d of k, most
+    significant first."""
+    rs, ell = chi.rs, chi.ell
+    out = []
+    for k in range(ell**rs.rank):
+        digits = []
+        n = k
+        for _ in range(rs.rank):
+            digits.append(n % ell)
+            n //= ell
+        digits.reverse()
+        out.append(TorusElement(tuple(
+            UnityExp(chi.chi_s.exps[i].q / ell + Fraction(digits[i], ell))
+            for i in range(rs.rank))))
+    return out
+
+
+def test_baby_verma_labels_are_the_fiber_of_the_halved_character():
+    cells = 0
+    for _t, _ell, _name, chi in quantum_cells():
+        assert _baby_verma_labels(chi) == _labels_by_digits(chi)
+        cells += 1
+    assert cells == 53
+
+
+@pytest.mark.parametrize("type_str", ["A4", "B4", "C4", "D4", "F4", "A1xB2"])
+def test_highest_weight_criterion_matches_search_oracle(type_str):
+    # alcove descent against the W search and the all-roots test at the
+    # Harish-Chandra shift; every second label is the back-shift of a point
+    # of order dividing 6, which is unramified, so both verdicts occur
+    rs = build_root_system(type_str)
+    W = enumerate_group(rs)
+    rng = random.Random(type_str)
+    verdicts = []
+    for i in range(50):
+        ell = rng.choice((5, 7))
+        den = ell * rng.choice((1, 2, 3, 6))
+        t = TorusElement(tuple(Fraction(rng.randrange(den), den) for _ in range(rs.rank)))
+        if i % 2:
+            u = TorusElement(tuple(Fraction(rng.randrange(6), 6) for _ in range(rs.rank)))
+            t = hc_shift(rs, u, ell, "back")
+        hw = q_unramified(rs, t, "highestWeight", ell)
+        assert hw == _delta_tilde_by_search(rs, t, ell, W)
+        assert hw == q_unramified(rs, hc_shift(rs, t, ell, "forward"), "component", ell)
+        verdicts.append(hw)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_zero_kac_nodes_guard():
+    a2 = build_root_system("A2")
+    half = Fraction(1, 2)
+    roots = {(0, 1), (0, -1), (1, 1), (-1, -1)}
+    # Kac coordinates (s_0, s_1, s_2) = (1/2, 1/2, 0): the zero node alpha_2
+    # does not generate alpha_1 + alpha_2
+    with pytest.raises(InvariantViolation):
+        _check_simple_system(a2, ((half, half, 0),), frozenset(roots))
+    # (0, 1/2, 1/2): the zero node -theta = -(alpha_1 + alpha_2) misses alpha_2
+    with pytest.raises(InvariantViolation):
+        _check_simple_system(a2, ((0, half, half),), frozenset(roots))
+    # (0, 1, 0): -theta and alpha_2 are a simple system of these roots
+    _check_simple_system(a2, ((0, 1, 0),), frozenset(roots | {(1, 0), (-1, 0)}))

@@ -1,5 +1,6 @@
 """Weyl elements, actions, stabilizers, cosets, orbits, Burnside oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from lieram.scalars import UnityExp, eps_pow, make_field
 from lieram.weyl import (
     act_modular,
     act_torus,
+    alcove_descent,
     burnside_count,
     enumerate_group,
     hc_shift_vector,
@@ -76,10 +78,36 @@ def test_reduced_words_match_length():
 
 
 def test_word_matrix_consistency():
-    g2 = build_root_system("G2")
-    for w in enumerate_group(g2):
-        assert word_element(g2, w.word) == w
-        assert (w * w.inverse()).is_identity()
+    for t in ("G2", "B3"):
+        rs = build_root_system(t)
+        for w in enumerate_group(rs):
+            v = word_element(rs, w.word)
+            assert v == w and v.Minv == w.Minv and v.word == w.word
+            assert (w * w.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("type_str", ["A1", "A3", "B3", "C3", "G2", "D4", "F4",
+                                      "A1xB2", "E6", "E8"])
+def test_alcove_descent_lands_in_the_alcove(type_str):
+    rs = build_root_system(type_str)
+    rng = random.Random(type_str)
+    unit = [tuple(int(k == j) for k in range(rs.rank)) for j in range(rs.rank)]
+    for _ in range(40):
+        den = rng.choice((1, 2, 5, 6, 14, 30))
+        x = [Fraction(rng.randrange(-3 * den, 3 * den), den) for _ in range(rs.rank)]
+        w, kac = alcove_descent(rs, x)
+        assert len(kac) == len(rs.components)
+        for (_l, _n, nodes), coords in zip(rs.components, kac):
+            # s_0 + sum_j a_j s_j = 1 with every coordinate >= 0
+            assert min(coords) >= 0
+            assert coords[0] + sum(rs.a[j] * s for j, s in zip(nodes, coords[1:])) == 1
+            # x' = w x + (element of Q^vee): alpha_j(x') = (w^-1 alpha_j)(x) mod Z
+            for j, s in zip(nodes, coords[1:]):
+                b = w.apply_root_inv(unit[j])
+                value = sum(b[k] * sum(rs.cartan[i][k] * x[i] for i in range(rs.rank))
+                            for k in range(rs.rank))
+                assert (value - s).denominator == 1
+        assert word_element(rs, w.word) == w
 
 
 def test_act_modular_examples():
