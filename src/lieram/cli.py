@@ -23,6 +23,7 @@ Input grammars:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -133,9 +134,13 @@ def parse_torus(text: str, rank: int) -> TorusElement:
 
 
 def parse_support(text: str):
+    """1-based indices into the basis of Phi', returned 0-based."""
     if not text or not text.strip():
         return ()
-    return tuple(_literal(int, t.strip(), "support index") - 1 for t in text.split(","))
+    out = tuple(_literal(int, t.strip(), "support index") for t in text.split(","))
+    if any(i < 1 for i in out):
+        raise UsageError(f"support indices start at 1, not {min(out)}")
+    return tuple(i - 1 for i in out)
 
 
 def _literal(convert, text, what):
@@ -496,9 +501,15 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    # built on the first call, not at import; every call parses into a fresh
+    # Namespace, so nothing carries over from one call to the next
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # empty chi-s defaults to the zero character / trivial torus element
         if getattr(args, "chi_s", None) == "":

@@ -23,18 +23,12 @@ from .errors import (
     NoParabolicConjugate,
     NotNilpotentContext,
 )
-from .rootdata import (
-    RootSystem,
-    close_up,
-    coxeter_type,
-    hypothesis_check,
-    pair,
-    subsystem_classify,
-)
+from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify
 from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
 from .weyl import (
     DEFAULT_GROUP_BOUND,
     integer_actions,
+    integer_pairings,
     orbit_partition,
     reflection_stabilizer,
 )
@@ -113,15 +107,16 @@ class PChar:
                 "character values must share one ambient field of characteristic p")
         self.field = field
         self.values = tuple(values)
-        sat = tuple(b for b in rs.pos_roots if pair(rs, self.values, b).is_zero())
+        vals = _pairings(rs, self.values, field)
+        sat = tuple(b for b, v in vals.items() if not any(v))
         roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
         self.levi = subsystem_classify(rs, roots)
         support = tuple(sorted(set(support)))
         for s in support:
             if not (0 <= s < len(self.levi.basis)):
                 raise InvalidSupport(
-                    f"support index {s} outside the basis of Phi' "
-                    f"(rank {len(self.levi.basis)})")
+                    f"support index {s + 1} outside the basis of Phi' "
+                    f"(rank {len(self.levi.basis)}, indices from 1)")
         self.support = support
 
     @property
@@ -160,12 +155,26 @@ def enumerate_lambda_chi(chi: PChar, bound=DEFAULT_FIELD_BOUND):
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
 
-def eta_subsystems(rs: RootSystem, eta: ModWeight):
+def _pairings(rs: RootSystem, values, field, code=None):
+    """eta(h_beta) for every positive root beta, as its coefficient tuple mod
+    p, from the values eta(h_i) in `field` or their flat encoding `code`:
+    r*e coefficients, each value padded to e."""
+    if code is None:
+        if any(v.field != field for v in values):
+            raise ValueError("elements of different fields")
+        pad = (0,) * field.e
+        code = tuple(c for v in values for c in (v.coeffs + pad)[:field.e])
+    pairings = integer_pairings(rs, "values", field.p, field.e)
+    return dict(zip(rs.pos_roots, pairings(code)))
+
+
+def eta_subsystems(rs: RootSystem, eta: ModWeight, code=None):
     """(zero, fp): the reflection subgroups of {alpha : eta(h_alpha) = 0} and
-    {alpha : eta(h_alpha) in F_p}, with classified subsystems."""
-    vals = {b: pair(rs, eta.values, b) for b in rs.pos_roots}
-    zero = reflection_stabilizer(rs, lambda b: vals[b].is_zero())
-    fp = reflection_stabilizer(rs, lambda b: vals[b].in_prime_field())
+    {alpha : eta(h_alpha) in F_p}, with classified subsystems.  `code`, when
+    given, is eta's flat encoding (see _pairings), as mod_blocks walks it."""
+    vals = _pairings(rs, eta.values, eta.field, code)
+    zero = reflection_stabilizer(rs, lambda b: not any(vals[b]))
+    fp = reflection_stabilizer(rs, lambda b: not any(vals[b][1:]))
     return zero, fp
 
 
@@ -263,7 +272,7 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND,
         eta = ModWeight(ambient.elem(cls[0][i * e:(i + 1) * e])
                         for i in range(rs.rank))
         lam = eta - rho
-        zero, fp = eta_subsystems(rs, eta)
+        zero, fp = eta_subsystems(rs, eta, cls[0])
         dim = _index(zero, fp)
         poincare = _poincare(zero) if chi.nilpotent else None
         verdict, witness = _finite_type(rs, zero, fp, assume_unique_simple)
@@ -296,8 +305,8 @@ def poincare_series(rs: RootSystem, eta: ModWeight):
     Requires a nilpotent context (all coordinates of eta in F_p)."""
     if not eta.in_lambda():
         raise NotNilpotentContext("Poincare series needs all coordinates in F_p")
-    return _poincare(reflection_stabilizer(
-        rs, lambda b: pair(rs, eta.values, b).is_zero()))
+    vals = _pairings(rs, eta.values, eta.field)
+    return _poincare(reflection_stabilizer(rs, lambda b: not any(vals[b])))
 
 
 def _poincare(zero):
@@ -331,8 +340,7 @@ def _finite_type(rs, zero, fp, assume_unique_simple):
     if zero.subsystem.rank != big.rank - 1:
         return "infinite", witness
     differing = []
-    for letter, n, basis in big.components:
-        comp_roots = close_up(rs, basis)
+    for (letter, n, _basis), comp_roots in zip(big.components, big.component_roots()):
         inter = comp_roots & small_roots
         if inter != comp_roots:
             differing.append(((letter, n), inter))

@@ -30,17 +30,17 @@ from .errors import (
 from .rootdata import (
     RootSystem,
     close_up,
-    solve_rational,
     subsystem_classify,
     two_rho_dot,
 )
-from .scalars import UnityExp, eps_pow
+from .scalars import UnityExp, eps_pow, solve_linear
 from .weyl import (
     DEFAULT_GROUP_BOUND,
     act_torus,
     alcove_descent,
     hc_shift_vector,
     integer_actions,
+    integer_pairings,
     orbit_partition,
     reflection_stabilizer,
 )
@@ -87,10 +87,26 @@ def root_value(rs: RootSystem, t: TorusElement, beta) -> UnityExp:
     return UnityExp(acc)
 
 
+def _torus_code(points):
+    """The exponents of torus points as integer numerators over their common
+    denominator N: (one tuple per point, N)."""
+    N = math.lcm(*{e.q.denominator for t in points for e in t.exps})
+    return [tuple(e.q.numerator * (N // e.q.denominator) for e in t.exps)
+            for t in points], N
+
+
+def _pairings(rs: RootSystem, t: TorusElement):
+    """beta(t) for every positive root beta as the numerator of its exponent
+    over N, so beta(t) = 1 iff it is 0: (dict root -> numerator mod N, N)."""
+    (code,), N = _torus_code([t])
+    return dict(zip(rs.pos_roots, integer_pairings(rs, "torus", N)(code))), N
+
+
 def w_t(rs: RootSystem, t: TorusElement):
     """The reflection subgroup <s_beta : beta(t) = 1>, with classified
     subsystem Phi_t."""
-    return reflection_stabilizer(rs, lambda b: root_value(rs, t, b).is_one())
+    vals, _N = _pairings(rs, t)
+    return reflection_stabilizer(rs, lambda b: vals[b] == 0)
 
 
 def ell_fiber(rs: RootSystem, chi_s: TorusElement, ell: int):
@@ -124,17 +140,16 @@ class QChar:
         if chi_s is None:
             chi_s = TorusElement(tuple(UnityExp(0) for _ in range(rs.rank)))
         self.chi_s = chi_s
-        chi2 = chi_s.pow(2)
-        sat = tuple(b for b in rs.pos_roots
-                    if root_value(rs, chi2, b).is_one())
+        vals, _N = _pairings(rs, chi_s.pow(2))
+        sat = tuple(b for b, v in vals.items() if v == 0)
         roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
         self.levi = subsystem_classify(rs, roots)
         support = tuple(sorted(set(support)))
         for s in support:
             if not (0 <= s < len(self.levi.basis)):
                 raise InvalidSupport(
-                    f"support index {s} outside the basis of Phi' "
-                    f"(rank {len(self.levi.basis)})")
+                    f"support index {s + 1} outside the basis of Phi' "
+                    f"(rank {len(self.levi.basis)}, indices from 1)")
         self.support = support
 
     @property
@@ -179,9 +194,7 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
     fiber = ell_fiber(rs, chi.chi_s, chi.ell)
     # the walk runs on exponent numerators over the common denominator N;
     # W acts by integer matrices, so every orbit stays on (1/N)Z^r
-    N = math.lcm(*{e.q.denominator for t in fiber for e in t.exps})
-    points = [tuple(e.q.numerator * (N // e.q.denominator) for e in t.exps)
-              for t in fiber]
+    points, N = _torus_code(fiber)
 
     def key(code):
         # UnityExp.key() of each exponent n/N: (n/g, N/g) with g = gcd(n, N)
@@ -278,16 +291,12 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     alcove descent of 2 ell t; the simple system is read off its zero Kac
     coordinates.
     """
+    vals, N = _pairings(rs, point)
     if coords == "component":
-        for b in rs.pos_roots:
-            x = root_value(rs, point, b)
-            if (x * (2 * ell)).is_one() and not (x * 2).is_one():
-                return False
-        return True
+        return not any(2 * ell * v % N == 0 and 2 * v % N for v in vals.values())
     if coords != "highestWeight":
         raise ValueError(f"unknown coords {coords!r}")
-    sat = [b for b in rs.pos_roots
-           if (root_value(rs, point, b) * (2 * ell)).is_one()]
+    sat = [b for b, v in vals.items() if 2 * ell * v % N == 0]
     roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
     w, kac = alcove_descent(rs, [2 * ell * e.q for e in point.exps])
     _check_simple_system(rs, kac, frozenset(w.apply_root(b) for b in roots))
@@ -298,11 +307,12 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
 def _delta_tilde_test(rs: RootSystem, t: TorusElement, ell: int, eps: int = 1) -> bool:
     """alpha(t)^{2 ell} = 1 implies alpha(t)^2 = eps^{-(2 rho, alpha)} for
     every alpha in Delta-tilde."""
+    vals, N = _pairings(rs, t)
     for alpha in _delta_tilde(rs):
-        x = root_value(rs, t, alpha)
-        if (x * (2 * ell)).is_one():
+        v = vals[alpha] if alpha in vals else -vals[tuple(-c for c in alpha)]
+        if 2 * ell * v % N == 0:
             target = eps_pow(-two_rho_dot(rs, alpha), ell, eps)
-            if (x * 2) != target:
+            if UnityExp(Fraction(2 * v, N)) != target:
                 return False
     return True
 
@@ -312,7 +322,8 @@ def steinberg_fiber_point(chi: QChar):
     which every root of Phi' takes the value 1 (exists in every matrix cell;
     the whole Levi then stabilizes it, so its block has dimension one)."""
     for t in ell_fiber(chi.rs, chi.chi_s, chi.ell):
-        if all(root_value(chi.rs, t, b).is_one() for b in chi.levi.basis):
+        vals, _N = _pairings(chi.rs, t)
+        if all(vals[b] == 0 for b in chi.levi.basis):
             return t
     return None
 
@@ -349,27 +360,27 @@ def exceptional_elements(rs: RootSystem):
         "centralizer": subsystem_classify(rs, rs.all_roots()),
         "beta_m": None,
     }]
+    simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
     for m in range(r):
         am = rs.a[m]
         rows = [[rs.cartan[i][j] for i in range(r)] for j in range(r)]
         rhs = [Fraction(1, am) if j == m else 0 for j in range(r)]
-        q = solve_rational(rows, rhs)
+        q = solve_linear(rows, rhs)
         s_m = TorusElement(tuple(UnityExp(x) for x in q))
-        vals = tuple(root_value(rs, s_m, tuple(1 if k == j else 0 for k in range(r)))
-                     for j in range(r))
+        by_root, N = _pairings(rs, s_m)
+        vals = tuple(UnityExp(Fraction(by_root[a], N)) for a in simple)
         if any(vals[j] != UnityExp(Fraction(1, am) if j == m else 0)
                for j in range(r)):
             raise InvariantViolation(
                 f"{rs.type_str}: s_{m + 1} has simple-root values {vals}")
         cent_roots = frozenset(b for b in rs.all_roots() if b[m] % am == 0)
-        by_value = frozenset(b for b in rs.all_roots()
-                             if root_value(rs, s_m, b).is_one())
+        by_value = frozenset(c for b, v in by_root.items() if v == 0
+                             for c in (b, tuple(-x for x in b)))
         if cent_roots != by_value:
             raise InvariantViolation(
                 f"{rs.type_str}: the two centralizers of s_{m + 1} differ")
         bm = beta_minimal(rs, m)
-        gens = [tuple(1 if k == j else 0 for k in range(r))
-                for j in range(r) if j != m] + [bm]
+        gens = [a for j, a in enumerate(simple) if j != m] + [bm]
         if close_up(rs, gens) != cent_roots:
             raise InvariantViolation(
                 f"{rs.type_str}: the centralizer of s_{m + 1} is not the closure "

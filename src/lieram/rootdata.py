@@ -23,9 +23,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from fractions import Fraction
 
 from .errors import InvalidType, InvariantViolation, NotClosed
+from .scalars import solve_linear
 
 _TYPE_RE = re.compile(r"([A-G])(\d+)")
 
@@ -169,6 +169,7 @@ class RootSystem:
         )
         self._build_roots()
         self._rho_weight_pairs = None
+        self._subsystems = {}  # frozenset of roots -> Subsystem, see subsystem_classify
 
     # -- construction -------------------------------------------------------
 
@@ -298,7 +299,7 @@ class RootSystem:
             out = []
             for i in range(r):
                 # alpha-coords of varpi_i
-                x = solve_rational(self.cartan, [int(j == i) for j in range(r)])
+                x = solve_linear(self.cartan, [int(j == i) for j in range(r)])
                 out.append(sum(x[k] * self.d[k] for k in range(r)))
             self._rho_weight_pairs = tuple(out)
         return self._rho_weight_pairs
@@ -322,34 +323,6 @@ def coxeter_type(letter, rank):
     if letter == "B" and rank == 1:
         letter = "A"
     return (letter, rank)
-
-
-def solve_rational(A, b):
-    """A solution x of A x = b over Q for any m x n matrix A, with the free
-    unknowns set to 0, or None when the system is inconsistent."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
-    pivots = []
-    for col in range(n):
-        rr = len(pivots)
-        piv = next((row for row in range(rr, m) if aug[row][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        inv = 1 / aug[rr][col]
-        aug[rr] = [x * inv for x in aug[rr]]
-        for row in range(m):
-            if row != rr and aug[row][col] != 0:
-                f = aug[row][col]
-                aug[row] = [x - f * y for x, y in zip(aug[row], aug[rr])]
-        pivots.append(col)
-    if any(aug[row][n] != 0 for row in range(len(pivots), m)):
-        return None
-    x = [Fraction(0)] * n
-    for row, col in enumerate(pivots):
-        x[col] = aug[row][n]
-    return x
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,7 +360,8 @@ def two_rho_dot(rs: RootSystem, b) -> int:
 class Subsystem:
     """A classified closed, negation-stable subset of a root system."""
 
-    __slots__ = ("rs", "roots", "basis", "components", "type_str", "order")
+    __slots__ = ("rs", "roots", "basis", "components", "type_str", "order",
+                 "_parabolic", "_component_roots")
 
     def __init__(self, rs, roots, basis, components):
         self.rs = rs
@@ -397,6 +371,8 @@ class Subsystem:
         self.type_str = type_string([(l, n) for l, n, _ in components]) \
             if components else "1"
         self.order = math.prod(degrees(components))
+        self._parabolic = None
+        self._component_roots = None
 
     @property
     def rank(self) -> int:
@@ -413,10 +389,30 @@ class Subsystem:
     def is_parabolic(self) -> bool:
         """Is this W-conjugate to a standard parabolic subsystem?  That holds
         exactly when it equals Phi inter span_Q(self) (Bourbaki, Lie Groups
-        and Lie Algebras, Ch. VI 1.7)."""
-        cols = [[b[i] for b in self.basis] for i in range(self.rs.rank)]
-        return not any(b not in self.roots and solve_rational(cols, b) is not None
-                       for b in self.rs.pos_roots)
+        and Lie Algebras, Ch. VI 1.7).  Computed once per subsystem."""
+        if self._parabolic is None:
+            cols = [[b[i] for b in self.basis] for i in range(self.rs.rank)]
+            self._parabolic = not any(
+                b not in self.roots and solve_linear(cols, b) is not None
+                for b in self.rs.pos_roots)
+        return self._parabolic
+
+    def component_roots(self):
+        """The root set of each component, in the order of `components`.  A
+        root lies in the one component whose basis it is not orthogonal to.
+        Computed once per subsystem."""
+        if self._component_roots is None:
+            rs = self.rs
+            values = [[rs.value_vec(a) for a in basis]
+                      for _l, _n, basis in self.components]
+            parts = [set() for _ in self.components]
+            for b in self.roots:
+                cb = rs.coroot(b)
+                k = next(k for k, vs in enumerate(values)
+                         if any(sum(x * y for x, y in zip(cb, v)) for v in vs))
+                parts[k].add(b)
+            self._component_roots = tuple(map(frozenset, parts))
+        return self._component_roots
 
     def coset_poincare(self):
         """Coefficients of W(t)/W_self(t), the length generating function of
@@ -456,8 +452,9 @@ def check_closed(rs: RootSystem, roots) -> frozenset:
     return S
 
 
-def _classify_component(rs, nodes, m):
-    """Classify one connected basis component; returns (letter, rank, ordered)."""
+def _classify_component(norms, nodes, m):
+    """Classify one connected basis component from its Cartan integers m and
+    the basis norms; returns (letter, rank, ordered)."""
     n = len(nodes)
     weights = {(i, j): m[i][j] * m[j][i] for i in nodes for j in nodes if i != j}
     adj = {i: [j for j in nodes if j != i and weights[(i, j)] > 0] for i in nodes}
@@ -479,7 +476,7 @@ def _classify_component(rs, nodes, m):
         if n != 2:
             raise InvariantViolation(f"a triple bond in a component of rank {n}")
         i, j = nodes
-        short, longn = (i, j) if rs.norm_key(i) < rs.norm_key(j) else (j, i)
+        short, longn = (i, j) if norms[i] < norms[j] else (j, i)
         return ("G", 2, (short, longn))
     if maxw == 2:
         dbl = [e for e, w in weights.items() if w == 2 and e[0] < e[1]]
@@ -487,18 +484,18 @@ def _classify_component(rs, nodes, m):
             raise InvariantViolation(f"{len(dbl)} double bonds in one component")
         u, v = dbl[0]
         if n == 2:
-            longn, short = (u, v) if rs.norm_key(u) > rs.norm_key(v) else (v, u)
+            longn, short = (u, v) if norms[u] > norms[v] else (v, u)
             return ("B", 2, (longn, short))
         if deg[u] == 2 and deg[v] == 2:
             if n != 4:
                 raise InvariantViolation(
                     f"a double bond between two inner nodes in rank {n}")
             ends = [i for i in nodes if deg[i] == 1]
-            start = next(e for e in ends if rs.norm_key(e) == max(rs.norm_key(x) for x in ends))
+            start = next(e for e in ends if norms[e] == max(norms[x] for x in ends))
             return ("F", 4, tuple(path_order(start)))
         leaf = u if deg[u] == 1 else v
         other_end = next(i for i in nodes if deg[i] == 1 and i != leaf)
-        letter = "B" if rs.norm_key(leaf) < rs.norm_key(other_end) else "C"
+        letter = "B" if norms[leaf] < norms[other_end] else "C"
         return (letter, n, tuple(path_order(other_end)))
     # simply laced
     branchers = [i for i in nodes if deg[i] >= 3]
@@ -538,22 +535,23 @@ def _classify_component(rs, nodes, m):
     raise NotClosed(f"basis graph is not a Dynkin diagram (branches {lens})")
 
 
-class _NormLookup:
-    # small adapter so _classify_component can ask for root lengths by node id
-    def __init__(self, norms):
-        self.norms = norms
-
-    def norm_key(self, i):
-        return self.norms[i]
-
-
 def subsystem_classify(rs: RootSystem, roots) -> Subsystem:
     """Classify a negation-closed, addition-closed subset of the roots.
 
     The basis consists of the positive members not expressible as a sum of
     two positive members; its Dynkin graph is classified per component.
+    Each root system keeps the Subsystem of every subset it has classified,
+    so a repeated subset, in any container, costs one lookup; a subset that
+    is not closed raises NotClosed on every call and is never kept.
     """
-    S = check_closed(rs, roots)
+    S = frozenset(roots)
+    sub = rs._subsystems.get(S)
+    if sub is None:
+        sub = rs._subsystems[S] = _classify(rs, check_closed(rs, S))
+    return sub
+
+
+def _classify(rs, S):
     Splus = sorted((b for b in S if rs.is_positive(b)), key=lambda b: (sum(b), b))
     plus_set = set(Splus)
     basis = []
@@ -573,7 +571,7 @@ def subsystem_classify(rs: RootSystem, roots) -> Subsystem:
         return Subsystem(rs, S, (), ())
     k = len(basis)
     m = [[rs.cartan_int(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-    lookup = _NormLookup([rs.norm(b) for b in basis])
+    norms = [rs.norm(b) for b in basis]
     # connected components of the basis graph
     seen = set()
     comps = []
@@ -592,7 +590,7 @@ def subsystem_classify(rs: RootSystem, roots) -> Subsystem:
         comps.append(sorted(comp))
     classified = []
     for comp in comps:
-        letter, n, order = _classify_component(lookup, comp, m)
+        letter, n, order = _classify_component(norms, comp, m)
         classified.append((letter, n, tuple(basis[i] for i in order)))
     classified.sort(key=lambda t: (t[0], t[1], t[2]))
     return Subsystem(rs, S, basis, tuple(classified))

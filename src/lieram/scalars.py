@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: finite fields F_{p^e} and roots of unity.
+"""Exact scalar arithmetic: finite fields F_{p^e}, roots of unity, and the one
+linear solver over Q or F_p.
 
 Field elements are coefficient tuples over F_p in the basis 1, x, ..., x^{e-1}
 of F_p[x]/(f), where f is the deterministic modulus for (p, e): the
@@ -16,6 +17,7 @@ embeddings into larger fields.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 from .errors import BoundExceeded, InvariantViolation, NonInvertibleDenominator, NonPrime
@@ -141,14 +143,8 @@ def _smallest_irreducible(p: int, e: int):
         return (0, 1)  # the polynomial x
     # enumerate monic degree-e moduli in increasing low-degree-first lex order,
     # from the first with constant term 1 (x divides every f with c0 = 0)
-    for k in range(p**(e - 1), p**e):
-        coeffs = []
-        n = k
-        for _ in range(e):
-            coeffs.append(n % p)
-            n //= p
-        coeffs.reverse()  # c0 is the most significant digit of k
-        f = tuple(coeffs) + (1,)
+    for coeffs in itertools.product(range(1, p), *[range(p)] * (e - 1)):
+        f = coeffs + (1,)
         if _irreducible(f, p, e):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -201,14 +197,8 @@ class FieldDescriptor:
 
     def elements(self):
         """All p^e elements, in low-degree-first lex order of coefficients."""
-        p, e = self.p, self.e
-        for k in range(p**e):
-            coeffs = []
-            n = k
-            for _ in range(e):
-                coeffs.append(n % p)
-                n //= p
-            yield FFElem(self, _ptrim(coeffs))
+        for digits in itertools.product(range(self.p), repeat=self.e):
+            yield FFElem(self, _ptrim(digits[::-1]))
 
     def frobenius_rows(self):
         # matrix of x -> x^p in the power basis, rows over F_p
@@ -383,110 +373,61 @@ class FFElem:
         return "+".join(parts)
 
 
-def _solve_fp_linear(rows, rhs, p):
-    """Solve A v = rhs over F_p (A given by rows); None if inconsistent.
-
-    Free variables are pinned to 0, so the solution is deterministic.
-    """
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c] % p), None)
+def solve_linear(A, b, p=None):
+    """A solution x of A x = b for any m x n matrix A, over Q (p None; x as
+    Fractions) or over F_p (x as ints mod p), with the free unknowns set to 0
+    so that it is deterministic; None when the system is inconsistent."""
+    if p is None:
+        aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
+        inv, red, zero = (lambda x: 1 / x), (lambda x: x), Fraction(0)
+    else:
+        aug = [[x % p for x in row] + [y % p] for row, y in zip(A, b)]
+        inv, red, zero = (lambda x: pow(x, p - 2, p)), (lambda x: x % p), 0
+    m = len(aug)
+    n = len(A[0]) if m else 0
+    pivots = []
+    for col in range(n):
+        rr = len(pivots)
+        piv = next((row for row in range(rr, m) if aug[row][col]), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c] % p, p - 2, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c] % p
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][m] % p:
-            return None
-    v = [0] * m
-    for i, c in enumerate(piv_cols):
-        v[c] = aug[i][m] % p
-    return v
+        aug[rr], aug[piv] = aug[piv], aug[rr]
+        c = inv(aug[rr][col])
+        aug[rr] = [red(x * c) for x in aug[rr]]
+        for row in range(m):
+            f = aug[row][col]
+            if row != rr and f:
+                aug[row] = [red(x - f * y) for x, y in zip(aug[row], aug[rr])]
+        pivots.append(col)
+    if any(aug[row][n] for row in range(len(pivots), m)):
+        return None
+    x = [zero] * n
+    for row, col in enumerate(pivots):
+        x[col] = aug[row][n]
+    return x
 
 
+@functools.lru_cache(maxsize=None)
 def _subfield_embedding(small: FieldDescriptor, big: FieldDescriptor) -> FFElem:
     """Image of small.gen_x() in big: a root of small's modulus in big.
 
-    Found by scanning the degree-e subfield of big (the kernel of
-    Frobenius^e - id); deterministic (lex-smallest root).
+    The roots lie in the degree-e subfield, whose nonzero elements are the
+    powers of h = g^((p^E - 1)/(p^e - 1)) for the generator g of big; the
+    lex-smallest root is taken, so the embedding is deterministic.
     """
     p, e, ee = small.p, small.e, big.e
     if big.p != p or ee % e:
         raise InvariantViolation(f"F_{p}^{e} does not embed in F_{big.p}^{ee}")
-    # kernel of frob^e - id as an F_p-subspace of big
-    rows = big.frobenius_rows()
-
-    def apply(rows_, v):
-        return tuple(sum(rows_[i][j] * v[j] for j in range(ee)) % p for i in range(ee))
-
-    mat = []
-    for j in range(ee):
-        v = tuple(1 if i == j else 0 for i in range(ee))
-        for _ in range(e):
-            v = apply(rows, v)
-        mat.append(tuple((v[i] - (1 if i == j else 0)) % p for i in range(ee)))
-    # columns of (frob^e - id); kernel by elimination
-    n = ee
-    aug = [[mat[j][i] for j in range(n)] for i in range(n)]
-    basis = []
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c] % p, p - 2, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c] % p
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots[c] = r
-        r += 1
-    for free in range(n):
-        if free in pivots:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for c, rr in pivots.items():
-            v[c] = (-aug[rr][free]) % p
-        basis.append(tuple(v))
-    if len(basis) != e:
-        raise InvariantViolation(
-            f"the fixed space of Frobenius^{e} has dimension {len(basis)}, not {e}")
-    # scan the p^e subfield elements for roots of small.modulus
-    f = small.modulus
+    h = big.generator() ** ((p**ee - 1) // (p**e - 1))
     roots = []
-    for k in range(p**e):
-        digits = []
-        m = k
-        for _ in range(e):
-            digits.append(m % p)
-            m //= p
-        v = [0] * n
-        for d, b in zip(digits, basis):
-            for i in range(n):
-                v[i] = (v[i] + d * b[i]) % p
-        cand = FFElem(big, _ptrim(v))
+    z = big.one()
+    for _ in range(p**e - 1):
         acc = big.zero()
-        for c in reversed(f):
-            acc = acc * cand + big.from_int(c)
+        for c in reversed(small.modulus):
+            acc = acc * z + big.from_int(c)
         if acc.is_zero():
-            roots.append(cand)
+            roots.append(z)
+        z = z * h
     if len(roots) != e:
         raise InvariantViolation(
             f"the modulus of F_{p}^{e} has {len(roots)} roots in the subfield, not {e}")
@@ -530,7 +471,7 @@ def artin_schreier_solve(c: FFElem, bound: int = DEFAULT_FIELD_BOUND):
     mat_rows = [tuple((rows[i][j] - (1 if i == j else 0)) % p for j in range(ee))
                 for i in range(ee)]
     rhs_vec = [rhs.coeffs[i] if i < len(rhs.coeffs) else 0 for i in range(ee)]
-    sol = _solve_fp_linear(mat_rows, rhs_vec, p)
+    sol = solve_linear(mat_rows, rhs_vec, p)
     if sol is None:
         raise InvariantViolation(f"x^p - x = {rhs} has no solution in F_{p}^{ee}")
     x = FFElem(target, _ptrim(sol))

@@ -46,10 +46,9 @@ from .rootdata import (
     build_root_system,
     hypothesis_check,
     pair,
-    solve_rational,
     subsystem_classify,
 )
-from .scalars import make_field
+from .scalars import make_field, solve_linear
 from .weyl import (
     act_modular,
     act_torus,
@@ -332,7 +331,7 @@ def _is_simple_system(rs, T, roots):
     be an all-nonnegative or all-nonpositive integer combination of T."""
     cols = [[b[row] for b in T] for row in range(rs.rank)]
     for beta in roots:
-        coeffs = solve_rational(cols, beta)
+        coeffs = solve_linear(cols, beta)
         if coeffs is None or not all(c.denominator == 1 for c in coeffs):
             return False
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):

@@ -13,12 +13,14 @@ The dot actions are the rho-shifted (modular) and Harish-Chandra-conjugated
 (quantum) versions; see act_modular / act_torus.
 
 Block partitions walk orbits on flat integer encodings instead (see
-integer_actions): coroot values over F_{p^e} as r*e coefficients mod p,
-torus exponents as numerators mod a common denominator N.
+integer_actions), and stabilisers read every root's value off the same
+encodings (integer_pairings): coroot values over F_{p^e} as r*e coefficients
+mod p, torus exponents as numerators mod a common denominator N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -280,24 +282,12 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_GROUP_BOUND):
     if order > bound:
         raise BoundExceeded(f"|W| = {order} exceeds bound {bound}")
     gens = [simple_reflection(rs, j) for j in range(rs.rank)]
-    e = identity(rs)
-    seen = {e.M: e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for j, g in enumerate(gens):
-                nw = WeylElement(rs, _matmul(g.M, w.M), _matmul(w.Minv, g.M),
-                                 (j,) + w.word)
-                if nw.M not in seen:
-                    seen[nw.M] = nw
-                    nxt.append(nw)
-        frontier = nxt
+    seen = orbit_of(identity(rs), [g.__mul__ for g in gens])
     if len(seen) != order:
         raise InvariantViolation(
             f"closure of the simple reflections has {len(seen)} elements, "
             f"|W({rs.type_str})| = {order}")
-    return tuple(sorted(seen.values(), key=lambda w: (w.length, w.word)))
+    return tuple(sorted(seen, key=lambda w: (w.length, w.word)))
 
 
 def act_modular(w: WeylElement, values, dot: bool = False):
@@ -377,6 +367,39 @@ def _integer_map(ops, modulus):
     return act
 
 
+def integer_pairings(rs: RootSystem, on: str, modulus: int, width: int = 1):
+    """Every positive root's value on a flat integer point, as a map from the
+    point to one value per root of rs.pos_roots, in that order.
+
+    on="torus": a point lists exponent numerators n_i over the common
+    denominator `modulus`; the value of beta is sum_i beta(h_i) n_i mod
+    `modulus`, the numerator of beta(t)'s exponent, so beta(t) = 1 iff it is 0.
+    on="values": a point lists eta(h_1), ..., eta(h_r) as `width` coefficients
+    mod p (= `modulus`) each; the value of beta is the coefficient tuple of
+    eta(h_beta), slot t being sum_i beta^vee_i eta_{i,t} mod p.  It is zero iff
+    every slot is 0, and lies in F_p iff slots 1..width-1 are 0.
+    """
+    terms = _pairing_terms(rs, on, width)
+    if on == "torus":
+        return lambda x: tuple(sum(c * x[k] for k, c in ts) % modulus for ts in terms)
+    return lambda x: tuple(
+        tuple(sum(c * x[k + t] for k, c in ts) % modulus for t in range(width))
+        for ts in terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairing_terms(rs, on, width):
+    # per positive root, the (slot offset, coefficient) pairs of its row:
+    # beta(h_i) for exponents, the coroot coefficients beta^vee_i for values
+    if on == "torus":
+        rows = map(rs.value_vec, rs.pos_roots)
+    elif on == "values":
+        rows = map(rs.coroot, rs.pos_roots)
+    else:
+        raise ValueError(f"unknown encoding {on!r}")
+    return tuple(tuple((i * width, c) for i, c in enumerate(row) if c) for row in rows)
+
+
 class ReflectionSubgroup:
     """Subgroup generated by the reflections of a closed root subset."""
 
@@ -397,23 +420,12 @@ class ReflectionSubgroup:
             raise BoundExceeded(f"subgroup order {self.order} exceeds bound {bound}")
         if self._elements is None:
             gens = [root_reflection(self.rs, b) for b in self.subsystem.basis]
-            e = identity(self.rs)
-            seen = {e.M: e}
-            frontier = [e]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for g in gens:
-                        nw = g * w
-                        if nw.M not in seen:
-                            seen[nw.M] = nw
-                            nxt.append(nw)
-                frontier = nxt
+            seen = orbit_of(identity(self.rs), [g.__mul__ for g in gens])
             if len(seen) != self.order:
                 raise InvariantViolation(
                     f"closure of the reflections has {len(seen)} elements, "
                     f"|W({self.subsystem.type_str})| = {self.order}")
-            self._elements = tuple(sorted(seen.values(), key=lambda w: (w.length, w.word)))
+            self._elements = tuple(sorted(seen, key=lambda w: (w.length, w.word)))
         return self._elements
 
     def __repr__(self):

@@ -1,11 +1,17 @@
 """CLI surface: documented examples, golden files, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from lieram import cli
 from lieram.cli import main
 from lieram.modular import ModWeight, dim_C
 from lieram.quantum import TorusElement, hc_shift
@@ -276,3 +282,81 @@ def test_quantum_unramified_exceptional_types(type_str, torus, verdict, capsys):
                          "--torus", u, "--coords", "component"], capsys)
     assert code == 0
     assert json.loads(out)["component"] is verdict
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    run_cli(GOLDEN["quantum_exceptional_g2.json"], capsys)
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    code, out = run_cli(GOLDEN["modular_unramified_a1_p3.json"], capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "modular_unramified_a1_p3.json").read_text()
+
+
+def test_parser_is_not_built_at_import():
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    probe = "import lieram.cli as c; print(c._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_reused_parser_keeps_formats_apart(capsys):
+    argv = GOLDEN["modular_blocks_a2_p5.json"]
+    golden = (GOLDEN_DIR / "modular_blocks_a2_p5.json").read_text()
+    for tsv in (["--format", "tsv", *argv], [*argv, "--format", "tsv"]):
+        code, out = run_cli(tsv, capsys)
+        assert code == 0 and out.startswith("lambda\teta\t")
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and out == golden
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    code, _out = run_cli(GOLDEN["quantum_blocks_a1_l5.json"], capsys)
+    assert code == 0
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["modular", "blocks", "--type", "A2", "--p", "5", "--support", "0"])
+    assert exc.value.code == 2
+    assert err.getvalue().startswith("usage: lieram modular blocks ")
+    assert "support indices start at 1, not 0" in err.getvalue()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("where", ["top", "subcommand"])
+def test_bound_does_not_leak_into_the_next_call(where, monkeypatch, capsys):
+    monkeypatch.delenv("LIERAM_BOUND", raising=False)
+    argv = ["modular", "blocks", "--type", "A1", "--p", "3", "--chi-s", "1", "--support", ""]
+    flagged = ["--bound", "10", *argv] if where == "top" else [*argv, "--bound", "10"]
+    assert main(flagged) == 1
+    assert "exceeds bound 10" in capsys.readouterr().err
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["counts"]["dim_sum"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular", "blocks", "--type", "A2", "--p", "5", "--chi-s", "0,0", "--support", "0"],
+    ["modular", "structure", "--type", "A2", "--p", "5", "--support", "2,-1"],
+    ["quantum", "blocks", "--type", "A2", "--ell", "5", "--support", "0"],
+    ["quantum", "simplicity", "--type", "A2", "--ell", "5", "--support", "0",
+     "--torus", "0,0"],
+])
+def test_support_index_below_one_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: lieram {argv[0]} {argv[1]} ")
+    assert "error: support indices start at 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular", "blocks", "--type", "A2", "--p", "5", "--chi-s", "0,0", "--support", "3"],
+    ["quantum", "blocks", "--type", "A2", "--ell", "5", "--support", "1,3"],
+])
+def test_support_index_past_the_basis_quotes_the_typed_index(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(
+        "error: support index 3 outside the basis of Phi' (rank 2")
