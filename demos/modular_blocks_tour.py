@@ -11,7 +11,8 @@ group independently confirms the number of blocks.
 from lieram.modular import PChar, mod_blocks, unramified_count
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
-from lieram.weyl import act_modular, burnside_count, enumerate_group
+from lieram.selftest import act_modular, burnside_count
+from lieram.weyl import enumerate_group
 
 rs = build_root_system("A2")
 chi = PChar(rs, 5)          # zero character: nilpotent, support empty

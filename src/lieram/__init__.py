@@ -18,20 +18,15 @@ from .errors import (  # noqa: F401
     UnknownRow,
 )
 from .scalars import FFElem, FieldDescriptor, UnityExp, artin_schreier_solve, eps_pow, make_field  # noqa: F401
-from .rootdata import RootSystem, Subsystem, build_root_system, hypothesis_check, pair, subsystem_classify, two_rho_dot  # noqa: F401
+from .rootdata import RootSystem, Subsystem, build_root_system, hypothesis_check, subsystem_classify, two_rho_dot  # noqa: F401
 from .weyl import (  # noqa: F401
     ReflectionSubgroup,
     WeylElement,
-    act_modular,
     act_torus,
     alcove_descent,
-    burnside_count,
-    enumerate_group,
     inversion_set,
-    min_coset_reps,
     orbit_partition,
     reflection_stabilizer,
-    stabilizer_bruteforce,
 )
 from .modular import (  # noqa: F401
     BlockReport,
@@ -56,7 +51,6 @@ from .quantum import (  # noqa: F401
     q_blocks,
     q_regularity_and_counts,
     q_unramified,
-    root_value,
     simplicity_necessary,
     verify_appendix_row,
     w_t,

@@ -57,7 +57,6 @@ from .quantum import (
 )
 from .rootdata import build_root_system
 from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
-from .selftest import SUITES, run_suites
 from .weyl import DEFAULT_GROUP_BOUND
 
 
@@ -414,6 +413,8 @@ def cmd_verify_appendix(args):
 
 
 def cmd_selftest(args):
+    # the suites and their brute-force oracles load only for this command
+    from .selftest import SUITES, run_suites
     names = [args.suite] if args.suite else None
     if args.suite and args.suite not in SUITES:
         raise LieramError(f"unknown suite {args.suite!r}; "

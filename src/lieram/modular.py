@@ -16,21 +16,18 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (
-    HypothesisFailure,
-    InvalidSupport,
-    InvariantViolation,
-    NoParabolicConjugate,
-    NotNilpotentContext,
-)
+from .errors import HypothesisFailure, NoParabolicConjugate, NotNilpotentContext
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify
 from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
 from .weyl import (
     DEFAULT_GROUP_BOUND,
+    check_group_bound,
     integer_actions,
     integer_pairings,
     orbit_partition,
     reflection_stabilizer,
+    subsystem_index,
+    support_indices,
 )
 
 
@@ -73,10 +70,6 @@ def rho_weight(rs: RootSystem, field) -> ModWeight:
     return ModWeight(tuple(field.one() for _ in range(rs.rank)))
 
 
-def zero_weight(rs: RootSystem, field) -> ModWeight:
-    return ModWeight(tuple(field.zero() for _ in range(rs.rank)))
-
-
 def check_hypotheses(rs: RootSystem, p: int):
     """Raise HypothesisFailure unless p meets the standing hypotheses for rs:
     an odd good prime with a nondegenerate trace form."""
@@ -108,16 +101,8 @@ class PChar:
         self.field = field
         self.values = tuple(values)
         vals = _pairings(rs, self.values, field)
-        sat = tuple(b for b, v in vals.items() if not any(v))
-        roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
-        self.levi = subsystem_classify(rs, roots)
-        support = tuple(sorted(set(support)))
-        for s in support:
-            if not (0 <= s < len(self.levi.basis)):
-                raise InvalidSupport(
-                    f"support index {s + 1} outside the basis of Phi' "
-                    f"(rank {len(self.levi.basis)}, indices from 1)")
-        self.support = support
+        self.levi = reflection_stabilizer(rs, lambda b: not any(vals[b])).subsystem
+        self.support = support_indices(self.levi, support)
 
     @property
     def nilpotent(self) -> bool:
@@ -181,15 +166,8 @@ def eta_subsystems(rs: RootSystem, eta: ModWeight, code=None):
 def dim_C(rs: RootSystem, eta: ModWeight) -> int:
     """dim of the primary component at eta: [W(eta + Lambda) : W(eta)],
     computed from the classified subsystem orders."""
-    return _index(*eta_subsystems(rs, eta))
-
-
-def _index(zero, fp) -> int:
-    if fp.order % zero.order:
-        raise InvariantViolation(
-            f"|W({zero.subsystem.type_str})| does not divide "
-            f"|W({fp.subsystem.type_str})|")
-    return fp.order // zero.order
+    zero, fp = eta_subsystems(rs, eta)
+    return subsystem_index(zero.subsystem, fp.subsystem)
 
 
 def is_unramified(rs: RootSystem, lam: ModWeight, mode: str = "simpleRootCriterion") -> bool:
@@ -243,12 +221,8 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND,
                group_bound=DEFAULT_GROUP_BOUND, assume_unique_simple=False):
     """Blocks of the reduced algebra at chi: the partition of Lambda_chi under
     the dot action (ordinary action on eta = lambda + rho)."""
-    from .errors import BoundExceeded
     rs = chi.rs
-    if rs.weyl_order() > group_bound:
-        raise BoundExceeded(
-            f"|W| = {rs.weyl_order()} exceeds bound {group_bound}; "
-            "block partitions need tractable orbits")
+    check_group_bound(rs, group_bound)
     weights, ambient = enumerate_lambda_chi(chi, bound)
     p, e = ambient.p, ambient.e
     rho = rho_weight(rs, ambient)
@@ -273,7 +247,7 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND,
                         for i in range(rs.rank))
         lam = eta - rho
         zero, fp = eta_subsystems(rs, eta, cls[0])
-        dim = _index(zero, fp)
+        dim = subsystem_index(zero.subsystem, fp.subsystem)
         poincare = _poincare(zero) if chi.nilpotent else None
         verdict, witness = _finite_type(rs, zero, fp, assume_unique_simple)
         reports.append(BlockReport(

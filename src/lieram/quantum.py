@@ -20,29 +20,21 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import (
-    HypothesisFailure,
-    InvalidSupport,
-    InvalidType,
-    InvariantViolation,
-    UnknownRow,
-)
-from .rootdata import (
-    RootSystem,
-    close_up,
-    subsystem_classify,
-    two_rho_dot,
-)
-from .scalars import UnityExp, eps_pow, solve_linear
+from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow
+from .rootdata import RootSystem, subsystem_classify, two_rho_dot
+from .scalars import UnityExp, eps_pow
 from .weyl import (
     DEFAULT_GROUP_BOUND,
     act_torus,
     alcove_descent,
+    check_group_bound,
     hc_shift_vector,
     integer_actions,
     integer_pairings,
     orbit_partition,
     reflection_stabilizer,
+    subsystem_index,
+    support_indices,
 )
 
 
@@ -58,9 +50,6 @@ class TorusElement:
     def pow(self, k: int) -> "TorusElement":
         return TorusElement(tuple(e * k for e in self.exps))
 
-    def mul(self, other) -> "TorusElement":
-        return TorusElement(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
     def is_one(self) -> bool:
         return all(e.is_one() for e in self.exps)
 
@@ -75,16 +64,6 @@ class TorusElement:
 
     def __repr__(self):
         return "t(" + ",".join(str(e) for e in self.exps) + ")"
-
-
-def root_value(rs: RootSystem, t: TorusElement, beta) -> UnityExp:
-    """beta(t) as a root of unity: exponent sum_j b_j sum_i C[i][j] q_i."""
-    r = rs.rank
-    acc = Fraction(0)
-    for j, bj in enumerate(beta):
-        if bj:
-            acc += bj * sum(rs.cartan[i][j] * t.exps[i].q for i in range(r))
-    return UnityExp(acc)
 
 
 def _torus_code(points):
@@ -140,17 +119,8 @@ class QChar:
         if chi_s is None:
             chi_s = TorusElement(tuple(UnityExp(0) for _ in range(rs.rank)))
         self.chi_s = chi_s
-        vals, _N = _pairings(rs, chi_s.pow(2))
-        sat = tuple(b for b, v in vals.items() if v == 0)
-        roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
-        self.levi = subsystem_classify(rs, roots)
-        support = tuple(sorted(set(support)))
-        for s in support:
-            if not (0 <= s < len(self.levi.basis)):
-                raise InvalidSupport(
-                    f"support index {s + 1} outside the basis of Phi' "
-                    f"(rank {len(self.levi.basis)}, indices from 1)")
-        self.support = support
+        self.levi = w_t(rs, chi_s.pow(2)).subsystem
+        self.support = support_indices(self.levi, support)
 
     @property
     def regular(self) -> bool:
@@ -185,12 +155,8 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
     """Blocks of the quantized algebra at chi: the partition of the fiber
     {t : t^ell = chi_s^2} under the ordinary Weyl action; dimD is the index
     [W(t^ell) : W(t)] of classified subsystem orders."""
-    from .errors import BoundExceeded
     rs = chi.rs
-    if rs.weyl_order() > group_bound:
-        raise BoundExceeded(
-            f"|W| = {rs.weyl_order()} exceeds bound {group_bound}; "
-            "block partitions need tractable orbits")
+    check_group_bound(rs, group_bound)
     fiber = ell_fiber(rs, chi.chi_s, chi.ell)
     # the walk runs on exponent numerators over the common denominator N;
     # W acts by integer matrices, so every orbit stays on (1/N)Z^r
@@ -209,11 +175,7 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
     for cls in classes:
         rep = TorusElement(tuple(Fraction(n, N) for n in cls[0]))
         stab = w_t(rs, rep)
-        if chi.levi.order % stab.order:
-            raise InvariantViolation(
-                f"|W({stab.subsystem.type_str})| does not divide "
-                f"|W({chi.levi.type_str})|")
-        dim = chi.levi.order // stab.order
+        dim = subsystem_index(stab.subsystem, chi.levi)
         reports.append(QBlockReport(
             rep=rep, orbit_size=len(cls), dim=dim, unramified=(dim == 1),
             exceptional=(stab.subsystem.rank == rs.rank),
@@ -317,17 +279,6 @@ def _delta_tilde_test(rs: RootSystem, t: TorusElement, ell: int, eps: int = 1) -
     return True
 
 
-def steinberg_fiber_point(chi: QChar):
-    """The canonical dimension-one fiber point: the lex-first fiber element on
-    which every root of Phi' takes the value 1 (exists in every matrix cell;
-    the whole Levi then stabilizes it, so its block has dimension one)."""
-    for t in ell_fiber(chi.rs, chi.chi_s, chi.ell):
-        vals, _N = _pairings(chi.rs, t)
-        if all(vals[b] == 0 for b in chi.levi.basis):
-            return t
-    return None
-
-
 # -- exceptional elements ----------------------------------------------------
 
 def beta_minimal(rs: RootSystem, m: int):
@@ -345,9 +296,11 @@ def beta_minimal(rs: RootSystem, m: int):
 
 def exceptional_elements(rs: RootSystem):
     """The exceptional semisimple classes s_0 = 1, s_1, ..., s_r of an
-    irreducible system: alpha_j(s_m) = e^{2 pi i delta_jm / a_m}, with
-    centralizer subsystem {beta : a_m | b_m} and its two descriptions checked
-    against each other."""
+    irreducible system: alpha_j(s_m) = e^{2 pi i delta_jm / a_m}, so s_m has
+    exponents q_i = X[i][m] / a_m on the alpha-coordinates X of the
+    fundamental weights.  Its centralizer subsystem {beta : a_m | b_m} is
+    checked against the roots trivial on s_m, and its basis against the
+    off-node simple roots together with beta_m."""
     if len(rs.components) != 1:
         raise InvalidType(
             f"exceptional elements are classified per irreducible type, "
@@ -361,35 +314,30 @@ def exceptional_elements(rs: RootSystem):
         "beta_m": None,
     }]
     simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
+    X = rs.fundamental_weights()
     for m in range(r):
         am = rs.a[m]
-        rows = [[rs.cartan[i][j] for i in range(r)] for j in range(r)]
-        rhs = [Fraction(1, am) if j == m else 0 for j in range(r)]
-        q = solve_linear(rows, rhs)
-        s_m = TorusElement(tuple(UnityExp(x) for x in q))
+        s_m = TorusElement(tuple(UnityExp(X[i][m] / am) for i in range(r)))
         by_root, N = _pairings(rs, s_m)
         vals = tuple(UnityExp(Fraction(by_root[a], N)) for a in simple)
         if any(vals[j] != UnityExp(Fraction(1, am) if j == m else 0)
                for j in range(r)):
             raise InvariantViolation(
                 f"{rs.type_str}: s_{m + 1} has simple-root values {vals}")
-        cent_roots = frozenset(b for b in rs.all_roots() if b[m] % am == 0)
-        by_value = frozenset(c for b, v in by_root.items() if v == 0
-                             for c in (b, tuple(-x for x in b)))
-        if cent_roots != by_value:
+        cent = reflection_stabilizer(rs, lambda b: by_root[b] == 0).subsystem
+        if cent.roots != frozenset(b for b in rs.all_roots() if b[m] % am == 0):
             raise InvariantViolation(
                 f"{rs.type_str}: the two centralizers of s_{m + 1} differ")
         bm = beta_minimal(rs, m)
-        gens = [a for j, a in enumerate(simple) if j != m] + [bm]
-        if close_up(rs, gens) != cent_roots:
+        if set(cent.basis) != {a for j, a in enumerate(simple) if j != m} | {bm}:
             raise InvariantViolation(
-                f"{rs.type_str}: the centralizer of s_{m + 1} is not the closure "
-                "of the off-node simples and beta_m")
+                f"{rs.type_str}: the centralizer of s_{m + 1} does not have the "
+                "off-node simples and beta_m as its basis")
         out.append({
             "m": m + 1,
             "torus": s_m,
             "root_values": vals,
-            "centralizer": subsystem_classify(rs, cent_roots),
+            "centralizer": cent,
             "beta_m": bm,
         })
     return out
@@ -533,6 +481,7 @@ def simplicity_necessary(chi: QChar, t: TorusElement) -> dict:
     alpha(t)^2 = eps^{-(2 rho, alpha)} for all alpha in the component basis."""
     rs = chi.rs
     basis = chi.levi.basis
+    vals, N = _pairings(rs, t)
     failing = None
     for ci, (letter, n, comp_basis) in enumerate(chi.levi.components):
         comp_indices = {basis.index(b) for b in comp_basis}
@@ -542,7 +491,7 @@ def simplicity_necessary(chi: QChar, t: TorusElement) -> dict:
         ok = True
         for alpha in comp_basis:
             want = eps_pow(-two_rho_dot(rs, alpha), chi.ell, chi.eps)
-            if root_value(rs, t, alpha) * 2 != want:
+            if UnityExp(Fraction(2 * vals[alpha], N)) != want:
                 ok = False
                 break
         if not ok:

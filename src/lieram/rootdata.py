@@ -168,6 +168,7 @@ class RootSystem:
             (l, n, comp_nodes[k]) for k, (l, n) in enumerate(comps)
         )
         self._build_roots()
+        self._fundamental = None
         self._rho_weight_pairs = None
         self._subsystems = {}  # frozenset of roots -> Subsystem, see subsystem_classify
 
@@ -292,16 +293,22 @@ class RootSystem:
         pairing = sum(self.cartan[i][j] * b[j] for j in range(self.rank))
         return tuple(c - (pairing if k == i else 0) for k, c in enumerate(b))
 
+    def fundamental_weights(self):
+        """The alpha-coordinates of the fundamental weights: row i lists
+        varpi_i = sum_k X[i][k] alpha_k, the exact solution of C x = e_i."""
+        if self._fundamental is None:
+            r = self.rank
+            self._fundamental = tuple(
+                tuple(solve_linear(self.cartan, [int(j == i) for j in range(r)]))
+                for i in range(r))
+        return self._fundamental
+
     def rho_weight_pairs(self):
         """The exact rationals (rho, varpi_i) for i = 1..r."""
         if self._rho_weight_pairs is None:
-            r = self.rank
-            out = []
-            for i in range(r):
-                # alpha-coords of varpi_i
-                x = solve_linear(self.cartan, [int(j == i) for j in range(r)])
-                out.append(sum(x[k] * self.d[k] for k in range(r)))
-            self._rho_weight_pairs = tuple(out)
+            self._rho_weight_pairs = tuple(
+                sum(x[k] * self.d[k] for k in range(self.rank))
+                for x in self.fundamental_weights())
         return self._rho_weight_pairs
 
     def weyl_order(self) -> int:
@@ -337,16 +344,6 @@ def build_root_system(ctype) -> RootSystem:
     else:
         comps = tuple(_validate_component(l, n) for l, n in ctype)
     return _cached_system(type_string(comps))
-
-
-def pair(rs: RootSystem, values, b):
-    """lambda(h_beta) for lambda given by its values on the basis coroots."""
-    cv = rs.coroot(b)
-    acc = None
-    for c, v in zip(cv, values):
-        term = v * c
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def two_rho_dot(rs: RootSystem, b) -> int:
@@ -594,25 +591,6 @@ def _classify(rs, S):
         classified.append((letter, n, tuple(basis[i] for i in order)))
     classified.sort(key=lambda t: (t[0], t[1], t[2]))
     return Subsystem(rs, S, basis, tuple(classified))
-
-
-def close_up(rs: RootSystem, seed):
-    """Smallest negation- and addition-closed root subset containing seed."""
-    S = set()
-    for b in seed:
-        S.add(b)
-        S.add(tuple(-c for c in b))
-    changed = True
-    while changed:
-        changed = False
-        cur = list(S)
-        for b in cur:
-            for g in cur:
-                s = tuple(x + y for x, y in zip(b, g))
-                if rs.is_root(s) and s not in S:
-                    S.add(s)
-                    changed = True
-    return frozenset(S)
 
 
 def hypothesis_check(ctype, p: int) -> dict:

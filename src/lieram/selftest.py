@@ -8,6 +8,12 @@ its mixed cell does not exist.
 
 Everything here is deterministic: character searches scan candidates in lex
 order and all suites enumerate exhaustively (no randomness anywhere).
+
+This module also holds the brute-force oracles that the suites and the tests
+compare the production paths against: single-root pairings, root-set
+closure, group and coset enumeration, brute-force stabilizers, the Burnside
+count and the solve-and-close derivation of the exceptional elements.  No
+production module imports it; the CLI loads it only for `lieram selftest`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import itertools
 import time
 from fractions import Fraction
 
-from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate
+from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate, NotParabolic
 from .modular import (
     PChar,
     dim_C,
@@ -31,34 +37,29 @@ from .quantum import (
     TorusElement,
     _delta_tilde,
     _delta_tilde_test,
+    _pairings,
+    beta_minimal,
     ell_fiber,
     hc_shift,
     q_blocks,
     q_regularity_and_counts,
     q_unramified,
-    root_value,
-    steinberg_fiber_point,
     verify_appendix_row,
     appendix_rows,
     w_t,
 )
-from .rootdata import (
-    build_root_system,
-    hypothesis_check,
-    pair,
-    subsystem_classify,
-)
-from .scalars import make_field, solve_linear
+from .rootdata import RootSystem, build_root_system, hypothesis_check, subsystem_classify
+from .scalars import UnityExp, make_field, solve_linear
 from .weyl import (
-    act_modular,
+    WeylElement,
+    _word_for_reflection,
     act_torus,
-    burnside_count,
     enumerate_group,
-    min_coset_reps,
+    generated_group,
+    inversion_set,
     orbit_of,
     reflection_stabilizer,
     simple_reflection,
-    stabilizer_bruteforce,
 )
 
 MATRIX_TYPES = ("A1", "A2", "A3", "B2", "G2")
@@ -66,25 +67,162 @@ MATRIX_PRIMES = (3, 5, 7)
 MATRIX_ELLS = (3, 5, 7)
 
 
+# -- brute-force oracles -----------------------------------------------------
+
+def pair(rs: RootSystem, values, b):
+    """lambda(h_beta) for lambda given by its values on the basis coroots."""
+    cv = rs.coroot(b)
+    acc = None
+    for c, v in zip(cv, values):
+        term = v * c
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def root_value(rs: RootSystem, t: TorusElement, beta) -> UnityExp:
+    """beta(t) as a root of unity: exponent sum_j b_j sum_i C[i][j] q_i."""
+    r = rs.rank
+    acc = Fraction(0)
+    for j, bj in enumerate(beta):
+        if bj:
+            acc += bj * sum(rs.cartan[i][j] * t.exps[i].q for i in range(r))
+    return UnityExp(acc)
+
+
+def close_up(rs: RootSystem, seed):
+    """Smallest negation- and addition-closed root subset containing seed."""
+    S = set()
+    for b in seed:
+        S.add(b)
+        S.add(tuple(-c for c in b))
+    changed = True
+    while changed:
+        changed = False
+        cur = list(S)
+        for b in cur:
+            for g in cur:
+                s = tuple(x + y for x, y in zip(b, g))
+                if rs.is_root(s) and s not in S:
+                    S.add(s)
+                    changed = True
+    return frozenset(S)
+
+
+def root_reflection(rs: RootSystem, beta) -> WeylElement:
+    """s_beta for any root beta."""
+    r = rs.rank
+    cv = rs.coroot(beta)
+    pairings = [sum(cv[t] * rs.cartan[t][i] for t in range(r))  # alpha_i(h_beta)
+                for i in range(r)]
+    m = tuple(
+        tuple((1 if i == k else 0) - pairings[i] * beta[k] for i in range(r))
+        for k in range(r)
+    )
+    word = _word_for_reflection(rs, beta)
+    return WeylElement(rs, m, m, word)
+
+
+def subgroup_elements(sub):
+    """The elements of a ReflectionSubgroup, closed from the reflections of
+    its subsystem's basis."""
+    gens = [root_reflection(sub.rs, b) for b in sub.subsystem.basis]
+    return generated_group(sub.rs, gens, sub.order, sub.subsystem.type_str)
+
+
+def is_reduced(rs: RootSystem, word) -> bool:
+    gammas = inversion_set(rs, word)
+    return (all(rs.is_positive(g) for g in gammas)
+            and len(set(gammas)) == len(gammas))
+
+
+def act_modular(w: WeylElement, values, dot: bool = False):
+    """Weyl action on coroot-value vectors; dot variant is w(x + rho) - rho."""
+    if not dot:
+        return w.act_values(values)
+    one = None
+    for v in values:
+        one = v.field.one()
+        break
+    shifted = tuple(v + one for v in values)
+    moved = w.act_values(shifted)
+    return tuple(v - one for v in moved)
+
+
+def stabilizer_bruteforce(elements, points, act):
+    """Exact stabilizer {w : w.x = x for all x in points}; oracle path."""
+    return tuple(w for w in elements
+                 if all(act(w, x) == x for x in points))
+
+
+def min_coset_reps(rs: RootSystem, elements, parabolic_indices):
+    """Minimal-length coset representatives for the standard parabolic
+    generated by the given simple reflections (0-based indices)."""
+    for j in parabolic_indices:
+        if not (0 <= j < rs.rank):
+            raise NotParabolic(f"generator index {j} is not a simple root index")
+    simples = [tuple(1 if k == j else 0 for k in range(rs.rank))
+               for j in parabolic_indices]
+    reps = [w for w in elements
+            if all(rs.is_positive(w.apply_root(a)) for a in simples)]
+    return sorted(reps, key=lambda w: (w.length, w.word))
+
+
+def burnside_count(elements, points, act) -> int:
+    """Independent orbit-count oracle: average number of fixed points."""
+    pointlist = list(points)
+    total = 0
+    for w in elements:
+        total += sum(1 for x in pointlist if act(w, x) == x)
+    if total % len(elements):
+        raise InvariantViolation(
+            f"Burnside sum {total} is not divisible by |G| = {len(elements)}")
+    return total // len(elements)
+
+
+def steinberg_fiber_point(chi: QChar):
+    """The canonical dimension-one fiber point: the lex-first fiber element on
+    which every root of Phi' takes the value 1 (exists in every matrix cell;
+    the whole Levi then stabilizes it, so its block has dimension one)."""
+    for t in ell_fiber(chi.rs, chi.chi_s, chi.ell):
+        vals, _N = _pairings(chi.rs, t)
+        if all(vals[b] == 0 for b in chi.levi.basis):
+            return t
+    return None
+
+
+def _exceptional_by_solve_and_closure(rs: RootSystem):
+    """Oracle for quantum.exceptional_elements on an irreducible system: per
+    node m, s_m from solving sum_i C[i][j] q_i = delta_jm / a_m, and its
+    centralizer as the closure of the off-node simple roots and beta_m.
+    Returns the records for m = 1..r."""
+    r = rs.rank
+    simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
+    rows = [[rs.cartan[i][j] for i in range(r)] for j in range(r)]
+    out = []
+    for m in range(r):
+        rhs = [Fraction(1, rs.a[m]) if j == m else 0 for j in range(r)]
+        s_m = TorusElement(tuple(UnityExp(x) for x in solve_linear(rows, rhs)))
+        bm = beta_minimal(rs, m)
+        gens = [a for j, a in enumerate(simple) if j != m] + [bm]
+        out.append({
+            "m": m + 1,
+            "torus": s_m,
+            "root_values": tuple(root_value(rs, s_m, a) for a in simple),
+            "centralizer": subsystem_classify(rs, close_up(rs, gens)),
+            "beta_m": bm,
+        })
+    return out
+
+
+# -- the test matrix ---------------------------------------------------------
+
 def _zero_root_count(rs, values):
     return sum(1 for b in rs.pos_roots if pair(rs, values, b).is_zero())
 
 
 def _value_candidates(rs, field):
     """All value tuples over the field, lex order in the element encoding."""
-    elems = list(field.elements())
-    idx = [0] * rs.rank
-    while True:
-        yield tuple(elems[i] for i in idx)
-        j = rs.rank - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(elems):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    return itertools.product(field.elements(), repeat=rs.rank)
 
 
 def modular_characters(rs, p):
@@ -134,13 +272,9 @@ def quantum_characters(rs, ell):
            ("regunip", QChar(rs, ell, support=tuple(range(r))))]
     regss = mixed = None
     for denom in range(3, 64):
-        for k in range(denom**r):
-            digits = []
-            n = k
-            for _ in range(r):
-                digits.append(n % denom)
-                n //= denom
-            exps = tuple(Fraction(d, denom) for d in digits)
+        # coordinate 0 varies fastest
+        for digits in itertools.product(range(denom), repeat=r):
+            exps = tuple(Fraction(d, denom) for d in reversed(digits))
             z = _quantum_zero_count(rs, exps)
             if regss is None and z == 0:
                 regss = exps
@@ -505,7 +639,7 @@ def suite_stabilizers():
             brute = set(stabilizer_bruteforce(
                 W, [f],
                 lambda w, x: TorusElement(w.act_torus_exponents(x.exps))))
-            refl = set(w_t(rs, f).elements())
+            refl = set(subgroup_elements(w_t(rs, f)))
             if brute != refl:
                 bad.append((t, ell, name, f.key()))
                 break

@@ -9,8 +9,8 @@ Actions implemented on raw coordinate tuples:
   * coroot values    lambda(h_i) -> (w lambda)(h_i)  (any coefficient ring)
   * torus exponents  t(K_{varpi_i}) -> (w t)(K_{varpi_i})
 
-The dot actions are the rho-shifted (modular) and Harish-Chandra-conjugated
-(quantum) versions; see act_modular / act_torus.
+The quantum dot action is the ordinary one conjugated by the Harish-Chandra
+shift; see act_torus.
 
 Block partitions walk orbits on flat integer encodings instead (see
 integer_actions), and stabilisers read every root's value off the same
@@ -24,7 +24,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import BoundExceeded, InvariantViolation, NotParabolic
+from .errors import BoundExceeded, InvalidSupport, InvariantViolation
 from .rootdata import RootSystem, subsystem_classify
 from .scalars import UnityExp, eps_pow
 
@@ -156,20 +156,6 @@ def simple_reflection(rs: RootSystem, j: int) -> WeylElement:
     return WeylElement(rs, m, m, (j,))
 
 
-def root_reflection(rs: RootSystem, beta) -> WeylElement:
-    """s_beta for any root beta."""
-    r = rs.rank
-    cv = rs.coroot(beta)
-    pairings = [sum(cv[t] * rs.cartan[t][i] for t in range(r))  # alpha_i(h_beta)
-                for i in range(r)]
-    m = tuple(
-        tuple((1 if i == k else 0) - pairings[i] * beta[k] for i in range(r))
-        for k in range(r)
-    )
-    word = _word_for_reflection(rs, beta)
-    return WeylElement(rs, m, m, word)
-
-
 def _word_for_reflection(rs, beta):
     # s_beta = w s_i w^{-1} via descent: peel simple reflections off beta
     b = beta if rs.is_positive(beta) else tuple(-c for c in beta)
@@ -270,37 +256,27 @@ def inversion_set(rs: RootSystem, word):
     return out
 
 
-def is_reduced(rs: RootSystem, word) -> bool:
-    gammas = inversion_set(rs, word)
-    return (all(rs.is_positive(g) for g in gammas)
-            and len(set(gammas)) == len(gammas))
+def generated_group(rs: RootSystem, gens, order: int, type_str: str,
+                    bound: int = DEFAULT_GROUP_BOUND):
+    """The elements of the group generated by the Weyl elements `gens`, of
+    the classified order `order` (type `type_str`), by breadth-first closure,
+    sorted by (length, word).  BoundExceeded when the order exceeds the
+    bound; InvariantViolation unless the closure has exactly `order`
+    elements."""
+    if order > bound:
+        raise BoundExceeded(f"|W({type_str})| = {order} exceeds bound {bound}")
+    seen = orbit_of(identity(rs), [g.__mul__ for g in gens])
+    if len(seen) != order:
+        raise InvariantViolation(
+            f"closure of the generators has {len(seen)} elements, "
+            f"|W({type_str})| = {order}")
+    return tuple(sorted(seen, key=lambda w: (w.length, w.word)))
 
 
 def enumerate_group(rs: RootSystem, bound: int = DEFAULT_GROUP_BOUND):
     """All Weyl group elements by breadth-first closure over the generators."""
-    order = rs.weyl_order()
-    if order > bound:
-        raise BoundExceeded(f"|W| = {order} exceeds bound {bound}")
     gens = [simple_reflection(rs, j) for j in range(rs.rank)]
-    seen = orbit_of(identity(rs), [g.__mul__ for g in gens])
-    if len(seen) != order:
-        raise InvariantViolation(
-            f"closure of the simple reflections has {len(seen)} elements, "
-            f"|W({rs.type_str})| = {order}")
-    return tuple(sorted(seen, key=lambda w: (w.length, w.word)))
-
-
-def act_modular(w: WeylElement, values, dot: bool = False):
-    """Weyl action on coroot-value vectors; dot variant is w(x + rho) - rho."""
-    if not dot:
-        return w.act_values(values)
-    one = None
-    for v in values:
-        one = v.field.one()
-        break
-    shifted = tuple(v + one for v in values)
-    moved = w.act_values(shifted)
-    return tuple(v - one for v in moved)
+    return generated_group(rs, gens, rs.weyl_order(), rs.type_str, bound)
 
 
 def hc_shift_vector(rs: RootSystem, ell: int, eps: int = 1):
@@ -403,30 +379,16 @@ def _pairing_terms(rs, on, width):
 class ReflectionSubgroup:
     """Subgroup generated by the reflections of a closed root subset."""
 
-    __slots__ = ("rs", "pos_roots", "subsystem", "_elements")
+    __slots__ = ("rs", "pos_roots", "subsystem")
 
     def __init__(self, rs, pos_roots, subsystem):
         self.rs = rs
         self.pos_roots = pos_roots
         self.subsystem = subsystem
-        self._elements = None
 
     @property
     def order(self) -> int:
         return self.subsystem.order
-
-    def elements(self, bound: int = DEFAULT_GROUP_BOUND):
-        if self.order > bound:
-            raise BoundExceeded(f"subgroup order {self.order} exceeds bound {bound}")
-        if self._elements is None:
-            gens = [root_reflection(self.rs, b) for b in self.subsystem.basis]
-            seen = orbit_of(identity(self.rs), [g.__mul__ for g in gens])
-            if len(seen) != self.order:
-                raise InvariantViolation(
-                    f"closure of the reflections has {len(seen)} elements, "
-                    f"|W({self.subsystem.type_str})| = {self.order}")
-            self._elements = tuple(sorted(seen, key=lambda w: (w.length, w.word)))
-        return self._elements
 
     def __repr__(self):
         return f"ReflectionSubgroup({self.subsystem.type_str}, |W|={self.order})"
@@ -440,23 +402,34 @@ def reflection_stabilizer(rs: RootSystem, predicate) -> ReflectionSubgroup:
     return ReflectionSubgroup(rs, sat, sub)
 
 
-def stabilizer_bruteforce(elements, points, act):
-    """Exact stabilizer {w : w.x = x for all x in points}; oracle path."""
-    return tuple(w for w in elements
-                 if all(act(w, x) == x for x in points))
+def subsystem_index(sub, big) -> int:
+    """[W(big) : W(sub)] from the orders of two classified subsystems;
+    InvariantViolation unless |W(sub)| divides |W(big)|."""
+    if big.order % sub.order:
+        raise InvariantViolation(
+            f"|W({sub.type_str})| does not divide |W({big.type_str})|")
+    return big.order // sub.order
 
 
-def min_coset_reps(rs: RootSystem, elements, parabolic_indices):
-    """Minimal-length coset representatives for the standard parabolic
-    generated by the given simple reflections (0-based indices)."""
-    for j in parabolic_indices:
-        if not (0 <= j < rs.rank):
-            raise NotParabolic(f"generator index {j} is not a simple root index")
-    simples = [tuple(1 if k == j else 0 for k in range(rs.rank))
-               for j in parabolic_indices]
-    reps = [w for w in elements
-            if all(rs.is_positive(w.apply_root(a)) for a in simples)]
-    return sorted(reps, key=lambda w: (w.length, w.word))
+def support_indices(levi, support):
+    """A unipotent support as sorted distinct 0-based indices into the basis
+    of the classified subsystem `levi` (Phi'); InvalidSupport, quoting the
+    index 1-based, when one lies outside it."""
+    support = tuple(sorted(set(support)))
+    for s in support:
+        if not (0 <= s < len(levi.basis)):
+            raise InvalidSupport(
+                f"support index {s + 1} outside the basis of Phi' "
+                f"(rank {len(levi.basis)}, indices from 1)")
+    return support
+
+
+def check_group_bound(rs: RootSystem, bound: int):
+    """Refuse a block partition of a Weyl group larger than the bound."""
+    if rs.weyl_order() > bound:
+        raise BoundExceeded(
+            f"|W| = {rs.weyl_order()} exceeds bound {bound}; "
+            "block partitions need tractable orbits")
 
 
 def orbit_of(point, gen_actions):
@@ -495,15 +468,3 @@ def orbit_partition(points, gen_actions, key):
         orbits.append(cls)
     orbits.sort(key=lambda cls: key(cls[0]))
     return orbits
-
-
-def burnside_count(elements, points, act) -> int:
-    """Independent orbit-count oracle: average number of fixed points."""
-    pointlist = list(points)
-    total = 0
-    for w in elements:
-        total += sum(1 for x in pointlist if act(w, x) == x)
-    if total % len(elements):
-        raise InvariantViolation(
-            f"Burnside sum {total} is not divisible by |G| = {len(elements)}")
-    return total // len(elements)

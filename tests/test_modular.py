@@ -26,7 +26,8 @@ from lieram.modular import (
 )
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
-from lieram.weyl import enumerate_group, stabilizer_bruteforce
+from lieram.selftest import stabilizer_bruteforce
+from lieram.weyl import enumerate_group
 
 
 def F(p, e=1):

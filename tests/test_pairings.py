@@ -1,6 +1,6 @@
 """weyl.integer_pairings against the single-root formulas it replaces on the
-stabiliser paths: rootdata.pair on coroot values over F_p, F_{p^2} and
-F_{p^p} (random coefficients and AS literals), and quantum.root_value on
+stabiliser paths: selftest.pair on coroot values over F_p, F_{p^2} and
+F_{p^p} (random coefficients and AS literals), and selftest.root_value on
 torus points with mixed denominators; seeded, 220 points per type."""
 
 import math
@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from lieram.cli import parse_field_values
-from lieram.quantum import TorusElement, root_value
-from lieram.rootdata import build_root_system, pair
+from lieram.quantum import TorusElement
+from lieram.rootdata import build_root_system
 from lieram.scalars import DEFAULT_FIELD_BOUND, make_field
+from lieram.selftest import pair, root_value
 from lieram.weyl import integer_pairings
 
 TYPES = ["A2", "B3", "C3", "D4", "G2", "F4", "A1xB2", "E6"]

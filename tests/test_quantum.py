@@ -19,15 +19,22 @@ from lieram.quantum import (
     q_blocks,
     q_regularity_and_counts,
     q_unramified,
-    root_value,
     simplicity_necessary,
-    steinberg_fiber_point,
     verify_appendix_row,
     w_t,
 )
 from lieram.rootdata import build_root_system
 from lieram.scalars import UnityExp, eps_pow
-from lieram.selftest import _baby_verma_labels, _delta_tilde_by_search, quantum_cells
+from lieram import quantum
+from lieram.selftest import (
+    _baby_verma_labels,
+    _delta_tilde_by_search,
+    _exceptional_by_solve_and_closure,
+    close_up,
+    quantum_cells,
+    root_value,
+    steinberg_fiber_point,
+)
 from lieram.weyl import act_torus, enumerate_group
 
 
@@ -263,9 +270,9 @@ def test_exceptional_e_series_against_classical_tables():
 
 
 def test_exceptional_coverage_all_types():
-    # the coefficient-filter centralizer equals the closure of the off-node
-    # simples and beta_m for every irreducible type up to rank 8 (the
-    # equality is asserted inside exceptional_elements)
+    # the coefficient-filter centralizer has the off-node simples and beta_m
+    # as its basis for every irreducible type up to rank 8 (the equality is
+    # asserted inside exceptional_elements)
     types = ([f"A{r}" for r in range(1, 9)]
              + [f"B{r}" for r in range(2, 9)]
              + [f"C{r}" for r in range(2, 9)]
@@ -275,6 +282,39 @@ def test_exceptional_coverage_all_types():
         rs = build_root_system(t)
         recs = exceptional_elements(rs)
         assert len(recs) == rs.rank + 1
+
+
+@pytest.mark.parametrize("type_str", list(dict.fromkeys(t for t, _m in appendix_rows())))
+def test_exceptional_elements_match_solve_and_closure_oracle(type_str):
+    # the closed form q_i = X[i][m] / a_m and the basis guard against the
+    # linear solve and the closure they replaced, on every appendix row
+    rs = build_root_system(type_str)
+    got = exceptional_elements(rs)[1:]
+    want = _exceptional_by_solve_and_closure(rs)
+    assert len(got) == len(want) == rs.rank
+    for a, b in zip(got, want):
+        assert a["m"] == b["m"]
+        assert a["torus"] == b["torus"]
+        assert a["root_values"] == b["root_values"]
+        assert a["centralizer"].type_str == b["centralizer"].type_str
+        assert a["centralizer"].roots == b["centralizer"].roots
+        assert a["beta_m"] == b["beta_m"]
+
+
+def test_exceptional_basis_guard_rejects_a_non_minimal_beta(monkeypatch):
+    # B3, node 3 (a_3 = 2): the roots with alpha_3-coefficient 2 are
+    # (0,1,2) < (1,1,2) < (1,2,2).  Closing alpha_1, alpha_2 and the
+    # non-minimal (1,1,2) still gives the whole centralizer, so only the
+    # basis guard can tell that beta_3 is wrong.
+    b3 = build_root_system("B3")
+    wrong = (1, 1, 2)
+    assert beta_minimal(b3, 2) == (0, 1, 2)
+    cent = frozenset(b for b in b3.all_roots() if b[2] % 2 == 0)
+    assert close_up(b3, [(1, 0, 0), (0, 1, 0), wrong]) == cent
+    monkeypatch.setattr(quantum, "beta_minimal",
+                        lambda rs, m: wrong if m == 2 else beta_minimal(rs, m))
+    with pytest.raises(InvariantViolation):
+        exceptional_elements(b3)
 
 
 def test_appendix_examples():
@@ -329,6 +369,20 @@ def test_q_regularity_counts_coprimality():
     res5 = q_regularity_and_counts(QChar(a2, 5))
     assert res5["coprimalityOK"] and res5["unramifiedPredicted"] == 1
     assert res5["unramifiedEnumerated"] == 1
+
+
+@pytest.mark.xfail(strict=True, reason="s counts the simple roots in Phi', not "
+                   "r - rank Phi'; the fix changes pinned benchmark digests")
+def test_ell_s_prediction_on_a_non_standard_levi():
+    # Phi' = A1 with basis [(1, 1)] holds no simple root, so s must be
+    # r - rank Phi' = 1 and the prediction 7 = the 7 enumerated blocks
+    b2 = build_root_system("B2")
+    chi = QChar(b2, 7, chi_s=T(0, Fraction(1, 3)))
+    assert chi.levi.basis == ((1, 1),)
+    res = q_regularity_and_counts(chi)
+    assert res["coprimalityOK"] and res["unramifiedEnumerated"] == 7
+    assert res["s"] == 1
+    assert res["unramifiedPredicted"] == res["unramifiedEnumerated"]
 
 
 def test_rank_identity_beyond_rank_three():

@@ -5,14 +5,13 @@ import pytest
 from lieram.errors import InvalidType, NotClosed
 from lieram.rootdata import (
     build_root_system,
-    close_up,
     hypothesis_check,
-    pair,
     parse_cartan_type,
     subsystem_classify,
     two_rho_dot,
 )
 from lieram.scalars import make_field
+from lieram.selftest import close_up, pair
 
 CLASSICAL_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,

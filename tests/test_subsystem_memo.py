@@ -8,8 +8,8 @@ import pytest
 from lieram.errors import NotClosed
 from lieram.modular import mod_blocks
 from lieram.quantum import q_blocks
-from lieram.rootdata import Subsystem, build_root_system, close_up, subsystem_classify
-from lieram.selftest import MATRIX_TYPES, modular_cells, quantum_cells
+from lieram.rootdata import Subsystem, build_root_system, subsystem_classify
+from lieram.selftest import MATRIX_TYPES, close_up, modular_cells, quantum_cells
 from lieram.weyl import enumerate_group
 
 
