@@ -7,7 +7,8 @@ verify appendix, selftest.
 Output is deterministic: JSON with sorted keys (the machine format) or a flat
 TSV projection.  Exit status: 0 success, 1 domain error, 2 usage error.
 The single --bound flag (mirrored by the LIERAM_BOUND environment variable)
-caps both the field size (default 10^9) and group enumeration (default 10^6).
+caps both the field size (default 10^9) and the points a block walk visits
+(default 10^6).
 
 Input grammars:
   * Cartan types:   A2, b3, A1xA1 (case-insensitive, no whitespace)

@@ -21,11 +21,11 @@ from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_clas
 from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
 from .weyl import (
     DEFAULT_GROUP_BOUND,
-    check_group_bound,
     integer_actions,
     integer_pairings,
     orbit_partition,
     reflection_stabilizer,
+    stabilizer_reflections,
     subsystem_index,
     support_indices,
 )
@@ -147,10 +147,16 @@ def _pairings(rs: RootSystem, values, field, code=None):
     if code is None:
         if any(v.field != field for v in values):
             raise ValueError("elements of different fields")
-        pad = (0,) * field.e
-        code = tuple(c for v in values for c in (v.coeffs + pad)[:field.e])
+        code = _code(values, field.e)
     pairings = integer_pairings(rs, "values", field.p, field.e)
     return dict(zip(rs.pos_roots, pairings(code)))
+
+
+def _code(values, e):
+    """Values in F_{p^e} as one flat tuple: each value's coefficients padded
+    to e."""
+    pad = (0,) * e
+    return tuple(c for v in values for c in (v.coeffs + pad)[:e])
 
 
 def eta_subsystems(rs: RootSystem, eta: ModWeight, code=None):
@@ -220,27 +226,28 @@ class BlockReport:
 def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND,
                group_bound=DEFAULT_GROUP_BOUND, assume_unique_simple=False):
     """Blocks of the reduced algebra at chi: the partition of Lambda_chi under
-    the dot action (ordinary action on eta = lambda + rho)."""
+    the dot action (ordinary action on eta = lambda + rho) of Stab_W(chi).
+    BoundExceeded when the p^r points of Lambda_chi and the W-orbit of chi
+    exceed `group_bound`."""
     rs = chi.rs
-    check_group_bound(rs, group_bound)
+    gens = stabilizer_reflections(
+        rs, chi.levi, _code(chi.values, chi.field.e), "values", chi.p,
+        chi.field.e, chi.p**rs.rank, group_bound)
     weights, ambient = enumerate_lambda_chi(chi, bound)
     p, e = ambient.p, ambient.e
     rho = rho_weight(rs, ambient)
     # the walk runs on eta = lambda + rho as r*e coefficients mod p, each
     # value padded to e; rho adds 1 to every constant term
     one = tuple(int(k % e == 0) for k in range(rs.rank * e))
-    pad = (0,) * e
-    points = []
-    for lam in weights:
-        code = [c for v in lam.values for c in (v.coeffs + pad)[:e]]
-        points.append(tuple((c + s) % p for c, s in zip(code, one)))
+    points = [tuple((c + s) % p for c, s in zip(_code(lam.values, e), one))
+              for lam in weights]
 
     def key(code):
         # the lambda encoding: padded coefficients of eta - rho, in the order
         # of the trimmed tuples (v - 1).coeffs
         return tuple((c - s) % p for c, s in zip(code, one))
 
-    classes = orbit_partition(points, integer_actions(rs, "values", p, e), key)
+    classes = orbit_partition(points, integer_actions(gens, "values", p, e), key)
     reports = []
     for cls in classes:
         eta = ModWeight(ambient.elem(cls[0][i * e:(i + 1) * e])

@@ -27,12 +27,12 @@ from .weyl import (
     DEFAULT_GROUP_BOUND,
     act_torus,
     alcove_descent,
-    check_group_bound,
     hc_shift_vector,
     integer_actions,
     integer_pairings,
     orbit_partition,
     reflection_stabilizer,
+    stabilizer_reflections,
     subsystem_index,
     support_indices,
 )
@@ -153,10 +153,14 @@ class QBlockReport:
 
 def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
     """Blocks of the quantized algebra at chi: the partition of the fiber
-    {t : t^ell = chi_s^2} under the ordinary Weyl action; dimD is the index
-    [W(t^ell) : W(t)] of classified subsystem orders."""
+    {t : t^ell = chi_s^2} under the ordinary action of Stab_W(chi_s^2); dimD
+    is the index [W(t^ell) : W(t)] of classified subsystem orders.
+    BoundExceeded when the ell^r fiber points and the W-orbit of chi_s^2
+    exceed `group_bound`."""
     rs = chi.rs
-    check_group_bound(rs, group_bound)
+    (chi_code,), chi_N = _torus_code([chi.chi_s.pow(2)])
+    gens = stabilizer_reflections(rs, chi.levi, chi_code, "torus", chi_N, 1,
+                                  chi.ell**rs.rank, group_bound)
     fiber = ell_fiber(rs, chi.chi_s, chi.ell)
     # the walk runs on exponent numerators over the common denominator N;
     # W acts by integer matrices, so every orbit stays on (1/N)Z^r
@@ -170,7 +174,7 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
             out.append((n // g, N // g))
         return tuple(out)
 
-    classes = orbit_partition(points, integer_actions(rs, "torus", N), key)
+    classes = orbit_partition(points, integer_actions(gens, "torus", N), key)
     reports = []
     for cls in classes:
         rep = TorusElement(tuple(Fraction(n, N) for n in cls[0]))

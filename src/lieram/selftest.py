@@ -398,16 +398,25 @@ def suite_rank_identities():
     return ok, f"all cells sum to p^r / ell^r, {elapsed:.2f}s" if ok else f"{bad}"
 
 
+def _orbit_times_levi_is_w(chi, W, act, point):
+    """|W.chi| |W(Phi')| = |W|, the orbit of chi's `point` listed through the
+    elements W: the premise of the stabiliser walk in mod_blocks / q_blocks,
+    that the reflections of Phi' generate all of Stab_W(chi)."""
+    return len({act(w, point) for w in W}) * chi.levi.order == len(W)
+
+
 @_suite
 def suite_block_count_oracle():
     bad = []
     spot = {}
     for t, p, name, chi in modular_cells():
+        W = enumerate_group(chi.rs)
+        if not _orbit_times_levi_is_w(chi, W, WeylElement.act_values, chi.values):
+            bad.append(("mod stabiliser", t, p, name))
         if not chi.nilpotent:
             continue
         rs = chi.rs
         blocks = mod_blocks(chi)
-        W = enumerate_group(rs)
         field = make_field(p, 1)
         points = [tuple(field.from_int((k // p**i) % p) for i in range(rs.rank))
                   for k in range(p**rs.rank)]
@@ -416,11 +425,14 @@ def suite_block_count_oracle():
             bad.append(("mod", t, p, name))
         spot[(t, p)] = cnt
     for t, ell, name, chi in quantum_cells():
+        W = enumerate_group(chi.rs)
+        if not _orbit_times_levi_is_w(chi, W, WeylElement.act_torus_exponents,
+                                      chi.chi_s.pow(2).exps):
+            bad.append(("q stabiliser", t, ell, name))
         if not chi.chi_s.is_one():
             continue
         rs = chi.rs
         blocks = q_blocks(chi)
-        W = enumerate_group(rs)
         fiber = ell_fiber(rs, chi.chi_s, ell)
         cnt = burnside_count(
             W, fiber,
@@ -429,8 +441,9 @@ def suite_block_count_oracle():
             bad.append(("q", t, ell, name))
     if spot.get(("A2", 5)) != 7 or spot.get(("A1", 3)) != 2:
         bad.append(("spot-values", spot.get(("A2", 5)), spot.get(("A1", 3))))
-    return (not bad), ("partition = Burnside on every nilpotent cell; "
-                       "A2/p5 -> 7, A1/p3 -> 2" if not bad else f"{bad}")
+    return (not bad), ("|W.chi| |W(Phi')| = |W| on every cell; partition = "
+                       "Burnside on every nilpotent cell; A2/p5 -> 7, A1/p3 -> 2"
+                       if not bad else f"{bad}")
 
 
 @_suite

@@ -15,7 +15,11 @@ shift; see act_torus.
 Block partitions walk orbits on flat integer encodings instead (see
 integer_actions), and stabilisers read every root's value off the same
 encodings (integer_pairings): coroot values over F_{p^e} as r*e coefficients
-mod p, torus exponents as numerators mod a common denominator N.
+mod p, torus exponents as numerators mod a common denominator N.  A block is
+an orbit of Stab_W(chi) on the point set of chi, and the walk is generated by
+the reflections of the basis of Phi' (stabilizer_reflections, which checks
+that they generate all of Stab_W(chi)); so it visits each point of the set
+once and reaches no point outside it.
 """
 
 from __future__ import annotations
@@ -195,6 +199,11 @@ def word_element(rs: RootSystem, word) -> WeylElement:
     return WeylElement(rs, columns(word[::-1]), columns(word), word)
 
 
+def reflection(rs: RootSystem, beta) -> WeylElement:
+    """s_beta for a root beta, as the word of its descent to a simple root."""
+    return word_element(rs, _word_for_reflection(rs, beta))
+
+
 def alcove_descent(rs: RootSystem, x):
     """Carry a rational point into the closed fundamental alcove.
 
@@ -301,23 +310,23 @@ def act_torus(w: WeylElement, qs, dot: bool = False, ell: int = None, eps: int =
     return tuple(q - s for q, s in zip(moved, shift))
 
 
-def integer_actions(rs: RootSystem, on: str, modulus: int, width: int = 1):
-    """The simple reflections s_1..s_r as maps on flat integer tuples.
+def integer_actions(gens, on: str, modulus: int, width: int = 1):
+    """The Weyl elements `gens` as maps on flat integer tuples.
 
     on="values": a point lists lambda(h_1), ..., lambda(h_r), each as `width`
-    coefficients mod `modulus` (= p), and map j is s_j.act_values;
+    coefficients mod `modulus` (= p), and the map of w is w.act_values;
     on="torus": a point lists the exponent numerators of a torus element over
-    the common denominator `modulus`, and map j is s_j.act_torus_exponents.
-    Map j rewrites only the coordinates whose row of s_j is not an identity
-    row: node j and its Dynkin neighbours for values, node j for exponents.
+    the common denominator `modulus`, and the map of w is
+    w.act_torus_exponents.  A map rewrites only the coordinates whose row of w
+    is not an identity row: for a simple reflection s_j, node j and its Dynkin
+    neighbours for values, node j for exponents.
     """
     maps = []
-    for j in range(rs.rank):
-        s = simple_reflection(rs, j)
+    for w in gens:
         if on == "values":
-            rows = s._value_rows()
+            rows = w._value_rows()
         elif on == "torus":
-            rows = s._torus_rows()
+            rows = w._torus_rows()
         else:
             raise ValueError(f"unknown encoding {on!r}")
         ops = tuple(
@@ -424,12 +433,32 @@ def support_indices(levi, support):
     return support
 
 
-def check_group_bound(rs: RootSystem, bound: int):
-    """Refuse a block partition of a Weyl group larger than the bound."""
-    if rs.weyl_order() > bound:
+def stabilizer_reflections(rs: RootSystem, levi, chi_code, on: str, modulus: int,
+                           width: int, set_size: int, bound: int):
+    """The reflections s_beta, beta in the basis of Phi' = `levi`, that
+    generate Stab_W(chi): the group whose orbits on the point set of chi
+    (Lambda_chi, or the fiber over chi_s^2) are the blocks, since w moves a
+    point of the set into it iff w chi = chi.
+
+    W(Phi') always fixes chi; that it is all of Stab_W(chi) is expected under
+    the standing hypotheses (Steinberg, Torsion in reductive groups; on the
+    quantum side the torus is simply connected) and checked here: chi's own
+    encoding `chi_code` (on, modulus, width as for integer_actions) is walked
+    under W, and InvariantViolation is raised unless |W.chi| |W(Phi')| = |W|.
+    BoundExceeded when the `set_size` points of the set and the |W|/|W(Phi')|
+    of chi's orbit exceed `bound`."""
+    orbit_size = rs.weyl_order() // levi.order
+    if set_size + orbit_size > bound:
         raise BoundExceeded(
-            f"|W| = {rs.weyl_order()} exceeds bound {bound}; "
-            "block partitions need tractable orbits")
+            f"{set_size + orbit_size} points to walk ({set_size} in the block "
+            f"set, {orbit_size} in the W-orbit of chi) exceeds bound {bound}")
+    simple = [simple_reflection(rs, j) for j in range(rs.rank)]
+    orbit = orbit_of(chi_code, integer_actions(simple, on, modulus, width))
+    if len(orbit) * levi.order != rs.weyl_order():
+        raise InvariantViolation(
+            f"|W.chi| = {len(orbit)} times |W({levi.type_str})| = {levi.order} "
+            f"is not |W| = {rs.weyl_order()}: Stab_W(chi) is not W(Phi')")
+    return [reflection(rs, b) for b in levi.basis]
 
 
 def orbit_of(point, gen_actions):
@@ -453,7 +482,10 @@ def orbit_partition(points, gen_actions, key):
 
     Each orbit is sorted by `key` and the orbit list is sorted by the key of
     its representative (the minimum).  Points outside `points` reached by the
-    action are ignored for membership but used for transport.
+    action are ignored for membership but used for transport; the production
+    walks never reach one, as they act by stabiliser generators that map the
+    set to itself (see stabilizer_reflections).  Walking whole W-orbits and
+    dropping the outside points is the test oracle.
     """
     pointset = set(points)
     unseen = set(points)

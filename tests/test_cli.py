@@ -191,6 +191,25 @@ def test_bound_env_var(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["modular", "blocks", "--type", "F4", "--p", "5"],
+    ["quantum", "blocks", "--type", "F4", "--ell", "5"],
+])
+def test_bound_caps_the_points_walked(argv, capsys):
+    # |W(F4)| = 1152 exceeds 1000, but the walk visits only the 625 points of
+    # the set and the one point of the orbit of chi
+    code, out = run_cli([*argv, "--bound", "1000"], capsys)
+    assert code == 0
+    counts = json.loads(out)["counts"]
+    assert counts["dim_sum"] == 625
+    code = main([*argv, "--bound", "600"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: 626 points to walk (625 in the block set, 1 in the W-orbit "
+        "of chi) exceeds bound 600\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["modular", "poincare", "--type", "D2", "--p", "5", "--weight", "1,1"],
     ["quantum", "blocks", "--type", "D2", "--ell", "5"],
 ])

@@ -1,17 +1,25 @@
 """The integer-tuple orbit kernel of mod_blocks / q_blocks against the
-FFElem / UnityExp transport it replaced: the same representatives in the same
-order and the same orbit sizes."""
+FFElem / UnityExp transport it replaced, and the walk of Stab_W(chi) against
+the walk of whole W-orbits: the same representatives in the same order and the
+same orbit sizes.  The stabiliser walk stays inside the point set, and its
+guard refuses generators that fall short of Stab_W(chi)."""
 
+import collections
+import random
 from fractions import Fraction
 
 import pytest
 
+from lieram import modular, quantum
 from lieram.cli import parse_field_values
+from lieram.errors import InvariantViolation
 from lieram.modular import ModWeight, PChar, enumerate_lambda_chi, mod_blocks, rho_weight
 from lieram.quantum import QChar, TorusElement, ell_fiber, q_blocks
-from lieram.rootdata import build_root_system
+from lieram.rootdata import build_root_system, subsystem_classify
 from lieram.scalars import make_field
-from lieram.weyl import integer_actions, orbit_partition, simple_reflection
+from lieram.selftest import modular_cells, quantum_cells, root_reflection
+from lieram.weyl import integer_actions, orbit_partition, reflection, simple_reflection
+from test_golden_manifest import RANK34_MODULAR, RANK34_QUANTUM
 
 
 def modular_orbits_by_transport(chi):
@@ -92,23 +100,163 @@ def test_quantum_kernel_matches_transport(cell):
 
 @pytest.mark.parametrize("t", ["A3", "B3", "C3", "G2", "F4", "A1xB2"])
 def test_integer_maps_are_the_simple_reflections(t):
-    # on points off Lambda_chi and off the fiber too: every coordinate varies
+    # the simple reflections, and s_beta for every positive root beta against
+    # the reflection matrix of selftest.root_reflection; on points off
+    # Lambda_chi and off the fiber too: every coordinate varies
     rs = build_root_system(t)
     r = rs.rank
     F49 = make_field(7, 2)
-    value_maps = integer_actions(rs, "values", 7, 2)
     N = 60
-    torus_maps = integer_actions(rs, "torus", N)
+    pairs = [(simple_reflection(rs, j), simple_reflection(rs, j)) for j in range(r)]
+    pairs += [(reflection(rs, b), root_reflection(rs, b)) for b in rs.pos_roots]
+    gens = [g for g, _oracle in pairs]
+    value_maps = integer_actions(gens, "values", 7, 2)
+    torus_maps = integer_actions(gens, "torus", N)
     for k in range(12):
         coeffs = [((3 * k + i) % 7, (k * i + 1) % 7) for i in range(r)]
         values = tuple(F49.elem(c) for c in coeffs)
         code = tuple(c for pair in coeffs for c in pair)
         nums = tuple((7 * k + 11 * i) % N for i in range(r))
-        for j in range(r):
-            s = simple_reflection(rs, j)
+        for (_g, s), value_map, torus_map in zip(pairs, value_maps, torus_maps):
             moved = s.act_values(values)
-            assert value_maps[j](code) == tuple(
+            assert value_map(code) == tuple(
                 c for v in moved for c in (v.coeffs + (0, 0))[:2])
             qs = s.act_torus_exponents(TorusElement(
                 tuple(Fraction(n, N) for n in nums)).exps)
-            assert torus_maps[j](nums) == tuple(int(q.q * N) for q in qs)
+            assert torus_map(nums) == tuple(int(q.q * N) for q in qs)
+
+
+# -- the stabiliser walk against the full-W walk ------------------------------
+
+def _full_w(rs, *_args):
+    # the oracle's generators: all of W, whose orbits leave the point set;
+    # orbit_partition keeps only the points inside it
+    return [simple_reflection(rs, j) for j in range(rs.rank)]
+
+
+def _blocks(chi):
+    return mod_blocks(chi) if isinstance(chi, PChar) else q_blocks(chi)
+
+
+def _walked_and_oracle(chi, monkeypatch):
+    got = [b.to_dict() for b in _blocks(chi)]
+    with monkeypatch.context() as m:
+        m.setattr(modular, "stabilizer_reflections", _full_w)
+        m.setattr(quantum, "stabilizer_reflections", _full_w)
+        want = [b.to_dict() for b in _blocks(chi)]
+    return got, want
+
+
+def _matrix_cells():
+    for t, p, name, chi in modular_cells():
+        yield f"modular {t}/p{p} {name}", chi
+    for t, ell, name, chi in quantum_cells():
+        yield f"quantum {t}/l{ell} {name}", chi
+
+
+def _manifest_cells():
+    for t, p, chi_s in RANK34_MODULAR:
+        rs = build_root_system(t)
+        yield f"modular {t}/p{p} regnil", PChar(rs, p, support=tuple(range(rs.rank)))
+        yield f"modular {t}/p{p} {chi_s}", _literal_character(t, p, chi_s)
+    for t in RANK34_QUANTUM:
+        rs = build_root_system(t)
+        yield f"quantum {t}/l5 regunip", QChar(rs, 5, support=tuple(range(rs.rank)))
+
+
+def _non_standard(levi):
+    return any(sum(b) != 1 for b in levi.basis)
+
+
+def _draw_non_standard(draw):
+    for _attempt in range(500):
+        chi = draw()
+        if _non_standard(chi.levi):
+            return chi
+    raise AssertionError("no draw has a non-standard Levi")
+
+
+def _seeded_cells(seed=7):
+    """Semisimple characters drawn with a fixed seed, each with a
+    non-standard Levi (a basis root that is not simple)."""
+    rng = random.Random(seed)
+    yield "quantum B2/l7 (0,1/3)", QChar(build_root_system("B2"), 7,
+                                          chi_s=TorusElement((0, Fraction(1, 3))))
+    for t, p, ell in (("G2", 7, 5), ("B3", 5, 7), ("C3", 5, 5)):
+        rs = build_root_system(t)
+        F = make_field(p, 1)
+        chi = _draw_non_standard(lambda: PChar(
+            rs, p, values=tuple(F.from_int(rng.randrange(p)) for _ in range(rs.rank))))
+        yield f"modular {t}/p{p} {chi.values}", chi
+        chi = _draw_non_standard(lambda: QChar(rs, ell, chi_s=TorusElement(
+            tuple(Fraction(rng.randrange(12), 12) for _ in range(rs.rank)))))
+        yield f"quantum {t}/l{ell} {chi.chi_s}", chi
+
+
+CELL_SETS = {"matrix": _matrix_cells, "manifest": _manifest_cells,
+             "seeded": _seeded_cells}
+
+
+@pytest.mark.parametrize("cells", sorted(CELL_SETS))
+def test_stabiliser_walk_matches_the_full_w_walk(cells, monkeypatch):
+    # the same representatives in the same order, the same orbit sizes, and
+    # every other field of each block
+    bad = []
+    for label, chi in CELL_SETS[cells]():
+        got, want = _walked_and_oracle(chi, monkeypatch)
+        if got != want:
+            bad.append(label)
+        elif sum(b["orbit_size"] for b in got) != (
+                chi.p if isinstance(chi, PChar) else chi.ell) ** chi.rs.rank:
+            bad.append(label + " (orbit sizes)")
+    assert bad == []
+
+
+def _watch_walks(monkeypatch):
+    """Wrap the generator maps of every block walk; returns (images, outside):
+    counts of the images computed and of those outside the point set."""
+    seen = collections.Counter()
+
+    def checked(points, gen_actions, key):
+        pointset = set(points)
+
+        def watched(act):
+            def step(x):
+                y = act(x)
+                seen["images"] += 1
+                seen["outside"] += y not in pointset
+                return y
+            return step
+        return orbit_partition(points, [watched(a) for a in gen_actions], key)
+
+    monkeypatch.setattr(modular, "orbit_partition", checked)
+    monkeypatch.setattr(quantum, "orbit_partition", checked)
+    return seen
+
+
+def test_block_walks_stay_inside_the_point_set(monkeypatch):
+    seen = _watch_walks(monkeypatch)
+    for _label, chi in [*_matrix_cells(), *_seeded_cells()]:
+        _blocks(chi)
+    assert seen["images"] > 0
+    assert seen["outside"] == 0
+    # the watch has teeth: the full-W walk leaves the set on a semisimple cell
+    monkeypatch.setattr(modular, "stabilizer_reflections", _full_w)
+    _blocks(_literal_character("B3", 5, "1,0,2"))
+    assert seen["outside"] > 0
+
+
+def test_guard_refuses_a_proper_sub_levi(monkeypatch):
+    # chi = (0, 0, 1) on A3 has Levi A2; the reflection of one of its basis
+    # roots fixes chi but generates too small a group
+    a3 = build_root_system("A3")
+    F7 = make_field(7, 1)
+    mod_chi = PChar(a3, 7, values=(F7.zero(), F7.zero(), F7.one()))
+    q_chi = QChar(build_root_system("A2"), 5)
+    for chi in (mod_chi, q_chi):
+        assert chi.levi.type_str == "A2"
+        beta = chi.levi.basis[0]
+        sub = subsystem_classify(chi.rs, frozenset({beta, tuple(-c for c in beta)}))
+        monkeypatch.setattr(chi, "levi", sub)
+        with pytest.raises(InvariantViolation, match="Stab_W"):
+            _blocks(chi)
