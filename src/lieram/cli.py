@@ -30,6 +30,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import LieramError
 from .modular import (
@@ -155,16 +156,46 @@ def _ffstr(v):
 
 
 def _emit(args, payload, tsv_rows=None):
+    """Write payload as JSON, or under --format tsv the rows that `tsv_rows`
+    (a function, called only then) builds, by default one per payload key."""
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
     else:
-        if tsv_rows is None:
-            tsv_rows = [["key", "value"]] + [
-                [k, json.dumps(v, sort_keys=True)] for k, v in sorted(payload.items())
-            ]
-        for row in tsv_rows:
+        rows = tsv_rows() if tsv_rows else [["key", "value"]] + [
+            [k, json.dumps(v, sort_keys=True)] for k, v in sorted(payload.items())]
+        for row in rows:
             sys.stdout.write("\t".join(str(c) for c in row) + "\n")
     return 0
+
+
+def _dumps(obj, nl="\n"):
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte: the stdlib
+    encodes with indent in pure Python, never with its C encoder.  Dict keys
+    must be str (TypeError otherwise); `nl` is the current line break."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return str(obj)
+    if obj is None or type(obj) is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if all(type(x) is int for x in obj):  # bools are not ints here
+            return "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
+        return "[" + inner + ("," + inner).join(_dumps(x, inner) for x in obj) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(obj.items())) + nl + "}"
+    return json.dumps(obj)
 
 
 def _chi_dict(chi):
@@ -198,17 +229,20 @@ def cmd_modular_blocks(args):
                    "unramified": counts},
         "structure": structure,
     }
-    rows = [["lambda", "eta", "orbit_size", "dim", "unramified",
-             "stab_point", "stab_coset", "poincare", "finite_type"]]
-    for b in blocks:
-        rows.append([
-            ";".join(_ffstr(v) for v in b.lam.values),
-            ";".join(_ffstr(v) for v in b.eta.values),
-            b.orbit_size, b.dim, b.unramified,
-            b.stab_point_type, b.stab_coset_type,
-            ",".join(map(str, b.poincare)) if b.poincare else "-",
-            b.finite_type,
-        ])
+
+    def rows():
+        out = [["lambda", "eta", "orbit_size", "dim", "unramified",
+                "stab_point", "stab_coset", "poincare", "finite_type"]]
+        for b in blocks:
+            out.append([
+                ";".join(_ffstr(v) for v in b.lam.values),
+                ";".join(_ffstr(v) for v in b.eta.values),
+                b.orbit_size, b.dim, b.unramified,
+                b.stab_point_type, b.stab_coset_type,
+                ",".join(map(str, b.poincare)) if b.poincare else "-",
+                b.finite_type,
+            ])
+        return out
     return _emit(args, payload, rows)
 
 
@@ -308,12 +342,15 @@ def cmd_quantum_blocks(args):
                    "dim_sum": sum(b.dim for b in blocks)},
         "structure": counts,
     }
-    rows = [["torus", "orbit_size", "dim", "unramified", "exceptional",
-             "stab_point", "stab_fiber"]]
-    for b in blocks:
-        rows.append([";".join(str(e) for e in b.rep.exps),
-                     b.orbit_size, b.dim, b.unramified, b.exceptional,
-                     b.stab_point_type, b.stab_fiber_type])
+
+    def rows():
+        out = [["torus", "orbit_size", "dim", "unramified", "exceptional",
+                "stab_point", "stab_fiber"]]
+        for b in blocks:
+            out.append([";".join(str(e) for e in b.rep.exps),
+                        b.orbit_size, b.dim, b.unramified, b.exceptional,
+                        b.stab_point_type, b.stab_fiber_type])
+        return out
     return _emit(args, payload, rows)
 
 
@@ -351,11 +388,14 @@ def cmd_quantum_exceptional(args):
             "beta_m": list(rec["beta_m"]) if rec["beta_m"] else None,
         } for rec in recs],
     }
-    rows = [["m", "torus", "centralizer", "order", "beta_m"]]
-    for rec in payload["elements"]:
-        rows.append([rec["m"], ";".join(rec["torus"]), rec["centralizer_type"],
-                     rec["centralizer_order"],
-                     ",".join(map(str, rec["beta_m"])) if rec["beta_m"] else "-"])
+
+    def rows():
+        out = [["m", "torus", "centralizer", "order", "beta_m"]]
+        for rec in payload["elements"]:
+            out.append([rec["m"], ";".join(rec["torus"]), rec["centralizer_type"],
+                        rec["centralizer_order"],
+                        ",".join(map(str, rec["beta_m"])) if rec["beta_m"] else "-"])
+        return out
     return _emit(args, payload, rows)
 
 
@@ -406,11 +446,14 @@ def cmd_verify_appendix(args):
         "rows": results,
         "all_ok": all(r["ok"] for r in results),
     }
-    tsv = [["type", "m", "ok", "convention", "alpha_corrected"]]
-    for r in results:
-        tsv.append([r["type"], r["m"], r["ok"], r["convention"],
-                    json.dumps(r["alpha_corrected"])])
-    return _emit(args, payload, tsv)
+
+    def rows():
+        out = [["type", "m", "ok", "convention", "alpha_corrected"]]
+        for r in results:
+            out.append([r["type"], r["m"], r["ok"], r["convention"],
+                        json.dumps(r["alpha_corrected"])])
+        return out
+    return _emit(args, payload, rows)
 
 
 def cmd_selftest(args):

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import HypothesisFailure, NoParabolicConjugate, NotNilpotentContext
+from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate
+from .errors import NotNilpotentContext
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify
 from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
 from .weyl import (
     DEFAULT_GROUP_BOUND,
+    block_stabilizers,
     integer_actions,
     integer_pairings,
     orbit_partition,
@@ -124,32 +126,33 @@ def enumerate_lambda_chi(chi: PChar, bound=DEFAULT_FIELD_BOUND):
     Returns (weights, ambient field); the set is base + F_p^r, listed with the
     F_p-translate in lex order.
     """
-    p = chi.p
-    sols = []
-    fields = []
-    for c in chi.values:
-        rhs = c ** p
-        x, fld = artin_schreier_solve(rhs, bound)
-        sols.append(x)
-        fields.append(fld)
+    codes, ambient = _lambda_codes(chi, bound)
+    return [_weight(ambient, code) for code in codes], ambient
+
+
+def _lambda_codes(chi: PChar, bound):
+    # enumerate_lambda_chi as flat codes (see _code); only constant terms vary
+    sols, fields = zip(*(artin_schreier_solve(c ** chi.p, bound) for c in chi.values))
     ambient = max(fields, key=lambda f: f.e)
-    axes = [[b + ambient.from_int(d) for d in range(p)]
-            for b in (embed(x, ambient) for x in sols)]
-    return [ModWeight(vals) for vals in itertools.product(*axes)], ambient
+    base = _code([embed(x, ambient) for x in sols], ambient.e)
+    return list(itertools.product(*(
+        [(c + d) % chi.p for d in range(chi.p)] if k % ambient.e == 0 else (c,)
+        for k, c in enumerate(base)))), ambient
+
+
+def _weight(f, code):
+    return ModWeight(f.elem(code[i:i + f.e]) for i in range(0, len(code), f.e))
 
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
 
-def _pairings(rs: RootSystem, values, field, code=None):
+def _pairings(rs: RootSystem, values, field):
     """eta(h_beta) for every positive root beta, as its coefficient tuple mod
-    p, from the values eta(h_i) in `field` or their flat encoding `code`:
-    r*e coefficients, each value padded to e."""
-    if code is None:
-        if any(v.field != field for v in values):
-            raise ValueError("elements of different fields")
-        code = _code(values, field.e)
+    p, from the values eta(h_i) in `field`."""
+    if any(v.field != field for v in values):
+        raise ValueError("elements of different fields")
     pairings = integer_pairings(rs, "values", field.p, field.e)
-    return dict(zip(rs.pos_roots, pairings(code)))
+    return dict(zip(rs.pos_roots, pairings(_code(values, field.e))))
 
 
 def _code(values, e):
@@ -159,11 +162,10 @@ def _code(values, e):
     return tuple(c for v in values for c in (v.coeffs + pad)[:e])
 
 
-def eta_subsystems(rs: RootSystem, eta: ModWeight, code=None):
+def eta_subsystems(rs: RootSystem, eta: ModWeight):
     """(zero, fp): the reflection subgroups of {alpha : eta(h_alpha) = 0} and
-    {alpha : eta(h_alpha) in F_p}, with classified subsystems.  `code`, when
-    given, is eta's flat encoding (see _pairings), as mod_blocks walks it."""
-    vals = _pairings(rs, eta.values, eta.field, code)
+    {alpha : eta(h_alpha) in F_p}, with classified subsystems."""
+    vals = _pairings(rs, eta.values, eta.field)
     zero = reflection_stabilizer(rs, lambda b: not any(vals[b]))
     fp = reflection_stabilizer(rs, lambda b: not any(vals[b][1:]))
     return zero, fp
@@ -228,42 +230,42 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND,
     """Blocks of the reduced algebra at chi: the partition of Lambda_chi under
     the dot action (ordinary action on eta = lambda + rho) of Stab_W(chi).
     BoundExceeded when the p^r points of Lambda_chi and the W-orbit of chi
-    exceed `group_bound`."""
-    rs = chi.rs
+    exceed `group_bound`.  eta(h_beta)^p - eta(h_beta) = chi(h_beta)^p, so
+    eta(h_beta) is in F_p iff beta is in Phi' = chi.levi, and only then can it
+    vanish; InvariantViolation unless the first eta, paired in full, agrees."""
+    rs, levi = chi.rs, chi.levi
     gens = stabilizer_reflections(
-        rs, chi.levi, _code(chi.values, chi.field.e), "values", chi.p,
+        rs, levi, _code(chi.values, chi.field.e), "values", chi.p,
         chi.field.e, chi.p**rs.rank, group_bound)
-    weights, ambient = enumerate_lambda_chi(chi, bound)
+    # the walk runs on eta = lambda + rho, and Lambda_chi + rho = Lambda_chi
+    points, ambient = _lambda_codes(chi, bound)
     p, e = ambient.p, ambient.e
-    rho = rho_weight(rs, ambient)
-    # the walk runs on eta = lambda + rho as r*e coefficients mod p, each
-    # value padded to e; rho adds 1 to every constant term
-    one = tuple(int(k % e == 0) for k in range(rs.rank * e))
-    points = [tuple((c + s) % p for c, s in zip(_code(lam.values, e), one))
-              for lam in weights]
 
     def key(code):
-        # the lambda encoding: padded coefficients of eta - rho, in the order
-        # of the trimmed tuples (v - 1).coeffs
-        return tuple((c - s) % p for c, s in zip(code, one))
+        # lambda = eta - rho (rho is 1 in each constant term), padded: the
+        # order of the trimmed (v - 1).coeffs
+        lam = list(code)
+        lam[::e] = [(c - 1) % p for c in code[::e]]
+        return tuple(lam)
 
     classes = orbit_partition(points, integer_actions(gens, "values", p, e), key)
+    first = integer_pairings(rs, "values", p, e)(classes[0][0])
+    if any((not any(v[1:])) != (b in levi.roots) for b, v in zip(rs.pos_roots, first)):
+        raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
+
+    stabilizer = block_stabilizers(rs, levi, "values", p, lambda zero: (
+        _poincare(zero) if chi.nilpotent else None,
+        *_finite_type(rs, zero, levi, assume_unique_simple)))
     reports = []
     for cls in classes:
-        eta = ModWeight(ambient.elem(cls[0][i * e:(i + 1) * e])
-                        for i in range(rs.rank))
-        lam = eta - rho
-        zero, fp = eta_subsystems(rs, eta, cls[0])
-        dim = subsystem_index(zero.subsystem, fp.subsystem)
-        poincare = _poincare(zero) if chi.nilpotent else None
-        verdict, witness = _finite_type(rs, zero, fp, assume_unique_simple)
+        zero, dim, (poincare, verdict, witness) = stabilizer(cls[0][::e])
+        differing = witness["differing_component"]  # each report gets a copy
         reports.append(BlockReport(
-            lam=lam, eta=eta, orbit_size=len(cls), dim=dim,
-            unramified=(dim == 1),
-            stab_point_type=zero.subsystem.type_str,
-            stab_coset_type=fp.subsystem.type_str,
-            poincare=poincare, finite_type=verdict, finite_type_witness=witness,
-        ))
+            lam=_weight(ambient, key(cls[0])), eta=_weight(ambient, cls[0]),
+            orbit_size=len(cls), dim=dim, unramified=(dim == 1),
+            stab_point_type=zero.type_str, stab_coset_type=levi.type_str,
+            poincare=poincare, finite_type=verdict, finite_type_witness={
+                **witness, "differing_component": differing and dict(differing)}))
     return reports
 
 
@@ -287,14 +289,14 @@ def poincare_series(rs: RootSystem, eta: ModWeight):
     if not eta.in_lambda():
         raise NotNilpotentContext("Poincare series needs all coordinates in F_p")
     vals = _pairings(rs, eta.values, eta.field)
-    return _poincare(reflection_stabilizer(rs, lambda b: not any(vals[b])))
+    return _poincare(reflection_stabilizer(rs, lambda b: not any(vals[b])).subsystem)
 
 
 def _poincare(zero):
-    if not zero.subsystem.is_parabolic():
+    if not zero.is_parabolic():
         raise NoParabolicConjugate(
             "no W-conjugate of eta has a stabilizer generated by simple reflections")
-    return zero.subsystem.coset_poincare()
+    return zero.coset_poincare()
 
 
 def finite_type_verdict(rs: RootSystem, eta: ModWeight,
@@ -308,17 +310,17 @@ def finite_type_verdict(rs: RootSystem, eta: ModWeight,
     is not decidable here: without `assume_unique_simple` the best positive
     verdict is "unknown-boundary".
     """
-    return _finite_type(rs, *eta_subsystems(rs, eta), assume_unique_simple)
+    zero, fp = eta_subsystems(rs, eta)
+    return _finite_type(rs, zero.subsystem, fp.subsystem, assume_unique_simple)
 
 
-def _finite_type(rs, zero, fp, assume_unique_simple):
-    small_roots = zero.subsystem.roots
-    big = fp.subsystem
-    witness = {"point_type": zero.subsystem.type_str, "coset_type": big.type_str,
+def _finite_type(rs, small, big, assume_unique_simple):
+    small_roots = small.roots
+    witness = {"point_type": small.type_str, "coset_type": big.type_str,
                "differing_component": None}
     if small_roots == big.roots:
         return "semisimple", witness
-    if zero.subsystem.rank != big.rank - 1:
+    if small.rank != big.rank - 1:
         return "infinite", witness
     differing = []
     for (letter, n, _basis), comp_roots in zip(big.components, big.component_roots()):

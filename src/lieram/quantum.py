@@ -27,13 +27,13 @@ from .weyl import (
     DEFAULT_GROUP_BOUND,
     act_torus,
     alcove_descent,
+    block_stabilizers,
     hc_shift_vector,
     integer_actions,
     integer_pairings,
     orbit_partition,
     reflection_stabilizer,
     stabilizer_reflections,
-    subsystem_index,
     support_indices,
 )
 
@@ -156,35 +156,33 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
     {t : t^ell = chi_s^2} under the ordinary action of Stab_W(chi_s^2); dimD
     is the index [W(t^ell) : W(t)] of classified subsystem orders.
     BoundExceeded when the ell^r fiber points and the W-orbit of chi_s^2
-    exceed `group_bound`."""
-    rs = chi.rs
+    exceed `group_bound`.  Only roots of Phi' = chi.levi can vanish on t, as
+    beta(t)^ell = beta(chi_s^2); InvariantViolation unless the first t agrees."""
+    rs, levi = chi.rs, chi.levi
     (chi_code,), chi_N = _torus_code([chi.chi_s.pow(2)])
-    gens = stabilizer_reflections(rs, chi.levi, chi_code, "torus", chi_N, 1,
+    gens = stabilizer_reflections(rs, levi, chi_code, "torus", chi_N, 1,
                                   chi.ell**rs.rank, group_bound)
-    fiber = ell_fiber(rs, chi.chi_s, chi.ell)
     # the walk runs on exponent numerators over the common denominator N;
     # W acts by integer matrices, so every orbit stays on (1/N)Z^r
-    points, N = _torus_code(fiber)
+    points, N = _torus_code(ell_fiber(rs, chi.chi_s, chi.ell))
 
     def key(code):
         # UnityExp.key() of each exponent n/N: (n/g, N/g) with g = gcd(n, N)
-        out = []
-        for n in code:
-            g = math.gcd(n, N)
-            out.append((n // g, N // g))
-        return tuple(out)
+        return tuple([(n // g, N // g) for n in code for g in (math.gcd(n, N),)])
 
     classes = orbit_partition(points, integer_actions(gens, "torus", N), key)
+    first = integer_pairings(rs, "torus", N)(classes[0][0])
+    if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
+        raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
+    stabilizer = block_stabilizers(rs, levi, "torus", N, lambda sub: None)
     reports = []
     for cls in classes:
-        rep = TorusElement(tuple(Fraction(n, N) for n in cls[0]))
-        stab = w_t(rs, rep)
-        dim = subsystem_index(stab.subsystem, chi.levi)
+        stab, dim, _ = stabilizer(cls[0])
         reports.append(QBlockReport(
-            rep=rep, orbit_size=len(cls), dim=dim, unramified=(dim == 1),
-            exceptional=(stab.subsystem.rank == rs.rank),
-            stab_point_type=stab.subsystem.type_str,
-            stab_fiber_type=chi.levi.type_str,
+            rep=TorusElement(tuple(Fraction(n, N) for n in cls[0])),
+            orbit_size=len(cls), dim=dim, unramified=(dim == 1),
+            exceptional=(stab.rank == rs.rank),
+            stab_point_type=stab.type_str, stab_fiber_type=levi.type_str,
         ))
     return reports
 

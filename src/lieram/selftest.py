@@ -27,8 +27,11 @@ from .modular import (
     PChar,
     dim_C,
     enumerate_lambda_chi,
+    eta_subsystems,
+    finite_type_verdict,
     is_unramified,
     mod_blocks,
+    poincare_series,
     rho_weight,
     unramified_count,
 )
@@ -405,6 +408,33 @@ def _orbit_times_levi_is_w(chi, W, act, point):
     return len({act(w, point) for w in W}) * chi.levi.order == len(W)
 
 
+def block_stabiliser_mismatches(chi):
+    """The blocks of chi (a PChar or QChar) whose stabiliser data, as the
+    block walk reads them on Phi', differ from the oracles' on the block's own
+    point: point and coset types, dim, Poincare series, finite-type verdict
+    and witness through eta_subsystems (modular); point and fiber types, dim
+    and the exceptional flag through w_t on t and t^ell (quantum)."""
+    rs = chi.rs
+    bad = []
+    if isinstance(chi, PChar):
+        for b in mod_blocks(chi):
+            zero, fp = (g.subsystem for g in eta_subsystems(rs, b.eta))
+            want = (zero.type_str, fp.type_str, dim_C(rs, b.eta),
+                    poincare_series(rs, b.eta) if chi.nilpotent else None,
+                    *finite_type_verdict(rs, b.eta))
+            if (b.stab_point_type, b.stab_coset_type, b.dim, b.poincare,
+                    b.finite_type, b.finite_type_witness) != want:
+                bad.append(b.lam.key())
+        return bad
+    for b in q_blocks(chi):
+        point, fiber = w_t(rs, b.rep).subsystem, w_t(rs, b.rep.pow(chi.ell)).subsystem
+        if (b.stab_point_type, b.stab_fiber_type, b.dim, b.exceptional) != (
+                point.type_str, fiber.type_str, fiber.order // point.order,
+                point.rank == rs.rank):
+            bad.append(b.rep.key())
+    return bad
+
+
 @_suite
 def suite_block_count_oracle():
     bad = []
@@ -413,6 +443,8 @@ def suite_block_count_oracle():
         W = enumerate_group(chi.rs)
         if not _orbit_times_levi_is_w(chi, W, WeylElement.act_values, chi.values):
             bad.append(("mod stabiliser", t, p, name))
+        if block_stabiliser_mismatches(chi):
+            bad.append(("mod block stabilisers", t, p, name))
         if not chi.nilpotent:
             continue
         rs = chi.rs
@@ -429,6 +461,8 @@ def suite_block_count_oracle():
         if not _orbit_times_levi_is_w(chi, W, WeylElement.act_torus_exponents,
                                       chi.chi_s.pow(2).exps):
             bad.append(("q stabiliser", t, ell, name))
+        if block_stabiliser_mismatches(chi):
+            bad.append(("q block stabilisers", t, ell, name))
         if not chi.chi_s.is_one():
             continue
         rs = chi.rs
@@ -441,7 +475,8 @@ def suite_block_count_oracle():
             bad.append(("q", t, ell, name))
     if spot.get(("A2", 5)) != 7 or spot.get(("A1", 3)) != 2:
         bad.append(("spot-values", spot.get(("A2", 5)), spot.get(("A1", 3))))
-    return (not bad), ("|W.chi| |W(Phi')| = |W| on every cell; partition = "
+    return (not bad), ("|W.chi| |W(Phi')| = |W| and per-block stabilisers = "
+                       "eta_subsystems / w_t on every cell; partition = "
                        "Burnside on every nilpotent cell; A2/p5 -> 7, A1/p3 -> 2"
                        if not bad else f"{bad}")
 
@@ -511,7 +546,6 @@ def _delta_tilde_by_search(rs, point, ell, elements, eps=1):
 
 @_suite
 def suite_criterion_equivalences():
-    from .modular import eta_subsystems
     bad = []
     for t, p, name, chi in modular_cells():
         rs = chi.rs

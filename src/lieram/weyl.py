@@ -13,13 +13,15 @@ The quantum dot action is the ordinary one conjugated by the Harish-Chandra
 shift; see act_torus.
 
 Block partitions walk orbits on flat integer encodings instead (see
-integer_actions), and stabilisers read every root's value off the same
-encodings (integer_pairings): coroot values over F_{p^e} as r*e coefficients
-mod p, torus exponents as numerators mod a common denominator N.  A block is
-an orbit of Stab_W(chi) on the point set of chi, and the walk is generated by
+integer_actions), and stabilisers read root values off the same encodings
+(integer_pairings): coroot values over F_{p^e} as r*e coefficients mod p,
+torus exponents as numerators mod a common denominator N.  A block is an
+orbit of Stab_W(chi) on the point set of chi, and the walk is generated by
 the reflections of the basis of Phi' (stabilizer_reflections, which checks
 that they generate all of Stab_W(chi)); so it visits each point of the set
-once and reaches no point outside it.
+once and reaches no point outside it.  A block's stabiliser lies in W(Phi'),
+so only the roots of Phi' are paired with it, once per distinct set of
+vanishing roots (block_stabilizers).
 """
 
 from __future__ import annotations
@@ -352,9 +354,11 @@ def _integer_map(ops, modulus):
     return act
 
 
-def integer_pairings(rs: RootSystem, on: str, modulus: int, width: int = 1):
-    """Every positive root's value on a flat integer point, as a map from the
-    point to one value per root of rs.pos_roots, in that order.
+def integer_pairings(rs: RootSystem, on: str, modulus: int, width: int = 1,
+                     roots=None):
+    """The values of the positive roots `roots` (default rs.pos_roots) on a
+    flat integer point, as a map from the point to one value per root, in
+    the order of `roots`.
 
     on="torus": a point lists exponent numerators n_i over the common
     denominator `modulus`; the value of beta is sum_i beta(h_i) n_i mod
@@ -364,7 +368,8 @@ def integer_pairings(rs: RootSystem, on: str, modulus: int, width: int = 1):
     eta(h_beta), slot t being sum_i beta^vee_i eta_{i,t} mod p.  It is zero iff
     every slot is 0, and lies in F_p iff slots 1..width-1 are 0.
     """
-    terms = _pairing_terms(rs, on, width)
+    terms = _pairing_terms(rs, rs.pos_roots if roots is None else tuple(roots),
+                           on, width)
     if on == "torus":
         return lambda x: tuple(sum(c * x[k] for k, c in ts) % modulus for ts in terms)
     return lambda x: tuple(
@@ -373,13 +378,13 @@ def integer_pairings(rs: RootSystem, on: str, modulus: int, width: int = 1):
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing_terms(rs, on, width):
-    # per positive root, the (slot offset, coefficient) pairs of its row:
-    # beta(h_i) for exponents, the coroot coefficients beta^vee_i for values
+def _pairing_terms(rs, roots, on, width):
+    # per root, the (slot offset, coefficient) pairs of its row: beta(h_i)
+    # for exponents, the coroot coefficients beta^vee_i for values
     if on == "torus":
-        rows = map(rs.value_vec, rs.pos_roots)
+        rows = map(rs.value_vec, roots)
     elif on == "values":
-        rows = map(rs.coroot, rs.pos_roots)
+        rows = map(rs.coroot, roots)
     else:
         raise ValueError(f"unknown encoding {on!r}")
     return tuple(tuple((i * width, c) for i, c in enumerate(row) if c) for row in rows)
@@ -418,6 +423,25 @@ def subsystem_index(sub, big) -> int:
         raise InvariantViolation(
             f"|W({sub.type_str})| does not divide |W({big.type_str})|")
     return big.order // sub.order
+
+
+def block_stabilizers(rs: RootSystem, levi, on: str, modulus: int, describe):
+    """For one block walk: a map from a point of the block set to (sub,
+    [W(Phi') : W(sub)], describe(sub)), sub the classified subsystem of the
+    roots vanishing on the point.  A point is encoded as for integer_pairings
+    with width 1; on="values" that is the constant terms of eta(h_i).  Only
+    roots of Phi' = `levi` can vanish on a point of the set (see mod_blocks,
+    q_blocks), so only they are paired, and each distinct set of vanishing
+    roots is classified and described once."""
+    roots = tuple(b for b in rs.pos_roots if b in levi.roots)
+    pairings = integer_pairings(rs, on, modulus, roots=roots)
+    zero = 0 if on == "torus" else (0,)
+
+    @functools.cache
+    def classify(sat):
+        sub = reflection_stabilizer(rs, frozenset(sat).__contains__).subsystem
+        return sub, subsystem_index(sub, levi), describe(sub)
+    return lambda x: classify(tuple(b for b, v in zip(roots, pairings(x)) if v == zero))
 
 
 def support_indices(levi, support):
@@ -481,22 +505,21 @@ def orbit_partition(points, gen_actions, key):
     """Partition points into orbits; deterministic canonical representatives.
 
     Each orbit is sorted by `key` and the orbit list is sorted by the key of
-    its representative (the minimum).  Points outside `points` reached by the
-    action are ignored for membership but used for transport; the production
-    walks never reach one, as they act by stabiliser generators that map the
-    set to itself (see stabilizer_reflections).  Walking whole W-orbits and
-    dropping the outside points is the test oracle.
+    its representative (the minimum), whatever the order of `points`.  Points
+    outside `points` reached by the action are ignored for membership but used
+    for transport; the production walks never reach one, as they act by
+    stabiliser generators that map the set to itself (see
+    stabilizer_reflections).  Walking whole W-orbits and dropping the outside
+    points is the test oracle.  Orbits are disjoint, so the points of an orbit
+    walked from an unseen point are all unseen.
     """
-    pointset = set(points)
     unseen = set(points)
     orbits = []
-    for x in sorted(points, key=key):
+    for x in points:
         if x not in unseen:
             continue
-        orb = orbit_of(x, gen_actions)
-        cls = sorted((y for y in orb if y in pointset), key=key)
-        for y in cls:
-            unseen.discard(y)
+        cls = sorted(orbit_of(x, gen_actions) & unseen, key=key)
+        unseen.difference_update(cls)
         orbits.append(cls)
     orbits.sort(key=lambda cls: key(cls[0]))
     return orbits

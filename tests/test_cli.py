@@ -1,6 +1,7 @@
 """CLI surface: documented examples, golden files, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -43,6 +44,50 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+# sha256 of the `--format tsv` stdout of each golden cell and of two cells with
+# e > 1 or a non-standard Levi, as written before the TSV rows were built only
+# on demand; they must not move
+TSV_SHA256 = {
+    "modular_blocks_a2_p5.json":
+        "6c82b5e40ed396435718c21be403676b83f762b0dbacf40e7129d83dfbb9238d",
+    "modular_structure_a1_p3_regnil.json":
+        "0358d3e9948ecad5d418f34b45ee59d094ae2c687fc9740c25ba6916ee166420",
+    "modular_unramified_a1_p3.json":
+        "3edb7643e82cfb2043be4c86a76842130be25f39bebbe4302b40c32df5b38f55",
+    "quantum_blocks_a1_l5.json":
+        "1d9aa238a17bb4b70047075d523d7f7cb9f50df16c8a022affbd08660f8c8012",
+    "quantum_exceptional_g2.json":
+        "0b65fc66a372cedd42ce441c041a8eebd0ef483317dace2477501d2cc04a6519",
+    "verify_appendix_g2.json":
+        "8d6d894b8ad504da544dc883070e2d2ce750cf8f3b9009189ffafbf44578e895",
+    "modular blocks A2/p5 1,AS(1)":
+        "c2f1ed72e7f9d35ce3dfe1c55301cda42a4e33eb1c2cc4929e63283bf6dd0ecc",
+    "quantum blocks B2/l7 0,1/3":
+        "802816cb2ff6bc4d9667142762654fe1b570b9eecde571a7b36d47026cf1b5de",
+}
+TSV_ARGV = {
+    **GOLDEN,
+    "modular blocks A2/p5 1,AS(1)": [
+        "modular", "blocks", "--type", "A2", "--p", "5", "--chi-s", "1,AS(1)"],
+    "quantum blocks B2/l7 0,1/3": [
+        "quantum", "blocks", "--type", "B2", "--ell", "7", "--chi-s", "0,1/3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TSV_SHA256))
+def test_tsv_output_is_pinned(name, capsys):
+    code, out = run_cli(["--format", "tsv"] + TSV_ARGV[name], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TSV_SHA256[name]
+
+
+def test_tsv_rows_are_built_only_for_tsv(monkeypatch, capsys):
+    # JSON answers never format the per-block TSV cells
+    monkeypatch.setattr(cli, "_ffstr", lambda v: pytest.fail("TSV cell built"))
+    code, out = run_cli(GOLDEN["modular_blocks_a2_p5.json"], capsys)
+    assert code == 0 and out == (GOLDEN_DIR / "modular_blocks_a2_p5.json").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -2,7 +2,9 @@
 FFElem / UnityExp transport it replaced, and the walk of Stab_W(chi) against
 the walk of whole W-orbits: the same representatives in the same order and the
 same orbit sizes.  The stabiliser walk stays inside the point set, and its
-guard refuses generators that fall short of Stab_W(chi)."""
+guard refuses generators that fall short of Stab_W(chi).  Each block's
+stabiliser data, read on Phi' and memoised per query, equal the oracles' on
+the block's own point; the guards refuse a point set off Phi'."""
 
 import collections
 import random
@@ -17,7 +19,12 @@ from lieram.modular import ModWeight, PChar, enumerate_lambda_chi, mod_blocks, r
 from lieram.quantum import QChar, TorusElement, ell_fiber, q_blocks
 from lieram.rootdata import build_root_system, subsystem_classify
 from lieram.scalars import make_field
-from lieram.selftest import modular_cells, quantum_cells, root_reflection
+from lieram.selftest import (
+    block_stabiliser_mismatches,
+    modular_cells,
+    quantum_cells,
+    root_reflection,
+)
 from lieram.weyl import integer_actions, orbit_partition, reflection, simple_reflection
 from test_golden_manifest import RANK34_MODULAR, RANK34_QUANTUM
 
@@ -260,3 +267,65 @@ def test_guard_refuses_a_proper_sub_levi(monkeypatch):
         monkeypatch.setattr(chi, "levi", sub)
         with pytest.raises(InvariantViolation, match="Stab_W"):
             _blocks(chi)
+
+
+# -- per-block stabiliser data, read on Phi', against the oracles --------------
+
+def _extension_cells():
+    # e > 1, where reading only the constant slot of each pairing matters
+    for label in ("A2/p7 AS(c)", "A2/p5 F_p^2 chi", "B3/p5 F_p chi"):
+        yield label, MODULAR_CELLS[label][0]()
+
+
+STABILISER_CELL_SETS = {**CELL_SETS, "extension": _extension_cells}
+
+
+@pytest.mark.parametrize("cells", sorted(STABILISER_CELL_SETS))
+def test_block_stabilisers_match_the_oracles(cells):
+    # point and coset/fiber types, dim, Poincare series, verdict and witness of
+    # every block against eta_subsystems / finite_type_verdict /
+    # poincare_series / w_t on the block's own point
+    bad = {label: wrong for label, chi in STABILISER_CELL_SETS[cells]()
+           if (wrong := block_stabiliser_mismatches(chi))}
+    assert bad == {}
+
+
+def test_a_corrupted_lambda_chi_base_is_refused(monkeypatch):
+    # chi = (1, 0, 2) on B3 has alpha_2 in Phi'; an Artin-Schreier root of 1
+    # in place of the solution 0 of lambda(h_2)^p - lambda(h_2) = 0 moves
+    # eta(h_alpha_2) out of F_p, so the F_p set is no longer Phi'
+    chi = _literal_character("B3", 5, "1,0,2")
+    assert (0, 1, 0) in chi.levi.roots
+    solve = modular.artin_schreier_solve
+
+    def corrupted(rhs, bound):
+        return solve(rhs.field.one() if rhs.is_zero() else rhs, bound)
+
+    monkeypatch.setattr(modular, "artin_schreier_solve", corrupted)
+    with pytest.raises(InvariantViolation, match="F_p are not Phi'"):
+        mod_blocks(chi)
+
+
+def test_a_fiber_point_outside_the_levi_is_refused(monkeypatch):
+    # chi_s = (1/3, 1/3) on A2 is regular (Phi' empty); walking the fiber of
+    # chi_s = 1 instead puts t = 1, on which every root vanishes, first
+    rs = build_root_system("A2")
+    chi = QChar(rs, 5, chi_s=TorusElement((Fraction(1, 3), Fraction(1, 3))))
+    assert chi.levi.roots == frozenset()
+    fiber = ell_fiber(rs, TorusElement((0, 0)), 5)
+    monkeypatch.setattr(quantum, "ell_fiber", lambda *_args: fiber)
+    with pytest.raises(InvariantViolation, match="outside Phi'"):
+        q_blocks(chi)
+
+
+def test_reports_do_not_share_a_witness():
+    # A2/p5 nilpotent: several blocks have point type A1 in A2, so they share
+    # one memoised verdict; each report must still own its witness
+    blocks = mod_blocks(PChar(build_root_system("A2"), 5))
+    witnesses = [b.finite_type_witness for b in blocks]
+    nested = [w["differing_component"] for w in witnesses if w["differing_component"]]
+    assert len(nested) >= 2 and nested[0] == nested[1]
+    assert len({id(w) for w in witnesses}) == len(witnesses)
+    assert len({id(d) for d in nested}) == len(nested)
+    nested[0]["small"] = "changed"
+    assert nested[1]["small"] != "changed"
