@@ -45,7 +45,6 @@ from .quantum import (  # noqa: F401
     QBlockReport,
     QChar,
     TorusElement,
-    ell_fiber,
     exceptional_elements,
     hc_shift,
     q_blocks,

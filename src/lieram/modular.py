@@ -126,18 +126,16 @@ def enumerate_lambda_chi(chi: PChar, bound=DEFAULT_FIELD_BOUND):
     Returns (weights, ambient field); the set is base + F_p^r, listed with the
     F_p-translate in lex order.
     """
-    codes, ambient = _lambda_codes(chi, bound)
-    return [_weight(ambient, code) for code in codes], ambient
+    base, ambient = _lambda_base(chi, bound)
+    return [ModWeight(b + ambient.from_int(k) for b, k in zip(base, d))
+            for d in itertools.product(range(chi.p), repeat=chi.rs.rank)], ambient
 
 
-def _lambda_codes(chi: PChar, bound):
-    # enumerate_lambda_chi as flat codes (see _code); only constant terms vary
+def _lambda_base(chi: PChar, bound):
+    # one point of Lambda_chi, as values in the ambient field, and that field
     sols, fields = zip(*(artin_schreier_solve(c ** chi.p, bound) for c in chi.values))
     ambient = max(fields, key=lambda f: f.e)
-    base = _code([embed(x, ambient) for x in sols], ambient.e)
-    return list(itertools.product(*(
-        [(c + d) % chi.p for d in range(chi.p)] if k % ambient.e == 0 else (c,)
-        for k, c in enumerate(base)))), ambient
+    return tuple(embed(x, ambient) for x in sols), ambient
 
 
 def _weight(f, code):
@@ -225,43 +223,48 @@ class BlockReport:
         }
 
 
-def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND,
-               group_bound=DEFAULT_GROUP_BOUND, assume_unique_simple=False):
+def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND, group_bound=DEFAULT_GROUP_BOUND):
     """Blocks of the reduced algebra at chi: the partition of Lambda_chi under
     the dot action (ordinary action on eta = lambda + rho) of Stab_W(chi).
     BoundExceeded when the p^r points of Lambda_chi and the W-orbit of chi
     exceed `group_bound`.  eta(h_beta)^p - eta(h_beta) = chi(h_beta)^p, so
     eta(h_beta) is in F_p iff beta is in Phi' = chi.levi, and only then can it
-    vanish; InvariantViolation unless the first eta, paired in full, agrees."""
+    vanish; InvariantViolation unless the first eta, paired in full, agrees.
+    The walk runs on the r constant terms of eta: Lambda_chi + rho = Lambda_chi
+    = base + F_p^r, and generators fixing chi keep the base's other slots."""
     rs, levi = chi.rs, chi.levi
     gens = stabilizer_reflections(
         rs, levi, _code(chi.values, chi.field.e), "values", chi.p,
         chi.field.e, chi.p**rs.rank, group_bound)
-    # the walk runs on eta = lambda + rho, and Lambda_chi + rho = Lambda_chi
-    points, ambient = _lambda_codes(chi, bound)
+    base, ambient = _lambda_base(chi, bound)
     p, e = ambient.p, ambient.e
+    full = list(_code(base, e))
 
-    def key(code):
-        # lambda = eta - rho (rho is 1 in each constant term), padded: the
-        # order of the trimmed (v - 1).coeffs
-        lam = list(code)
-        lam[::e] = [(c - 1) % p for c in code[::e]]
-        return tuple(lam)
+    def code(x):
+        # the point of Lambda_chi with constant terms x, in all e slots
+        full[::e] = x
+        return tuple(full)
 
-    classes = orbit_partition(points, integer_actions(gens, "values", p, e), key)
-    first = integer_pairings(rs, "values", p, e)(classes[0][0])
+    def key(x):
+        # the constant terms of lambda = eta - rho (rho is 1 in each)
+        return tuple([(c - 1) % p for c in x])
+
+    points = list(itertools.product(range(p), repeat=rs.rank))
+    classes = orbit_partition(points, integer_actions(gens, "values", p), key)
+    first = integer_pairings(rs, "values", p, e)(code(classes[0][0]))
     if any((not any(v[1:])) != (b in levi.roots) for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
 
     stabilizer = block_stabilizers(rs, levi, "values", p, lambda zero: (
         _poincare(zero) if chi.nilpotent else None,
-        *_finite_type(rs, zero, levi, assume_unique_simple)))
+        *_finite_type(rs, zero, levi, False)))
     reports = []
     for cls in classes:
-        zero, dim, (poincare, verdict, witness) = stabilizer(cls[0][::e])
+        zero, dim, (poincare, verdict, witness) = stabilizer(cls[0])
         differing = witness["differing_component"]  # each report gets a copy
         reports.append(BlockReport(
-            lam=_weight(ambient, key(cls[0])), eta=_weight(ambient, cls[0]),
+            lam=_weight(ambient, code(key(cls[0]))),
+            eta=_weight(ambient, code(cls[0])),
             orbit_size=len(cls), dim=dim, unramified=(dim == 1),
             stab_point_type=zero.type_str, stab_coset_type=levi.type_str,
             poincare=poincare, finite_type=verdict, finite_type_witness={

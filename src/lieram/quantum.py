@@ -66,18 +66,12 @@ class TorusElement:
         return "t(" + ",".join(str(e) for e in self.exps) + ")"
 
 
-def _torus_code(points):
-    """The exponents of torus points as integer numerators over their common
-    denominator N: (one tuple per point, N)."""
-    N = math.lcm(*{e.q.denominator for t in points for e in t.exps})
-    return [tuple(e.q.numerator * (N // e.q.denominator) for e in t.exps)
-            for t in points], N
-
-
 def _pairings(rs: RootSystem, t: TorusElement):
     """beta(t) for every positive root beta as the numerator of its exponent
-    over N, so beta(t) = 1 iff it is 0: (dict root -> numerator mod N, N)."""
-    (code,), N = _torus_code([t])
+    over the common denominator N of t's exponents, so beta(t) = 1 iff it is
+    0: (dict root -> numerator mod N, N)."""
+    N = math.lcm(*(e.q.denominator for e in t.exps))
+    code = tuple(e.q.numerator * (N // e.q.denominator) for e in t.exps)
     return dict(zip(rs.pos_roots, integer_pairings(rs, "torus", N)(code))), N
 
 
@@ -86,13 +80,6 @@ def w_t(rs: RootSystem, t: TorusElement):
     subsystem Phi_t."""
     vals, _N = _pairings(rs, t)
     return reflection_stabilizer(rs, lambda b: vals[b] == 0)
-
-
-def ell_fiber(rs: RootSystem, chi_s: TorusElement, ell: int):
-    """The ell^r torus elements t with t^ell = chi_s^2, in lex order of the
-    coordinatewise offsets."""
-    axes = [[UnityExp((2 * e.q + d) / ell) for d in range(ell)] for e in chi_s.exps]
-    return [TorusElement(exps) for exps in itertools.product(*axes)]
 
 
 def check_root_of_unity(rs: RootSystem, ell: int, eps: int):
@@ -159,12 +146,16 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
     exceed `group_bound`.  Only roots of Phi' = chi.levi can vanish on t, as
     beta(t)^ell = beta(chi_s^2); InvariantViolation unless the first t agrees."""
     rs, levi = chi.rs, chi.levi
-    (chi_code,), chi_N = _torus_code([chi.chi_s.pow(2)])
-    gens = stabilizer_reflections(rs, levi, chi_code, "torus", chi_N, 1,
-                                  chi.ell**rs.rank, group_bound)
-    # the walk runs on exponent numerators over the common denominator N;
+    # the fiber as exponent numerators over N = ell D, D the common
+    # denominator of chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
+    D = math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
+    N = chi.ell * D
+    c = [int(2 * e.q * D) for e in chi.chi_s.exps]
+    gens = stabilizer_reflections(rs, levi, tuple(ci * chi.ell % N for ci in c),
+                                  "torus", N, 1, chi.ell**rs.rank, group_bound)
     # W acts by integer matrices, so every orbit stays on (1/N)Z^r
-    points, N = _torus_code(ell_fiber(rs, chi.chi_s, chi.ell))
+    points = list(itertools.product(*(
+        [(ci + d * D) % N for d in range(chi.ell)] for ci in c)))
 
     def key(code):
         # UnityExp.key() of each exponent n/N: (n/g, N/g) with g = gcd(n, N)
@@ -264,7 +255,7 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
     w, kac = alcove_descent(rs, [2 * ell * e.q for e in point.exps])
     _check_simple_system(rs, kac, frozenset(w.apply_root(b) for b in roots))
-    moved = TorusElement(act_torus(w, point.exps, dot=True, ell=ell, eps=eps, rs=rs))
+    moved = TorusElement(act_torus(w, point.exps, ell, eps))
     return _delta_tilde_test(rs, moved, ell, eps)
 
 

@@ -12,8 +12,9 @@ order and all suites enumerate exhaustively (no randomness anywhere).
 This module also holds the brute-force oracles that the suites and the tests
 compare the production paths against: single-root pairings, root-set
 closure, group and coset enumeration, brute-force stabilizers, the Burnside
-count and the solve-and-close derivation of the exceptional elements.  No
-production module imports it; the CLI loads it only for `lieram selftest`.
+count, the ell-fiber as torus elements and the solve-and-close derivation of
+the exceptional elements.  No production module imports it; the CLI loads it
+only for `lieram selftest`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .quantum import (
     _delta_tilde_test,
     _pairings,
     beta_minimal,
-    ell_fiber,
     hc_shift,
     q_blocks,
     q_regularity_and_counts,
@@ -180,6 +180,13 @@ def burnside_count(elements, points, act) -> int:
         raise InvariantViolation(
             f"Burnside sum {total} is not divisible by |G| = {len(elements)}")
     return total // len(elements)
+
+
+def ell_fiber(rs: RootSystem, chi_s: TorusElement, ell: int):
+    """The ell^r torus elements t with t^ell = chi_s^2, in lex order of the
+    coordinatewise offsets."""
+    axes = [[UnityExp((2 * e.q + d) / ell) for d in range(ell)] for e in chi_s.exps]
+    return [TorusElement(exps) for exps in itertools.product(*axes)]
 
 
 def steinberg_fiber_point(chi: QChar):
@@ -538,8 +545,7 @@ def _delta_tilde_by_search(rs, point, ell, elements, eps=1):
             continue
         for T in itertools.combinations(inside, rank):
             if _is_simple_system(rs, T, moved):
-                label = TorusElement(act_torus(w, point.exps, dot=True, ell=ell,
-                                               eps=eps, rs=rs))
+                label = TorusElement(act_torus(w, point.exps, ell, eps))
                 return _delta_tilde_test(rs, label, ell, eps)
     raise HypothesisFailure("no W-conjugate has a basis inside Delta-tilde")
 

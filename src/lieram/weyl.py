@@ -14,14 +14,16 @@ shift; see act_torus.
 
 Block partitions walk orbits on flat integer encodings instead (see
 integer_actions), and stabilisers read root values off the same encodings
-(integer_pairings): coroot values over F_{p^e} as r*e coefficients mod p,
-torus exponents as numerators mod a common denominator N.  A block is an
-orbit of Stab_W(chi) on the point set of chi, and the walk is generated by
-the reflections of the basis of Phi' (stabilizer_reflections, which checks
-that they generate all of Stab_W(chi)); so it visits each point of the set
-once and reaches no point outside it.  A block's stabiliser lies in W(Phi'),
-so only the roots of Phi' are paired with it, once per distinct set of
-vanishing roots (block_stabilizers).
+(integer_pairings): torus exponents as numerators mod a common denominator
+N, coroot values over F_{p^e} as e coefficients mod p each.  Block walks on
+coroot values have width 1, the constant terms (see mod_blocks); width e
+remains for chi's own orbit and for the pairings of a single weight.  A
+block is an orbit of Stab_W(chi) on the point set of chi, and the walk is
+generated by the reflections of the basis of Phi' (stabilizer_reflections,
+which checks that they generate all of Stab_W(chi)); so it visits each point
+of the set once and reaches no point outside it.  A block's stabiliser lies
+in W(Phi'), so only the roots of Phi' are paired with it, once per distinct
+set of vanishing roots (block_stabilizers).
 """
 
 from __future__ import annotations
@@ -299,14 +301,10 @@ def hc_shift_vector(rs: RootSystem, ell: int, eps: int = 1):
     return tuple(eps_pow(q, ell, eps) for q in rs.rho_weight_pairs())
 
 
-def act_torus(w: WeylElement, qs, dot: bool = False, ell: int = None, eps: int = 1,
-              rs: RootSystem = None):
-    """Weyl action on torus exponent vectors; dot variant conjugates by the
-    Harish-Chandra shift (requires ell)."""
-    if not dot:
-        return w.act_torus_exponents(qs)
-    rs = rs or w.rs
-    shift = hc_shift_vector(rs, ell, eps)
+def act_torus(w: WeylElement, qs, ell: int, eps: int = 1):
+    """The dot action on torus exponent vectors: the ordinary action
+    conjugated by the Harish-Chandra shift."""
+    shift = hc_shift_vector(w.rs, ell, eps)
     shifted = tuple(q + s for q, s in zip(qs, shift))
     moved = w.act_torus_exponents(shifted)
     return tuple(q - s for q, s in zip(moved, shift))
@@ -428,11 +426,11 @@ def subsystem_index(sub, big) -> int:
 def block_stabilizers(rs: RootSystem, levi, on: str, modulus: int, describe):
     """For one block walk: a map from a point of the block set to (sub,
     [W(Phi') : W(sub)], describe(sub)), sub the classified subsystem of the
-    roots vanishing on the point.  A point is encoded as for integer_pairings
-    with width 1; on="values" that is the constant terms of eta(h_i).  Only
-    roots of Phi' = `levi` can vanish on a point of the set (see mod_blocks,
-    q_blocks), so only they are paired, and each distinct set of vanishing
-    roots is classified and described once."""
+    roots vanishing on the point.  A point is the walked point itself,
+    encoded as for integer_pairings with width 1; on="values" that is the
+    constant terms of eta(h_i).  Only roots of Phi' = `levi` can vanish on a
+    point of the set (see mod_blocks, q_blocks), so only they are paired, and
+    each distinct set of vanishing roots is classified and described once."""
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)
     pairings = integer_pairings(rs, on, modulus, roots=roots)
     zero = 0 if on == "torus" else (0,)

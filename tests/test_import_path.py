@@ -1,6 +1,8 @@
 """The brute-force oracles live only in lieram.selftest, which neither
 `import lieram` nor the CLI module loads, and the production modules call
-none of the single-root or closure oracles."""
+none of the single-root or closure oracles.  The block walks generate their
+integer points directly, through neither the ell-fiber of torus elements nor
+the list of weights of Lambda_chi."""
 
 import ast
 import os
@@ -13,7 +15,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lieram"
 ORACLES = {
     "root_reflection", "subgroup_elements", "is_reduced", "stabilizer_bruteforce",
     "burnside_count", "min_coset_reps", "act_modular", "pair", "close_up",
-    "root_value", "steinberg_fiber_point",
+    "root_value", "steinberg_fiber_point", "ell_fiber",
 }
 
 
@@ -62,3 +64,11 @@ def test_production_modules_call_no_single_root_or_closure_oracle():
     for name, tree in trees.items():
         if name != "selftest.py":
             assert not _called_names(tree) & {"close_up", "pair", "root_value"}, name
+
+
+def test_block_walks_build_no_point_objects():
+    trees = _trees()
+    for module, name in (("modular.py", "mod_blocks"), ("quantum.py", "q_blocks")):
+        (walk,) = [node for node in trees[module].body
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert not _called_names(walk) & {"ell_fiber", "enumerate_lambda_chi"}, name

@@ -1,10 +1,12 @@
 """The integer-tuple orbit kernel of mod_blocks / q_blocks against the
 FFElem / UnityExp transport it replaced, and the walk of Stab_W(chi) against
 the walk of whole W-orbits: the same representatives in the same order and the
-same orbit sizes.  The stabiliser walk stays inside the point set, and its
-guard refuses generators that fall short of Stab_W(chi).  Each block's
-stabiliser data, read on Phi' and memoised per query, equal the oracles' on
-the block's own point; the guards refuse a point set off Phi'."""
+same orbit sizes.  The stabiliser walk stays inside the point set (the
+modular one runs on the constant terms of Lambda_chi, which its generators
+carry along), and its guard refuses generators that fall short of
+Stab_W(chi).  Each block's stabiliser data, read on Phi' and memoised per
+query, equal the oracles' on the block's own point; the guards refuse a
+point set off Phi'."""
 
 import collections
 import random
@@ -16,16 +18,23 @@ from lieram import modular, quantum
 from lieram.cli import parse_field_values
 from lieram.errors import InvariantViolation
 from lieram.modular import ModWeight, PChar, enumerate_lambda_chi, mod_blocks, rho_weight
-from lieram.quantum import QChar, TorusElement, ell_fiber, q_blocks
+from lieram.quantum import QChar, TorusElement, q_blocks
 from lieram.rootdata import build_root_system, subsystem_classify
 from lieram.scalars import make_field
 from lieram.selftest import (
     block_stabiliser_mismatches,
+    ell_fiber,
     modular_cells,
     quantum_cells,
     root_reflection,
 )
-from lieram.weyl import integer_actions, orbit_partition, reflection, simple_reflection
+from lieram.weyl import (
+    integer_actions,
+    orbit_partition,
+    reflection,
+    simple_reflection,
+    stabilizer_reflections,
+)
 from test_golden_manifest import RANK34_MODULAR, RANK34_QUANTUM
 
 
@@ -145,12 +154,41 @@ def _blocks(chi):
     return mod_blocks(chi) if isinstance(chi, PChar) else q_blocks(chi)
 
 
+def _full_width_codes(chi):
+    """The points of Lambda_chi as codes over all e coefficient slots of the
+    ambient field F_{p^e}, and that field."""
+    weights, ambient = enumerate_lambda_chi(chi)
+    return [modular._code(lam.values, ambient.e) for lam in weights], ambient
+
+
+def modular_orbits_full_width(chi):
+    """(lambda, eta, orbit size) per block: the full-width codes of
+    Lambda_chi + rho = Lambda_chi walked under all of W (orbit_partition
+    keeps the points inside the set), keyed by lambda = eta - rho."""
+    rs = chi.rs
+    codes, ambient = _full_width_codes(chi)
+    p, e = ambient.p, ambient.e
+
+    def key(code):
+        lam = list(code)
+        lam[::e] = [(c - 1) % p for c in code[::e]]
+        return tuple(lam)
+
+    classes = orbit_partition(codes, integer_actions(_full_w(rs), "values", p, e), key)
+    return [(modular._weight(ambient, key(cls[0])), modular._weight(ambient, cls[0]),
+             len(cls)) for cls in classes]
+
+
 def _walked_and_oracle(chi, monkeypatch):
-    got = [b.to_dict() for b in _blocks(chi)]
+    if isinstance(chi, PChar):
+        # on an extension field all of W does not preserve Lambda_chi, so a
+        # width-1 walk under it is no oracle: this one walks the full width
+        got = [(b.lam, b.eta, b.orbit_size) for b in mod_blocks(chi)]
+        return got, modular_orbits_full_width(chi)
+    got = [b.to_dict() for b in q_blocks(chi)]
     with monkeypatch.context() as m:
-        m.setattr(modular, "stabilizer_reflections", _full_w)
         m.setattr(quantum, "stabilizer_reflections", _full_w)
-        want = [b.to_dict() for b in _blocks(chi)]
+        want = [b.to_dict() for b in q_blocks(chi)]
     return got, want
 
 
@@ -206,51 +244,109 @@ CELL_SETS = {"matrix": _matrix_cells, "manifest": _manifest_cells,
 
 @pytest.mark.parametrize("cells", sorted(CELL_SETS))
 def test_stabiliser_walk_matches_the_full_w_walk(cells, monkeypatch):
-    # the same representatives in the same order, the same orbit sizes, and
-    # every other field of each block
+    # the same representatives in the same order and the same orbit sizes;
+    # on the quantum side every other field of each block too (the modular
+    # stabiliser fields: test_block_stabilisers_match_the_oracles)
     bad = []
     for label, chi in CELL_SETS[cells]():
         got, want = _walked_and_oracle(chi, monkeypatch)
+        sizes = [b[2] if isinstance(chi, PChar) else b["orbit_size"] for b in got]
         if got != want:
             bad.append(label)
-        elif sum(b["orbit_size"] for b in got) != (
-                chi.p if isinstance(chi, PChar) else chi.ell) ** chi.rs.rank:
+        elif sum(sizes) != (chi.p if isinstance(chi, PChar) else chi.ell) ** chi.rs.rank:
             bad.append(label + " (orbit sizes)")
     assert bad == []
 
 
 def _watch_walks(monkeypatch):
-    """Wrap the generator maps of every block walk; returns (images, outside):
-    counts of the images computed and of those outside the point set."""
-    seen = collections.Counter()
+    """Wrap the generator maps of every block walk; returns (seen, widths):
+    counts of the images computed and of those outside the point set, and
+    the lengths of the points and images the walks see."""
+    seen, widths = collections.Counter(), collections.Counter()
 
     def checked(points, gen_actions, key):
         pointset = set(points)
+        widths.update(map(len, pointset))
 
         def watched(act):
             def step(x):
                 y = act(x)
                 seen["images"] += 1
                 seen["outside"] += y not in pointset
+                widths[len(y)] += 1
                 return y
             return step
         return orbit_partition(points, [watched(a) for a in gen_actions], key)
 
     monkeypatch.setattr(modular, "orbit_partition", checked)
     monkeypatch.setattr(quantum, "orbit_partition", checked)
+    return seen, widths
+
+
+def _walk_generators(chi, monkeypatch):
+    """The generators mod_blocks walks Lambda_chi with."""
+    gens = []
+
+    def recording(*args):
+        gens[:] = stabilizer_reflections(*args)
+        return gens
+    with monkeypatch.context() as m:
+        m.setattr(modular, "stabilizer_reflections", recording)
+        mod_blocks(chi)
+    return gens
+
+
+def _leaving_lambda_chi(chi, gens):
+    """Apply each of `gens` to the full-width code of every point of
+    Lambda_chi; counts the images, those outside Lambda_chi, and those whose
+    constant slots differ from the width-1 image of the point's constant
+    slots."""
+    codes, ambient = _full_width_codes(chi)
+    p, e = ambient.p, ambient.e
+    pointset = set(codes)
+    seen = collections.Counter()
+    for wide, narrow in zip(integer_actions(gens, "values", p, e),
+                            integer_actions(gens, "values", p)):
+        for code in codes:
+            y = wide(code)
+            seen["images"] += 1
+            seen["outside"] += y not in pointset
+            seen["off_projection"] += y[::e] != narrow(code[::e])
     return seen
 
 
 def test_block_walks_stay_inside_the_point_set(monkeypatch):
-    seen = _watch_walks(monkeypatch)
+    # the modular walk runs on constant terms alone: its generators map
+    # Lambda_chi, at full width, into itself, and act on the constant slots
+    # as the width-1 walk does
+    images = 0
+    for label, chi in [*_matrix_cells(), *_seeded_cells(), *_extension_cells()]:
+        if isinstance(chi, PChar):
+            seen = _leaving_lambda_chi(chi, _walk_generators(chi, monkeypatch))
+            images += seen["images"]
+            assert (seen["outside"], seen["off_projection"]) == (0, 0), label
+    assert images > 0
+    # the check has teeth: the full-W reflections leave Lambda_chi
+    chi = _literal_character("B3", 5, "1,0,2")
+    seen = _leaving_lambda_chi(chi, _full_w(chi.rs))
+    assert seen["outside"] > 0 and seen["off_projection"] == 0
+    # the quantum walk stays inside the fiber
+    seen, _widths = _watch_walks(monkeypatch)
     for _label, chi in [*_matrix_cells(), *_seeded_cells()]:
-        _blocks(chi)
+        if isinstance(chi, QChar):
+            q_blocks(chi)
     assert seen["images"] > 0
     assert seen["outside"] == 0
-    # the watch has teeth: the full-W walk leaves the set on a semisimple cell
-    monkeypatch.setattr(modular, "stabilizer_reflections", _full_w)
-    _blocks(_literal_character("B3", 5, "1,0,2"))
-    assert seen["outside"] > 0
+
+
+def test_modular_walks_run_on_constant_terms(monkeypatch):
+    # on F_{p^e}, e > 1, every point the walk sees is an r-tuple
+    _seen, widths = _watch_walks(monkeypatch)
+    for label in ("A2/p5 F_p^2 chi", "A2/p7 AS(c)", "B3/p5 F_p chi"):
+        chi = MODULAR_CELLS[label][0]()
+        widths.clear()
+        assert mod_blocks(chi)[0].lam.field.e > 1, label
+        assert set(widths) == {chi.rs.rank}, label
 
 
 def test_guard_refuses_a_proper_sub_levi(monkeypatch):
@@ -312,8 +408,9 @@ def test_a_fiber_point_outside_the_levi_is_refused(monkeypatch):
     rs = build_root_system("A2")
     chi = QChar(rs, 5, chi_s=TorusElement((Fraction(1, 3), Fraction(1, 3))))
     assert chi.levi.roots == frozenset()
-    fiber = ell_fiber(rs, TorusElement((0, 0)), 5)
-    monkeypatch.setattr(quantum, "ell_fiber", lambda *_args: fiber)
+    chi.chi_s = TorusElement((0, 0))
+    # past the Stab_W guard, which would see chi_s^2 = 1 fixed by all of W
+    monkeypatch.setattr(quantum, "stabilizer_reflections", lambda *_args: [])
     with pytest.raises(InvariantViolation, match="outside Phi'"):
         q_blocks(chi)
 

@@ -13,7 +13,6 @@ from lieram.quantum import (
     TorusElement,
     appendix_rows,
     beta_minimal,
-    ell_fiber,
     exceptional_elements,
     hc_shift,
     q_blocks,
@@ -31,6 +30,7 @@ from lieram.selftest import (
     _delta_tilde_by_search,
     _exceptional_by_solve_and_closure,
     close_up,
+    ell_fiber,
     quantum_cells,
     root_value,
     steinberg_fiber_point,
@@ -193,8 +193,7 @@ def test_dot_linkage_on_fiber():
                     continue
                 tf = hc_shift(rs, f, ell, "back")
                 tg = hc_shift(rs, g, ell, "back")
-                assert any(TorusElement(act_torus(w, tf.exps, dot=True,
-                                                  ell=ell, rs=rs)) == tg
+                assert any(TorusElement(act_torus(w, tf.exps, ell=ell)) == tg
                            for w in W)
 
 

@@ -157,10 +157,10 @@ def test_act_torus_dot_a1():
     s = simple_reflection(a1, 0)
     for num in range(10):
         q = Fraction(num, 10)
-        out = act_torus(s, (UnityExp(q),), dot=True, ell=5)
+        out = act_torus(s, (UnityExp(q),), ell=5)
         assert out[0].q == (UnityExp(-q).q - Fraction(1, 5)) % 1
         # involution
-        again = act_torus(s, out, dot=True, ell=5)
+        again = act_torus(s, out, ell=5)
         assert again[0].q == q % 1
 
 
@@ -172,7 +172,7 @@ def test_act_torus_dot_matches_direct_formula():
     rho_pairs = rs.rho_weight_pairs()
     t = (UnityExp(Fraction(1, 5)), UnityExp(Fraction(3, 5)))
     for w in W:
-        out = act_torus(w, t, dot=True, ell=ell)
+        out = act_torus(w, t, ell=ell)
         ordinary = w.act_torus_exponents(t)
         rows = w._torus_rows()
         for i in range(rs.rank):
