@@ -58,8 +58,7 @@ from .quantum import (
     verify_appendix_row,
 )
 from .rootdata import build_root_system
-from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
-from .weyl import DEFAULT_GROUP_BOUND
+from .scalars import artin_schreier_solve, embed, make_field
 
 
 class UsageError(Exception):
@@ -80,25 +79,21 @@ def _bound_value(text):
 
 
 def _bounds(args):
+    """The --bound value, else LIERAM_BOUND's, else None (each check's own
+    default)."""
     env = os.environ.get("LIERAM_BOUND")
-    if args.bound is not None:
-        bound = args.bound
-    elif env:
-        try:
-            bound = _bound_value(env)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"LIERAM_BOUND: {exc}") from None
-    else:
-        bound = None
-    if bound is None:
-        return DEFAULT_FIELD_BOUND, DEFAULT_GROUP_BOUND
-    return bound, bound
+    if args.bound is not None or not env:
+        return args.bound
+    try:
+        return _bound_value(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"LIERAM_BOUND: {exc}") from None
 
 
 _FIELD_LITERAL = re.compile(r"[+-]?\d+|g(\^[+-]?\d+)?|AS\([+-]?\d+\)")
 
 
-def parse_field_values(text: str, p: int, rank: int, bound: int):
+def parse_field_values(text: str, p: int, rank: int, bound=None):
     """Parse the modular character / weight grammar into FFElem values."""
     tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
@@ -210,12 +205,12 @@ def _chi_dict(chi):
 
 
 def cmd_modular_blocks(args):
-    fb, gb = _bounds(args)
+    bound = _bounds(args)
     rs = build_root_system(args.type)
-    values, field = parse_field_values(args.chi_s, args.p, rs.rank, fb)
+    values, field = parse_field_values(args.chi_s, args.p, rs.rank, bound)
     chi = PChar(rs, args.p, values=values, support=parse_support(args.support),
-                field=field, bound=fb)
-    blocks = mod_blocks(chi, bound=fb, group_bound=gb)
+                field=field)
+    blocks = mod_blocks(chi, bound)
     counts = unramified_count(chi, blocks)
     structure = regularity_and_structure(chi, blocks)
     payload = {
@@ -247,10 +242,10 @@ def cmd_modular_blocks(args):
 
 
 def cmd_modular_unramified(args):
-    fb, _gb = _bounds(args)
+    bound = _bounds(args)
     rs = build_root_system(args.type)
     check_hypotheses(rs, args.p)
-    values, _field = parse_field_values(args.weight, args.p, rs.rank, fb)
+    values, _field = parse_field_values(args.weight, args.p, rs.rank, bound)
     lam = ModWeight(values)
     payload = {
         "command": "modular.unramified",
@@ -264,9 +259,9 @@ def cmd_modular_unramified(args):
 
 
 def cmd_modular_poincare(args):
-    fb, _gb = _bounds(args)
+    bound = _bounds(args)
     rs = build_root_system(args.type)
-    values, _field = parse_field_values(args.weight, args.p, rs.rank, fb)
+    values, _field = parse_field_values(args.weight, args.p, rs.rank, bound)
     coeffs = poincare_series(rs, ModWeight(values))
     payload = {
         "command": "modular.poincare",
@@ -280,10 +275,10 @@ def cmd_modular_poincare(args):
 
 
 def cmd_modular_finite_type(args):
-    fb, _gb = _bounds(args)
+    bound = _bounds(args)
     rs = build_root_system(args.type)
     check_hypotheses(rs, args.p)
-    values, field = parse_field_values(args.weight, args.p, rs.rank, fb)
+    values, field = parse_field_values(args.weight, args.p, rs.rank, bound)
     lam = ModWeight(values)
     eta = lam + rho_weight(rs, field)
     verdict, witness = finite_type_verdict(rs, eta)
@@ -299,12 +294,12 @@ def cmd_modular_finite_type(args):
 
 
 def cmd_modular_structure(args):
-    fb, gb = _bounds(args)
+    bound = _bounds(args)
     rs = build_root_system(args.type)
-    values, field = parse_field_values(args.chi_s, args.p, rs.rank, fb)
+    values, field = parse_field_values(args.chi_s, args.p, rs.rank, bound)
     chi = PChar(rs, args.p, values=values, support=parse_support(args.support),
-                field=field, bound=fb)
-    out = regularity_and_structure(chi, bound=fb, group_bound=gb)
+                field=field)
+    out = regularity_and_structure(chi, bound=bound)
     payload = {
         "command": "modular.structure",
         "type": rs.type_str,
@@ -326,11 +321,11 @@ def _qchi_dict(chi):
 
 
 def cmd_quantum_blocks(args):
-    _fb, gb = _bounds(args)
+    bound = _bounds(args)
     rs = build_root_system(args.type)
     chi = QChar(rs, args.ell, chi_s=parse_torus(args.chi_s, rs.rank),
                 support=parse_support(args.support), eps=args.eps)
-    blocks = q_blocks(chi, group_bound=gb)
+    blocks = q_blocks(chi, bound)
     counts = q_regularity_and_counts(chi, blocks)
     payload = {
         "command": "quantum.blocks",
@@ -418,11 +413,11 @@ def cmd_quantum_simplicity(args):
 
 
 def cmd_quantum_structure(args):
-    _fb, gb = _bounds(args)
+    bound = _bounds(args)
     rs = build_root_system(args.type)
     chi = QChar(rs, args.ell, chi_s=parse_torus(args.chi_s, rs.rank),
                 support=parse_support(args.support), eps=args.eps)
-    out = q_regularity_and_counts(chi, group_bound=gb)
+    out = q_regularity_and_counts(chi, bound=bound)
     payload = {
         "command": "quantum.structure",
         "type": rs.type_str,

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate
+from .errors import HypothesisFailure, InvariantViolation, NonPrime, NoParabolicConjugate
 from .errors import NotNilpotentContext
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify
-from .scalars import DEFAULT_FIELD_BOUND, artin_schreier_solve, embed, make_field
+from .scalars import artin_schreier_solve, embed, is_prime, make_field
 from .weyl import (
-    DEFAULT_GROUP_BOUND,
     block_stabilizers,
     integer_actions,
     integer_pairings,
@@ -74,7 +73,10 @@ def rho_weight(rs: RootSystem, field) -> ModWeight:
 
 def check_hypotheses(rs: RootSystem, p: int):
     """Raise HypothesisFailure unless p meets the standing hypotheses for rs:
-    an odd good prime with a nondegenerate trace form."""
+    an odd good prime with a nondegenerate trace form; NonPrime first unless
+    p is prime."""
+    if not is_prime(p):
+        raise NonPrime(f"{p} is not prime")
     hyp = hypothesis_check(rs.ctype, p)
     if not hyp["ok"]:
         raise HypothesisFailure(
@@ -88,13 +90,12 @@ class PChar:
     subsystem Phi' = {alpha : chi(h_alpha) = 0}.
     """
 
-    def __init__(self, rs, p, values=None, support=(), field=None,
-                 bound=DEFAULT_FIELD_BOUND):
+    def __init__(self, rs, p, values=None, support=(), field=None):
         check_hypotheses(rs, p)
         self.rs = rs
         self.p = p
         if field is None:
-            field = make_field(p, 1, bound) if values is None else values[0].field
+            field = make_field(p, 1) if values is None else values[0].field
         if values is None:
             values = tuple(field.zero() for _ in range(rs.rank))
         if field.p != p or any(v.field != field for v in values):
@@ -103,7 +104,7 @@ class PChar:
         self.field = field
         self.values = tuple(values)
         vals = _pairings(rs, self.values, field)
-        self.levi = reflection_stabilizer(rs, lambda b: not any(vals[b])).subsystem
+        self.levi = reflection_stabilizer(rs, lambda b: not any(vals[b]))
         self.support = support_indices(self.levi, support)
 
     @property
@@ -120,7 +121,7 @@ class PChar:
                 f"c=({', '.join(map(str, self.values))}), S={self.support})")
 
 
-def enumerate_lambda_chi(chi: PChar, bound=DEFAULT_FIELD_BOUND):
+def enumerate_lambda_chi(chi: PChar, bound=None):
     """The p^r weights solving lambda(h_i)^p - lambda(h_i) = chi(h_i)^p.
 
     Returns (weights, ambient field); the set is base + F_p^r, listed with the
@@ -161,8 +162,8 @@ def _code(values, e):
 
 
 def eta_subsystems(rs: RootSystem, eta: ModWeight):
-    """(zero, fp): the reflection subgroups of {alpha : eta(h_alpha) = 0} and
-    {alpha : eta(h_alpha) in F_p}, with classified subsystems."""
+    """(zero, fp): the classified subsystems {alpha : eta(h_alpha) = 0} and
+    {alpha : eta(h_alpha) in F_p}."""
     vals = _pairings(rs, eta.values, eta.field)
     zero = reflection_stabilizer(rs, lambda b: not any(vals[b]))
     fp = reflection_stabilizer(rs, lambda b: not any(vals[b][1:]))
@@ -173,7 +174,7 @@ def dim_C(rs: RootSystem, eta: ModWeight) -> int:
     """dim of the primary component at eta: [W(eta + Lambda) : W(eta)],
     computed from the classified subsystem orders."""
     zero, fp = eta_subsystems(rs, eta)
-    return subsystem_index(zero.subsystem, fp.subsystem)
+    return subsystem_index(zero, fp)
 
 
 def is_unramified(rs: RootSystem, lam: ModWeight, mode: str = "simpleRootCriterion") -> bool:
@@ -223,11 +224,12 @@ class BlockReport:
         }
 
 
-def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND, group_bound=DEFAULT_GROUP_BOUND):
+def mod_blocks(chi: PChar, bound=None):
     """Blocks of the reduced algebra at chi: the partition of Lambda_chi under
     the dot action (ordinary action on eta = lambda + rho) of Stab_W(chi).
-    BoundExceeded when the p^r points of Lambda_chi and the W-orbit of chi
-    exceed `group_bound`.  eta(h_beta)^p - eta(h_beta) = chi(h_beta)^p, so
+    BoundExceeded when the ambient field of Lambda_chi, or the p^r points of
+    Lambda_chi and the W-orbit of chi, exceed `bound` (each check has its own
+    default).  eta(h_beta)^p - eta(h_beta) = chi(h_beta)^p, so
     eta(h_beta) is in F_p iff beta is in Phi' = chi.levi, and only then can it
     vanish; InvariantViolation unless the first eta, paired in full, agrees.
     The walk runs on the r constant terms of eta: Lambda_chi + rho = Lambda_chi
@@ -235,7 +237,7 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND, group_bound=DEFAULT_GROUP_
     rs, levi = chi.rs, chi.levi
     gens = stabilizer_reflections(
         rs, levi, _code(chi.values, chi.field.e), "values", chi.p,
-        chi.field.e, chi.p**rs.rank, group_bound)
+        chi.field.e, chi.p**rs.rank, bound)
     base, ambient = _lambda_base(chi, bound)
     p, e = ambient.p, ambient.e
     full = list(_code(base, e))
@@ -250,7 +252,7 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND, group_bound=DEFAULT_GROUP_
         return tuple([(c - 1) % p for c in x])
 
     points = list(itertools.product(range(p), repeat=rs.rank))
-    classes = orbit_partition(points, integer_actions(gens, "values", p), key)
+    classes = orbit_partition(points, integer_actions(rs, gens, "values", p), key)
     first = integer_pairings(rs, "values", p, e)(code(classes[0][0]))
     if any((not any(v[1:])) != (b in levi.roots) for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
@@ -272,10 +274,10 @@ def mod_blocks(chi: PChar, bound=DEFAULT_FIELD_BOUND, group_bound=DEFAULT_GROUP_
     return reports
 
 
-def unramified_count(chi: PChar, blocks=None, **kw):
+def unramified_count(chi: PChar, blocks=None, bound=None):
     """Predicted p^s (s = r - rank Phi') versus enumerated unramified blocks."""
     if blocks is None:
-        blocks = mod_blocks(chi, **kw)
+        blocks = mod_blocks(chi, bound)
     s = chi.rs.rank - len(chi.levi.basis)
     predicted = chi.p**s
     enumerated = sum(1 for b in blocks if b.unramified)
@@ -292,7 +294,7 @@ def poincare_series(rs: RootSystem, eta: ModWeight):
     if not eta.in_lambda():
         raise NotNilpotentContext("Poincare series needs all coordinates in F_p")
     vals = _pairings(rs, eta.values, eta.field)
-    return _poincare(reflection_stabilizer(rs, lambda b: not any(vals[b])).subsystem)
+    return _poincare(reflection_stabilizer(rs, lambda b: not any(vals[b])))
 
 
 def _poincare(zero):
@@ -314,7 +316,7 @@ def finite_type_verdict(rs: RootSystem, eta: ModWeight,
     verdict is "unknown-boundary".
     """
     zero, fp = eta_subsystems(rs, eta)
-    return _finite_type(rs, zero.subsystem, fp.subsystem, assume_unique_simple)
+    return _finite_type(rs, zero, fp, assume_unique_simple)
 
 
 def _finite_type(rs, small, big, assume_unique_simple):
@@ -351,14 +353,14 @@ def _finite_type(rs, small, big, assume_unique_simple):
     return ("finite" if assume_unique_simple else "unknown-boundary"), witness
 
 
-def regularity_and_structure(chi: PChar, blocks=None, **kw):
+def regularity_and_structure(chi: PChar, blocks=None, bound=None):
     """Regularity under the standard-Levi model and, when regular, the
     matrix-algebra structure descriptor Mat_{p^N} over the local components."""
     regular = chi.regular
     out = {"regular": regular, "fullyAzumaya": regular, "descriptor": None}
     if regular:
         if blocks is None:
-            blocks = mod_blocks(chi, **kw)
+            blocks = mod_blocks(chi, bound)
         out["descriptor"] = {
             "matrix_size": chi.p**chi.rs.N,
             "local_dims": sorted(b.dim for b in blocks),

@@ -24,7 +24,6 @@ from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownR
 from .rootdata import RootSystem, subsystem_classify, two_rho_dot
 from .scalars import UnityExp, eps_pow
 from .weyl import (
-    DEFAULT_GROUP_BOUND,
     act_torus,
     alcove_descent,
     block_stabilizers,
@@ -76,8 +75,8 @@ def _pairings(rs: RootSystem, t: TorusElement):
 
 
 def w_t(rs: RootSystem, t: TorusElement):
-    """The reflection subgroup <s_beta : beta(t) = 1>, with classified
-    subsystem Phi_t."""
+    """The classified subsystem Phi_t = {beta : beta(t) = 1}; W(Phi_t) =
+    <s_beta : beta(t) = 1>."""
     vals, _N = _pairings(rs, t)
     return reflection_stabilizer(rs, lambda b: vals[b] == 0)
 
@@ -106,7 +105,7 @@ class QChar:
         if chi_s is None:
             chi_s = TorusElement(tuple(UnityExp(0) for _ in range(rs.rank)))
         self.chi_s = chi_s
-        self.levi = w_t(rs, chi_s.pow(2)).subsystem
+        self.levi = w_t(rs, chi_s.pow(2))
         self.support = support_indices(self.levi, support)
 
     @property
@@ -138,13 +137,14 @@ class QBlockReport:
         }
 
 
-def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
+def q_blocks(chi: QChar, bound=None):
     """Blocks of the quantized algebra at chi: the partition of the fiber
     {t : t^ell = chi_s^2} under the ordinary action of Stab_W(chi_s^2); dimD
     is the index [W(t^ell) : W(t)] of classified subsystem orders.
     BoundExceeded when the ell^r fiber points and the W-orbit of chi_s^2
-    exceed `group_bound`.  Only roots of Phi' = chi.levi can vanish on t, as
-    beta(t)^ell = beta(chi_s^2); InvariantViolation unless the first t agrees."""
+    exceed `bound` (default 10^6).  Only roots of Phi' = chi.levi can vanish
+    on t, as beta(t)^ell = beta(chi_s^2); InvariantViolation unless the first
+    t agrees."""
     rs, levi = chi.rs, chi.levi
     # the fiber as exponent numerators over N = ell D, D the common
     # denominator of chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
@@ -152,7 +152,7 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
     N = chi.ell * D
     c = [int(2 * e.q * D) for e in chi.chi_s.exps]
     gens = stabilizer_reflections(rs, levi, tuple(ci * chi.ell % N for ci in c),
-                                  "torus", N, 1, chi.ell**rs.rank, group_bound)
+                                  "torus", N, 1, chi.ell**rs.rank, bound)
     # W acts by integer matrices, so every orbit stays on (1/N)Z^r
     points = list(itertools.product(*(
         [(ci + d * D) % N for d in range(chi.ell)] for ci in c)))
@@ -161,7 +161,7 @@ def q_blocks(chi: QChar, group_bound=DEFAULT_GROUP_BOUND):
         # UnityExp.key() of each exponent n/N: (n/g, N/g) with g = gcd(n, N)
         return tuple([(n // g, N // g) for n in code for g in (math.gcd(n, N),)])
 
-    classes = orbit_partition(points, integer_actions(gens, "torus", N), key)
+    classes = orbit_partition(points, integer_actions(rs, gens, "torus", N), key)
     first = integer_pairings(rs, "torus", N)(classes[0][0])
     if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
@@ -317,7 +317,7 @@ def exceptional_elements(rs: RootSystem):
                for j in range(r)):
             raise InvariantViolation(
                 f"{rs.type_str}: s_{m + 1} has simple-root values {vals}")
-        cent = reflection_stabilizer(rs, lambda b: by_root[b] == 0).subsystem
+        cent = reflection_stabilizer(rs, lambda b: by_root[b] == 0)
         if cent.roots != frozenset(b for b in rs.all_roots() if b[m] % am == 0):
             raise InvariantViolation(
                 f"{rs.type_str}: the two centralizers of s_{m + 1} differ")
@@ -412,9 +412,8 @@ def _run_row_checks(rs: RootSystem, m0: int, word0, alpha0: int):
 def verify_appendix_row(type_str: str, m: int) -> dict:
     """Verify one row of the embedded table: the word is reduced, it carries
     alpha^m to beta_m, every inversion has positive alpha_m-coefficient, and
-    every inversion is strictly below beta_m.  If the row fails under Bourbaki
-    numbering it is retried under the reversed node ordering and the used
-    convention is reported."""
+    every inversion is strictly below beta_m, all under Bourbaki numbering
+    (the reported convention)."""
     from .rootdata import build_root_system, parse_cartan_type
     comps = parse_cartan_type(type_str)
     if len(comps) != 1:
@@ -426,18 +425,7 @@ def verify_appendix_row(type_str: str, m: int) -> dict:
     word1, alpha1 = _appendix_word(letter, r, m)
     checks = _run_row_checks(rs, m - 1, [i - 1 for i in word1], alpha1 - 1)
     ok = all(checks[k] for k in ("reduced", "image", "coefficient", "order"))
-    convention = "bourbaki"
     corrected = None
-    if not ok:
-        sigma = lambda i: r + 1 - i  # noqa: E731
-        checks_rev = _run_row_checks(rs, sigma(m) - 1,
-                                     [sigma(i) - 1 for i in word1],
-                                     sigma(alpha1) - 1)
-        ok_rev = all(checks_rev[k] for k in ("reduced", "image", "coefficient", "order"))
-        if ok_rev:
-            checks = checks_rev
-            ok = True
-            convention = "reversed"
     if not ok and checks["reduced"] and checks["coefficient"] and checks["order"]:
         # only the alpha column can be off; accept a unique valid simple root
         # in its place and report the correction (E6 m=5 is a known misprint)
@@ -447,7 +435,7 @@ def verify_appendix_row(type_str: str, m: int) -> dict:
             checks = _run_row_checks(rs, m - 1, [i - 1 for i in word1], hits[0])
             ok = all(checks[k] for k in ("reduced", "image", "coefficient", "order"))
             corrected = {"stated_alpha": alpha1, "used_alpha": hits[0] + 1}
-    return {"type": type_str, "m": m, "ok": ok, "convention": convention,
+    return {"type": type_str, "m": m, "ok": ok, "convention": "bourbaki",
             "alpha_corrected": corrected, "checks": checks}
 
 
@@ -494,13 +482,13 @@ def simplicity_necessary(chi: QChar, t: TorusElement) -> dict:
     return {"holds": failing is None, "failing_component": failing}
 
 
-def q_regularity_and_counts(chi: QChar, blocks=None, group_bound=DEFAULT_GROUP_BOUND):
+def q_regularity_and_counts(chi: QChar, blocks=None, bound=None):
     """Regularity/fully-Azumaya flags, the predicted ell^s unramified count
     (emitted only under the coprimality hypothesis on Phi'), the enumerated
     count, and the structure descriptor for regular characters."""
     rs = chi.rs
     if blocks is None:
-        blocks = q_blocks(chi, group_bound)
+        blocks = q_blocks(chi, bound)
     regular = chi.regular
     simple_in_levi = sum(
         1 for j in range(rs.rank)

@@ -239,8 +239,10 @@ def _build_field(p, e):
     return FieldDescriptor(p, e, _smallest_irreducible(p, e))
 
 
-def make_field(p: int, e: int, bound: int = DEFAULT_FIELD_BOUND) -> FieldDescriptor:
-    """The deterministic descriptor of F_{p^e}; idempotent for fixed (p, e)."""
+def make_field(p: int, e: int, bound=None) -> FieldDescriptor:
+    """The deterministic descriptor of F_{p^e}; idempotent for fixed (p, e).
+    BoundExceeded when p^e exceeds `bound` (default DEFAULT_FIELD_BOUND)."""
+    bound = DEFAULT_FIELD_BOUND if bound is None else bound
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if e < 1:
@@ -451,7 +453,7 @@ def embed(x: FFElem, big: FieldDescriptor) -> FFElem:
     return acc
 
 
-def artin_schreier_solve(c: FFElem, bound: int = DEFAULT_FIELD_BOUND):
+def artin_schreier_solve(c: FFElem, bound=None):
     """One solution x of x^p - x = c, in the smallest extension containing it.
 
     Returns (x, descriptor).  The full solution set is x + F_p.  The extension

@@ -126,10 +126,10 @@ def root_reflection(rs: RootSystem, beta) -> WeylElement:
 
 
 def subgroup_elements(sub):
-    """The elements of a ReflectionSubgroup, closed from the reflections of
-    its subsystem's basis."""
-    gens = [root_reflection(sub.rs, b) for b in sub.subsystem.basis]
-    return generated_group(sub.rs, gens, sub.order, sub.subsystem.type_str)
+    """The elements of W(sub), closed from the reflections of the basis of
+    the classified subsystem `sub`."""
+    gens = [root_reflection(sub.rs, b) for b in sub.basis]
+    return generated_group(sub.rs, gens, sub.order, sub.type_str)
 
 
 def is_reduced(rs: RootSystem, word) -> bool:
@@ -425,7 +425,7 @@ def block_stabiliser_mismatches(chi):
     bad = []
     if isinstance(chi, PChar):
         for b in mod_blocks(chi):
-            zero, fp = (g.subsystem for g in eta_subsystems(rs, b.eta))
+            zero, fp = eta_subsystems(rs, b.eta)
             want = (zero.type_str, fp.type_str, dim_C(rs, b.eta),
                     poincare_series(rs, b.eta) if chi.nilpotent else None,
                     *finite_type_verdict(rs, b.eta))
@@ -434,7 +434,7 @@ def block_stabiliser_mismatches(chi):
                 bad.append(b.lam.key())
         return bad
     for b in q_blocks(chi):
-        point, fiber = w_t(rs, b.rep).subsystem, w_t(rs, b.rep.pow(chi.ell)).subsystem
+        point, fiber = w_t(rs, b.rep), w_t(rs, b.rep.pow(chi.ell))
         if (b.stab_point_type, b.stab_fiber_type, b.dim, b.exceptional) != (
                 point.type_str, fiber.type_str, fiber.order // point.order,
                 point.rank == rs.rank):
@@ -566,7 +566,7 @@ def suite_criterion_equivalences():
                 break
             # Levi reduction: W(eta + Lambda) is the reflection group of Phi'
             _zero, fp_sub = eta_subsystems(rs, lam + rho)
-            if fp_sub.subsystem.roots != chi.levi.roots:
+            if fp_sub.roots != chi.levi.roots:
                 bad.append(("mod levi", t, p, name, lam.key()))
                 break
     for t, ell, name, chi in quantum_cells():
@@ -598,7 +598,7 @@ def _poincare_by_orbit_search(rs, eta, W):
                for j in range(rs.rank)}
     for t in sorted(orbit, key=lambda tt: tuple(v.coeffs for v in tt)):
         zero = reflection_stabilizer(rs, lambda b: pair(rs, t, b).is_zero())
-        basis = zero.subsystem.basis
+        basis = zero.basis
         if all(b in simples for b in basis):
             reps = min_coset_reps(rs, W, [simples[b] for b in basis])
             coeffs = [0] * (max(w.length for w in reps) + 1)

@@ -2,7 +2,8 @@
 
 An element is stored as the integer matrix of its action on simple-root
 coordinates together with the inverse matrix; words are kept for display and
-are not canonicalized (equality is matrix equality).
+are not canonicalized (equality is matrix equality).  Elements serve the
+alcove descent, the appendix checks and the test oracles.
 
 Actions implemented on raw coordinate tuples:
   * roots            beta -> w(beta)                 (coefficient vectors)
@@ -12,18 +13,20 @@ Actions implemented on raw coordinate tuples:
 The quantum dot action is the ordinary one conjugated by the Harish-Chandra
 shift; see act_torus.
 
-Block partitions walk orbits on flat integer encodings instead (see
-integer_actions), and stabilisers read root values off the same encodings
-(integer_pairings): torus exponents as numerators mod a common denominator
-N, coroot values over F_{p^e} as e coefficients mod p each.  Block walks on
-coroot values have width 1, the constant terms (see mod_blocks); width e
-remains for chi's own orbit and for the pairings of a single weight.  A
-block is an orbit of Stab_W(chi) on the point set of chi, and the walk is
-generated by the reflections of the basis of Phi' (stabilizer_reflections,
-which checks that they generate all of Stab_W(chi)); so it visits each point
-of the set once and reaches no point outside it.  A block's stabiliser lies
-in W(Phi'), so only the roots of Phi' are paired with it, once per distinct
-set of vanishing roots (block_stabilizers).
+Block partitions walk orbits on flat integer encodings instead, and build no
+element: torus exponents as numerators mod a common denominator N, coroot
+values over F_{p^e} as e coefficients mod p each.  A block is an orbit of
+Stab_W(chi) = W(Phi') on the point set of chi, generated by the reflections
+s_beta, beta in the basis of Phi' (stabilizer_reflections, which checks
+that they generate all of Stab_W(chi)); so the walk visits each point of the
+set once and reaches no point outside it.  A reflection is the rank-one map
+x -> x - <x, beta> v_beta (integer_actions), read off the coroot and
+root-value tables of the root system, which integer_pairings reads too.
+Block walks on coroot values have width 1, the constant terms (see
+mod_blocks); width e remains for chi's own orbit and for the pairings of a
+single weight.  A block's stabiliser lies in W(Phi'), so only the roots of
+Phi' are paired with it, once per distinct set of vanishing roots
+(block_stabilizers).
 """
 
 from __future__ import annotations
@@ -203,11 +206,6 @@ def word_element(rs: RootSystem, word) -> WeylElement:
     return WeylElement(rs, columns(word[::-1]), columns(word), word)
 
 
-def reflection(rs: RootSystem, beta) -> WeylElement:
-    """s_beta for a root beta, as the word of its descent to a simple root."""
-    return word_element(rs, _word_for_reflection(rs, beta))
-
-
 def alcove_descent(rs: RootSystem, x):
     """Carry a rational point into the closed fundamental alcove.
 
@@ -310,45 +308,45 @@ def act_torus(w: WeylElement, qs, ell: int, eps: int = 1):
     return tuple(q - s for q, s in zip(moved, shift))
 
 
-def integer_actions(gens, on: str, modulus: int, width: int = 1):
-    """The Weyl elements `gens` as maps on flat integer tuples.
+def integer_actions(rs: RootSystem, roots, on: str, modulus: int, width: int = 1):
+    """The reflections s_beta, beta in `roots`, as maps on flat integer tuples.
 
     on="values": a point lists lambda(h_1), ..., lambda(h_r), each as `width`
-    coefficients mod `modulus` (= p), and the map of w is w.act_values;
-    on="torus": a point lists the exponent numerators of a torus element over
-    the common denominator `modulus`, and the map of w is
-    w.act_torus_exponents.  A map rewrites only the coordinates whose row of w
-    is not an identity row: for a simple reflection s_j, node j and its Dynkin
-    neighbours for values, node j for exponents.
+    coefficients mod `modulus` (= p), and s_beta lambda = lambda -
+    lambda(h_beta) beta; on="torus": a point lists the exponent numerators of
+    a torus element over the common denominator `modulus`, and s_beta t =
+    t - beta(t) beta^vee.  Each map is rank one, x -> x - <x, beta> v_beta in
+    every coefficient slot: the pairing row is the one integer_pairings reads
+    (beta^vee on values, beta(h_i) on exponents) and v_beta is the other
+    (beta(h_i) on values, beta^vee on exponents).  A point with pairing 0 is
+    returned as it is.
     """
+    roots = tuple(roots)
+    other = "torus" if on == "values" else "values"
     maps = []
-    for w in gens:
-        if on == "values":
-            rows = w._value_rows()
-        elif on == "torus":
-            rows = w._torus_rows()
-        else:
-            raise ValueError(f"unknown encoding {on!r}")
-        ops = tuple(
-            (i * width + t, tuple((k * width + t, c) for k, c in enumerate(row) if c))
-            for i, row in enumerate(rows)
-            if any(c != int(k == i) for k, c in enumerate(row))
-            for t in range(width))
-        maps.append(_integer_map(ops, modulus))
+    for pairs, moves in zip(_pairing_terms(rs, roots, on, width),
+                            _pairing_terms(rs, roots, other, width)):
+        slots = tuple((tuple((k + t, c) for k, c in pairs),
+                       tuple((k + t, c) for k, c in moves)) for t in range(width))
+        maps.append(_reflection(slots, modulus))
     return maps
 
 
-def _integer_map(ops, modulus):
-    # ops: (target slot, ((source slot, coefficient), ...)); sources are read
-    # from the input, so the rewrites do not see each other
+def _reflection(slots, modulus):
+    # slots: per coefficient slot, the (index, coefficient) terms of the
+    # pairing and of v_beta; slots are disjoint, so each reads the input
     def act(x):
-        y = list(x)
-        for dst, terms in ops:
-            acc = 0
-            for k, c in terms:
-                acc += c * x[k]
-            y[dst] = acc % modulus
-        return tuple(y)
+        y = None
+        for pairs, moves in slots:
+            a = 0
+            for k, c in pairs:
+                a += c * x[k]
+            if a % modulus:
+                if y is None:
+                    y = list(x)
+                for k, c in moves:
+                    y[k] = (x[k] - a * c) % modulus
+        return x if y is None else tuple(y)
     return act
 
 
@@ -388,30 +386,11 @@ def _pairing_terms(rs, roots, on, width):
     return tuple(tuple((i * width, c) for i, c in enumerate(row) if c) for row in rows)
 
 
-class ReflectionSubgroup:
-    """Subgroup generated by the reflections of a closed root subset."""
-
-    __slots__ = ("rs", "pos_roots", "subsystem")
-
-    def __init__(self, rs, pos_roots, subsystem):
-        self.rs = rs
-        self.pos_roots = pos_roots
-        self.subsystem = subsystem
-
-    @property
-    def order(self) -> int:
-        return self.subsystem.order
-
-    def __repr__(self):
-        return f"ReflectionSubgroup({self.subsystem.type_str}, |W|={self.order})"
-
-
-def reflection_stabilizer(rs: RootSystem, predicate) -> ReflectionSubgroup:
-    """<s_beta : predicate(beta)> with the classified subsystem it comes from."""
-    sat = tuple(b for b in rs.pos_roots if predicate(b))
-    roots = frozenset(sat) | frozenset(tuple(-c for c in b) for b in sat)
-    sub = subsystem_classify(rs, roots)
-    return ReflectionSubgroup(rs, sat, sub)
+def reflection_stabilizer(rs: RootSystem, predicate):
+    """The classified subsystem {beta : predicate(beta)}, read on the
+    positive roots; its Weyl group is <s_beta : predicate(beta)>."""
+    sat = [b for b in rs.pos_roots if predicate(b)]
+    return subsystem_classify(rs, sat + [tuple(-c for c in b) for b in sat])
 
 
 def subsystem_index(sub, big) -> int:
@@ -437,7 +416,7 @@ def block_stabilizers(rs: RootSystem, levi, on: str, modulus: int, describe):
 
     @functools.cache
     def classify(sat):
-        sub = reflection_stabilizer(rs, frozenset(sat).__contains__).subsystem
+        sub = reflection_stabilizer(rs, frozenset(sat).__contains__)
         return sub, subsystem_index(sub, levi), describe(sub)
     return lambda x: classify(tuple(b for b, v in zip(roots, pairings(x)) if v == zero))
 
@@ -456,9 +435,9 @@ def support_indices(levi, support):
 
 
 def stabilizer_reflections(rs: RootSystem, levi, chi_code, on: str, modulus: int,
-                           width: int, set_size: int, bound: int):
-    """The reflections s_beta, beta in the basis of Phi' = `levi`, that
-    generate Stab_W(chi): the group whose orbits on the point set of chi
+                           width: int, set_size: int, bound=None):
+    """The basis of Phi' = `levi`, whose reflections s_beta generate
+    Stab_W(chi): the group whose orbits on the point set of chi
     (Lambda_chi, or the fiber over chi_s^2) are the blocks, since w moves a
     point of the set into it iff w chi = chi.
 
@@ -466,21 +445,24 @@ def stabilizer_reflections(rs: RootSystem, levi, chi_code, on: str, modulus: int
     the standing hypotheses (Steinberg, Torsion in reductive groups; on the
     quantum side the torus is simply connected) and checked here: chi's own
     encoding `chi_code` (on, modulus, width as for integer_actions) is walked
-    under W, and InvariantViolation is raised unless |W.chi| |W(Phi')| = |W|.
+    under the simple reflections, and InvariantViolation is raised unless
+    |W.chi| |W(Phi')| = |W|.
     BoundExceeded when the `set_size` points of the set and the |W|/|W(Phi')|
-    of chi's orbit exceed `bound`."""
+    of chi's orbit exceed `bound` (default DEFAULT_GROUP_BOUND)."""
+    bound = DEFAULT_GROUP_BOUND if bound is None else bound
     orbit_size = rs.weyl_order() // levi.order
     if set_size + orbit_size > bound:
         raise BoundExceeded(
             f"{set_size + orbit_size} points to walk ({set_size} in the block "
             f"set, {orbit_size} in the W-orbit of chi) exceeds bound {bound}")
-    simple = [simple_reflection(rs, j) for j in range(rs.rank)]
-    orbit = orbit_of(chi_code, integer_actions(simple, on, modulus, width))
+    r = rs.rank
+    simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
+    orbit = orbit_of(chi_code, integer_actions(rs, simple, on, modulus, width))
     if len(orbit) * levi.order != rs.weyl_order():
         raise InvariantViolation(
             f"|W.chi| = {len(orbit)} times |W({levi.type_str})| = {levi.order} "
             f"is not |W| = {rs.weyl_order()}: Stab_W(chi) is not W(Phi')")
-    return [reflection(rs, b) for b in levi.basis]
+    return levi.basis
 
 
 def orbit_of(point, gen_actions):

@@ -320,6 +320,24 @@ def test_standalone_commands_check_the_standing_hypotheses(argv, message, capsys
     assert captured.err.startswith("error: " + message)
 
 
+MODULAR_COMMANDS = {
+    "blocks": ["--type", "A2", "--chi-s", "0,0", "--support", ""],
+    "structure": ["--type", "A1xB2", "--chi-s", "0,0,0"],
+    "unramified": ["--type", "A2", "--weight", "1,1"],
+    "poincare": ["--type", "A2", "--weight", "1,1"],
+    "finite-type": ["--type", "A1xB2", "--weight", "1,1,1"],
+}
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4", "-5"])
+@pytest.mark.parametrize("command", sorted(MODULAR_COMMANDS))
+def test_modular_commands_refuse_a_non_prime(command, p, capsys):
+    code = main(["modular", command, "--p", p, *MODULAR_COMMANDS[command]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {p} is not prime\n"
+
+
 # (type, highest-weight label, verdict): the alcove descent of each label
 # takes a Weyl word of length 11 to 100 and leaves a proper Levi of zero Kac
 # nodes; |W(E7)| and |W(E8)| exceed the default group bound

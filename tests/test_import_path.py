@@ -49,10 +49,10 @@ def test_oracles_are_defined_only_in_selftest():
             if isinstance(node, ast.FunctionDef) and node.name in ORACLES:
                 where.setdefault(node.name, []).append(name)
     assert where == {oracle: ["selftest.py"] for oracle in ORACLES}
-    (subgroup,) = [node for node in trees["weyl.py"].body
-                   if isinstance(node, ast.ClassDef) and node.name == "ReflectionSubgroup"]
-    assert "elements" not in {node.name for node in subgroup.body
-                              if isinstance(node, ast.FunctionDef)}
+    assert not [cls.name for cls in ast.walk(trees["weyl.py"])
+                if isinstance(cls, ast.ClassDef)
+                and "elements" in {node.name for node in cls.body
+                                   if isinstance(node, ast.FunctionDef)}]
 
 
 def test_production_modules_call_no_single_root_or_closure_oracle():

@@ -8,6 +8,7 @@ from lieram.errors import (
     HypothesisFailure,
     InvalidSupport,
     NoParabolicConjugate,
+    NonPrime,
     NotNilpotentContext,
 )
 from lieram.modular import (
@@ -44,6 +45,9 @@ def test_pchar_validation():
     assert chi.levi.type_str == "A2"
     with pytest.raises(InvalidSupport):
         PChar(a2, 5, support=(7,))
+    for p in (0, 1, 4, -5):  # not prime: refused before the hypothesis flags
+        with pytest.raises(NonPrime, match=f"^{p} is not prime$"):
+            PChar(build_root_system("A3"), p)
 
 
 def test_lambda_chi_zero_char():
@@ -151,7 +155,7 @@ def test_levi_reduction_consistency():
     rho = rho_weight(a2, ambient)
     for lam in weights:
         _zero, fp_sub = eta_subsystems(a2, lam + rho)
-        assert fp_sub.subsystem.roots == chi.levi.roots
+        assert fp_sub.roots == chi.levi.roots
 
 
 def test_is_unramified_examples():
@@ -223,7 +227,7 @@ def test_poincare_nonsimple_stabilizer_conjugates():
     f5 = F(5)
     eta = ModWeight((f5.one(), f5.from_int(4)))  # eta(h_a0) = 5 = 0
     zero, _ = eta_subsystems(a2, eta)
-    assert zero.subsystem.basis == ((1, 1),)  # not simple
+    assert zero.basis == ((1, 1),)  # not simple
     assert poincare_series(a2, eta) == (1, 1, 1)
 
 

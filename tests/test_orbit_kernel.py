@@ -29,9 +29,9 @@ from lieram.selftest import (
     root_reflection,
 )
 from lieram.weyl import (
+    WeylElement,
     integer_actions,
     orbit_partition,
-    reflection,
     simple_reflection,
     stabilizer_reflections,
 )
@@ -116,18 +116,19 @@ def test_quantum_kernel_matches_transport(cell):
 
 @pytest.mark.parametrize("t", ["A3", "B3", "C3", "G2", "F4", "A1xB2"])
 def test_integer_maps_are_the_simple_reflections(t):
-    # the simple reflections, and s_beta for every positive root beta against
-    # the reflection matrix of selftest.root_reflection; on points off
+    # the simple roots against simple_reflection, and every positive root
+    # against the reflection matrix of selftest.root_reflection; on points off
     # Lambda_chi and off the fiber too: every coordinate varies
     rs = build_root_system(t)
     r = rs.rank
     F49 = make_field(7, 2)
     N = 60
-    pairs = [(simple_reflection(rs, j), simple_reflection(rs, j)) for j in range(r)]
-    pairs += [(reflection(rs, b), root_reflection(rs, b)) for b in rs.pos_roots]
-    gens = [g for g, _oracle in pairs]
-    value_maps = integer_actions(gens, "values", 7, 2)
-    torus_maps = integer_actions(gens, "torus", N)
+    pairs = [(tuple(int(k == j) for k in range(r)), simple_reflection(rs, j))
+             for j in range(r)]
+    pairs += [(b, root_reflection(rs, b)) for b in rs.pos_roots]
+    roots = [b for b, _oracle in pairs]
+    value_maps = integer_actions(rs, roots, "values", 7, 2)
+    torus_maps = integer_actions(rs, roots, "torus", N)
     for k in range(12):
         coeffs = [((3 * k + i) % 7, (k * i + 1) % 7) for i in range(r)]
         values = tuple(F49.elem(c) for c in coeffs)
@@ -145,9 +146,10 @@ def test_integer_maps_are_the_simple_reflections(t):
 # -- the stabiliser walk against the full-W walk ------------------------------
 
 def _full_w(rs, *_args):
-    # the oracle's generators: all of W, whose orbits leave the point set;
-    # orbit_partition keeps only the points inside it
-    return [simple_reflection(rs, j) for j in range(rs.rank)]
+    # the oracle's generators: the simple roots, whose reflections generate
+    # all of W; its orbits leave the point set, and orbit_partition keeps
+    # only the points inside it
+    return [tuple(int(k == j) for k in range(rs.rank)) for j in range(rs.rank)]
 
 
 def _blocks(chi):
@@ -174,7 +176,7 @@ def modular_orbits_full_width(chi):
         lam[::e] = [(c - 1) % p for c in code[::e]]
         return tuple(lam)
 
-    classes = orbit_partition(codes, integer_actions(_full_w(rs), "values", p, e), key)
+    classes = orbit_partition(codes, integer_actions(rs, _full_w(rs), "values", p, e), key)
     return [(modular._weight(ambient, key(cls[0])), modular._weight(ambient, cls[0]),
              len(cls)) for cls in classes]
 
@@ -258,6 +260,29 @@ def test_stabiliser_walk_matches_the_full_w_walk(cells, monkeypatch):
     assert bad == []
 
 
+def test_block_walks_build_no_weyl_elements(monkeypatch):
+    # the walks act by rank-one reflections read off the root data: no Weyl
+    # matrix is built for a generator, for the guard or per block
+    built = collections.Counter()
+    init = WeylElement.__init__
+
+    def counted(self, *args):
+        built["elements"] += 1
+        init(self, *args)
+
+    cells = [*_matrix_cells(), *_seeded_cells()]
+    with monkeypatch.context() as m:
+        m.setattr(WeylElement, "__init__", counted)
+        for label, chi in cells:
+            assert _blocks(chi), label
+    assert built["elements"] == 0
+    # the count has teeth: the oracle's transport builds them
+    with monkeypatch.context() as m:
+        m.setattr(WeylElement, "__init__", counted)
+        modular_orbits_by_transport(MODULAR_CELLS["A2/p5 nilpotent"][0]())
+    assert built["elements"] > 0
+
+
 def _watch_walks(monkeypatch):
     """Wrap the generator maps of every block walk; returns (seen, widths):
     counts of the images computed and of those outside the point set, and
@@ -297,16 +322,16 @@ def _walk_generators(chi, monkeypatch):
 
 
 def _leaving_lambda_chi(chi, gens):
-    """Apply each of `gens` to the full-width code of every point of
-    Lambda_chi; counts the images, those outside Lambda_chi, and those whose
-    constant slots differ from the width-1 image of the point's constant
-    slots."""
+    """Apply the reflection of each root in `gens` to the full-width code of
+    every point of Lambda_chi; counts the images, those outside Lambda_chi,
+    and those whose constant slots differ from the width-1 image of the
+    point's constant slots."""
     codes, ambient = _full_width_codes(chi)
     p, e = ambient.p, ambient.e
     pointset = set(codes)
     seen = collections.Counter()
-    for wide, narrow in zip(integer_actions(gens, "values", p, e),
-                            integer_actions(gens, "values", p)):
+    for wide, narrow in zip(integer_actions(chi.rs, gens, "values", p, e),
+                            integer_actions(chi.rs, gens, "values", p)):
         for code in codes:
             y = wide(code)
             seen["images"] += 1

@@ -65,7 +65,7 @@ def test_w_t_examples():
     g2 = build_root_system("G2")
     s1 = exceptional_elements(g2)[1]["torus"]
     sub = w_t(g2, s1)
-    assert sub.subsystem.type_str == "A2" and sub.order == 6
+    assert sub.type_str == "A2" and sub.order == 6
 
 
 def test_ell_fiber():
@@ -339,6 +339,17 @@ def test_appendix_full_table():
     # the known misprint is corrected and reported
     res = verify_appendix_row("E6", 5)
     assert res["alpha_corrected"] == {"stated_alpha": 2, "used_alpha": 5}
+
+
+def test_every_appendix_row_holds_under_bourbaki_numbering():
+    # no row needs another node ordering; the one alpha misprint (E6, m = 5)
+    # is the only correction, on the embedded rows and on A-D up to rank 12
+    rows = appendix_rows() + [(f"{letter}{r}", m) for letter in "ABCD"
+                              for r in range(9, 13) for m in range(1, r + 1)]
+    results = [verify_appendix_row(t, m) for t, m in rows]
+    assert all(res["ok"] and res["convention"] == "bourbaki" for res in results)
+    assert [(res["type"], res["m"]) for res in results if res["alpha_corrected"]] == [
+        ("E6", 5)]
 
 
 def test_simplicity_necessary():

@@ -215,13 +215,13 @@ def test_reflection_stabilizer_examples():
     assert reflection_stabilizer(a2, lambda b: True).order == 6
     g2 = build_root_system("G2")
     sub = reflection_stabilizer(g2, lambda b: b[0] % 3 == 0)
-    assert sub.subsystem.type_str == "A2" and sub.order == 6
+    assert sub.type_str == "A2" and sub.order == 6
     # A1, p=3, eta(h) = 1: no root has eta(h_alpha) = 0
     a1 = build_root_system("A1")
     F3 = make_field(3, 1)
     eta = (F3.one(),)
     sub = reflection_stabilizer(a1, lambda b: pair(a1, eta, b).is_zero())
-    assert sub.order == 1 and sub.subsystem.type_str == "1"
+    assert sub.order == 1 and sub.type_str == "1"
 
 
 def test_reflection_subgroup_elements_match_order():
@@ -277,8 +277,8 @@ def test_min_coset_reps_laws_all_parabolics():
                 counts = [0] * (max(w.length for w in reps) + 1)
                 for w in reps:
                     counts[w.length] += 1
-                assert sub.subsystem.is_parabolic()
-                assert sub.subsystem.coset_poincare() == tuple(counts)
+                assert sub.is_parabolic()
+                assert sub.coset_poincare() == tuple(counts)
                 assert reps[0].is_identity()
                 top = max(w.length for w in reps)
                 assert sum(1 for w in reps if w.length == top) == 1
