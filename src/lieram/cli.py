@@ -146,21 +146,72 @@ def _literal(convert, text, what):
         raise UsageError(f"malformed {what} {text!r}") from None
 
 
-def _ffstr(v):
-    return repr(v)
-
-
-def _emit(args, payload, tsv_rows=None):
+def _emit(args, payload, tsv_rows=None, varying=None):
     """Write payload as JSON, or under --format tsv the rows that `tsv_rows`
-    (a function, called only then) builds, by default one per payload key."""
+    (a function, called only then) builds, by default one per payload key.
+    With `varying`, payload["blocks"] holds block reports and the JSON is
+    written one report at a time (see _json_pieces)."""
     if args.format == "json":
-        sys.stdout.write(_dumps(payload) + "\n")
+        for piece in _json_pieces(payload, varying):
+            sys.stdout.write(piece)
     else:
         rows = tsv_rows() if tsv_rows else [["key", "value"]] + [
             [k, json.dumps(v, sort_keys=True)] for k, v in sorted(payload.items())]
         for row in rows:
             sys.stdout.write("\t".join(str(c) for c in row) + "\n")
     return 0
+
+
+# a value no payload holds, put where a template leaves a gap
+_MARK = "\x00"
+
+
+def _split(obj, nl="\n"):
+    """_dumps(obj, nl) cut at each _MARK value: the text around the marks,
+    and the line break in force at each mark."""
+    pieces = _dumps(obj, nl).split(_dumps(_MARK))
+    nls = []
+    for piece in pieces[:-1]:
+        line = piece[piece.rfind("\n") + 1:]
+        nls.append("\n" + line[:len(line) - len(line.lstrip(" "))])
+    return pieces, nls
+
+
+def _json_pieces(payload, varying=None):
+    """_dumps(payload) + "\n" in pieces.  With `varying`, payload["blocks"]
+    is a list of block reports, each written as _dumps of its to_dict in a
+    piece of its own.  varying = (names, keys): the sorted to_dict keys
+    whose values change among the reports of one stabiliser class, and
+    keys(report), a hashable per item of those values (each element of a
+    list value, in order).  The rest of a report's text is
+    rendered once per report.stabilizer, and each item's text once per key."""
+    if varying is None or not payload["blocks"]:
+        yield _dumps(payload) + "\n"
+        return
+    names, keys = varying
+    (head, sep, tail), (nl, _) = _split({**payload, "blocks": [_MARK, _MARK]})
+    templates, memos = {}, None
+
+    def items(d):
+        return [x for k in names for x in (d[k] if type(d[k]) is list else [d[k]])]
+    yield head
+    for i, b in enumerate(payload["blocks"]):
+        template = templates.get(b.stabilizer)
+        if template is None:
+            d = b.to_dict()
+            d.update((k, [_MARK] * len(d[k]) if type(d[k]) is list else _MARK)
+                     for k in names)
+            pieces, nls = _split(d, nl)
+            template = templates[b.stabilizer] = "{}".join(
+                x.replace("{", "{{").replace("}", "}}") for x in pieces)
+            memos = memos or [({}, n) for n in nls]
+        ks = keys(b)
+        texts = [m.get(k) for (m, _), k in zip(memos, ks)]
+        if None in texts:
+            texts = [m.setdefault(k, _dumps(x, n))
+                     for (m, n), k, x in zip(memos, ks, items(b.to_dict()))]
+        yield (sep if i else "") + template.format(*texts)
+    yield tail + "\n"
 
 
 def _dumps(obj, nl="\n"):
@@ -204,6 +255,20 @@ def _chi_dict(chi):
     }
 
 
+# the block report fields that change within a stabiliser class, and the raw
+# keys of their items (see _json_pieces)
+def _codes(b):
+    # each value of eta, then of lambda, as its e coefficients
+    e, eta, lam = b.field.e, b.eta_code, b.lam_code
+    return ([eta[i:i + e] for i in range(0, len(eta), e)]
+            + [lam[i:i + e] for i in range(0, len(lam), e)] + [b.orbit_size])
+
+
+_MODULAR_VARYING = (("eta", "lambda", "orbit_size"), _codes)
+_QUANTUM_VARYING = (("orbit_size", "torus"),
+                    lambda b: (b.orbit_size, *b.numerators))
+
+
 def cmd_modular_blocks(args):
     bound = _bounds(args)
     rs = build_root_system(args.type)
@@ -218,7 +283,7 @@ def cmd_modular_blocks(args):
         "type": rs.type_str,
         "p": args.p,
         "chi": _chi_dict(chi),
-        "blocks": [b.to_dict() for b in blocks],
+        "blocks": blocks,
         "counts": {"num_blocks": len(blocks),
                    "dim_sum": sum(b.dim for b in blocks),
                    "unramified": counts},
@@ -230,15 +295,15 @@ def cmd_modular_blocks(args):
                 "stab_point", "stab_coset", "poincare", "finite_type"]]
         for b in blocks:
             out.append([
-                ";".join(_ffstr(v) for v in b.lam.values),
-                ";".join(_ffstr(v) for v in b.eta.values),
+                ";".join(map(repr, b.lam.values)),
+                ";".join(map(repr, b.eta.values)),
                 b.orbit_size, b.dim, b.unramified,
                 b.stab_point_type, b.stab_coset_type,
                 ",".join(map(str, b.poincare)) if b.poincare else "-",
                 b.finite_type,
             ])
         return out
-    return _emit(args, payload, rows)
+    return _emit(args, payload, rows, _MODULAR_VARYING)
 
 
 def cmd_modular_unramified(args):
@@ -261,6 +326,7 @@ def cmd_modular_unramified(args):
 def cmd_modular_poincare(args):
     bound = _bounds(args)
     rs = build_root_system(args.type)
+    check_hypotheses(rs, args.p)
     values, _field = parse_field_values(args.weight, args.p, rs.rank, bound)
     coeffs = poincare_series(rs, ModWeight(values))
     payload = {
@@ -332,7 +398,7 @@ def cmd_quantum_blocks(args):
         "type": rs.type_str,
         "ell": args.ell,
         "chi": _qchi_dict(chi),
-        "blocks": [b.to_dict() for b in blocks],
+        "blocks": blocks,
         "counts": {"num_blocks": len(blocks),
                    "dim_sum": sum(b.dim for b in blocks)},
         "structure": counts,
@@ -346,7 +412,7 @@ def cmd_quantum_blocks(args):
                         b.orbit_size, b.dim, b.unramified, b.exceptional,
                         b.stab_point_type, b.stab_fiber_type])
         return out
-    return _emit(args, payload, rows)
+    return _emit(args, payload, rows, _QUANTUM_VARYING)
 
 
 def cmd_quantum_unramified(args):

@@ -19,7 +19,7 @@ import itertools
 from .errors import HypothesisFailure, InvariantViolation, NonPrime, NoParabolicConjugate
 from .errors import NotNilpotentContext
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify
-from .scalars import artin_schreier_solve, embed, is_prime, make_field
+from .scalars import _ptrim, artin_schreier_solve, embed, is_prime, make_field
 from .weyl import (
     block_stabilizers,
     integer_actions,
@@ -199,20 +199,45 @@ def is_unramified(rs: RootSystem, lam: ModWeight, mode: str = "simpleRootCriteri
 
 class BlockReport:
     """Per-block record: both coordinate systems, orbit size, dimension,
-    unramified flag, stabilizer types, Poincare series, finite-type verdict."""
+    unramified flag, stabilizer types, Poincare series, finite-type verdict.
 
-    __slots__ = ("lam", "eta", "orbit_size", "dim", "unramified",
-                 "stab_point_type", "stab_coset_type", "poincare",
-                 "finite_type", "finite_type_witness")
+    The walked point is kept as its flat codes in the ambient field (each
+    value's e coefficients in turn, untrimmed); lam and eta are built from
+    them on access.  `stabilizer` is the classified subsystem of the roots
+    vanishing on eta, which fixes every field but the coordinates and the
+    orbit size."""
+
+    __slots__ = ("field", "lam_code", "eta_code", "orbit_size", "stabilizer",
+                 "dim", "stab_coset_type", "poincare", "finite_type",
+                 "finite_type_witness")
 
     def __init__(self, **kw):
         for k in self.__slots__:
             setattr(self, k, kw[k])
 
+    @property
+    def lam(self):
+        return _weight(self.field, self.lam_code)
+
+    @property
+    def eta(self):
+        return _weight(self.field, self.eta_code)
+
+    @property
+    def unramified(self):
+        return self.dim == 1
+
+    @property
+    def stab_point_type(self):
+        return self.stabilizer.type_str
+
     def to_dict(self):
+        e = self.field.e
         return {
-            "lambda": [list(v.coeffs) for v in self.lam.values],
-            "eta": [list(v.coeffs) for v in self.eta.values],
+            "lambda": [list(_ptrim(self.lam_code[i:i + e]))
+                       for i in range(0, len(self.lam_code), e)],
+            "eta": [list(_ptrim(self.eta_code[i:i + e]))
+                    for i in range(0, len(self.eta_code), e)],
             "orbit_size": self.orbit_size,
             "dim": self.dim,
             "unramified": self.unramified,
@@ -265,10 +290,9 @@ def mod_blocks(chi: PChar, bound=None):
         zero, dim, (poincare, verdict, witness) = stabilizer(cls[0])
         differing = witness["differing_component"]  # each report gets a copy
         reports.append(BlockReport(
-            lam=_weight(ambient, code(key(cls[0]))),
-            eta=_weight(ambient, code(cls[0])),
-            orbit_size=len(cls), dim=dim, unramified=(dim == 1),
-            stab_point_type=zero.type_str, stab_coset_type=levi.type_str,
+            field=ambient, lam_code=code(key(cls[0])), eta_code=code(cls[0]),
+            orbit_size=len(cls), stabilizer=zero, dim=dim,
+            stab_coset_type=levi.type_str,
             poincare=poincare, finite_type=verdict, finite_type_witness={
                 **witness, "differing_component": differing and dict(differing)}))
     return reports

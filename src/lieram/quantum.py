@@ -118,16 +118,39 @@ class QChar:
 
 
 class QBlockReport:
-    __slots__ = ("rep", "orbit_size", "dim", "unramified", "exceptional",
-                 "stab_point_type", "stab_fiber_type")
+    """Per-block record: the block's fiber point, orbit size, dimension,
+    unramified and exceptional flags, stabilizer types.
+
+    The point is kept as the numerators of its exponents over one common
+    denominator N, each in [0, N); rep is built from them on access.
+    `stabilizer` is the classified subsystem of the roots vanishing on the
+    point, which fixes every field but the point and the orbit size."""
+
+    __slots__ = ("numerators", "N", "orbit_size", "stabilizer", "dim",
+                 "exceptional", "stab_fiber_type")
 
     def __init__(self, **kw):
         for k in self.__slots__:
             setattr(self, k, kw[k])
 
+    @property
+    def rep(self):
+        return TorusElement(tuple(Fraction(n, self.N) for n in self.numerators))
+
+    @property
+    def unramified(self):
+        return self.dim == 1
+
+    @property
+    def stab_point_type(self):
+        return self.stabilizer.type_str
+
     def to_dict(self):
+        N = self.N
         return {
-            "torus": [str(e) for e in self.rep.exps],
+            # str(UnityExp(n/N)): the reduced fraction
+            "torus": [f"{n // g}/{N // g}" for n in self.numerators
+                      for g in (math.gcd(n, N),)],
             "orbit_size": self.orbit_size,
             "dim": self.dim,
             "unramified": self.unramified,
@@ -170,10 +193,9 @@ def q_blocks(chi: QChar, bound=None):
     for cls in classes:
         stab, dim, _ = stabilizer(cls[0])
         reports.append(QBlockReport(
-            rep=TorusElement(tuple(Fraction(n, N) for n in cls[0])),
-            orbit_size=len(cls), dim=dim, unramified=(dim == 1),
-            exceptional=(stab.rank == rs.rank),
-            stab_point_type=stab.type_str, stab_fiber_type=levi.type_str,
+            numerators=cls[0], N=N, orbit_size=len(cls), stabilizer=stab,
+            dim=dim, exceptional=(stab.rank == rs.rank),
+            stab_fiber_type=levi.type_str,
         ))
     return reports
 

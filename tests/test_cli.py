@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieram import cli
+from lieram import cli, modular, quantum
 from lieram.cli import main
 from lieram.modular import ModWeight, dim_C
 from lieram.quantum import TorusElement, hc_shift
@@ -46,9 +46,10 @@ def run_cli(argv, capsys):
     return code, out
 
 
-# sha256 of the `--format tsv` stdout of each golden cell and of two cells with
-# e > 1 or a non-standard Levi, as written before the TSV rows were built only
-# on demand; they must not move
+# sha256 of the `--format tsv` stdout of each golden cell and of four block
+# cells with e > 1, a non-standard Levi or a unipotent support, as written
+# before the TSV rows were built only on demand and before block reports
+# built their coordinates only on access; they must not move
 TSV_SHA256 = {
     "modular_blocks_a2_p5.json":
         "6c82b5e40ed396435718c21be403676b83f762b0dbacf40e7129d83dfbb9238d",
@@ -66,6 +67,10 @@ TSV_SHA256 = {
         "c2f1ed72e7f9d35ce3dfe1c55301cda42a4e33eb1c2cc4929e63283bf6dd0ecc",
     "quantum blocks B2/l7 0,1/3":
         "802816cb2ff6bc4d9667142762654fe1b570b9eecde571a7b36d47026cf1b5de",
+    "modular blocks B3/p5 1,0,2 S=1":
+        "052708c04d927d5c350c93c456cb8e16536ab3376f4b539d874ad1db8a640934",
+    "quantum blocks B3/l7 1/2,0,1/3 S=1":
+        "5fa7df79a0a2489a3c47f2dd8ed967344c3deb8c738da450d4376d4b6113bf70",
 }
 TSV_ARGV = {
     **GOLDEN,
@@ -73,6 +78,12 @@ TSV_ARGV = {
         "modular", "blocks", "--type", "A2", "--p", "5", "--chi-s", "1,AS(1)"],
     "quantum blocks B2/l7 0,1/3": [
         "quantum", "blocks", "--type", "B2", "--ell", "7", "--chi-s", "0,1/3"],
+    "modular blocks B3/p5 1,0,2 S=1": [
+        "modular", "blocks", "--type", "B3", "--p", "5", "--chi-s", "1,0,2",
+        "--support", "1"],
+    "quantum blocks B3/l7 1/2,0,1/3 S=1": [
+        "quantum", "blocks", "--type", "B3", "--ell", "7", "--chi-s", "1/2,0,1/3",
+        "--support", "1"],
 }
 
 
@@ -84,10 +95,45 @@ def test_tsv_output_is_pinned(name, capsys):
 
 
 def test_tsv_rows_are_built_only_for_tsv(monkeypatch, capsys):
-    # JSON answers never format the per-block TSV cells
-    monkeypatch.setattr(cli, "_ffstr", lambda v: pytest.fail("TSV cell built"))
-    code, out = run_cli(GOLDEN["modular_blocks_a2_p5.json"], capsys)
-    assert code == 0 and out == (GOLDEN_DIR / "modular_blocks_a2_p5.json").read_text()
+    # JSON block answers are written off the walked codes: no TSV cell, and
+    # no ModWeight or TorusElement per block, is built for them
+    monkeypatch.setattr(modular, "_weight", lambda *_a: pytest.fail("ModWeight built"))
+    monkeypatch.setattr(quantum.QBlockReport, "rep",
+                        property(lambda _b: pytest.fail("TorusElement built")))
+    for name in ("modular_blocks_a2_p5.json", "quantum_blocks_a1_l5.json"):
+        code, out = run_cli(GOLDEN[name], capsys)
+        assert code == 0 and out == (GOLDEN_DIR / name).read_text()
+
+
+class _Sha256Writer:
+    # a text stream that keeps only the sha256 of what is written to it
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+
+# the large semisimple E6 answers the streamed block writer exists for, by
+# the sha256 of their stdout (28.8 MB and 0.75 MB of JSON)
+E6_BLOCKS_SHA256 = {
+    "modular": ("947e41b96e6ccbf9f635213b84bb0ccf350ca1cf25b845e44068506b85b70a0d",
+                ["modular", "blocks", "--type", "E6", "--p", "7",
+                 "--chi-s", "1,2,3,1,2,3", "--support", ""]),
+    "quantum": ("3ab6fd298fbe300c48bb0b3db434970ffb25f109876726c2fd91b78ab4e562ab",
+                ["quantum", "blocks", "--type", "E6", "--ell", "7",
+                 "--chi-s", "1/3,0,0,0,0,1/3", "--support", ""]),
+}
+
+
+@pytest.mark.parametrize("side", sorted(E6_BLOCKS_SHA256))
+def test_e6_semisimple_blocks_are_pinned(side):
+    digest, argv = E6_BLOCKS_SHA256[side]
+    out = _Sha256Writer()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.sha.hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -312,6 +358,12 @@ def test_malformed_literal_is_a_usage_error(case, capsys):
      "(type A1, p=2) fails hypotheses"),
     (["modular", "finite-type", "--type", "G2", "--p", "3", "--weight", "1,1"],
      "(type G2, p=3) fails hypotheses"),
+    (["modular", "poincare", "--type", "A2", "--p", "3", "--weight", "0,0"],
+     "(type A2, p=3) fails hypotheses"),
+    (["modular", "poincare", "--type", "G2", "--p", "3", "--weight", "0,0"],
+     "(type G2, p=3) fails hypotheses"),
+    (["modular", "poincare", "--type", "A1", "--p", "2", "--weight", "0"],
+     "(type A1, p=2) fails hypotheses"),
 ])
 def test_standalone_commands_check_the_standing_hypotheses(argv, message, capsys):
     code = main(argv)

@@ -1,7 +1,9 @@
 """cli._dumps against json.dumps(..., sort_keys=True, indent=2), which it
 replaces on every JSON answer: the same bytes on the golden payloads, on the
 payloads of the pinned manifest cells and on adversarial values; a dict key
-that is not a str is a TypeError."""
+that is not a str is a TypeError.  Block lists are written one report at a
+time (cli._json_pieces); joined, the pieces are the same bytes as the
+reference on every block answer of the manifest."""
 
 import json
 import pathlib
@@ -9,7 +11,9 @@ import pathlib
 import pytest
 
 from lieram import cli
-from lieram.cli import _dumps
+from lieram.cli import _dumps, _json_pieces
+from lieram.modular import mod_blocks
+from lieram.selftest import modular_cells
 from test_golden_manifest import cases
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -19,29 +23,73 @@ def _reference(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _as_dicts(payload, varying):
+    # the payload with each block report serialised through its to_dict
+    if varying is None:
+        return payload
+    return {**payload, "blocks": [b.to_dict() for b in payload["blocks"]]}
+
+
+@pytest.fixture(scope="module")
+def emitted():
+    """(payload, varying) for every payload the manifest's CLI cells hand to
+    _emit, as built (tuples and all); each cell's stdout parses as JSON."""
+    calls = []
+    emit = cli._emit
+
+    def recording(args, payload, rows=None, varying=None):
+        calls.append((payload, varying))
+        return emit(args, payload, rows, varying)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_emit", recording)
+        docs = [json.loads(run()) for _key, run in cases()]
+    return calls, docs
+
+
 @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*_*.json")), ids=lambda p: p.name)
 def test_golden_payloads(path):
     doc = json.loads(path.read_text())
     assert _dumps(doc) == _reference(doc) == path.read_text()[:-1]
 
 
-def test_manifest_payloads(monkeypatch):
-    # every payload the manifest's CLI cells hand to _emit, as built (tuples
-    # and all), plus the parsed stdout of every cell
-    payloads = []
-    emit = cli._emit
-
-    def recording(args, payload, rows=None):
-        payloads.append(payload)
-        return emit(args, payload, rows)
-
-    monkeypatch.setattr(cli, "_emit", recording)
-    for _key, run in cases():
-        doc = json.loads(run())
+def test_manifest_payloads(emitted):
+    # every payload, and the parsed stdout of every cell
+    calls, docs = emitted
+    for doc in docs:
         assert _dumps(doc) == _reference(doc)
-    assert len(payloads) > 150
+    assert len(calls) > 150
+    payloads = [_as_dicts(*call) for call in calls]
     assert [i for i, x in enumerate(payloads) if _dumps(x) != _reference(x)] == []
 
+
+def test_streamed_blocks_match_the_reference(emitted):
+    # every block answer of the manifest: the CLI cells as recorded, and the
+    # cells whose character lies outside F_p (the manifest's "api" cells)
+    # with the payload they would have; one piece per report
+    calls, _docs = emitted
+    blocks = [(payload, varying) for payload, varying in calls if varying]
+    for _t, _p, _name, chi in modular_cells():
+        if chi.field.e > 1:
+            blocks.append(({"command": "modular.blocks", "chi": cli._chi_dict(chi),
+                            "blocks": mod_blocks(chi)}, cli._MODULAR_VARYING))
+    bad = []
+    for i, (payload, varying) in enumerate(blocks):
+        pieces = list(_json_pieces(payload, varying))
+        if ("".join(pieces) != _reference(_as_dicts(payload, varying)) + "\n"
+                or len(pieces) != len(payload["blocks"]) + 2):
+            bad.append(i)
+    assert bad == []
+    for varying in (cli._MODULAR_VARYING, cli._QUANTUM_VARYING):
+        assert "".join(_json_pieces({"blocks": []}, varying)) == '{\n  "blocks": []\n}\n'
+    # both sides, empty and non-empty supports; chi in F_p, F_{p^2}, and
+    # Lambda_chi in F_p and F_{p^p}
+    seen = {(p["command"], bool(p["chi"]["support"])) for p, _v in blocks}
+    assert len(seen) == 4
+    fields = {(p["chi"]["field"]["e"], p["blocks"][0].field.e, p["blocks"][0].field.p)
+              for p, _v in blocks if "field" in p["chi"]}
+    assert {1, 2} == {e for e, _e, _p in fields}
+    assert any(e == p for _e, e, p in fields) and any(e == 1 for _e, e, _p in fields)
 
 ADVERSARIAL = [
     [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}],
