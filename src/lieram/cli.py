@@ -146,13 +146,12 @@ def _literal(convert, text, what):
         raise UsageError(f"malformed {what} {text!r}") from None
 
 
-def _emit(args, payload, tsv_rows=None, varying=None):
-    """Write payload as JSON, or under --format tsv the rows that `tsv_rows`
-    (a function, called only then) builds, by default one per payload key.
-    With `varying`, payload["blocks"] holds block reports and the JSON is
-    written one report at a time (see _json_pieces)."""
+def _emit(args, payload, tsv_rows=None):
+    """Write payload as JSON, a list of block reports one report at a time
+    (see _json_pieces), or under --format tsv the rows that `tsv_rows` (a
+    function, called only then) builds, by default one per payload key."""
     if args.format == "json":
-        for piece in _json_pieces(payload, varying):
+        for piece in _json_pieces(payload):
             sys.stdout.write(piece)
     else:
         rows = tsv_rows() if tsv_rows else [["key", "value"]] + [
@@ -177,25 +176,25 @@ def _split(obj, nl="\n"):
     return pieces, nls
 
 
-def _json_pieces(payload, varying=None):
-    """_dumps(payload) + "\n" in pieces.  With `varying`, payload["blocks"]
-    is a list of block reports, each written as _dumps of its to_dict in a
-    piece of its own.  varying = (names, keys): the sorted to_dict keys
-    whose values change among the reports of one stabiliser class, and
-    keys(report), a hashable per item of those values (each element of a
-    list value, in order).  The rest of a report's text is
-    rendered once per report.stabilizer, and each item's text once per key."""
-    if varying is None or not payload["blocks"]:
+def _json_pieces(payload):
+    """_dumps(payload) + "\n" in pieces.  A non-empty payload["blocks"] is a
+    list of block reports (weyl.BlockRecord), each written as _dumps of its
+    to_dict in a piece of its own.  The text of the fields outside the
+    reports' VARYING keys is rendered once per report.stabilizer, and the
+    text of each item of the VARYING values once per hashable that
+    varying_items gives it."""
+    blocks = payload.get("blocks")
+    if not blocks:
         yield _dumps(payload) + "\n"
         return
-    names, keys = varying
+    names = blocks[0].VARYING
     (head, sep, tail), (nl, _) = _split({**payload, "blocks": [_MARK, _MARK]})
     templates, memos = {}, None
 
     def items(d):
         return [x for k in names for x in (d[k] if type(d[k]) is list else [d[k]])]
     yield head
-    for i, b in enumerate(payload["blocks"]):
+    for i, b in enumerate(blocks):
         template = templates.get(b.stabilizer)
         if template is None:
             d = b.to_dict()
@@ -205,7 +204,7 @@ def _json_pieces(payload, varying=None):
             template = templates[b.stabilizer] = "{}".join(
                 x.replace("{", "{{").replace("}", "}}") for x in pieces)
             memos = memos or [({}, n) for n in nls]
-        ks = keys(b)
+        ks = b.varying_items()
         texts = [m.get(k) for (m, _), k in zip(memos, ks)]
         if None in texts:
             texts = [m.setdefault(k, _dumps(x, n))
@@ -255,20 +254,6 @@ def _chi_dict(chi):
     }
 
 
-# the block report fields that change within a stabiliser class, and the raw
-# keys of their items (see _json_pieces)
-def _codes(b):
-    # each value of eta, then of lambda, as its e coefficients
-    e, eta, lam = b.field.e, b.eta_code, b.lam_code
-    return ([eta[i:i + e] for i in range(0, len(eta), e)]
-            + [lam[i:i + e] for i in range(0, len(lam), e)] + [b.orbit_size])
-
-
-_MODULAR_VARYING = (("eta", "lambda", "orbit_size"), _codes)
-_QUANTUM_VARYING = (("orbit_size", "torus"),
-                    lambda b: (b.orbit_size, *b.numerators))
-
-
 def cmd_modular_blocks(args):
     bound = _bounds(args)
     rs = build_root_system(args.type)
@@ -303,7 +288,7 @@ def cmd_modular_blocks(args):
                 b.finite_type,
             ])
         return out
-    return _emit(args, payload, rows, _MODULAR_VARYING)
+    return _emit(args, payload, rows)
 
 
 def cmd_modular_unramified(args):
@@ -412,7 +397,7 @@ def cmd_quantum_blocks(args):
                         b.orbit_size, b.dim, b.unramified, b.exceptional,
                         b.stab_point_type, b.stab_fiber_type])
         return out
-    return _emit(args, payload, rows, _QUANTUM_VARYING)
+    return _emit(args, payload, rows)
 
 
 def cmd_quantum_unramified(args):
@@ -621,11 +606,20 @@ def main(argv=None) -> int:
         if getattr(args, "chi_s", None) == "":
             rs = build_root_system(args.type)
             args.chi_s = ",".join(["0"] * rs.rank)
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is sys.__stdout__:
+            sys.stdout.flush()  # while a failure can still be reported
+        return status
     except UsageError as exc:
         args.parser.error(str(exc))
     except LieramError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except OSError as exc:
+        # a write to stdout failed (a closed pipe, a full device); what is
+        # still buffered goes from fd 1 to os.devnull at exit, and succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        sys.stderr.write(f"error: writing to stdout: {exc}\n")
         return 1
 
 

@@ -21,12 +21,10 @@ from .errors import NotNilpotentContext
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify
 from .scalars import _ptrim, artin_schreier_solve, embed, is_prime, make_field
 from .weyl import (
-    block_stabilizers,
-    integer_actions,
+    BlockRecord,
+    block_orbits,
     integer_pairings,
-    orbit_partition,
     reflection_stabilizer,
-    stabilizer_reflections,
     subsystem_index,
     support_indices,
 )
@@ -140,7 +138,12 @@ def _lambda_base(chi: PChar, bound):
 
 
 def _weight(f, code):
-    return ModWeight(f.elem(code[i:i + f.e]) for i in range(0, len(code), f.e))
+    return ModWeight(map(f.elem, _slices(code, f.e)))
+
+
+def _slices(code, e):
+    # a flat code cut into its values, e coefficients each
+    return [code[i:i + e] for i in range(0, len(code), e)]
 
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
@@ -197,23 +200,18 @@ def is_unramified(rs: RootSystem, lam: ModWeight, mode: str = "simpleRootCriteri
 
 # -- blocks ------------------------------------------------------------------
 
-class BlockReport:
+class BlockReport(BlockRecord):
     """Per-block record: both coordinate systems, orbit size, dimension,
     unramified flag, stabilizer types, Poincare series, finite-type verdict.
 
     The walked point is kept as its flat codes in the ambient field (each
     value's e coefficients in turn, untrimmed); lam and eta are built from
-    them on access.  `stabilizer` is the classified subsystem of the roots
-    vanishing on eta, which fixes every field but the coordinates and the
-    orbit size."""
+    them on access.  `stabilizer` is the point stabiliser of eta."""
 
     __slots__ = ("field", "lam_code", "eta_code", "orbit_size", "stabilizer",
                  "dim", "stab_coset_type", "poincare", "finite_type",
                  "finite_type_witness")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+    VARYING = ("eta", "lambda", "orbit_size")
 
     @property
     def lam(self):
@@ -223,21 +221,11 @@ class BlockReport:
     def eta(self):
         return _weight(self.field, self.eta_code)
 
-    @property
-    def unramified(self):
-        return self.dim == 1
-
-    @property
-    def stab_point_type(self):
-        return self.stabilizer.type_str
-
     def to_dict(self):
         e = self.field.e
         return {
-            "lambda": [list(_ptrim(self.lam_code[i:i + e]))
-                       for i in range(0, len(self.lam_code), e)],
-            "eta": [list(_ptrim(self.eta_code[i:i + e]))
-                    for i in range(0, len(self.eta_code), e)],
+            "lambda": [list(_ptrim(v)) for v in _slices(self.lam_code, e)],
+            "eta": [list(_ptrim(v)) for v in _slices(self.eta_code, e)],
             "orbit_size": self.orbit_size,
             "dim": self.dim,
             "unramified": self.unramified,
@@ -247,6 +235,11 @@ class BlockReport:
             "finite_type": self.finite_type,
             "finite_type_witness": self.finite_type_witness,
         }
+
+    def varying_items(self):
+        # each value of eta, then of lambda, as its e coefficients
+        e = self.field.e
+        return _slices(self.eta_code, e) + _slices(self.lam_code, e) + [self.orbit_size]
 
 
 def mod_blocks(chi: PChar, bound=None):
@@ -259,12 +252,16 @@ def mod_blocks(chi: PChar, bound=None):
     vanish; InvariantViolation unless the first eta, paired in full, agrees.
     The walk runs on the r constant terms of eta: Lambda_chi + rho = Lambda_chi
     = base + F_p^r, and generators fixing chi keep the base's other slots."""
-    rs, levi = chi.rs, chi.levi
-    gens = stabilizer_reflections(
-        rs, levi, _code(chi.values, chi.field.e), "values", chi.p,
-        chi.field.e, chi.p**rs.rank, bound)
+    rs, levi, p = chi.rs, chi.levi, chi.p
+
+    def key(x):
+        # the constant terms of lambda = eta - rho (rho is 1 in each)
+        return tuple([(c - 1) % p for c in x])
+
+    walked = block_orbits(rs, levi, "values", p, [range(p)] * rs.rank, key,
+                          _code(chi.values, chi.field.e), bound)
     base, ambient = _lambda_base(chi, bound)
-    p, e = ambient.p, ambient.e
+    e = ambient.e
     full = list(_code(base, e))
 
     def code(x):
@@ -272,22 +269,15 @@ def mod_blocks(chi: PChar, bound=None):
         full[::e] = x
         return tuple(full)
 
-    def key(x):
-        # the constant terms of lambda = eta - rho (rho is 1 in each)
-        return tuple([(c - 1) % p for c in x])
-
-    points = list(itertools.product(range(p), repeat=rs.rank))
-    classes = orbit_partition(points, integer_actions(rs, gens, "values", p), key)
-    first = integer_pairings(rs, "values", p, e)(code(classes[0][0]))
+    first = integer_pairings(rs, "values", p, e)(code(walked[0][0][0]))
     if any((not any(v[1:])) != (b in levi.roots) for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
-
-    stabilizer = block_stabilizers(rs, levi, "values", p, lambda zero: (
-        _poincare(zero) if chi.nilpotent else None,
-        *_finite_type(rs, zero, levi, False)))
+    verdicts = {zero: (_poincare(zero) if chi.nilpotent else None,
+                       *_finite_type(rs, zero, levi, False))
+                for zero in dict.fromkeys(zero for _cls, zero, _dim in walked)}
     reports = []
-    for cls in classes:
-        zero, dim, (poincare, verdict, witness) = stabilizer(cls[0])
+    for cls, zero, dim in walked:
+        poincare, verdict, witness = verdicts[zero]
         differing = witness["differing_component"]  # each report gets a copy
         reports.append(BlockReport(
             field=ambient, lam_code=code(key(cls[0])), eta_code=code(cls[0]),

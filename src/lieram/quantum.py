@@ -16,7 +16,6 @@ block is u^2, living in {f : f^ell = chi_s^2}.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -24,15 +23,13 @@ from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownR
 from .rootdata import RootSystem, subsystem_classify, two_rho_dot
 from .scalars import UnityExp, eps_pow
 from .weyl import (
+    BlockRecord,
     act_torus,
     alcove_descent,
-    block_stabilizers,
+    block_orbits,
     hc_shift_vector,
-    integer_actions,
     integer_pairings,
-    orbit_partition,
     reflection_stabilizer,
-    stabilizer_reflections,
     support_indices,
 )
 
@@ -117,33 +114,21 @@ class QChar:
                 f"chi_s={self.chi_s!r}, S={self.support})")
 
 
-class QBlockReport:
+class QBlockReport(BlockRecord):
     """Per-block record: the block's fiber point, orbit size, dimension,
     unramified and exceptional flags, stabilizer types.
 
     The point is kept as the numerators of its exponents over one common
     denominator N, each in [0, N); rep is built from them on access.
-    `stabilizer` is the classified subsystem of the roots vanishing on the
-    point, which fixes every field but the point and the orbit size."""
+    `stabilizer` is the point stabiliser of the fiber point."""
 
     __slots__ = ("numerators", "N", "orbit_size", "stabilizer", "dim",
                  "exceptional", "stab_fiber_type")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+    VARYING = ("orbit_size", "torus")
 
     @property
     def rep(self):
         return TorusElement(tuple(Fraction(n, self.N) for n in self.numerators))
-
-    @property
-    def unramified(self):
-        return self.dim == 1
-
-    @property
-    def stab_point_type(self):
-        return self.stabilizer.type_str
 
     def to_dict(self):
         N = self.N
@@ -158,6 +143,9 @@ class QBlockReport:
             "stabilizer_types": {"point": self.stab_point_type,
                                  "fiber": self.stab_fiber_type},
         }
+
+    def varying_items(self):
+        return (self.orbit_size, *self.numerators)
 
 
 def q_blocks(chi: QChar, bound=None):
@@ -174,30 +162,22 @@ def q_blocks(chi: QChar, bound=None):
     D = math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
     N = chi.ell * D
     c = [int(2 * e.q * D) for e in chi.chi_s.exps]
-    gens = stabilizer_reflections(rs, levi, tuple(ci * chi.ell % N for ci in c),
-                                  "torus", N, 1, chi.ell**rs.rank, bound)
-    # W acts by integer matrices, so every orbit stays on (1/N)Z^r
-    points = list(itertools.product(*(
-        [(ci + d * D) % N for d in range(chi.ell)] for ci in c)))
 
     def key(code):
         # UnityExp.key() of each exponent n/N: (n/g, N/g) with g = gcd(n, N)
         return tuple([(n // g, N // g) for n in code for g in (math.gcd(n, N),)])
 
-    classes = orbit_partition(points, integer_actions(rs, gens, "torus", N), key)
-    first = integer_pairings(rs, "torus", N)(classes[0][0])
+    # W acts by integer matrices, so every orbit stays on (1/N)Z^r
+    walked = block_orbits(
+        rs, levi, "torus", N, [[(ci + d * D) % N for d in range(chi.ell)] for ci in c],
+        key, tuple(ci * chi.ell % N for ci in c), bound)
+    first = integer_pairings(rs, "torus", N)(walked[0][0][0])
     if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
-    stabilizer = block_stabilizers(rs, levi, "torus", N, lambda sub: None)
-    reports = []
-    for cls in classes:
-        stab, dim, _ = stabilizer(cls[0])
-        reports.append(QBlockReport(
-            numerators=cls[0], N=N, orbit_size=len(cls), stabilizer=stab,
-            dim=dim, exceptional=(stab.rank == rs.rank),
-            stab_fiber_type=levi.type_str,
-        ))
-    return reports
+    return [QBlockReport(numerators=cls[0], N=N, orbit_size=len(cls), stabilizer=stab,
+                         dim=dim, exceptional=(stab.rank == rs.rank),
+                         stab_fiber_type=levi.type_str)
+            for cls, stab, dim in walked]
 
 
 def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forward",

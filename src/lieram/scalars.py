@@ -304,16 +304,8 @@ class FFElem:
     def inverse(self):
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero")
-        p, mod = self.field.p, self.field.modulus
-        # extended Euclid over F_p[x]
-        r0, r1 = mod, self.coeffs
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        inv_lead = pow(r0[-1], p - 2, p)
-        return FFElem(self.field, _ptrim([(c * inv_lead) % p for c in s0]))
+        # Fermat: the multiplicative group of F_q has order q - 1
+        return self ** (self.field.p ** self.field.e - 2)
 
     def frobenius(self):
         rows = self.field.frobenius_rows()

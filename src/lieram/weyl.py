@@ -17,21 +17,23 @@ Block partitions walk orbits on flat integer encodings instead, and build no
 element: torus exponents as numerators mod a common denominator N, coroot
 values over F_{p^e} as e coefficients mod p each.  A block is an orbit of
 Stab_W(chi) = W(Phi') on the point set of chi, generated by the reflections
-s_beta, beta in the basis of Phi' (stabilizer_reflections, which checks
-that they generate all of Stab_W(chi)); so the walk visits each point of the
-set once and reaches no point outside it.  A reflection is the rank-one map
+s_beta, beta in the basis of Phi' (check_stabilizer checks that they
+generate all of Stab_W(chi)); so the walk visits each point of the set once
+and reaches no point outside it.  A reflection is the rank-one map
 x -> x - <x, beta> v_beta (integer_actions), read off the coroot and
 root-value tables of the root system, which integer_pairings reads too.
-Block walks on coroot values have width 1, the constant terms (see
-mod_blocks); width e remains for chi's own orbit and for the pairings of a
-single weight.  A block's stabiliser lies in W(Phi'), so only the roots of
-Phi' are paired with it, once per distinct set of vanishing roots
-(block_stabilizers).
+Both sides take their blocks from one walk, block_orbits: mod_blocks on the
+constant terms of eta (width 1), q_blocks on the numerators over N; width e
+remains for chi's own orbit and for the pairings of a single weight.  A
+block's stabiliser lies in W(Phi'), so block_orbits pairs only the roots of
+Phi' with it, once per distinct set of vanishing roots.  The reports of
+both sides are BlockRecords.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -402,25 +404,6 @@ def subsystem_index(sub, big) -> int:
     return big.order // sub.order
 
 
-def block_stabilizers(rs: RootSystem, levi, on: str, modulus: int, describe):
-    """For one block walk: a map from a point of the block set to (sub,
-    [W(Phi') : W(sub)], describe(sub)), sub the classified subsystem of the
-    roots vanishing on the point.  A point is the walked point itself,
-    encoded as for integer_pairings with width 1; on="values" that is the
-    constant terms of eta(h_i).  Only roots of Phi' = `levi` can vanish on a
-    point of the set (see mod_blocks, q_blocks), so only they are paired, and
-    each distinct set of vanishing roots is classified and described once."""
-    roots = tuple(b for b in rs.pos_roots if b in levi.roots)
-    pairings = integer_pairings(rs, on, modulus, roots=roots)
-    zero = 0 if on == "torus" else (0,)
-
-    @functools.cache
-    def classify(sat):
-        sub = reflection_stabilizer(rs, frozenset(sat).__contains__)
-        return sub, subsystem_index(sub, levi), describe(sub)
-    return lambda x: classify(tuple(b for b, v in zip(roots, pairings(x)) if v == zero))
-
-
 def support_indices(levi, support):
     """A unipotent support as sorted distinct 0-based indices into the basis
     of the classified subsystem `levi` (Phi'); InvalidSupport, quoting the
@@ -434,19 +417,19 @@ def support_indices(levi, support):
     return support
 
 
-def stabilizer_reflections(rs: RootSystem, levi, chi_code, on: str, modulus: int,
-                           width: int, set_size: int, bound=None):
-    """The basis of Phi' = `levi`, whose reflections s_beta generate
-    Stab_W(chi): the group whose orbits on the point set of chi
-    (Lambda_chi, or the fiber over chi_s^2) are the blocks, since w moves a
-    point of the set into it iff w chi = chi.
+def check_stabilizer(rs: RootSystem, levi, chi_code, on: str, modulus: int,
+                     set_size: int, bound=None):
+    """Check that the reflections of the basis of Phi' = `levi` generate
+    Stab_W(chi): the group whose orbits on the point set of chi (Lambda_chi,
+    or the fiber over chi_s^2) are the blocks, since w moves a point of the
+    set into it iff w chi = chi.
 
     W(Phi') always fixes chi; that it is all of Stab_W(chi) is expected under
     the standing hypotheses (Steinberg, Torsion in reductive groups; on the
     quantum side the torus is simply connected) and checked here: chi's own
-    encoding `chi_code` (on, modulus, width as for integer_actions) is walked
-    under the simple reflections, and InvariantViolation is raised unless
-    |W.chi| |W(Phi')| = |W|.
+    encoding `chi_code` (on, modulus as for integer_actions, its width the
+    length over the rank) is walked under the simple reflections, and
+    InvariantViolation is raised unless |W.chi| |W(Phi')| = |W|.
     BoundExceeded when the `set_size` points of the set and the |W|/|W(Phi')|
     of chi's orbit exceed `bound` (default DEFAULT_GROUP_BOUND)."""
     bound = DEFAULT_GROUP_BOUND if bound is None else bound
@@ -457,12 +440,59 @@ def stabilizer_reflections(rs: RootSystem, levi, chi_code, on: str, modulus: int
             f"set, {orbit_size} in the W-orbit of chi) exceeds bound {bound}")
     r = rs.rank
     simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
-    orbit = orbit_of(chi_code, integer_actions(rs, simple, on, modulus, width))
+    orbit = orbit_of(chi_code, integer_actions(rs, simple, on, modulus, len(chi_code) // r))
     if len(orbit) * levi.order != rs.weyl_order():
         raise InvariantViolation(
             f"|W.chi| = {len(orbit)} times |W({levi.type_str})| = {levi.order} "
             f"is not |W| = {rs.weyl_order()}: Stab_W(chi) is not W(Phi')")
-    return levi.basis
+
+
+def block_orbits(rs: RootSystem, levi, on: str, modulus: int, axes, key, chi_code,
+                 bound=None):
+    """The blocks at chi, after check_stabilizer on `chi_code`: the orbits of
+    W(Phi'), Phi' = `levi`, on the points itertools.product(*axes) (encoded
+    as for integer_pairings with width 1), as orbit_partition sorts them
+    under `key`, each as (orbit, sub, [W(Phi') : W(sub)]), sub the
+    classified subsystem of the roots vanishing on its first point.  Only
+    roots of Phi' can vanish on a point of the set (see mod_blocks,
+    q_blocks), so only they are paired, and each distinct set of vanishing
+    roots is classified once."""
+    check_stabilizer(rs, levi, chi_code, on, modulus, math.prod(map(len, axes)), bound)
+    classes = orbit_partition(list(itertools.product(*axes)),
+                              integer_actions(rs, levi.basis, on, modulus), key)
+    roots = tuple(b for b in rs.pos_roots if b in levi.roots)
+    pairings = integer_pairings(rs, on, modulus, roots=roots)
+    zero = 0 if on == "torus" else (0,)
+
+    @functools.cache
+    def classify(sat):
+        sub = reflection_stabilizer(rs, frozenset(sat).__contains__)
+        return sub, subsystem_index(sub, levi)
+    return [(cls, *classify(tuple(b for b, v in zip(roots, pairings(cls[0])) if v == zero)))
+            for cls in classes]
+
+
+class BlockRecord:
+    """What the block reports of both sides share.  A report's fields are
+    its class's __slots__, all given as keywords.  `stabilizer` is the
+    classified subsystem of the roots vanishing on the block's point; it
+    fixes every to_dict field but those its class names in VARYING (sorted
+    keys), and varying_items() gives a hashable per item of their values,
+    in order, each element of a list value an item (see cli._json_pieces)."""
+
+    __slots__ = ()
+
+    def __init__(self, **kw):
+        for k in self.__slots__:
+            setattr(self, k, kw[k])
+
+    @property
+    def unramified(self):
+        return self.dim == 1
+
+    @property
+    def stab_point_type(self):
+        return self.stabilizer.type_str
 
 
 def orbit_of(point, gen_actions):
@@ -489,7 +519,7 @@ def orbit_partition(points, gen_actions, key):
     outside `points` reached by the action are ignored for membership but used
     for transport; the production walks never reach one, as they act by
     stabiliser generators that map the set to itself (see
-    stabilizer_reflections).  Walking whole W-orbits and dropping the outside
+    block_orbits).  Walking whole W-orbits and dropping the outside
     points is the test oracle.  Orbits are disjoint, so the points of an orbit
     walked from an unseen point are all unseen.
     """

@@ -494,3 +494,39 @@ def test_support_index_past_the_basis_quotes_the_typed_index(argv, capsys):
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(
         "error: support index 3 outside the basis of Phi' (rank 2")
+
+
+def _run_into(stdout, argv):
+    # stdout block-buffered, as it is by default: the answer may still sit in
+    # the buffer when the command returns
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "lieram.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+
+
+def _one_error_line(done):
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+def test_a_closed_stdout_is_one_error_line():
+    # the read end is closed before the command starts, so every write to
+    # stdout meets a broken pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_into(write, ["--format", "tsv", "quantum", "blocks", "--type", "B3",
+                                 "--ell", "7", "--chi-s", "1/2,0,1/3", "--support", "1"])
+    finally:
+        os.close(write)
+    _one_error_line(done)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        done = _run_into(full, GOLDEN["quantum_exceptional_g2.json"])
+    _one_error_line(done)

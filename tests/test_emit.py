@@ -23,23 +23,23 @@ def _reference(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _as_dicts(payload, varying):
+def _as_dicts(payload):
     # the payload with each block report serialised through its to_dict
-    if varying is None:
+    if "blocks" not in payload:
         return payload
     return {**payload, "blocks": [b.to_dict() for b in payload["blocks"]]}
 
 
 @pytest.fixture(scope="module")
 def emitted():
-    """(payload, varying) for every payload the manifest's CLI cells hand to
-    _emit, as built (tuples and all); each cell's stdout parses as JSON."""
+    """Every payload the manifest's CLI cells hand to _emit, as built
+    (tuples and all); each cell's stdout parses as JSON."""
     calls = []
     emit = cli._emit
 
-    def recording(args, payload, rows=None, varying=None):
-        calls.append((payload, varying))
-        return emit(args, payload, rows, varying)
+    def recording(args, payload, rows=None):
+        calls.append(payload)
+        return emit(args, payload, rows)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_emit", recording)
@@ -59,7 +59,7 @@ def test_manifest_payloads(emitted):
     for doc in docs:
         assert _dumps(doc) == _reference(doc)
     assert len(calls) > 150
-    payloads = [_as_dicts(*call) for call in calls]
+    payloads = [_as_dicts(call) for call in calls]
     assert [i for i, x in enumerate(payloads) if _dumps(x) != _reference(x)] == []
 
 
@@ -68,26 +68,25 @@ def test_streamed_blocks_match_the_reference(emitted):
     # cells whose character lies outside F_p (the manifest's "api" cells)
     # with the payload they would have; one piece per report
     calls, _docs = emitted
-    blocks = [(payload, varying) for payload, varying in calls if varying]
+    blocks = [payload for payload in calls if "blocks" in payload]
     for _t, _p, _name, chi in modular_cells():
         if chi.field.e > 1:
-            blocks.append(({"command": "modular.blocks", "chi": cli._chi_dict(chi),
-                            "blocks": mod_blocks(chi)}, cli._MODULAR_VARYING))
+            blocks.append({"command": "modular.blocks", "chi": cli._chi_dict(chi),
+                           "blocks": mod_blocks(chi)})
     bad = []
-    for i, (payload, varying) in enumerate(blocks):
-        pieces = list(_json_pieces(payload, varying))
-        if ("".join(pieces) != _reference(_as_dicts(payload, varying)) + "\n"
+    for i, payload in enumerate(blocks):
+        pieces = list(_json_pieces(payload))
+        if ("".join(pieces) != _reference(_as_dicts(payload)) + "\n"
                 or len(pieces) != len(payload["blocks"]) + 2):
             bad.append(i)
     assert bad == []
-    for varying in (cli._MODULAR_VARYING, cli._QUANTUM_VARYING):
-        assert "".join(_json_pieces({"blocks": []}, varying)) == '{\n  "blocks": []\n}\n'
+    assert "".join(_json_pieces({"blocks": []})) == '{\n  "blocks": []\n}\n'
     # both sides, empty and non-empty supports; chi in F_p, F_{p^2}, and
     # Lambda_chi in F_p and F_{p^p}
-    seen = {(p["command"], bool(p["chi"]["support"])) for p, _v in blocks}
+    seen = {(p["command"], bool(p["chi"]["support"])) for p in blocks}
     assert len(seen) == 4
     fields = {(p["chi"]["field"]["e"], p["blocks"][0].field.e, p["blocks"][0].field.p)
-              for p, _v in blocks if "field" in p["chi"]}
+              for p in blocks if "field" in p["chi"]}
     assert {1, 2} == {e for e, _e, _p in fields}
     assert any(e == p for _e, e, p in fields) and any(e == 1 for _e, e, _p in fields)
 

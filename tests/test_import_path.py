@@ -2,7 +2,8 @@
 `import lieram` nor the CLI module loads, and the production modules call
 none of the single-root or closure oracles.  The block walks generate their
 integer points directly, through neither the ell-fiber of torus elements nor
-the list of weights of Lambda_chi."""
+the list of weights of Lambda_chi, and both sides walk through the one shared
+weyl.block_orbits; the CLI reads no block report's integer layout."""
 
 import ast
 import os
@@ -72,3 +73,15 @@ def test_block_walks_build_no_point_objects():
         (walk,) = [node for node in trees[module].body
                    if isinstance(node, ast.FunctionDef) and node.name == name]
         assert not _called_names(walk) & {"ell_fiber", "enumerate_lambda_chi"}, name
+
+
+def test_both_sides_share_one_block_walk():
+    trees = _trees()
+    for module in ("modular.py", "quantum.py"):
+        assert not _called_names(trees[module]) & {"orbit_partition", "integer_actions"}, module
+
+
+def test_cli_reads_no_report_encoding():
+    read = {node.attr for node in ast.walk(_trees()["cli.py"])
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"eta_code", "lam_code", "numerators"}

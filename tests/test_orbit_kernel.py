@@ -5,8 +5,8 @@ same orbit sizes.  The stabiliser walk stays inside the point set (the
 modular one runs on the constant terms of Lambda_chi, which its generators
 carry along), and its guard refuses generators that fall short of
 Stab_W(chi).  Each block's stabiliser data, read on Phi' and memoised per
-query, equal the oracles' on the block's own point; the guards refuse a
-point set off Phi'."""
+query, equal the oracles' on the block's own point, and are computed once
+per distinct point stabiliser; the guards refuse a point set off Phi'."""
 
 import collections
 import random
@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from lieram import modular, quantum
+from lieram import modular, weyl
 from lieram.cli import parse_field_values
 from lieram.errors import InvariantViolation
 from lieram.modular import ModWeight, PChar, enumerate_lambda_chi, mod_blocks, rho_weight
 from lieram.quantum import QChar, TorusElement, q_blocks
-from lieram.rootdata import build_root_system, subsystem_classify
+from lieram.rootdata import Subsystem, build_root_system, subsystem_classify
 from lieram.scalars import make_field
 from lieram.selftest import (
     block_stabiliser_mismatches,
@@ -28,13 +28,7 @@ from lieram.selftest import (
     quantum_cells,
     root_reflection,
 )
-from lieram.weyl import (
-    WeylElement,
-    integer_actions,
-    orbit_partition,
-    simple_reflection,
-    stabilizer_reflections,
-)
+from lieram.weyl import WeylElement, integer_actions, orbit_partition, simple_reflection
 from test_golden_manifest import RANK34_MODULAR, RANK34_QUANTUM
 
 
@@ -189,7 +183,9 @@ def _walked_and_oracle(chi, monkeypatch):
         return got, modular_orbits_full_width(chi)
     got = [b.to_dict() for b in q_blocks(chi)]
     with monkeypatch.context() as m:
-        m.setattr(quantum, "stabilizer_reflections", _full_w)
+        # every reflection map the walk builds acts by all of W instead
+        m.setattr(weyl, "integer_actions", lambda rs, _roots, *args: integer_actions(
+            rs, _full_w(rs), *args))
         want = [b.to_dict() for b in q_blocks(chi)]
     return got, want
 
@@ -303,20 +299,20 @@ def _watch_walks(monkeypatch):
             return step
         return orbit_partition(points, [watched(a) for a in gen_actions], key)
 
-    monkeypatch.setattr(modular, "orbit_partition", checked)
-    monkeypatch.setattr(quantum, "orbit_partition", checked)
+    monkeypatch.setattr(weyl, "orbit_partition", checked)
     return seen, widths
 
 
 def _walk_generators(chi, monkeypatch):
-    """The generators mod_blocks walks Lambda_chi with."""
+    """The generators mod_blocks walks Lambda_chi with: the roots of the
+    last reflection maps block_orbits builds (the guard's come first)."""
     gens = []
 
-    def recording(*args):
-        gens[:] = stabilizer_reflections(*args)
-        return gens
+    def recording(rs, roots, *args):
+        gens[:] = roots
+        return integer_actions(rs, roots, *args)
     with monkeypatch.context() as m:
-        m.setattr(modular, "stabilizer_reflections", recording)
+        m.setattr(weyl, "integer_actions", recording)
         mod_blocks(chi)
     return gens
 
@@ -435,7 +431,7 @@ def test_a_fiber_point_outside_the_levi_is_refused(monkeypatch):
     assert chi.levi.roots == frozenset()
     chi.chi_s = TorusElement((0, 0))
     # past the Stab_W guard, which would see chi_s^2 = 1 fixed by all of W
-    monkeypatch.setattr(quantum, "stabilizer_reflections", lambda *_args: [])
+    monkeypatch.setattr(weyl, "check_stabilizer", lambda *_args: None)
     with pytest.raises(InvariantViolation, match="outside Phi'"):
         q_blocks(chi)
 
@@ -451,3 +447,37 @@ def test_reports_do_not_share_a_witness():
     assert len({id(d) for d in nested}) == len(nested)
     nested[0]["small"] = "changed"
     assert nested[1]["small"] != "changed"
+
+
+ONCE_PER_STABILISER_CELLS = {
+    "modular A2/p5 nilpotent": MODULAR_CELLS["A2/p5 nilpotent"][0],
+    "modular B3/p5 1,0,2": MODULAR_CELLS["B3/p5 F_p chi"][0],
+    "quantum B3/l7 1/2,0,1/3": lambda: QChar(build_root_system("B3"), 7, chi_s=TorusElement(
+        (Fraction(1, 2), 0, Fraction(1, 3)))),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(ONCE_PER_STABILISER_CELLS))
+def test_stabiliser_work_runs_once_per_point_stabiliser(cell, monkeypatch):
+    # one classification, one finite-type verdict and (nilpotent chi) one
+    # Poincare series per distinct point stabiliser of the query, not per block
+    chi = ONCE_PER_STABILISER_CELLS[cell]()
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(weyl, "reflection_stabilizer",
+                        counted("classify", weyl.reflection_stabilizer))
+    monkeypatch.setattr(modular, "_finite_type", counted("finite_type", modular._finite_type))
+    monkeypatch.setattr(Subsystem, "coset_poincare",
+                        counted("poincare", Subsystem.coset_poincare))
+    blocks = _blocks(chi)
+    distinct = len({id(b.stabilizer) for b in blocks})
+    assert 1 < distinct < len(blocks)
+    on_modular = isinstance(chi, PChar)
+    assert (calls["classify"], calls["finite_type"], calls["poincare"]) == (
+        distinct, distinct if on_modular else 0,
+        distinct if on_modular and chi.nilpotent else 0)
