@@ -521,7 +521,7 @@ def build_parser():
     common.add_argument("--format", choices=("json", "tsv"),
                         default=argparse.SUPPRESS)
     common.add_argument("--bound", type=_bound_value, default=argparse.SUPPRESS,
-                        help="cap for field size and group enumeration "
+                        help="cap for field size and points a block walk visits "
                              "(defaults 10^9 / 10^6; env LIERAM_BOUND)")
     top = argparse.ArgumentParser(prog="lieram", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -600,16 +600,17 @@ def _parser():
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        # empty chi-s defaults to the zero character / trivial torus element
-        if getattr(args, "chi_s", None) == "":
-            rs = build_root_system(args.type)
-            args.chi_s = ",".join(["0"] * rs.rank)
-        status = args.func(args)
-        if sys.stdout is sys.__stdout__:
-            sys.stdout.flush()  # while a failure can still be reported
-        return status
+        try:
+            args = _parser().parse_args(argv)  # --help writes here, then exits
+            # empty chi-s defaults to the zero character / trivial torus element
+            if getattr(args, "chi_s", None) == "":
+                rs = build_root_system(args.type)
+                args.chi_s = ",".join(["0"] * rs.rank)
+            return args.func(args)
+        finally:
+            if sys.stdout is sys.__stdout__:
+                sys.stdout.flush()  # while a failure can still be reported
     except UsageError as exc:
         args.parser.error(str(exc))
     except LieramError as exc:

@@ -253,12 +253,8 @@ def mod_blocks(chi: PChar, bound=None):
     The walk runs on the r constant terms of eta: Lambda_chi + rho = Lambda_chi
     = base + F_p^r, and generators fixing chi keep the base's other slots."""
     rs, levi, p = chi.rs, chi.levi, chi.p
-
-    def key(x):
-        # the constant terms of lambda = eta - rho (rho is 1 in each)
-        return tuple([(c - 1) % p for c in x])
-
-    walked = block_orbits(rs, levi, "values", p, [range(p)] * rs.rank, key,
+    # the constant terms of eta = lambda + rho (rho is 1 in each), in lambda order
+    walked = block_orbits(rs, levi, "values", p, [[(k + 1) % p for k in range(p)]] * rs.rank,
                           _code(chi.values, chi.field.e), bound)
     base, ambient = _lambda_base(chi, bound)
     e = ambient.e
@@ -269,19 +265,19 @@ def mod_blocks(chi: PChar, bound=None):
         full[::e] = x
         return tuple(full)
 
-    first = integer_pairings(rs, "values", p, e)(code(walked[0][0][0]))
+    first = integer_pairings(rs, "values", p, e)(code(walked[0][0]))
     if any((not any(v[1:])) != (b in levi.roots) for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
     verdicts = {zero: (_poincare(zero) if chi.nilpotent else None,
                        *_finite_type(rs, zero, levi, False))
-                for zero in dict.fromkeys(zero for _cls, zero, _dim in walked)}
+                for zero in dict.fromkeys(zero for _x, _size, zero, _dim in walked)}
     reports = []
-    for cls, zero, dim in walked:
+    for x, size, zero, dim in walked:
         poincare, verdict, witness = verdicts[zero]
         differing = witness["differing_component"]  # each report gets a copy
         reports.append(BlockReport(
-            field=ambient, lam_code=code(key(cls[0])), eta_code=code(cls[0]),
-            orbit_size=len(cls), stabilizer=zero, dim=dim,
+            field=ambient, lam_code=code([(c - 1) % p for c in x]), eta_code=code(x),
+            orbit_size=size, stabilizer=zero, dim=dim,
             stab_coset_type=levi.type_str,
             poincare=poincare, finite_type=verdict, finite_type_witness={
                 **witness, "differing_component": differing and dict(differing)}))

@@ -162,22 +162,19 @@ def q_blocks(chi: QChar, bound=None):
     D = math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
     N = chi.ell * D
     c = [int(2 * e.q * D) for e in chi.chi_s.exps]
-
-    def key(code):
-        # UnityExp.key() of each exponent n/N: (n/g, N/g) with g = gcd(n, N)
-        return tuple([(n // g, N // g) for n in code for g in (math.gcd(n, N),)])
-
-    # W acts by integer matrices, so every orbit stays on (1/N)Z^r
-    walked = block_orbits(
-        rs, levi, "torus", N, [[(ci + d * D) % N for d in range(chi.ell)] for ci in c],
-        key, tuple(ci * chi.ell % N for ci in c), bound)
-    first = integer_pairings(rs, "torus", N)(walked[0][0][0])
+    # each axis in the order of UnityExp.key() of its exponents n/N: (n/g, N/g)
+    # with g = gcd(n, N); W acts by integer matrices, so orbits stay on (1/N)Z^r
+    axes = [sorted(((ci + d * D) % N for d in range(chi.ell)),
+                   key=lambda n: (n // math.gcd(n, N), N // math.gcd(n, N))) for ci in c]
+    walked = block_orbits(rs, levi, "torus", N, axes, tuple(ci * chi.ell % N for ci in c),
+                          bound)
+    first = integer_pairings(rs, "torus", N)(walked[0][0])
     if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
-    return [QBlockReport(numerators=cls[0], N=N, orbit_size=len(cls), stabilizer=stab,
+    return [QBlockReport(numerators=x, N=N, orbit_size=size, stabilizer=stab,
                          dim=dim, exceptional=(stab.rank == rs.rank),
                          stab_fiber_type=levi.type_str)
-            for cls, stab, dim in walked]
+            for x, size, stab, dim in walked]
 
 
 def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forward",

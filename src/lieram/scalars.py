@@ -9,9 +9,9 @@ compared constant term first.  All values are immutable.
 Roots of unity are exact rationals mod 1 (`UnityExp(q)` means e^{2*pi*i*q});
 equality is rational equality, nothing is ever a float.
 
-Membership in the prime subfield is always decided by the Frobenius fixed
-point test x^p == x, never by looking at the representation, so it survives
-embeddings into larger fields.
+Membership in the prime subfield is read off the representation: the power
+basis starts at 1, so x lies in F_p iff every coefficient after the constant
+term is 0 (the Frobenius fixed points x^p == x, in any field F_{p^e}).
 """
 
 from __future__ import annotations
@@ -322,8 +322,8 @@ class FFElem:
         return not self.coeffs
 
     def in_prime_field(self):
-        """F_p-membership via the Frobenius fixed point test x^p == x."""
-        return self.frobenius() == self
+        """F_p-membership: no coefficient after the constant term."""
+        return len(self.coeffs) <= 1
 
     def trace_to_prime(self) -> int:
         t = self

@@ -12,7 +12,8 @@ order and all suites enumerate exhaustively (no randomness anywhere).
 This module also holds the brute-force oracles that the suites and the tests
 compare the production paths against: single-root pairings, root-set
 closure, group and coset enumeration, brute-force stabilizers, the Burnside
-count, the ell-fiber as torus elements and the solve-and-close derivation of
+count, the orbit partition sorted by a key that keeps only the points of a
+set, the ell-fiber as torus elements and the solve-and-close derivation of
 the exceptional elements.  No production module imports it; the CLI loads it
 only for `lieram selftest`.
 """
@@ -180,6 +181,26 @@ def burnside_count(elements, points, act) -> int:
         raise InvariantViolation(
             f"Burnside sum {total} is not divisible by |G| = {len(elements)}")
     return total // len(elements)
+
+
+def orbit_partition_by_key(points, gen_actions, key):
+    """The orbits on `points`, each a list sorted by `key`, the list of
+    orbits sorted by the key of their least points, whatever the order of
+    `points`.  Points a walk reaches outside `points` are used for transport
+    but kept in no orbit, so whole W-orbits can be walked and cut down to
+    the set; the orbits are disjoint, so those walked from an unseen point
+    hold only unseen points of the set."""
+    points = list(points)
+    unseen = set(points)
+    orbits = []
+    for x in points:
+        if x not in unseen:
+            continue
+        cls = sorted(orbit_of(x, gen_actions) & unseen, key=key)
+        unseen.difference_update(cls)
+        orbits.append(cls)
+    orbits.sort(key=lambda cls: key(cls[0]))
+    return orbits
 
 
 def ell_fiber(rs: RootSystem, chi_s: TorusElement, ell: int):

@@ -19,9 +19,12 @@ values over F_{p^e} as e coefficients mod p each.  A block is an orbit of
 Stab_W(chi) = W(Phi') on the point set of chi, generated by the reflections
 s_beta, beta in the basis of Phi' (check_stabilizer checks that they
 generate all of Stab_W(chi)); so the walk visits each point of the set once
-and reaches no point outside it.  A reflection is the rank-one map
-x -> x - <x, beta> v_beta (integer_actions), read off the coroot and
-root-value tables of the root system, which integer_pairings reads too.
+and reaches no point outside it (orbit_partition raises if it does).  Each
+axis of the set is listed in the order of its sort key, so a block is met
+first at its least point and keeps that point and its size.  A reflection is
+the rank-one map x -> x - <x, beta> v_beta (integer_actions), read off the
+coroot and root-value tables of the root system, which integer_pairings
+reads too.
 Both sides take their blocks from one walk, block_orbits: mod_blocks on the
 constant terms of eta (width 1), q_blocks on the numerators over N; width e
 remains for chi's own orbit and for the pairings of a single weight.  A
@@ -447,19 +450,19 @@ def check_stabilizer(rs: RootSystem, levi, chi_code, on: str, modulus: int,
             f"is not |W| = {rs.weyl_order()}: Stab_W(chi) is not W(Phi')")
 
 
-def block_orbits(rs: RootSystem, levi, on: str, modulus: int, axes, key, chi_code,
+def block_orbits(rs: RootSystem, levi, on: str, modulus: int, axes, chi_code,
                  bound=None):
     """The blocks at chi, after check_stabilizer on `chi_code`: the orbits of
     W(Phi'), Phi' = `levi`, on the points itertools.product(*axes) (encoded
-    as for integer_pairings with width 1), as orbit_partition sorts them
-    under `key`, each as (orbit, sub, [W(Phi') : W(sub)]), sub the
-    classified subsystem of the roots vanishing on its first point.  Only
-    roots of Phi' can vanish on a point of the set (see mod_blocks,
-    q_blocks), so only they are paired, and each distinct set of vanishing
-    roots is classified once."""
+    as for integer_pairings with width 1, each axis in the order of its sort
+    key), each as (least point, orbit size, sub, [W(Phi') : W(sub)]), sub the
+    classified subsystem of the roots vanishing on the point.  Only roots of
+    Phi' can vanish on a point of the set (see mod_blocks, q_blocks), so only
+    they are paired, and each distinct set of vanishing roots is classified
+    once."""
     check_stabilizer(rs, levi, chi_code, on, modulus, math.prod(map(len, axes)), bound)
-    classes = orbit_partition(list(itertools.product(*axes)),
-                              integer_actions(rs, levi.basis, on, modulus), key)
+    orbits = orbit_partition(itertools.product(*axes),
+                             integer_actions(rs, levi.basis, on, modulus))
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)
     pairings = integer_pairings(rs, on, modulus, roots=roots)
     zero = 0 if on == "torus" else (0,)
@@ -468,8 +471,8 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, axes, key, chi_cod
     def classify(sat):
         sub = reflection_stabilizer(rs, frozenset(sat).__contains__)
         return sub, subsystem_index(sub, levi)
-    return [(cls, *classify(tuple(b for b, v in zip(roots, pairings(cls[0])) if v == zero)))
-            for cls in classes]
+    return [(x, size, *classify(tuple(b for b, v in zip(roots, pairings(x)) if v == zero)))
+            for x, size in orbits]
 
 
 class BlockRecord:
@@ -511,25 +514,20 @@ def orbit_of(point, gen_actions):
     return seen
 
 
-def orbit_partition(points, gen_actions, key):
-    """Partition points into orbits; deterministic canonical representatives.
-
-    Each orbit is sorted by `key` and the orbit list is sorted by the key of
-    its representative (the minimum), whatever the order of `points`.  Points
-    outside `points` reached by the action are ignored for membership but used
-    for transport; the production walks never reach one, as they act by
-    stabiliser generators that map the set to itself (see
-    block_orbits).  Walking whole W-orbits and dropping the outside
-    points is the test oracle.  Orbits are disjoint, so the points of an orbit
-    walked from an unseen point are all unseen.
-    """
-    unseen = set(points)
+def orbit_partition(points, gen_actions):
+    """The orbits of the group generated by `gen_actions` on `points`, as
+    (first point met, orbit size) in the order met: walked in key order, each
+    orbit's least point, the orbits sorted.  InvariantViolation when a walk
+    leaves `points`: the orbit sizes then sum past the number of points."""
+    seen = set()
     orbits = []
-    for x in points:
-        if x not in unseen:
-            continue
-        cls = sorted(orbit_of(x, gen_actions) & unseen, key=key)
-        unseen.difference_update(cls)
-        orbits.append(cls)
-    orbits.sort(key=lambda cls: key(cls[0]))
+    count = 0
+    for count, x in enumerate(points, 1):
+        if x not in seen:
+            orbit = orbit_of(x, gen_actions)
+            seen |= orbit
+            orbits.append((x, len(orbit)))
+    if sum(size for _x, size in orbits) != count:
+        raise InvariantViolation(
+            f"the orbit sizes do not sum to the {count} points of the set: a walk left it")
     return orbits

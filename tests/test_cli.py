@@ -512,21 +512,27 @@ def _one_error_line(done):
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
+# argparse writes --help to stdout before the command runs, then exits
+HELP_ARGVS = (["--help"], ["modular", "blocks", "--help"])
+
+
 def test_a_closed_stdout_is_one_error_line():
     # the read end is closed before the command starts, so every write to
     # stdout meets a broken pipe
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        done = _run_into(write, ["--format", "tsv", "quantum", "blocks", "--type", "B3",
-                                 "--ell", "7", "--chi-s", "1/2,0,1/3", "--support", "1"])
-    finally:
-        os.close(write)
-    _one_error_line(done)
+    for argv in (["--format", "tsv", "quantum", "blocks", "--type", "B3", "--ell", "7",
+                  "--chi-s", "1/2,0,1/3", "--support", "1"], *HELP_ARGVS):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _run_into(write, argv)
+        finally:
+            os.close(write)
+        _one_error_line(done)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_stdout_is_one_error_line():
-    with open("/dev/full", "w") as full:
-        done = _run_into(full, GOLDEN["quantum_exceptional_g2.json"])
-    _one_error_line(done)
+    for argv in (GOLDEN["quantum_exceptional_g2.json"], *HELP_ARGVS):
+        with open("/dev/full", "w") as full:
+            done = _run_into(full, argv)
+        _one_error_line(done)

@@ -3,7 +3,8 @@
 none of the single-root or closure oracles.  The block walks generate their
 integer points directly, through neither the ell-fiber of torus elements nor
 the list of weights of Lambda_chi, and both sides walk through the one shared
-weyl.block_orbits; the CLI reads no block report's integer layout."""
+weyl.block_orbits, which walks the points in key order and so sorts
+nothing; the CLI reads no block report's integer layout."""
 
 import ast
 import os
@@ -16,7 +17,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lieram"
 ORACLES = {
     "root_reflection", "subgroup_elements", "is_reduced", "stabilizer_bruteforce",
     "burnside_count", "min_coset_reps", "act_modular", "pair", "close_up",
-    "root_value", "steinberg_fiber_point", "ell_fiber",
+    "root_value", "steinberg_fiber_point", "ell_fiber", "orbit_partition_by_key",
 }
 
 
@@ -85,3 +86,14 @@ def test_cli_reads_no_report_encoding():
     read = {node.attr for node in ast.walk(_trees()["cli.py"])
             if isinstance(node, ast.Attribute)}
     assert not read & {"eta_code", "lam_code", "numerators"}
+
+
+def test_block_walks_sort_nothing_and_take_no_key():
+    # the points are walked in key order, so each orbit's first point is
+    # its least: no key callback and no sort in the walk
+    defs = {node.name: node for node in _trees()["weyl.py"].body
+            if isinstance(node, ast.FunctionDef)}
+    for name in ("orbit_partition", "block_orbits"):
+        params = {a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)}
+        assert "key" not in params, name
+        assert not _called_names(defs[name]) & {"sorted", "sort", "list"}, name

@@ -9,6 +9,7 @@ query, equal the oracles' on the block's own point, and are computed once
 per distinct point stabiliser; the guards refuse a point set off Phi'."""
 
 import collections
+import math
 import random
 from fractions import Fraction
 
@@ -20,15 +21,16 @@ from lieram.errors import InvariantViolation
 from lieram.modular import ModWeight, PChar, enumerate_lambda_chi, mod_blocks, rho_weight
 from lieram.quantum import QChar, TorusElement, q_blocks
 from lieram.rootdata import Subsystem, build_root_system, subsystem_classify
-from lieram.scalars import make_field
+from lieram.scalars import UnityExp, make_field
 from lieram.selftest import (
     block_stabiliser_mismatches,
     ell_fiber,
     modular_cells,
+    orbit_partition_by_key,
     quantum_cells,
     root_reflection,
 )
-from lieram.weyl import WeylElement, integer_actions, orbit_partition, simple_reflection
+from lieram.weyl import WeylElement, integer_actions, simple_reflection
 from test_golden_manifest import RANK34_MODULAR, RANK34_QUANTUM
 
 
@@ -38,7 +40,7 @@ def modular_orbits_by_transport(chi):
     weights, ambient = enumerate_lambda_chi(chi)
     rho = rho_weight(rs, ambient)
     gens = [simple_reflection(rs, j) for j in range(rs.rank)]
-    classes = orbit_partition(
+    classes = orbit_partition_by_key(
         [(lam + rho).values for lam in weights],
         [lambda t, w=w: w.act_values(t) for w in gens],
         key=lambda t: tuple((v - ambient.one()).coeffs for v in t))
@@ -50,7 +52,7 @@ def quantum_orbits_by_transport(chi):
     act_torus_exponents."""
     rs = chi.rs
     gens = [simple_reflection(rs, j) for j in range(rs.rank)]
-    classes = orbit_partition(
+    classes = orbit_partition_by_key(
         ell_fiber(rs, chi.chi_s, chi.ell),
         [lambda t, w=w: TorusElement(w.act_torus_exponents(t.exps)) for w in gens],
         key=lambda t: t.key())
@@ -141,8 +143,8 @@ def test_integer_maps_are_the_simple_reflections(t):
 
 def _full_w(rs, *_args):
     # the oracle's generators: the simple roots, whose reflections generate
-    # all of W; its orbits leave the point set, and orbit_partition keeps
-    # only the points inside it
+    # all of W; its orbits leave the point set, and orbit_partition_by_key
+    # keeps only the points inside it
     return [tuple(int(k == j) for k in range(rs.rank)) for j in range(rs.rank)]
 
 
@@ -159,7 +161,7 @@ def _full_width_codes(chi):
 
 def modular_orbits_full_width(chi):
     """(lambda, eta, orbit size) per block: the full-width codes of
-    Lambda_chi + rho = Lambda_chi walked under all of W (orbit_partition
+    Lambda_chi + rho = Lambda_chi walked under all of W (orbit_partition_by_key
     keeps the points inside the set), keyed by lambda = eta - rho."""
     rs = chi.rs
     codes, ambient = _full_width_codes(chi)
@@ -170,7 +172,8 @@ def modular_orbits_full_width(chi):
         lam[::e] = [(c - 1) % p for c in code[::e]]
         return tuple(lam)
 
-    classes = orbit_partition(codes, integer_actions(rs, _full_w(rs), "values", p, e), key)
+    classes = orbit_partition_by_key(
+        codes, integer_actions(rs, _full_w(rs), "values", p, e), key)
     return [(modular._weight(ambient, key(cls[0])), modular._weight(ambient, cls[0]),
              len(cls)) for cls in classes]
 
@@ -182,10 +185,20 @@ def _walked_and_oracle(chi, monkeypatch):
         got = [(b.lam, b.eta, b.orbit_size) for b in mod_blocks(chi)]
         return got, modular_orbits_full_width(chi)
     got = [b.to_dict() for b in q_blocks(chi)]
+    # the fiber codes over N = ell D, D the common denominator of chi_s
+    N = chi.ell * math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
+
+    def full_w_orbits(points, gen_actions):
+        # whole W-orbits cut down to the fiber, sorted by UnityExp.key()
+        classes = orbit_partition_by_key(points, gen_actions, key=lambda code: tuple(
+            UnityExp(Fraction(n, N)).key() for n in code))
+        return [(cls[0], len(cls)) for cls in classes]
     with monkeypatch.context() as m:
-        # every reflection map the walk builds acts by all of W instead
+        # every reflection map the walk builds acts by all of W instead, and
+        # the oracle partition walks with them
         m.setattr(weyl, "integer_actions", lambda rs, _roots, *args: integer_actions(
             rs, _full_w(rs), *args))
+        m.setattr(weyl, "orbit_partition", full_w_orbits)
         want = [b.to_dict() for b in q_blocks(chi)]
     return got, want
 
@@ -285,7 +298,8 @@ def _watch_walks(monkeypatch):
     the lengths of the points and images the walks see."""
     seen, widths = collections.Counter(), collections.Counter()
 
-    def checked(points, gen_actions, key):
+    def checked(points, gen_actions):
+        points = list(points)
         pointset = set(points)
         widths.update(map(len, pointset))
 
@@ -297,7 +311,12 @@ def _watch_walks(monkeypatch):
                 widths[len(y)] += 1
                 return y
             return step
-        return orbit_partition(points, [watched(a) for a in gen_actions], key)
+        # the oracle partition counts a step out of the set instead of
+        # raising; keyed by the walk's own order, it gives the same orbits
+        order = {x: i for i, x in enumerate(points)}
+        classes = orbit_partition_by_key(
+            points, [watched(a) for a in gen_actions], order.__getitem__)
+        return [(cls[0], len(cls)) for cls in classes]
 
     monkeypatch.setattr(weyl, "orbit_partition", checked)
     return seen, widths
@@ -384,6 +403,19 @@ def test_guard_refuses_a_proper_sub_levi(monkeypatch):
         monkeypatch.setattr(chi, "levi", sub)
         with pytest.raises(InvariantViolation, match="Stab_W"):
             _blocks(chi)
+
+
+def test_a_walk_that_leaves_the_fiber_is_refused(monkeypatch):
+    # all of W moves points of this fiber out of it; the walk raises rather
+    # than drop them (the modular walk runs on all of F_p^r, which it
+    # cannot leave)
+    chi = QChar(build_root_system("B3"), 7, chi_s=TorusElement(
+        (Fraction(1, 2), 0, Fraction(1, 3))))
+    assert q_blocks(chi)
+    monkeypatch.setattr(weyl, "integer_actions", lambda rs, _roots, *args: integer_actions(
+        rs, _full_w(rs), *args))
+    with pytest.raises(InvariantViolation, match="a walk left it"):
+        q_blocks(chi)
 
 
 # -- per-block stabiliser data, read on Phi', against the oracles --------------

@@ -13,6 +13,7 @@ from lieram.selftest import (
     burnside_count,
     is_reduced,
     min_coset_reps,
+    orbit_partition_by_key,
     root_reflection,
     stabilizer_bruteforce,
     subgroup_elements,
@@ -289,21 +290,33 @@ def test_orbit_partition_examples():
     F3 = make_field(3, 1)
     pts = [(F3.from_int(k),) for k in range(3)]
     s = simple_reflection(a1, 0)
-    orbits = orbit_partition(pts, [lambda x: act_modular(s, x, dot=True)],
-                             key=lambda x: tuple(v.coeffs for v in x))
+    orbits = orbit_partition_by_key(pts, [lambda x: act_modular(s, x, dot=True)],
+                                    key=lambda x: tuple(v.coeffs for v in x))
     assert [sorted(v[0].as_int() for v in o) for o in orbits] == [[0, 1], [2]]
 
     # trivial group: singletons
-    orbits = orbit_partition(pts, [], key=lambda x: tuple(v.coeffs for v in x))
+    orbits = orbit_partition_by_key(pts, [], key=lambda x: tuple(v.coeffs for v in x))
     assert len(orbits) == 3
 
     qpts = [(UnityExp(Fraction(k, 5)),) for k in range(5)]
-    orbits = orbit_partition(qpts, [lambda x: s.act_torus_exponents(x)],
-                             key=lambda x: tuple(e.key() for e in x))
+    orbits = orbit_partition_by_key(qpts, [lambda x: s.act_torus_exponents(x)],
+                                    key=lambda x: tuple(e.key() for e in x))
     shapes = sorted(sorted(e[0].q for e in o) for o in orbits)
     assert shapes == [[Fraction(0)],
                       [Fraction(1, 5), Fraction(4, 5)],
                       [Fraction(2, 5), Fraction(3, 5)]]
+
+    # production: (first point met, orbit size) per orbit, in the order of
+    # the points; in key order, the least points of the oracle's orbits
+    dot = [lambda x: act_modular(s, x, dot=True)]
+    assert orbit_partition(pts, dot) == [(pts[0], 2), (pts[2], 1)]
+    assert orbit_partition(iter(pts[::-1]), dot) == [(pts[2], 1), (pts[1], 2)]
+    assert orbit_partition(pts, []) == [(x, 1) for x in pts]
+    assert orbit_partition(qpts, [lambda x: s.act_torus_exponents(x)]) == [
+        (cls[0], len(cls)) for cls in orbits] == [(qpts[0], 1), (qpts[1], 2), (qpts[2], 2)]
+    # without 1, the walk from 0 leaves the points
+    with pytest.raises(InvariantViolation, match="a walk left it"):
+        orbit_partition([pts[0], pts[2]], dot)
 
 
 def test_burnside_examples():
