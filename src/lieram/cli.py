@@ -516,6 +516,14 @@ def cmd_selftest(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops a failed write; a failed --help write must reach main.
+    # Subparsers take the class of their parent parser.
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"),
@@ -523,8 +531,8 @@ def build_parser():
     common.add_argument("--bound", type=_bound_value, default=argparse.SUPPRESS,
                         help="cap for field size and points a block walk visits "
                              "(defaults 10^9 / 10^6; env LIERAM_BOUND)")
-    top = argparse.ArgumentParser(prog="lieram", description=__doc__,
-                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    top = _Parser(prog="lieram", description=__doc__,
+                  formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--format", choices=("json", "tsv"), default="json")
     top.add_argument("--bound", type=_bound_value, default=None)
     sub = top.add_subparsers(dest="group", required=True)

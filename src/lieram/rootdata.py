@@ -297,10 +297,9 @@ class RootSystem:
         """The alpha-coordinates of the fundamental weights: row i lists
         varpi_i = sum_k X[i][k] alpha_k, the exact solution of C x = e_i."""
         if self._fundamental is None:
-            r = self.rank
-            self._fundamental = tuple(
-                tuple(solve_linear(self.cartan, [int(j == i) for j in range(r)]))
-                for i in range(r))
+            solve, r = solve_linear(self.cartan), self.rank
+            self._fundamental = tuple(tuple(solve([int(j == i) for j in range(r)]))
+                                      for i in range(r))
         return self._fundamental
 
     def rho_weight_pairs(self):
@@ -386,12 +385,12 @@ class Subsystem:
     def is_parabolic(self) -> bool:
         """Is this W-conjugate to a standard parabolic subsystem?  That holds
         exactly when it equals Phi inter span_Q(self) (Bourbaki, Lie Groups
-        and Lie Algebras, Ch. VI 1.7).  Computed once per subsystem."""
+        and Lie Algebras, Ch. VI 1.7): its basis is reduced once, and no
+        positive root outside it may lie in its span.  Computed once."""
         if self._parabolic is None:
-            cols = [[b[i] for b in self.basis] for i in range(self.rs.rank)]
-            self._parabolic = not any(
-                b not in self.roots and solve_linear(cols, b) is not None
-                for b in self.rs.pos_roots)
+            solve = solve_linear([[b[i] for b in self.basis] for i in range(self.rs.rank)])
+            self._parabolic = not any(b not in self.roots and solve(b) is not None
+                                      for b in self.rs.pos_roots)
         return self._parabolic
 
     def component_roots(self):
@@ -437,12 +436,17 @@ class Subsystem:
 
 
 def check_closed(rs: RootSystem, roots) -> frozenset:
+    """The roots as a frozenset S; NotClosed unless S = -S and S is closed
+    under root addition.  Up to order and sign, a pair of S is a positive b
+    with a later positive (2b is never a root) or with any negative."""
     S = frozenset(roots)
     for b in S:
         if tuple(-c for c in b) not in S:
             raise NotClosed(f"{b} in subset but not its negative")
-    for b in S:
-        for g in S:
+    plus = [b for b in S if rs.is_positive(b)]
+    minus = [tuple(-c for c in b) for b in plus]
+    for i, b in enumerate(plus):
+        for g in plus[i + 1:] + minus:
             s = tuple(x + y for x, y in zip(b, g))
             if rs.is_root(s) and s not in S:
                 raise NotClosed(f"{b} + {g} is a root outside the subset")
@@ -551,19 +555,8 @@ def subsystem_classify(rs: RootSystem, roots) -> Subsystem:
 def _classify(rs, S):
     Splus = sorted((b for b in S if rs.is_positive(b)), key=lambda b: (sum(b), b))
     plus_set = set(Splus)
-    basis = []
-    for b in Splus:
-        decomposable = False
-        for g in Splus:
-            if g == b:
-                continue
-            rest = tuple(x - y for x, y in zip(b, g))
-            if rest in plus_set:
-                decomposable = True
-                break
-        if not decomposable:
-            basis.append(b)
-    basis = tuple(basis)
+    basis = tuple(b for b in Splus
+                  if not any(tuple(x - y for x, y in zip(b, g)) in plus_set for g in Splus))
     if not basis:
         return Subsystem(rs, S, (), ())
     k = len(basis)

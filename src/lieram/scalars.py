@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from .errors import BoundExceeded, InvariantViolation, NonInvertibleDenominator, NonPrime
@@ -38,6 +40,16 @@ def is_prime(n: int) -> bool:
             return False
         k += 2
     return True
+
+
+def _prime_factors(n: int) -> set:
+    out, q = set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            out.add(q)
+            n //= q
+        q += 1
+    return out | {n} if n > 1 else out
 
 
 # -- dense polynomials over F_p, low-degree-first coefficient tuples --------
@@ -121,16 +133,7 @@ def _irreducible(f, p, e):
         powers.append(t)
     if powers[e] != _pmod(x, f, p):
         return False
-    q = 2
-    m = e
-    seen = set()
-    while m > 1:
-        while m % q:
-            q += 1
-        seen.add(q)
-        while m % q == 0:
-            m //= q
-    for q in seen:
+    for q in _prime_factors(e):
         g = _pgcd(_psub(powers[e // q], x, p), f, p)
         if len(g) != 1:
             return False
@@ -153,14 +156,13 @@ def _smallest_irreducible(p: int, e: int):
 class FieldDescriptor:
     """The field F_{p^e} with its deterministic modulus."""
 
-    __slots__ = ("p", "e", "modulus", "_frob_rows", "_generator")
+    __slots__ = ("p", "e", "modulus", "_frob_rows", "_generator", "_as_solver")
 
     def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.modulus = modulus
-        self._frob_rows = None
-        self._generator = None
+        self._frob_rows = self._generator = self._as_solver = None
 
     @property
     def order(self) -> int:
@@ -216,15 +218,7 @@ class FieldDescriptor:
         """Deterministic multiplicative generator: lex-smallest full-order element."""
         if self._generator is None:
             n = self.order - 1
-            factors = set()
-            m, q = n, 2
-            while q * q <= m:
-                while m % q == 0:
-                    factors.add(q)
-                    m //= q
-                q += 1
-            if m > 1:
-                factors.add(m)
+            factors = _prime_factors(n)
             for cand in self.elements():
                 if not cand.coeffs:
                     continue
@@ -367,38 +361,45 @@ class FFElem:
         return "+".join(parts)
 
 
-def solve_linear(A, b, p=None):
-    """A solution x of A x = b for any m x n matrix A, over Q (p None; x as
-    Fractions) or over F_p (x as ints mod p), with the free unknowns set to 0
-    so that it is deterministic; None when the system is inconsistent."""
-    if p is None:
-        aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
-        inv, red, zero = (lambda x: 1 / x), (lambda x: x), Fraction(0)
-    else:
-        aug = [[x % p for x in row] + [y % p] for row, y in zip(A, b)]
-        inv, red, zero = (lambda x: pow(x, p - 2, p)), (lambda x: x % p), 0
-    m = len(aug)
-    n = len(A[0]) if m else 0
+def solve_linear(A, p=None):
+    """Reduce the integer m x n matrix A once, over Q (p None) or over F_p, and
+    return the solver of A x = b for any number of right-hand sides b: x has
+    its free unknowns set to 0, so it is deterministic (Fractions over Q, ints
+    mod p over F_p), or is None when A x = b is inconsistent.  Fraction-free:
+    rows of [A | I] are combined with integer multipliers and divided by their
+    gcd over Q, reduced mod p over F_p; the identity columns record the row
+    operations E, so each b costs one product E b."""
+    m, n = len(A), (len(A[0]) if A else 0)
+    rows = [[x % p if p else x for x in row] + [int(i == j) for j in range(m)]
+            for i, row in enumerate(A)]
     pivots = []
     for col in range(n):
-        rr = len(pivots)
-        piv = next((row for row in range(rr, m) if aug[row][col]), None)
+        k = len(pivots)
+        piv = next((i for i in range(k, m) if rows[i][col]), None)
         if piv is None:
             continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        c = inv(aug[rr][col])
-        aug[rr] = [red(x * c) for x in aug[rr]]
-        for row in range(m):
-            f = aug[row][col]
-            if row != rr and f:
-                aug[row] = [red(x - f * y) for x, y in zip(aug[row], aug[rr])]
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top, a = rows[k], rows[k][col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != k:
+                row = [a * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                rows[i] = [x % p for x in row] if p else [x // g for x in row]
         pivots.append(col)
-    if any(aug[row][n] for row in range(len(pivots), m)):
-        return None
-    x = [zero] * n
-    for row, col in enumerate(pivots):
-        x[col] = aug[row][n]
-    return x
+    E = [row[n:] for row in rows]
+    lead = [pow(row[c], -1, p) if p else row[c] for row, c in zip(rows, pivots)]
+
+    def solve(b):
+        y = [sum(map(operator.mul, e, b)) for e in E]
+        y = [v % p for v in y] if p else y
+        if any(y[len(pivots):]):
+            return None
+        x = [0 if p else Fraction(0)] * n
+        for c, v, d in zip(pivots, y, lead):
+            x[c] = v * d % p if p else Fraction(v, d)
+        return x
+    return solve
 
 
 @functools.lru_cache(maxsize=None)
@@ -460,12 +461,10 @@ def artin_schreier_solve(c: FFElem, bound=None):
         target = make_field(p, e * p, bound)
         rhs = embed(c, target)
     ee = target.e
-    rows = target.frobenius_rows()
-    # matrix of v -> frob(v) - v
-    mat_rows = [tuple((rows[i][j] - (1 if i == j else 0)) % p for j in range(ee))
-                for i in range(ee)]
-    rhs_vec = [rhs.coeffs[i] if i < len(rhs.coeffs) else 0 for i in range(ee)]
-    sol = solve_linear(mat_rows, rhs_vec, p)
+    if target._as_solver is None:  # v -> frob(v) - v, reduced once per field
+        target._as_solver = solve_linear([[(x - (i == j)) % p for j, x in enumerate(row)]
+                                          for i, row in enumerate(target.frobenius_rows())], p)
+    sol = target._as_solver(rhs.coeffs + (0,) * (ee - len(rhs.coeffs)))
     if sol is None:
         raise InvariantViolation(f"x^p - x = {rhs} has no solution in F_{p}^{ee}")
     x = FFElem(target, _ptrim(sol))
@@ -528,7 +527,6 @@ def eps_pow(q, ell: int, eps: int = 1) -> UnityExp:
     """
     q = Fraction(q)
     num, den = q.numerator, q.denominator
-    import math
     if math.gcd(den, ell) != 1:
         raise NonInvertibleDenominator(f"denominator {den} not invertible mod {ell}")
     if math.gcd(eps, ell) != 1:

@@ -228,11 +228,11 @@ def _exceptional_by_solve_and_closure(rs: RootSystem):
     Returns the records for m = 1..r."""
     r = rs.rank
     simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
-    rows = [[rs.cartan[i][j] for i in range(r)] for j in range(r)]
+    solve = solve_linear([[rs.cartan[i][j] for i in range(r)] for j in range(r)])
     out = []
     for m in range(r):
         rhs = [Fraction(1, rs.a[m]) if j == m else 0 for j in range(r)]
-        s_m = TorusElement(tuple(UnityExp(x) for x in solve_linear(rows, rhs)))
+        s_m = TorusElement(tuple(UnityExp(x) for x in solve(rhs)))
         bm = beta_minimal(rs, m)
         gens = [a for j, a in enumerate(simple) if j != m] + [bm]
         out.append({
@@ -539,9 +539,9 @@ def _baby_verma_labels(chi):
 def _is_simple_system(rs, T, roots):
     """Is T a simple system of the closed subsystem `roots`?  Every root must
     be an all-nonnegative or all-nonpositive integer combination of T."""
-    cols = [[b[row] for b in T] for row in range(rs.rank)]
+    solve = solve_linear([[b[row] for b in T] for row in range(rs.rank)])
     for beta in roots:
-        coeffs = solve_linear(cols, beta)
+        coeffs = solve(beta)
         if coeffs is None or not all(c.denominator == 1 for c in coeffs):
             return False
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):

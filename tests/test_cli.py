@@ -496,11 +496,14 @@ def test_support_index_past_the_basis_quotes_the_typed_index(argv, capsys):
         "error: support index 3 outside the basis of Phi' (rank 2")
 
 
-def _run_into(stdout, argv):
-    # stdout block-buffered, as it is by default: the answer may still sit in
-    # the buffer when the command returns
+def _run_into(stdout, argv, unbuffered):
+    # stdout block-buffered, as it is by default (the answer may still sit in
+    # the buffer when the command returns), or unbuffered (each write meets
+    # the failure at once)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "lieram.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=120, env=env)
 
@@ -521,18 +524,20 @@ def test_a_closed_stdout_is_one_error_line():
     # stdout meets a broken pipe
     for argv in (["--format", "tsv", "quantum", "blocks", "--type", "B3", "--ell", "7",
                   "--chi-s", "1/2,0,1/3", "--support", "1"], *HELP_ARGVS):
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            done = _run_into(write, argv)
-        finally:
-            os.close(write)
-        _one_error_line(done)
+        for unbuffered in (False, True):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                done = _run_into(write, argv, unbuffered)
+            finally:
+                os.close(write)
+            _one_error_line(done)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_stdout_is_one_error_line():
     for argv in (GOLDEN["quantum_exceptional_g2.json"], *HELP_ARGVS):
-        with open("/dev/full", "w") as full:
-            done = _run_into(full, argv)
-        _one_error_line(done)
+        for unbuffered in (False, True):
+            with open("/dev/full", "w") as full:
+                done = _run_into(full, argv, unbuffered)
+            _one_error_line(done)

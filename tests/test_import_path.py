@@ -4,7 +4,8 @@ none of the single-root or closure oracles.  The block walks generate their
 integer points directly, through neither the ell-fiber of torus elements nor
 the list of weights of Lambda_chi, and both sides walk through the one shared
 weyl.block_orbits, which walks the points in key order and so sorts
-nothing; the CLI reads no block report's integer layout."""
+nothing; the CLI reads no block report's integer layout.  Each matrix is
+reduced once: no production module calls the solver from a loop."""
 
 import ast
 import os
@@ -97,3 +98,16 @@ def test_block_walks_sort_nothing_and_take_no_key():
         params = {a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)}
         assert "key" not in params, name
         assert not _called_names(defs[name]) & {"sorted", "sort", "list"}, name
+
+
+def test_each_matrix_is_reduced_outside_loops():
+    # solve_linear reduces its matrix once and returns the solver for every
+    # right-hand side, so no production module calls it per iteration
+    loops = (ast.For, ast.While, ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
+    trees = _trees()
+    assert "solve_linear" in _called_names(trees["rootdata.py"])
+    for name, tree in trees.items():
+        if name != "selftest.py":
+            for node in ast.walk(tree):
+                if isinstance(node, loops):
+                    assert "solve_linear" not in _called_names(node), (name, node.lineno)

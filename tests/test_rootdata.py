@@ -1,10 +1,13 @@
 """Root system construction, pairings, subsystems, hypothesis flags."""
 
+import random
+
 import pytest
 
 from lieram.errors import InvalidType, NotClosed
 from lieram.rootdata import (
     build_root_system,
+    check_closed,
     hypothesis_check,
     parse_cartan_type,
     subsystem_classify,
@@ -143,6 +146,47 @@ def test_subsystem_not_closed():
         subsystem_classify(a2, {(1, 0), (-1, 0), (0, 1), (0, -1)})
     with pytest.raises(NotClosed):
         subsystem_classify(a2, {(1, 0)})
+
+
+def closed_by_all_pairs(rs, S):
+    """Oracle: negation-stable, and every ordered pair of S sums to a
+    non-root or to a member of S."""
+    return (all(tuple(-c for c in b) in S for b in S)
+            and not any(rs.is_root(s) and s not in S
+                        for b in S for g in S for s in [tuple(x + y for x, y in zip(b, g))]))
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "G2", "F4"])
+def test_check_closed_matches_the_all_pairs_oracle(t):
+    rs = build_root_system(t)
+    rng = random.Random(t)
+    roots, pos = sorted(rs.all_roots()), list(rs.pos_roots)
+
+    def neg(b):
+        return tuple(-c for c in b)
+
+    verdicts = []
+    for trial in range(240):
+        kind = trial % 4
+        if kind == 0:  # closed: generated by a few roots
+            S = set(close_up(rs, rng.sample(roots, rng.randint(0, 3))))
+        elif kind == 1:  # a closed set with one pair of roots taken out
+            S = set(close_up(rs, rng.sample(roots, rng.randint(2, 4))))
+            b = rng.choice(sorted(S))
+            S -= {b, neg(b)}
+        elif kind == 2:  # negation-stable, random
+            half = rng.sample(pos, rng.randint(0, len(pos)))
+            S = set(half) | set(map(neg, half))
+        else:  # any subset of the roots
+            S = set(rng.sample(roots, rng.randint(0, len(roots))))
+        closed = closed_by_all_pairs(rs, S)
+        verdicts.append(closed)
+        if closed:
+            assert check_closed(rs, S) == frozenset(S)
+        else:
+            with pytest.raises(NotClosed):
+                check_closed(rs, S)
+    assert 20 < sum(verdicts) < len(verdicts) - 20
 
 
 def test_subsystem_letter_disambiguation():

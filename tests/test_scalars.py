@@ -1,17 +1,24 @@
-"""Field and root-of-unity arithmetic, checked against exhaustive oracles."""
+"""Field and root-of-unity arithmetic and the one linear solver, checked
+against exhaustive oracles."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from lieram import cli, rootdata, scalars
 from lieram.errors import BoundExceeded, NonInvertibleDenominator, NonPrime
+from lieram.rootdata import RootSystem, parse_cartan_type, subsystem_classify
 from lieram.scalars import (
     UnityExp,
     artin_schreier_solve,
     embed,
     eps_pow,
     make_field,
+    solve_linear,
 )
+from lieram.selftest import close_up
 
 
 def poly_has_root_mod_p(coeffs, p):
@@ -208,3 +215,209 @@ def test_unity_exp_group_law():
     assert (a - a).is_one()
     assert (a * 4).is_one() and not (a * 2).is_one()
     assert a.order() == 4
+
+
+# -- the one linear solver ---------------------------------------------------
+
+def solve_by_fractions(A, b, p=None):
+    """Oracle: Gauss-Jordan elimination on Fractions (or mod p), one
+    right-hand side per call, free unknowns 0; None when inconsistent."""
+    if p is None:
+        aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
+    else:
+        aug = [[x % p for x in row] + [y % p] for row, y in zip(A, b)]
+    m, n = len(aug), (len(A[0]) if A else 0)
+    pivots = []
+    for col in range(n):
+        rr = len(pivots)
+        piv = next((row for row in range(rr, m) if aug[row][col]), None)
+        if piv is None:
+            continue
+        aug[rr], aug[piv] = aug[piv], aug[rr]
+        c = 1 / aug[rr][col] if p is None else pow(aug[rr][col], p - 2, p)
+        aug[rr] = [x * c if p is None else x * c % p for x in aug[rr]]
+        for row in range(m):
+            f = aug[row][col]
+            if row != rr and f:
+                aug[row] = [x - f * y if p is None else (x - f * y) % p
+                            for x, y in zip(aug[row], aug[rr])]
+        pivots.append(col)
+    if any(aug[row][n] for row in range(len(pivots), m)):
+        return None
+    x = [Fraction(0) if p is None else 0] * n
+    for row, col in enumerate(pivots):
+        x[col] = aug[row][n]
+    return x
+
+
+def _free_columns(A, p=None):
+    # a column is free when it lies in the span of the columns before it
+    return {j for j in range(len(A[0]))
+            if solve_by_fractions([row[:j] for row in A], [row[j] for row in A], p) is not None}
+
+
+def _times(A, x, p=None):
+    Ax = [sum(a * v for a, v in zip(row, x)) for row in A]
+    return [v % p for v in Ax] if p else Ax
+
+
+def _deficient(rng, m, n, lo=-3, hi=3):
+    """A random integer m x n matrix, made rank-deficient in one of several
+    ways: a zero, repeated or summed row, a zero or repeated column."""
+    A = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+    kind = rng.randrange(6)
+    if kind == 1 and m > 1:
+        A[rng.randrange(m)] = [0] * n
+    elif kind == 2 and m > 1:
+        A[-1] = list(A[0])
+    elif kind == 3 and m > 2:
+        A[-1] = [x + y for x, y in zip(A[0], A[1])]
+    elif kind == 4 and n > 1:
+        j = rng.randrange(n)
+        for row in A:
+            row[j] = 0
+    elif kind == 5 and n > 1:
+        for row in A:
+            row[-1] = row[0]
+    return A
+
+
+def test_several_right_hand_sides_give_what_one_at_a_time_gives():
+    rng = random.Random(14)
+    for p in (None, 3, 7):
+        for _ in range(60):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            A = _deficient(rng, m, n)
+            bs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(8)]
+            bs += [_times(A, [rng.randint(-2, 2) for _ in range(n)], p) for _ in range(8)]
+            solve = solve_linear(A, p)
+            together = [solve(b) for b in bs]
+            assert together == [solve_linear(A, p)(b) for b in bs]
+            assert [solve(b) for b in reversed(bs)] == together[::-1]
+            assert together == [solve_by_fractions(A, b, p) for b in bs]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_solver_over_fp_against_brute_force(p):
+    rng = random.Random(p)
+    for m, n in itertools.product(range(1, 4), repeat=2):
+        for _ in range(6):
+            A = _deficient(rng, m, n, 0, p - 1)
+            # every x, grouped by A x
+            by_image = {}
+            for x in itertools.product(range(p), repeat=n):
+                by_image.setdefault(tuple(_times(A, x, p)), []).append(list(x))
+            free = _free_columns(A, p)
+            solve = solve_linear(A, p)
+            for b in itertools.product(range(p), repeat=m):
+                x = solve(list(b))
+                sols = by_image.get(b, [])
+                if not sols:
+                    assert x is None
+                    continue
+                # the one solution whose free unknowns are 0
+                (want,) = [y for y in sols if not any(y[j] for j in free)]
+                assert x == want
+
+
+def test_solver_over_q_is_exact_on_deficient_matrices():
+    rng = random.Random(1968)
+    inconsistent = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = _deficient(rng, m, n)
+        free = _free_columns(A)
+        solve = solve_linear(A)
+        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        for b in (_times(A, x0), [rng.randint(-5, 5) for _ in range(m)]):
+            x = solve(b)
+            if x is None:
+                inconsistent += 1
+                assert solve_by_fractions(A, b) is None
+                continue
+            assert all(isinstance(v, Fraction) for v in x)
+            assert _times(A, x) == b
+            assert not any(x[j] for j in free)
+            assert x == solve_by_fractions(A, b)
+        # a zero row or a repeated row with two different entries of b
+        if not any(A[-1]) or (m > 1 and A[-1] == A[0]):
+            b = [0] * m
+            b[-1] = 1
+            assert solve(b) is None
+            inconsistent += 1
+    assert inconsistent > 50
+
+
+ALL_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+             + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(4, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("t", ALL_TYPES)
+def test_fundamental_weights_invert_the_cartan_matrix(t):
+    rs = RootSystem(parse_cartan_type(t))
+    C, X, r = rs.cartan, rs.fundamental_weights(), rs.rank
+    assert all(isinstance(v, Fraction) for row in X for v in row)
+    assert [_times(C, x) for x in X] == [[int(i == j) for j in range(r)] for i in range(r)]
+    assert X == tuple(tuple(solve_by_fractions(C, [int(i == j) for j in range(r)]))
+                      for i in range(r))
+
+
+# -- one reduction per matrix -----------------------------------------------
+
+def _count_reductions(monkeypatch, module):
+    """Count the reductions solve_linear makes when `module` calls it, and
+    the right-hand sides their solvers are given."""
+    seen = {"reductions": [], "solves": 0}
+    reduce = scalars.solve_linear
+
+    def counted(A, p=None):
+        seen["reductions"].append((len(A), p))
+        solve = reduce(A, p)
+
+        def counted_solve(b):
+            seen["solves"] += 1
+            return solve(b)
+        return counted_solve
+    monkeypatch.setattr(module, "solve_linear", counted)
+    return seen
+
+
+@pytest.mark.parametrize("simple", [[0, 1], [1, 2, 3], []])
+def test_is_parabolic_reduces_once_per_subsystem(monkeypatch, simple):
+    rs = RootSystem(parse_cartan_type("F4"))  # fresh: no subsystem memo
+    gens = [tuple(int(k == j) for k in range(4)) for j in simple]
+    seen = _count_reductions(monkeypatch, rootdata)
+    sub = subsystem_classify(rs, close_up(rs, gens))
+    assert sub.is_parabolic() and sub.is_parabolic()
+    assert len(seen["reductions"]) == 1
+    assert seen["solves"] == rs.N - sum(map(rs.is_positive, sub.roots)) > 1
+    # the long roots of F4 form a D4, which is not parabolic
+    long_roots = [b for b in rs.all_roots() if rs.norm(b) == 2]
+    assert not subsystem_classify(rs, long_roots).is_parabolic()
+    assert len(seen["reductions"]) == 2
+
+
+def test_fundamental_weights_reduce_once(monkeypatch):
+    seen = _count_reductions(monkeypatch, rootdata)
+    for t in ("G2", "F4", "E8"):
+        rs = RootSystem(parse_cartan_type(t))
+        rs.fundamental_weights()
+        rs.rho_weight_pairs()
+        assert seen["reductions"][-1] == (rs.rank, None) and seen["solves"] == rs.rank
+        seen["solves"] = 0
+    assert len(seen["reductions"]) == 3
+
+
+def test_artin_schreier_reduces_once_per_field(monkeypatch, capsys):
+    big = make_field(7, 7)
+    monkeypatch.setattr(big, "_as_solver", None)  # as if F_{7^7} were new
+    seen = _count_reductions(monkeypatch, scalars)
+    for c in range(1, 7):
+        assert cli.main(["modular", "blocks", "--type", "A1", "--p", "7",
+                         "--chi-s", f"AS({c})", "--support", ""]) == 0
+        assert cli.main(["modular", "unramified", "--type", "A2", "--p", "7",
+                         "--weight", f"AS({c}),AS({7 - c})"]) == 0
+    capsys.readouterr()
+    assert seen["reductions"] == [(7, 7)]
+    assert seen["solves"] > 6
