@@ -1,5 +1,7 @@
 """Byte pins for every selftest-matrix cell, a fixed set of rank-3/4 cells and
-fixed F4/E6 probes: the sha256 of each command's JSON stdout, recomputed in
+fixed probes
+(F4 modular, quantum unramified on F4, E6 and the types listed in MORE_TORUS,
+and `verify appendix` per type of the table): the sha256 of each command's JSON stdout, recomputed in
 this process and compared with tests/golden/manifest.json.
 
 A modular cell whose character has values outside F_p cannot be written in
@@ -19,7 +21,7 @@ import sys
 
 from lieram.cli import _chi_dict, main
 from lieram.modular import PChar, mod_blocks, regularity_and_structure, unramified_count
-from lieram.quantum import QChar
+from lieram.quantum import QChar, appendix_rows
 from lieram.rootdata import build_root_system
 from lieram.selftest import modular_cells, quantum_cells
 
@@ -40,6 +42,18 @@ F4_TORUS = ["0,0,0,0", "1/5,0,0,0", "1/10,3/10,1/2,0", "2/7,1/14,0,5/14",
             "1/2,1/2,1/3,1/7"]
 E6_TORUS = ["0,0,0,0,0,0", "6/7,13/14,0,1/3,6/7,6/7",
             "11/21,13/14,6/7,1/3,1/42,11/21", "1/5,0,3/10,0,0,1/2"]
+# quantum unramified on the types the probes above leave out
+MORE_TORUS = {
+    "G2": ["0,0", "1/5,0", "1/3,1/2", "2/7,3/14"],
+    "B4": ["0,0,0,0", "1/2,0,0,0", "1/10,3/10,1/2,0", "2/7,1/14,0,5/14"],
+    "C4": ["0,0,0,0", "1/2,0,0,0", "1/10,3/10,1/2,0", "2/7,1/14,0,5/14"],
+    "D4": ["0,0,0,0", "0,1/2,0,0", "1/10,3/10,1/2,0", "2/7,1/14,0,5/14"],
+    "A1xB2": ["0,0,0", "1/2,1/3,0", "1/5,1/10,3/10", "3/14,0,1/2"],
+    "E7": ["0,0,0,0,0,0,0", "1/2,0,0,0,0,0,1/3", "1/5,0,3/10,0,0,1/2,1/7",
+           "6/7,13/14,0,1/3,6/7,6/7,1/14"],
+    "E8": ["0,0,0,0,0,0,0,0", "1/2,0,0,0,0,0,0,1/3", "1/5,0,3/10,0,0,1/2,1/7,0",
+           "6/7,13/14,0,1/3,6/7,6/7,1/14,11/21"],
+}
 
 
 def _csv(items):
@@ -110,11 +124,13 @@ def cases():
             for cmd in ("poincare", "finite-type", "unramified"):
                 out.append(_probe("modular", cmd, "--type", "F4", "--p", str(p),
                                   "--weight", w))
-    for t, points in (("F4", F4_TORUS), ("E6", E6_TORUS)):
+    for t, points in (("F4", F4_TORUS), ("E6", E6_TORUS), *MORE_TORUS.items()):
         for ell in (5, 7):
             for x in points:
                 out.append(_probe("quantum", "unramified", "--type", t, "--ell",
                                   str(ell), "--torus", x, "--coords", "both"))
+    for t in dict.fromkeys(t for t, _m in appendix_rows()):
+        out.append(_probe("verify", "appendix", "--type", t))
     return out
 
 
