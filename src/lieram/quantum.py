@@ -29,8 +29,10 @@ from .weyl import (
     block_orbits,
     hc_shift_vector,
     integer_pairings,
+    inversion_set,
     reflection_stabilizer,
     support_indices,
+    word_images,
 )
 
 
@@ -193,8 +195,7 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
 
 
 def _delta_tilde(rs: RootSystem):
-    out = [tuple(1 if k == j else 0 for k in range(rs.rank))
-           for j in range(rs.rank)]
+    out = list(rs.simple_roots)
     for idx in range(len(rs.components)):
         out.append(tuple(-c for c in rs.highest_root(idx)))
     return out
@@ -242,7 +243,8 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     after W-(dot-)conjugating so that {beta : beta(t)^{2 ell} = 1} has a
     simple system inside Delta union {-alpha_0}: alpha(t)^{2 ell} = 1 implies
     alpha(t)^2 = eps^{-(2 rho, alpha)}.  The conjugating w comes from the
-    alcove descent of 2 ell t; the simple system is read off its zero Kac
+    alcove descent of 2 ell t as a word, which maps the saturated roots
+    letter by letter; the simple system is read off its zero Kac
     coordinates.
     """
     vals, N = _pairings(rs, point)
@@ -251,11 +253,12 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     if coords != "highestWeight":
         raise ValueError(f"unknown coords {coords!r}")
     sat = [b for b, v in vals.items() if 2 * ell * v % N == 0]
-    roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
-    w, kac = alcove_descent(rs, [2 * ell * e.q for e in point.exps])
-    _check_simple_system(rs, kac, frozenset(w.apply_root(b) for b in roots))
-    moved = TorusElement(act_torus(w, point.exps, ell, eps))
-    return _delta_tilde_test(rs, moved, ell, eps)
+    word, kac = alcove_descent(rs, [2 * ell * e.q for e in point.exps])
+    moved = word_images(rs, word, sat)
+    _check_simple_system(rs, kac, frozenset(moved) | frozenset(
+        tuple(-x for x in b) for b in moved))
+    label = TorusElement(act_torus(rs, word, point.exps, ell, eps))
+    return _delta_tilde_test(rs, label, ell, eps)
 
 
 def _delta_tilde_test(rs: RootSystem, t: TorusElement, ell: int, eps: int = 1) -> bool:
@@ -305,7 +308,7 @@ def exceptional_elements(rs: RootSystem):
         "centralizer": subsystem_classify(rs, rs.all_roots()),
         "beta_m": None,
     }]
-    simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
+    simple = rs.simple_roots
     X = rs.fundamental_weights()
     for m in range(r):
         am = rs.a[m]
@@ -386,28 +389,6 @@ def _appendix_word(letter: str, r: int, m: int):
     raise UnknownRow(f"no appendix row for {letter}{r}, m={m}")
 
 
-def _run_row_checks(rs: RootSystem, m0: int, word0, alpha0: int):
-    """The four checks for one appendix row, all indices 0-based."""
-    from .weyl import inversion_set, word_element
-    gammas = inversion_set(rs, word0)
-    reduced = (all(rs.is_positive(g) for g in gammas)
-               and len(set(gammas)) == len(gammas))
-    w = word_element(rs, word0)
-    alpha = tuple(1 if k == alpha0 else 0 for k in range(rs.rank))
-    bm = beta_minimal(rs, m0)
-    image_ok = w.apply_root(alpha) == bm
-    coeff_ok = all(g[m0] > 0 for g in gammas)
-    order_ok = all(rs.leq(g, bm) and g != bm for g in gammas)
-    return {
-        "reduced": reduced,
-        "image": image_ok,
-        "coefficient": coeff_ok,
-        "order": order_ok,
-        "beta_m": list(bm),
-        "inversions": [list(g) for g in gammas],
-    }
-
-
 def verify_appendix_row(type_str: str, m: int) -> dict:
     """Verify one row of the embedded table: the word is reduced, it carries
     alpha^m to beta_m, every inversion has positive alpha_m-coefficient, and
@@ -422,17 +403,28 @@ def verify_appendix_row(type_str: str, m: int) -> dict:
         raise UnknownRow(f"m = {m} out of range for {type_str}")
     rs = build_root_system(type_str)
     word1, alpha1 = _appendix_word(letter, r, m)
-    checks = _run_row_checks(rs, m - 1, [i - 1 for i in word1], alpha1 - 1)
+    word = [i - 1 for i in word1]
+    gammas = inversion_set(rs, word)
+    bm = beta_minimal(rs, m - 1)
+    images = word_images(rs, word, rs.simple_roots)
+    checks = {
+        "reduced": (all(rs.is_positive(g) for g in gammas)
+                    and len(set(gammas)) == len(gammas)),
+        "image": images[alpha1 - 1] == bm,
+        "coefficient": all(g[m - 1] > 0 for g in gammas),
+        "order": all(rs.leq(g, bm) and g != bm for g in gammas),
+        "beta_m": list(bm),
+        "inversions": [list(g) for g in gammas],
+    }
     ok = all(checks[k] for k in ("reduced", "image", "coefficient", "order"))
     corrected = None
     if not ok and checks["reduced"] and checks["coefficient"] and checks["order"]:
-        # only the alpha column can be off; accept a unique valid simple root
-        # in its place and report the correction (E6 m=5 is a known misprint)
-        hits = [a for a in range(rs.rank)
-                if _run_row_checks(rs, m - 1, [i - 1 for i in word1], a)["image"]]
+        # only the alpha column can be off; accept the unique simple root the
+        # word carries to beta_m and report the correction (E6 m=5 is a
+        # known misprint)
+        hits = [a for a, image in enumerate(images) if image == bm]
         if len(hits) == 1:
-            checks = _run_row_checks(rs, m - 1, [i - 1 for i in word1], hits[0])
-            ok = all(checks[k] for k in ("reduced", "image", "coefficient", "order"))
+            checks["image"] = ok = True
             corrected = {"stated_alpha": alpha1, "used_alpha": hits[0] + 1}
     return {"type": type_str, "m": m, "ok": ok, "convention": "bourbaki",
             "alpha_corrected": corrected, "checks": checks}
@@ -489,9 +481,7 @@ def q_regularity_and_counts(chi: QChar, blocks=None, bound=None):
     if blocks is None:
         blocks = q_blocks(chi, bound)
     regular = chi.regular
-    simple_in_levi = sum(
-        1 for j in range(rs.rank)
-        if tuple(1 if k == j else 0 for k in range(rs.rank)) in chi.levi.roots)
+    simple_in_levi = sum(1 for a in rs.simple_roots if a in chi.levi.roots)
     s = rs.rank - simple_in_levi
     index = chi.levi.index_of_connection()
     coprime = math.gcd(chi.ell, index) == 1

@@ -177,7 +177,8 @@ class RootSystem:
     def _build_roots(self):
         r = self.rank
         C = self.cartan
-        simple = [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
+        simple = self.simple_roots = tuple(
+            tuple(int(i == j) for j in range(r)) for i in range(r))
         pos = set(simple)
         by_height = {1: list(simple)}
         h = 1

@@ -11,7 +11,8 @@ order and all suites enumerate exhaustively (no randomness anywhere).
 
 This module also holds the brute-force oracles that the suites and the tests
 compare the production paths against: single-root pairings, root-set
-closure, group and coset enumeration, brute-force stabilizers, the Burnside
+closure, group and coset enumeration, the matrix element of a word (its
+inversions, length and dot action), brute-force stabilizers, the Burnside
 count, the orbit partition sorted by a key that keeps only the points of a
 set, the ell-fiber as torus elements and the solve-and-close derivation of
 the exceptional elements.  No production module imports it; the CLI loads it
@@ -40,6 +41,7 @@ from .modular import (
 from .quantum import (
     QChar,
     TorusElement,
+    _appendix_word,
     _delta_tilde,
     _delta_tilde_test,
     _pairings,
@@ -57,10 +59,9 @@ from .scalars import UnityExp, make_field, solve_linear
 from .weyl import (
     WeylElement,
     _word_for_reflection,
-    act_torus,
     enumerate_group,
     generated_group,
-    inversion_set,
+    hc_shift_vector,
     orbit_of,
     reflection_stabilizer,
     simple_reflection,
@@ -133,10 +134,45 @@ def subgroup_elements(sub):
     return generated_group(sub.rs, gens, sub.order, sub.type_str)
 
 
+def word_element(rs: RootSystem, word) -> WeylElement:
+    """s_{i1} s_{i2} ... s_{ik} for the word (i1, ..., ik) as a matrix
+    element, built once from the images of the simple roots under the
+    letters: the matrix oracle for the letter-by-letter production route."""
+    word = tuple(word)
+    r = rs.rank
+
+    def columns(letters):
+        # column j = image of alpha_j, the first letter applied first
+        cols = []
+        for b in rs.simple_roots:
+            for i in letters:
+                b = rs.reflect(i, b)
+            cols.append(b)
+        return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+
+    return WeylElement(rs, columns(word[::-1]), columns(word), word)
+
+
+def matrix_inversions(rs: RootSystem, word):
+    """gamma_k = w_{k-1}(alpha_{ik}), w_{k-1} the matrix product of the first
+    k - 1 letters: the oracle for weyl.inversion_set."""
+    prefix, out = word_element(rs, ()), []
+    for i in word:
+        out.append(prefix.apply_root(rs.simple_roots[i]))
+        prefix = prefix * word_element(rs, (i,))
+    return out
+
+
 def is_reduced(rs: RootSystem, word) -> bool:
-    gammas = inversion_set(rs, word)
-    return (all(rs.is_positive(g) for g in gammas)
-            and len(set(gammas)) == len(gammas))
+    return word_element(rs, word).length == len(word)
+
+
+def dot_act_torus(w: WeylElement, qs, ell: int, eps: int = 1):
+    """The dot action through the matrix of w: act_torus_exponents
+    conjugated by the Harish-Chandra shift; the oracle for weyl.act_torus."""
+    shift = hc_shift_vector(w.rs, ell, eps)
+    moved = w.act_torus_exponents(tuple(q + s for q, s in zip(qs, shift)))
+    return tuple(q - s for q, s in zip(moved, shift))
 
 
 def act_modular(w: WeylElement, values, dot: bool = False):
@@ -400,9 +436,23 @@ def suite_appendix():
             bad.append((t, m))
         if res.get("alpha_corrected"):
             corrected += 1
+        # the inversions, the reducedness and the image of the used alpha
+        # against the matrix products of the word
+        rs = build_root_system(t)
+        (letter, r), = rs.ctype
+        word1, alpha1 = _appendix_word(letter, r, m)
+        word = [i - 1 for i in word1]
+        alpha = (res["alpha_corrected"] or {"used_alpha": alpha1})["used_alpha"] - 1
+        checks = res["checks"]
+        if (checks["inversions"] != [list(g) for g in matrix_inversions(rs, word)]
+                or checks["reduced"] != is_reduced(rs, word)
+                or word_element(rs, word).apply_root(rs.simple_roots[alpha])
+                != tuple(checks["beta_m"])):
+            bad.append((t, m, "matrix oracle"))
     elapsed = time.time() - t0
     ok = not bad and elapsed < 10.0
     return ok, (f"{len(rows)} rows ok, {corrected} alpha misprint corrected, "
+                f"inversions and images = matrix products, "
                 f"{elapsed:.2f}s" if ok else f"failures: {bad}")
 
 
@@ -566,7 +616,7 @@ def _delta_tilde_by_search(rs, point, ell, elements, eps=1):
             continue
         for T in itertools.combinations(inside, rank):
             if _is_simple_system(rs, T, moved):
-                label = TorusElement(act_torus(w, point.exps, ell, eps))
+                label = TorusElement(dot_act_torus(w, point.exps, ell, eps))
                 return _delta_tilde_test(rs, label, ell, eps)
     raise HypothesisFailure("no W-conjugate has a basis inside Delta-tilde")
 

@@ -1,17 +1,22 @@
-"""Weyl group elements, actions, stabilizers, cosets and orbit machinery.
+"""Weyl group words and actions, stabilizers, cosets and orbit machinery.
 
-An element is stored as the integer matrix of its action on simple-root
-coordinates together with the inverse matrix; words are kept for display and
-are not canonicalized (equality is matrix equality).  Elements serve the
-alcove descent, the appendix checks and the test oracles.
+In production a Weyl element is its word: (i1, ..., ik) stands for w =
+s_{i1} ... s_{ik}, and w acts letter by letter, the last letter first,
+through the root data.  On roots the letters act by RootSystem.reflect
+(word_images, inversion_set); on torus exponents by the rank-one maps of
+integer_actions on the numerators over a common denominator (act_torus, the
+quantum dot action: the ordinary one conjugated by the Harish-Chandra
+shift).  The alcove descent returns the word of its finite part.
 
-Actions implemented on raw coordinate tuples:
+WeylElement stores an element as the integer matrix of its action on
+simple-root coordinates with the inverse matrix (equality is matrix
+equality), and enumerate_group lists W by closure.  No production path
+builds one: they serve the oracles in lieram.selftest, whose word_element is
+the matrix route for a word, and perfbench, which binds them by name.  Their
+actions on raw coordinate tuples:
   * roots            beta -> w(beta)                 (coefficient vectors)
   * coroot values    lambda(h_i) -> (w lambda)(h_i)  (any coefficient ring)
   * torus exponents  t(K_{varpi_i}) -> (w t)(K_{varpi_i})
-
-The quantum dot action is the ordinary one conjugated by the Harish-Chandra
-shift; see act_torus.
 
 Block partitions walk orbits on flat integer encodings instead, and build no
 element: torus exponents as numerators mod a common denominator N, coroot
@@ -182,7 +187,7 @@ def _word_for_reflection(rs, beta):
             return tuple(prefix) + (i,) + tuple(reversed(prefix))
         for i in range(rs.rank):
             pairing = sum(rs.cartan[i][j] * b[j] for j in range(rs.rank))
-            if pairing > 0 and b != tuple(1 if k == i else 0 for k in range(rs.rank)):
+            if pairing > 0 and b != rs.simple_roots[i]:
                 nb = rs.reflect(i, b)
                 if rs.is_positive(nb) and sum(nb) < sum(b):
                     prefix.append(i)
@@ -192,25 +197,6 @@ def _word_for_reflection(rs, beta):
             raise InvariantViolation(f"no descent step from the root {b}")
 
 
-def word_element(rs: RootSystem, word) -> WeylElement:
-    """s_{i1} s_{i2} ... s_{ik} for the word (i1, ..., ik), built once from
-    the images of the simple roots under the letters."""
-    word = tuple(word)
-    r = rs.rank
-
-    def columns(letters):
-        # column j = image of alpha_j, the first letter applied first
-        cols = []
-        for j in range(r):
-            b = tuple(int(k == j) for k in range(r))
-            for i in letters:
-                b = rs.reflect(i, b)
-            cols.append(b)
-        return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-
-    return WeylElement(rs, columns(word[::-1]), columns(word), word)
-
-
 def alcove_descent(rs: RootSystem, x):
     """Carry a rational point into the closed fundamental alcove.
 
@@ -218,8 +204,9 @@ def alcove_descent(rs: RootSystem, x):
     sum_i C[i][j] x_i).  The point is first reduced mod Q^vee into [0, 1)^r;
     then s_j is applied while alpha_j(x) < 0, and the affine reflection s_0
     of a component (in the hyperplane theta = 1) while theta(x) > 1.
-    Returns (w, kac): w is the finite part of the affine Weyl element used,
-    so x' = w x + (an element of Q^vee) lies in the alcove, and kac holds per
+    Returns (word, kac): the word (i1, ..., ik) of the finite part w =
+    s_{i1} ... s_{ik} of the affine Weyl element used, so x' = w x + (an
+    element of Q^vee) lies in the alcove, and kac holds per
     component (s_0, s_j for the component's nodes) with s_j = alpha_j(x') and
     s_0 = 1 - theta(x').  Borel-de Siebenthal (Kac, Infinite-Dimensional Lie
     Algebras, Ch. 8): the roots integral on x' have as a simple system the
@@ -250,11 +237,22 @@ def alcove_descent(rs: RootSystem, x):
         letters.extend(word)  # the finite part of s_0 is s_theta
     kac = tuple((Fraction(D - _dot(theta, v), D),) + tuple(Fraction(v[j], D) for j in nodes)
                 for (theta, _c, _w), (_l, _n, nodes) in zip(thetas, rs.components))
-    return word_element(rs, letters[::-1]), kac
+    return tuple(letters[::-1]), kac
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def word_images(rs: RootSystem, word, roots):
+    """w(beta) for each beta in `roots`, in order, w = s_{i1} ... s_{ik} for
+    the word (i1, ..., ik): the letters act by rs.reflect, the last first."""
+    out = []
+    for b in roots:
+        for i in reversed(word):
+            b = rs.reflect(i, b)
+        out.append(b)
+    return out
 
 
 def inversion_set(rs: RootSystem, word):
@@ -263,13 +261,8 @@ def inversion_set(rs: RootSystem, word):
     The word is reduced iff all gamma_k are positive and pairwise distinct;
     the set then equals Phi+ inter w(Phi-).
     """
-    out = []
-    prefix = identity(rs)
-    for i in word:
-        alpha = tuple(1 if k == i else 0 for k in range(rs.rank))
-        out.append(prefix.apply_root(alpha))
-        prefix = prefix * simple_reflection(rs, i)
-    return out
+    return [word_images(rs, word[:k], [rs.simple_roots[i]])[0]
+            for k, i in enumerate(word)]
 
 
 def generated_group(rs: RootSystem, gens, order: int, type_str: str,
@@ -304,13 +297,19 @@ def hc_shift_vector(rs: RootSystem, ell: int, eps: int = 1):
     return tuple(eps_pow(q, ell, eps) for q in rs.rho_weight_pairs())
 
 
-def act_torus(w: WeylElement, qs, ell: int, eps: int = 1):
-    """The dot action on torus exponent vectors: the ordinary action
-    conjugated by the Harish-Chandra shift."""
-    shift = hc_shift_vector(w.rs, ell, eps)
-    shifted = tuple(q + s for q, s in zip(qs, shift))
-    moved = w.act_torus_exponents(shifted)
-    return tuple(q - s for q, s in zip(moved, shift))
+def act_torus(rs: RootSystem, word, qs, ell: int, eps: int = 1):
+    """The dot action of w = s_{i1} ... s_{ik}, the word (i1, ..., ik), on
+    torus exponent vectors: the ordinary action conjugated by the
+    Harish-Chandra shift.  The letters act, the last first, as the rank-one
+    maps of integer_actions on the numerators over a common denominator."""
+    shift = hc_shift_vector(rs, ell, eps)
+    shifted = [(q + s).q for q, s in zip(qs, shift)]
+    N = math.lcm(*(q.denominator for q in shifted))
+    x = tuple(q.numerator * (N // q.denominator) for q in shifted)
+    letters = integer_actions(rs, rs.simple_roots, "torus", N)
+    for i in reversed(word):
+        x = letters[i](x)
+    return tuple(UnityExp(Fraction(n, N)) - s for n, s in zip(x, shift))
 
 
 def integer_actions(rs: RootSystem, roots, on: str, modulus: int, width: int = 1):
@@ -441,9 +440,8 @@ def check_stabilizer(rs: RootSystem, levi, chi_code, on: str, modulus: int,
         raise BoundExceeded(
             f"{set_size + orbit_size} points to walk ({set_size} in the block "
             f"set, {orbit_size} in the W-orbit of chi) exceeds bound {bound}")
-    r = rs.rank
-    simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
-    orbit = orbit_of(chi_code, integer_actions(rs, simple, on, modulus, len(chi_code) // r))
+    orbit = orbit_of(chi_code, integer_actions(rs, rs.simple_roots, on, modulus,
+                                               len(chi_code) // rs.rank))
     if len(orbit) * levi.order != rs.weyl_order():
         raise InvariantViolation(
             f"|W.chi| = {len(orbit)} times |W({levi.type_str})| = {levi.order} "

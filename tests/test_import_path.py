@@ -5,7 +5,9 @@ integer points directly, through neither the ell-fiber of torus elements nor
 the list of weights of Lambda_chi, and both sides walk through the one shared
 weyl.block_orbits, which walks the points in key order and so sorts
 nothing; the CLI reads no block report's integer layout.  Each matrix is
-reduced once: no production module calls the solver from a loop."""
+reduced once: no production module calls the solver from a loop.  A Weyl
+element is its word in production: no production module builds or applies
+a matrix element."""
 
 import ast
 import os
@@ -19,6 +21,7 @@ ORACLES = {
     "root_reflection", "subgroup_elements", "is_reduced", "stabilizer_bruteforce",
     "burnside_count", "min_coset_reps", "act_modular", "pair", "close_up",
     "root_value", "steinberg_fiber_point", "ell_fiber", "orbit_partition_by_key",
+    "word_element", "matrix_inversions", "dot_act_torus",
 }
 
 
@@ -111,3 +114,38 @@ def test_each_matrix_is_reduced_outside_loops():
             for node in ast.walk(tree):
                 if isinstance(node, loops):
                     assert "solve_linear" not in _called_names(node), (name, node.lineno)
+
+
+# the matrix elements weyl.py keeps for perfbench/tracer.py and
+# perfbench/selfcheck.py, which bind them by name
+MATRIX_KEPT = {"WeylElement", "_matmul", "_identity_matrix", "identity",
+               "simple_reflection", "generated_group", "enumerate_group"}
+MATRIX_NAMES = {"WeylElement", "word_element", "identity", "simple_reflection",
+                "apply_root", "act_torus_exponents", "_matmul"}
+
+
+def _referenced_names(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_production_builds_no_matrix_weyl_element():
+    # a Weyl element acts through its word: on roots by rs.reflect, on torus
+    # exponents by the rank-one maps of integer_actions
+    trees = _trees()
+    for module in ("cli.py", "modular.py", "quantum.py"):
+        assert not _referenced_names(trees[module]) & MATRIX_NAMES, module
+    weyl = [node for node in trees["weyl.py"].body
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in MATRIX_KEPT)]
+    assert {node.name for node in trees["weyl.py"].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))} >= MATRIX_KEPT
+    for node in weyl:
+        assert not _referenced_names(node) & MATRIX_NAMES, getattr(node, "name", node.lineno)

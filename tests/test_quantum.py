@@ -193,7 +193,7 @@ def test_dot_linkage_on_fiber():
                     continue
                 tf = hc_shift(rs, f, ell, "back")
                 tg = hc_shift(rs, g, ell, "back")
-                assert any(TorusElement(act_torus(w, tf.exps, ell=ell)) == tg
+                assert any(TorusElement(act_torus(rs, w.word, tf.exps, ell=ell)) == tg
                            for w in W)
 
 

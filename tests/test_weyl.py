@@ -11,12 +11,15 @@ from lieram.scalars import UnityExp, eps_pow, make_field
 from lieram.selftest import (
     act_modular,
     burnside_count,
+    dot_act_torus,
     is_reduced,
+    matrix_inversions,
     min_coset_reps,
     orbit_partition_by_key,
     root_reflection,
     stabilizer_bruteforce,
     subgroup_elements,
+    word_element,
 )
 from lieram.weyl import (
     act_torus,
@@ -28,7 +31,7 @@ from lieram.weyl import (
     orbit_partition,
     reflection_stabilizer,
     simple_reflection,
-    word_element,
+    word_images,
 )
 
 
@@ -81,6 +84,22 @@ def test_reduced_words_match_length():
         assert is_reduced(b2, w.word)
 
 
+@pytest.mark.parametrize("type_str", ["A2", "B3", "C3", "G2", "F4"])
+def test_letters_act_as_the_matrices(type_str):
+    # the letter-by-letter inversion set, root images and dot action equal
+    # the matrix route on every element of W
+    rs = build_root_system(type_str)
+    r = rs.rank
+    unit = [tuple(int(k == j) for k in range(r)) for j in range(r)]
+    t = tuple(UnityExp(Fraction(i + 1, 7 + 2 * i)) for i in range(r))
+    for w in enumerate_group(rs):
+        assert inversion_set(rs, w.word) == matrix_inversions(rs, w.word)
+        assert word_images(rs, w.word, unit) == [w.apply_root(a) for a in unit]
+        for ell in (5, 7):
+            assert act_torus(rs, w.word, t, ell) == dot_act_torus(w, t, ell)
+        assert act_torus(rs, w.word, t, 5, eps=2) == dot_act_torus(w, t, 5, eps=2)
+
+
 def test_word_matrix_consistency():
     for t in ("G2", "B3"):
         rs = build_root_system(t)
@@ -99,7 +118,8 @@ def test_alcove_descent_lands_in_the_alcove(type_str):
     for _ in range(40):
         den = rng.choice((1, 2, 5, 6, 14, 30))
         x = [Fraction(rng.randrange(-3 * den, 3 * den), den) for _ in range(rs.rank)]
-        w, kac = alcove_descent(rs, x)
+        word, kac = alcove_descent(rs, x)
+        w = word_element(rs, word)
         assert len(kac) == len(rs.components)
         for (_l, _n, nodes), coords in zip(rs.components, kac):
             # s_0 + sum_j a_j s_j = 1 with every coordinate >= 0
@@ -111,7 +131,6 @@ def test_alcove_descent_lands_in_the_alcove(type_str):
                 value = sum(b[k] * sum(rs.cartan[i][k] * x[i] for i in range(rs.rank))
                             for k in range(rs.rank))
                 assert (value - s).denominator == 1
-        assert word_element(rs, w.word) == w
 
 
 def test_act_modular_examples():
@@ -155,13 +174,12 @@ def test_act_torus_dot_a1():
     # s acting by dot on exponent q gives -q - 1/5 (epsilon exponent 1/5):
     # the factor is eps^{-(rho, varpi - s varpi)} = eps^{-1}
     a1 = build_root_system("A1")
-    s = simple_reflection(a1, 0)
     for num in range(10):
         q = Fraction(num, 10)
-        out = act_torus(s, (UnityExp(q),), ell=5)
+        out = act_torus(a1, (0,), (UnityExp(q),), ell=5)
         assert out[0].q == (UnityExp(-q).q - Fraction(1, 5)) % 1
         # involution
-        again = act_torus(s, out, ell=5)
+        again = act_torus(a1, (0,), out, ell=5)
         assert again[0].q == q % 1
 
 
@@ -173,7 +191,7 @@ def test_act_torus_dot_matches_direct_formula():
     rho_pairs = rs.rho_weight_pairs()
     t = (UnityExp(Fraction(1, 5)), UnityExp(Fraction(3, 5)))
     for w in W:
-        out = act_torus(w, t, ell=ell)
+        out = act_torus(rs, w.word, t, ell=ell)
         ordinary = w.act_torus_exponents(t)
         rows = w._torus_rows()
         for i in range(rs.rank):
