@@ -246,16 +246,17 @@ def mod_blocks(chi: PChar, bound=None):
     """Blocks of the reduced algebra at chi: the partition of Lambda_chi under
     the dot action (ordinary action on eta = lambda + rho) of Stab_W(chi).
     BoundExceeded when the ambient field of Lambda_chi, or the p^r points of
-    Lambda_chi and the W-orbit of chi, exceed `bound` (each check has its own
-    default).  eta(h_beta)^p - eta(h_beta) = chi(h_beta)^p, so
-    eta(h_beta) is in F_p iff beta is in Phi' = chi.levi, and only then can it
-    vanish; InvariantViolation unless the first eta, paired in full, agrees.
+    Lambda_chi, exceed `bound` (each check has its own default); the points
+    are counted before any is listed.  eta(h_beta)^p - eta(h_beta) =
+    chi(h_beta)^p, so eta(h_beta) is in F_p iff beta is in Phi' = chi.levi,
+    and only then can it vanish; InvariantViolation unless the first eta,
+    paired in full, agrees.
     The walk runs on the r constant terms of eta: Lambda_chi + rho = Lambda_chi
     = base + F_p^r, and generators fixing chi keep the base's other slots."""
     rs, levi, p = chi.rs, chi.levi, chi.p
     # the constant terms of eta = lambda + rho (rho is 1 in each), in lambda order
-    walked = block_orbits(rs, levi, "values", p, [[(k + 1) % p for k in range(p)]] * rs.rank,
-                          _code(chi.values, chi.field.e), bound)
+    walked = block_orbits(rs, levi, "values", p, p,
+                          lambda: [[(k + 1) % p for k in range(p)]] * rs.rank, bound)
     base, ambient = _lambda_base(chi, bound)
     e = ambient.e
     full = list(_code(base, e))

@@ -154,10 +154,10 @@ def q_blocks(chi: QChar, bound=None):
     """Blocks of the quantized algebra at chi: the partition of the fiber
     {t : t^ell = chi_s^2} under the ordinary action of Stab_W(chi_s^2); dimD
     is the index [W(t^ell) : W(t)] of classified subsystem orders.
-    BoundExceeded when the ell^r fiber points and the W-orbit of chi_s^2
-    exceed `bound` (default 10^6).  Only roots of Phi' = chi.levi can vanish
-    on t, as beta(t)^ell = beta(chi_s^2); InvariantViolation unless the first
-    t agrees."""
+    BoundExceeded when the ell^r fiber points exceed `bound` (default 10^6);
+    they are counted before any is listed.  Only roots of Phi' = chi.levi
+    can vanish on t, as beta(t)^ell = beta(chi_s^2); InvariantViolation
+    unless the first t agrees."""
     rs, levi = chi.rs, chi.levi
     # the fiber as exponent numerators over N = ell D, D the common
     # denominator of chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
@@ -166,10 +166,9 @@ def q_blocks(chi: QChar, bound=None):
     c = [int(2 * e.q * D) for e in chi.chi_s.exps]
     # each axis in the order of UnityExp.key() of its exponents n/N: (n/g, N/g)
     # with g = gcd(n, N); W acts by integer matrices, so orbits stay on (1/N)Z^r
-    axes = [sorted(((ci + d * D) % N for d in range(chi.ell)),
-                   key=lambda n: (n // math.gcd(n, N), N // math.gcd(n, N))) for ci in c]
-    walked = block_orbits(rs, levi, "torus", N, axes, tuple(ci * chi.ell % N for ci in c),
-                          bound)
+    walked = block_orbits(rs, levi, "torus", N, chi.ell, lambda: [
+        sorted(((ci + d * D) % N for d in range(chi.ell)),
+               key=lambda n: (n // math.gcd(n, N), N // math.gcd(n, N))) for ci in c], bound)
     first = integer_pairings(rs, "torus", N)(walked[0][0])
     if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
@@ -221,10 +220,12 @@ def _check_simple_system(rs: RootSystem, kac, roots):
             if not any(b[j] for j in nodes):
                 continue
             ext = (0,) + tuple(b[j] for j in nodes)
-            k = Fraction(-ext[free], marks[free])
-            coeffs = [e + k * m for e, m in zip(ext, marks)]
+            # marks[free] times the combination with coefficient 0 on the free
+            # node: integral iff every entry is divisible by marks[free]
+            m = marks[free]
+            coeffs = [m * e - ext[free] * a for e, a in zip(ext, marks)]
             if not (all(x == 0 for x, s in zip(coeffs, coords) if s)
-                    and all(x.denominator == 1 for x in coeffs)
+                    and all(x % m == 0 for x in coeffs)
                     and (min(coeffs) >= 0 or max(coeffs) <= 0)):
                 raise InvariantViolation(
                     f"the zero Kac nodes of {rs.type_str} do not generate "

@@ -22,12 +22,14 @@ only for `lieram selftest`.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from fractions import Fraction
 
 from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate, NotParabolic
 from .modular import (
     PChar,
+    _code,
     dim_C,
     enumerate_lambda_chi,
     eta_subsystems,
@@ -62,6 +64,7 @@ from .weyl import (
     enumerate_group,
     generated_group,
     hc_shift_vector,
+    integer_actions,
     orbit_of,
     reflection_stabilizer,
     simple_reflection,
@@ -486,6 +489,45 @@ def _orbit_times_levi_is_w(chi, W, act, point):
     return len({act(w, point) for w in W}) * chi.levi.order == len(W)
 
 
+def walked_orbit_times_levi_is_w(chi):
+    """|W.chi| |W(Phi')| = |W|, the orbit of chi (a PChar: its values, e
+    coefficients mod p each; a QChar: chi_s^2 as numerators over their common
+    denominator) walked under the rank-one simple reflections of
+    integer_actions, so no element of W is built and rank-6 cells stay
+    cheap.  That W(Phi') is all of Stab_W(chi) (Steinberg, Torsion in
+    reductive groups) is what weyl.block_orbits takes as given."""
+    rs = chi.rs
+    if isinstance(chi, PChar):
+        e = chi.field.e
+        code, on, modulus = _code(chi.values, e), "values", chi.p
+    else:
+        qs = [x.q for x in chi.chi_s.pow(2).exps]
+        e, on, modulus = 1, "torus", math.lcm(*(q.denominator for q in qs))
+        code = tuple(q.numerator * (modulus // q.denominator) for q in qs)
+    orbit = orbit_of(code, integer_actions(rs, rs.simple_roots, on, modulus, e))
+    return len(orbit) * chi.levi.order == rs.weyl_order()
+
+
+def oracle_walk_cells():
+    """Semisimple cells of rank 4-6, where listing W for
+    _orbit_times_levi_is_w would cost |W|: (label, chi)."""
+    f4, e6 = build_root_system("F4"), build_root_system("E6")
+    F7, F49 = make_field(7, 1), make_field(7, 2)
+
+    def values(field, *coeffs):
+        return tuple(field.elem(c) for c in coeffs)
+    yield "mod F4/p7 1,0,0,0", PChar(f4, 7, values=values(F7, (1,), (), (), ()))
+    yield "mod E6/p7 1,2,3,1,2,3", PChar(
+        e6, 7, values=values(F7, (1,), (2,), (3,), (1,), (2,), (3,)))
+    # regular: no F_7-valued character of E6 is
+    yield "mod E6/p7 regss", PChar(
+        e6, 7, values=values(F49, (0, 1), (0, 1), (0, 1), (0, 1), (1, 1), (0, 1)))
+    yield "q E6/l7 1/3,0,0,0,0,1/3", QChar(e6, 7, chi_s=TorusElement(
+        (Fraction(1, 3), 0, 0, 0, 0, Fraction(1, 3))))
+    yield "q E6/l7 regss", QChar(e6, 7, chi_s=TorusElement(
+        tuple(Fraction(n, 13) for n in (0, 1, 1, 0, 3, 7))))
+
+
 def block_stabiliser_mismatches(chi):
     """The blocks of chi (a PChar or QChar) whose stabiliser data, as the
     block walk reads them on Phi', differ from the oracles' on the block's own
@@ -551,10 +593,14 @@ def suite_block_count_oracle():
             lambda w, x: TorusElement(w.act_torus_exponents(x.exps)))
         if cnt != len(blocks):
             bad.append(("q", t, ell, name))
+    for label, chi in oracle_walk_cells():
+        if not walked_orbit_times_levi_is_w(chi):
+            bad.append(("walked stabiliser", label))
     if spot.get(("A2", 5)) != 7 or spot.get(("A1", 3)) != 2:
         bad.append(("spot-values", spot.get(("A2", 5)), spot.get(("A1", 3))))
     return (not bad), ("|W.chi| |W(Phi')| = |W| and per-block stabilisers = "
-                       "eta_subsystems / w_t on every cell; partition = "
+                       "eta_subsystems / w_t on every cell, and |W.chi| |W(Phi')| "
+                       "= |W| walked on 5 semisimple cells of rank 4-6; partition = "
                        "Burnside on every nilpotent cell; A2/p5 -> 7, A1/p3 -> 2"
                        if not bad else f"{bad}")
 

@@ -21,21 +21,24 @@ actions on raw coordinate tuples:
 Block partitions walk orbits on flat integer encodings instead, and build no
 element: torus exponents as numerators mod a common denominator N, coroot
 values over F_{p^e} as e coefficients mod p each.  A block is an orbit of
-Stab_W(chi) = W(Phi') on the point set of chi, generated by the reflections
-s_beta, beta in the basis of Phi' (check_stabilizer checks that they
-generate all of Stab_W(chi)); so the walk visits each point of the set once
-and reaches no point outside it (orbit_partition raises if it does).  Each
-axis of the set is listed in the order of its sort key, so a block is met
-first at its least point and keeps that point and its size.  A reflection is
-the rank-one map x -> x - <x, beta> v_beta (integer_actions), read off the
-coroot and root-value tables of the root system, which integer_pairings
-reads too.
+Stab_W(chi) on the point set of chi.  Under the standing hypotheses
+Stab_W(chi) = W(Phi') (Steinberg, Torsion in reductive groups; on the
+quantum side the torus is simply connected), generated by the reflections
+s_beta, beta in the basis of Phi'; the walk takes that as given, and
+lieram.selftest checks |W.chi| |W(Phi')| = |W| as an oracle.  So the walk
+visits each point of the set once and reaches no point outside it
+(orbit_partition raises if it does), and the points bound counts the set
+alone, checked before any axis is built.  Each axis of the set is listed in
+the order of its sort key, so a block is met first at its least point and
+keeps that point and its size.  A reflection is the rank-one map x -> x -
+<x, beta> v_beta (integer_actions), read off the coroot and root-value
+tables of the root system, which integer_pairings reads too.
 Both sides take their blocks from one walk, block_orbits: mod_blocks on the
 constant terms of eta (width 1), q_blocks on the numerators over N; width e
-remains for chi's own orbit and for the pairings of a single weight.  A
-block's stabiliser lies in W(Phi'), so block_orbits pairs only the roots of
-Phi' with it, once per distinct set of vanishing roots.  The reports of
-both sides are BlockRecords.
+remains for the pairings of a single weight.  A block's stabiliser lies in
+W(Phi'), so block_orbits pairs only the roots of Phi' with it, once per
+distinct set of vanishing roots.  The reports of both sides are
+BlockRecords.
 """
 
 from __future__ import annotations
@@ -419,47 +422,23 @@ def support_indices(levi, support):
     return support
 
 
-def check_stabilizer(rs: RootSystem, levi, chi_code, on: str, modulus: int,
-                     set_size: int, bound=None):
-    """Check that the reflections of the basis of Phi' = `levi` generate
-    Stab_W(chi): the group whose orbits on the point set of chi (Lambda_chi,
-    or the fiber over chi_s^2) are the blocks, since w moves a point of the
-    set into it iff w chi = chi.
-
-    W(Phi') always fixes chi; that it is all of Stab_W(chi) is expected under
-    the standing hypotheses (Steinberg, Torsion in reductive groups; on the
-    quantum side the torus is simply connected) and checked here: chi's own
-    encoding `chi_code` (on, modulus as for integer_actions, its width the
-    length over the rank) is walked under the simple reflections, and
-    InvariantViolation is raised unless |W.chi| |W(Phi')| = |W|.
-    BoundExceeded when the `set_size` points of the set and the |W|/|W(Phi')|
-    of chi's orbit exceed `bound` (default DEFAULT_GROUP_BOUND)."""
-    bound = DEFAULT_GROUP_BOUND if bound is None else bound
-    orbit_size = rs.weyl_order() // levi.order
-    if set_size + orbit_size > bound:
-        raise BoundExceeded(
-            f"{set_size + orbit_size} points to walk ({set_size} in the block "
-            f"set, {orbit_size} in the W-orbit of chi) exceeds bound {bound}")
-    orbit = orbit_of(chi_code, integer_actions(rs, rs.simple_roots, on, modulus,
-                                               len(chi_code) // rs.rank))
-    if len(orbit) * levi.order != rs.weyl_order():
-        raise InvariantViolation(
-            f"|W.chi| = {len(orbit)} times |W({levi.type_str})| = {levi.order} "
-            f"is not |W| = {rs.weyl_order()}: Stab_W(chi) is not W(Phi')")
-
-
-def block_orbits(rs: RootSystem, levi, on: str, modulus: int, axes, chi_code,
+def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
                  bound=None):
-    """The blocks at chi, after check_stabilizer on `chi_code`: the orbits of
-    W(Phi'), Phi' = `levi`, on the points itertools.product(*axes) (encoded
-    as for integer_pairings with width 1, each axis in the order of its sort
-    key), each as (least point, orbit size, sub, [W(Phi') : W(sub)]), sub the
-    classified subsystem of the roots vanishing on the point.  Only roots of
-    Phi' can vanish on a point of the set (see mod_blocks, q_blocks), so only
-    they are paired, and each distinct set of vanishing roots is classified
-    once."""
-    check_stabilizer(rs, levi, chi_code, on, modulus, math.prod(map(len, axes)), bound)
-    orbits = orbit_partition(itertools.product(*axes),
+    """The blocks at chi: the orbits of W(Phi'), Phi' = `levi`, on the
+    length^r points itertools.product(*axes()), axes() listing r axes of
+    `length` values each (encoded as for integer_pairings with width 1, each
+    axis in the order of its sort key), each as (least point, orbit size,
+    sub, [W(Phi') : W(sub)]), sub the classified subsystem of the roots
+    vanishing on the point.  BoundExceeded, before axes() is called, when
+    the length^r points exceed `bound` (default DEFAULT_GROUP_BOUND).  Only
+    roots of Phi' can vanish on a point of the set (see mod_blocks,
+    q_blocks), so only they are paired, and each distinct set of vanishing
+    roots is classified once."""
+    bound = DEFAULT_GROUP_BOUND if bound is None else bound
+    points = length ** rs.rank
+    if points > bound:
+        raise BoundExceeded(f"{points} points to walk exceeds bound {bound}")
+    orbits = orbit_partition(itertools.product(*axes()),
                              integer_actions(rs, levi.basis, on, modulus))
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)
     pairings = integer_pairings(rs, on, modulus, roots=roots)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -287,7 +288,7 @@ def test_bound_env_var(capsys, monkeypatch):
 ])
 def test_bound_caps_the_points_walked(argv, capsys):
     # |W(F4)| = 1152 exceeds 1000, but the walk visits only the 625 points of
-    # the set and the one point of the orbit of chi
+    # the set
     code, out = run_cli([*argv, "--bound", "1000"], capsys)
     assert code == 0
     counts = json.loads(out)["counts"]
@@ -295,9 +296,52 @@ def test_bound_caps_the_points_walked(argv, capsys):
     code = main([*argv, "--bound", "600"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == (
-        "error: 626 points to walk (625 in the block set, 1 in the W-orbit "
-        "of chi) exceeds bound 600\n")
+    assert captured.err == "error: 625 points to walk exceeds bound 600\n"
+
+
+@pytest.mark.parametrize("argv, dim_sum, num_blocks", [
+    # 625 fiber points; the W-orbit of chi_s^2 (576 points) is not walked
+    (["--bound", "1000", "quantum", "blocks", "--type", "F4", "--ell", "5",
+      "--chi-s", "1/2,1/3,1/7,1/11", "--support", ""], 625, 375),
+    # 15 625 points of Lambda_chi; the W-orbit of chi (27 points) is not
+    # walked, and the ambient field F_{5^5} is within the bound
+    (["--bound", "15630", "modular", "blocks", "--type", "E6", "--p", "5",
+      "--chi-s", "1,0,0,0,0,0", "--support", ""], 15625, 135),
+])
+def test_the_points_bound_counts_the_point_set_alone(argv, dim_sum, num_blocks, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["counts"]["dim_sum"] == dim_sum
+    assert doc["counts"]["num_blocks"] == len(doc["blocks"]) == num_blocks
+    assert sum(b["orbit_size"] for b in doc["blocks"]) == dim_sum
+
+
+def test_a_set_within_the_bound_still_meets_the_field_bound(capsys):
+    # the 625 points of Lambda_chi fit in 630, but c = 1 in F_5 puts
+    # Lambda_chi in F_{5^5}, which the same bound refuses
+    code = main(["--bound", "630", "modular", "blocks", "--type", "F4", "--p", "5",
+                 "--chi-s", "1,0,0,0", "--support", ""])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: field size 5^5 exceeds bound 630\n"
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["quantum", "blocks", "--type", "A2", "--ell", "1000000001"], 1000000001**2),
+    (["modular", "blocks", "--type", "A2", "--p", "999999937"], 999999937**2),
+])
+def test_the_points_bound_is_checked_before_any_axis_is_built(argv, points):
+    # a child limited to 1.5 GB of address space, too little to list 10^9
+    # axis values: without the early check it ends in a MemoryError
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+    env = {k: v for k, v in os.environ.items() if k != "LIERAM_BOUND"}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "lieram.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env=env, preexec_fn=cap)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {points} points to walk exceeds bound 1000000\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,9 @@ weyl.block_orbits, which walks the points in key order and so sorts
 nothing; the CLI reads no block report's integer layout.  Each matrix is
 reduced once: no production module calls the solver from a loop.  A Weyl
 element is its word in production: no production module builds or applies
-a matrix element."""
+a matrix element.  Stab_W(chi) = W(Phi') is checked by a selftest oracle,
+not walked per query: orbit_of serves only the block partition and the
+group closure."""
 
 import ast
 import os
@@ -149,3 +151,29 @@ def test_production_builds_no_matrix_weyl_element():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))} >= MATRIX_KEPT
     for node in weyl:
         assert not _referenced_names(node) & MATRIX_NAMES, getattr(node, "name", node.lineno)
+
+
+def _calls_of(node, name):
+    return sum(isinstance(sub, ast.Call)
+               and (sub.func.id if isinstance(sub.func, ast.Name)
+                    else getattr(sub.func, "attr", None)) == name
+               for sub in ast.walk(node))
+
+
+def test_no_query_walks_the_orbit_of_chi():
+    # the identity |W.chi| |W(Phi')| = |W| is the selftest oracle
+    # walked_orbit_times_levi_is_w; production neither defines nor calls the
+    # per-query check_stabilizer, and every production call of orbit_of lies
+    # in orbit_partition or generated_group
+    callers = set()
+    for name, tree in _trees().items():
+        if name == "selftest.py":
+            continue
+        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        assert "check_stabilizer" not in {node.name for node in defs}, name
+        assert "check_stabilizer" not in _called_names(tree), name
+        allowed = [node for node in defs
+                   if name == "weyl.py" and node.name in ("orbit_partition", "generated_group")]
+        assert _calls_of(tree, "orbit_of") == sum(_calls_of(node, "orbit_of") for node in allowed), name
+        callers |= {node.name for node in allowed if _calls_of(node, "orbit_of")}
+    assert callers == {"orbit_partition", "generated_group"}

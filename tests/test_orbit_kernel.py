@@ -3,10 +3,11 @@ FFElem / UnityExp transport it replaced, and the walk of Stab_W(chi) against
 the walk of whole W-orbits: the same representatives in the same order and the
 same orbit sizes.  The stabiliser walk stays inside the point set (the
 modular one runs on the constant terms of Lambda_chi, which its generators
-carry along), and its guard refuses generators that fall short of
-Stab_W(chi).  Each block's stabiliser data, read on Phi' and memoised per
-query, equal the oracles' on the block's own point, and are computed once
-per distinct point stabiliser; the guards refuse a point set off Phi'."""
+carry along), and the selftest oracle of its premise, |W.chi| |W(Phi')| =
+|W|, refuses generators that fall short of Stab_W(chi).  Each block's
+stabiliser data, read on Phi' and memoised per query, equal the oracles' on
+the block's own point, and are computed once per distinct point stabiliser;
+the guards refuse a point set off Phi'."""
 
 import collections
 import math
@@ -29,6 +30,7 @@ from lieram.selftest import (
     orbit_partition_by_key,
     quantum_cells,
     root_reflection,
+    walked_orbit_times_levi_is_w,
 )
 from lieram.weyl import WeylElement, integer_actions, simple_reflection
 from test_golden_manifest import RANK34_MODULAR, RANK34_QUANTUM
@@ -271,7 +273,7 @@ def test_stabiliser_walk_matches_the_full_w_walk(cells, monkeypatch):
 
 def test_block_walks_build_no_weyl_elements(monkeypatch):
     # the walks act by rank-one reflections read off the root data: no Weyl
-    # matrix is built for a generator, for the guard or per block
+    # matrix is built for a generator or per block
     built = collections.Counter()
     init = WeylElement.__init__
 
@@ -324,7 +326,7 @@ def _watch_walks(monkeypatch):
 
 def _walk_generators(chi, monkeypatch):
     """The generators mod_blocks walks Lambda_chi with: the roots of the
-    last reflection maps block_orbits builds (the guard's come first)."""
+    reflection maps block_orbits builds."""
     gens = []
 
     def recording(rs, roots, *args):
@@ -391,18 +393,37 @@ def test_modular_walks_run_on_constant_terms(monkeypatch):
 
 def test_guard_refuses_a_proper_sub_levi(monkeypatch):
     # chi = (0, 0, 1) on A3 has Levi A2; the reflection of one of its basis
-    # roots fixes chi but generates too small a group
+    # roots fixes chi but generates too small a group, and the selftest
+    # oracle of the walk's premise, |W.chi| |W(Phi')| = |W|, says so
     a3 = build_root_system("A3")
     F7 = make_field(7, 1)
     mod_chi = PChar(a3, 7, values=(F7.zero(), F7.zero(), F7.one()))
     q_chi = QChar(build_root_system("A2"), 5)
     for chi in (mod_chi, q_chi):
         assert chi.levi.type_str == "A2"
+        assert walked_orbit_times_levi_is_w(chi)
         beta = chi.levi.basis[0]
         sub = subsystem_classify(chi.rs, frozenset({beta, tuple(-c for c in beta)}))
         monkeypatch.setattr(chi, "levi", sub)
-        with pytest.raises(InvariantViolation, match="Stab_W"):
-            _blocks(chi)
+        assert not walked_orbit_times_levi_is_w(chi)
+
+
+def test_the_e7_fiber_is_within_the_default_bound(monkeypatch):
+    # the bound counts the 7^7 = 823 543 fiber points alone, not the
+    # 1 451 520 of the W-orbit of chi_s^2 as well; the walk is stopped where
+    # it starts (the whole answer takes seconds)
+    chi = QChar(build_root_system("E7"), 7, chi_s=TorusElement(
+        tuple(Fraction(1, d) for d in (2, 3, 5, 11, 13, 17, 19))))
+    assert chi.levi.type_str == "A1"
+
+    class Walked(Exception):
+        pass
+
+    def stop(_points, _gens):
+        raise Walked
+    monkeypatch.setattr(weyl, "orbit_partition", stop)
+    with pytest.raises(Walked):
+        q_blocks(chi)
 
 
 def test_a_walk_that_leaves_the_fiber_is_refused(monkeypatch):
@@ -455,15 +476,13 @@ def test_a_corrupted_lambda_chi_base_is_refused(monkeypatch):
         mod_blocks(chi)
 
 
-def test_a_fiber_point_outside_the_levi_is_refused(monkeypatch):
+def test_a_fiber_point_outside_the_levi_is_refused():
     # chi_s = (1/3, 1/3) on A2 is regular (Phi' empty); walking the fiber of
     # chi_s = 1 instead puts t = 1, on which every root vanishes, first
     rs = build_root_system("A2")
     chi = QChar(rs, 5, chi_s=TorusElement((Fraction(1, 3), Fraction(1, 3))))
     assert chi.levi.roots == frozenset()
     chi.chi_s = TorusElement((0, 0))
-    # past the Stab_W guard, which would see chi_s^2 = 1 fixed by all of W
-    monkeypatch.setattr(weyl, "check_stabilizer", lambda *_args: None)
     with pytest.raises(InvariantViolation, match="outside Phi'"):
         q_blocks(chi)
 
