@@ -22,6 +22,7 @@ from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_clas
 from .scalars import _ptrim, artin_schreier_solve, embed, is_prime, make_field
 from .weyl import (
     BlockRecord,
+    _check_points,
     block_orbits,
     integer_pairings,
     reflection_stabilizer,
@@ -123,8 +124,10 @@ def enumerate_lambda_chi(chi: PChar, bound=None):
     """The p^r weights solving lambda(h_i)^p - lambda(h_i) = chi(h_i)^p.
 
     Returns (weights, ambient field); the set is base + F_p^r, listed with the
-    F_p-translate in lex order.
+    F_p-translate in lex order.  BoundExceeded as in mod_blocks, the p^r
+    points counted before any is listed.
     """
+    _check_points(chi.p ** chi.rs.rank, bound)
     base, ambient = _lambda_base(chi, bound)
     return [ModWeight(b + ambient.from_int(k) for b, k in zip(base, d))
             for d in itertools.product(range(chi.p), repeat=chi.rs.rank)], ambient

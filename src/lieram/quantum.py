@@ -279,15 +279,15 @@ def _delta_tilde_test(rs: RootSystem, t: TorusElement, ell: int, eps: int = 1) -
 
 def beta_minimal(rs: RootSystem, m: int):
     """The minimal positive root whose alpha_m-coefficient (0-based m) equals
-    the highest-root coefficient a_m; it must be unique."""
+    the highest-root coefficient a_m; it must be unique, so it is the
+    candidate of least height, below every other candidate."""
     am = rs.a[m]
     cands = [b for b in rs.pos_roots if b[m] == am]
-    minimal = [b for b in cands if all(rs.leq(b, c) for c in cands)]
-    if len(minimal) != 1:
+    if not all(rs.leq(cands[0], c) for c in cands):
         raise InvariantViolation(
-            f"{rs.type_str}: {len(minimal)} minimal roots with coefficient "
-            f"{am} at node {m + 1}, expected one")
-    return minimal[0]
+            f"{rs.type_str}: no unique minimal root with coefficient {am} at "
+            f"node {m + 1}")
+    return cands[0]
 
 
 def exceptional_elements(rs: RootSystem):

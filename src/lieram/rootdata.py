@@ -21,7 +21,9 @@ Products are written A1xB2 (case-insensitive, no whitespace).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 
 from .errors import InvalidType, InvariantViolation, NotClosed
@@ -147,108 +149,103 @@ class RootSystem:
     def __init__(self, comps):
         self.ctype = comps
         self.type_str = type_string(comps)
-        blocks = [(_component_edges(l, n), n) for l, n in comps]
-        self.rank = sum(n for _, n in blocks)
-        r = self.rank
+        self.rank = r = sum(n for _l, n in comps)
         C = [[0] * r for _ in range(r)]
-        d = []
-        comp_nodes = []
-        off = 0
-        for (edges, dc), n in blocks:
-            local = _cartan_from_edges(n, edges, dc)
-            for i in range(n):
-                for j in range(n):
-                    C[off + i][off + j] = local[i][j]
+        d, components, off = [], [], 0
+        for l, n in comps:
+            edges, dc = _component_edges(l, n)
+            for i, row in enumerate(_cartan_from_edges(n, edges, dc)):
+                C[off + i][off:off + n] = row
             d.extend(dc)
-            comp_nodes.append(tuple(range(off, off + n)))
+            components.append((l, n, tuple(range(off, off + n))))
             off += n
-        self.cartan = tuple(tuple(row) for row in C)
+        self.cartan = tuple(map(tuple, C))
         self.d = tuple(d)
-        self.components = tuple(
-            (l, n, comp_nodes[k]) for k, (l, n) in enumerate(comps)
-        )
+        self.components = tuple(components)
         self._build_roots()
         self._fundamental = None
         self._rho_weight_pairs = None
         self._subsystems = {}  # frozenset of roots -> Subsystem, see subsystem_classify
+        self._triples = None  # see _sum_triples
 
     # -- construction -------------------------------------------------------
 
     def _build_roots(self):
-        r = self.rank
-        C = self.cartan
+        """Phi+ layer by layer in height.  A root b + alpha_i takes from its
+        first parent b, in O(r), its pairings <., alpha_k^vee> (column i of
+        the Cartan matrix added), its norm |b + alpha_i|^2/2 = |b|^2/2 +
+        d_i (<b, alpha_i^vee> + 1) and its component; its down-string length
+        in direction i is the parent's plus one (0 with no such parent).
+        b + alpha_i is a root iff down_i(b) exceeds <b, alpha_i^vee>."""
+        r, C, d = self.rank, self.cartan, self.d
+        if any(d[i] * C[i][j] != d[j] * C[j][i] for i in range(r) for j in range(r)):
+            raise InvariantViolation(f"{self.type_str}: D C is not symmetric, so no "
+                                     "invariant form gives the root norms")
+        cols = [tuple(row[i] for row in C) for i in range(r)]
+        comp = [k for k, (_l, _n, nodes) in enumerate(self.components) for _ in nodes]
         simple = self.simple_roots = tuple(
             tuple(int(i == j) for j in range(r)) for i in range(r))
-        pos = set(simple)
-        by_height = {1: list(simple)}
-        h = 1
-        while by_height.get(h):
+        data = {a: (cols[i], [0] * r, d[i], comp[i]) for i, a in enumerate(simple)}
+        layer, pos = list(simple), []
+        while layer:
+            pos += sorted(layer)
             nxt = []
-            for b in by_height[h]:
+            for b in layer:
+                v, down, nb, k = data[b]
                 for i in range(r):
-                    # root string through b in direction alpha_i
-                    back = 0
-                    cur = b
-                    while True:
-                        cur = tuple(c - (1 if k == i else 0) for k, c in enumerate(cur))
-                        if cur in pos:
-                            back += 1
-                        else:
-                            break
-                    pairing = sum(C[i][j] * b[j] for j in range(r))
-                    if back - pairing > 0:
-                        cand = tuple(c + (1 if k == i else 0) for k, c in enumerate(b))
-                        if cand not in pos:
-                            pos.add(cand)
-                            nxt.append(cand)
-            h += 1
-            if nxt:
-                by_height[h] = nxt
-        self.pos_roots = tuple(sorted(pos, key=lambda b: (sum(b), b)))
-        self.N = len(self.pos_roots)
-        self._posset = frozenset(self.pos_roots)
-        self._allset = self._posset | frozenset(self._neg(b) for b in self.pos_roots)
-        # norms and coroots
-        S = [[self.d[i] * self.cartan[i][j] for j in range(r)] for i in range(r)]
-        self._norm = {}
-        self._coroot = {}
-        for b in self.pos_roots:
-            nb2 = sum(b[i] * b[j] * S[i][j] for i in range(r) for j in range(r))
-            if nb2 % 2:
-                raise InvariantViolation(f"{self.type_str}: root {b} has odd norm {nb2}")
-            db = nb2 // 2
-            cv = []
-            for i in range(r):
-                num = self.d[i] * b[i]
-                if num % db:
-                    raise InvariantViolation(
-                        f"{self.type_str}: coroot of {b} is not integral")
-                cv.append(num // db)
-            self._norm[b] = db
-            self._coroot[b] = tuple(cv)
-        # highest root per component
+                    if down[i] > v[i]:
+                        c = b[:i] + (b[i] + 1,) + b[i + 1:]
+                        if c not in data:
+                            data[c] = (tuple(map(operator.add, v, cols[i])), [0] * r,
+                                       nb + d[i] * (v[i] + 1), k)
+                            nxt.append(c)
+                        data[c][1][i] = down[i] + 1
+            layer = nxt
+        self.pos_roots = tuple(pos)
+        self.N = len(pos)
+        self._posset = frozenset(pos)
+        # pairings, coroots and norms of every root, negative ones included
+        self._value, self._coroot, self._norm = {}, {}, {}
+        for b in pos:
+            v, _down, nb, _k = data[b]
+            if any(di * bi % nb for di, bi in zip(d, b)):
+                raise InvariantViolation(f"{self.type_str}: coroot of {b} is not integral")
+            cv = tuple(di * bi // nb for di, bi in zip(d, b))
+            nbeta = tuple(-c for c in b)
+            self._value[b], self._value[nbeta] = v, tuple(-x for x in v)
+            self._coroot[b], self._coroot[nbeta] = cv, tuple(-x for x in cv)
+            self._norm[b] = self._norm[nbeta] = nb
+        self._allset = frozenset(self._value)
+        # the highest root of a component is its last root in (height,
+        # coefficients) order, if any root is above all the others
         self._highest = []
-        a = [0] * r
-        for letter, n, nodes in self.components:
-            nodeset = set(nodes)
-            comp_pos = [b for b in self.pos_roots
-                        if set(k for k in range(r) if b[k]) <= nodeset]
-            if len(comp_pos) != sum(d - 1 for d in DEGREES[letter](n)):
+        for k, (letter, n, _nodes) in enumerate(self.components):
+            roots = [b for b in pos if data[b][3] == k]
+            if len(roots) != sum(e - 1 for e in DEGREES[letter](n)):
                 raise InvariantViolation(
-                    f"{letter}{n}: {len(comp_pos)} positive roots, degrees say otherwise")
-            mx = [b for b in comp_pos
-                  if all(self.leq(c, b) for c in comp_pos)]
-            if len(mx) != 1:
-                raise InvariantViolation(
-                    f"{letter}{n}: {len(mx)} maximal roots, expected one")
-            self._highest.append(mx[0])
-            for k in nodes:
-                a[k] = mx[0][k]
-        self.a = tuple(a)
+                    f"{letter}{n}: {len(roots)} positive roots, degrees say otherwise")
+            if not all(map(self.leq, roots, itertools.repeat(roots[-1]))):
+                raise InvariantViolation(f"{letter}{n}: no unique maximal root")
+            self._highest.append(roots[-1])
+        self.a = tuple(map(sum, zip(*self._highest)))
 
-    @staticmethod
-    def _neg(b):
-        return tuple(-c for c in b)
+    def _sum_triples(self):
+        """Per root m: -m and, for positive m, the pairs (x, y) of positive
+        roots with x + y = m and the pairs (y, m + y); each (x, y, x + y) is
+        one sum triple.  Built on the first call.  A root's coefficients are
+        at most 6, so its base-16 code adds without carries."""
+        if self._triples is None:
+            pos = self.pos_roots
+            code = [sum(c << 4 * k for k, c in enumerate(b)) for b in pos]
+            root_of = dict(zip(code, pos))
+            table = self._triples = {b: (tuple(-c for c in b), [], []) for b in self._allset}
+            for i, x in enumerate(pos):
+                for cz in sorted(root_of.keys() & map(code[i].__add__, code[i + 1:])):
+                    y, z = root_of[cz - code[i]], root_of[cz]
+                    table[z][1].append((x, y))
+                    table[x][2].append((y, z))
+                    table[y][2].append((x, z))
+        return self._triples
 
     # -- queries -------------------------------------------------------------
 
@@ -263,14 +260,11 @@ class RootSystem:
 
     def coroot(self, b):
         """Coefficients of beta^vee on the simple coroots."""
-        if b in self._coroot:
-            return self._coroot[b]
-        nb = self._neg(b)
-        return tuple(-c for c in self._coroot[nb])
+        return self._coroot[b]
 
     def norm(self, b) -> int:
         """(beta, beta)/2 with short roots normalized to 1 per component."""
-        return self._norm[b if b in self._norm else self._neg(b)]
+        return self._norm[b]
 
     def highest_root(self, comp_idx: int = 0):
         return self._highest[comp_idx]
@@ -280,19 +274,17 @@ class RootSystem:
         return all(cb <= cc for cb, cc in zip(b, c))
 
     def value_vec(self, b):
-        """beta's values on the basis coroots: (beta(h_1), ..., beta(h_r))."""
-        r = self.rank
-        return tuple(sum(self.cartan[i][j] * b[j] for j in range(r)) for i in range(r))
+        """The root beta's values on the basis coroots: (beta(h_1), ...,
+        beta(h_r)), stored at construction."""
+        return self._value[b]
 
     def cartan_int(self, b, g) -> int:
         """<beta, gamma^vee> = beta(h_gamma)."""
-        vv = self.value_vec(b)
-        return sum(ci * vi for ci, vi in zip(self.coroot(g), vv))
+        return sum(map(operator.mul, self._coroot[g], self._value[b]))
 
     def reflect(self, i: int, b):
-        """s_i(beta) on root coefficient vectors."""
-        pairing = sum(self.cartan[i][j] * b[j] for j in range(self.rank))
-        return tuple(c - (pairing if k == i else 0) for k, c in enumerate(b))
+        """s_i(beta) on the coefficient vector of a root."""
+        return b[:i] + (b[i] - self._value[b][i],) + b[i + 1:]
 
     def fundamental_weights(self):
         """The alpha-coordinates of the fundamental weights: row i lists
@@ -437,20 +429,20 @@ class Subsystem:
 
 
 def check_closed(rs: RootSystem, roots) -> frozenset:
-    """The roots as a frozenset S; NotClosed unless S = -S and S is closed
-    under root addition.  Up to order and sign, a pair of S is a positive b
-    with a later positive (2b is never a root) or with any negative."""
+    """The roots as a frozenset S; NotClosed unless S is a set of roots with
+    S = -S, closed under root addition.  For S = -S that holds iff two
+    members of a sum triple (x, y, x + y) of positive roots in S put the
+    third in S: for each positive member, the other two of each of its
+    triples lie both in S or both outside."""
     S = frozenset(roots)
+    table = rs._sum_triples()
     for b in S:
-        if tuple(-c for c in b) not in S:
-            raise NotClosed(f"{b} in subset but not its negative")
-    plus = [b for b in S if rs.is_positive(b)]
-    minus = [tuple(-c for c in b) for b in plus]
-    for i, b in enumerate(plus):
-        for g in plus[i + 1:] + minus:
-            s = tuple(x + y for x, y in zip(b, g))
-            if rs.is_root(s) and s not in S:
-                raise NotClosed(f"{b} + {g} is a root outside the subset")
+        if b not in table or table[b][0] not in S:
+            raise NotClosed(f"{b} in subset but not a root with its negative")
+        for x, y in itertools.chain(table[b][1], table[b][2]):
+            if (x in S) != (y in S):
+                raise NotClosed(f"the sum triple of {b}, {x}, {y} meets the "
+                                "subset in two roots")
     return S
 
 
@@ -541,7 +533,8 @@ def subsystem_classify(rs: RootSystem, roots) -> Subsystem:
     """Classify a negation-closed, addition-closed subset of the roots.
 
     The basis consists of the positive members not expressible as a sum of
-    two positive members; its Dynkin graph is classified per component.
+    two positive members, read off the sum triples of the root system; its
+    Dynkin graph is classified per component.
     Each root system keeps the Subsystem of every subset it has classified,
     so a repeated subset, in any container, costs one lookup; a subset that
     is not closed raises NotClosed on every call and is never kept.
@@ -554,10 +547,10 @@ def subsystem_classify(rs: RootSystem, roots) -> Subsystem:
 
 
 def _classify(rs, S):
-    Splus = sorted((b for b in S if rs.is_positive(b)), key=lambda b: (sum(b), b))
-    plus_set = set(Splus)
-    basis = tuple(b for b in Splus
-                  if not any(tuple(x - y for x, y in zip(b, g)) in plus_set for g in Splus))
+    table = rs._sum_triples()
+    basis = tuple(sorted((b for b in S if rs.is_positive(b)
+                          and not any(x in S and y in S for x, y in table[b][1])),
+                         key=lambda b: (sum(b), b)))
     if not basis:
         return Subsystem(rs, S, (), ())
     k = len(basis)

@@ -47,7 +47,6 @@ from .quantum import (
     _delta_tilde,
     _delta_tilde_test,
     _pairings,
-    beta_minimal,
     hc_shift,
     q_blocks,
     q_regularity_and_counts,
@@ -262,9 +261,10 @@ def steinberg_fiber_point(chi: QChar):
 
 def _exceptional_by_solve_and_closure(rs: RootSystem):
     """Oracle for quantum.exceptional_elements on an irreducible system: per
-    node m, s_m from solving sum_i C[i][j] q_i = delta_jm / a_m, and its
-    centralizer as the closure of the off-node simple roots and beta_m.
-    Returns the records for m = 1..r."""
+    node m, s_m from solving sum_i C[i][j] q_i = delta_jm / a_m, beta_m as
+    the one root with coefficient a_m at m below all the others, found by
+    comparing every pair, and the centralizer as the closure of the
+    off-node simple roots and beta_m.  Returns the records for m = 1..r."""
     r = rs.rank
     simple = [tuple(int(k == j) for k in range(r)) for j in range(r)]
     solve = solve_linear([[rs.cartan[i][j] for i in range(r)] for j in range(r)])
@@ -272,7 +272,11 @@ def _exceptional_by_solve_and_closure(rs: RootSystem):
     for m in range(r):
         rhs = [Fraction(1, rs.a[m]) if j == m else 0 for j in range(r)]
         s_m = TorusElement(tuple(UnityExp(x) for x in solve(rhs)))
-        bm = beta_minimal(rs, m)
+        cands = [b for b in rs.pos_roots if b[m] == rs.a[m]]
+        minimal = [b for b in cands if all(all(map(int.__le__, b, c)) for c in cands)]
+        if len(minimal) != 1:
+            raise InvariantViolation(f"{rs.type_str}: {len(minimal)} minimal roots at {m + 1}")
+        bm = minimal[0]
         gens = [a for j, a in enumerate(simple) if j != m] + [bm]
         out.append({
             "m": m + 1,

@@ -188,9 +188,9 @@ def _word_for_reflection(rs, beta):
         if sum(b) == 1:
             i = b.index(1)
             return tuple(prefix) + (i,) + tuple(reversed(prefix))
+        v = rs.value_vec(b)
         for i in range(rs.rank):
-            pairing = sum(rs.cartan[i][j] * b[j] for j in range(rs.rank))
-            if pairing > 0 and b != rs.simple_roots[i]:
+            if v[i] > 0 and b != rs.simple_roots[i]:
                 nb = rs.reflect(i, b)
                 if rs.is_positive(nb) and sum(nb) < sum(b):
                     prefix.append(i)
@@ -422,6 +422,12 @@ def support_indices(levi, support):
     return support
 
 
+def _check_points(points, bound):
+    bound = DEFAULT_GROUP_BOUND if bound is None else bound
+    if points > bound:
+        raise BoundExceeded(f"{points} points to walk exceeds bound {bound}")
+
+
 def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
                  bound=None):
     """The blocks at chi: the orbits of W(Phi'), Phi' = `levi`, on the
@@ -434,10 +440,7 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     roots of Phi' can vanish on a point of the set (see mod_blocks,
     q_blocks), so only they are paired, and each distinct set of vanishing
     roots is classified once."""
-    bound = DEFAULT_GROUP_BOUND if bound is None else bound
-    points = length ** rs.rank
-    if points > bound:
-        raise BoundExceeded(f"{points} points to walk exceeds bound {bound}")
+    _check_points(length ** rs.rank, bound)
     orbits = orbit_partition(itertools.product(*axes()),
                              integer_actions(rs, levi.basis, on, modulus))
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)

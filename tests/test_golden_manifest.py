@@ -1,7 +1,8 @@
 """Byte pins for every selftest-matrix cell, a fixed set of rank-3/4 cells and
 fixed probes
 (F4 modular, quantum unramified on F4, E6 and the types listed in MORE_TORUS,
-and `verify appendix` per type of the table): the sha256 of each command's JSON stdout, recomputed in
+and `verify appendix` and `quantum exceptional` per type of the table): the
+sha256 of each command's JSON stdout, recomputed in
 this process and compared with tests/golden/manifest.json.
 
 A modular cell whose character has values outside F_p cannot be written in
@@ -131,6 +132,7 @@ def cases():
                                   str(ell), "--torus", x, "--coords", "both"))
     for t in dict.fromkeys(t for t, _m in appendix_rows()):
         out.append(_probe("verify", "appendix", "--type", t))
+        out.append(_probe("quantum", "exceptional", "--type", t))
     return out
 
 

@@ -5,6 +5,7 @@ for the dimension formula."""
 import pytest
 
 from lieram.errors import (
+    BoundExceeded,
     HypothesisFailure,
     InvalidSupport,
     NoParabolicConjugate,
@@ -48,6 +49,18 @@ def test_pchar_validation():
     for p in (0, 1, 4, -5):  # not prime: refused before the hypothesis flags
         with pytest.raises(NonPrime, match=f"^{p} is not prime$"):
             PChar(build_root_system("A3"), p)
+
+
+def test_lambda_chi_counts_its_points_against_the_bound():
+    # the same refusal as mod_blocks, before any weight is listed
+    chi = PChar(build_root_system("A2"), 5)
+    for run in (enumerate_lambda_chi, mod_blocks):
+        with pytest.raises(BoundExceeded, match="^25 points to walk exceeds bound 10$"):
+            run(chi, bound=10)
+    assert len(enumerate_lambda_chi(chi, bound=25)[0]) == 25
+    big = PChar(build_root_system("A2"), 999999937)
+    with pytest.raises(BoundExceeded, match="points to walk exceeds bound 1000000$"):
+        enumerate_lambda_chi(big)
 
 
 def test_lambda_chi_zero_char():

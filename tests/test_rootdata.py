@@ -1,11 +1,13 @@
 """Root system construction, pairings, subsystems, hypothesis flags."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from lieram.errors import InvalidType, NotClosed
 from lieram.rootdata import (
+    RootSystem,
     build_root_system,
     check_closed,
     hypothesis_check,
@@ -30,18 +32,79 @@ ALL_TYPES = ([f"A{r}" for r in range(1, 9)]
              + ["E6", "E7", "E8", "F4", "G2"])
 
 
-@pytest.mark.parametrize("t", ALL_TYPES)
+# The marks (highest-root coefficients) in Bourbaki numbering: Bourbaki, Lie
+# Groups and Lie Algebras, Ch. VI, Plates I-IX.
+MARKS = {
+    "A": lambda n: (1,) * n,
+    "B": lambda n: (1,) + (2,) * (n - 1),
+    "C": lambda n: (2,) * (n - 1) + (1,),
+    "D": lambda n: (1,) + (2,) * (n - 3) + (1, 1),
+    "E": lambda n: {6: (1, 2, 2, 3, 2, 1), 7: (2, 2, 3, 4, 3, 2, 1),
+                    8: (2, 3, 4, 6, 5, 4, 3, 2)}[n],
+    "F": lambda n: (2, 3, 4, 2),
+    "G": lambda n: (3, 2),
+}
+
+PRODUCTS = ["A1xA1", "A2xB3xG2", "D4xE6"]
+
+
+def roots_by_reflection(C):
+    """Oracle: Phi as the closure of the simple roots under the simple
+    reflections s_i(b) = b - (sum_j C[i][j] b_j) alpha_i, from the Cartan
+    matrix alone."""
+    r = len(C)
+    todo = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    seen = set(todo)
+    while todo:
+        b = todo.pop()
+        for i in range(r):
+            v = sum(C[i][j] * b[j] for j in range(r))
+            s = tuple(c - v * (k == i) for k, c in enumerate(b))
+            if s not in seen:
+                seen.add(s)
+                todo.append(s)
+    return seen
+
+
+@pytest.mark.parametrize("t", ALL_TYPES + PRODUCTS)
 def test_positive_root_counts_and_highest(t):
     rs = build_root_system(t)
-    letter, rank = t[0], int(t[1:])
-    expected = {"E": {6: 36, 7: 63, 8: 120}.get(rank), "F": 24, "G": 6}.get(letter)
-    if expected is None:
-        expected = CLASSICAL_COUNTS[letter](rank)
-    assert rs.N == expected
-    # unique maximal element, positive a-coefficients
-    a0 = rs.highest_root(0)
-    assert all(rs.leq(b, a0) for b in rs.pos_roots)
-    assert all(c > 0 for c in rs.a)
+    comps = parse_cartan_type(t)
+    counts = {"E": {6: 36, 7: 63, 8: 120}, "F": {4: 24}, "G": {2: 6}}
+    assert rs.N == sum(counts[l][n] if l in counts else CLASSICAL_COUNTS[l](n)
+                       for l, n in comps)
+    assert rs.a == sum((MARKS[l](n) for l, n in comps), ())
+    # per component: the marks on its nodes, above every root supported there
+    for k, (_l, _n, nodes) in enumerate(rs.components):
+        top = rs.highest_root(k)
+        assert top == tuple(rs.a[i] if i in nodes else 0 for i in range(rs.rank))
+        assert all(all(x <= y for x, y in zip(b, top))
+                   for b in rs.pos_roots if any(b[i] for i in nodes))
+    # every root and its data against the Cartan matrix C and the
+    # symmetrizer D: (b, g) = b^T D C g, coroots 2b/(b, b), values C b
+    C, d, r = rs.cartan, rs.d, rs.rank
+    assert all(d[i] * C[i][j] == d[j] * C[j][i] for i in range(r) for j in range(r))
+    roots = roots_by_reflection(C)
+    assert rs.all_roots() == roots
+    assert rs.pos_roots == tuple(sorted((b for b in roots if min(b) >= 0),
+                                        key=lambda b: (sum(b), b)))
+    form = {b: [sum(b[i] * d[i] * C[i][j] for i in range(r)) for j in range(r)]
+            for b in roots}
+    for b in roots:
+        bb = sum(x * y for x, y in zip(form[b], b))
+        assert bb % 2 == 0 and rs.norm(b) == bb // 2
+        coroot = [Fraction(2 * b[i] * d[i], bb) for i in range(r)]  # (a_i, a_i) = 2 d_i
+        assert all(c.denominator == 1 for c in coroot)
+        assert rs.coroot(b) == tuple(coroot)
+        assert rs.value_vec(b) == tuple(sum(C[i][j] * b[j] for j in range(r))
+                                        for i in range(r))
+        for i in range(r):
+            v = sum(C[i][j] * b[j] for j in range(r))
+            assert rs.reflect(i, b) == tuple(c - v * (k == i) for k, c in enumerate(b))
+    for g in rs.pos_roots:
+        gg = sum(x * y for x, y in zip(form[g], g))
+        assert all(rs.cartan_int(b, g) * gg == 2 * sum(x * y for x, y in zip(form[b], g))
+                   for b in rs.pos_roots)
 
 
 def test_a1_trivial():
@@ -146,6 +209,8 @@ def test_subsystem_not_closed():
         subsystem_classify(a2, {(1, 0), (-1, 0), (0, 1), (0, -1)})
     with pytest.raises(NotClosed):
         subsystem_classify(a2, {(1, 0)})
+    with pytest.raises(NotClosed):  # negation-stable, but not roots
+        subsystem_classify(a2, {(2, 0), (-2, 0)})
 
 
 def closed_by_all_pairs(rs, S):
@@ -156,7 +221,16 @@ def closed_by_all_pairs(rs, S):
                         for b in S for g in S for s in [tuple(x + y for x, y in zip(b, g))]))
 
 
-@pytest.mark.parametrize("t", ["A3", "B3", "G2", "F4"])
+def basis_by_all_pairs(S):
+    """Oracle: the positive members of S that are not a sum of two positive
+    members, in (height, coefficients) order."""
+    plus = {b for b in S if min(b) >= 0}
+    return tuple(sorted((b for b in plus
+                         if not any(tuple(x - y for x, y in zip(b, g)) in plus for g in plus)),
+                        key=lambda b: (sum(b), b)))
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "G2", "F4", "D4", "E6", "E7"])
 def test_check_closed_matches_the_all_pairs_oracle(t):
     rs = build_root_system(t)
     rng = random.Random(t)
@@ -183,10 +257,30 @@ def test_check_closed_matches_the_all_pairs_oracle(t):
         verdicts.append(closed)
         if closed:
             assert check_closed(rs, S) == frozenset(S)
+            assert subsystem_classify(rs, S).basis == basis_by_all_pairs(S)
         else:
             with pytest.raises(NotClosed):
                 check_closed(rs, S)
     assert 20 < sum(verdicts) < len(verdicts) - 20
+
+
+@pytest.mark.parametrize("t", ["G2", "E8", "A2xB3xG2"])
+def test_a_fresh_root_system_holds_its_root_data(t):
+    """Construction computes every root's pairings, coroot and norm, the
+    highest roots and the marks; the sum-triple table waits for the first
+    closure check."""
+    rs = RootSystem(parse_cartan_type(t))  # not the cached system
+    roots = rs.all_roots()
+    for table in (rs._value, rs._coroot, rs._norm):
+        assert type(table) is dict and table.keys() == roots
+    assert all(type(v) is tuple and len(v) == rs.rank for v in rs._value.values())
+    assert all(type(v) is tuple and len(v) == rs.rank for v in rs._coroot.values())
+    assert all(type(n) is int and n > 0 for n in rs._norm.values())
+    assert type(rs._highest) is list and len(rs._highest) == len(rs.components)
+    assert type(rs.a) is tuple and len(rs.a) == rs.rank
+    assert rs._triples is None
+    subsystem_classify(rs, roots)
+    assert type(rs._triples) is dict and rs._triples.keys() == roots
 
 
 def test_subsystem_letter_disambiguation():
