@@ -350,7 +350,7 @@ class Subsystem:
     """A classified closed, negation-stable subset of a root system."""
 
     __slots__ = ("rs", "roots", "basis", "components", "type_str", "order",
-                 "_parabolic", "_component_roots")
+                 "_parabolic", "_coset_poincare", "_component_roots")
 
     def __init__(self, rs, roots, basis, components):
         self.rs = rs
@@ -361,6 +361,7 @@ class Subsystem:
             if components else "1"
         self.order = math.prod(degrees(components))
         self._parabolic = None
+        self._coset_poincare = None
         self._component_roots = None
 
     @property
@@ -406,23 +407,26 @@ class Subsystem:
     def coset_poincare(self):
         """Coefficients of W(t)/W_self(t), the length generating function of
         the minimal coset representatives when this subsystem is a standard
-        parabolic; each division by [d]_t = (1 - t^d)/(1 - t) is exact."""
-        series = [1]
-        for d in degrees(self.rs.components):
-            series = [sum(series[max(0, i - d + 1):i + 1])
-                      for i in range(len(series) + d - 1)]
-        for d in degrees(self.components):
-            # times (1 - t), then divided by (1 - t^d) with zero remainder
-            num = [a - b for a, b in zip(series + [0], [0] + series)]
-            series = []
-            for i, c in enumerate(num):
-                c += series[i - d] if i >= d else 0
-                if i < len(num) - d:
-                    series.append(c)
-                elif c:
-                    raise InvariantViolation(
-                        f"[{d}]_t does not divide the Poincare series")
-        return tuple(series)
+        parabolic; each division by [d]_t = (1 - t^d)/(1 - t) is exact.
+        Computed once per subsystem."""
+        if self._coset_poincare is None:
+            series = [1]
+            for d in degrees(self.rs.components):
+                series = [sum(series[max(0, i - d + 1):i + 1])
+                          for i in range(len(series) + d - 1)]
+            for d in degrees(self.components):
+                # times (1 - t), then divided by (1 - t^d) with zero remainder
+                num = [a - b for a, b in zip(series + [0], [0] + series)]
+                series = []
+                for i, c in enumerate(num):
+                    c += series[i - d] if i >= d else 0
+                    if i < len(num) - d:
+                        series.append(c)
+                    elif c:
+                        raise InvariantViolation(
+                            f"[{d}]_t does not divide the Poincare series")
+            self._coset_poincare = tuple(series)
+        return self._coset_poincare
 
     def __repr__(self):
         return f"Subsystem({self.type_str}, |W|={self.order})"

@@ -36,9 +36,14 @@ tables of the root system, which integer_pairings reads too.
 Both sides take their blocks from one walk, block_orbits: mod_blocks on the
 constant terms of eta (width 1), q_blocks on the numerators over N; width e
 remains for the pairings of a single weight.  A block's stabiliser lies in
-W(Phi'), so block_orbits pairs only the roots of Phi' with it, once per
-distinct set of vanishing roots.  The reports of both sides are
-BlockRecords.
+W(Phi'), so the walk pairs only the roots of Phi' with it and classifies
+each distinct set of vanishing roots once per walk.  A walk depends only on
+(root system, Phi', encoding, modulus, axes), not on the nilpotent part of
+chi nor (on the modular side) on the base of Lambda_chi, so block_orbits
+keeps the skeletons of the latest walks, least recently used first, while
+their point sets total at most DEFAULT_GROUP_BOUND, and reuses them within
+the process; the points bound is checked before the memo is read.  The
+reports of both sides are BlockRecords, built per query.
 """
 
 from __future__ import annotations
@@ -428,20 +433,59 @@ def _check_points(points, bound):
         raise BoundExceeded(f"{points} points to walk exceeds bound {bound}")
 
 
+class _WalkMemo:
+    """The skeletons of the latest walks, least recently used first, keyed by
+    (rs, Phi', encoding, modulus, axes), while their point sets total at
+    most DEFAULT_GROUP_BOUND: the least recently used are dropped first,
+    and a walk of more points (under a raised bound) is not kept.  Only a
+    finished walk is stored."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.walks, self.points = {}, 0
+
+    def get(self, args, points, walk):
+        # walk(*args), of `points` points, from the memo when kept there
+        entry = self.walks.pop(args, None)
+        if entry is None:
+            entry = (points, walk(*args))
+            if points > DEFAULT_GROUP_BOUND:
+                return entry[1]
+            self.points += points
+        self.walks[args] = entry  # last in order: the most recently used
+        while self.points > DEFAULT_GROUP_BOUND:
+            self.points -= self.walks.pop(next(iter(self.walks)))[0]
+        return entry[1]
+
+
+_walks = _WalkMemo()
+
+
 def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
                  bound=None):
     """The blocks at chi: the orbits of W(Phi'), Phi' = `levi`, on the
     length^r points itertools.product(*axes()), axes() listing r axes of
     `length` values each (encoded as for integer_pairings with width 1, each
-    axis in the order of its sort key), each as (least point, orbit size,
-    sub, [W(Phi') : W(sub)]), sub the classified subsystem of the roots
-    vanishing on the point.  BoundExceeded, before axes() is called, when
-    the length^r points exceed `bound` (default DEFAULT_GROUP_BOUND).  Only
-    roots of Phi' can vanish on a point of the set (see mod_blocks,
-    q_blocks), so only they are paired, and each distinct set of vanishing
-    roots is classified once."""
-    _check_points(length ** rs.rank, bound)
-    orbits = orbit_partition(itertools.product(*axes()),
+    axis in the order of its sort key), as a tuple of (least point, orbit
+    size, sub, [W(Phi') : W(sub)]), sub the classified subsystem of the
+    roots vanishing on the point.  BoundExceeded, before axes() is called
+    and before any walk is reused, when the length^r points exceed `bound`
+    (default DEFAULT_GROUP_BOUND).  The walk depends on nothing else, so it
+    is memoised per (rs, Phi', encoding, modulus, axes) in this process
+    (_WalkMemo)."""
+    points = length ** rs.rank
+    _check_points(points, bound)
+    return _walks.get((rs, levi, on, modulus, tuple(map(tuple, axes()))), points,
+                      _walk_skeleton)
+
+
+def _walk_skeleton(rs, levi, on, modulus, axes):
+    # Only roots of Phi' can vanish on a point of the set (see mod_blocks,
+    # q_blocks), so only they are paired, and each distinct set of vanishing
+    # roots is classified once
+    orbits = orbit_partition(itertools.product(*axes),
                              integer_actions(rs, levi.basis, on, modulus))
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)
     pairings = integer_pairings(rs, on, modulus, roots=roots)
@@ -451,8 +495,8 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     def classify(sat):
         sub = reflection_stabilizer(rs, frozenset(sat).__contains__)
         return sub, subsystem_index(sub, levi)
-    return [(x, size, *classify(tuple(b for b, v in zip(roots, pairings(x)) if v == zero)))
-            for x, size in orbits]
+    return tuple((x, size, *classify(tuple(b for b, v in zip(roots, pairings(x)) if v == zero)))
+                 for x, size in orbits)
 
 
 class BlockRecord:

@@ -4,7 +4,7 @@ none of the single-root or closure oracles.  The block walks generate their
 integer points directly, through neither the ell-fiber of torus elements nor
 the list of weights of Lambda_chi, and both sides walk through the one shared
 weyl.block_orbits, which walks the points in key order and so sorts
-nothing; the CLI reads no block report's integer layout.  Each matrix is
+nothing, nor does the memo that keeps its walks; the CLI reads no block report's integer layout.  Each matrix is
 reduced once: no production module calls the solver from a loop.  A Weyl
 element is its word in production: no production module builds or applies
 a matrix element.  Stab_W(chi) = W(Phi') is checked by a selftest oracle,
@@ -65,10 +65,14 @@ def test_oracles_are_defined_only_in_selftest():
 
 def test_production_modules_call_no_single_root_or_closure_oracle():
     trees = _trees()
-    (exceptional,) = [node for node in trees["quantum.py"].body
-                      if isinstance(node, ast.FunctionDef)
-                      and node.name == "exceptional_elements"]
-    assert not _called_names(exceptional) & {"close_up", "pair", "root_value", "solve_linear"}
+    # exceptional_elements returns copies of the records _exceptional_records
+    # computes once per root system
+    exceptional = [node for node in trees["quantum.py"].body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("exceptional_elements", "_exceptional_records")]
+    assert len(exceptional) == 2
+    for node in exceptional:
+        assert not _called_names(node) & {"close_up", "pair", "root_value", "solve_linear"}
     for name, tree in trees.items():
         if name != "selftest.py":
             assert not _called_names(tree) & {"close_up", "pair", "root_value"}, name
@@ -96,10 +100,16 @@ def test_cli_reads_no_report_encoding():
 
 def test_block_walks_sort_nothing_and_take_no_key():
     # the points are walked in key order, so each orbit's first point is
-    # its least: no key callback and no sort in the walk
-    defs = {node.name: node for node in _trees()["weyl.py"].body
-            if isinstance(node, ast.FunctionDef)}
-    for name in ("orbit_partition", "block_orbits"):
+    # its least: no key callback and no sort in the walk, nor in the memo
+    # that keeps the walks in order of use
+    body = _trees()["weyl.py"].body
+    defs = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
+    (memo,) = [node for node in body
+               if isinstance(node, ast.ClassDef) and node.name == "_WalkMemo"]
+    defs.update((f"_WalkMemo.{node.name}", node) for node in memo.body
+                if isinstance(node, ast.FunctionDef))
+    for name in ("orbit_partition", "block_orbits", "_walk_skeleton", "_WalkMemo.get",
+                 "_WalkMemo.clear"):
         params = {a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)}
         assert "key" not in params, name
         assert not _called_names(defs[name]) & {"sorted", "sort", "list"}, name

@@ -7,9 +7,13 @@ carry along), and the selftest oracle of its premise, |W.chi| |W(Phi')| =
 |W|, refuses generators that fall short of Stab_W(chi).  Each block's
 stabiliser data, read on Phi' and memoised per query, equal the oracles' on
 the block's own point, and are computed once per distinct point stabiliser;
-the guards refuse a point set off Phi'."""
+the guards refuse a point set off Phi'.  A test that patches a function
+the walk calls empties the memo of walks first (the patched_walk fixture)
+and checks that the patched function ran, so it never passes on a memoised
+walk."""
 
 import collections
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -141,6 +145,23 @@ def test_integer_maps_are_the_simple_reflections(t):
             assert torus_map(nums) == tuple(int(q.q * N) for q in qs)
 
 
+@pytest.fixture
+def patched_walk(monkeypatch):
+    """A context manager for block walks under patched weyl functions: it
+    yields a monkeypatch context, and empties the memo of walks on entry, so
+    the next query walks with the patches rather than reuse a walk, and on
+    exit, so no walk made under the patches outlives them."""
+    @contextlib.contextmanager
+    def patched():
+        weyl._walks.clear()
+        try:
+            with monkeypatch.context() as m:
+                yield m
+        finally:
+            weyl._walks.clear()
+    return patched
+
+
 # -- the stabiliser walk against the full-W walk ------------------------------
 
 def _full_w(rs, *_args):
@@ -180,7 +201,7 @@ def modular_orbits_full_width(chi):
              len(cls)) for cls in classes]
 
 
-def _walked_and_oracle(chi, monkeypatch):
+def _walked_and_oracle(chi, patched_walk):
     if isinstance(chi, PChar):
         # on an extension field all of W does not preserve Lambda_chi, so a
         # width-1 walk under it is no oracle: this one walks the full width
@@ -190,18 +211,22 @@ def _walked_and_oracle(chi, monkeypatch):
     # the fiber codes over N = ell D, D the common denominator of chi_s
     N = chi.ell * math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
 
+    walks = []
+
     def full_w_orbits(points, gen_actions):
         # whole W-orbits cut down to the fiber, sorted by UnityExp.key()
+        walks.append(gen_actions)
         classes = orbit_partition_by_key(points, gen_actions, key=lambda code: tuple(
             UnityExp(Fraction(n, N)).key() for n in code))
         return [(cls[0], len(cls)) for cls in classes]
-    with monkeypatch.context() as m:
+    with patched_walk() as m:
         # every reflection map the walk builds acts by all of W instead, and
         # the oracle partition walks with them
         m.setattr(weyl, "integer_actions", lambda rs, _roots, *args: integer_actions(
             rs, _full_w(rs), *args))
         m.setattr(weyl, "orbit_partition", full_w_orbits)
         want = [b.to_dict() for b in q_blocks(chi)]
+    assert len(walks) == 1, chi
     return got, want
 
 
@@ -256,13 +281,13 @@ CELL_SETS = {"matrix": _matrix_cells, "manifest": _manifest_cells,
 
 
 @pytest.mark.parametrize("cells", sorted(CELL_SETS))
-def test_stabiliser_walk_matches_the_full_w_walk(cells, monkeypatch):
+def test_stabiliser_walk_matches_the_full_w_walk(cells, patched_walk):
     # the same representatives in the same order and the same orbit sizes;
     # on the quantum side every other field of each block too (the modular
     # stabiliser fields: test_block_stabilisers_match_the_oracles)
     bad = []
     for label, chi in CELL_SETS[cells]():
-        got, want = _walked_and_oracle(chi, monkeypatch)
+        got, want = _walked_and_oracle(chi, patched_walk)
         sizes = [b[2] if isinstance(chi, PChar) else b["orbit_size"] for b in got]
         if got != want:
             bad.append(label)
@@ -271,7 +296,7 @@ def test_stabiliser_walk_matches_the_full_w_walk(cells, monkeypatch):
     assert bad == []
 
 
-def test_block_walks_build_no_weyl_elements(monkeypatch):
+def test_block_walks_build_no_weyl_elements(monkeypatch, patched_walk):
     # the walks act by rank-one reflections read off the root data: no Weyl
     # matrix is built for a generator or per block
     built = collections.Counter()
@@ -282,7 +307,7 @@ def test_block_walks_build_no_weyl_elements(monkeypatch):
         init(self, *args)
 
     cells = [*_matrix_cells(), *_seeded_cells()]
-    with monkeypatch.context() as m:
+    with patched_walk() as m:
         m.setattr(WeylElement, "__init__", counted)
         for label, chi in cells:
             assert _blocks(chi), label
@@ -294,13 +319,15 @@ def test_block_walks_build_no_weyl_elements(monkeypatch):
     assert built["elements"] > 0
 
 
-def _watch_walks(monkeypatch):
-    """Wrap the generator maps of every block walk; returns (seen, widths):
-    counts of the images computed and of those outside the point set, and
-    the lengths of the points and images the walks see."""
+def _watch_walks(m):
+    """Wrap the generator maps of every block walk, through the monkeypatch
+    context m; returns (seen, widths): counts of the walks, of the images
+    computed and of those outside the point set, and the lengths of the
+    points and images the walks see."""
     seen, widths = collections.Counter(), collections.Counter()
 
     def checked(points, gen_actions):
+        seen["walks"] += 1
         points = list(points)
         pointset = set(points)
         widths.update(map(len, pointset))
@@ -320,22 +347,23 @@ def _watch_walks(monkeypatch):
             points, [watched(a) for a in gen_actions], order.__getitem__)
         return [(cls[0], len(cls)) for cls in classes]
 
-    monkeypatch.setattr(weyl, "orbit_partition", checked)
+    m.setattr(weyl, "orbit_partition", checked)
     return seen, widths
 
 
-def _walk_generators(chi, monkeypatch):
+def _walk_generators(chi, patched_walk):
     """The generators mod_blocks walks Lambda_chi with: the roots of the
     reflection maps block_orbits builds."""
     gens = []
 
     def recording(rs, roots, *args):
-        gens[:] = roots
+        gens.append(roots)
         return integer_actions(rs, roots, *args)
-    with monkeypatch.context() as m:
+    with patched_walk() as m:
         m.setattr(weyl, "integer_actions", recording)
         mod_blocks(chi)
-    return gens
+    assert len(gens) == 1, chi
+    return gens[0]
 
 
 def _leaving_lambda_chi(chi, gens):
@@ -357,14 +385,14 @@ def _leaving_lambda_chi(chi, gens):
     return seen
 
 
-def test_block_walks_stay_inside_the_point_set(monkeypatch):
+def test_block_walks_stay_inside_the_point_set(patched_walk):
     # the modular walk runs on constant terms alone: its generators map
     # Lambda_chi, at full width, into itself, and act on the constant slots
     # as the width-1 walk does
     images = 0
     for label, chi in [*_matrix_cells(), *_seeded_cells(), *_extension_cells()]:
         if isinstance(chi, PChar):
-            seen = _leaving_lambda_chi(chi, _walk_generators(chi, monkeypatch))
+            seen = _leaving_lambda_chi(chi, _walk_generators(chi, patched_walk))
             images += seen["images"]
             assert (seen["outside"], seen["off_projection"]) == (0, 0), label
     assert images > 0
@@ -373,21 +401,25 @@ def test_block_walks_stay_inside_the_point_set(monkeypatch):
     seen = _leaving_lambda_chi(chi, _full_w(chi.rs))
     assert seen["outside"] > 0 and seen["off_projection"] == 0
     # the quantum walk stays inside the fiber
-    seen, _widths = _watch_walks(monkeypatch)
-    for _label, chi in [*_matrix_cells(), *_seeded_cells()]:
+    images = 0
+    for label, chi in [*_matrix_cells(), *_seeded_cells()]:
         if isinstance(chi, QChar):
-            q_blocks(chi)
-    assert seen["images"] > 0
-    assert seen["outside"] == 0
+            with patched_walk() as m:
+                seen, _widths = _watch_walks(m)
+                q_blocks(chi)
+            assert (seen["walks"], seen["outside"]) == (1, 0), label
+            images += seen["images"]
+    assert images > 0
 
 
-def test_modular_walks_run_on_constant_terms(monkeypatch):
+def test_modular_walks_run_on_constant_terms(patched_walk):
     # on F_{p^e}, e > 1, every point the walk sees is an r-tuple
-    _seen, widths = _watch_walks(monkeypatch)
     for label in ("A2/p5 F_p^2 chi", "A2/p7 AS(c)", "B3/p5 F_p chi"):
         chi = MODULAR_CELLS[label][0]()
-        widths.clear()
-        assert mod_blocks(chi)[0].lam.field.e > 1, label
+        with patched_walk() as m:
+            seen, widths = _watch_walks(m)
+            assert mod_blocks(chi)[0].lam.field.e > 1, label
+        assert seen["walks"] == 1, label
         assert set(widths) == {chi.rs.rank}, label
 
 
@@ -408,7 +440,7 @@ def test_guard_refuses_a_proper_sub_levi(monkeypatch):
         assert not walked_orbit_times_levi_is_w(chi)
 
 
-def test_the_e7_fiber_is_within_the_default_bound(monkeypatch):
+def test_the_e7_fiber_is_within_the_default_bound(patched_walk):
     # the bound counts the 7^7 = 823 543 fiber points alone, not the
     # 1 451 520 of the W-orbit of chi_s^2 as well; the walk is stopped where
     # it starts (the whole answer takes seconds)
@@ -421,22 +453,29 @@ def test_the_e7_fiber_is_within_the_default_bound(monkeypatch):
 
     def stop(_points, _gens):
         raise Walked
-    monkeypatch.setattr(weyl, "orbit_partition", stop)
-    with pytest.raises(Walked):
-        q_blocks(chi)
+    with patched_walk() as m:
+        m.setattr(weyl, "orbit_partition", stop)
+        with pytest.raises(Walked):
+            q_blocks(chi)
 
 
-def test_a_walk_that_leaves_the_fiber_is_refused(monkeypatch):
+def test_a_walk_that_leaves_the_fiber_is_refused(patched_walk):
     # all of W moves points of this fiber out of it; the walk raises rather
     # than drop them (the modular walk runs on all of F_p^r, which it
     # cannot leave)
     chi = QChar(build_root_system("B3"), 7, chi_s=TorusElement(
         (Fraction(1, 2), 0, Fraction(1, 3))))
     assert q_blocks(chi)
-    monkeypatch.setattr(weyl, "integer_actions", lambda rs, _roots, *args: integer_actions(
-        rs, _full_w(rs), *args))
-    with pytest.raises(InvariantViolation, match="a walk left it"):
-        q_blocks(chi)
+    built = []
+
+    def full_w(rs, _roots, *args):
+        built.append(args)
+        return integer_actions(rs, _full_w(rs), *args)
+    with patched_walk() as m:
+        m.setattr(weyl, "integer_actions", full_w)
+        with pytest.raises(InvariantViolation, match="a walk left it"):
+            q_blocks(chi)
+    assert len(built) == 1
 
 
 # -- per-block stabiliser data, read on Phi', against the oracles --------------
@@ -509,9 +548,11 @@ ONCE_PER_STABILISER_CELLS = {
 
 
 @pytest.mark.parametrize("cell", sorted(ONCE_PER_STABILISER_CELLS))
-def test_stabiliser_work_runs_once_per_point_stabiliser(cell, monkeypatch):
+def test_stabiliser_work_runs_once_per_point_stabiliser(cell, patched_walk):
     # one classification, one finite-type verdict and (nilpotent chi) one
-    # Poincare series per distinct point stabiliser of the query, not per block
+    # Poincare series per distinct point stabiliser of the query, not per
+    # block; a repeated query reuses the walk and classifies nothing, but
+    # gives each block its verdict again
     chi = ONCE_PER_STABILISER_CELLS[cell]()
     calls = collections.Counter()
 
@@ -520,15 +561,20 @@ def test_stabiliser_work_runs_once_per_point_stabiliser(cell, monkeypatch):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
-    monkeypatch.setattr(weyl, "reflection_stabilizer",
-                        counted("classify", weyl.reflection_stabilizer))
-    monkeypatch.setattr(modular, "_finite_type", counted("finite_type", modular._finite_type))
-    monkeypatch.setattr(Subsystem, "coset_poincare",
-                        counted("poincare", Subsystem.coset_poincare))
-    blocks = _blocks(chi)
-    distinct = len({id(b.stabilizer) for b in blocks})
-    assert 1 < distinct < len(blocks)
-    on_modular = isinstance(chi, PChar)
-    assert (calls["classify"], calls["finite_type"], calls["poincare"]) == (
-        distinct, distinct if on_modular else 0,
-        distinct if on_modular and chi.nilpotent else 0)
+    with patched_walk() as m:
+        m.setattr(weyl, "reflection_stabilizer",
+                  counted("classify", weyl.reflection_stabilizer))
+        m.setattr(modular, "_finite_type", counted("finite_type", modular._finite_type))
+        m.setattr(Subsystem, "coset_poincare", counted("poincare", Subsystem.coset_poincare))
+        blocks = _blocks(chi)
+        distinct = len({id(b.stabilizer) for b in blocks})
+        assert 1 < distinct < len(blocks)
+        on_modular = isinstance(chi, PChar)
+        verdicts = (distinct if on_modular else 0,
+                    distinct if on_modular and chi.nilpotent else 0)
+        assert (calls["classify"], calls["finite_type"], calls["poincare"]) == (
+            distinct, *verdicts)
+        calls.clear()
+        again = _blocks(chi)
+        assert (calls["classify"], calls["finite_type"], calls["poincare"]) == (0, *verdicts)
+    assert [b.to_dict() for b in again] == [b.to_dict() for b in blocks]

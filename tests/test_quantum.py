@@ -300,6 +300,29 @@ def test_exceptional_elements_match_solve_and_closure_oracle(type_str):
         assert a["beta_m"] == b["beta_m"]
 
 
+def test_exceptional_records_are_computed_once_and_returned_fresh(monkeypatch):
+    # the records of a type are computed on its first query; a caller that
+    # changes the returned list or its dicts changes no later answer
+    g2 = build_root_system("G2")
+    asked = []
+
+    def counted(rs, m):
+        asked.append(m)
+        return beta_minimal(rs, m)
+    quantum._exceptional_records.cache_clear()
+    monkeypatch.setattr(quantum, "beta_minimal", counted)
+    first = exceptional_elements(g2)
+    assert asked == [0, 1]
+    want = [dict(rec) for rec in first]
+    first[1]["beta_m"] = None
+    del first[2]["torus"]
+    first.append({})
+    again = exceptional_elements(g2)
+    assert asked == [0, 1]
+    assert again == want and again is not first
+    assert {id(rec) for rec in again}.isdisjoint(map(id, first))
+
+
 def test_exceptional_basis_guard_rejects_a_non_minimal_beta(monkeypatch):
     # B3, node 3 (a_3 = 2): the roots with alpha_3-coefficient 2 are
     # (0,1,2) < (1,1,2) < (1,2,2).  Closing alpha_1, alpha_2 and the
@@ -310,10 +333,20 @@ def test_exceptional_basis_guard_rejects_a_non_minimal_beta(monkeypatch):
     assert beta_minimal(b3, 2) == (0, 1, 2)
     cent = frozenset(b for b in b3.all_roots() if b[2] % 2 == 0)
     assert close_up(b3, [(1, 0, 0), (0, 1, 0), wrong]) == cent
-    monkeypatch.setattr(quantum, "beta_minimal",
-                        lambda rs, m: wrong if m == 2 else beta_minimal(rs, m))
+    asked = []
+
+    def wrong_at_node_3(rs, m):
+        asked.append(m)
+        return wrong if m == 2 else beta_minimal(rs, m)
+    # the records are memoised per root system: computed afresh here, and
+    # the failure is kept nowhere
+    quantum._exceptional_records.cache_clear()
+    monkeypatch.setattr(quantum, "beta_minimal", wrong_at_node_3)
     with pytest.raises(InvariantViolation):
         exceptional_elements(b3)
+    assert 2 in asked
+    monkeypatch.undo()
+    assert exceptional_elements(b3)[3]["beta_m"] == (0, 1, 2)
 
 
 def test_appendix_examples():

@@ -1,0 +1,159 @@
+"""The memo of block walks: weyl.block_orbits keeps the skeleton of each walk
+(least point, orbit size, point stabiliser and index per block) per (root
+system, Phi', encoding, modulus, axes), and reuses it within the process.
+The points bound is checked before the memo is read, a failing walk is never
+kept, the retained point sets total at most DEFAULT_GROUP_BOUND, and the
+reports built from a reused walk are the query's own."""
+
+import collections
+import copy
+from fractions import Fraction
+
+import pytest
+
+from lieram import weyl
+from lieram.cli import main
+from lieram.errors import BoundExceeded, InvariantViolation
+from lieram.modular import PChar, mod_blocks
+from lieram.quantum import QChar, TorusElement, q_blocks
+from lieram.rootdata import build_root_system
+from lieram.scalars import make_field
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """An empty memo, emptied again at the end of the test, and a counter of
+    the walks made (calls of weyl._walk_skeleton) in between."""
+    made = collections.Counter()
+    skeleton = weyl._walk_skeleton
+
+    def counted(rs, levi, on, modulus, axes):
+        made[rs.type_str, on, modulus] += 1
+        return skeleton(rs, levi, on, modulus, axes)
+    weyl._walks.clear()
+    monkeypatch.setattr(weyl, "_walk_skeleton", counted)
+    yield made
+    weyl._walks.clear()
+
+
+def _dicts(blocks):
+    return [b.to_dict() for b in blocks]
+
+
+def _a2_characters():
+    a2 = build_root_system("A2")
+    return PChar(a2, 5, support=(0,)), QChar(a2, 5)
+
+
+def test_the_bound_is_checked_before_the_memo(walks):
+    # 25 points each; a walk kept under the default bound is no answer under
+    # a bound of 24, on either side
+    mod_chi, q_chi = _a2_characters()
+    assert mod_blocks(mod_chi) and q_blocks(q_chi)
+    assert sum(walks.values()) == 2
+    for _ in range(2):
+        for blocks in (mod_blocks, q_blocks):
+            chi = mod_chi if blocks is mod_blocks else q_chi
+            with pytest.raises(BoundExceeded, match="^25 points to walk exceeds bound 24$"):
+                blocks(chi, 24)
+    assert sum(walks.values()) == 2
+    assert _dicts(mod_blocks(mod_chi, 25)) == _dicts(mod_blocks(mod_chi))
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular", "blocks", "--type", "A2", "--p", "5"],
+    ["quantum", "blocks", "--type", "A2", "--ell", "5"],
+])
+def test_the_cli_bound_is_checked_before_the_memo(argv, walks, capsys):
+    assert main(argv) == 0
+    answer = capsys.readouterr().out
+    for _ in range(2):
+        assert main([*argv, "--bound", "24"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 25 points to walk exceeds bound 24\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == answer
+    assert sum(walks.values()) == 1
+
+
+def test_a_support_sweep_walks_once(walks):
+    # the nilpotent part of chi plays no part in the partition: the 8
+    # supports of A3/p7 nilpotent share one walk, and each answer equals a
+    # fresh computation
+    a3 = build_root_system("A3")
+    supports = [tuple(i for i in range(3) if mask >> i & 1) for mask in range(8)]
+    swept = [_dicts(mod_blocks(PChar(a3, 7, support=s))) for s in supports]
+    assert walks == {("A3", "values", 7): 1}
+    for support, answer in zip(supports, swept):
+        weyl._walks.clear()
+        assert _dicts(mod_blocks(PChar(a3, 7, support=support))) == answer
+    assert walks == {("A3", "values", 7): 9}
+    assert {answer[0]["poincare"] is None for answer in swept} == {False}
+
+
+def test_a_failing_walk_is_never_kept(walks, monkeypatch):
+    # all of W moves points of this fiber out of it: every query raises,
+    # none is answered from the memo, and the memo keeps nothing of it
+    chi = QChar(build_root_system("B3"), 7, chi_s=TorusElement(
+        (Fraction(1, 2), 0, Fraction(1, 3))))
+    integer_actions = weyl.integer_actions
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "integer_actions", lambda rs, _roots, *args: integer_actions(
+            rs, rs.simple_roots, *args))
+        for _ in range(3):
+            with pytest.raises(InvariantViolation, match="a walk left it"):
+                q_blocks(chi)
+    assert walks == {("B3", "torus", 42): 3}
+    assert (weyl._walks.walks, weyl._walks.points) == ({}, 0)
+    assert q_blocks(chi)
+    assert walks == {("B3", "torus", 42): 4}
+    assert weyl._walks.points == 7**3
+
+
+def test_a_report_changed_by_a_caller_changes_no_later_answer(walks):
+    mod_chi, q_chi = _a2_characters()
+    for blocks, chi in ((mod_blocks, mod_chi), (q_blocks, q_chi)):
+        first = blocks(chi)
+        want = copy.deepcopy(_dicts(first))  # to_dict shares the witness
+        for b in first:
+            b.orbit_size = -1
+            b.dim = 0
+            b.stabilizer = None
+        if blocks is mod_blocks:
+            for b in first:
+                b.eta_code = b.lam_code = ()
+                b.finite_type_witness["point_type"] = "changed"
+                if b.finite_type_witness["differing_component"]:
+                    b.finite_type_witness["differing_component"]["small"] = "changed"
+        else:
+            for b in first:
+                b.numerators = ()
+        assert _dicts(blocks(chi)) == want
+    assert sum(walks.values()) == 2
+
+
+def test_the_retained_points_stay_within_the_default_bound(walks, monkeypatch):
+    # with a budget of 75 points: A2 (25), then B2 (25), A2 used again,
+    # then G2 (49 points) drops B2, the least recently used, and a walk of
+    # more than 75 points (A3/p5, 125, under a raised bound) is not kept
+    monkeypatch.setattr(weyl, "DEFAULT_GROUP_BOUND", 75)
+    F5 = make_field(5, 1)
+    a2 = PChar(build_root_system("A2"), 5)
+    b2 = PChar(build_root_system("B2"), 5, values=(F5.one(), F5.zero()))
+    g2 = PChar(build_root_system("G2"), 7)
+    a3 = PChar(build_root_system("A3"), 5)
+    for chi in (a2, b2, a2, g2):
+        mod_blocks(chi)
+        assert weyl._walks.points <= 75
+    assert walks == {("A2", "values", 5): 1, ("B2", "values", 5): 1, ("G2", "values", 7): 1}
+    assert weyl._walks.points == 25 + 49
+    mod_blocks(a3, 10**6)
+    mod_blocks(a2)
+    assert walks[("A2", "values", 5)] == 1
+    mod_blocks(b2)  # drops G2, now the least recently used
+    assert walks[("B2", "values", 5)] == 2
+    assert weyl._walks.points == 25 + 25
+    mod_blocks(a3, 10**6)
+    assert walks[("A3", "values", 5)] == 2
+    assert sum(points for points, _walk in weyl._walks.walks.values()) == weyl._walks.points
