@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .errors import LieramError
+from .errors import InvariantViolation, LieramError
 from .modular import (
     ModWeight,
     PChar,
@@ -176,40 +176,46 @@ def _split(obj, nl="\n"):
     return pieces, nls
 
 
+class _Texts(dict):
+    """The text of each value at line break `nl`, rendered on first use."""
+
+    def __init__(self, nl):
+        self.nl = nl
+
+    def __missing__(self, v):
+        text = self[v] = _dumps(v, self.nl)
+        return text
+
+
 def _json_pieces(payload):
     """_dumps(payload) + "\n" in pieces.  A non-empty payload["blocks"] is a
     list of block reports (weyl.BlockRecord), each written as _dumps of its
-    to_dict in a piece of its own.  The text of the fields outside the
-    reports' VARYING keys is rendered once per report.stabilizer, and the
-    text of each item of the VARYING values once per hashable that
-    varying_items gives it."""
+    to_dict in a piece of its own: one format of the template that to_dict
+    gives once per report.stabilizer (the fields outside VARYING), filled
+    with the text of each value of varying_items(), rendered from the value
+    once per answer.  InvariantViolation, checked per template, unless every
+    such value with line breaks sits at one depth, a list item's."""
     blocks = payload.get("blocks")
     if not blocks:
         yield _dumps(payload) + "\n"
         return
-    names = blocks[0].VARYING
     (head, sep, tail), (nl, _) = _split({**payload, "blocks": [_MARK, _MARK]})
-    templates, memos = {}, None
-
-    def items(d):
-        return [x for k in names for x in (d[k] if type(d[k]) is list else [d[k]])]
+    templates, texts = {}, _Texts(nl + "    ")  # at the items of a report's lists
     yield head
     for i, b in enumerate(blocks):
         template = templates.get(b.stabilizer)
         if template is None:
             d = b.to_dict()
             d.update((k, [_MARK] * len(d[k]) if type(d[k]) is list else _MARK)
-                     for k in names)
+                     for k in b.VARYING)
             pieces, nls = _split(d, nl)
+            if any(n != texts.nl and isinstance(v, (list, tuple, dict))
+                   for n, v in zip(nls, b.varying_items())):
+                raise InvariantViolation(
+                    f"a VARYING value of {type(b).__name__} is not at the depth of a list item")
             template = templates[b.stabilizer] = "{}".join(
-                x.replace("{", "{{").replace("}", "}}") for x in pieces)
-            memos = memos or [({}, n) for n in nls]
-        ks = b.varying_items()
-        texts = [m.get(k) for (m, _), k in zip(memos, ks)]
-        if None in texts:
-            texts = [m.setdefault(k, _dumps(x, n))
-                     for (m, n), k, x in zip(memos, ks, items(b.to_dict()))]
-        yield (sep if i else "") + template.format(*texts)
+                x.replace("{", "{{").replace("}", "}}") for x in pieces).format
+        yield (sep if i else "") + template(*[texts[v] for v in b.varying_items()])
     yield tail + "\n"
 
 

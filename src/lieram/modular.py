@@ -135,18 +135,13 @@ def enumerate_lambda_chi(chi: PChar, bound=None):
 
 def _lambda_base(chi: PChar, bound):
     # one point of Lambda_chi, as values in the ambient field, and that field
-    sols, fields = zip(*(artin_schreier_solve(c ** chi.p, bound) for c in chi.values))
+    sols, fields = zip(*(artin_schreier_solve(c.frobenius(), bound) for c in chi.values))
     ambient = max(fields, key=lambda f: f.e)
     return tuple(embed(x, ambient) for x in sols), ambient
 
 
-def _weight(f, code):
-    return ModWeight(map(f.elem, _slices(code, f.e)))
-
-
-def _slices(code, e):
-    # a flat code cut into its values, e coefficients each
-    return [code[i:i + e] for i in range(0, len(code), e)]
+def _weight(f, coeffs):
+    return ModWeight(map(f.elem, coeffs))
 
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
@@ -207,14 +202,21 @@ class BlockReport(BlockRecord):
     """Per-block record: both coordinate systems, orbit size, dimension,
     unramified flag, stabilizer types, Poincare series, finite-type verdict.
 
-    The walked point is kept as its flat codes in the ambient field (each
-    value's e coefficients in turn, untrimmed); lam and eta are built from
-    them on access.  `stabilizer` is the point stabiliser of eta."""
+    lam_code and eta_code hold each value's trimmed coefficients; lam and eta
+    are built from them on access.  The blocks whose eta has one point
+    stabiliser (`stabilizer`) share one verdict, so finite_type_witness and
+    to_dict give fresh dicts."""
 
     __slots__ = ("field", "lam_code", "eta_code", "orbit_size", "stabilizer",
-                 "dim", "stab_coset_type", "poincare", "finite_type",
-                 "finite_type_witness")
+                 "dim", "stab_coset_type", "poincare", "finite_type", "_witness")
     VARYING = ("eta", "lambda", "orbit_size")
+
+    def __init__(self, field, lam_code, eta_code, orbit_size, stabilizer, dim,
+                 stab_coset_type, poincare, finite_type, witness):
+        self.field, self.lam_code, self.eta_code = field, lam_code, eta_code
+        self.orbit_size, self.stabilizer, self.dim = orbit_size, stabilizer, dim
+        self.stab_coset_type, self.poincare = stab_coset_type, poincare
+        self.finite_type, self._witness = finite_type, witness
 
     @property
     def lam(self):
@@ -224,11 +226,15 @@ class BlockReport(BlockRecord):
     def eta(self):
         return _weight(self.field, self.eta_code)
 
+    @property
+    def finite_type_witness(self):
+        differing = self._witness["differing_component"]
+        return {**self._witness, "differing_component": differing and dict(differing)}
+
     def to_dict(self):
-        e = self.field.e
         return {
-            "lambda": [list(_ptrim(v)) for v in _slices(self.lam_code, e)],
-            "eta": [list(_ptrim(v)) for v in _slices(self.eta_code, e)],
+            "lambda": list(map(list, self.lam_code)),
+            "eta": list(map(list, self.eta_code)),
             "orbit_size": self.orbit_size,
             "dim": self.dim,
             "unramified": self.unramified,
@@ -240,9 +246,7 @@ class BlockReport(BlockRecord):
         }
 
     def varying_items(self):
-        # each value of eta, then of lambda, as its e coefficients
-        e = self.field.e
-        return _slices(self.eta_code, e) + _slices(self.lam_code, e) + [self.orbit_size]
+        return (*self.eta_code, *self.lam_code, self.orbit_size)
 
 
 def mod_blocks(chi: PChar, bound=None):
@@ -261,31 +265,19 @@ def mod_blocks(chi: PChar, bound=None):
     walked = block_orbits(rs, levi, "values", p, p,
                           lambda: [[(k + 1) % p for k in range(p)]] * rs.rank, bound)
     base, ambient = _lambda_base(chi, bound)
-    e = ambient.e
-    full = list(_code(base, e))
-
-    def code(x):
-        # the point of Lambda_chi with constant terms x, in all e slots
-        full[::e] = x
-        return tuple(full)
-
-    first = integer_pairings(rs, "values", p, e)(code(walked[0][0]))
-    if any((not any(v[1:])) != (b in levi.roots) for b, v in zip(rs.pos_roots, first)):
+    # eta(h_i) takes p values, etas[i][k] of constant term k; lambda(h_i) = etas[i][k - 1]
+    etas = [[_ptrim((k, *b.coeffs[1:])) for k in range(p)] for b in base]
+    lams = [t[-1:] + t[:-1] for t in etas]
+    first = _pairings(rs, [ambient.elem(t[k]) for t, k in zip(etas, walked[0][0])], ambient)
+    if any((not any(v[1:])) != (b in levi.roots) for b, v in first.items()):
         raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
     verdicts = {zero: (_poincare(zero) if chi.nilpotent else None,
                        *_finite_type(rs, zero, levi, False))
                 for zero in dict.fromkeys(zero for _x, _size, zero, _dim in walked)}
-    reports = []
-    for x, size, zero, dim in walked:
-        poincare, verdict, witness = verdicts[zero]
-        differing = witness["differing_component"]  # each report gets a copy
-        reports.append(BlockReport(
-            field=ambient, lam_code=code([(c - 1) % p for c in x]), eta_code=code(x),
-            orbit_size=size, stabilizer=zero, dim=dim,
-            stab_coset_type=levi.type_str,
-            poincare=poincare, finite_type=verdict, finite_type_witness={
-                **witness, "differing_component": differing and dict(differing)}))
-    return reports
+    return [BlockReport(ambient, tuple(map(list.__getitem__, lams, x)),
+                        tuple(map(list.__getitem__, etas, x)), size, zero, dim,
+                        levi.type_str, *verdicts[zero])
+            for x, size, zero, dim in walked]
 
 
 def unramified_count(chi: PChar, blocks=None, bound=None):

@@ -122,23 +122,26 @@ class QBlockReport(BlockRecord):
     unramified and exceptional flags, stabilizer types.
 
     The point is kept as the numerators of its exponents over one common
-    denominator N, each in [0, N); rep is built from them on access.
-    `stabilizer` is the point stabiliser of the fiber point."""
+    denominator N, each in [0, N), and as their reduced texts "n/N" (torus);
+    rep is built on access.  `stabilizer` is the point stabiliser of t."""
 
-    __slots__ = ("numerators", "N", "orbit_size", "stabilizer", "dim",
+    __slots__ = ("numerators", "N", "torus", "orbit_size", "stabilizer", "dim",
                  "exceptional", "stab_fiber_type")
     VARYING = ("orbit_size", "torus")
+
+    def __init__(self, numerators, N, torus, orbit_size, stabilizer, dim, exceptional,
+                 stab_fiber_type):
+        self.numerators, self.N, self.torus = numerators, N, torus
+        self.orbit_size, self.stabilizer, self.dim = orbit_size, stabilizer, dim
+        self.exceptional, self.stab_fiber_type = exceptional, stab_fiber_type
 
     @property
     def rep(self):
         return TorusElement(tuple(Fraction(n, self.N) for n in self.numerators))
 
     def to_dict(self):
-        N = self.N
         return {
-            # str(UnityExp(n/N)): the reduced fraction
-            "torus": [f"{n // g}/{N // g}" for n in self.numerators
-                      for g in (math.gcd(n, N),)],
+            "torus": list(self.torus),
             "orbit_size": self.orbit_size,
             "dim": self.dim,
             "unramified": self.unramified,
@@ -148,7 +151,7 @@ class QBlockReport(BlockRecord):
         }
 
     def varying_items(self):
-        return (self.orbit_size, *self.numerators)
+        return (self.orbit_size, *self.torus)
 
 
 def q_blocks(chi: QChar, bound=None):
@@ -159,23 +162,26 @@ def q_blocks(chi: QChar, bound=None):
     they are counted before any is listed.  Only roots of Phi' = chi.levi
     can vanish on t, as beta(t)^ell = beta(chi_s^2); InvariantViolation
     unless the first t agrees."""
-    rs, levi = chi.rs, chi.levi
+    rs, levi, ell = chi.rs, chi.levi, chi.ell
     # the fiber as exponent numerators over N = ell D, D the common
     # denominator of chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
     D = math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
-    N = chi.ell * D
+    N = ell * D
     c = [int(2 * e.q * D) for e in chi.chi_s.exps]
-    # each axis in the order of UnityExp.key() of its exponents n/N: (n/g, N/g)
-    # with g = gcd(n, N); W acts by integer matrices, so orbits stay on (1/N)Z^r
-    walked = block_orbits(rs, levi, "torus", N, chi.ell, lambda: [
-        sorted(((ci + d * D) % N for d in range(chi.ell)),
-               key=lambda n: (n // math.gcd(n, N), N // math.gcd(n, N))) for ci in c], bound)
+
+    def axis(ci):
+        # the numerators n of t_i in the order of UnityExp(n/N).key(): (n/g, N/g)
+        return sorted(((ci + d * D) % N for d in range(ell)),
+                      key=lambda n: (n // math.gcd(n, N), N // math.gcd(n, N)))
+    # W acts by integer matrices, so orbits stay on (1/N)Z^r
+    walked = block_orbits(rs, levi, "torus", N, ell, lambda: list(map(axis, c)), bound)
     first = integer_pairings(rs, "torus", N)(walked[0][0])
     if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
-    return [QBlockReport(numerators=x, N=N, orbit_size=size, stabilizer=stab,
-                         dim=dim, exceptional=(stab.rank == rs.rank),
-                         stab_fiber_type=levi.type_str)
+    # str(UnityExp(n/N)), once per numerator
+    texts = {n: f"{n // g}/{N // g}" for ci in c for n in axis(ci) for g in (math.gcd(n, N),)}
+    return [QBlockReport(x, N, tuple(map(texts.__getitem__, x)), size, stab, dim,
+                         stab.rank == rs.rank, levi.type_str)
             for x, size, stab, dim in walked]
 
 

@@ -501,17 +501,13 @@ def _walk_skeleton(rs, levi, on, modulus, axes):
 
 class BlockRecord:
     """What the block reports of both sides share.  A report's fields are
-    its class's __slots__, all given as keywords.  `stabilizer` is the
-    classified subsystem of the roots vanishing on the block's point; it
-    fixes every to_dict field but those its class names in VARYING (sorted
-    keys), and varying_items() gives a hashable per item of their values,
-    in order, each element of a list value an item (see cli._json_pieces)."""
+    its class's __slots__, given positionally in that order.  `stabilizer`
+    is the classified subsystem of the roots vanishing on the block's point;
+    it fixes every to_dict field but those its class names in VARYING (sorted
+    keys), whose JSON values varying_items() gives in order, all hashable,
+    each element of a list value on its own (see cli._json_pieces)."""
 
     __slots__ = ()
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
 
     @property
     def unramified(self):

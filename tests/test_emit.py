@@ -12,8 +12,11 @@ import pytest
 
 from lieram import cli
 from lieram.cli import _dumps, _json_pieces
-from lieram.modular import mod_blocks
+from lieram.errors import InvariantViolation
+from lieram.modular import BlockReport, mod_blocks
+from lieram.quantum import QBlockReport
 from lieram.selftest import modular_cells
+from lieram.weyl import BlockRecord
 from test_golden_manifest import cases
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -89,6 +92,96 @@ def test_streamed_blocks_match_the_reference(emitted):
               for p in blocks if "field" in p["chi"]}
     assert {1, 2} == {e for e, _e, _p in fields}
     assert any(e == p for _e, e, p in fields) and any(e == 1 for _e, e, _p in fields)
+    # one text per value and answer: a coordinate whose trimmed value is
+    # empty, a report whose eta and lambda share a value, and quantum chi_s
+    # with denominators (N = ell D > ell)
+    reports = [b.to_dict() for p in blocks if p["command"] == "modular.blocks"
+               for b in p["blocks"]]
+    assert any([] in d["eta"] + d["lambda"] for d in reports)
+    assert any({tuple(v) for v in d["eta"]} & {tuple(v) for v in d["lambda"]} for d in reports)
+    assert any(not x.endswith("/1") for p in blocks
+               if p["command"] == "quantum.blocks" for x in p["chi"]["chi_s"])
+
+
+@pytest.mark.parametrize("argv", [
+    # Lambda_chi in F_{7^7}: 28 blocks of 2 point stabilisers
+    ["modular", "blocks", "--type", "A2", "--p", "7", "--chi-s", "AS(1),0"],
+    # N = 42: 70 blocks of 4 point stabilisers
+    ["quantum", "blocks", "--type", "B3", "--ell", "7", "--chi-s", "1/2,0,1/3",
+     "--support", "1"],
+])
+def test_each_text_is_rendered_once_per_answer(argv, monkeypatch, capsys):
+    # per answer, to_dict runs once per distinct point stabiliser (for its
+    # template) and _dumps once per distinct value of varying_items()
+    payloads, to_dicts, rendered, depth = [], [], [], [0]
+    emit, dumps = cli._emit, cli._dumps
+
+    def recording_emit(args, payload, rows=None):
+        payloads.append(payload)
+        return emit(args, payload, rows)
+
+    def counted_dumps(obj, nl="\n"):
+        if not depth[0]:  # not a part of a larger value
+            rendered.append(obj)
+        depth[0] += 1
+        try:
+            return dumps(obj, nl)
+        finally:
+            depth[0] -= 1
+
+    def counted(to_dict):
+        def wrapper(report):
+            to_dicts.append(report)
+            return to_dict(report)
+        return wrapper
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    monkeypatch.setattr(cli, "_dumps", counted_dumps)
+    for cls in (BlockReport, QBlockReport):
+        monkeypatch.setattr(cls, "to_dict", counted(cls.to_dict))
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    (payload,) = payloads
+    reports = payload["blocks"]
+    stabilisers = {id(b.stabilizer) for b in reports}
+    values = [v for b in reports for v in b.varying_items()]
+    assert 1 < len(stabilisers) < len(reports)
+    assert len(set(values)) < len(values) // 4
+    assert len(to_dicts) == len(stabilisers)
+    assert {id(b.stabilizer) for b in to_dicts} == stabilisers
+    texts = [x for x in rendered if type(x) is not dict and x is not cli._MARK]
+    assert sorted(map(repr, texts)) == sorted(map(repr, set(values)))
+    assert len(rendered) - len(texts) == 2 * (1 + len(stabilisers))  # head, templates
+    assert out == _reference(_as_dicts(payload)) + "\n"
+
+
+class _ToyReport(BlockRecord):
+    # a report whose VARYING values are `items` (a list) and `extra`
+    __slots__ = ("stabilizer", "items", "extra")
+    VARYING = ("extra", "items")
+
+    def __init__(self, stabilizer, items, extra):
+        self.stabilizer, self.items, self.extra = stabilizer, items, extra
+
+    def to_dict(self):
+        return {"extra": self.extra, "fixed": self.stabilizer, "items": list(self.items)}
+
+    def varying_items(self):
+        return (self.extra, *self.items)
+
+
+def test_texts_are_shared_only_at_one_depth():
+    # the list items sit one level below a field's own value: a field that
+    # is not a list may hold only values whose text has no line break
+    good = [_ToyReport("s", ((1, (2,)), ()), 3), _ToyReport("t", ((1, (2,)),), "3"),
+            _ToyReport("s", ((), (4, 5)), None)]
+    payload = {"blocks": good}
+    assert "".join(_json_pieces(payload)) == _reference(_as_dicts(payload)) + "\n"
+    for extra in ((1, 2), ("x", (3,)), {"a": [1]}):
+        bad = {"blocks": good + [_ToyReport("u", ((1,),), extra)]}
+        with pytest.raises(InvariantViolation, match="depth of a list item"):
+            list(_json_pieces(bad))
+
 
 ADVERSARIAL = [
     [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}],

@@ -195,10 +195,12 @@ def modular_orbits_full_width(chi):
         lam[::e] = [(c - 1) % p for c in code[::e]]
         return tuple(lam)
 
+    def weight(code):
+        return ModWeight(ambient.elem(code[i:i + e]) for i in range(0, len(code), e))
+
     classes = orbit_partition_by_key(
         codes, integer_actions(rs, _full_w(rs), "values", p, e), key)
-    return [(modular._weight(ambient, key(cls[0])), modular._weight(ambient, cls[0]),
-             len(cls)) for cls in classes]
+    return [(weight(key(cls[0])), weight(cls[0]), len(cls)) for cls in classes]
 
 
 def _walked_and_oracle(chi, patched_walk):

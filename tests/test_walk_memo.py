@@ -6,7 +6,6 @@ kept, the retained point sets total at most DEFAULT_GROUP_BOUND, and the
 reports built from a reused walk are the query's own."""
 
 import collections
-import copy
 from fractions import Fraction
 
 import pytest
@@ -115,7 +114,7 @@ def test_a_report_changed_by_a_caller_changes_no_later_answer(walks):
     mod_chi, q_chi = _a2_characters()
     for blocks, chi in ((mod_blocks, mod_chi), (q_blocks, q_chi)):
         first = blocks(chi)
-        want = copy.deepcopy(_dicts(first))  # to_dict shares the witness
+        want = _dicts(first)
         for b in first:
             b.orbit_size = -1
             b.dim = 0
@@ -131,6 +130,34 @@ def test_a_report_changed_by_a_caller_changes_no_later_answer(walks):
                 b.numerators = ()
         assert _dicts(blocks(chi)) == want
     assert sum(walks.values()) == 2
+
+
+def test_a_witness_or_dict_changed_by_a_caller_changes_no_other_report(walks):
+    # A2/p5 nilpotent: the blocks of one point stabiliser share one verdict,
+    # yet each finite_type_witness and each to_dict result is a fresh dict
+    mod_chi, q_chi = _a2_characters()
+    for blocks, chi in ((mod_blocks, mod_chi), (q_blocks, q_chi)):
+        answer = blocks(chi)
+        want = _dicts(answer)
+        assert len({id(b.stabilizer) for b in answer}) < len(answer)
+        for b in answer:
+            d = b.to_dict()
+            d["stabilizer_types"]["point"] = "changed"
+            for value in d.values():
+                if type(value) is list:
+                    value.append("changed")
+                    if value[0] and type(value[0]) is list:
+                        value[0].append("changed")
+            if blocks is mod_blocks:
+                for witness in (b.finite_type_witness, d["finite_type_witness"]):
+                    witness["point_type"] = "changed"
+                    if witness["differing_component"]:
+                        witness["differing_component"]["small"] = "changed"
+        assert _dicts(answer) == want
+        assert _dicts(blocks(chi)) == want
+    assert sum(walks.values()) == 2
+    witnesses = [b.finite_type_witness for b in mod_blocks(mod_chi)]
+    assert sum(w["differing_component"] is not None for w in witnesses) >= 2
 
 
 def test_the_retained_points_stay_within_the_default_bound(walks, monkeypatch):
