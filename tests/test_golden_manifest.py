@@ -1,7 +1,9 @@
 """Byte pins for every selftest-matrix cell, a fixed set of rank-3/4 cells and
 fixed probes
 (F4 modular, quantum unramified on F4, E6 and the types listed in MORE_TORUS,
-and `verify appendix` and `quantum exceptional` per type of the table): the
+with eps = 2 and 3 on the types in EPS_TORUS, quantum simplicity at every
+baby-Verma label of the characters in SIMPLICITY, and `verify appendix` and
+`quantum exceptional` per type of the table): the
 sha256 of each command's JSON stdout, recomputed in
 this process and compared with tests/golden/manifest.json.
 
@@ -20,11 +22,11 @@ import json
 import pathlib
 import sys
 
-from lieram.cli import _chi_dict, main
+from lieram.cli import _chi_dict, main, parse_support, parse_torus
 from lieram.modular import PChar, mod_blocks, regularity_and_structure, unramified_count
 from lieram.quantum import QChar, appendix_rows
 from lieram.rootdata import build_root_system
-from lieram.selftest import modular_cells, quantum_cells
+from lieram.selftest import _baby_verma_labels, modular_cells, quantum_cells
 
 MANIFEST = pathlib.Path(__file__).parent / "golden" / "manifest.json"
 
@@ -55,6 +57,22 @@ MORE_TORUS = {
     "E8": ["0,0,0,0,0,0,0,0", "1/2,0,0,0,0,0,0,1/3", "1/5,0,3/10,0,0,1/2,1/7,0",
            "6/7,13/14,0,1/3,6/7,6/7,1/14,11/21"],
 }
+
+# quantum unramified with eps overridden, at ell = 5 and 7
+EPS_TORUS = {
+    "A2": ["0,0", "1/5,2/5", "1/2,1/3", "3/14,1/7"],
+    "B2": ["0,0", "1/2,0", "1/10,3/10", "2/7,5/14"],
+    "G2": MORE_TORUS["G2"],
+    "F4": F4_TORUS,
+}
+# (type, ell, chi_s, support, eps): quantum simplicity at each label t with
+# t^ell = chi_s, with S empty, S partial (rank-2 Phi') and eps = 2
+SIMPLICITY = [
+    ("A1", 5, "0", "", 1), ("A1", 5, "0", "", 2), ("A1", 7, "1/2", "", 1),
+    ("A2", 5, "0,0", "", 1), ("A2", 5, "0,0", "1", 1), ("A2", 5, "0,0", "", 2),
+    ("B2", 5, "0,0", "", 1), ("B2", 5, "0,0", "2", 1), ("B2", 5, "0,1/3", "", 2),
+    ("G2", 5, "0,0", "", 1), ("G2", 5, "0,0", "1", 1), ("G2", 7, "0,0", "", 2),
+]
 
 
 def _csv(items):
@@ -130,6 +148,21 @@ def cases():
             for x in points:
                 out.append(_probe("quantum", "unramified", "--type", t, "--ell",
                                   str(ell), "--torus", x, "--coords", "both"))
+    for t, points in EPS_TORUS.items():
+        for ell in (5, 7):
+            for eps in (2, 3):
+                for x in points:
+                    out.append(_probe("quantum", "unramified", "--type", t, "--ell",
+                                      str(ell), "--eps", str(eps), "--torus", x,
+                                      "--coords", "both"))
+    for t, ell, chi_s, support, eps in SIMPLICITY:
+        rs = build_root_system(t)
+        chi = QChar(rs, ell, chi_s=parse_torus(chi_s, rs.rank),
+                    support=parse_support(support), eps=eps)
+        for lab in _baby_verma_labels(chi):
+            out.append(_probe("quantum", "simplicity", "--type", t, "--ell", str(ell),
+                              "--eps", str(eps), "--chi-s", chi_s, "--support",
+                              support, "--torus", _csv(lab.exps)))
     for t in dict.fromkeys(t for t, _m in appendix_rows()):
         out.append(_probe("verify", "appendix", "--type", t))
         out.append(_probe("quantum", "exceptional", "--type", t))
