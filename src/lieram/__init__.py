@@ -20,7 +20,6 @@ from .errors import (  # noqa: F401
 from .scalars import FFElem, FieldDescriptor, UnityExp, artin_schreier_solve, eps_pow, make_field  # noqa: F401
 from .rootdata import RootSystem, Subsystem, build_root_system, hypothesis_check, subsystem_classify, two_rho_dot  # noqa: F401
 from .weyl import (  # noqa: F401
-    act_torus,
     alcove_descent,
     inversion_set,
     orbit_partition,

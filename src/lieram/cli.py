@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .errors import InvariantViolation, LieramError
+from .errors import HypothesisFailure, InvariantViolation, LieramError
 from .modular import (
     ModWeight,
     PChar,
@@ -399,7 +399,7 @@ def cmd_quantum_blocks(args):
         out = [["torus", "orbit_size", "dim", "unramified", "exceptional",
                 "stab_point", "stab_fiber"]]
         for b in blocks:
-            out.append([";".join(str(e) for e in b.rep.exps),
+            out.append([";".join(b.torus),
                         b.orbit_size, b.dim, b.unramified, b.exceptional,
                         b.stab_point_type, b.stab_fiber_type])
         return out
@@ -456,6 +456,8 @@ def cmd_quantum_simplicity(args):
     chi = QChar(rs, args.ell, chi_s=parse_torus(args.chi_s, rs.rank),
                 support=parse_support(args.support), eps=args.eps)
     t = parse_torus(args.torus, rs.rank)
+    if t.pow(args.ell) != chi.chi_s:
+        raise HypothesisFailure(f"t^{args.ell} != chi_s: t labels no baby Verma module")
     res = simplicity_necessary(chi, t)
     payload = {
         "command": "quantum.simplicity",

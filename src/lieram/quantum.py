@@ -4,14 +4,18 @@ elements, the embedded appendix table with its four-point verification, the
 baby-Verma simplicity necessary condition, and fully-Azumaya bookkeeping.
 
 A torus element is the exponent vector (q_1, ..., q_r): t(K_{varpi_i}) =
-e^{2 pi i q_i}, all exact rationals.  epsilon is the primitive ell-th root of
-unity with exponent eps/ell (eps = 1 unless overridden); every
-epsilon-dependent output records the choice.
+e^{2 pi i q_i}, kept as integer numerators over one denominator N and
+parsed from, or printed as, exact rationals.  epsilon is the primitive
+ell-th root of unity with exponent eps/ell (eps = 1 unless overridden);
+every epsilon-dependent output records the choice.
 
 Coordinate systems: baby Verma modules are labelled by highest-weight torus
 elements t with t^ell = chi_s; the central character / component label is the
 Harish-Chandra shift u of t (hc_shift, forward), and the fiber point of the
-block is u^2, living in {f : f^ell = chi_s^2}.
+block is u^2, living in {f : f^ell = chi_s^2}.  epsilon enters only there:
+alpha(u) = alpha(t) eps^{(rho, alpha)}, so alpha(t)^2 = eps^{-(2 rho, alpha)}
+is the integer test alpha(u)^2 = 1, and the dot action is the ordinary one
+on shifted labels.
 """
 
 from __future__ import annotations
@@ -21,45 +25,55 @@ import math
 from fractions import Fraction
 
 from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow
-from .rootdata import RootSystem, subsystem_classify, two_rho_dot
+from .rootdata import RootSystem, subsystem_classify
 from .scalars import UnityExp, eps_pow
 from .weyl import (
     BlockRecord,
-    act_torus,
     alcove_descent,
     block_orbits,
-    hc_shift_vector,
     integer_pairings,
     inversion_set,
     reflection_stabilizer,
     support_indices,
     word_images,
+    word_torus_image,
 )
 
 
 class TorusElement:
-    """Torsion point of T: exact rational exponents on K_{varpi_1..r}."""
+    """Torsion point of T: t(K_{varpi_i}) = e^{2 pi i nums[i] / N}, with
+    nums in [0, N) over the least common denominator N, parsed from exact
+    rationals or UnityExps; `exps` views it as UnityExps."""
 
-    __slots__ = ("exps",)
+    __slots__ = ("nums", "N")
 
     def __init__(self, exps):
-        self.exps = tuple(e if isinstance(e, UnityExp) else UnityExp(e)
-                          for e in exps)
+        qs = [e.q if isinstance(e, UnityExp) else Fraction(e) for e in exps]
+        self.N = math.lcm(*(q.denominator for q in qs))
+        self.nums = tuple(q.numerator * (self.N // q.denominator) % self.N for q in qs)
+
+    @classmethod
+    def of(cls, nums, N: int) -> "TorusElement":
+        """The point with exponents n / N, n in `nums` (any integers)."""
+        g, t = math.gcd(N, *nums), cls.__new__(cls)
+        t.nums, t.N = tuple(n % N // g for n in nums), N // g
+        return t
+
+    @property
+    def exps(self):
+        return tuple(UnityExp(Fraction(n, self.N)) for n in self.nums)
 
     def pow(self, k: int) -> "TorusElement":
-        return TorusElement(tuple(e * k for e in self.exps))
-
-    def is_one(self) -> bool:
-        return all(e.is_one() for e in self.exps)
+        return TorusElement.of([n * k for n in self.nums], self.N)
 
     def key(self):
         return tuple(e.key() for e in self.exps)
 
     def __eq__(self, other):
-        return isinstance(other, TorusElement) and self.exps == other.exps
+        return isinstance(other, TorusElement) and (self.nums, self.N) == (other.nums, other.N)
 
     def __hash__(self):
-        return hash(self.exps)
+        return hash((self.nums, self.N))
 
     def __repr__(self):
         return "t(" + ",".join(str(e) for e in self.exps) + ")"
@@ -67,11 +81,9 @@ class TorusElement:
 
 def _pairings(rs: RootSystem, t: TorusElement):
     """beta(t) for every positive root beta as the numerator of its exponent
-    over the common denominator N of t's exponents, so beta(t) = 1 iff it is
-    0: (dict root -> numerator mod N, N)."""
-    N = math.lcm(*(e.q.denominator for e in t.exps))
-    code = tuple(e.q.numerator * (N // e.q.denominator) for e in t.exps)
-    return dict(zip(rs.pos_roots, integer_pairings(rs, "torus", N)(code))), N
+    over t's denominator N, so beta(t) = 1 iff it is 0: (dict root ->
+    numerator mod N, N)."""
+    return dict(zip(rs.pos_roots, integer_pairings(rs, "torus", t.N)(t.nums))), t.N
 
 
 def w_t(rs: RootSystem, t: TorusElement):
@@ -103,7 +115,7 @@ class QChar:
         self.ell = ell
         self.eps = eps
         if chi_s is None:
-            chi_s = TorusElement(tuple(UnityExp(0) for _ in range(rs.rank)))
+            chi_s = TorusElement.of((0,) * rs.rank, 1)
         self.chi_s = chi_s
         self.levi = w_t(rs, chi_s.pow(2))
         self.support = support_indices(self.levi, support)
@@ -137,7 +149,7 @@ class QBlockReport(BlockRecord):
 
     @property
     def rep(self):
-        return TorusElement(tuple(Fraction(n, self.N) for n in self.numerators))
+        return TorusElement.of(self.numerators, self.N)
 
     def to_dict(self):
         return {
@@ -163,11 +175,10 @@ def q_blocks(chi: QChar, bound=None):
     can vanish on t, as beta(t)^ell = beta(chi_s^2); InvariantViolation
     unless the first t agrees."""
     rs, levi, ell = chi.rs, chi.levi, chi.ell
-    # the fiber as exponent numerators over N = ell D, D the common
-    # denominator of chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
-    D = math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
-    N = ell * D
-    c = [int(2 * e.q * D) for e in chi.chi_s.exps]
+    # the fiber as exponent numerators over N = ell D, D the denominator of
+    # chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
+    D, N = chi.chi_s.N, ell * chi.chi_s.N
+    c = [2 * n for n in chi.chi_s.nums]
 
     def axis(ci):
         # the numerators n of t_i in the order of UnityExp(n/N).key(): (n/g, N/g)
@@ -192,12 +203,12 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
     weight -> component) adds the shift; "back" removes it; round trip is the
     identity, and the dot action on highest-weight labels is the conjugate of
     the ordinary action by this map."""
-    vec = hc_shift_vector(rs, ell, eps)
-    if direction == "forward":
-        return TorusElement(tuple(q + s for q, s in zip(t.exps, vec)))
-    if direction == "back":
-        return TorusElement(tuple(q - s for q, s in zip(t.exps, vec)))
-    raise ValueError(f"unknown direction {direction!r}")
+    sign = {"forward": 1, "back": -1}.get(direction)
+    if sign is None:
+        raise ValueError(f"unknown direction {direction!r}")
+    N = math.lcm(t.N, ell)
+    return TorusElement.of([n * (N // t.N) + sign * int(eps_pow(q, ell, eps).q * N)
+                            for n, q in zip(t.nums, rs.rho_weight_pairs())], N)
 
 
 def _delta_tilde(rs: RootSystem):
@@ -239,6 +250,13 @@ def _check_simple_system(rs: RootSystem, kac, roots):
                     f"the root {b}")
 
 
+def _unramified_at(rs: RootSystem, x, N: int, ell: int, roots=None) -> bool:
+    """beta^{2 ell} = 1 implies beta^2 = 1 at the point with exponent
+    numerators x over N, for every root beta in `roots` (default Phi+)."""
+    return not any(2 * ell * v % N == 0 and 2 * v % N
+                   for v in integer_pairings(rs, "torus", N, roots=roots)(x))
+
+
 def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
                  eps: int = 1) -> bool:
     """Quantum unramified criterion.
@@ -250,36 +268,24 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     coords="highestWeight": the Delta-tilde test on a baby-Verma label t,
     after W-(dot-)conjugating so that {beta : beta(t)^{2 ell} = 1} has a
     simple system inside Delta union {-alpha_0}: alpha(t)^{2 ell} = 1 implies
-    alpha(t)^2 = eps^{-(2 rho, alpha)}.  The conjugating w comes from the
-    alcove descent of 2 ell t as a word, which maps the saturated roots
-    letter by letter; the simple system is read off its zero Kac
-    coordinates.
+    alpha(t)^2 = eps^{-(2 rho, alpha)}.  At u = hc_shift(t) this is the
+    component test on Delta-tilde at w u, the ordinary action.  The
+    conjugating w comes from the alcove descent of 2 ell u (2 ell t plus an
+    even vector) as a word, which maps the saturated roots letter by letter;
+    the simple system is read off its zero Kac coordinates.
     """
-    vals, N = _pairings(rs, point)
     if coords == "component":
-        return not any(2 * ell * v % N == 0 and 2 * v % N for v in vals.values())
+        return _unramified_at(rs, point.nums, point.N, ell)
     if coords != "highestWeight":
         raise ValueError(f"unknown coords {coords!r}")
+    u = hc_shift(rs, point, ell, "forward", eps)
+    vals, N = _pairings(rs, u)
     sat = [b for b, v in vals.items() if 2 * ell * v % N == 0]
-    word, kac = alcove_descent(rs, [2 * ell * e.q for e in point.exps])
+    word, kac = alcove_descent(rs, [2 * ell * n for n in u.nums], N)
     moved = word_images(rs, word, sat)
     _check_simple_system(rs, kac, frozenset(moved) | frozenset(
         tuple(-x for x in b) for b in moved))
-    label = TorusElement(act_torus(rs, word, point.exps, ell, eps))
-    return _delta_tilde_test(rs, label, ell, eps)
-
-
-def _delta_tilde_test(rs: RootSystem, t: TorusElement, ell: int, eps: int = 1) -> bool:
-    """alpha(t)^{2 ell} = 1 implies alpha(t)^2 = eps^{-(2 rho, alpha)} for
-    every alpha in Delta-tilde."""
-    vals, N = _pairings(rs, t)
-    for alpha in _delta_tilde(rs):
-        v = vals[alpha] if alpha in vals else -vals[tuple(-c for c in alpha)]
-        if 2 * ell * v % N == 0:
-            target = eps_pow(-two_rho_dot(rs, alpha), ell, eps)
-            if UnityExp(Fraction(2 * v, N)) != target:
-                return False
-    return True
+    return _unramified_at(rs, word_torus_image(rs, word, u.nums, N), N, ell, _delta_tilde(rs))
 
 
 # -- exceptional elements ----------------------------------------------------
@@ -317,7 +323,7 @@ def _exceptional_records(rs):
     r = rs.rank
     out = [{
         "m": 0,
-        "torus": TorusElement(tuple(UnityExp(0) for _ in range(r))),
+        "torus": TorusElement.of((0,) * r, 1),
         "root_values": tuple(UnityExp(0) for _ in range(r)),
         "centralizer": subsystem_classify(rs, rs.all_roots()),
         "beta_m": None,
@@ -326,13 +332,14 @@ def _exceptional_records(rs):
     X = rs.fundamental_weights()
     for m in range(r):
         am = rs.a[m]
-        s_m = TorusElement(tuple(UnityExp(X[i][m] / am) for i in range(r)))
+        D = math.lcm(*(X[i][m].denominator for i in range(r)))
+        s_m = TorusElement.of([x[m].numerator * (D // x[m].denominator) for x in X], am * D)
         by_root, N = _pairings(rs, s_m)
-        vals = tuple(UnityExp(Fraction(by_root[a], N)) for a in simple)
-        if any(vals[j] != UnityExp(Fraction(1, am) if j == m else 0)
-               for j in range(r)):
+        vals = [by_root[a] for a in simple]
+        # v / N = delta_jm / a_m mod 1
+        if any((v * am - N * (j == m)) % (N * am) for j, v in enumerate(vals)):
             raise InvariantViolation(
-                f"{rs.type_str}: s_{m + 1} has simple-root values {vals}")
+                f"{rs.type_str}: s_{m + 1} has simple-root values {vals} over {N}")
         cent = reflection_stabilizer(rs, lambda b: by_root[b] == 0)
         if cent.roots != frozenset(b for b in rs.all_roots() if b[m] % am == 0):
             raise InvariantViolation(
@@ -345,7 +352,7 @@ def _exceptional_records(rs):
         out.append({
             "m": m + 1,
             "torus": s_m,
-            "root_values": vals,
+            "root_values": tuple(UnityExp(Fraction(v, N)) for v in vals),
             "centralizer": cent,
             "beta_m": bm,
         })
@@ -464,23 +471,14 @@ def appendix_rows():
 def simplicity_necessary(chi: QChar, t: TorusElement) -> dict:
     """Necessary condition for the baby Verma at t to be simple: on every
     irreducible component of Phi' either the unipotent part is regular or
-    alpha(t)^2 = eps^{-(2 rho, alpha)} for all alpha in the component basis."""
-    rs = chi.rs
+    alpha(t)^2 = eps^{-(2 rho, alpha)}, i.e. alpha(u)^2 = 1 at u = hc_shift(t),
+    for all alpha in the component basis."""
     basis = chi.levi.basis
-    vals, N = _pairings(rs, t)
+    vals, N = _pairings(chi.rs, hc_shift(chi.rs, t, chi.ell, "forward", chi.eps))
     failing = None
     for ci, (letter, n, comp_basis) in enumerate(chi.levi.components):
-        comp_indices = {basis.index(b) for b in comp_basis}
-        regular = comp_indices <= set(chi.support)
-        if regular:
-            continue
-        ok = True
-        for alpha in comp_basis:
-            want = eps_pow(-two_rho_dot(rs, alpha), chi.ell, chi.eps)
-            if UnityExp(Fraction(2 * vals[alpha], N)) != want:
-                ok = False
-                break
-        if not ok:
+        regular = {basis.index(b) for b in comp_basis} <= set(chi.support)
+        if not regular and any(2 * vals[alpha] % N for alpha in comp_basis):
             failing = {"component": ci, "type": f"{letter}{n}",
                        "basis": [list(b) for b in comp_basis]}
             break

@@ -3,10 +3,11 @@
 In production a Weyl element is its word: (i1, ..., ik) stands for w =
 s_{i1} ... s_{ik}, and w acts letter by letter, the last letter first,
 through the root data.  On roots the letters act by RootSystem.reflect
-(word_images, inversion_set); on torus exponents by the rank-one maps of
-integer_actions on the numerators over a common denominator (act_torus, the
-quantum dot action: the ordinary one conjugated by the Harish-Chandra
-shift).  The alcove descent returns the word of its finite part.
+(word_images, inversion_set); on torus exponents by the ordinary action,
+the rank-one maps of integer_actions on numerators over one denominator
+(word_torus_image; conjugated by quantum.hc_shift it is the quantum dot
+action).  The alcove descent, on such numerators too, returns the
+word of its finite part.
 
 WeylElement stores an element as the integer matrix of its action on
 simple-root coordinates with the inverse matrix (equality is matrix
@@ -16,7 +17,7 @@ the matrix route for a word, and perfbench, which binds them by name.  Their
 actions on raw coordinate tuples:
   * roots            beta -> w(beta)                 (coefficient vectors)
   * coroot values    lambda(h_i) -> (w lambda)(h_i)  (any coefficient ring)
-  * torus exponents  t(K_{varpi_i}) -> (w t)(K_{varpi_i})
+  * torus exponents  t(K_{varpi_i}) -> (w t)(K_{varpi_i})  (UnityExps)
 
 Block partitions walk orbits on flat integer encodings instead, and build no
 element: torus exponents as numerators mod a common denominator N, coroot
@@ -50,12 +51,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 
 from .errors import BoundExceeded, InvalidSupport, InvariantViolation
 from .rootdata import RootSystem, subsystem_classify
-from .scalars import UnityExp, eps_pow
+from .scalars import UnityExp
 
 DEFAULT_GROUP_BOUND = 10**6
 
@@ -205,27 +205,26 @@ def _word_for_reflection(rs, beta):
             raise InvariantViolation(f"no descent step from the root {b}")
 
 
-def alcove_descent(rs: RootSystem, x):
+def alcove_descent(rs: RootSystem, x, D: int):
     """Carry a rational point into the closed fundamental alcove.
 
-    x lists coroot coordinates (x = sum_i x_i alpha_i^vee, so alpha_j(x) =
-    sum_i C[i][j] x_i).  The point is first reduced mod Q^vee into [0, 1)^r;
+    x lists the integer numerators over D of the point's coroot coordinates
+    (the point is sum_i (x_i / D) alpha_i^vee, so D alpha_j of it is sum_i
+    C[i][j] x_i).  The point is first reduced mod Q^vee into [0, 1)^r;
     then s_j is applied while alpha_j(x) < 0, and the affine reflection s_0
     of a component (in the hyperplane theta = 1) while theta(x) > 1.
     Returns (word, kac): the word (i1, ..., ik) of the finite part w =
     s_{i1} ... s_{ik} of the affine Weyl element used, so x' = w x + (an
-    element of Q^vee) lies in the alcove, and kac holds per
-    component (s_0, s_j for the component's nodes) with s_j = alpha_j(x') and
-    s_0 = 1 - theta(x').  Borel-de Siebenthal (Kac, Infinite-Dimensional Lie
-    Algebras, Ch. 8): the roots integral on x' have as a simple system the
-    Delta-tilde nodes with Kac coordinate 0, -theta standing for s_0.
+    element of Q^vee) lies in the alcove, and kac holds per component the
+    integer numerators over D of (s_0, s_j for the component's nodes), with
+    s_j = alpha_j(x') and s_0 = 1 - theta(x').  Borel-de Siebenthal (Kac,
+    Infinite-Dimensional Lie Algebras, Ch. 8): the roots integral on x' have
+    as a simple system the Delta-tilde nodes with Kac coordinate 0, -theta
+    standing for s_0.
     """
     r = rs.rank
     C = rs.cartan
-    x = [Fraction(v) for v in x]
-    # integer numerators over the common denominator D keep each step exact
-    D = math.lcm(*(v.denominator for v in x))
-    n = [(v.numerator * (D // v.denominator)) % D for v in x]
+    n = [v % D for v in x]
     thetas = [(theta, rs.coroot(theta), _word_for_reflection(rs, theta))
               for theta in map(rs.highest_root, range(len(rs.components)))]
     letters = []  # simple reflections in the order applied
@@ -243,7 +242,7 @@ def alcove_descent(rs: RootSystem, x):
         k, coroot, word = over[0]
         n = [a - k * c for a, c in zip(n, coroot)]
         letters.extend(word)  # the finite part of s_0 is s_theta
-    kac = tuple((Fraction(D - _dot(theta, v), D),) + tuple(Fraction(v[j], D) for j in nodes)
+    kac = tuple((D - _dot(theta, v),) + tuple(v[j] for j in nodes)
                 for (theta, _c, _w), (_l, _n, nodes) in zip(thetas, rs.components))
     return tuple(letters[::-1]), kac
 
@@ -261,6 +260,16 @@ def word_images(rs: RootSystem, word, roots):
             b = rs.reflect(i, b)
         out.append(b)
     return out
+
+
+def word_torus_image(rs: RootSystem, word, x, N: int):
+    """The exponent numerators over N of w t for the word (i1, ..., ik) of w
+    and t given by its numerators x (a tuple) over N: the ordinary action,
+    the letters acting, the last first, as the maps of integer_actions."""
+    letters = integer_actions(rs, rs.simple_roots, "torus", N)
+    for i in reversed(word):
+        x = letters[i](x)
+    return x
 
 
 def inversion_set(rs: RootSystem, word):
@@ -294,30 +303,6 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_GROUP_BOUND):
     """All Weyl group elements by breadth-first closure over the generators."""
     gens = [simple_reflection(rs, j) for j in range(rs.rank)]
     return generated_group(rs, gens, rs.weyl_order(), rs.type_str, bound)
-
-
-def hc_shift_vector(rs: RootSystem, ell: int, eps: int = 1):
-    """Exponent shift between baby-Verma and component torus coordinates.
-
-    Coordinate i shifts by eps_pow((rho, varpi_i), ell); the forward direction
-    (highest-weight label to component label) adds it.
-    """
-    return tuple(eps_pow(q, ell, eps) for q in rs.rho_weight_pairs())
-
-
-def act_torus(rs: RootSystem, word, qs, ell: int, eps: int = 1):
-    """The dot action of w = s_{i1} ... s_{ik}, the word (i1, ..., ik), on
-    torus exponent vectors: the ordinary action conjugated by the
-    Harish-Chandra shift.  The letters act, the last first, as the rank-one
-    maps of integer_actions on the numerators over a common denominator."""
-    shift = hc_shift_vector(rs, ell, eps)
-    shifted = [(q + s).q for q, s in zip(qs, shift)]
-    N = math.lcm(*(q.denominator for q in shifted))
-    x = tuple(q.numerator * (N // q.denominator) for q in shifted)
-    letters = integer_actions(rs, rs.simple_roots, "torus", N)
-    for i in reversed(word):
-        x = letters[i](x)
-    return tuple(UnityExp(Fraction(n, N)) - s for n, s in zip(x, shift))
 
 
 def integer_actions(rs: RootSystem, roots, on: str, modulus: int, width: int = 1):
@@ -364,9 +349,9 @@ def _reflection(slots, modulus):
 
 def integer_pairings(rs: RootSystem, on: str, modulus: int, width: int = 1,
                      roots=None):
-    """The values of the positive roots `roots` (default rs.pos_roots) on a
-    flat integer point, as a map from the point to one value per root, in
-    the order of `roots`.
+    """The values of the roots `roots` (default rs.pos_roots) on a flat
+    integer point, as a map from the point to one value per root, in the
+    order of `roots`.
 
     on="torus": a point lists exponent numerators n_i over the common
     denominator `modulus`; the value of beta is sum_i beta(h_i) n_i mod

@@ -408,6 +408,10 @@ def test_malformed_literal_is_a_usage_error(case, capsys):
      "(type G2, p=3) fails hypotheses"),
     (["modular", "poincare", "--type", "A1", "--p", "2", "--weight", "0"],
      "(type A1, p=2) fails hypotheses"),
+    (["quantum", "simplicity", "--type", "A1", "--ell", "5", "--chi-s", "0",
+      "--torus", "1/3"], "t^5 != chi_s"),
+    (["quantum", "simplicity", "--type", "B2", "--ell", "5", "--chi-s", "0,1/3",
+      "--support", "", "--torus", "1/5,1/3"], "t^5 != chi_s"),
 ])
 def test_standalone_commands_check_the_standing_hypotheses(argv, message, capsys):
     code = main(argv)

@@ -9,7 +9,9 @@ reduced once: no production module calls the solver from a loop.  A Weyl
 element is its word in production: no production module builds or applies
 a matrix element.  Stab_W(chi) = W(Phi') is checked by a selftest oracle,
 not walked per query: orbit_of serves only the block partition and the
-group closure."""
+group closure.  The quantum side runs on integer numerators: epsilon enters
+once, in quantum.hc_shift, and the epsilon form of the Delta-tilde test is
+an oracle."""
 
 import ast
 import os
@@ -23,7 +25,7 @@ ORACLES = {
     "root_reflection", "subgroup_elements", "is_reduced", "stabilizer_bruteforce",
     "burnside_count", "min_coset_reps", "act_modular", "pair", "close_up",
     "root_value", "steinberg_fiber_point", "ell_fiber", "orbit_partition_by_key",
-    "word_element", "matrix_inversions", "dot_act_torus",
+    "word_element", "matrix_inversions", "dot_act_torus", "_delta_tilde_test",
 }
 
 
@@ -187,3 +189,35 @@ def test_no_query_walks_the_orbit_of_chi():
         assert _calls_of(tree, "orbit_of") == sum(_calls_of(node, "orbit_of") for node in allowed), name
         callers |= {node.name for node in allowed if _calls_of(node, "orbit_of")}
     assert callers == {"orbit_partition", "generated_group"}
+
+
+def _callers(tree, name):
+    # the names of the top-level functions and classes whose bodies call `name`
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _calls_of(node, name)}
+
+
+def test_epsilon_enters_the_quantum_side_once():
+    # alpha(u) = alpha(t) eps^{(rho, alpha)} at u = hc_shift(t), so every
+    # epsilon condition is an integer test at u; rationals and roots of
+    # unity are built only where a point is parsed or viewed, in the public
+    # root_values of the exceptional records and in the matrix WeylElement
+    # kept for perfbench (hc_shift reads the exponents eps_pow returns)
+    trees = _trees()
+    production = {name: tree for name, tree in trees.items() if name != "selftest.py"}
+    for name, tree in production.items():
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"act_torus", "hc_shift_vector"}, name
+        assert _callers(tree, "eps_pow") == ({"hc_shift"} if name == "quantum.py" else set()), name
+        if name != "rootdata.py":
+            assert _calls_of(tree, "two_rho_dot") == 0, name
+    # scalars.py, where UnityExp and eps_pow live, aside
+    built = {name: _callers(tree, "Fraction") | _callers(tree, "UnityExp")
+             for name, tree in production.items() if name != "scalars.py"}
+    assert built == {**{name: set() for name in built},
+                     "quantum.py": {"TorusElement", "_exceptional_records"},
+                     "weyl.py": {"WeylElement"}}
+    (torus,) = [node for node in trees["quantum.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "TorusElement"]
+    assert {node.name for node in torus.body if isinstance(node, ast.FunctionDef)
+            and (_calls_of(node, "Fraction") or _calls_of(node, "UnityExp"))} == {"__init__", "exps"}

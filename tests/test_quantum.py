@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieram.cli import parse_torus
 from lieram.errors import HypothesisFailure, InvalidSupport, InvariantViolation, UnknownRow
 from lieram.quantum import (
     QChar,
@@ -30,12 +31,13 @@ from lieram.selftest import (
     _delta_tilde_by_search,
     _exceptional_by_solve_and_closure,
     close_up,
+    dot_act_torus,
     ell_fiber,
     quantum_cells,
     root_value,
     steinberg_fiber_point,
 )
-from lieram.weyl import act_torus, enumerate_group
+from lieram.weyl import enumerate_group
 
 
 def T(*fracs):
@@ -77,6 +79,9 @@ def test_ell_fiber():
                                          for k in range(5)]
     for t in f2:
         assert t.pow(5) == T(Fraction(2, 3))  # t^ell = chi_s^2
+        # pow on the numerators agrees with exponent arithmetic
+        for k in (2, 5, 7, -3):
+            assert t.pow(k).exps == tuple(e * k for e in t.exps)
     a2 = build_root_system("A2")
     assert len(ell_fiber(a2, T(0, 0), 3)) == 9
 
@@ -144,6 +149,12 @@ def test_hc_shift_round_trip_and_value():
         t = T(Fraction(num, 10))
         back = hc_shift(a1, hc_shift(a1, t, 5, "forward"), 5, "back")
         assert back == TorusElement((UnityExp(Fraction(num, 10)),))
+    # one point, one encoding: equal points hash equally and view equally
+    half = [TorusElement((q,)) for q in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2),
+                                        UnityExp(Fraction(1, 2)), "1/2")]
+    half.append(TorusElement.of((5,), 10))
+    assert all(t == half[0] and hash(t) == hash(half[0]) for t in half)
+    assert {(t.nums, t.N, t.exps) for t in half} == {((1,), 2, (UnityExp(Fraction(1, 2)),))}
     # round trip on a deterministic grid of >100 torsion points
     a2 = build_root_system("A2")
     checked = 0
@@ -193,7 +204,7 @@ def test_dot_linkage_on_fiber():
                     continue
                 tf = hc_shift(rs, f, ell, "back")
                 tg = hc_shift(rs, g, ell, "back")
-                assert any(TorusElement(act_torus(rs, w.word, tf.exps, ell=ell)) == tg
+                assert any(TorusElement(dot_act_torus(w, tf.exps, ell=ell)) == tg
                            for w in W)
 
 
@@ -471,6 +482,14 @@ def _labels_by_digits(chi):
             UnityExp(chi.chi_s.exps[i].q / ell + Fraction(digits[i], ell))
             for i in range(rs.rank))))
     return out
+
+
+def test_block_reps_are_their_parsed_torus_texts():
+    # a block's point read from its numerators is the point its printed
+    # torus texts parse to
+    for _t, _ell, _name, chi in quantum_cells():
+        for b in q_blocks(chi):
+            assert b.rep == parse_torus(",".join(b.torus), chi.rs.rank)
 
 
 def test_baby_verma_labels_are_the_fiber_of_the_halved_character():
