@@ -6,9 +6,10 @@ the solutions stay in the same field; otherwise the degree multiplies by p.
 Either way the solution set is a single coset of F_p^r.
 """
 
-from lieram.modular import PChar, enumerate_lambda_chi, mod_blocks
+from lieram.modular import PChar, mod_blocks
 from lieram.rootdata import build_root_system
 from lieram.scalars import artin_schreier_solve, make_field
+from lieram.selftest import enumerate_lambda_chi
 
 F3 = make_field(3, 1)
 print("fields are deterministic: F_27 uses the lexicographically smallest")

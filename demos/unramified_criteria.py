@@ -16,10 +16,11 @@ the Harish-Chandra shift.
 
 from fractions import Fraction
 
-from lieram.modular import PChar, enumerate_lambda_chi, is_unramified, dim_C, rho_weight
+from lieram.modular import PChar, is_unramified, dim_C, rho_weight
 from lieram.quantum import QChar, TorusElement, hc_shift, q_unramified, w_t
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
+from lieram.selftest import enumerate_lambda_chi
 
 rs = build_root_system("B2")
 chi = PChar(rs, 3, values=(make_field(3, 1).zero(), make_field(3, 1).one()),

@@ -30,7 +30,6 @@ from .modular import (  # noqa: F401
     ModWeight,
     PChar,
     dim_C,
-    enumerate_lambda_chi,
     finite_type_verdict,
     is_unramified,
     mod_blocks,

@@ -7,8 +7,21 @@ verify appendix, selftest.
 Output is deterministic: JSON with sorted keys (the machine format) or a flat
 TSV projection.  Exit status: 0 success, 1 domain error, 2 usage error.
 The single --bound flag (mirrored by the LIERAM_BOUND environment variable)
-caps both the field size (default 10^9) and the points a block walk visits
-(default 10^6).
+caps the field size (default 10^9), the points a block walk visits (default
+10^6) and, with the default of the points, the root tables of the Cartan
+type: |Phi+| x rank entries.
+
+Every subcommand's inputs are resolved and checked once, before it runs, in
+one order; the first failure is the one reported:
+  1. the bound: --bound, else LIERAM_BOUND;
+  2. the Cartan type: its grammar, then |Phi+| x rank against the bound,
+     before its root system is built;
+  3. the standing hypotheses: on p (modular), or on ell and eps (quantum);
+  4. the character, --chi-s (empty: the zero character) then --support, or
+     the single --weight or --torus: the count of values, each literal, the
+     field bound; given both (quantum simplicity), the character, then the
+     torus, which must label a baby Verma module of it (t^ell = chi_s).
+Each command then computes only its own fields.
 
 Input grammars:
   * Cartan types:   A2, b3, A1xA1 (case-insensitive, no whitespace)
@@ -31,8 +44,9 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
-from .errors import HypothesisFailure, InvariantViolation, LieramError
+from .errors import BoundExceeded, HypothesisFailure, InvariantViolation, LieramError
 from .modular import (
     ModWeight,
     PChar,
@@ -57,8 +71,9 @@ from .quantum import (
     simplicity_necessary,
     verify_appendix_row,
 )
-from .rootdata import build_root_system
+from .rootdata import build_root_system, degrees, parse_cartan_type, type_string
 from .scalars import artin_schreier_solve, embed, make_field
+from .weyl import DEFAULT_GROUP_BOUND
 
 
 class UsageError(Exception):
@@ -260,116 +275,9 @@ def _chi_dict(chi):
     }
 
 
-def cmd_modular_blocks(args):
-    bound = _bounds(args)
-    rs = build_root_system(args.type)
-    values, field = parse_field_values(args.chi_s, args.p, rs.rank, bound)
-    chi = PChar(rs, args.p, values=values, support=parse_support(args.support),
-                field=field)
-    blocks = mod_blocks(chi, bound)
-    counts = unramified_count(chi, blocks)
-    structure = regularity_and_structure(chi, blocks)
-    payload = {
-        "command": "modular.blocks",
-        "type": rs.type_str,
-        "p": args.p,
-        "chi": _chi_dict(chi),
-        "blocks": blocks,
-        "counts": {"num_blocks": len(blocks),
-                   "dim_sum": sum(b.dim for b in blocks),
-                   "unramified": counts},
-        "structure": structure,
-    }
-
-    def rows():
-        out = [["lambda", "eta", "orbit_size", "dim", "unramified",
-                "stab_point", "stab_coset", "poincare", "finite_type"]]
-        for b in blocks:
-            out.append([
-                ";".join(map(repr, b.lam.values)),
-                ";".join(map(repr, b.eta.values)),
-                b.orbit_size, b.dim, b.unramified,
-                b.stab_point_type, b.stab_coset_type,
-                ",".join(map(str, b.poincare)) if b.poincare else "-",
-                b.finite_type,
-            ])
-        return out
-    return _emit(args, payload, rows)
-
-
-def cmd_modular_unramified(args):
-    bound = _bounds(args)
-    rs = build_root_system(args.type)
-    check_hypotheses(rs, args.p)
-    values, _field = parse_field_values(args.weight, args.p, rs.rank, bound)
-    lam = ModWeight(values)
-    payload = {
-        "command": "modular.unramified",
-        "type": rs.type_str,
-        "p": args.p,
-        "weight": [list(v.coeffs) for v in lam.values],
-        "simpleRootCriterion": is_unramified(rs, lam, "simpleRootCriterion"),
-        "definitional": is_unramified(rs, lam, "definitional"),
-    }
-    return _emit(args, payload)
-
-
-def cmd_modular_poincare(args):
-    bound = _bounds(args)
-    rs = build_root_system(args.type)
-    check_hypotheses(rs, args.p)
-    values, _field = parse_field_values(args.weight, args.p, rs.rank, bound)
-    coeffs = poincare_series(rs, ModWeight(values))
-    payload = {
-        "command": "modular.poincare",
-        "type": rs.type_str,
-        "p": args.p,
-        "weight": [list(v.coeffs) for v in values],
-        "coefficients": list(coeffs),
-        "value_at_1": sum(coeffs),
-    }
-    return _emit(args, payload)
-
-
-def cmd_modular_finite_type(args):
-    bound = _bounds(args)
-    rs = build_root_system(args.type)
-    check_hypotheses(rs, args.p)
-    values, field = parse_field_values(args.weight, args.p, rs.rank, bound)
-    lam = ModWeight(values)
-    eta = lam + rho_weight(rs, field)
-    verdict, witness = finite_type_verdict(rs, eta)
-    payload = {
-        "command": "modular.finite-type",
-        "type": rs.type_str,
-        "p": args.p,
-        "weight": [list(v.coeffs) for v in values],
-        "verdict": verdict,
-        "witness": witness,
-    }
-    return _emit(args, payload)
-
-
-def cmd_modular_structure(args):
-    bound = _bounds(args)
-    rs = build_root_system(args.type)
-    values, field = parse_field_values(args.chi_s, args.p, rs.rank, bound)
-    chi = PChar(rs, args.p, values=values, support=parse_support(args.support),
-                field=field)
-    out = regularity_and_structure(chi, bound=bound)
-    payload = {
-        "command": "modular.structure",
-        "type": rs.type_str,
-        "p": args.p,
-        "chi": _chi_dict(chi),
-        **out,
-    }
-    return _emit(args, payload)
-
-
 def _qchi_dict(chi):
     return {
-        "chi_s": [str(e) for e in chi.chi_s.exps],
+        "chi_s": _torus_texts(chi.chi_s),
         "support": [s + 1 for s in chi.support],
         "levi_type": chi.levi.type_str,
         "levi_basis": [list(b) for b in chi.levi.basis],
@@ -377,117 +285,147 @@ def _qchi_dict(chi):
     }
 
 
-def cmd_quantum_blocks(args):
-    bound = _bounds(args)
-    rs = build_root_system(args.type)
-    chi = QChar(rs, args.ell, chi_s=parse_torus(args.chi_s, rs.rank),
-                support=parse_support(args.support), eps=args.eps)
-    blocks = q_blocks(chi, bound)
-    counts = q_regularity_and_counts(chi, blocks)
-    payload = {
-        "command": "quantum.blocks",
-        "type": rs.type_str,
-        "ell": args.ell,
-        "chi": _qchi_dict(chi),
-        "blocks": blocks,
-        "counts": {"num_blocks": len(blocks),
-                   "dim_sum": sum(b.dim for b in blocks)},
-        "structure": counts,
-    }
+def _torus_texts(t):
+    # a torus element's exponents as reduced rationals, "2/5"
+    return [str(e) for e in t.exps]
+
+
+def _resolve(args):
+    """The inputs of args' subcommand, each resolved and checked once, in the
+    order the module docstring gives: a namespace of the bound, the root
+    system rs, the character chi and the point (a ModWeight or
+    TorusElement) the command takes, and the head of its payload: command,
+    type, p or ell, and chi, weight or torus."""
+    q = SimpleNamespace(bound=_bounds(args), head={})
+    if args.group == "selftest":
+        return q
+    q.head["command"] = f"{args.group}.{args.command}"
+    if args.group == "verify":  # its --type picks rows of the appendix table
+        return q
+    cap = DEFAULT_GROUP_BOUND if q.bound is None else q.bound
+    comps = parse_cartan_type(args.type)
+    r = sum(n for _l, n in comps)
+    # the root tables hold |Phi+| x rank entries, and |Phi+| >= rank: a rank
+    # past the square root of the bound is refused before its degrees are listed
+    what, size = (("rank^2", r * r) if r * r > cap
+                  else ("|Phi+| x rank", r * sum(d - 1 for d in degrees(comps))))
+    if size > cap:
+        raise BoundExceeded(f"type {type_string(comps)}: {what} = {size} exceeds bound {cap}")
+    rs = q.rs = build_root_system(comps)
+    q.head["type"] = rs.type_str
+    # an empty --chi-s is the zero character (the identity torus element)
+    chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rs.rank))
+    if args.group == "modular":
+        check_hypotheses(rs, args.p)
+        q.head["p"] = args.p
+        values, field = parse_field_values(chi_s or args.weight, args.p, rs.rank, q.bound)
+        if chi_s:
+            q.chi = PChar(rs, args.p, values=values, support=parse_support(args.support),
+                          field=field)
+            q.head["chi"] = _chi_dict(q.chi)
+        else:
+            q.point = ModWeight(values)
+            q.head["weight"] = [list(v.coeffs) for v in values]
+    elif "ell" in args:
+        check_root_of_unity(rs, args.ell, args.eps)
+        q.head["ell"] = args.ell
+        if chi_s:
+            q.chi = QChar(rs, args.ell, chi_s=parse_torus(chi_s, rs.rank),
+                          support=parse_support(args.support), eps=args.eps)
+            q.head["chi"] = _qchi_dict(q.chi)
+        if "torus" in args:
+            q.point = parse_torus(args.torus, rs.rank)
+            q.head["torus"] = _torus_texts(q.point)
+            if chi_s and q.point.pow(args.ell) != q.chi.chi_s:
+                raise HypothesisFailure(
+                    f"t^{args.ell} != chi_s: t labels no baby Verma module")
+    return q
+
+
+def cmd_modular_blocks(args, q):
+    blocks = mod_blocks(q.chi, q.bound)
+    payload = {**q.head, "blocks": blocks,
+               "counts": {"num_blocks": len(blocks), "dim_sum": sum(b.dim for b in blocks),
+                          "unramified": unramified_count(q.chi, blocks)},
+               "structure": regularity_and_structure(q.chi, blocks)}
 
     def rows():
-        out = [["torus", "orbit_size", "dim", "unramified", "exceptional",
-                "stab_point", "stab_fiber"]]
-        for b in blocks:
-            out.append([";".join(b.torus),
-                        b.orbit_size, b.dim, b.unramified, b.exceptional,
-                        b.stab_point_type, b.stab_fiber_type])
-        return out
+        return [["lambda", "eta", "orbit_size", "dim", "unramified",
+                 "stab_point", "stab_coset", "poincare", "finite_type"],
+                *([";".join(map(repr, b.lam.values)), ";".join(map(repr, b.eta.values)),
+                   b.orbit_size, b.dim, b.unramified, b.stab_point_type, b.stab_coset_type,
+                   ",".join(map(str, b.poincare)) if b.poincare else "-", b.finite_type]
+                  for b in blocks)]
     return _emit(args, payload, rows)
 
 
-def cmd_quantum_unramified(args):
-    rs = build_root_system(args.type)
-    check_root_of_unity(rs, args.ell, args.eps)
-    t = parse_torus(args.torus, rs.rank)
-    payload = {
-        "command": "quantum.unramified",
-        "type": rs.type_str,
-        "ell": args.ell,
-        "torus": [str(e) for e in t.exps],
-        "coords": args.coords,
-        "eps": args.eps,
-    }
-    if args.coords in ("component", "both"):
-        payload["component"] = q_unramified(rs, t, "component", args.ell, args.eps)
-    if args.coords in ("highestWeight", "both"):
-        payload["highestWeight"] = q_unramified(rs, t, "highestWeight",
-                                                args.ell, args.eps)
-    return _emit(args, payload)
+def cmd_modular_unramified(args, q):
+    rs, lam = q.rs, q.point
+    return _emit(args, {**q.head,
+                        "simpleRootCriterion": is_unramified(rs, lam, "simpleRootCriterion"),
+                        "definitional": is_unramified(rs, lam, "definitional")})
 
 
-def cmd_quantum_exceptional(args):
-    rs = build_root_system(args.type)
-    recs = exceptional_elements(rs)
-    payload = {
-        "command": "quantum.exceptional",
-        "type": rs.type_str,
-        "elements": [{
-            "m": rec["m"],
-            "torus": [str(e) for e in rec["torus"].exps],
-            "centralizer_type": rec["centralizer"].type_str,
-            "centralizer_order": rec["centralizer"].order,
-            "beta_m": list(rec["beta_m"]) if rec["beta_m"] else None,
-        } for rec in recs],
-    }
+def cmd_modular_poincare(args, q):
+    coeffs = poincare_series(q.rs, q.point)
+    return _emit(args, {**q.head, "coefficients": list(coeffs), "value_at_1": sum(coeffs)})
+
+
+def cmd_modular_finite_type(args, q):
+    verdict, witness = finite_type_verdict(q.rs, q.point + rho_weight(q.rs, q.point.field))
+    return _emit(args, {**q.head, "verdict": verdict, "witness": witness})
+
+
+def cmd_modular_structure(args, q):
+    return _emit(args, {**q.head, **regularity_and_structure(q.chi, bound=q.bound)})
+
+
+def cmd_quantum_blocks(args, q):
+    blocks = q_blocks(q.chi, q.bound)
+    payload = {**q.head, "blocks": blocks,
+               "counts": {"num_blocks": len(blocks), "dim_sum": sum(b.dim for b in blocks)},
+               "structure": q_regularity_and_counts(q.chi, blocks)}
 
     def rows():
-        out = [["m", "torus", "centralizer", "order", "beta_m"]]
-        for rec in payload["elements"]:
-            out.append([rec["m"], ";".join(rec["torus"]), rec["centralizer_type"],
-                        rec["centralizer_order"],
-                        ",".join(map(str, rec["beta_m"])) if rec["beta_m"] else "-"])
-        return out
+        return [["torus", "orbit_size", "dim", "unramified", "exceptional",
+                 "stab_point", "stab_fiber"],
+                *([";".join(b.torus), b.orbit_size, b.dim, b.unramified, b.exceptional,
+                   b.stab_point_type, b.stab_fiber_type] for b in blocks)]
     return _emit(args, payload, rows)
 
 
-def cmd_quantum_simplicity(args):
-    rs = build_root_system(args.type)
-    chi = QChar(rs, args.ell, chi_s=parse_torus(args.chi_s, rs.rank),
-                support=parse_support(args.support), eps=args.eps)
-    t = parse_torus(args.torus, rs.rank)
-    if t.pow(args.ell) != chi.chi_s:
-        raise HypothesisFailure(f"t^{args.ell} != chi_s: t labels no baby Verma module")
-    res = simplicity_necessary(chi, t)
-    payload = {
-        "command": "quantum.simplicity",
-        "note": "necessary condition only",
-        "type": rs.type_str,
-        "ell": args.ell,
-        "chi": _qchi_dict(chi),
-        "torus": [str(e) for e in t.exps],
-        **res,
-    }
+def cmd_quantum_unramified(args, q):
+    payload = {**q.head, "coords": args.coords, "eps": args.eps}
+    for coords in ("component", "highestWeight"):
+        if args.coords in (coords, "both"):
+            payload[coords] = q_unramified(q.rs, q.point, coords, args.ell, args.eps)
     return _emit(args, payload)
 
 
-def cmd_quantum_structure(args):
-    bound = _bounds(args)
-    rs = build_root_system(args.type)
-    chi = QChar(rs, args.ell, chi_s=parse_torus(args.chi_s, rs.rank),
-                support=parse_support(args.support), eps=args.eps)
-    out = q_regularity_and_counts(chi, bound=bound)
-    payload = {
-        "command": "quantum.structure",
-        "type": rs.type_str,
-        "ell": args.ell,
-        "chi": _qchi_dict(chi),
-        **out,
-    }
-    return _emit(args, payload)
+def cmd_quantum_exceptional(args, q):
+    elements = [{"m": rec["m"], "torus": _torus_texts(rec["torus"]),
+                 "centralizer_type": rec["centralizer"].type_str,
+                 "centralizer_order": rec["centralizer"].order,
+                 "beta_m": list(rec["beta_m"]) if rec["beta_m"] else None}
+                for rec in exceptional_elements(q.rs)]
+
+    def rows():
+        return [["m", "torus", "centralizer", "order", "beta_m"],
+                *([e["m"], ";".join(e["torus"]), e["centralizer_type"], e["centralizer_order"],
+                   ",".join(map(str, e["beta_m"])) if e["beta_m"] else "-"] for e in elements)]
+    return _emit(args, {**q.head, "elements": elements}, rows)
 
 
-def cmd_verify_appendix(args):
+def cmd_quantum_simplicity(args, q):
+    return _emit(args, {**q.head, "note": "necessary condition only",
+                        **simplicity_necessary(q.chi, q.point)})
+
+
+def cmd_quantum_structure(args, q):
+    return _emit(args, {**q.head, **q_regularity_and_counts(q.chi, bound=q.bound)})
+
+
+def cmd_verify_appendix(args, q):
     rows = appendix_rows()
     if args.type:
         want = args.type.strip().upper()
@@ -495,22 +433,16 @@ def cmd_verify_appendix(args):
         if not rows:
             raise LieramError(f"no appendix rows for type {args.type}")
     results = [verify_appendix_row(t, m) for t, m in rows]
-    payload = {
-        "command": "verify.appendix",
-        "rows": results,
-        "all_ok": all(r["ok"] for r in results),
-    }
+    payload = {**q.head, "rows": results, "all_ok": all(r["ok"] for r in results)}
 
     def rows():
-        out = [["type", "m", "ok", "convention", "alpha_corrected"]]
-        for r in results:
-            out.append([r["type"], r["m"], r["ok"], r["convention"],
-                        json.dumps(r["alpha_corrected"])])
-        return out
+        return [["type", "m", "ok", "convention", "alpha_corrected"],
+                *([r["type"], r["m"], r["ok"], r["convention"],
+                   json.dumps(r["alpha_corrected"])] for r in results)]
     return _emit(args, payload, rows)
 
 
-def cmd_selftest(args):
+def cmd_selftest(args, _q):
     # the suites and their brute-force oracles load only for this command
     from .selftest import SUITES, run_suites
     names = [args.suite] if args.suite else None
@@ -537,8 +469,9 @@ def build_parser():
     common.add_argument("--format", choices=("json", "tsv"),
                         default=argparse.SUPPRESS)
     common.add_argument("--bound", type=_bound_value, default=argparse.SUPPRESS,
-                        help="cap for field size and points a block walk visits "
-                             "(defaults 10^9 / 10^6; env LIERAM_BOUND)")
+                        help="cap for field size, points a block walk visits and "
+                             "|Phi+| x rank of the type (defaults 10^9 / 10^6 / "
+                             "10^6; env LIERAM_BOUND)")
     top = _Parser(prog="lieram", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -619,11 +552,7 @@ def main(argv=None) -> int:
     try:
         try:
             args = _parser().parse_args(argv)  # --help writes here, then exits
-            # empty chi-s defaults to the zero character / trivial torus element
-            if getattr(args, "chi_s", None) == "":
-                rs = build_root_system(args.type)
-                args.chi_s = ",".join(["0"] * rs.rank)
-            return args.func(args)
+            return args.func(args, _resolve(args))
         finally:
             if sys.stdout is sys.__stdout__:
                 sys.stdout.flush()  # while a failure can still be reported

@@ -14,15 +14,12 @@ of the centralizer subsystem's basis on which it is regular.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import HypothesisFailure, InvariantViolation, NonPrime, NoParabolicConjugate
 from .errors import NotNilpotentContext
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify
 from .scalars import _ptrim, artin_schreier_solve, embed, is_prime, make_field
 from .weyl import (
     BlockRecord,
-    _check_points,
     block_orbits,
     integer_pairings,
     reflection_stabilizer,
@@ -118,19 +115,6 @@ class PChar:
     def __repr__(self):
         return (f"PChar({self.rs.type_str}, p={self.p}, "
                 f"c=({', '.join(map(str, self.values))}), S={self.support})")
-
-
-def enumerate_lambda_chi(chi: PChar, bound=None):
-    """The p^r weights solving lambda(h_i)^p - lambda(h_i) = chi(h_i)^p.
-
-    Returns (weights, ambient field); the set is base + F_p^r, listed with the
-    F_p-translate in lex order.  BoundExceeded as in mod_blocks, the p^r
-    points counted before any is listed.
-    """
-    _check_points(chi.p ** chi.rs.rank, bound)
-    base, ambient = _lambda_base(chi, bound)
-    return [ModWeight(b + ambient.from_int(k) for b, k in zip(base, d))
-            for d in itertools.product(range(chi.p), repeat=chi.rs.rank)], ambient
 
 
 def _lambda_base(chi: PChar, bound):

@@ -31,6 +31,7 @@ from .weyl import (
     BlockRecord,
     alcove_descent,
     block_orbits,
+    extended_diagram,
     integer_pairings,
     inversion_set,
     reflection_stabilizer,
@@ -211,13 +212,6 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
                             for n, q in zip(t.nums, rs.rho_weight_pairs())], N)
 
 
-def _delta_tilde(rs: RootSystem):
-    out = list(rs.simple_roots)
-    for idx in range(len(rs.components)):
-        out.append(tuple(-c for c in rs.highest_root(idx)))
-    return out
-
-
 def _check_simple_system(rs: RootSystem, kac, roots):
     """Raise InvariantViolation unless the Delta-tilde nodes with Kac
     coordinate 0 form a simple system of `roots`: each lies in `roots`, and
@@ -225,14 +219,14 @@ def _check_simple_system(rs: RootSystem, kac, roots):
     of them.  On one component the only relation among the nodes -theta,
     alpha_j is theta = sum_j a_j alpha_j, so a root's combination is fixed by
     the vanishing of its coefficient on a node with nonzero Kac coordinate."""
-    dt = _delta_tilde(rs)
-    for c, (_l, _n, nodes) in enumerate(rs.components):
+    diagram = extended_diagram(rs)
+    dt = diagram.delta_tilde
+    for c, ((_l, _n, nodes), marks) in enumerate(zip(rs.components, diagram.marks)):
         coords = kac[c]
         ext_nodes = [dt[rs.rank + c]] + [dt[j] for j in nodes]
         if any(a not in roots for a, s in zip(ext_nodes, coords) if s == 0):
             raise InvariantViolation(
                 f"a zero Kac node of {rs.type_str} lies outside the roots")
-        marks = (1,) + tuple(rs.a[j] for j in nodes)
         free = next(k for k, s in enumerate(coords) if s)
         for b in roots:
             if not any(b[j] for j in nodes):
@@ -285,7 +279,8 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     moved = word_images(rs, word, sat)
     _check_simple_system(rs, kac, frozenset(moved) | frozenset(
         tuple(-x for x in b) for b in moved))
-    return _unramified_at(rs, word_torus_image(rs, word, u.nums, N), N, ell, _delta_tilde(rs))
+    return _unramified_at(rs, word_torus_image(rs, word, u.nums, N), N, ell,
+                          extended_diagram(rs).delta_tilde)
 
 
 # -- exceptional elements ----------------------------------------------------

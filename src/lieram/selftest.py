@@ -14,9 +14,9 @@ compare the production paths against: single-root pairings, root-set
 closure, group and coset enumeration, the matrix element of a word (its
 inversions, length and dot action), brute-force stabilizers, the Burnside
 count, the orbit partition sorted by a key that keeps only the points of a
-set, the ell-fiber as torus elements and the solve-and-close derivation of
-the exceptional elements.  No production module imports it; the CLI loads it
-only for `lieram selftest`.
+set, the weights of Lambda_chi, the ell-fiber as torus elements and the
+solve-and-close derivation of the exceptional elements.  No production
+module imports it; the CLI loads it only for `lieram selftest`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from fractions import Fraction
 
 from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate, NotParabolic
 from .modular import (
+    ModWeight,
     PChar,
     _code,
+    _lambda_base,
     dim_C,
-    enumerate_lambda_chi,
     eta_subsystems,
     finite_type_verdict,
     is_unramified,
@@ -44,7 +45,6 @@ from .quantum import (
     QChar,
     TorusElement,
     _appendix_word,
-    _delta_tilde,
     _pairings,
     hc_shift,
     q_blocks,
@@ -58,8 +58,10 @@ from .rootdata import RootSystem, build_root_system, hypothesis_check, subsystem
 from .scalars import UnityExp, eps_pow, make_field, solve_linear
 from .weyl import (
     WeylElement,
+    _check_points,
     _word_for_reflection,
     enumerate_group,
+    extended_diagram,
     generated_group,
     integer_actions,
     orbit_of,
@@ -239,6 +241,19 @@ def orbit_partition_by_key(points, gen_actions, key):
         orbits.append(cls)
     orbits.sort(key=lambda cls: key(cls[0]))
     return orbits
+
+
+def enumerate_lambda_chi(chi: PChar, bound=None):
+    """The p^r weights solving lambda(h_i)^p - lambda(h_i) = chi(h_i)^p.
+
+    Returns (weights, ambient field); the set is base + F_p^r, listed with the
+    F_p-translate in lex order.  BoundExceeded as in mod_blocks, the p^r
+    points counted before any is listed.
+    """
+    _check_points(chi.p ** chi.rs.rank, bound)
+    base, ambient = _lambda_base(chi, bound)
+    return [ModWeight(b + ambient.from_int(k) for b, k in zip(base, d))
+            for d in itertools.product(range(chi.p), repeat=chi.rs.rank)], ambient
 
 
 def ell_fiber(rs: RootSystem, chi_s: TorusElement, ell: int):
@@ -653,7 +668,7 @@ def _delta_tilde_test(rs: RootSystem, t: TorusElement, ell: int, eps: int = 1) -
     """alpha(t)^{2 ell} = 1 implies alpha(t)^2 = eps^{-(2 rho, alpha)} for
     every alpha in Delta-tilde, in epsilon form at the label t itself."""
     vals, N = _pairings(rs, t)
-    for alpha in _delta_tilde(rs):
+    for alpha in extended_diagram(rs).delta_tilde:
         v = vals[alpha] if alpha in vals else -vals[tuple(-c for c in alpha)]
         if 2 * ell * v % N == 0:
             target = eps_pow(-two_rho_dot(rs, alpha), ell, eps)
@@ -670,7 +685,7 @@ def _delta_tilde_by_search(rs, point, ell, elements, eps=1):
     sat = [b for b in rs.pos_roots
            if (root_value(rs, point, b) * (2 * ell)).is_one()]
     roots = frozenset(sat) | frozenset(tuple(-x for x in b) for b in sat)
-    dt = _delta_tilde(rs)
+    dt = extended_diagram(rs).delta_tilde
     rank = subsystem_classify(rs, roots).rank
     for w in elements:
         moved = frozenset(w.apply_root(b) for b in roots)

@@ -7,7 +7,8 @@ through the root data.  On roots the letters act by RootSystem.reflect
 the rank-one maps of integer_actions on numerators over one denominator
 (word_torus_image; conjugated by quantum.hc_shift it is the quantum dot
 action).  The alcove descent, on such numerators too, returns the
-word of its finite part.
+word of its finite part; it reads theta, theta^vee and the word of s_theta
+from the extended diagram, built once per root system.
 
 WeylElement stores an element as the integer matrix of its action on
 simple-root coordinates with the inverse matrix (equality is matrix
@@ -52,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BoundExceeded, InvalidSupport, InvariantViolation
 from .rootdata import RootSystem, subsystem_classify
@@ -205,6 +207,32 @@ def _word_for_reflection(rs, beta):
             raise InvariantViolation(f"no descent step from the root {b}")
 
 
+class ExtendedDiagram(NamedTuple):
+    """The extended Dynkin diagram of a root system, per component c: its
+    highest root thetas[c], the coroot theta^vee (coroots[c]), the word of
+    s_theta (words[c]), and the marks of its nodes -theta, alpha_j (j over
+    the component's nodes), marks[c] = (1, a_j, ...), so that the marks
+    times the nodes sum to 0.  delta_tilde lists the simple roots, then
+    -theta per component."""
+
+    thetas: tuple
+    coroots: tuple
+    words: tuple
+    marks: tuple
+    delta_tilde: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
+    """The extended Dynkin diagram of rs, built once per root system."""
+    thetas = tuple(map(rs.highest_root, range(len(rs.components))))
+    return ExtendedDiagram(
+        thetas, tuple(map(rs.coroot, thetas)),
+        tuple(_word_for_reflection(rs, theta) for theta in thetas),
+        tuple((1, *(rs.a[j] for j in nodes)) for _l, _n, nodes in rs.components),
+        rs.simple_roots + tuple(tuple(-c for c in theta) for theta in thetas))
+
+
 def alcove_descent(rs: RootSystem, x, D: int):
     """Carry a rational point into the closed fundamental alcove.
 
@@ -225,8 +253,7 @@ def alcove_descent(rs: RootSystem, x, D: int):
     r = rs.rank
     C = rs.cartan
     n = [v % D for v in x]
-    thetas = [(theta, rs.coroot(theta), _word_for_reflection(rs, theta))
-              for theta in map(rs.highest_root, range(len(rs.components)))]
+    ext = extended_diagram(rs)
     letters = []  # simple reflections in the order applied
     while True:
         v = [sum(C[i][j] * n[i] for i in range(r)) for j in range(r)]  # D alpha_j(x)
@@ -235,15 +262,14 @@ def alcove_descent(rs: RootSystem, x, D: int):
             n[j] -= v[j]
             letters.append(j)
             continue
-        over = [(k, coroot, word) for theta, coroot, word in thetas
-                if (k := _dot(theta, v) - D) > 0]
+        over = [(k, c) for c, theta in enumerate(ext.thetas) if (k := _dot(theta, v) - D) > 0]
         if not over:
             break
-        k, coroot, word = over[0]
-        n = [a - k * c for a, c in zip(n, coroot)]
-        letters.extend(word)  # the finite part of s_0 is s_theta
+        k, c = over[0]
+        n = [a - k * h for a, h in zip(n, ext.coroots[c])]
+        letters.extend(ext.words[c])  # the finite part of s_0 is s_theta
     kac = tuple((D - _dot(theta, v),) + tuple(v[j] for j in nodes)
-                for (theta, _c, _w), (_l, _n, nodes) in zip(thetas, rs.components))
+                for theta, (_l, _n, nodes) in zip(ext.thetas, rs.components))
     return tuple(letters[::-1]), kac
 
 

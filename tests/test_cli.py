@@ -334,14 +334,48 @@ def test_a_set_within_the_bound_still_meets_the_field_bound(capsys):
 def test_the_points_bound_is_checked_before_any_axis_is_built(argv, points):
     # a child limited to 1.5 GB of address space, too little to list 10^9
     # axis values: without the early check it ends in a MemoryError
+    done = _run_capped(argv)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {points} points to walk exceeds bound 1000000\n"
+
+
+def _run_capped(argv):
+    # the CLI in a child limited to 1.5 GB of address space, at the default bound
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
     env = {k: v for k, v in os.environ.items() if k != "LIERAM_BOUND"}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-m", "lieram.cli", *argv], capture_output=True,
+    return subprocess.run([sys.executable, "-m", "lieram.cli", *argv], capture_output=True,
                           text=True, timeout=120, env=env, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular", "blocks", "--type", "A99999", "--p", "5"],
+    ["quantum", "exceptional", "--type", "A99999"],
+])
+def test_the_type_is_bounded_before_its_root_system_is_built(argv):
+    # the root tables of A99999 (|Phi+| x rank = 5 x 10^14 entries) end in a
+    # MemoryError under the cap when they are built; rank^2 <= |Phi+| x rank
+    # refuses the type before even its degrees are listed
+    done = _run_capped(argv)
     assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr == f"error: {points} points to walk exceeds bound 1000000\n"
+    assert done.stderr == "error: type A99999: rank^2 = 9999800001 exceeds bound 1000000\n"
+
+
+def test_the_type_bound_is_inclusive(capsys):
+    argv = ["modular", "poincare", "--type", "A2", "--p", "5", "--weight", "0,0"]
+    # |Phi+| x rank = 3 x 2 for A2
+    code, out = run_cli([*argv, "--bound", "6"], capsys)
+    assert code == 0 and json.loads(out)["value_at_1"] == 1
+    code = main([*argv, "--bound", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: type A2: |Phi+| x rank = 6 exceeds bound 5\n"
+    # at the default bound A125 (984 375 entries) is the largest A_n
+    code = main(["quantum", "exceptional", "--type", "A126"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: type A126: |Phi+| x rank = 1008126 exceeds bound 1000000\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -436,6 +470,46 @@ def test_modular_commands_refuse_a_non_prime(command, p, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {p} is not prime\n"
+
+
+# per side: flags with a p or ell that fails the standing hypotheses, the
+# first error every subcommand must report, and per subcommand the rest of
+# its flags, with a second fault (a wrong count of values, or a malformed
+# literal) that is checked later
+DOUBLE_FAULTS = {
+    "modular": (["--type", "A2", "--p", "3"], "(type A2, p=3) fails hypotheses", {
+        "blocks": ["--chi-s", "1"],
+        "structure": ["--chi-s", "1"],
+        "unramified": ["--weight", "1"],
+        "poincare": ["--weight", "1"],
+        "finite-type": ["--weight", "1"],
+        "blocks AS(x)": ["--chi-s", "AS(x),0"],
+        "finite-type AS(x)": ["--weight", "AS(x),0"],
+    }),
+    "quantum": (["--type", "A2", "--ell", "4"], "ell = 4 must be odd and >= 3", {
+        "blocks": ["--chi-s", "1/2"],
+        "structure": ["--chi-s", "1/2"],
+        "unramified": ["--torus", "1/2"],
+        "simplicity": ["--chi-s", "1/2", "--torus", "1/2"],
+        "blocks 1/0": ["--chi-s", "1/0,0"],
+        "unramified 1/0": ["--torus", "1/0,0"],
+    }),
+}
+
+
+@pytest.mark.parametrize("side", sorted(DOUBLE_FAULTS))
+def test_every_subcommand_reports_the_same_first_error(side, capsys):
+    # the inputs are checked in one order for every subcommand: the standing
+    # hypotheses before the values
+    flags, message, commands = DOUBLE_FAULTS[side]
+    errors = {}
+    for case, extra in commands.items():
+        code = main([side, case.split()[0], *flags, *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), case
+        errors[case] = captured.err
+    assert set(errors.values()) == {errors["blocks"]}
+    assert errors["blocks"].startswith("error: " + message)
 
 
 # (type, highest-weight label, verdict): the alcove descent of each label

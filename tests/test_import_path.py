@@ -11,7 +11,8 @@ a matrix element.  Stab_W(chi) = W(Phi') is checked by a selftest oracle,
 not walked per query: orbit_of serves only the block partition and the
 group closure.  The quantum side runs on integer numerators: epsilon enters
 once, in quantum.hc_shift, and the epsilon form of the Delta-tilde test is
-an oracle."""
+an oracle.  The CLI resolves and checks every subcommand's inputs in one
+front end, before the command runs."""
 
 import ast
 import os
@@ -26,6 +27,7 @@ ORACLES = {
     "burnside_count", "min_coset_reps", "act_modular", "pair", "close_up",
     "root_value", "steinberg_fiber_point", "ell_fiber", "orbit_partition_by_key",
     "word_element", "matrix_inversions", "dot_act_torus", "_delta_tilde_test",
+    "enumerate_lambda_chi",
 }
 
 
@@ -221,3 +223,23 @@ def test_epsilon_enters_the_quantum_side_once():
                 if isinstance(node, ast.ClassDef) and node.name == "TorusElement"]
     assert {node.name for node in torus.body if isinstance(node, ast.FunctionDef)
             and (_calls_of(node, "Fraction") or _calls_of(node, "UnityExp"))} == {"__init__", "exps"}
+
+
+# what resolves or checks a subcommand's inputs in the CLI
+FRONT_END = {"build_root_system", "_bounds", "parse_field_values", "parse_torus",
+             "parse_support", "check_hypotheses", "check_root_of_unity", "PChar", "QChar"}
+
+
+def test_the_cli_resolves_inputs_in_one_front_end():
+    # main calls cli._resolve once, before it dispatches; no command rebuilds
+    # an input, a weight or a torus element
+    tree = _trees()["cli.py"]
+    for name in FRONT_END:
+        assert _callers(tree, name) == {"_resolve"}, name
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _calls_of(defs["main"], "_resolve") == 1
+    commands = [node for name, node in defs.items() if name.startswith("cmd_")]
+    assert len(commands) == 12
+    for node in commands:
+        assert not _called_names(node) & (FRONT_END | {"ModWeight", "TorusElement",
+                                                        "parse_cartan_type"}), node.name

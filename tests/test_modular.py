@@ -16,7 +16,6 @@ from lieram.modular import (
     ModWeight,
     PChar,
     dim_C,
-    enumerate_lambda_chi,
     eta_subsystems,
     finite_type_verdict,
     is_unramified,
@@ -28,7 +27,7 @@ from lieram.modular import (
 )
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
-from lieram.selftest import stabilizer_bruteforce
+from lieram.selftest import enumerate_lambda_chi, stabilizer_bruteforce
 from lieram.weyl import enumerate_group
 
 

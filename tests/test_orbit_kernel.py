@@ -23,13 +23,14 @@ import pytest
 from lieram import modular, weyl
 from lieram.cli import parse_field_values
 from lieram.errors import InvariantViolation
-from lieram.modular import ModWeight, PChar, enumerate_lambda_chi, mod_blocks, rho_weight
+from lieram.modular import ModWeight, PChar, mod_blocks, rho_weight
 from lieram.quantum import QChar, TorusElement, q_blocks
 from lieram.rootdata import Subsystem, build_root_system, subsystem_classify
 from lieram.scalars import UnityExp, make_field
 from lieram.selftest import (
     block_stabiliser_mismatches,
     ell_fiber,
+    enumerate_lambda_chi,
     modular_cells,
     orbit_partition_by_key,
     quantum_cells,

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from lieram import weyl
 from lieram.errors import BoundExceeded, InvariantViolation, NotParabolic
-from lieram.quantum import TorusElement, hc_shift
+from lieram.quantum import TorusElement, hc_shift, q_unramified
 from lieram.rootdata import build_root_system
 from lieram.scalars import UnityExp, eps_pow, make_field
 from lieram.selftest import (
@@ -25,6 +26,7 @@ from lieram.selftest import (
 from lieram.weyl import (
     alcove_descent,
     enumerate_group,
+    extended_diagram,
     identity,
     inversion_set,
     orbit_partition,
@@ -143,6 +145,35 @@ def test_alcove_descent_lands_in_the_alcove(type_str):
                 value = sum(b[k] * sum(rs.cartan[i][k] * x[i] for i in range(rs.rank))
                             for k in range(rs.rank))
                 assert (value - s) % den == 0
+
+
+@pytest.mark.parametrize("type_str", ["A1", "B3", "G2", "F4", "A1xB2", "E8"])
+def test_the_extended_diagram_is_built_once_per_root_system(type_str, monkeypatch):
+    rs = build_root_system(type_str)
+    ext = extended_diagram(rs)
+    assert extended_diagram(rs) is ext
+    assert ext.delta_tilde[:rs.rank] == rs.simple_roots
+    for c, (_l, _n, nodes) in enumerate(rs.components):
+        theta = rs.highest_root(c)
+        assert ext.thetas[c] == theta and ext.coroots[c] == rs.coroot(theta)
+        assert ext.delta_tilde[rs.rank + c] == tuple(-x for x in theta)
+        # the marks times the nodes -theta, alpha_j sum to 0
+        nodes_ext = [ext.delta_tilde[rs.rank + c]] + [rs.simple_roots[j] for j in nodes]
+        assert ext.marks[c][0] == 1
+        assert [sum(m * b[k] for m, b in zip(ext.marks[c], nodes_ext))
+                for k in range(rs.rank)] == [0] * rs.rank
+        assert word_images(rs, ext.words[c], [theta]) == [tuple(-x for x in theta)]
+    # the descents and the highest-weight test read the table: no theta, word
+    # or mark is built again
+    monkeypatch.setattr(weyl, "_word_for_reflection", lambda *_a: pytest.fail("word rebuilt"))
+    monkeypatch.setattr(type(rs), "highest_root", lambda *_a: pytest.fail("theta rebuilt"))
+    monkeypatch.setattr(type(rs), "a", property(lambda _rs: pytest.fail("marks rebuilt")),
+                        raising=False)
+    rng = random.Random(type_str)
+    for _ in range(10):
+        alcove_descent(rs, [rng.randrange(-90, 90) for _ in range(rs.rank)], 30)
+        t = TorusElement(tuple(Fraction(rng.randrange(30), 30) for _ in range(rs.rank)))
+        q_unramified(rs, t, "highestWeight", 7)
 
 
 def test_act_modular_examples():
