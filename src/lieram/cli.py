@@ -45,8 +45,9 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
+from typing import NamedTuple
 
-from .errors import BoundExceeded, HypothesisFailure, InvariantViolation, LieramError
+from .errors import HypothesisFailure, InvariantViolation, LieramError
 from .modular import (
     ModWeight,
     PChar,
@@ -71,9 +72,8 @@ from .quantum import (
     simplicity_necessary,
     verify_appendix_row,
 )
-from .rootdata import build_root_system, degrees, parse_cartan_type, type_string
+from .rootdata import build_root_system
 from .scalars import artin_schreier_solve, embed, make_field
-from .weyl import DEFAULT_GROUP_BOUND
 
 
 class UsageError(Exception):
@@ -302,16 +302,7 @@ def _resolve(args):
     q.head["command"] = f"{args.group}.{args.command}"
     if args.group == "verify":  # its --type picks rows of the appendix table
         return q
-    cap = DEFAULT_GROUP_BOUND if q.bound is None else q.bound
-    comps = parse_cartan_type(args.type)
-    r = sum(n for _l, n in comps)
-    # the root tables hold |Phi+| x rank entries, and |Phi+| >= rank: a rank
-    # past the square root of the bound is refused before its degrees are listed
-    what, size = (("rank^2", r * r) if r * r > cap
-                  else ("|Phi+| x rank", r * sum(d - 1 for d in degrees(comps))))
-    if size > cap:
-        raise BoundExceeded(f"type {type_string(comps)}: {what} = {size} exceeds bound {cap}")
-    rs = q.rs = build_root_system(comps)
+    rs = q.rs = build_root_system(args.type, q.bound)  # refuses a type above the bound
     q.head["type"] = rs.type_str
     # an empty --chi-s is the zero character (the identity torus element)
     chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rs.rank))
@@ -427,7 +418,7 @@ def cmd_quantum_structure(args, q):
 
 def cmd_verify_appendix(args, q):
     rows = appendix_rows()
-    if args.type:
+    if args.type is not None:
         want = args.type.strip().upper()
         rows = [(t, m) for t, m in rows if t == want]
         if not rows:
@@ -445,11 +436,10 @@ def cmd_verify_appendix(args, q):
 def cmd_selftest(args, _q):
     # the suites and their brute-force oracles load only for this command
     from .selftest import SUITES, run_suites
-    names = [args.suite] if args.suite else None
-    if args.suite and args.suite not in SUITES:
+    if args.suite is not None and args.suite not in SUITES:
         raise LieramError(f"unknown suite {args.suite!r}; "
                           f"choose from {', '.join(sorted(SUITES))}")
-    ok, results = run_suites(names)
+    ok, results = run_suites(None if args.suite is None else [args.suite])
     for r in results:
         sys.stdout.write(r.line() + "\n")
     sys.stdout.write(("ALL PASS" if ok else "FAILURES") + "\n")
@@ -464,80 +454,91 @@ class _Parser(argparse.ArgumentParser):
             (file or sys.stderr).write(message)
 
 
+class _Flag(NamedTuple):
+    """One flag: its name and the keywords argparse's add_argument takes."""
+    name: str
+    type: object = None
+    default: object = None
+    required: bool = False
+    choices: tuple = None
+    help: str = None
+
+    @property
+    def dest(self):
+        return self.name[2:].replace("-", "_")
+
+
+# the top-level flags, then the same flags after a leaf, where they override
+_TOP = (_Flag("--format", default="json", choices=("json", "tsv")),
+        _Flag("--bound", _bound_value))
+_COMMON = (_Flag("--format", default=argparse.SUPPRESS, choices=("json", "tsv")),
+           _Flag("--bound", _bound_value, argparse.SUPPRESS,
+                 help="cap for field size, points a block walk visits and |Phi+| x rank "
+                      "of the type (defaults 10^9 / 10^6 / 10^6; env LIERAM_BOUND)"))
+_TYPE = _Flag("--type", required=True)
+_P = _Flag("--p", int, required=True)
+_WEIGHT = _Flag("--weight", required=True, help="coroot values (field literals)")
+_MOD_CHI = (_Flag("--chi-s", default="", help="semisimple values (field literals)"),
+            _Flag("--support", default="", help="1-based indices into the basis of Phi'"))
+_ELL = (_Flag("--ell", int, required=True),
+        _Flag("--eps", int, 1, help="epsilon = exp(2 pi i eps/ell)"))
+_Q_CHI = (_Flag("--chi-s", default="", help="torus exponents, e.g. 0/1 or 1/5,2/5"),
+          _Flag("--support", default=""))
+_TORUS = _Flag("--torus", required=True, help="torus exponents of the point")
+
+# The grammar: each leaf, (group, command) or (group,) for a group without
+# commands, with its function and its own flags in the order --help lists them.
+# build_parser builds the argparse parser from it, and main reads an argv of
+# the exact form "group command (--flag value)*" off it directly (_match),
+# into the namespace argparse would build; argparse parses every other form
+# (--help, abbreviations, --flag=value, flags before the group, repeated or
+# unknown flags, bad values), so its messages and exit statuses are its own.
+# (The module docstring is the text of `lieram --help`, so this note is here.)
+GRAMMAR = {
+    ("modular", "blocks"): (cmd_modular_blocks, (_TYPE, _P, *_MOD_CHI)),
+    ("modular", "unramified"): (cmd_modular_unramified, (_TYPE, _P, _WEIGHT)),
+    ("modular", "poincare"): (cmd_modular_poincare, (_TYPE, _P, _WEIGHT)),
+    ("modular", "finite-type"): (cmd_modular_finite_type, (_TYPE, _P, _WEIGHT)),
+    ("modular", "structure"): (cmd_modular_structure, (_TYPE, _P, *_MOD_CHI)),
+    ("quantum", "blocks"): (cmd_quantum_blocks, (_TYPE, *_ELL, *_Q_CHI)),
+    ("quantum", "unramified"): (cmd_quantum_unramified, (
+        _TYPE, *_ELL, _TORUS,
+        _Flag("--coords", default="both", choices=("component", "highestWeight", "both")))),
+    ("quantum", "exceptional"): (cmd_quantum_exceptional, (_TYPE,)),
+    ("quantum", "simplicity"): (cmd_quantum_simplicity, (_TYPE, *_ELL, *_Q_CHI, _TORUS)),
+    ("quantum", "structure"): (cmd_quantum_structure, (_TYPE, *_ELL, *_Q_CHI)),
+    ("verify", "appendix"): (cmd_verify_appendix, (_Flag("--type"),)),
+    ("selftest",): (cmd_selftest, (_Flag("--suite"),)),
+}
+
+
+def _add(parser, flag):
+    keywords = flag._asdict()
+    parser.add_argument(keywords.pop("name"), **keywords)
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "tsv"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--bound", type=_bound_value, default=argparse.SUPPRESS,
-                        help="cap for field size, points a block walk visits and "
-                             "|Phi+| x rank of the type (defaults 10^9 / 10^6 / "
-                             "10^6; env LIERAM_BOUND)")
+    for flag in _COMMON:
+        _add(common, flag)
     top = _Parser(prog="lieram", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
-    top.add_argument("--format", choices=("json", "tsv"), default="json")
-    top.add_argument("--bound", type=_bound_value, default=None)
+    for flag in _TOP:
+        _add(top, flag)
     sub = top.add_subparsers(dest="group", required=True)
-
-    def leaf(parent, name):
-        p = parent.add_parser(name, parents=[common])
-        p.set_defaults(parser=p)  # its usage line goes with a UsageError
-        return p
-
-    mod = sub.add_parser("modular").add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-        ("blocks", cmd_modular_blocks, ("chi_s", "support")),
-        ("unramified", cmd_modular_unramified, ("weight",)),
-        ("poincare", cmd_modular_poincare, ("weight",)),
-        ("finite-type", cmd_modular_finite_type, ("weight",)),
-        ("structure", cmd_modular_structure, ("chi_s", "support")),
-    ):
-        p = leaf(mod, name)
-        p.add_argument("--type", required=True)
-        p.add_argument("--p", type=int, required=True)
-        if "chi_s" in extra:
-            p.add_argument("--chi-s", dest="chi_s", default="",
-                           help="semisimple values (field literals)")
-            p.add_argument("--support", default="",
-                           help="1-based indices into the basis of Phi'")
-        if "weight" in extra:
-            p.add_argument("--weight", required=True,
-                           help="coroot values (field literals)")
-        p.set_defaults(func=fn)
-
-    q = sub.add_parser("quantum").add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-        ("blocks", cmd_quantum_blocks, ("chi_s", "support")),
-        ("unramified", cmd_quantum_unramified, ("torus", "coords")),
-        ("exceptional", cmd_quantum_exceptional, ()),
-        ("simplicity", cmd_quantum_simplicity, ("chi_s", "support", "torus")),
-        ("structure", cmd_quantum_structure, ("chi_s", "support")),
-    ):
-        p = leaf(q, name)
-        p.add_argument("--type", required=True)
-        if name != "exceptional":
-            p.add_argument("--ell", type=int, required=True)
-            p.add_argument("--eps", type=int, default=1,
-                           help="epsilon = exp(2 pi i eps/ell)")
-        if "chi_s" in extra:
-            p.add_argument("--chi-s", dest="chi_s", default="",
-                           help="torus exponents, e.g. 0/1 or 1/5,2/5")
-            p.add_argument("--support", default="")
-        if "torus" in extra:
-            p.add_argument("--torus", required=True,
-                           help="torus exponents of the point")
-        if "coords" in extra:
-            p.add_argument("--coords", default="both",
-                           choices=("component", "highestWeight", "both"))
-        p.set_defaults(func=fn)
-
-    v = sub.add_parser("verify").add_subparsers(dest="command", required=True)
-    pa = leaf(v, "appendix")
-    pa.add_argument("--type", default=None)
-    pa.set_defaults(func=cmd_verify_appendix)
-
-    st = sub.add_parser("selftest", parents=[common])
-    st.add_argument("--suite", default=None)
-    st.set_defaults(func=cmd_selftest, parser=st)
+    groups, top.leaves = {}, {}
+    for key, (fn, flags) in GRAMMAR.items():
+        if len(key) == 1:
+            p = sub.add_parser(key[0], parents=[common])
+        else:
+            if key[0] not in groups:
+                groups[key[0]] = sub.add_parser(key[0]).add_subparsers(
+                    dest="command", required=True)
+            p = groups[key[0]].add_parser(key[1], parents=[common])
+        for flag in flags:
+            _add(p, flag)
+        p.set_defaults(func=fn, parser=p)  # its usage line goes with a UsageError
+        top.leaves[key] = p
     return top
 
 
@@ -548,10 +549,59 @@ def _parser():
     return build_parser()
 
 
+@functools.cache
+def _exact_forms():
+    """Per leaf of GRAMMAR: the namespace argparse fills before it reads a
+    flag, the leaf's flags by name, and the names of its required flags."""
+    leaves = _parser().leaves
+    forms = {}
+    for key, (fn, flags) in GRAMMAR.items():
+        start = {f.dest: f.default for f in _TOP + flags}
+        start.update(zip(("group", "command"), key), func=fn, parser=leaves[key])
+        forms[key] = (start, {f.name: (f.dest, f.type, f.choices) for f in _COMMON + flags},
+                      {f.name for f in flags if f.required})
+    return forms
+
+
+def _match(argv):
+    """The namespace _parser().parse_args(argv) returns when argv is a leaf
+    then (--flag value)*, each flag the leaf's, named in full and once, each
+    value not starting with "-", converted and among its flag's choices, and
+    every required flag given; None for any other argv."""
+    forms = _exact_forms()
+    key = tuple(argv[:2])
+    if key not in forms:
+        key = key[:1]
+        if key not in forms:
+            return None
+    start, flags, required = forms[key]
+    rest = argv[len(key):]
+    if len(rest) % 2:
+        return None
+    ns, seen = dict(start), set()
+    for name, text in zip(rest[::2], rest[1::2]):
+        if name not in flags or name in seen or text[:1] == "-":
+            return None
+        seen.add(name)
+        dest, convert, choices = flags[name]
+        value = text
+        if convert is not None:
+            try:
+                value = convert(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        ns[dest] = value
+    return argparse.Namespace(**ns) if required <= seen else None
+
+
 def main(argv=None) -> int:
     try:
         try:
-            args = _parser().parse_args(argv)  # --help writes here, then exits
+            args = _match(sys.argv[1:] if argv is None else argv)
+            if args is None:
+                args = _parser().parse_args(argv)  # --help writes here, then exits
             return args.func(args, _resolve(args))
         finally:
             if sys.stdout is sys.__stdout__:

@@ -26,10 +26,14 @@ import math
 import operator
 import re
 
-from .errors import InvalidType, InvariantViolation, NotClosed
+from .errors import BoundExceeded, InvalidType, InvariantViolation, NotClosed
 from .scalars import solve_linear
 
 _TYPE_RE = re.compile(r"([A-G])(\d+)")
+
+# the default cap on the points a block walk visits and on the entries of the
+# root tables of a Cartan type
+DEFAULT_GROUP_BOUND = 10**6
 
 # Degrees of the basic invariants (Humphreys, Reflection Groups and Coxeter
 # Groups, 3.7): |W| = prod d_i, N = sum (d_i - 1), and the Poincare
@@ -329,12 +333,23 @@ def _cached_system(canon: str) -> RootSystem:
     return RootSystem(parse_cartan_type(canon))
 
 
-def build_root_system(ctype) -> RootSystem:
-    """Root system for a Cartan type given as a string or component tuple."""
+def build_root_system(ctype, bound=None) -> RootSystem:
+    """Root system for a Cartan type given as a string or component tuple.
+    BoundExceeded, before any table is built or the memo is read, if its
+    root tables would hold more than `bound` (default DEFAULT_GROUP_BOUND)
+    entries: |Phi+| x rank."""
     if isinstance(ctype, str):
         comps = parse_cartan_type(ctype)
     else:
         comps = tuple(_validate_component(l, n) for l, n in ctype)
+    cap = DEFAULT_GROUP_BOUND if bound is None else bound
+    r = sum(n for _l, n in comps)
+    # |Phi+| >= rank: a rank past the square root of the bound is refused
+    # before its degrees are listed
+    what, size = (("rank^2", r * r) if r * r > cap
+                  else ("|Phi+| x rank", r * sum(d - 1 for d in degrees(comps))))
+    if size > cap:
+        raise BoundExceeded(f"type {type_string(comps)}: {what} = {size} exceeds bound {cap}")
     return _cached_system(type_string(comps))
 
 

@@ -56,10 +56,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BoundExceeded, InvalidSupport, InvariantViolation
-from .rootdata import RootSystem, subsystem_classify
+from .rootdata import DEFAULT_GROUP_BOUND, RootSystem, subsystem_classify
 from .scalars import UnityExp
-
-DEFAULT_GROUP_BOUND = 10**6
 
 
 def _matmul(a, b):

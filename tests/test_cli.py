@@ -339,13 +339,14 @@ def test_the_points_bound_is_checked_before_any_axis_is_built(argv, points):
     assert done.stderr == f"error: {points} points to walk exceeds bound 1000000\n"
 
 
-def _run_capped(argv):
-    # the CLI in a child limited to 1.5 GB of address space, at the default bound
+def _run_capped(argv, python=("-m", "lieram.cli")):
+    # the CLI (or python with other arguments) in a child limited to 1.5 GB of
+    # address space, at the default bound
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
     env = {k: v for k, v in os.environ.items() if k != "LIERAM_BOUND"}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
-    return subprocess.run([sys.executable, "-m", "lieram.cli", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *python, *argv], capture_output=True,
                           text=True, timeout=120, env=env, preexec_fn=cap)
 
 
@@ -360,6 +361,16 @@ def test_the_type_is_bounded_before_its_root_system_is_built(argv):
     done = _run_capped(argv)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: type A99999: rank^2 = 9999800001 exceeds bound 1000000\n"
+
+
+def test_the_library_bounds_the_type_before_its_root_system_is_built():
+    # the same check guards build_root_system for a library caller; without
+    # it the tables of A99999 end in a MemoryError under the cap
+    done = _run_capped([], ("-c", "from lieram import BoundExceeded, build_root_system\n"
+                                  "try:\n    build_root_system('A99999')\n"
+                                  "except BoundExceeded as exc:\n    print(exc)"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "type A99999: rank^2 = 9999800001 exceeds bound 1000000\n"
 
 
 def test_the_type_bound_is_inclusive(capsys):
@@ -663,3 +674,16 @@ def test_a_full_stdout_is_one_error_line():
             with open("/dev/full", "w") as full:
                 done = _run_into(full, argv, unbuffered)
             _one_error_line(done)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["selftest", "--suite", ""], "error: unknown suite ''; choose from "),
+    (["verify", "appendix", "--type", ""], "error: no appendix rows for type "),
+], ids=["suite", "appendix-type"])
+def test_an_empty_filter_name_is_refused(argv, err, capsys):
+    # an empty --suite or appendix --type names nothing; it is not read as
+    # "no filter", which runs every suite or lists every row
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1

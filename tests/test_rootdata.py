@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieram.errors import InvalidType, NotClosed
+from lieram.errors import BoundExceeded, InvalidType, NotClosed
 from lieram.rootdata import (
     RootSystem,
     build_root_system,
@@ -339,3 +339,14 @@ def test_weyl_orders_and_index():
     assert build_root_system("E6").weyl_order() == 51840
     a2 = build_root_system("A2")
     assert subsystem_classify(a2, a2.all_roots()).index_of_connection() == 3
+
+
+def test_the_type_bound_is_checked_before_the_memo_is_read():
+    # |Phi+| x rank = 6 for A2, inclusive; a memoised type is refused all the same
+    a2 = build_root_system("A2")
+    with pytest.raises(BoundExceeded, match=r"^type A2: \|Phi\+\| x rank = 6 exceeds bound 5$"):
+        build_root_system("A2", 5)
+    assert build_root_system("A2", 6) is a2
+    # a component tuple too; rank^2 is compared before the degrees are listed
+    with pytest.raises(BoundExceeded, match=r"^type A1000: rank\^2 = 1000000 exceeds bound 999999$"):
+        build_root_system((("A", 1000),), 999999)
