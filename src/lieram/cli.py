@@ -120,18 +120,14 @@ def parse_field_values(text: str, p: int, rank: int, bound=None):
     base = make_field(p, 1, bound)
     needs_ext = any(t.startswith("AS(") and int(t[3:-1]) % p != 0 for t in tokens)
     ambient = make_field(p, p, bound) if needs_ext else base
-    gen = None
     values = []
     for t in tokens:
         if t.startswith("AS(") and t.endswith(")"):
             c = base.from_int(int(t[3:-1]))
             x, _fld = artin_schreier_solve(c, bound)
             values.append(embed(x, ambient))
-        elif t == "g" or t.startswith("g^"):
-            if gen is None:
-                gen = ambient.generator()
-            k = 1 if t == "g" else int(t[2:])
-            values.append(gen**k)
+        elif t == "g" or t.startswith("g^"):  # the generator is kept by its field
+            values.append(ambient.generator() ** (1 if t == "g" else int(t[2:])))
         else:
             values.append(ambient.from_int(int(t)))
     return tuple(values), ambient
@@ -176,19 +172,13 @@ def _emit(args, payload, tsv_rows=None):
     return 0
 
 
-# a value no payload holds, put where a template leaves a gap
+# a value no payload holds, put where a layout leaves a hole
 _MARK = "\x00"
 
 
 def _split(obj, nl="\n"):
-    """_dumps(obj, nl) cut at each _MARK value: the text around the marks,
-    and the line break in force at each mark."""
-    pieces = _dumps(obj, nl).split(_dumps(_MARK))
-    nls = []
-    for piece in pieces[:-1]:
-        line = piece[piece.rfind("\n") + 1:]
-        nls.append("\n" + line[:len(line) - len(line.lstrip(" "))])
-    return pieces, nls
+    """_dumps(obj, nl) cut at each _MARK value."""
+    return _dumps(obj, nl).split(_dumps(_MARK))
 
 
 class _Texts(dict):
@@ -205,33 +195,49 @@ class _Texts(dict):
 def _json_pieces(payload):
     """_dumps(payload) + "\n" in pieces.  A non-empty payload["blocks"] is a
     list of block reports (weyl.BlockRecord), each written as _dumps of its
-    to_dict in a piece of its own: one format of the template that to_dict
-    gives once per report.stabilizer (the fields outside VARYING), filled
-    with the text of each value of varying_items(), rendered from the value
-    once per answer.  InvariantViolation, checked per template, unless every
-    such value with line breaks sits at one depth, a list item's."""
+    to_dict in a piece of its own by one format call: per answer, one layout
+    per report class and lengths of its VARYING lists (_layout); per
+    report.stabilizer, one to_dict and the text of each fixed field; per
+    value of varying_items(), its text once per answer.  InvariantViolation,
+    checked on each stabiliser's first report, unless every such value with
+    line breaks sits at one depth, a list item's: each VARYING field of
+    to_dict is a list, or holds no list, tuple or dict."""
     blocks = payload.get("blocks")
     if not blocks:
         yield _dumps(payload) + "\n"
         return
-    (head, sep, tail), (nl, _) = _split({**payload, "blocks": [_MARK, _MARK]})
-    templates, texts = {}, _Texts(nl + "    ")  # at the items of a report's lists
+    head, sep, tail = _split({**payload, "blocks": [_MARK, _MARK]})
+    nl = sep[1:]  # the line break before each report
+    layouts, templates, texts = {}, {}, _Texts(nl + "    ")  # at a list item
     yield head
     for i, b in enumerate(blocks):
         template = templates.get(b.stabilizer)
         if template is None:
             d = b.to_dict()
-            d.update((k, [_MARK] * len(d[k]) if type(d[k]) is list else _MARK)
-                     for k in b.VARYING)
-            pieces, nls = _split(d, nl)
-            if any(n != texts.nl and isinstance(v, (list, tuple, dict))
-                   for n, v in zip(nls, b.varying_items())):
+            if any(type(d[k]) is not list and isinstance(d[k], (list, tuple, dict))
+                   for k in b.VARYING):
                 raise InvariantViolation(
                     f"a VARYING value of {type(b).__name__} is not at the depth of a list item")
-            template = templates[b.stabilizer] = "{}".join(
-                x.replace("{", "{{").replace("}", "}}") for x in pieces).format
+            shape = (type(b), *(len(d[k]) for k in b.VARYING if type(d[k]) is list))
+            fmt, fixed = layouts.get(shape) or layouts.setdefault(shape, _layout(d, b.VARYING, nl))
+            template = templates[b.stabilizer] = functools.partial(
+                fmt.format, *[_dumps(d[k], nl + "  ") for k in fixed])
         yield (sep if i else "") + template(*[texts[v] for v in b.varying_items()])
     yield tail + "\n"
+
+
+def _layout(d, varying, nl):
+    """The format of a report at line break nl, from the sorted keys of its
+    to_dict d: a hole per field outside `varying`, numbered first, then one
+    per value of varying_items(); and the keys of those fixed fields."""
+    shape = {k: [_MARK] * len(v) if k in varying and type(v) is list else _MARK
+             for k, v in d.items()}
+    keys = [k for k, v in sorted(shape.items()) for _ in (v if type(v) is list else (v,))]
+    fixed = [k for k in keys if k not in varying]
+    numbers = iter(range(len(fixed))), iter(range(len(fixed), len(keys)))
+    pieces = [x.replace("{", "{{").replace("}", "}}") for x in _split(shape, nl)]
+    return pieces[0] + "".join("{%d}%s" % (next(numbers[k in varying]), x)
+                               for k, x in zip(keys, pieces[1:])), fixed
 
 
 def _dumps(obj, nl="\n"):
@@ -264,25 +270,19 @@ def _dumps(obj, nl="\n"):
     return json.dumps(obj)
 
 
+def _levi_dict(chi):
+    # what a character of either side says of its support and its Levi
+    return {"support": [s + 1 for s in chi.support], "levi_type": chi.levi.type_str,
+            "levi_basis": [list(b) for b in chi.levi.basis]}
+
+
 def _chi_dict(chi):
-    return {
-        "values": [list(v.coeffs) for v in chi.values],
-        "field": {"p": chi.field.p, "e": chi.field.e,
-                  "modulus": list(chi.field.modulus)},
-        "support": [s + 1 for s in chi.support],
-        "levi_type": chi.levi.type_str,
-        "levi_basis": [list(b) for b in chi.levi.basis],
-    }
+    return {"values": [list(v.coeffs) for v in chi.values], **_levi_dict(chi),
+            "field": {"p": chi.field.p, "e": chi.field.e, "modulus": list(chi.field.modulus)}}
 
 
 def _qchi_dict(chi):
-    return {
-        "chi_s": _torus_texts(chi.chi_s),
-        "support": [s + 1 for s in chi.support],
-        "levi_type": chi.levi.type_str,
-        "levi_basis": [list(b) for b in chi.levi.basis],
-        "eps": chi.eps,
-    }
+    return {"chi_s": _torus_texts(chi.chi_s), "eps": chi.eps, **_levi_dict(chi)}
 
 
 def _torus_texts(t):
@@ -422,7 +422,7 @@ def cmd_verify_appendix(args, q):
         want = args.type.strip().upper()
         rows = [(t, m) for t, m in rows if t == want]
         if not rows:
-            raise LieramError(f"no appendix rows for type {args.type}")
+            raise LieramError(f"no appendix rows for type {args.type!r}")
     results = [verify_appendix_row(t, m) for t, m in rows]
     payload = {**q.head, "rows": results, "all_ok": all(r["ok"] for r in results)}
 

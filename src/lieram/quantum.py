@@ -208,8 +208,10 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
     if sign is None:
         raise ValueError(f"unknown direction {direction!r}")
     N = math.lcm(t.N, ell)
-    return TorusElement.of([n * (N // t.N) + sign * int(eps_pow(q, ell, eps).q * N)
-                            for n, q in zip(t.nums, rs.rho_weight_pairs())], N)
+    # the exponent k/den of each shift, den | ell | N, is k (N/den) / N
+    shifts = [eps_pow(q, ell, eps).q for q in rs.rho_weight_pairs()]
+    return TorusElement.of([n * (N // t.N) + sign * e.numerator * (N // e.denominator)
+                            for n, e in zip(t.nums, shifts)], N)
 
 
 def _check_simple_system(rs: RootSystem, kac, roots):

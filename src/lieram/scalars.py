@@ -525,11 +525,12 @@ def eps_pow(q, ell: int, eps: int = 1) -> UnityExp:
     (eps = 1 unless overridden; gcd(eps, ell) must be 1).  The result is the
     unique ell-th root of unity u with u^denominator = epsilon^numerator.
     """
-    q = Fraction(q)
+    q = q if type(q) is Fraction else Fraction(q)
     num, den = q.numerator, q.denominator
     if math.gcd(den, ell) != 1:
         raise NonInvertibleDenominator(f"denominator {den} not invertible mod {ell}")
     if math.gcd(eps, ell) != 1:
         raise NonInvertibleDenominator(f"eps exponent {eps} not coprime to {ell}")
-    den_inv = pow(den % ell, -1, ell)
-    return UnityExp(Fraction((num * den_inv * eps) % ell, ell))
+    u = UnityExp.__new__(UnityExp)  # its one Fraction, already in [0, 1)
+    u.q = Fraction(num * pow(den % ell, -1, ell) * eps % ell, ell)
+    return u

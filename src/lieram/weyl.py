@@ -514,7 +514,10 @@ class BlockRecord:
     is the classified subsystem of the roots vanishing on the block's point;
     it fixes every to_dict field but those its class names in VARYING (sorted
     keys), whose JSON values varying_items() gives in order, all hashable,
-    each element of a list value on its own (see cli._json_pieces)."""
+    each element of a list value on its own.  The class fixes the to_dict
+    keys and which VARYING fields are lists, and `stabilizer` their lengths:
+    cli._json_pieces builds one layout per class and lengths, and renders
+    per stabiliser only the fields outside VARYING."""
 
     __slots__ = ()
 

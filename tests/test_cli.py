@@ -687,3 +687,14 @@ def test_an_empty_filter_name_is_refused(argv, err, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err.startswith(err) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, err", [
+    ("", "error: no appendix rows for type ''\n"),
+    (" ", "error: no appendix rows for type ' '\n"),
+    ("Z9", "error: no appendix rows for type 'Z9'\n"),
+], ids=["empty", "blank", "unknown"])
+def test_an_appendix_type_without_rows_is_named_as_typed(name, err, capsys):
+    # the refusal quotes the --type value, so an empty or blank one shows
+    assert main(["verify", "appendix", "--type", name]) == 1
+    assert capsys.readouterr() == ("", err)

@@ -106,13 +106,19 @@ def test_streamed_blocks_match_the_reference(emitted):
 @pytest.mark.parametrize("argv", [
     # Lambda_chi in F_{7^7}: 28 blocks of 2 point stabilisers
     ["modular", "blocks", "--type", "A2", "--p", "7", "--chi-s", "AS(1),0"],
+    # a nilpotent cell: 20 blocks of 15 point stabilisers
+    ["modular", "blocks", "--type", "D4", "--p", "5", "--support", "1,3"],
     # N = 42: 70 blocks of 4 point stabilisers
     ["quantum", "blocks", "--type", "B3", "--ell", "7", "--chi-s", "1/2,0,1/3",
      "--support", "1"],
 ])
 def test_each_text_is_rendered_once_per_answer(argv, monkeypatch, capsys):
-    # per answer, to_dict runs once per distinct point stabiliser (for its
-    # template) and _dumps once per distinct value of varying_items()
+    # per answer: to_dict once per distinct point stabiliser, on its first
+    # report; no report rendered whole; _dumps once per fixed field (outside
+    # VARYING) and stabiliser, at the depth of a report's field, and once
+    # per distinct value of varying_items(), at the depth of a list item;
+    # besides, the payload head and the layout of the reports, each cut at
+    # the marks
     payloads, to_dicts, rendered, depth = [], [], [], [0]
     emit, dumps = cli._emit, cli._dumps
 
@@ -122,7 +128,7 @@ def test_each_text_is_rendered_once_per_answer(argv, monkeypatch, capsys):
 
     def counted_dumps(obj, nl="\n"):
         if not depth[0]:  # not a part of a larger value
-            rendered.append(obj)
+            rendered.append((obj, nl))
         depth[0] += 1
         try:
             return dumps(obj, nl)
@@ -143,15 +149,23 @@ def test_each_text_is_rendered_once_per_answer(argv, monkeypatch, capsys):
     monkeypatch.undo()
     (payload,) = payloads
     reports = payload["blocks"]
-    stabilisers = {id(b.stabilizer) for b in reports}
+    firsts = {}
+    for b in reports:
+        firsts.setdefault(id(b.stabilizer), b)
     values = [v for b in reports for v in b.varying_items()]
-    assert 1 < len(stabilisers) < len(reports)
+    assert 1 < len(firsts) < len(reports)
     assert len(set(values)) < len(values) // 4
-    assert len(to_dicts) == len(stabilisers)
-    assert {id(b.stabilizer) for b in to_dicts} == stabilisers
-    texts = [x for x in rendered if type(x) is not dict and x is not cli._MARK]
-    assert sorted(map(repr, texts)) == sorted(map(repr, set(values)))
-    assert len(rendered) - len(texts) == 2 * (1 + len(stabilisers))  # head, templates
+    assert to_dicts == list(firsts.values())
+    whole = [b.to_dict() for b in reports]
+    assert not [obj for obj, _nl in rendered if obj in whole]
+    fields = [(d[k], "\n      ") for d in (b.to_dict() for b in firsts.values())
+              for k in sorted(d) if k not in reports[0].VARYING]
+    shape = {k: [cli._MARK] * len(v) if k in reports[0].VARYING and type(v) is list
+             else cli._MARK for k, v in whole[0].items()}
+    expected = [({**payload, "blocks": [cli._MARK] * 2}, "\n"), (shape, "\n    "),
+                (cli._MARK, "\n"), (cli._MARK, "\n"), *fields,
+                *((v, "\n        ") for v in set(values))]
+    assert sorted(map(repr, rendered)) == sorted(map(repr, expected))
     assert out == _reference(_as_dicts(payload)) + "\n"
 
 

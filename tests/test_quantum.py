@@ -1,13 +1,20 @@
 """Torus elements, the ell-fiber and its blocks, quantum criteria, shifts,
 exceptional elements, the appendix table, simplicity and counts."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from lieram.cli import parse_torus
-from lieram.errors import HypothesisFailure, InvalidSupport, InvariantViolation, UnknownRow
+from lieram.errors import (
+    HypothesisFailure,
+    InvalidSupport,
+    InvariantViolation,
+    NonInvertibleDenominator,
+    UnknownRow,
+)
 from lieram.quantum import (
     QChar,
     _check_simple_system,
@@ -165,6 +172,56 @@ def test_hc_shift_round_trip_and_value():
             assert rt == t
             checked += 1
     assert checked >= 100
+
+
+MANIFEST_TYPES = ["A1", "A1xB2", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B2", "B3", "B4",
+                  "B5", "B6", "B7", "B8", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "D3",
+                  "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8", "F4", "G2"]
+
+
+def _hc_shift_by_fractions(rs, t, ell, direction, eps):
+    # coordinate i moves by eps^(rho, varpi_i), the ell-th root of unity u
+    # with u^den = eps^num, in Fraction arithmetic per coordinate
+    sign = {"forward": 1, "back": -1}[direction]
+    shifts = []
+    for q in rs.rho_weight_pairs():
+        q = Fraction(q)
+        if math.gcd(q.denominator, ell) != 1 or math.gcd(eps, ell) != 1:
+            raise NonInvertibleDenominator(q)
+        shifts.append(Fraction(q.numerator * pow(q.denominator, -1, ell) * eps % ell, ell))
+    return TorusElement(tuple(e.q + sign * s for e, s in zip(t.exps, shifts)))
+
+
+def test_hc_shift_matches_the_fraction_formula():
+    # every manifest type, ell in 5..13, every eps coprime to ell, both
+    # directions, at points whose denominators meet ell and do not
+    calls = 0
+    for name in MANIFEST_TYPES:
+        rs = build_root_system(name)
+        r = rs.rank
+        points = [T(*[0] * r), T(*[Fraction(k, 2 * r + 1) for k in range(r)]),
+                  T(*[Fraction(k * k + 1, 6 * (k + 2)) for k in range(r)])]
+        for ell in (5, 7, 9, 11, 13):
+            points_ell = points + [T(*[Fraction(k, ell) for k in range(1, r + 1)])]
+            for eps in range(1, 2 * ell):
+                if math.gcd(eps, ell) != 1:
+                    with pytest.raises(NonInvertibleDenominator):
+                        hc_shift(rs, points[0], ell, "forward", eps)
+                    continue
+                for t in points_ell:
+                    for direction in ("forward", "back"):
+                        u = hc_shift(rs, t, ell, direction, eps)
+                        assert u == _hc_shift_by_fractions(rs, t, ell, direction, eps)
+                        calls += 1
+                    u = hc_shift(rs, t, ell, "forward", eps)
+                    assert hc_shift(rs, u, ell, "back", eps) == t
+    assert calls > 10000
+    # a denominator that is not invertible mod ell, and eps_pow's values
+    with pytest.raises(NonInvertibleDenominator):
+        eps_pow(Fraction(1, 3), 9)
+    assert eps_pow(Fraction(1, 2), 7, 3) == UnityExp(Fraction(5, 7))  # 2 u = 3 mod 7
+    assert eps_pow(3, 9) == eps_pow("3", 9) == UnityExp(Fraction(1, 3))
+    assert eps_pow(Fraction(-1, 2), 5).q == Fraction(2, 5)
 
 
 def test_quantum_criteria_coherent_on_sl2():
