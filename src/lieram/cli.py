@@ -172,13 +172,9 @@ def _emit(args, payload, tsv_rows=None):
     return 0
 
 
-# a value no payload holds, put where a layout leaves a hole
+# a value no payload holds, put where a layout leaves a hole, and its text
 _MARK = "\x00"
-
-
-def _split(obj, nl="\n"):
-    """_dumps(obj, nl) cut at each _MARK value."""
-    return _dumps(obj, nl).split(_dumps(_MARK))
+_MARK_TEXT = encode_basestring_ascii(_MARK)
 
 
 class _Texts(dict):
@@ -195,78 +191,99 @@ class _Texts(dict):
 def _json_pieces(payload):
     """_dumps(payload) + "\n" in pieces.  A non-empty payload["blocks"] is a
     list of block reports (weyl.BlockRecord), each written as _dumps of its
-    to_dict in a piece of its own by one format call: per answer, one layout
-    per report class and lengths of its VARYING lists (_layout); per
-    report.stabilizer, one to_dict and the text of each fixed field; per
-    value of varying_items(), its text once per answer.  InvariantViolation,
-    checked on each stabiliser's first report, unless every such value with
-    line breaks sits at one depth, a list item's: each VARYING field of
-    to_dict is a list, or holds no list, tuple or dict."""
+    to_dict in a piece of its own, by one % of a template over the texts of
+    its varying_items().  The layout of a report (_layout) is rendered once
+    per process and shape; per answer and report.stabilizer, one to_dict and
+    the text of each fixed field (outside VARYING), baked with the layout
+    into the template; per answer, the text of each distinct varying value.
+    InvariantViolation, checked on each stabiliser's first report, unless
+    every such value with line breaks sits at one depth, a list item's: each
+    VARYING field of to_dict is a list, or holds no list, tuple or dict."""
     blocks = payload.get("blocks")
     if not blocks:
         yield _dumps(payload) + "\n"
         return
-    head, sep, tail = _split({**payload, "blocks": [_MARK, _MARK]})
+    head, sep, tail = _dumps({**payload, "blocks": [_MARK, _MARK]}).split(_MARK_TEXT)
     nl = sep[1:]  # the line break before each report
-    layouts, templates, texts = {}, {}, _Texts(nl + "    ")  # at a list item
+    templates, texts = {}, _Texts(nl + "    ")  # at a list item
     yield head
     for i, b in enumerate(blocks):
         template = templates.get(b.stabilizer)
         if template is None:
-            d = b.to_dict()
-            if any(type(d[k]) is not list and isinstance(d[k], (list, tuple, dict))
-                   for k in b.VARYING):
-                raise InvariantViolation(
-                    f"a VARYING value of {type(b).__name__} is not at the depth of a list item")
-            shape = (type(b), *(len(d[k]) for k in b.VARYING if type(d[k]) is list))
-            fmt, fixed = layouts.get(shape) or layouts.setdefault(shape, _layout(d, b.VARYING, nl))
-            template = templates[b.stabilizer] = functools.partial(
-                fmt.format, *[_dumps(d[k], nl + "  ") for k in fixed])
-        yield (sep if i else "") + template(*[texts[v] for v in b.varying_items()])
+            template = templates[b.stabilizer] = _template(b, nl)
+        yield (sep if i else "") + template % tuple(map(texts.__getitem__, b.varying_items()))
     yield tail + "\n"
 
 
-def _layout(d, varying, nl):
-    """The format of a report at line break nl, from the sorted keys of its
-    to_dict d: a hole per field outside `varying`, numbered first, then one
-    per value of varying_items(); and the keys of those fixed fields."""
-    shape = {k: [_MARK] * len(v) if k in varying and type(v) is list else _MARK
-             for k, v in d.items()}
-    keys = [k for k, v in sorted(shape.items()) for _ in (v if type(v) is list else (v,))]
-    fixed = [k for k in keys if k not in varying]
-    numbers = iter(range(len(fixed))), iter(range(len(fixed), len(keys)))
-    pieces = [x.replace("{", "{{").replace("}", "}}") for x in _split(shape, nl)]
-    return pieces[0] + "".join("{%d}%s" % (next(numbers[k in varying]), x)
-                               for k, x in zip(keys, pieces[1:])), fixed
+def _template(report, nl):
+    """The % template of the reports that share report.stabilizer at line
+    break nl: its layout with the text of each fixed field in place, "%"
+    escaped, and a %s per value of varying_items()."""
+    d, varying = report.to_dict(), report.VARYING
+    if any(type(d[k]) is not list and isinstance(d[k], (list, tuple, dict)) for k in varying):
+        raise InvariantViolation(
+            f"a VARYING value of {type(report).__name__} is not at the depth of a list item")
+    parts, fixed = _layout(tuple(sorted(d)), varying,
+                           tuple(len(d[k]) if type(d[k]) is list else None for k in varying), nl)
+    parts, inner = list(parts), nl + "  "  # at a report's field
+    for i, k in fixed:
+        parts[i] = _dumps(d[k], inner).replace("%", "%%")
+    return "".join(parts)
+
+
+@functools.cache
+def _layout(keys, varying, lengths, nl):
+    """The layout of a report at line break nl whose to_dict has the sorted
+    keys `keys`, `varying` its VARYING and `lengths` the length of each
+    VARYING list (None for a field that is not a list): the texts between
+    its values, "%" escaped, with a %s for each varying value and a None
+    slot for each fixed field between them; and (index, key) of each slot.
+    Pure, so kept for the process: one entry per report class and shape."""
+    counts = {k: n for k, n in zip(varying, lengths) if n is not None}
+    shape = {k: [_MARK] * counts[k] if k in counts else _MARK for k in keys}
+    pieces = [x.replace("%", "%%") for x in _dumps(shape, nl).split(_MARK_TEXT)]
+    keys = [k for k in keys for _ in range(counts.get(k, 1))]  # of each value
+    parts = [pieces[0]]
+    for k, x in zip(keys, pieces[1:]):
+        parts += ("%s" if k in varying else None, x)
+    return tuple(parts), tuple((2 * i + 1, k) for i, k in enumerate(keys) if k not in varying)
 
 
 def _dumps(obj, nl="\n"):
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte: the stdlib
     encodes with indent in pure Python, never with its C encoder.  Dict keys
-    must be str (TypeError otherwise); `nl` is the current line break."""
-    if isinstance(obj, str):
+    must be str (TypeError otherwise); `nl` is the current line break.  It
+    dispatches on the exact type of obj, then on isinstance."""
+    kind = type(obj)
+    if kind is str:
         return encode_basestring_ascii(obj)
-    if type(obj) is int:
+    if kind is int:
         return str(obj)
-    if obj is None or type(obj) is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple:
         if not obj:
             return "[]"
         inner = nl + "  "
-        if all(type(x) is int for x in obj):  # bools are not ints here
-            return "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
-        return "[" + inner + ("," + inner).join(_dumps(x, inner) for x in obj) + nl + "]"
-    if isinstance(obj, dict):
+        return "[" + inner + ("," + inner).join([
+            str(x) if type(x) is int else _dumps(x, inner) for x in obj]) + nl + "]"
+    if kind is dict:
         if not obj:
             return "{}"
         inner = nl + "  "
-        for k in obj:
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-        return "{" + inner + ("," + inner).join(
+        return "{" + inner + ("," + inner).join([
             encode_basestring_ascii(k) + ": " + _dumps(v, inner)
-            for k, v in sorted(obj.items())) + nl + "}"
+            for k, v in sorted(obj.items())]) + nl + "}"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    # a subclass of str, list, tuple or dict, read as json.dumps reads it;
+    # floats and subclasses of int through json.dumps itself
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        return _dumps(list(obj), nl)
+    if isinstance(obj, dict):
+        return _dumps(dict(obj.items()), nl)
     return json.dumps(obj)
 
 
@@ -282,12 +299,7 @@ def _chi_dict(chi):
 
 
 def _qchi_dict(chi):
-    return {"chi_s": _torus_texts(chi.chi_s), "eps": chi.eps, **_levi_dict(chi)}
-
-
-def _torus_texts(t):
-    # a torus element's exponents as reduced rationals, "2/5"
-    return [str(e) for e in t.exps]
+    return {"chi_s": chi.chi_s.texts(), "eps": chi.eps, **_levi_dict(chi)}
 
 
 def _resolve(args):
@@ -326,7 +338,7 @@ def _resolve(args):
             q.head["chi"] = _qchi_dict(q.chi)
         if "torus" in args:
             q.point = parse_torus(args.torus, rs.rank)
-            q.head["torus"] = _torus_texts(q.point)
+            q.head["torus"] = q.point.texts()
             if chi_s and q.point.pow(args.ell) != q.chi.chi_s:
                 raise HypothesisFailure(
                     f"t^{args.ell} != chi_s: t labels no baby Verma module")
@@ -394,7 +406,7 @@ def cmd_quantum_unramified(args, q):
 
 
 def cmd_quantum_exceptional(args, q):
-    elements = [{"m": rec["m"], "torus": _torus_texts(rec["torus"]),
+    elements = [{"m": rec["m"], "torus": rec["torus"].texts(),
                  "centralizer_type": rec["centralizer"].type_str,
                  "centralizer_order": rec["centralizer"].order,
                  "beta_m": list(rec["beta_m"]) if rec["beta_m"] else None}

@@ -41,6 +41,13 @@ from .weyl import (
 )
 
 
+def exponent_text(n: int, N: int) -> str:
+    """str(UnityExp(Fraction(n, N))) for n in [0, N): the exponent n/N as a
+    reduced rational, "0/1" for n = 0."""
+    g = math.gcd(n, N)
+    return f"{n // g}/{N // g}"
+
+
 class TorusElement:
     """Torsion point of T: t(K_{varpi_i}) = e^{2 pi i nums[i] / N}, with
     nums in [0, N) over the least common denominator N, parsed from exact
@@ -77,7 +84,11 @@ class TorusElement:
         return hash((self.nums, self.N))
 
     def __repr__(self):
-        return "t(" + ",".join(str(e) for e in self.exps) + ")"
+        return "t(" + ",".join(self.texts()) + ")"
+
+    def texts(self):
+        """The exponents as reduced rationals, "2/5"."""
+        return [exponent_text(n, self.N) for n in self.nums]
 
 
 def _pairings(rs: RootSystem, t: TorusElement):
@@ -190,8 +201,7 @@ def q_blocks(chi: QChar, bound=None):
     first = integer_pairings(rs, "torus", N)(walked[0][0])
     if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
-    # str(UnityExp(n/N)), once per numerator
-    texts = {n: f"{n // g}/{N // g}" for ci in c for n in axis(ci) for g in (math.gcd(n, N),)}
+    texts = {n: exponent_text(n, N) for ci in c for n in axis(ci)}  # once per numerator
     return [QBlockReport(x, N, tuple(map(texts.__getitem__, x)), size, stab, dim,
                          stab.rank == rs.rank, levi.type_str)
             for x, size, stab, dim in walked]

@@ -44,8 +44,10 @@ each distinct set of vanishing roots once per walk.  A walk depends only on
 chi nor (on the modular side) on the base of Lambda_chi, so block_orbits
 keeps the skeletons of the latest walks, least recently used first, while
 their point sets total at most DEFAULT_GROUP_BOUND, and reuses them within
-the process; the points bound is checked before the memo is read.  The
-reports of both sides are BlockRecords, built per query.
+the process; the points bound is checked before the memo is read.  A regular
+chi (Phi' empty) neither walks nor is kept: each point is its own block,
+with stabiliser Phi'.  The reports of both sides are BlockRecords, built per
+query.
 """
 
 from __future__ import annotations
@@ -483,9 +485,12 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     and before any walk is reused, when the length^r points exceed `bound`
     (default DEFAULT_GROUP_BOUND).  The walk depends on nothing else, so it
     is memoised per (rs, Phi', encoding, modulus, axes) in this process
-    (_WalkMemo)."""
+    (_WalkMemo), unless Phi' is empty: then every point is a block of its
+    own, listed without a walk, and nothing is kept."""
     points = length ** rs.rank
     _check_points(points, bound)
+    if not levi.basis:
+        return _walk_skeleton(rs, levi, on, modulus, axes())
     return _walks.get((rs, levi, on, modulus, tuple(map(tuple, axes()))), points,
                       _walk_skeleton)
 
@@ -496,6 +501,8 @@ def _walk_skeleton(rs, levi, on, modulus, axes):
     # roots is classified once
     orbits = orbit_partition(itertools.product(*axes),
                              integer_actions(rs, levi.basis, on, modulus))
+    if not levi.basis:  # Phi' has no roots: each point is fixed by W(Phi') itself
+        return tuple((x, size, levi, 1) for x, size in orbits)
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)
     pairings = integer_pairings(rs, on, modulus, roots=roots)
     zero = 0 if on == "torus" else (0,)
@@ -516,8 +523,10 @@ class BlockRecord:
     keys), whose JSON values varying_items() gives in order, all hashable,
     each element of a list value on its own.  The class fixes the to_dict
     keys and which VARYING fields are lists, and `stabilizer` their lengths:
-    cli._json_pieces builds one layout per class and lengths, and renders
-    per stabiliser only the fields outside VARYING."""
+    cli._json_pieces keeps one layout per class and lengths for the process,
+    bakes the fields outside VARYING into it once per stabiliser and answer
+    as a % template, and writes each report as that template % the texts of
+    its varying_items(); so the texts may hold any character, "%" too."""
 
     __slots__ = ()
 
@@ -550,7 +559,10 @@ def orbit_partition(points, gen_actions):
     """The orbits of the group generated by `gen_actions` on `points`, as
     (first point met, orbit size) in the order met: walked in key order, each
     orbit's least point, the orbits sorted.  InvariantViolation when a walk
-    leaves `points`: the orbit sizes then sum past the number of points."""
+    leaves `points`: the orbit sizes then sum past the number of points.
+    Without generators every point is an orbit of its own."""
+    if not gen_actions:
+        return [(x, 1) for x in points]
     seen = set()
     orbits = []
     count = 0

@@ -7,6 +7,8 @@ reference on every block answer of the manifest."""
 
 import json
 import pathlib
+import random
+from typing import NamedTuple
 
 import pytest
 
@@ -103,22 +105,27 @@ def test_streamed_blocks_match_the_reference(emitted):
                if p["command"] == "quantum.blocks" for x in p["chi"]["chi_s"])
 
 
-@pytest.mark.parametrize("argv", [
+_A2 = ["modular", "blocks", "--type", "A2", "--p", "7"]
+_D4 = ["modular", "blocks", "--type", "D4", "--p", "5"]
+_B3 = ["quantum", "blocks", "--type", "B3", "--ell", "7"]
+
+
+@pytest.mark.parametrize("argv, again", [
     # Lambda_chi in F_{7^7}: 28 blocks of 2 point stabilisers
-    ["modular", "blocks", "--type", "A2", "--p", "7", "--chi-s", "AS(1),0"],
+    ([*_A2, "--chi-s", "AS(1),0"], [*_A2, "--chi-s", "AS(2),0", "--support", "1"]),
     # a nilpotent cell: 20 blocks of 15 point stabilisers
-    ["modular", "blocks", "--type", "D4", "--p", "5", "--support", "1,3"],
+    ([*_D4, "--support", "1,3"], [*_D4, "--support", "2"]),
     # N = 42: 70 blocks of 4 point stabilisers
-    ["quantum", "blocks", "--type", "B3", "--ell", "7", "--chi-s", "1/2,0,1/3",
-     "--support", "1"],
-])
-def test_each_text_is_rendered_once_per_answer(argv, monkeypatch, capsys):
+    ([*_B3, "--chi-s", "1/2,0,1/3", "--support", "1"], [*_B3, "--chi-s", "1/3,0,1/2"]),
+], ids=["argv0", "argv1", "argv2"])
+def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys):
     # per answer: to_dict once per distinct point stabiliser, on its first
     # report; no report rendered whole; _dumps once per fixed field (outside
     # VARYING) and stabiliser, at the depth of a report's field, and once
     # per distinct value of varying_items(), at the depth of a list item;
-    # besides, the payload head and the layout of the reports, each cut at
-    # the marks
+    # besides, the payload head, cut at the marks.  The layout of a report
+    # shape is rendered on the first answer of the process that has it, and
+    # a second answer of the same shapes renders none
     payloads, to_dicts, rendered, depth = [], [], [], [0]
     emit, dumps = cli._emit, cli._dumps
 
@@ -128,7 +135,7 @@ def test_each_text_is_rendered_once_per_answer(argv, monkeypatch, capsys):
 
     def counted_dumps(obj, nl="\n"):
         if not depth[0]:  # not a part of a larger value
-            rendered.append((obj, nl))
+            rendered[-1].append((obj, nl))
         depth[0] += 1
         try:
             return dumps(obj, nl)
@@ -137,36 +144,54 @@ def test_each_text_is_rendered_once_per_answer(argv, monkeypatch, capsys):
 
     def counted(to_dict):
         def wrapper(report):
-            to_dicts.append(report)
+            to_dicts[-1].append(report)
             return to_dict(report)
         return wrapper
     monkeypatch.setattr(cli, "_emit", recording_emit)
     monkeypatch.setattr(cli, "_dumps", counted_dumps)
     for cls in (BlockReport, QBlockReport):
         monkeypatch.setattr(cls, "to_dict", counted(cls.to_dict))
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out
+    cli._layout.cache_clear()
+    outs = []
+    for answer in (argv, again):
+        to_dicts.append([])
+        rendered.append([])
+        assert cli.main(answer) == 0
+        outs.append(capsys.readouterr().out)
     monkeypatch.undo()
-    (payload,) = payloads
-    reports = payload["blocks"]
-    firsts = {}
-    for b in reports:
-        firsts.setdefault(id(b.stabilizer), b)
-    values = [v for b in reports for v in b.varying_items()]
-    assert 1 < len(firsts) < len(reports)
+    shapes = []
+    for payload, out, calls, made in zip(payloads, outs, rendered, to_dicts):
+        reports = payload["blocks"]
+        firsts = {}
+        for b in reports:
+            firsts.setdefault(id(b.stabilizer), b)
+        assert made == list(firsts.values())
+        whole = [b.to_dict() for b in reports]
+        assert not [obj for obj, _nl in calls if obj in whole]
+        firsts = [b.to_dict() for b in firsts.values()]
+        fields = [(d[k], "\n      ") for d in firsts for k in sorted(d)
+                  if k not in reports[0].VARYING]
+        values = {v for b in reports for v in b.varying_items()}
+        new = []
+        for d in firsts:
+            shape = {k: [cli._MARK] * len(v) if k in reports[0].VARYING and type(v) is list
+                     else cli._MARK for k, v in sorted(d.items())}
+            if shape not in shapes + new:
+                new.append(shape)
+        shapes += new
+        expected = [({**payload, "blocks": [cli._MARK] * 2}, "\n"),
+                    *((shape, "\n    ") for shape in new), *fields,
+                    *((v, "\n        ") for v in values)]
+        assert sorted(map(repr, calls)) == sorted(map(repr, expected))
+        assert out == _reference(_as_dicts(payload)) + "\n"
+    first, second = payloads
+    assert 1 < len({id(b.stabilizer) for b in first["blocks"]}) < len(first["blocks"])
+    values = [v for b in first["blocks"] for v in b.varying_items()]
     assert len(set(values)) < len(values) // 4
-    assert to_dicts == list(firsts.values())
-    whole = [b.to_dict() for b in reports]
-    assert not [obj for obj, _nl in rendered if obj in whole]
-    fields = [(d[k], "\n      ") for d in (b.to_dict() for b in firsts.values())
-              for k in sorted(d) if k not in reports[0].VARYING]
-    shape = {k: [cli._MARK] * len(v) if k in reports[0].VARYING and type(v) is list
-             else cli._MARK for k, v in whole[0].items()}
-    expected = [({**payload, "blocks": [cli._MARK] * 2}, "\n"), (shape, "\n    "),
-                (cli._MARK, "\n"), (cli._MARK, "\n"), *fields,
-                *((v, "\n        ") for v in set(values))]
-    assert sorted(map(repr, rendered)) == sorted(map(repr, expected))
-    assert out == _reference(_as_dicts(payload)) + "\n"
+    # the second answer is another character of the same shapes
+    assert outs[0] != outs[1]
+    assert not [obj for obj, nl in rendered[1] if nl == "\n    "]
+    assert cli._layout.cache_info().misses == len(shapes) >= 1
 
 
 class _ToyReport(BlockRecord):
@@ -197,6 +222,33 @@ def test_texts_are_shared_only_at_one_depth():
             list(_json_pieces(bad))
 
 
+class _PercentReport(BlockRecord):
+    # a report whose keys and texts hold what % and str.format read
+    __slots__ = ("stabilizer", "items", "extra")
+    VARYING = ("%s", "items")
+
+    def __init__(self, stabilizer, items, extra):
+        self.stabilizer, self.items, self.extra = stabilizer, items, extra
+
+    def to_dict(self):
+        return {"%(x)s": "%%", "%s": self.extra, "items": list(self.items),
+                "{0}%": self.stabilizer}
+
+    def varying_items(self):
+        return (self.extra, *self.items)
+
+
+def test_percent_signs_and_braces_are_text():
+    # in the fixed and varying texts and in the keys of the layout
+    reports = [_PercentReport("%s {0} }{ %", ("%", "%s", "{}", "{0}", "%%s"), "%d"),
+               _PercentReport(("%", "{}"), ("100%", "%(x)s"), "{1}"),
+               _PercentReport("%s {0} }{ %", ("%i", "}", "{", "", "%"), None)]
+    payload = {"%": "%s", "blocks": reports, "{": "}"}
+    pieces = list(_json_pieces(payload))
+    assert "".join(pieces) == _reference(_as_dicts(payload)) + "\n"
+    assert len(pieces) == len(reports) + 2
+
+
 ADVERSARIAL = [
     [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}],
     (), (1, 2), [(3, (4,)), ()], {"t": (1, "x")},
@@ -217,5 +269,99 @@ def test_adversarial_values(value):
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{(1,): 2}], {True: 0}],
                          ids=repr)
 def test_non_str_keys_are_a_type_error(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+    __str__ = __repr__
+
+
+class _Str(str):
+    def __str__(self):
+        return "_Str()"
+
+
+class _Dict(dict):
+    pass
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+_CHARS = "aZ0 %{}\"\\\x00\x1f\x7f\n\té∃\U0001d53d"
+
+
+def _corpus(seed=25, size=600):
+    """Seeded nested values of every kind json.dumps reads: bools among
+    ints, subclasses of int, str, tuple (a NamedTuple) and dict, empty
+    containers at every depth, non-ASCII and control characters in values
+    and keys, None and floats."""
+    rng = random.Random(seed)
+
+    def text():
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(4)))
+
+    def value(depth):
+        kind = rng.randrange(13 if depth < 4 else 7)
+        if kind < 7:
+            return [lambda: rng.randrange(-9, 10**rng.randrange(1, 25)), lambda: rng.random() < .5,
+                    lambda: None, lambda: rng.choice([0.0, -2.5, 1e300, float("inf"),
+                                                      float("nan")]),
+                    text, lambda: _Int(rng.randrange(-9, 99)), lambda: _Str(text())][kind]()
+        n = rng.randrange(4)
+        if kind == 7:  # ints and bools, as block reports hold them
+            return [rng.choice([0, 1, -7, 10**20, True, False]) for _ in range(n)]
+        items = [value(depth + 1) for _ in range(n)]
+        if kind == 8:
+            return items
+        if kind == 9:
+            return tuple(items)
+        if kind == 10:
+            return _Pair(value(depth + 1), value(depth + 1))
+        pairs = {rng.choice([text, lambda: _Str(text())])(): x for x in items}
+        return pairs if kind == 11 else _Dict(pairs)
+    return [value(0) for _ in range(size)]
+
+
+def _kinds(x, depth=0):
+    # what the corpus covers: types, empty containers by depth, bools among
+    # ints, and text by where it sits
+    out = {type(x).__name__}
+    if isinstance(x, str):
+        out |= {("text", c < " ", c > "~") for c in x}
+    if isinstance(x, (list, tuple, dict)):
+        if not x:
+            out.add(("empty", type(x).__name__, depth))
+        if {bool, int} <= set(map(type, x)):
+            out.add("bool among ints")
+        for k in x if isinstance(x, dict) else ():
+            out |= {("key", c < " ", c > "~") for c in k}
+        for v in x.values() if isinstance(x, dict) else x:
+            out |= _kinds(v, depth + 1)
+    return out
+
+
+def test_dumps_is_json_dumps_on_a_seeded_corpus():
+    corpus = _corpus()
+    assert [x for x in corpus if _dumps(x) != _reference(x)] == []
+    kinds = set().union(*map(_kinds, corpus))
+    assert {"bool", "int", "_Int", "str", "_Str", "_Pair", "_Dict", "NoneType",
+            "float"} <= kinds
+    assert "bool among ints" in kinds
+    for depth in range(4):  # containers nest to depth 3
+        assert {("empty", t, depth) for t in ("list", "tuple", "dict")} <= kinds, depth
+    assert {(where, *c) for where in ("text", "key")
+            for c in ((True, False), (False, True))} <= kinds
+
+
+@pytest.mark.parametrize("value", [_Dict({1: "a"}), _Pair({"a": 1}, {None: 2}),
+                                   [_Dict(a={(1,): 2})]], ids=repr)
+def test_non_str_keys_in_subclasses_are_a_type_error(value):
     with pytest.raises(TypeError):
         _dumps(value)

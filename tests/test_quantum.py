@@ -22,6 +22,7 @@ from lieram.quantum import (
     appendix_rows,
     beta_minimal,
     exceptional_elements,
+    exponent_text,
     hc_shift,
     q_blocks,
     q_regularity_and_counts,
@@ -547,6 +548,17 @@ def test_block_reps_are_their_parsed_torus_texts():
     for _t, _ell, _name, chi in quantum_cells():
         for b in q_blocks(chi):
             assert b.rep == parse_torus(",".join(b.torus), chi.rs.rank)
+
+
+@pytest.mark.parametrize("N", [1, 5, 12, 42, 630])
+def test_exponent_texts_are_the_unity_exponents(N):
+    # the text of n/N read off the numerator, as q_blocks and the CLI print
+    # it, against the UnityExp it stands for
+    assert [exponent_text(n, N) for n in range(N)] == [
+        str(UnityExp(Fraction(n, N))) for n in range(N)]
+    assert exponent_text(0, N) == "0/1"
+    t = TorusElement.of(range(N), N)
+    assert t.texts() == [str(e) for e in t.exps]
 
 
 def test_baby_verma_labels_are_the_fiber_of_the_halved_character():

@@ -91,6 +91,26 @@ def test_a_support_sweep_walks_once(walks):
     assert {answer[0]["poincare"] is None for answer in swept} == {False}
 
 
+def test_a_regular_character_keeps_no_walk(walks):
+    # Phi' is empty: every point is a block of its own, with stabiliser Phi'
+    # and dim 1, listed without a walk; the memo keeps nothing of it, and a
+    # character with a Levi after it is kept as before
+    F5 = make_field(5, 1)
+    a2 = build_root_system("A2")
+    regular = (PChar(a2, 5, values=(F5.from_int(1), F5.from_int(2))),
+               QChar(a2, 7, chi_s=TorusElement((Fraction(7, 10), Fraction(2, 9)))))
+    for chi, blocks, points in zip(regular, (mod_blocks, q_blocks), (25, 49)):
+        assert chi.levi.basis == ()
+        answer = blocks(chi)
+        assert len(answer) == points
+        assert {(b.orbit_size, b.dim) for b in answer} == {(1, 1)}
+        assert {id(b.stabilizer) for b in answer} == {id(chi.levi)}
+        assert (weyl._walks.walks, weyl._walks.points) == ({}, 0)
+    assert walks == {("A2", "values", 5): 1, ("A2", "torus", 630): 1}
+    mod_blocks(PChar(a2, 5))
+    assert weyl._walks.points == 25
+
+
 def test_a_failing_walk_is_never_kept(walks, monkeypatch):
     # all of W moves points of this fiber out of it: every query raises,
     # none is answered from the memo, and the memo keeps nothing of it
