@@ -16,7 +16,8 @@ one order; the first failure is the one reported:
   1. the bound: --bound, else LIERAM_BOUND;
   2. the Cartan type: its grammar, then |Phi+| x rank against the bound,
      before its root system is built;
-  3. the standing hypotheses: on p (modular), or on ell and eps (quantum);
+  3. the standing hypotheses: on p (modular: p within the field bound,
+     prime, then the hypotheses), or on ell and eps (quantum);
   4. the character, --chi-s (empty: the zero character) then --support, or
      the single --weight or --torus: the count of values, each literal, the
      field bound; given both (quantum simplicity), the character, then the
@@ -319,6 +320,7 @@ def _resolve(args):
     # an empty --chi-s is the zero character (the identity torus element)
     chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rs.rank))
     if args.group == "modular":
+        make_field(args.p, 1, q.bound)  # p within the field bound and prime
         check_hypotheses(rs, args.p)
         q.head["p"] = args.p
         values, field = parse_field_values(chi_s or args.weight, args.p, rs.rank, q.bound)

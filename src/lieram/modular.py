@@ -73,7 +73,7 @@ def check_hypotheses(rs: RootSystem, p: int):
     p is prime."""
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
-    hyp = hypothesis_check(rs.ctype, p)
+    hyp = hypothesis_check(rs, p)
     if not hyp["ok"]:
         raise HypothesisFailure(
             f"(type {rs.type_str}, p={p}) fails hypotheses: {hyp}")

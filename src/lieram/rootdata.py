@@ -25,6 +25,7 @@ import itertools
 import math
 import operator
 import re
+from typing import NamedTuple
 
 from .errors import BoundExceeded, InvalidType, InvariantViolation, NotClosed
 from .scalars import solve_linear
@@ -34,42 +35,6 @@ _TYPE_RE = re.compile(r"([A-G])(\d+)")
 # the default cap on the points a block walk visits and on the entries of the
 # root tables of a Cartan type
 DEFAULT_GROUP_BOUND = 10**6
-
-# Degrees of the basic invariants (Humphreys, Reflection Groups and Coxeter
-# Groups, 3.7): |W| = prod d_i, N = sum (d_i - 1), and the Poincare
-# polynomial of W is prod [d_i]_t with [d]_t = 1 + t + ... + t^(d-1).
-DEGREES = {
-    "A": lambda n: tuple(range(2, n + 2)),
-    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
-    "C": lambda n: tuple(range(2, 2 * n + 1, 2)),
-    "D": lambda n: tuple(range(2, 2 * n - 1, 2)) + (n,),
-    "E": lambda n: {6: (2, 5, 6, 8, 9, 12),
-                    7: (2, 6, 8, 10, 12, 14, 18),
-                    8: (2, 8, 12, 14, 18, 20, 24, 30)}[n],
-    "F": lambda n: (2, 6, 8, 12),
-    "G": lambda n: (2, 6),
-}
-
-INDEX_OF_CONNECTION = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2,
-    "C": lambda n: 2,
-    "D": lambda n: 4,
-    "E": lambda n: {6: 3, 7: 2, 8: 1}[n],
-    "F": lambda n: 1,
-    "G": lambda n: 1,
-}
-
-BAD_PRIMES = {
-    "A": (),
-    "B": (2,),
-    "C": (2,),
-    "D": (2,),
-    "E": (2, 3),  # E8 additionally excludes 5, handled below
-    "F": (2, 3),
-    "G": (2, 3),
-}
-
 
 def parse_cartan_type(s: str):
     """Parse 'A2', 'b3', 'A1xA1', ... into a tuple of (letter, rank) pairs."""
@@ -108,43 +73,42 @@ def type_string(comps) -> str:
     return "x".join(f"{letter}{rank}" for letter, rank in comps) if comps else "1"
 
 
-def _component_edges(letter, rank):
-    """Edges (i, j, bond) with 0-based local nodes, plus symmetrizers d."""
-    edges = []
-    d = [1] * rank
+class WeylInvariants(NamedTuple):
+    """The per-type data of one irreducible component, on 0-based local nodes
+    in Bourbaki order: the Dynkin edges; the symmetrizers d, 1 on the short
+    roots, with D C symmetric; the degrees of the basic invariants
+    (Humphreys, Reflection Groups and Coxeter Groups, 3.7: |W| = prod d_i,
+    N = sum (d_i - 1), and the Poincare polynomial of W is prod [d_i]_t with
+    [d]_t = 1 + t + ... + t^(d-1)); and the index of connection |P/Q|."""
+
+    edges: tuple
+    d: tuple
+    degrees: tuple
+    index: int
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_invariants(letter, n) -> WeylInvariants:
+    """The invariants of a component letter+n that _validate_component
+    accepts; the one source of per-type data."""
+    path = tuple((i, i + 1) for i in range(n - 1))
+    evens = tuple(range(2, 2 * n + 1, 2))
     if letter == "A":
-        edges = [(i, i + 1, 1) for i in range(rank - 1)]
-    elif letter == "B":
-        edges = [(i, i + 1, 1) for i in range(rank - 2)] + [(rank - 2, rank - 1, 2)]
-        d = [2] * (rank - 1) + [1]
-    elif letter == "C":
-        edges = [(i, i + 1, 1) for i in range(rank - 2)] + [(rank - 2, rank - 1, 2)]
-        d = [1] * (rank - 1) + [2]
-    elif letter == "D":
-        edges = [(i, i + 1, 1) for i in range(rank - 3)]
-        if rank >= 3:
-            edges += [(rank - 3, rank - 2, 1), (rank - 3, rank - 1, 1)]
-    elif letter == "E":
-        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
-        edges = [(chain[i], chain[i + 1], 1) for i in range(len(chain) - 1)]
-        edges.append((1, 3, 1))
-    elif letter == "F":
-        edges = [(0, 1, 1), (1, 2, 2), (2, 3, 1)]
-        d = [2, 2, 1, 1]
-    elif letter == "G":
-        edges = [(0, 1, 3)]
-        d = [1, 3]
-    return edges, d
-
-
-def _cartan_from_edges(rank, edges, d):
-    C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j, _bond in edges:
-        # C[i][j] = (alpha_i, alpha_j) / d_i with (alpha_i, alpha_j) = -max(d_i, d_j)
-        s = -max(d[i], d[j])
-        C[i][j] = s // d[i]
-        C[j][i] = s // d[j]
-    return C
+        return WeylInvariants(path, (1,) * n, tuple(range(2, n + 2)), n + 1)
+    if letter == "B":
+        return WeylInvariants(path, (2,) * (n - 1) + (1,), evens, 2)
+    if letter == "C":
+        return WeylInvariants(path, (1,) * (n - 1) + (2,), evens, 2)
+    if letter == "D":
+        return WeylInvariants(path[:-1] + ((n - 3, n - 1),), (1,) * n, evens[:-1] + (n,), 4)
+    if letter == "E":
+        chain = (0,) + tuple(range(2, n))
+        return WeylInvariants(tuple(zip(chain, chain[1:])) + ((1, 3),), (1,) * n,
+                              {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+                               8: (2, 8, 12, 14, 18, 20, 24, 30)}[n], 9 - n)
+    if letter == "F":
+        return WeylInvariants(path, (2, 2, 1, 1), (2, 6, 8, 12), 1)
+    return WeylInvariants(path, (1, 3), (2, 6), 1)  # G2
 
 
 class RootSystem:
@@ -154,13 +118,16 @@ class RootSystem:
         self.ctype = comps
         self.type_str = type_string(comps)
         self.rank = r = sum(n for _l, n in comps)
-        C = [[0] * r for _ in range(r)]
+        C = [[2 * (i == j) for j in range(r)] for i in range(r)]
         d, components, off = [], [], 0
         for l, n in comps:
-            edges, dc = _component_edges(l, n)
-            for i, row in enumerate(_cartan_from_edges(n, edges, dc)):
-                C[off + i][off:off + n] = row
-            d.extend(dc)
+            inv = weyl_invariants(l, n)
+            d.extend(inv.d)
+            for i, j in inv.edges:
+                # C[i][j] = (alpha_i, alpha_j) / d_i with (alpha_i, alpha_j) = -max(d_i, d_j)
+                i, j = i + off, j + off
+                s = -max(d[i], d[j])
+                C[i][j], C[j][i] = s // d[i], s // d[j]
             components.append((l, n, tuple(range(off, off + n))))
             off += n
         self.cartan = tuple(map(tuple, C))
@@ -225,7 +192,7 @@ class RootSystem:
         self._highest = []
         for k, (letter, n, _nodes) in enumerate(self.components):
             roots = [b for b in pos if data[b][3] == k]
-            if len(roots) != sum(e - 1 for e in DEGREES[letter](n)):
+            if len(roots) != sum(e - 1 for e in weyl_invariants(letter, n).degrees):
                 raise InvariantViolation(
                     f"{letter}{n}: {len(roots)} positive roots, degrees say otherwise")
             if not all(map(self.leq, roots, itertools.repeat(roots[-1]))):
@@ -316,7 +283,7 @@ class RootSystem:
 
 def degrees(components):
     """Degrees of the basic invariants of a product of (letter, rank, ...)."""
-    return tuple(d for letter, n, *_ in components for d in DEGREES[letter](n))
+    return tuple(d for letter, n, *_ in components for d in weyl_invariants(letter, n).degrees)
 
 
 def coxeter_type(letter, rank):
@@ -384,8 +351,7 @@ class Subsystem:
         return len(self.basis)
 
     def index_of_connection(self) -> int:
-        return math.prod(INDEX_OF_CONNECTION[l](n) for l, n, _ in self.components) \
-            if self.components else 1
+        return math.prod(weyl_invariants(l, n).index for l, n, _ in self.components)
 
     def coxeter_components(self):
         """Component types up to Coxeter-graph equivalence (C->B, B1->A1)."""
@@ -600,18 +566,14 @@ def _classify(rs, S):
 
 
 def hypothesis_check(ctype, p: int) -> dict:
-    """Good-prime and trace-form flags for the standing hypotheses."""
-    comps = parse_cartan_type(ctype) if isinstance(ctype, str) else tuple(ctype)
-    good = True
-    trace_ok = True
-    for letter, rank in comps:
-        bad = set(BAD_PRIMES[letter])
-        if letter == "E" and rank == 8:
-            bad.add(5)
-        if p in bad:
-            good = False
-        if letter == "A" and (rank + 1) % p == 0:
-            trace_ok = False
+    """Good-prime and trace-form flags for the standing hypotheses, on a
+    Cartan type (a string or components) or its RootSystem.  p is bad iff it
+    divides a mark of a highest root (Springer-Steinberg, Conjugacy Classes,
+    LNM 131, I.4.3); the trace form of sl_(n+1) degenerates iff p divides
+    n + 1."""
+    rs = ctype if isinstance(ctype, RootSystem) else build_root_system(ctype)
+    good = not any(a % p == 0 for a in rs.a)
+    trace_ok = all(letter != "A" or (n + 1) % p for letter, n in rs.ctype)
     return {
         "goodPrime": good,
         "traceFormOK": trace_ok,

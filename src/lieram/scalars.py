@@ -140,7 +140,6 @@ def _irreducible(f, p, e):
     return True
 
 
-@functools.lru_cache(maxsize=None)
 def _smallest_irreducible(p: int, e: int):
     if e == 1:
         return (0, 1)  # the polynomial x
@@ -235,14 +234,16 @@ def _build_field(p, e):
 
 def make_field(p: int, e: int, bound=None) -> FieldDescriptor:
     """The deterministic descriptor of F_{p^e}; idempotent for fixed (p, e).
-    BoundExceeded when p^e exceeds `bound` (default DEFAULT_FIELD_BOUND)."""
+    BoundExceeded when p^e exceeds `bound` (default DEFAULT_FIELD_BOUND),
+    checked before p is tested for primality; then NonPrime."""
     bound = DEFAULT_FIELD_BOUND if bound is None else bound
+    # p^e >= 2^e, so an e past the bit length of the bound exceeds it unpowered
+    if e >= 1 and p >= 2 and (e > bound.bit_length() or p**e > bound):
+        raise BoundExceeded(f"field size {p}^{e} exceeds bound {bound}")
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if e < 1:
         raise NonPrime(f"extension degree {e} must be >= 1")
-    if p**e > bound:
-        raise BoundExceeded(f"field size {p}^{e} exceeds bound {bound}")
     return _build_field(p, e)
 
 

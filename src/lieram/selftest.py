@@ -391,7 +391,7 @@ def modular_cells():
     for t in MATRIX_TYPES:
         rs = build_root_system(t)
         for p in MATRIX_PRIMES:
-            if not hypothesis_check(rs.ctype, p)["ok"]:
+            if not hypothesis_check(rs, p)["ok"]:
                 continue
             for name, chi in modular_characters(rs, p):
                 yield (t, p, name, chi)

@@ -19,6 +19,7 @@ from lieram.modular import ModWeight, dim_C
 from lieram.quantum import TorusElement, hc_shift
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
+from test_scalars import HUGE_PRIME, primality_tests_only_within_the_field_bound
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -481,6 +482,16 @@ def test_modular_commands_refuse_a_non_prime(command, p, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {p} is not prime\n"
+
+
+@pytest.mark.parametrize("command", sorted(MODULAR_COMMANDS))
+def test_modular_commands_check_the_field_bound_before_primality(command, monkeypatch,
+                                                                 capsys):
+    primality_tests_only_within_the_field_bound(monkeypatch)
+    code = main(["modular", command, "--p", str(HUGE_PRIME), *MODULAR_COMMANDS[command]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: field size {HUGE_PRIME}^1 exceeds bound 1000000000\n"
 
 
 # per side: flags with a p or ell that fails the standing hypotheses, the

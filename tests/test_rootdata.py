@@ -1,5 +1,6 @@
 """Root system construction, pairings, subsystems, hypothesis flags."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,9 +15,11 @@ from lieram.rootdata import (
     parse_cartan_type,
     subsystem_classify,
     two_rho_dot,
+    weyl_invariants,
 )
 from lieram.scalars import make_field
 from lieram.selftest import close_up, pair
+from lieram.weyl import enumerate_group
 
 CLASSICAL_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -308,6 +311,60 @@ def test_hypothesis_check():
     assert rep["goodPrime"] and rep["traceFormOK"] and rep["ok"]
     assert hypothesis_check("E8", 5)["goodPrime"] is False
     assert hypothesis_check("A1", 2)["ok"] is False  # p must be odd
+    # D3 = A3 has no bad prime; p = 2 still fails as an even prime
+    assert hypothesis_check("D3", 2) == {"goodPrime": True, "traceFormOK": True,
+                                         "oddPrime": False, "ok": False}
+    assert hypothesis_check(build_root_system("B3"), 2) == hypothesis_check("B3", 2)
+
+
+# the bad primes of each type (Springer-Steinberg, Conjugacy Classes, LNM 131,
+# I.4.3): none for A and D3 = A3, 2 for B, C and D, 2 and 3 for E6, E7, F4
+# and G2, and 2, 3 and 5 for E8
+BAD_PRIMES = {"A": (), "B": (2,), "C": (2,), "D": (2,), "E": (2, 3), "F": (2, 3),
+              "G": (2, 3)}
+
+
+def bad_primes(t):
+    return {"D3": (), "E8": (2, 3, 5)}.get(t, BAD_PRIMES[t[0]])
+
+
+def det(C):
+    """The determinant of an integer matrix by exact Gaussian elimination."""
+    M = [[Fraction(x) for x in row] for row in C]
+    n, out = len(M), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            out = -out
+        out *= M[k][k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return out
+
+
+@pytest.mark.parametrize("t", ALL_TYPES)
+def test_weyl_invariants_match_the_root_data(t):
+    rs = build_root_system(t)
+    ((letter, n),) = rs.ctype
+    inv = weyl_invariants(letter, n)
+    C, d, r = rs.cartan, rs.d, rs.rank
+    assert subsystem_classify(rs, rs.all_roots()).index_of_connection() == inv.index == det(C)
+    for p in (2, 3, 5, 7):
+        assert any(a % p == 0 for a in rs.a) == (p in bad_primes(t)), p
+        assert hypothesis_check(t, p)["goodPrime"] == (p not in bad_primes(t)), p
+    assert sum(e - 1 for e in inv.degrees) == rs.N
+    if r <= 4:
+        assert len(enumerate_group(rs)) == math.prod(inv.degrees) == rs.weyl_order()
+    assert all(d[i] * C[i][j] == d[j] * C[j][i] for i in range(r) for j in range(r))
+    # D C symmetric fixes d up to a scalar on a connected diagram; d = 1 on
+    # the short roots fixes the scalar
+    short = min(rs.norm(a) for a in rs.simple_roots)
+    assert d == inv.d and all((d[i] == 1) == (rs.norm(a) == short)
+                              for i, a in enumerate(rs.simple_roots))
 
 
 def test_reducible_types():

@@ -79,6 +79,42 @@ def test_make_field_idempotent_and_errors():
         make_field(3, 30)
 
 
+HUGE_PRIME = 2**61 - 1
+
+
+def primality_tests_only_within_the_field_bound(monkeypatch):
+    """Patch is_prime, where scalars and modular read it, to fail on any n
+    past the default field bound: trial division up to sqrt(2^61 - 1) would
+    run for minutes, so the field bound must be checked first."""
+    from lieram import modular
+
+    def is_prime(n):
+        if n > scalars.DEFAULT_FIELD_BOUND:
+            raise AssertionError(f"is_prime({n}) called before the field bound")
+        return real(n)
+    real = scalars.is_prime
+    monkeypatch.setattr(scalars, "is_prime", is_prime)
+    monkeypatch.setattr(modular, "is_prime", is_prime)
+
+
+def test_make_field_checks_the_bound_before_primality(monkeypatch):
+    primality_tests_only_within_the_field_bound(monkeypatch)
+    with pytest.raises(BoundExceeded, match=f"field size {HUGE_PRIME}\\^1 exceeds bound"):
+        make_field(HUGE_PRIME, 1)
+    # an extension degree past the bit length of the bound is refused without
+    # powering p; the refusal is exact at every bound
+    for bound in range(70):
+        for p, e in itertools.product((2, 3, 4), range(1, 8)):
+            if p**e > bound:
+                with pytest.raises(BoundExceeded):
+                    make_field(p, e, bound)
+            elif p == 4:
+                with pytest.raises(NonPrime):
+                    make_field(p, e, bound)
+            else:
+                assert make_field(p, e, bound).order == p**e
+
+
 def test_field_axioms_exhaustive_f9():
     F = make_field(3, 2)
     elems = list(F.elements())
