@@ -14,10 +14,10 @@ of the centralizer subsystem's basis on which it is regular.
 
 from __future__ import annotations
 
-from .errors import HypothesisFailure, InvariantViolation, NonPrime, NoParabolicConjugate
+from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate
 from .errors import NotNilpotentContext
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify
-from .scalars import _ptrim, artin_schreier_solve, embed, is_prime, make_field
+from .scalars import _ptrim, artin_schreier_solve, embed, make_field, prime_field
 from .weyl import (
     BlockRecord,
     block_orbits,
@@ -71,8 +71,7 @@ def check_hypotheses(rs: RootSystem, p: int):
     """Raise HypothesisFailure unless p meets the standing hypotheses for rs:
     an odd good prime with a nondegenerate trace form; NonPrime first unless
     p is prime."""
-    if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
+    prime_field(p)
     hyp = hypothesis_check(rs, p)
     if not hyp["ok"]:
         raise HypothesisFailure(

@@ -4,7 +4,11 @@ linear solver over Q or F_p.
 Field elements are coefficient tuples over F_p in the basis 1, x, ..., x^{e-1}
 of F_p[x]/(f), where f is the deterministic modulus for (p, e): the
 lexicographically smallest monic irreducible of degree e, coefficients
-compared constant term first.  All values are immutable.
+compared constant term first.  The search tests the candidates in that order
+with a root test (Horner at each a in F_p), then Ben-Or's test, which stops
+at a reducible candidate's first factor; Rabin's full test is kept as an
+oracle in lieram.selftest.  Each field keeps the linear form of its absolute
+trace, t_j = Tr(x^j).  All values are immutable.
 
 Roots of unity are exact rationals mod 1 (`UnityExp(q)` means e^{2*pi*i*q});
 equality is rational equality, nothing is ever a float.
@@ -123,19 +127,21 @@ def _ppowmod(a, n, mod, p):
 
 
 def _irreducible(f, p, e):
-    # f monic of degree e; irreducible iff x^{p^e} == x (mod f) and
-    # gcd(x^{p^{e/q}} - x, f) = 1 for every prime q | e.
-    x = (0, 1)
-    t = x
-    powers = [x]  # powers[k] = x^{p^k} mod f
-    for _ in range(e):
-        t = _ppowmod(t, p, f, p)
-        powers.append(t)
-    if powers[e] != _pmod(x, f, p):
-        return False
-    for q in _prime_factors(e):
-        g = _pgcd(_psub(powers[e // q], x, p), f, p)
-        if len(g) != 1:
+    # f monic of degree e >= 2.  A reducible f has a monic irreducible factor
+    # of degree i <= e/2, and x^{p^i} - x is the product of the monic
+    # irreducibles of degree dividing i; so f is irreducible iff it has no
+    # root in F_p (i = 1) and gcd(x^{p^i} - x, f) = 1 for i = 2..e/2 (Ben-Or).
+    # The search stops at a reducible candidate's first factor.
+    for a in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+        if not acc:
+            return False
+    x = t = (0, 1)
+    for i in range(2, e // 2 + 1):
+        t = _ppowmod(t, p * p if i == 2 else p, f, p)  # x^{p^i} mod f
+        if len(_pgcd(_psub(t, x, p), f, p)) != 1:
             return False
     return True
 
@@ -155,13 +161,14 @@ def _smallest_irreducible(p: int, e: int):
 class FieldDescriptor:
     """The field F_{p^e} with its deterministic modulus."""
 
-    __slots__ = ("p", "e", "modulus", "_frob_rows", "_generator", "_as_solver")
+    __slots__ = ("p", "e", "modulus", "_frob_rows", "_trace_form", "_generator",
+                 "_as_solver")
 
     def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.modulus = modulus
-        self._frob_rows = self._generator = self._as_solver = None
+        self._frob_rows = self._trace_form = self._generator = self._as_solver = None
 
     @property
     def order(self) -> int:
@@ -213,6 +220,23 @@ class FieldDescriptor:
                                     for i in range(self.e))
         return self._frob_rows
 
+    def trace_form(self):
+        # t_j = Tr(x^j), the sum of the e Frobenius images of x^j; the absolute
+        # trace is F_p-linear, so Tr(v) = sum v_j t_j and one t_j outside F_p
+        # would put some element's trace outside F_p
+        if self._trace_form is None:
+            form = []
+            for j in range(self.e):
+                t = acc = FFElem(self, _ptrim([0] * j + [1]))
+                for _ in range(self.e - 1):
+                    t = t.frobenius()
+                    acc = acc + t
+                if len(acc.coeffs) > 1:
+                    raise InvariantViolation(f"the trace of x^{j} is not in F_{self.p}")
+                form.append(acc.coeffs[0] if acc.coeffs else 0)
+            self._trace_form = tuple(form)
+        return self._trace_form
+
     def generator(self) -> "FFElem":
         """Deterministic multiplicative generator: lex-smallest full-order element."""
         if self._generator is None:
@@ -229,19 +253,28 @@ class FieldDescriptor:
 
 @functools.lru_cache(maxsize=None)
 def _build_field(p, e):
+    if e == 1:
+        if not is_prime(p):
+            raise NonPrime(f"{p} is not prime")
+        return FieldDescriptor(p, 1, (0, 1))
     return FieldDescriptor(p, e, _smallest_irreducible(p, e))
+
+
+def prime_field(p: int) -> FieldDescriptor:
+    """The descriptor of F_p, with no bound; NonPrime unless p is prime.
+    Descriptors are kept for the process, so p is tested for primality once."""
+    return _build_field(p, 1)
 
 
 def make_field(p: int, e: int, bound=None) -> FieldDescriptor:
     """The deterministic descriptor of F_{p^e}; idempotent for fixed (p, e).
     BoundExceeded when p^e exceeds `bound` (default DEFAULT_FIELD_BOUND),
-    checked before p is tested for primality; then NonPrime."""
+    checked before p is tested for primality (by prime_field); then NonPrime."""
     bound = DEFAULT_FIELD_BOUND if bound is None else bound
     # p^e >= 2^e, so an e past the bit length of the bound exceeds it unpowered
     if e >= 1 and p >= 2 and (e > bound.bit_length() or p**e > bound):
         raise BoundExceeded(f"field size {p}^{e} exceeds bound {bound}")
-    if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
+    prime_field(p)
     if e < 1:
         raise NonPrime(f"extension degree {e} must be >= 1")
     return _build_field(p, e)
@@ -321,14 +354,8 @@ class FFElem:
         return len(self.coeffs) <= 1
 
     def trace_to_prime(self) -> int:
-        t = self
-        acc = self
-        for _ in range(self.field.e - 1):
-            t = t.frobenius()
-            acc = acc + t
-        if len(acc.coeffs) > 1:
-            raise InvariantViolation(f"the trace of {self} is not in F_{self.field.p}")
-        return acc.coeffs[0] if acc.coeffs else 0
+        """The absolute trace, read off the field's trace form."""
+        return sum(map(operator.mul, self.coeffs, self.field.trace_form())) % self.field.p
 
     def as_int(self) -> int:
         """The value as an integer mod p; only valid on prime-field elements."""

@@ -14,8 +14,9 @@ compare the production paths against: single-root pairings, root-set
 closure, group and coset enumeration, the matrix element of a word (its
 inversions, length and dot action), brute-force stabilizers, the Burnside
 count, the orbit partition sorted by a key that keeps only the points of a
-set, the weights of Lambda_chi, the ell-fiber as torus elements and the
-solve-and-close derivation of the exceptional elements.  No production
+set, the weights of Lambda_chi, the ell-fiber as torus elements, the
+solve-and-close derivation of the exceptional elements and Rabin's
+irreducibility test of a field modulus.  No production
 module imports it; the CLI loads it only for `lieram selftest`.
 """
 
@@ -55,7 +56,17 @@ from .quantum import (
     w_t,
 )
 from .rootdata import RootSystem, build_root_system, hypothesis_check, subsystem_classify, two_rho_dot
-from .scalars import UnityExp, eps_pow, make_field, solve_linear
+from .scalars import (
+    UnityExp,
+    _pgcd,
+    _pmod,
+    _ppowmod,
+    _prime_factors,
+    _psub,
+    eps_pow,
+    make_field,
+    solve_linear,
+)
 from .weyl import (
     WeylElement,
     _check_points,
@@ -75,6 +86,20 @@ MATRIX_ELLS = (3, 5, 7)
 
 
 # -- brute-force oracles -----------------------------------------------------
+
+def irreducible_by_rabin(f, p: int, e: int) -> bool:
+    """Rabin's test of the monic f of degree e over F_p: x^{p^e} = x (mod f)
+    and gcd(x^{p^{e/q}} - x, f) = 1 for every prime q | e; it computes all e
+    Frobenius powers of x whatever f is."""
+    x = (0, 1)
+    powers = [x]  # powers[k] = x^{p^k} mod f
+    for _ in range(e):
+        powers.append(_ppowmod(powers[-1], p, f, p))
+    if powers[e] != _pmod(x, f, p):
+        return False
+    return all(len(_pgcd(_psub(powers[e // q], x, p), f, p)) == 1
+               for q in _prime_factors(e))
+
 
 def pair(rs: RootSystem, values, b):
     """lambda(h_beta) for lambda given by its values on the basis coroots."""

@@ -1,6 +1,7 @@
 """CLI surface: documented examples, golden files, determinism, exit codes."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieram import cli, modular, quantum
+from lieram import cli, modular, quantum, scalars
 from lieram.cli import main
 from lieram.modular import ModWeight, dim_C
 from lieram.quantum import TorusElement, hc_shift
@@ -492,6 +493,21 @@ def test_modular_commands_check_the_field_bound_before_primality(command, monkey
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: field size {HUGE_PRIME}^1 exceeds bound 1000000000\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("blocks", ["--type", "A2", "--chi-s", "1,AS(2)"]),  # F_7 and F_{7^7}
+    *((command, MODULAR_COMMANDS[command]) for command in sorted(MODULAR_COMMANDS))])
+def test_a_modular_command_tests_p_for_primality_once(command, flags, monkeypatch, capsys):
+    # an empty descriptor cache, so that the command builds each field itself
+    monkeypatch.setattr(scalars, "_build_field",
+                        functools.lru_cache(maxsize=None)(scalars._build_field.__wrapped__))
+    tested = []
+    real = scalars.is_prime
+    monkeypatch.setattr(scalars, "is_prime", lambda n: tested.append(n) or real(n))
+    assert main(["modular", command, "--p", "7", *flags]) == 0
+    assert capsys.readouterr().err == ""
+    assert tested == [7]
 
 
 # per side: flags with a p or ell that fails the standing hypotheses, the

@@ -27,7 +27,7 @@ ORACLES = {
     "burnside_count", "min_coset_reps", "act_modular", "pair", "close_up",
     "root_value", "steinberg_fiber_point", "ell_fiber", "orbit_partition_by_key",
     "word_element", "matrix_inversions", "dot_act_torus", "_delta_tilde_test",
-    "enumerate_lambda_chi",
+    "enumerate_lambda_chi", "irreducible_by_rabin",
 }
 
 

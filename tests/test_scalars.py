@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lieram import cli, rootdata, scalars
-from lieram.errors import BoundExceeded, NonInvertibleDenominator, NonPrime
+from lieram.errors import BoundExceeded, InvariantViolation, NonInvertibleDenominator, NonPrime
 from lieram.rootdata import RootSystem, parse_cartan_type, subsystem_classify
 from lieram.scalars import (
     UnityExp,
@@ -18,7 +18,7 @@ from lieram.scalars import (
     make_field,
     solve_linear,
 )
-from lieram.selftest import close_up
+from lieram.selftest import close_up, irreducible_by_rabin
 
 
 def poly_has_root_mod_p(coeffs, p):
@@ -71,6 +71,41 @@ def test_make_field_pinned_large_moduli():
     assert make_field(7, 7).modulus == (1, 0, 0, 0, 0, 0, 6, 1)
 
 
+# every monic polynomial of these degrees, constant term 0 included
+RABIN_CELLS = [(2, range(2, 7)), (3, range(2, 7)), (5, range(2, 7)),
+               (7, range(2, 5)), (11, range(2, 5))]
+
+
+@pytest.mark.parametrize("p, degrees", RABIN_CELLS)
+def test_the_irreducibility_test_agrees_with_rabin_on_every_monic(p, degrees):
+    for e in degrees:
+        for coeffs in itertools.product(range(p), repeat=e):
+            f = coeffs + (1,)
+            assert scalars._irreducible(f, p, e) == irreducible_by_rabin(f, p, e), f
+
+
+def test_every_field_modulus_up_to_a_million_is_irreducible_by_rabin():
+    for p in (q for q in range(2, 32) if scalars.is_prime(q)):
+        e = 1
+        while p**e <= 10**6:
+            f = make_field(p, e).modulus
+            assert len(f) == e + 1 and f[-1] == 1
+            assert irreducible_by_rabin(f, p, e), (p, e)
+            assert e == 1 or scalars._irreducible(f, p, e), (p, e)
+            e += 1
+
+
+@pytest.mark.parametrize("p, e, budget", [(5, 10, 20), (7, 7, 4)])
+def test_the_modulus_search_stops_at_a_candidate_s_first_factor(p, e, budget, monkeypatch):
+    # Rabin's test computes all e Frobenius powers of x on every candidate:
+    # 130 and 49 powerings here
+    calls = []
+    real = scalars._ppowmod
+    monkeypatch.setattr(scalars, "_ppowmod", lambda *args: calls.append(args) or real(*args))
+    scalars._smallest_irreducible(p, e)
+    assert len(calls) <= budget
+
+
 def test_make_field_idempotent_and_errors():
     assert make_field(7, 2) is make_field(7, 2)
     with pytest.raises(NonPrime):
@@ -83,18 +118,16 @@ HUGE_PRIME = 2**61 - 1
 
 
 def primality_tests_only_within_the_field_bound(monkeypatch):
-    """Patch is_prime, where scalars and modular read it, to fail on any n
-    past the default field bound: trial division up to sqrt(2^61 - 1) would
-    run for minutes, so the field bound must be checked first."""
-    from lieram import modular
-
+    """Patch is_prime, where scalars.prime_field reads it (the one primality
+    test of every module), to fail on any n past the default field bound:
+    trial division up to sqrt(2^61 - 1) would run for minutes, so the field
+    bound must be checked first."""
     def is_prime(n):
         if n > scalars.DEFAULT_FIELD_BOUND:
             raise AssertionError(f"is_prime({n}) called before the field bound")
         return real(n)
     real = scalars.is_prime
     monkeypatch.setattr(scalars, "is_prime", is_prime)
-    monkeypatch.setattr(modular, "is_prime", is_prime)
 
 
 def test_make_field_checks_the_bound_before_primality(monkeypatch):
@@ -178,6 +211,34 @@ def test_artin_schreier_bound():
     F7 = make_field(7, 1)
     with pytest.raises(BoundExceeded):
         artin_schreier_solve(F7.from_int(1), bound=1000)  # needs F_{7^7}
+
+
+def trace_by_frobenius_sum(x):
+    acc = t = x
+    for _ in range(x.field.e - 1):
+        t = t.frobenius()
+        acc = acc + t
+    assert acc.in_prime_field()
+    return acc.as_int()
+
+
+def test_the_trace_form_gives_the_frobenius_sum():
+    rng = random.Random(0)
+    for p, e in ((2, 5), (3, 3), (5, 2)):
+        for x in make_field(p, e).elements():
+            assert x.trace_to_prime() == trace_by_frobenius_sum(x)
+    for p, e in ((5, 5), (7, 7), (5, 10)):
+        F = make_field(p, e)
+        for _ in range(200):
+            x = F.elem([rng.randrange(p) for _ in range(e)])
+            assert x.trace_to_prime() == trace_by_frobenius_sum(x)
+
+
+def test_a_trace_outside_the_prime_field_is_an_invariant_violation():
+    F = scalars.FieldDescriptor(5, 2, (0, 0, 1))  # x^2: not a field
+    for x in (F.zero(), F.one(), F.gen_x()):
+        with pytest.raises(InvariantViolation, match="the trace of x\\^1 is not in F_5"):
+            x.trace_to_prime()
 
 
 def test_artin_schreier_trace_zero_stays_in_field():
