@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow
-from .rootdata import RootSystem, subsystem_classify
+from .rootdata import RootSystem, build_root_system, parse_cartan_type, subsystem_classify
 from .scalars import UnityExp, eps_pow
 from .weyl import (
     BlockRecord,
@@ -422,7 +422,6 @@ def verify_appendix_row(type_str: str, m: int) -> dict:
     alpha^m to beta_m, every inversion has positive alpha_m-coefficient, and
     every inversion is strictly below beta_m, all under Bourbaki numbering
     (the reported convention)."""
-    from .rootdata import build_root_system, parse_cartan_type
     comps = parse_cartan_type(type_str)
     if len(comps) != 1:
         raise UnknownRow("appendix rows are per irreducible type")

@@ -111,6 +111,19 @@ def weyl_invariants(letter, n) -> WeylInvariants:
     return WeylInvariants(path, (1, 3), (2, 6), 1)  # G2
 
 
+@functools.lru_cache(maxsize=None)
+def cartan_matrix(letter, n):
+    """The Cartan matrix of a component letter+n in Bourbaki order, built
+    once per type from the edges and symmetrizers of weyl_invariants."""
+    inv = weyl_invariants(letter, n)
+    C = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in inv.edges:
+        # C[i][j] = (alpha_i, alpha_j) / d_i with (alpha_i, alpha_j) = -max(d_i, d_j)
+        s = -max(inv.d[i], inv.d[j])
+        C[i][j], C[j][i] = s // inv.d[i], s // inv.d[j]
+    return tuple(map(tuple, C))
+
+
 class RootSystem:
     """Immutable container for the combinatorial data of a root system."""
 
@@ -118,16 +131,12 @@ class RootSystem:
         self.ctype = comps
         self.type_str = type_string(comps)
         self.rank = r = sum(n for _l, n in comps)
-        C = [[2 * (i == j) for j in range(r)] for i in range(r)]
+        C = [[0] * r for _ in range(r)]
         d, components, off = [], [], 0
         for l, n in comps:
-            inv = weyl_invariants(l, n)
-            d.extend(inv.d)
-            for i, j in inv.edges:
-                # C[i][j] = (alpha_i, alpha_j) / d_i with (alpha_i, alpha_j) = -max(d_i, d_j)
-                i, j = i + off, j + off
-                s = -max(d[i], d[j])
-                C[i][j], C[j][i] = s // d[i], s // d[j]
+            d.extend(weyl_invariants(l, n).d)
+            for i, row in enumerate(cartan_matrix(l, n)):
+                C[off + i][off:off + n] = row
             components.append((l, n, tuple(range(off, off + n))))
             off += n
         self.cartan = tuple(map(tuple, C))
@@ -433,85 +442,54 @@ def check_closed(rs: RootSystem, roots) -> frozenset:
 
 def _classify_component(norms, nodes, m):
     """Classify one connected basis component from its Cartan integers m and
-    the basis norms; returns (letter, rank, ordered)."""
+    the basis norms; returns (letter, rank, ordered), the nodes in Bourbaki
+    order.  The shape picks a start node, one walk reads the order off, and
+    the ordered Cartan integers must be those of cartan_matrix(letter, rank):
+    InvariantViolation for a shape with no Bourbaki type."""
+    adj = {i: [j for j in nodes if j != i and m[i][j] * m[j][i]] for i in nodes}
+    bonds = {m[i][j] * m[j][i]: (i, j) for i in nodes for j in adj[i]}
+    ends = [i for i in nodes if len(adj[i]) < 2] or [nodes[0]]
+    hubs = [i for i in nodes if len(adj[i]) > 2]
+    norm = norms.__getitem__
+
+    def walk(*path):
+        # the path, extended while its last node has one neighbour off it
+        path = list(path)
+        while len(nxt := [j for j in adj[path[-1]] if j not in path]) == 1:
+            path += nxt
+        return path
+
+    if hubs:
+        # the branches away from the hub, shortest first, ties in index order
+        c = hubs[0]
+        short, mid, far = sorted((walk(c, u)[1:] for u in adj[c]), key=len)[:3]
+        if len(mid) == 1:
+            letter, order = "D", far[::-1] + [c] + sorted(short + mid)
+        else:
+            chain = mid[::-1] + [c] + far
+            letter, order = "E", chain[:1] + short + chain[1:]
+    elif 3 in bonds:
+        letter, order = "G", walk(min(bonds[3], key=norm))
+    elif 2 in bonds:
+        bond = bonds[2]
+        leaves = sorted((i for i in bond if i in ends), key=norm)
+        if leaves:
+            # B or C from the far end to the double bond's (short) leaf; B
+            # when that leaf is short
+            letter = "B" if norm(leaves[0]) < max(map(norm, bond)) else "C"
+            order = walk(leaves[0])[::-1]
+        else:
+            letter, order = "F", walk(max(ends, key=norm))
+    else:
+        letter, order = "A", walk(min(ends))
     n = len(nodes)
-    weights = {(i, j): m[i][j] * m[j][i] for i in nodes for j in nodes if i != j}
-    adj = {i: [j for j in nodes if j != i and weights[(i, j)] > 0] for i in nodes}
-    deg = {i: len(adj[i]) for i in nodes}
-    maxw = max(weights.values()) if n > 1 else 0
-
-    def path_order(start):
-        order = [start]
-        prev = None
-        while len(order) < n:
-            nxts = [j for j in adj[order[-1]] if j != prev]
-            prev = order[-1]
-            order.append(nxts[0])
-        return order
-
-    if n == 1:
-        return ("A", 1, tuple(nodes))
-    if maxw == 3:
-        if n != 2:
-            raise InvariantViolation(f"a triple bond in a component of rank {n}")
-        i, j = nodes
-        short, longn = (i, j) if norms[i] < norms[j] else (j, i)
-        return ("G", 2, (short, longn))
-    if maxw == 2:
-        dbl = [e for e, w in weights.items() if w == 2 and e[0] < e[1]]
-        if len(dbl) != 1:
-            raise InvariantViolation(f"{len(dbl)} double bonds in one component")
-        u, v = dbl[0]
-        if n == 2:
-            longn, short = (u, v) if norms[u] > norms[v] else (v, u)
-            return ("B", 2, (longn, short))
-        if deg[u] == 2 and deg[v] == 2:
-            if n != 4:
-                raise InvariantViolation(
-                    f"a double bond between two inner nodes in rank {n}")
-            ends = [i for i in nodes if deg[i] == 1]
-            start = next(e for e in ends if norms[e] == max(norms[x] for x in ends))
-            return ("F", 4, tuple(path_order(start)))
-        leaf = u if deg[u] == 1 else v
-        other_end = next(i for i in nodes if deg[i] == 1 and i != leaf)
-        letter = "B" if norms[leaf] < norms[other_end] else "C"
-        return (letter, n, tuple(path_order(other_end)))
-    # simply laced
-    branchers = [i for i in nodes if deg[i] >= 3]
-    if not branchers:
-        ends = [i for i in nodes if deg[i] <= 1]
-        orders = [path_order(e) for e in ends[:2]] or [list(nodes)]
-        best = min(orders, key=lambda o: tuple(o))
-        return ("A", n, tuple(best))
-    if len(branchers) != 1 or deg[branchers[0]] != 3:
-        raise InvariantViolation(
-            f"simply-laced component with branch degrees {sorted(deg.values())}")
-    c = branchers[0]
-    branches = []
-    for start in adj[c]:
-        br = [start]
-        prev = c
-        while True:
-            nxts = [j for j in adj[br[-1]] if j != prev]
-            if not nxts:
-                break
-            prev = br[-1]
-            br.append(nxts[0])
-        branches.append(br)
-    branches.sort(key=len)
-    lens = tuple(len(b) for b in branches)
-    if lens[0] == 1 and lens[1] == 1:
-        # D_{k+3} with k = lens[2]; Bourbaki: long branch reversed, fork last
-        tail = branches[2][::-1]
-        forks = sorted([branches[0][0], branches[1][0]])
-        return ("D", n, tuple(tail + [c] + forks))
-    if lens[0] == 1 and lens[1] == 2 and lens[2] in (2, 3, 4):
-        arm2, arm_a, arm_b = branches[0], branches[1], branches[2]
-        # Bourbaki: chain 1-3-4-...-r through the brancher, node 2 at the fork
-        chain = arm_a[::-1] + [c] + arm_b
-        order = [chain[0], arm2[0], chain[1]] + chain[2:]
-        return ("E", n, tuple(order))
-    raise NotClosed(f"basis graph is not a Dynkin diagram (branches {lens})")
+    try:
+        standard = cartan_matrix(*_validate_component(letter, n))
+    except InvalidType:
+        standard = None
+    if tuple(tuple(m[j][i] for j in order) for i in order) != standard:
+        raise InvariantViolation(f"basis graph read as {letter}{n} is not its Dynkin diagram")
+    return (letter, n, tuple(order))
 
 
 def subsystem_classify(rs: RootSystem, roots) -> Subsystem:

@@ -88,22 +88,16 @@ def _pmul(a, b, p):
     return _ptrim(out)
 
 
-def _pdivmod(a, b, p):
-    # b must be nonzero; returns (q, r) with a = q*b + r, deg r < deg b
+def _pmod(a, b, p):
+    # b must be nonzero; returns r with a = q*b + r, deg r < deg b
     a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = pow(b[-1], p - 2, p)
     for i in range(len(a) - len(b), -1, -1):
         c = (a[i + len(b) - 1] * inv_lead) % p
         if c:
-            q[i] = c
             for j, bj in enumerate(b):
                 a[i + j] = (a[i + j] - c * bj) % p
-    return _ptrim(q), _ptrim(a)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
+    return _ptrim(a)
 
 
 def _pgcd(a, b, p):

@@ -12,7 +12,10 @@ not walked per query: orbit_of serves only the block partition and the
 group closure.  The quantum side runs on integer numerators: epsilon enters
 once, in quantum.hc_shift, and the epsilon form of the Delta-tilde test is
 an oracle.  The CLI resolves and checks every subcommand's inputs in one
-front end, before the command runs."""
+front end, before the command runs.  A type's Cartan matrix is built in one
+place: only rootdata.cartan_matrix reads the Dynkin edges of
+weyl_invariants, and the root systems and the classifier's check take their
+matrices from it."""
 
 import ast
 import os
@@ -243,3 +246,16 @@ def test_the_cli_resolves_inputs_in_one_front_end():
     for node in commands:
         assert not _called_names(node) & (FRONT_END | {"ModWeight", "TorusElement",
                                                         "parse_cartan_type"}), node.name
+
+
+def test_one_function_builds_a_types_cartan_matrix():
+    trees = _trees()
+    readers = [(name, node.name) for name, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               for sub in ast.walk(node)
+               if isinstance(sub, ast.Attribute) and sub.attr == "edges"]
+    reads = sum(isinstance(sub, ast.Attribute) and sub.attr == "edges"
+                for tree in trees.values() for sub in ast.walk(tree))
+    assert set(readers) == {("rootdata.py", "cartan_matrix")} and len(readers) == reads
+    assert _callers(trees["rootdata.py"], "cartan_matrix") == {"RootSystem",
+                                                               "_classify_component"}

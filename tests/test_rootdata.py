@@ -1,14 +1,18 @@
 """Root system construction, pairings, subsystems, hypothesis flags."""
 
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from lieram.errors import BoundExceeded, InvalidType, NotClosed
+from lieram.errors import BoundExceeded, InvalidType, InvariantViolation, NotClosed
 from lieram.rootdata import (
     RootSystem,
+    _classify,
+    _classify_component,
     build_root_system,
     check_closed,
     hypothesis_check,
@@ -302,6 +306,72 @@ def test_subsystem_letter_disambiguation():
     # long roots of C3 are mutually orthogonal
     longs_c = frozenset(b for b in c3.all_roots() if c3.norm(b) == 2)
     assert subsystem_classify(c3, longs_c).type_str == "A1xA1xA1"
+
+
+# The classifier's pinned corpus, per type: for every subset J of the nodes
+# of the extended Dynkin diagram but the whole, the roots b vanishing mod Z
+# at the point with Kac coordinates s = 0 on J and 1 elsewhere, i.e.
+# sum_i b_i s_i = 0 mod m with m = s_0 + sum_i a_i s_i, a closed subsystem
+# with basis J; and the long and the short roots of a multiply laced type,
+# each a root system (the short ones are not closed in Phi, so they go to
+# _classify, not subsystem_classify).  The sha256 is of the (type_str,
+# components) of every member, in this order.
+PINNED_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+                + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(4, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+CLASSIFIED_SHA256 = "cd8c0c237644f99a5b3ceff23d6b13ea8ded275c5540aa58e89952134c3976c5"
+
+
+def kac_and_length_subsystems(rs):
+    roots = sorted(rs.all_roots())
+    for s0, *s in itertools.product((0, 1), repeat=rs.rank + 1):
+        m = s0 + sum(itertools.compress(rs.a, s))
+        if m:
+            yield frozenset(b for b in roots if sum(itertools.compress(b, s)) % m == 0)
+    norms = sorted({rs.norm(b) for b in roots})
+    for n in norms if len(norms) == 2 else ():
+        yield frozenset(b for b in roots if rs.norm(b) == n)
+
+
+def test_the_classification_of_a_fixed_corpus_is_pinned():
+    classified, types, b2_long_first_in_basis = [], set(), set()
+    for t in PINNED_TYPES:
+        rs = build_root_system(t)
+        for sub in (_classify(rs, S) for S in kac_and_length_subsystems(rs)):
+            classified.append((sub.type_str, sub.components))
+            types |= {(letter, n) for letter, n, _ in sub.components}
+            for long_root, short_root in (o for l, n, o in sub.components if (l, n) == ("B", 2)):
+                assert rs.norm(long_root) > rs.norm(short_root)
+                index = sub.basis.index
+                b2_long_first_in_basis.add(index(long_root) < index(short_root))
+    assert len(classified) == 4980 and {("D", 4), ("E", 6)} <= types
+    assert b2_long_first_in_basis == {True, False}
+    assert hashlib.sha256(repr(classified).encode()).hexdigest() == CLASSIFIED_SHA256
+
+
+def hand_made_cartan_integers(norms, bonds):
+    """<b_i, b_j^vee> of a diagram with (b_i, b_i) = 2 norms[i] and (b_i, b_j)
+    = -max(norms[i], norms[j]) on a bond."""
+    m = [[2 * (i == j) for j in range(len(norms))] for i in range(len(norms))]
+    for i, j in bonds:
+        top = max(norms[i], norms[j])
+        m[i][j], m[j][i] = -top // norms[j], -top // norms[i]
+    return m
+
+
+@pytest.mark.parametrize("norms, bonds", [
+    ([1] * 9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8)]),
+    ([1, 3, 3], [(0, 1), (1, 2)]),
+    ([2, 1, 1, 2], [(0, 1), (1, 2), (2, 3)]),
+    ([2, 2, 2, 1], [(0, 1), (0, 2), (0, 3)]),
+    ([1, 1, 1], [(0, 1), (1, 2), (2, 0)]),
+    ([1] * 5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+], ids=["branches-1-2-5", "triple-bond-in-rank-3", "two-double-bonds",
+        "d4-tree-with-a-double-bond", "cycle", "four-branches"])
+def test_a_diagram_with_no_bourbaki_type_is_refused(norms, bonds):
+    with pytest.raises(InvariantViolation, match="is not its Dynkin diagram"):
+        _classify_component(norms, list(range(len(norms))),
+                            hand_made_cartan_integers(norms, bonds))
 
 
 def test_hypothesis_check():
