@@ -2,15 +2,18 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_28.json \\
         [--pairs 10] [--workload W ...] [--seed S ...] [--trace 0] \\
-        [--seconds 30] [--claim TEXT] [--workdir DIR]
+        [--claim TEXT] [--workdir DIR]
 
 PARENT and CHANGE are commits of this repository; each side runs from its
 own clean clone at its commit, under --workdir (by default a temporary
 directory, removed at the end).  For every workload (default: all in
 BENCHMARK.json) and seed (default 0), pair k runs
-`python3 perfbench/run.py --workload W --seed S --trace T --seconds X` once
-on each side, one after the other, the parent first when k is even.  A run
-that exits nonzero or fails an answer check stops the script.
+`python3 perfbench/run.py --workload W --seed S --trace T` once on each
+side, one after the other, the parent first when k is even.  The run length
+is run.py's own default; each run's env line records it.  A run that exits
+nonzero or fails an answer check stops the pairs: the runs made so far, the
+stopping one included, are written with `claim_met` false and no summary,
+and the script exits 1.
 
 The output holds every run (its environment, attempted and failed answers,
 and end-to-end metrics) and a summary per workload, seed and end-to-end
@@ -43,15 +46,16 @@ def clone(commit, where):
     return where
 
 
-def run_once(checkout, workload, seed, trace, seconds):
-    """One perfbench run in `checkout`: its environment line and its result."""
+def run_once(checkout, workload, seed, trace):
+    """One perfbench run in `checkout`: its environment line and its result, or
+    None and the reason it did not finish."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--trace", str(trace), "--seconds", str(seconds)]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
-                 f"{proc.stderr[-2000:]}")
+        return None, (f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                      f"{proc.stderr[-2000:]}")
     env = json.loads(next(line[4:] for line in lines if line.startswith("env ")))
     return env, json.loads(lines[-1])
 
@@ -83,30 +87,35 @@ def summarize(runs, metrics):
 
 
 def pair_runs(checkouts, workloads, seeds, metrics, args):
-    """Every run, pair by pair; the parent side runs first in even pairs."""
+    """Every run, pair by pair, the parent side first in even pairs, and the
+    reason the pairs stopped early (None when they all ran)."""
     runs = []
     for workload in workloads:
         for seed in seeds:
             for k in range(args.pairs):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    env, result = run_once(checkouts[side], workload, seed, args.trace,
-                                           args.seconds)
-                    if result["failed"]:
-                        sys.exit(f"bench_pairs: {side} failed {result['failed']} answers "
-                                 f"on {workload} seed {seed}")
-                    runs.append({
-                        "workload": workload, "seed": seed, "pair": k, "side": side,
-                        "trace": args.trace, "git_commit": env["git_commit"],
+                    env, result = run_once(checkouts[side], workload, seed, args.trace)
+                    run = {"workload": workload, "seed": seed, "pair": k, "side": side,
+                           "trace": args.trace}
+                    runs.append(run)
+                    if env is None:
+                        run["error"] = result
+                        return runs, f"{side} did not finish on {workload} seed {seed}"
+                    run.update({
+                        "git_commit": env["git_commit"],
                         "source_sha256": env["source_sha256"], "failed": result["failed"],
                         "attempted": result["attempted"], "rounds": env["rounds"],
-                        "python": env["python"], "nproc": env["nproc"],
-                        "cpu_model": env["cpu_model"],
+                        "seconds": env["seconds"], "python": env["python"],
+                        "nproc": env["nproc"], "cpu_model": env["cpu_model"],
                         "metrics": {m: result["metrics"][m]["value"] for m in metrics},
                     })
                     print(f"{workload} seed {seed} pair {k} {side}: "
-                          + ", ".join(f"{m} {v:.6g}" for m, v in runs[-1]["metrics"].items()),
+                          + ", ".join(f"{m} {v:.6g}" for m, v in run["metrics"].items()),
                           flush=True)
-    return runs
+                    if result["failed"]:
+                        return runs, (f"{side} failed {result['failed']} of "
+                                      f"{result['attempted']} answers on {workload} seed {seed}")
+    return runs, None
 
 
 def main():
@@ -121,7 +130,6 @@ def main():
                     choices=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--seed", type=int, action="append")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--claim", default="none")
     ap.add_argument("--workdir")
     args = ap.parse_args()
@@ -135,23 +143,30 @@ def main():
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         checkouts = {side: clone(commit, os.path.join(args.workdir or tmp, side))
                      for side, commit in commits.items()}
-        runs = pair_runs(checkouts, workloads, seeds, metrics, args)
-    seconds = "default --seconds 30" if args.seconds == 30 else f"--seconds {args.seconds:g}"
+        runs, stopped = pair_runs(checkouts, workloads, seeds, metrics, args)
+    seconds = sorted({r["seconds"] for r in runs if "seconds" in r})
     out = {
         "what": (f"Alternating parent/change pairs of `python3 perfbench/run.py --workload W "
-                 f"--seed S --trace T` ({seconds}), each side run from its own clean git "
-                 "clone; the pair index decides which side ran first (even: parent first). "
+                 f"--seed S --trace T` (its default --seconds, "
+                 f"{', '.join(f'{s:g}' for s in seconds) or 'unknown'} in its env line), "
+                 "each side run from its own clean git clone; the pair index decides which "
+                 "side ran first (even: parent first). "
                  f"Seed {', '.join(map(str, seeds))} on {', '.join(workloads)}, "
                  f"{args.pairs} pairs each; written by tools/bench_pairs.py."),
         "parent": commits["parent"],
         "change": commits["change"],
         "claim": args.claim,
-        "summary": summarize(runs, metrics),
-        "runs": runs,
     }
+    if stopped:
+        out.update({"claim_met": False, "stopped": stopped, "summary": None})
+    else:
+        out["summary"] = summarize(runs, metrics)
+    out["runs"] = runs
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
+    if stopped:
+        sys.exit(f"bench_pairs: {stopped}; {len(runs)} runs written to {args.out}")
 
 
 if __name__ == "__main__":
