@@ -20,7 +20,6 @@ on shifted labels.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -316,13 +315,7 @@ def exceptional_elements(rs: RootSystem):
     exponents q_i = X[i][m] / a_m on the alpha-coordinates X of the
     fundamental weights.  Its centralizer subsystem {beta : a_m | b_m} is
     checked against the roots trivial on s_m, and its basis against the
-    off-node simple roots together with beta_m.  The records are computed
-    once per root system; each call returns a fresh list of fresh dicts."""
-    return [dict(rec) for rec in _exceptional_records(rs)]
-
-
-@functools.lru_cache(maxsize=None)
-def _exceptional_records(rs):
+    off-node simple roots together with beta_m."""
     if len(rs.components) != 1:
         raise InvalidType(
             f"exceptional elements are classified per irreducible type, "
@@ -363,7 +356,7 @@ def _exceptional_records(rs):
             "centralizer": cent,
             "beta_m": bm,
         })
-    return tuple(out)
+    return out
 
 
 # -- the appendix table ------------------------------------------------------

@@ -348,8 +348,7 @@ class Subsystem:
         self.roots = roots
         self.basis = basis
         self.components = components  # tuple of (letter, rank, basis-subtuple)
-        self.type_str = type_string([(l, n) for l, n, _ in components]) \
-            if components else "1"
+        self.type_str = type_string([(l, n) for l, n, _ in components])
         self.order = math.prod(degrees(components))
         self._parabolic = None
         self._coset_poincare = None

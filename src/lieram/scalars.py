@@ -215,20 +215,17 @@ class FieldDescriptor:
         return self._frob_rows
 
     def trace_form(self):
-        # t_j = Tr(x^j), the sum of the e Frobenius images of x^j; the absolute
-        # trace is F_p-linear, so Tr(v) = sum v_j t_j and one t_j outside F_p
-        # would put some element's trace outside F_p
+        # t_j = Tr(x^j), the sum of the j-th powers of the e roots of the
+        # modulus c_0 + ... + c_{e-1} x^{e-1} + x^e (the Frobenius images of
+        # x), read off its coefficients by Newton's identities: t_0 = e and
+        # t_j = -(j c_{e-j} + sum_{0<i<j} c_{e-i} t_{j-i}); the absolute trace
+        # is F_p-linear, so Tr(v) = sum v_j t_j
         if self._trace_form is None:
-            form = []
-            for j in range(self.e):
-                t = acc = FFElem(self, _ptrim([0] * j + [1]))
-                for _ in range(self.e - 1):
-                    t = t.frobenius()
-                    acc = acc + t
-                if len(acc.coeffs) > 1:
-                    raise InvariantViolation(f"the trace of x^{j} is not in F_{self.p}")
-                form.append(acc.coeffs[0] if acc.coeffs else 0)
-            self._trace_form = tuple(form)
+            p, e, c = self.p, self.e, self.modulus
+            t = [e % p]
+            for j in range(1, e):
+                t.append(-(j * c[e - j] + sum(c[e - i] * t[j - i] for i in range(1, j))) % p)
+            self._trace_form = tuple(t)
         return self._trace_form
 
     def generator(self) -> "FFElem":
@@ -427,14 +424,13 @@ def solve_linear(A, p=None):
 @functools.lru_cache(maxsize=None)
 def _subfield_embedding(small: FieldDescriptor, big: FieldDescriptor) -> FFElem:
     """Image of small.gen_x() in big: a root of small's modulus in big.
+    small must embed in big; embed, the one caller, has checked that.
 
     The roots lie in the degree-e subfield, whose nonzero elements are the
     powers of h = g^((p^E - 1)/(p^e - 1)) for the generator g of big; the
     lex-smallest root is taken, so the embedding is deterministic.
     """
     p, e, ee = small.p, small.e, big.e
-    if big.p != p or ee % e:
-        raise InvariantViolation(f"F_{p}^{e} does not embed in F_{big.p}^{ee}")
     h = big.generator() ** ((p**ee - 1) // (p**e - 1))
     roots = []
     z = big.one()

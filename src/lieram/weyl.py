@@ -489,8 +489,8 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     own, listed without a walk, and nothing is kept."""
     points = length ** rs.rank
     _check_points(points, bound)
-    if not levi.basis:
-        return _walk_skeleton(rs, levi, on, modulus, axes())
+    if not levi.basis:  # W(Phi') = 1: each point is a block, fixed by Phi' itself
+        return tuple((x, 1, levi, 1) for x in itertools.product(*axes()))
     return _walks.get((rs, levi, on, modulus, tuple(map(tuple, axes()))), points,
                       _walk_skeleton)
 
@@ -501,8 +501,6 @@ def _walk_skeleton(rs, levi, on, modulus, axes):
     # roots is classified once
     orbits = orbit_partition(itertools.product(*axes),
                              integer_actions(rs, levi.basis, on, modulus))
-    if not levi.basis:  # Phi' has no roots: each point is fixed by W(Phi') itself
-        return tuple((x, size, levi, 1) for x, size in orbits)
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)
     pairings = integer_pairings(rs, on, modulus, roots=roots)
     zero = 0 if on == "torus" else (0,)
@@ -561,8 +559,6 @@ def orbit_partition(points, gen_actions):
     orbit's least point, the orbits sorted.  InvariantViolation when a walk
     leaves `points`: the orbit sizes then sum past the number of points.
     Without generators every point is an orbit of its own."""
-    if not gen_actions:
-        return [(x, 1) for x in points]
     seen = set()
     orbits = []
     count = 0

@@ -72,14 +72,10 @@ def test_oracles_are_defined_only_in_selftest():
 
 def test_production_modules_call_no_single_root_or_closure_oracle():
     trees = _trees()
-    # exceptional_elements returns copies of the records _exceptional_records
-    # computes once per root system
-    exceptional = [node for node in trees["quantum.py"].body
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name in ("exceptional_elements", "_exceptional_records")]
-    assert len(exceptional) == 2
-    for node in exceptional:
-        assert not _called_names(node) & {"close_up", "pair", "root_value", "solve_linear"}
+    (exceptional,) = [node for node in trees["quantum.py"].body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "exceptional_elements"]
+    assert not _called_names(exceptional) & {"close_up", "pair", "root_value", "solve_linear"}
     for name, tree in trees.items():
         if name != "selftest.py":
             assert not _called_names(tree) & {"close_up", "pair", "root_value"}, name
@@ -220,7 +216,7 @@ def test_epsilon_enters_the_quantum_side_once():
     built = {name: _callers(tree, "Fraction") | _callers(tree, "UnityExp")
              for name, tree in production.items() if name != "scalars.py"}
     assert built == {**{name: set() for name in built},
-                     "quantum.py": {"TorusElement", "_exceptional_records"},
+                     "quantum.py": {"TorusElement", "exceptional_elements"},
                      "weyl.py": {"WeylElement"}}
     (torus,) = [node for node in trees["quantum.py"].body
                 if isinstance(node, ast.ClassDef) and node.name == "TorusElement"]

@@ -85,6 +85,7 @@ MODULAR_CELLS = {
     "A2/p5 nilpotent": (lambda: PChar(build_root_system("A2"), 5, support=(0,)), 1),
     "B3/p5 F_p chi": (lambda: _literal_character("B3", 5, "1,0,2"), 5),
     "A2/p7 AS(c)": (lambda: _literal_character("A2", 7, "AS(3),2"), 7),
+    "A2/p7 AS(1),0": (lambda: _literal_character("A2", 7, "AS(1),0"), 7),
     "A2/p5 F_p^2 chi": (_fp2_character, 10),
 }
 
@@ -210,17 +211,29 @@ def _walked_and_oracle(chi, patched_walk):
         # width-1 walk under it is no oracle: this one walks the full width
         got = [(b.lam, b.eta, b.orbit_size) for b in mod_blocks(chi)]
         return got, modular_orbits_full_width(chi)
-    got = [b.to_dict() for b in q_blocks(chi)]
+    blocks = q_blocks(chi)
     # the fiber codes over N = ell D, D the common denominator of chi_s
     N = chi.ell * math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
 
+    def key(code):
+        return tuple(UnityExp(Fraction(n, N)).key() for n in code)
+    if not chi.levi.basis:
+        # no walk runs to patch: whole W-orbits of the fiber codes, cut down
+        # to the fiber, are single points, met in the answer's order
+        codes = [tuple(int(q.q * N) for q in t.exps)
+                 for t in ell_fiber(chi.rs, chi.chi_s, chi.ell)]
+        classes = orbit_partition_by_key(
+            codes, integer_actions(chi.rs, _full_w(chi.rs), "torus", N), key)
+        assert {len(cls) for cls in classes} == {1}, chi
+        return ([(b.numerators, b.orbit_size) for b in blocks],
+                [(cls[0], len(cls)) for cls in classes])
+    got = [b.to_dict() for b in blocks]
     walks = []
 
     def full_w_orbits(points, gen_actions):
         # whole W-orbits cut down to the fiber, sorted by UnityExp.key()
         walks.append(gen_actions)
-        classes = orbit_partition_by_key(points, gen_actions, key=lambda code: tuple(
-            UnityExp(Fraction(n, N)).key() for n in code))
+        classes = orbit_partition_by_key(points, gen_actions, key)
         return [(cls[0], len(cls)) for cls in classes]
     with patched_walk() as m:
         # every reflection map the walk builds acts by all of W instead, and
@@ -286,12 +299,12 @@ CELL_SETS = {"matrix": _matrix_cells, "manifest": _manifest_cells,
 @pytest.mark.parametrize("cells", sorted(CELL_SETS))
 def test_stabiliser_walk_matches_the_full_w_walk(cells, patched_walk):
     # the same representatives in the same order and the same orbit sizes;
-    # on the quantum side every other field of each block too (the modular
-    # stabiliser fields: test_block_stabilisers_match_the_oracles)
+    # on the quantum side with a walk every other field of each block too
+    # (the stabiliser fields of the others: test_block_stabilisers_match_the_oracles)
     bad = []
     for label, chi in CELL_SETS[cells]():
         got, want = _walked_and_oracle(chi, patched_walk)
-        sizes = [b[2] if isinstance(chi, PChar) else b["orbit_size"] for b in got]
+        sizes = [b["orbit_size"] if isinstance(b, dict) else b[-1] for b in got]
         if got != want:
             bad.append(label)
         elif sum(sizes) != (chi.p if isinstance(chi, PChar) else chi.ell) ** chi.rs.rank:
@@ -365,8 +378,9 @@ def _walk_generators(chi, patched_walk):
     with patched_walk() as m:
         m.setattr(weyl, "integer_actions", recording)
         mod_blocks(chi)
-    assert len(gens) == 1, chi
-    return gens[0]
+    # Phi' empty: no walk, so no generator
+    assert len(gens) == bool(chi.levi.basis), chi
+    return gens[0] if gens else ()
 
 
 def _leaving_lambda_chi(chi, gens):
@@ -410,20 +424,24 @@ def test_block_walks_stay_inside_the_point_set(patched_walk):
             with patched_walk() as m:
                 seen, _widths = _watch_walks(m)
                 q_blocks(chi)
-            assert (seen["walks"], seen["outside"]) == (1, 0), label
+            assert (seen["walks"], seen["outside"]) == (bool(chi.levi.basis), 0), label
             images += seen["images"]
     assert images > 0
 
 
 def test_modular_walks_run_on_constant_terms(patched_walk):
-    # on F_{p^e}, e > 1, every point the walk sees is an r-tuple
-    for label in ("A2/p5 F_p^2 chi", "A2/p7 AS(c)", "B3/p5 F_p chi"):
+    # on F_{p^e}, e > 1, every point the walk sees is an r-tuple; a regular
+    # chi (Phi' empty) walks nothing
+    walked = 0
+    for label in ("A2/p5 F_p^2 chi", "A2/p7 AS(c)", "A2/p7 AS(1),0", "B3/p5 F_p chi"):
         chi = MODULAR_CELLS[label][0]()
         with patched_walk() as m:
             seen, widths = _watch_walks(m)
             assert mod_blocks(chi)[0].lam.field.e > 1, label
-        assert seen["walks"] == 1, label
-        assert set(widths) == {chi.rs.rank}, label
+        walked += seen["walks"]
+        assert seen["walks"] == bool(chi.levi.basis), label
+        assert set(widths) == ({chi.rs.rank} if chi.levi.basis else set()), label
+    assert walked == 2
 
 
 def test_guard_refuses_a_proper_sub_levi(monkeypatch):

@@ -369,16 +369,15 @@ def test_exceptional_elements_match_solve_and_closure_oracle(type_str):
         assert a["beta_m"] == b["beta_m"]
 
 
-def test_exceptional_records_are_computed_once_and_returned_fresh(monkeypatch):
-    # the records of a type are computed on its first query; a caller that
-    # changes the returned list or its dicts changes no later answer
+def test_exceptional_records_are_computed_per_call_and_returned_fresh(monkeypatch):
+    # the records are computed on every query, and kept nowhere; a caller
+    # that changes the returned list or its dicts changes no later answer
     g2 = build_root_system("G2")
     asked = []
 
     def counted(rs, m):
         asked.append(m)
         return beta_minimal(rs, m)
-    quantum._exceptional_records.cache_clear()
     monkeypatch.setattr(quantum, "beta_minimal", counted)
     first = exceptional_elements(g2)
     assert asked == [0, 1]
@@ -387,7 +386,7 @@ def test_exceptional_records_are_computed_once_and_returned_fresh(monkeypatch):
     del first[2]["torus"]
     first.append({})
     again = exceptional_elements(g2)
-    assert asked == [0, 1]
+    assert asked == [0, 1, 0, 1]
     assert again == want and again is not first
     assert {id(rec) for rec in again}.isdisjoint(map(id, first))
 
@@ -407,9 +406,6 @@ def test_exceptional_basis_guard_rejects_a_non_minimal_beta(monkeypatch):
     def wrong_at_node_3(rs, m):
         asked.append(m)
         return wrong if m == 2 else beta_minimal(rs, m)
-    # the records are memoised per root system: computed afresh here, and
-    # the failure is kept nowhere
-    quantum._exceptional_records.cache_clear()
     monkeypatch.setattr(quantum, "beta_minimal", wrong_at_node_3)
     with pytest.raises(InvariantViolation):
         exceptional_elements(b3)

@@ -19,7 +19,18 @@ The output holds every run (its environment, attempted and failed answers,
 and end-to-end metrics) and a summary per workload, seed and end-to-end
 metric of BENCHMARK.json: both medians, the parent's quartiles (inclusive
 method) and extremes, the change's extremes, the number of pairs in which
-the change's value was lower, and the relative change of the medians.
+the change's value was lower, and the relative change of the medians.  Each
+row also carries the metric's `bound` and `better` direction from
+BENCHMARK.json and three verdicts, "better" and "worse" read in that
+direction and a pair tied counting for neither side:
+  worse_than_bound  the change's median is worse than the parent's by more
+                    than the bound (relative to the parent's median);
+  unresolved        the parent's interquartile range exceeds the bound
+                    (relative to its median), and not every change run is
+                    better than every parent run;
+  gain_resolved     the change is better in at least 9 of 10 pairs, and its
+                    median is better than the parent's by more than the
+                    parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -61,18 +72,26 @@ def run_once(checkout, workload, seed, trace):
 
 
 def summarize(runs, metrics):
+    """The summary rows of `runs` per workload, seed, trace and metric, the
+    metrics given as BENCHMARK.json's end_to_end entries (name, better,
+    bound)."""
     def cell_of(run):
         return run["workload"], run["seed"], run["trace"]
 
     summary = []
     for workload, seed, trace in dict.fromkeys(map(cell_of, runs)):
         cell = [r for r in runs if cell_of(r) == (workload, seed, trace)]
-        for metric in metrics:
+        for spec in metrics:
+            metric, bound = spec["name"], spec["bound"]
             side = {s: {r["pair"]: r["metrics"][metric] for r in cell if r["side"] == s}
                     for s in ("parent", "change")}
             parent, change = list(side["parent"].values()), list(side["change"].values())
             q1, _q2, q3 = statistics.quantiles(parent, n=4, method="inclusive")
             pm, cm = statistics.median(parent), statistics.median(change)
+            # sign * value is lower where the value is better
+            sign = 1 if spec["better"] == "lower" else -1
+            wins = sum(sign * side["change"][k] < sign * v for k, v in side["parent"].items())
+            every_run_better = max(sign * v for v in change) < min(sign * v for v in parent)
             summary.append({
                 "workload": workload, "seed": seed, "trace": trace, "metric": metric,
                 "pairs": len(parent), "parent_median": pm, "change_median": cm,
@@ -82,6 +101,10 @@ def summarize(runs, metrics):
                 "change_lower_in_pairs": sum(side["change"][k] < v
                                              for k, v in side["parent"].items()),
                 "relative_change": (cm - pm) / pm,
+                "bound": bound, "better": spec["better"],
+                "worse_than_bound": sign * (cm - pm) > bound * pm,
+                "unresolved": q3 - q1 > bound * pm and not every_run_better,
+                "gain_resolved": wins * 10 >= 9 * len(parent) and sign * (pm - cm) > q3 - q1,
             })
     return summary
 
@@ -160,7 +183,7 @@ def main():
     if stopped:
         out.update({"claim_met": False, "stopped": stopped, "summary": None})
     else:
-        out["summary"] = summarize(runs, metrics)
+        out["summary"] = summarize(runs, bench["end_to_end"])
     out["runs"] = runs
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)
