@@ -130,19 +130,16 @@ def _weight(f, coeffs):
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
 
 def _pairings(rs: RootSystem, values, field):
-    """eta(h_beta) for every positive root beta, as its coefficient tuple mod
-    p, from the values eta(h_i) in `field`."""
+    """eta(h_beta) for every positive root beta, as its e coefficients mod p
+    (field = F_{p^e}), from the values eta(h_i) in `field`.  Pairing is
+    F_p-linear, so slot t of eta(h_beta) pairs the slot vector of the values
+    holding each value's t-th coefficient, 0 past its length."""
     if any(v.field != field for v in values):
         raise ValueError("elements of different fields")
-    pairings = integer_pairings(rs, "values", field.p, field.e)
-    return dict(zip(rs.pos_roots, pairings(_code(values, field.e))))
-
-
-def _code(values, e):
-    """Values in F_{p^e} as one flat tuple: each value's coefficients padded
-    to e."""
-    pad = (0,) * e
-    return tuple(c for v in values for c in (v.coeffs + pad)[:e])
+    pairings = integer_pairings(rs, "values", field.p)
+    pad = (0,) * field.e
+    slots = zip(*((v.coeffs + pad)[:field.e] for v in values))
+    return dict(zip(rs.pos_roots, zip(*map(pairings, slots))))
 
 
 def eta_subsystems(rs: RootSystem, eta: ModWeight):

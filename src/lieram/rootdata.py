@@ -75,13 +75,12 @@ def type_string(comps) -> str:
 
 class WeylInvariants(NamedTuple):
     """The per-type data of one irreducible component, on 0-based local nodes
-    in Bourbaki order: the Dynkin edges; the symmetrizers d, 1 on the short
-    roots, with D C symmetric; the degrees of the basic invariants
-    (Humphreys, Reflection Groups and Coxeter Groups, 3.7: |W| = prod d_i,
-    N = sum (d_i - 1), and the Poincare polynomial of W is prod [d_i]_t with
-    [d]_t = 1 + t + ... + t^(d-1)); and the index of connection |P/Q|."""
+    in Bourbaki order: the symmetrizers d, 1 on the short roots, with D C
+    symmetric; the degrees of the basic invariants (Humphreys, Reflection
+    Groups and Coxeter Groups, 3.7: |W| = prod d_i, N = sum (d_i - 1), and
+    the Poincare polynomial of W is prod [d]_t with [d]_t = 1 + t + ... +
+    t^(d-1)); and the index of connection |P/Q|."""
 
-    edges: tuple
     d: tuple
     degrees: tuple
     index: int
@@ -91,36 +90,40 @@ class WeylInvariants(NamedTuple):
 def weyl_invariants(letter, n) -> WeylInvariants:
     """The invariants of a component letter+n that _validate_component
     accepts; the one source of per-type data."""
-    path = tuple((i, i + 1) for i in range(n - 1))
     evens = tuple(range(2, 2 * n + 1, 2))
     if letter == "A":
-        return WeylInvariants(path, (1,) * n, tuple(range(2, n + 2)), n + 1)
+        return WeylInvariants((1,) * n, tuple(range(2, n + 2)), n + 1)
     if letter == "B":
-        return WeylInvariants(path, (2,) * (n - 1) + (1,), evens, 2)
+        return WeylInvariants((2,) * (n - 1) + (1,), evens, 2)
     if letter == "C":
-        return WeylInvariants(path, (1,) * (n - 1) + (2,), evens, 2)
+        return WeylInvariants((1,) * (n - 1) + (2,), evens, 2)
     if letter == "D":
-        return WeylInvariants(path[:-1] + ((n - 3, n - 1),), (1,) * n, evens[:-1] + (n,), 4)
+        return WeylInvariants((1,) * n, evens[:-1] + (n,), 4)
     if letter == "E":
-        chain = (0,) + tuple(range(2, n))
-        return WeylInvariants(tuple(zip(chain, chain[1:])) + ((1, 3),), (1,) * n,
-                              {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
-                               8: (2, 8, 12, 14, 18, 20, 24, 30)}[n], 9 - n)
+        return WeylInvariants((1,) * n, {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+                                         8: (2, 8, 12, 14, 18, 20, 24, 30)}[n], 9 - n)
     if letter == "F":
-        return WeylInvariants(path, (2, 2, 1, 1), (2, 6, 8, 12), 1)
-    return WeylInvariants(path, (1, 3), (2, 6), 1)  # G2
+        return WeylInvariants((2, 2, 1, 1), (2, 6, 8, 12), 1)
+    return WeylInvariants((1, 3), (2, 6), 1)  # G2
 
 
 @functools.lru_cache(maxsize=None)
 def cartan_matrix(letter, n):
     """The Cartan matrix of a component letter+n in Bourbaki order, built
-    once per type from the edges and symmetrizers of weyl_invariants."""
-    inv = weyl_invariants(letter, n)
+    once per type from its Dynkin edges (a path; D forks at node n - 3; E
+    is the chain 0, 2, 3, ..., n - 1 with 1 joined to 3) and the
+    symmetrizers of weyl_invariants."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if letter == "D":
+        edges[-1] = (n - 3, n - 1)
+    if letter == "E":
+        edges[:2] = (0, 2), (1, 3)
+    d = weyl_invariants(letter, n).d
     C = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    for i, j in inv.edges:
+    for i, j in edges:
         # C[i][j] = (alpha_i, alpha_j) / d_i with (alpha_i, alpha_j) = -max(d_i, d_j)
-        s = -max(inv.d[i], inv.d[j])
-        C[i][j], C[j][i] = s // inv.d[i], s // inv.d[j]
+        s = -max(d[i], d[j])
+        C[i][j], C[j][i] = s // d[i], s // d[j]
     return tuple(map(tuple, C))
 
 

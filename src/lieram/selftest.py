@@ -31,7 +31,6 @@ from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate,
 from .modular import (
     ModWeight,
     PChar,
-    _code,
     _lambda_base,
     dim_C,
     eta_subsystems,
@@ -534,22 +533,25 @@ def _orbit_times_levi_is_w(chi, W, act, point):
 
 
 def walked_orbit_times_levi_is_w(chi):
-    """|W.chi| |W(Phi')| = |W|, the orbit of chi (a PChar: its values, e
-    coefficients mod p each; a QChar: chi_s^2 as numerators over their common
-    denominator) walked under the rank-one simple reflections of
-    integer_actions, so no element of W is built and rank-6 cells stay
-    cheap.  That W(Phi') is all of Stab_W(chi) (Steinberg, Torsion in
-    reductive groups) is what weyl.block_orbits takes as given."""
+    """|W.chi| |W(Phi')| = |W|, the orbit of chi (a PChar: its values as the
+    tuple of their e coefficient slots, each an r-tuple mod p; a QChar:
+    chi_s^2 as one slot of numerators over their common denominator) walked
+    under the rank-one simple reflections of integer_actions, acting slot by
+    slot, so no element of W is built and rank-6 cells stay cheap.  That
+    W(Phi') is all of Stab_W(chi) (Steinberg, Torsion in reductive groups)
+    is what weyl.block_orbits takes as given."""
     rs = chi.rs
     if isinstance(chi, PChar):
-        e = chi.field.e
-        code, on, modulus = _code(chi.values, e), "values", chi.p
+        pad = (0,) * chi.field.e
+        point = tuple(zip(*((v.coeffs + pad)[:chi.field.e] for v in chi.values)))
+        on, modulus = "values", chi.p
     else:
         qs = [x.q for x in chi.chi_s.pow(2).exps]
-        e, on, modulus = 1, "torus", math.lcm(*(q.denominator for q in qs))
-        code = tuple(q.numerator * (modulus // q.denominator) for q in qs)
-    orbit = orbit_of(code, integer_actions(rs, rs.simple_roots, on, modulus, e))
-    return len(orbit) * chi.levi.order == rs.weyl_order()
+        on, modulus = "torus", math.lcm(*(q.denominator for q in qs))
+        point = (tuple(q.numerator * (modulus // q.denominator) for q in qs),)
+    acts = [lambda x, a=a: tuple(map(a, x))
+            for a in integer_actions(rs, rs.simple_roots, on, modulus)]
+    return len(orbit_of(point, acts)) * chi.levi.order == rs.weyl_order()
 
 
 def oracle_walk_cells():

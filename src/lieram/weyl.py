@@ -21,33 +21,34 @@ actions on raw coordinate tuples:
   * torus exponents  t(K_{varpi_i}) -> (w t)(K_{varpi_i})  (UnityExps)
 
 Block partitions walk orbits on flat integer encodings instead, and build no
-element: torus exponents as numerators mod a common denominator N, coroot
-values over F_{p^e} as e coefficients mod p each.  A block is an orbit of
-Stab_W(chi) on the point set of chi.  Under the standing hypotheses
-Stab_W(chi) = W(Phi') (Steinberg, Torsion in reductive groups; on the
-quantum side the torus is simply connected), generated by the reflections
-s_beta, beta in the basis of Phi'; the walk takes that as given, and
-lieram.selftest checks |W.chi| |W(Phi')| = |W| as an oracle.  So the walk
-visits each point of the set once and reaches no point outside it
-(orbit_partition raises if it does), and the points bound counts the set
-alone, checked before any axis is built.  Each axis of the set is listed in
-the order of its sort key, so a block is met first at its least point and
-keeps that point and its size.  A reflection is the rank-one map x -> x -
-<x, beta> v_beta (integer_actions), read off the coroot and root-value
-tables of the root system, which integer_pairings reads too.
+element, one coefficient per coordinate: torus exponents as numerators mod a
+common denominator N, coroot values mod p.  A reflection is F_p-linear, so
+values in F_{p^e} are e such points, one per coefficient slot, each acted on
+and paired alone (modular._pairings).  A block is an orbit of Stab_W(chi)
+on the point set of chi.  Under the standing hypotheses Stab_W(chi) =
+W(Phi') (Steinberg, Torsion in reductive groups; on the quantum side the
+torus is simply connected), generated by the reflections s_beta, beta in
+the basis of Phi'; the walk takes that as given, and lieram.selftest checks
+|W.chi| |W(Phi')| = |W| as an oracle.  So the walk visits each point of the
+set once and reaches no point outside it (orbit_partition raises if it
+does), and the points bound counts the set alone, checked before any axis
+is built.  Each axis of the set is listed in the order of its sort key, so
+a block is met first at its least point and keeps that point and its size.
+A reflection is the rank-one map x -> x - <x, beta> v_beta
+(integer_actions), read off the coroot and root-value tables of the root
+system, which integer_pairings reads too.
 Both sides take their blocks from one walk, block_orbits: mod_blocks on the
-constant terms of eta (width 1), q_blocks on the numerators over N; width e
-remains for the pairings of a single weight.  A block's stabiliser lies in
-W(Phi'), so the walk pairs only the roots of Phi' with it and classifies
-each distinct set of vanishing roots once per walk.  A walk depends only on
-(root system, Phi', encoding, modulus, axes), not on the nilpotent part of
-chi nor (on the modular side) on the base of Lambda_chi, so block_orbits
-keeps the skeletons of the latest walks, least recently used first, while
-their point sets total at most DEFAULT_GROUP_BOUND, and reuses them within
-the process; the points bound is checked before the memo is read.  A regular
-chi (Phi' empty) neither walks nor is kept: each point is its own block,
-with stabiliser Phi'.  The reports of both sides are BlockRecords, built per
-query.
+constant terms of eta, q_blocks on the numerators over N.  A block's
+stabiliser lies in W(Phi'), so the walk pairs only the roots of Phi' with it
+and classifies each distinct set of vanishing roots once per walk.  A walk
+depends only on (root system, Phi', encoding, modulus, axes), not on the
+nilpotent part of chi nor (on the modular side) on the base of Lambda_chi,
+so block_orbits keeps the skeletons of the latest walks, least recently used
+first, while their point sets total at most DEFAULT_GROUP_BOUND, and reuses
+them within the process; the points bound is checked before the memo is
+read.  A regular chi (Phi' empty) neither walks nor is kept: each point is
+its own block, with stabiliser Phi'.  The reports of both sides are
+BlockRecords, built per query.
 """
 
 from __future__ import annotations
@@ -331,74 +332,62 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_GROUP_BOUND):
     return generated_group(rs, gens, rs.weyl_order(), rs.type_str, bound)
 
 
-def integer_actions(rs: RootSystem, roots, on: str, modulus: int, width: int = 1):
-    """The reflections s_beta, beta in `roots`, as maps on flat integer tuples.
+def integer_actions(rs: RootSystem, roots, on: str, modulus: int):
+    """The reflections s_beta, beta in `roots`, as maps on flat integer tuples
+    of one coefficient per coordinate.
 
-    on="values": a point lists lambda(h_1), ..., lambda(h_r), each as `width`
-    coefficients mod `modulus` (= p), and s_beta lambda = lambda -
-    lambda(h_beta) beta; on="torus": a point lists the exponent numerators of
-    a torus element over the common denominator `modulus`, and s_beta t =
-    t - beta(t) beta^vee.  Each map is rank one, x -> x - <x, beta> v_beta in
-    every coefficient slot: the pairing row is the one integer_pairings reads
-    (beta^vee on values, beta(h_i) on exponents) and v_beta is the other
-    (beta(h_i) on values, beta^vee on exponents).  A point with pairing 0 is
-    returned as it is.
+    on="values": a point lists lambda(h_1), ..., lambda(h_r) mod `modulus`
+    (= p), and s_beta lambda = lambda - lambda(h_beta) beta; on="torus": a
+    point lists the exponent numerators of a torus element over the common
+    denominator `modulus`, and s_beta t = t - beta(t) beta^vee.  Each map is
+    rank one, x -> x - <x, beta> v_beta: the pairing row is the one
+    integer_pairings reads (beta^vee on values, beta(h_i) on exponents) and
+    v_beta is the other (beta(h_i) on values, beta^vee on exponents).  A
+    point with pairing 0 is returned as it is.  The maps are F_p-linear, so
+    on values in F_{p^e} they act on each coefficient slot alone.
     """
     roots = tuple(roots)
     other = "torus" if on == "values" else "values"
-    maps = []
-    for pairs, moves in zip(_pairing_terms(rs, roots, on, width),
-                            _pairing_terms(rs, roots, other, width)):
-        slots = tuple((tuple((k + t, c) for k, c in pairs),
-                       tuple((k + t, c) for k, c in moves)) for t in range(width))
-        maps.append(_reflection(slots, modulus))
-    return maps
+    return [_reflection(pairs, moves, modulus)
+            for pairs, moves in zip(_pairing_terms(rs, roots, on),
+                                    _pairing_terms(rs, roots, other))]
 
 
-def _reflection(slots, modulus):
-    # slots: per coefficient slot, the (index, coefficient) terms of the
-    # pairing and of v_beta; slots are disjoint, so each reads the input
+def _reflection(pairs, moves, modulus):
+    # pairs, moves: the (index, coefficient) terms of the pairing and of v_beta
     def act(x):
-        y = None
-        for pairs, moves in slots:
-            a = 0
-            for k, c in pairs:
-                a += c * x[k]
-            if a % modulus:
-                if y is None:
-                    y = list(x)
-                for k, c in moves:
-                    y[k] = (x[k] - a * c) % modulus
-        return x if y is None else tuple(y)
+        a = 0
+        for k, c in pairs:
+            a += c * x[k]
+        if not a % modulus:
+            return x
+        y = list(x)
+        for k, c in moves:
+            y[k] = (x[k] - a * c) % modulus
+        return tuple(y)
     return act
 
 
-def integer_pairings(rs: RootSystem, on: str, modulus: int, width: int = 1,
-                     roots=None):
+def integer_pairings(rs: RootSystem, on: str, modulus: int, roots=None):
     """The values of the roots `roots` (default rs.pos_roots) on a flat
-    integer point, as a map from the point to one value per root, in the
-    order of `roots`.
+    integer point of one coefficient per coordinate, as a map from the point
+    to one integer per root, in the order of `roots`: sum_i row_i x_i mod
+    `modulus`, zero iff the root vanishes on the point.
 
     on="torus": a point lists exponent numerators n_i over the common
-    denominator `modulus`; the value of beta is sum_i beta(h_i) n_i mod
-    `modulus`, the numerator of beta(t)'s exponent, so beta(t) = 1 iff it is 0.
-    on="values": a point lists eta(h_1), ..., eta(h_r) as `width` coefficients
-    mod p (= `modulus`) each; the value of beta is the coefficient tuple of
-    eta(h_beta), slot t being sum_i beta^vee_i eta_{i,t} mod p.  It is zero iff
-    every slot is 0, and lies in F_p iff slots 1..width-1 are 0.
+    denominator `modulus`; the row is beta(h_i), and the value the numerator
+    of beta(t)'s exponent, so beta(t) = 1 iff it is 0.  on="values": a point
+    lists eta(h_1), ..., eta(h_r) mod p (= `modulus`); the row is beta^vee's
+    coefficients, and the value eta(h_beta).  Values in F_{p^e} pair slot by
+    slot (modular._pairings).
     """
-    terms = _pairing_terms(rs, rs.pos_roots if roots is None else tuple(roots),
-                           on, width)
-    if on == "torus":
-        return lambda x: tuple(sum(c * x[k] for k, c in ts) % modulus for ts in terms)
-    return lambda x: tuple(
-        tuple(sum(c * x[k + t] for k, c in ts) % modulus for t in range(width))
-        for ts in terms)
+    terms = _pairing_terms(rs, rs.pos_roots if roots is None else tuple(roots), on)
+    return lambda x: tuple(sum(c * x[k] for k, c in ts) % modulus for ts in terms)
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing_terms(rs, roots, on, width):
-    # per root, the (slot offset, coefficient) pairs of its row: beta(h_i)
+def _pairing_terms(rs, roots, on):
+    # per root, the (coordinate, coefficient) pairs of its row: beta(h_i)
     # for exponents, the coroot coefficients beta^vee_i for values
     if on == "torus":
         rows = map(rs.value_vec, roots)
@@ -406,7 +395,7 @@ def _pairing_terms(rs, roots, on, width):
         rows = map(rs.coroot, roots)
     else:
         raise ValueError(f"unknown encoding {on!r}")
-    return tuple(tuple((i * width, c) for i, c in enumerate(row) if c) for row in rows)
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
 
 
 def reflection_stabilizer(rs: RootSystem, predicate):
@@ -478,10 +467,10 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
                  bound=None):
     """The blocks at chi: the orbits of W(Phi'), Phi' = `levi`, on the
     length^r points itertools.product(*axes()), axes() listing r axes of
-    `length` values each (encoded as for integer_pairings with width 1, each
-    axis in the order of its sort key), as a tuple of (least point, orbit
-    size, sub, [W(Phi') : W(sub)]), sub the classified subsystem of the
-    roots vanishing on the point.  BoundExceeded, before axes() is called
+    `length` values each (encoded as for integer_pairings, each axis in the
+    order of its sort key), as a tuple of (least point, orbit size, sub,
+    [W(Phi') : W(sub)]), sub the classified subsystem of the roots vanishing
+    on the point.  BoundExceeded, before axes() is called
     and before any walk is reused, when the length^r points exceed `bound`
     (default DEFAULT_GROUP_BOUND).  The walk depends on nothing else, so it
     is memoised per (rs, Phi', encoding, modulus, axes) in this process
@@ -503,13 +492,12 @@ def _walk_skeleton(rs, levi, on, modulus, axes):
                              integer_actions(rs, levi.basis, on, modulus))
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)
     pairings = integer_pairings(rs, on, modulus, roots=roots)
-    zero = 0 if on == "torus" else (0,)
 
     @functools.cache
     def classify(sat):
         sub = reflection_stabilizer(rs, frozenset(sat).__contains__)
         return sub, subsystem_index(sub, levi)
-    return tuple((x, size, *classify(tuple(b for b, v in zip(roots, pairings(x)) if v == zero)))
+    return tuple((x, size, *classify(tuple(b for b, v in zip(roots, pairings(x)) if not v)))
                  for x, size in orbits)
 
 

@@ -13,15 +13,19 @@ group closure.  The quantum side runs on integer numerators: epsilon enters
 once, in quantum.hc_shift, and the epsilon form of the Delta-tilde test is
 an oracle.  The CLI resolves and checks every subcommand's inputs in one
 front end, before the command runs.  A type's Cartan matrix is built in one
-place: only rootdata.cartan_matrix reads the Dynkin edges of
-weyl_invariants, and the root systems and the classifier's check take their
-matrices from it."""
+place: rootdata.cartan_matrix builds the Dynkin edges, which the per-type
+table of weyl_invariants does not hold, and the root systems and the
+classifier's check take their matrices from it.  The Weyl kernels take one
+coefficient per coordinate: no function takes a slot width, and the
+modular side builds no flat full-width code of its values."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+from lieram import rootdata
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lieram"
 
@@ -116,6 +120,20 @@ def test_block_walks_sort_nothing_and_take_no_key():
         params = {a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)}
         assert "key" not in params, name
         assert not _called_names(defs[name]) & {"sorted", "sort", "list"}, name
+
+
+def test_weyl_kernels_take_one_coefficient_per_coordinate():
+    # the reflections are F_p-linear, so no kernel takes a slot count: only
+    # modular._pairings splits an F_{p^e} value into its e coefficient
+    # slots, and no flat full-width code of the values is built
+    trees = _trees()
+    widths = [(name, node.name) for name, tree in trees.items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.Lambda, ast.AsyncFunctionDef))
+              for a in ast.walk(node.args) if isinstance(a, ast.arg) and a.arg == "width"]
+    assert widths == []
+    assert "_code" not in {node.name for node in ast.walk(trees["modular.py"])
+                           if isinstance(node, ast.FunctionDef)}
 
 
 def test_each_matrix_is_reduced_outside_loops():
@@ -245,13 +263,11 @@ def test_the_cli_resolves_inputs_in_one_front_end():
 
 
 def test_one_function_builds_a_types_cartan_matrix():
+    # the Dynkin edges are built in cartan_matrix, their one reader; the
+    # per-type table holds none
     trees = _trees()
-    readers = [(name, node.name) for name, tree in trees.items()
-               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-               for sub in ast.walk(node)
-               if isinstance(sub, ast.Attribute) and sub.attr == "edges"]
-    reads = sum(isinstance(sub, ast.Attribute) and sub.attr == "edges"
-                for tree in trees.values() for sub in ast.walk(tree))
-    assert set(readers) == {("rootdata.py", "cartan_matrix")} and len(readers) == reads
+    assert not [sub for tree in trees.values() for sub in ast.walk(tree)
+                if isinstance(sub, ast.Attribute) and sub.attr == "edges"]
+    assert rootdata.WeylInvariants._fields == ("d", "degrees", "index")
     assert _callers(trees["rootdata.py"], "cartan_matrix") == {"RootSystem",
                                                                "_classify_component"}

@@ -41,6 +41,23 @@ from lieram.weyl import WeylElement, integer_actions, simple_reflection
 from test_golden_manifest import RANK34_MODULAR, RANK34_QUANTUM
 
 
+def _at_stride(maps, e):
+    """The width-1 maps `maps` on full-width codes of values in F_{p^e}
+    (value i's coefficient t at i e + t): each acts on every coefficient
+    slot, the coordinates t, t + e, ..., alone."""
+    def wide(act):
+        def step(code):
+            return tuple(c for cs in zip(*(act(code[t::e]) for t in range(e))) for c in cs)
+        return step
+    return [wide(act) for act in maps]
+
+
+def _full_width_code(values, e):
+    # values in F_{p^e} as one flat tuple, each value's coefficients padded to e
+    pad = (0,) * e
+    return tuple(c for v in values for c in (v.coeffs + pad)[:e])
+
+
 def modular_orbits_by_transport(chi):
     """(lambda, orbit size) per block, walking FFElem values with act_values."""
     rs = chi.rs
@@ -131,7 +148,7 @@ def test_integer_maps_are_the_simple_reflections(t):
              for j in range(r)]
     pairs += [(b, root_reflection(rs, b)) for b in rs.pos_roots]
     roots = [b for b, _oracle in pairs]
-    value_maps = integer_actions(rs, roots, "values", 7, 2)
+    value_maps = _at_stride(integer_actions(rs, roots, "values", 7), 2)
     torus_maps = integer_actions(rs, roots, "torus", N)
     for k in range(12):
         coeffs = [((3 * k + i) % 7, (k * i + 1) % 7) for i in range(r)]
@@ -139,9 +156,7 @@ def test_integer_maps_are_the_simple_reflections(t):
         code = tuple(c for pair in coeffs for c in pair)
         nums = tuple((7 * k + 11 * i) % N for i in range(r))
         for (_g, s), value_map, torus_map in zip(pairs, value_maps, torus_maps):
-            moved = s.act_values(values)
-            assert value_map(code) == tuple(
-                c for v in moved for c in (v.coeffs + (0, 0))[:2])
+            assert value_map(code) == _full_width_code(s.act_values(values), 2)
             qs = s.act_torus_exponents(TorusElement(
                 tuple(Fraction(n, N) for n in nums)).exps)
             assert torus_map(nums) == tuple(int(q.q * N) for q in qs)
@@ -181,7 +196,7 @@ def _full_width_codes(chi):
     """The points of Lambda_chi as codes over all e coefficient slots of the
     ambient field F_{p^e}, and that field."""
     weights, ambient = enumerate_lambda_chi(chi)
-    return [modular._code(lam.values, ambient.e) for lam in weights], ambient
+    return [_full_width_code(lam.values, ambient.e) for lam in weights], ambient
 
 
 def modular_orbits_full_width(chi):
@@ -201,7 +216,7 @@ def modular_orbits_full_width(chi):
         return ModWeight(ambient.elem(code[i:i + e]) for i in range(0, len(code), e))
 
     classes = orbit_partition_by_key(
-        codes, integer_actions(rs, _full_w(rs), "values", p, e), key)
+        codes, _at_stride(integer_actions(rs, _full_w(rs), "values", p), e), key)
     return [(weight(key(cls[0])), weight(cls[0]), len(cls)) for cls in classes]
 
 
@@ -384,39 +399,41 @@ def _walk_generators(chi, patched_walk):
 
 
 def _leaving_lambda_chi(chi, gens):
-    """Apply the reflection of each root in `gens` to the full-width code of
-    every point of Lambda_chi; counts the images, those outside Lambda_chi,
-    and those whose constant slots differ from the width-1 image of the
-    point's constant slots."""
-    codes, ambient = _full_width_codes(chi)
-    p, e = ambient.p, ambient.e
+    """Apply the reflection of each root in `gens`, at stride e, to the
+    full-width code of every point of Lambda_chi; counts the images, those
+    outside Lambda_chi, and those that differ from the point's values moved
+    by the reflection matrix (selftest.root_reflection)."""
+    weights, ambient = enumerate_lambda_chi(chi)
+    e = ambient.e
+    codes = [_full_width_code(lam.values, e) for lam in weights]
     pointset = set(codes)
     seen = collections.Counter()
-    for wide, narrow in zip(integer_actions(chi.rs, gens, "values", p, e),
-                            integer_actions(chi.rs, gens, "values", p)):
-        for code in codes:
+    wides = _at_stride(integer_actions(chi.rs, gens, "values", ambient.p), e)
+    for beta, wide in zip(gens, wides):
+        s = root_reflection(chi.rs, beta)
+        for lam, code in zip(weights, codes):
             y = wide(code)
             seen["images"] += 1
             seen["outside"] += y not in pointset
-            seen["off_projection"] += y[::e] != narrow(code[::e])
+            seen["off_matrix"] += y != _full_width_code(s.act_values(lam.values), e)
     return seen
 
 
 def test_block_walks_stay_inside_the_point_set(patched_walk):
-    # the modular walk runs on constant terms alone: its generators map
-    # Lambda_chi, at full width, into itself, and act on the constant slots
-    # as the width-1 walk does
+    # the modular walk runs on constant terms alone: its generators, acting
+    # on every coefficient slot as they act on the constant terms, map
+    # Lambda_chi, at full width, into itself, as the reflection matrices do
     images = 0
     for label, chi in [*_matrix_cells(), *_seeded_cells(), *_extension_cells()]:
         if isinstance(chi, PChar):
             seen = _leaving_lambda_chi(chi, _walk_generators(chi, patched_walk))
             images += seen["images"]
-            assert (seen["outside"], seen["off_projection"]) == (0, 0), label
+            assert (seen["outside"], seen["off_matrix"]) == (0, 0), label
     assert images > 0
     # the check has teeth: the full-W reflections leave Lambda_chi
     chi = _literal_character("B3", 5, "1,0,2")
     seen = _leaving_lambda_chi(chi, _full_w(chi.rs))
-    assert seen["outside"] > 0 and seen["off_projection"] == 0
+    assert seen["outside"] > 0 and seen["off_matrix"] == 0
     # the quantum walk stays inside the fiber
     images = 0
     for label, chi in [*_matrix_cells(), *_seeded_cells()]:

@@ -1,7 +1,9 @@
-"""weyl.integer_pairings against the single-root formulas it replaces on the
-stabiliser paths: selftest.pair on coroot values over F_p, F_{p^2} and
-F_{p^p} (random coefficients and AS literals), and selftest.root_value on
-torus points with mixed denominators; seeded, 220 points per type."""
+"""The pairings of all positive roots against the single-root formulas they
+replace on the stabiliser paths: modular._pairings, which pairs each
+coefficient slot through weyl.integer_pairings, against selftest.pair on
+coroot values over F_p, F_{p^2} and F_{p^p} (random coefficients and AS
+literals), and weyl.integer_pairings against selftest.root_value on torus
+points with mixed denominators; seeded, 220 points per type."""
 
 import math
 import random
@@ -10,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from lieram.cli import parse_field_values
+from lieram.modular import _pairings
 from lieram.quantum import TorusElement
 from lieram.rootdata import build_root_system
 from lieram.scalars import DEFAULT_FIELD_BOUND, make_field
@@ -44,13 +47,13 @@ def test_value_pairings_match_pair(type_str):
     for kind in ("p", "p2", "pp", "AS"):
         for _ in range(PER_KIND):
             values = _field_point(rng, rs.rank, kind)
-            e = values[0].field.e
+            field = values[0].field
+            e = field.e
             assert kind in ("p", "p2") or e == P
             pad = (0,) * e
-            code = tuple(c for v in values for c in (v.coeffs + pad)[:e])
-            got = integer_pairings(rs, "values", P, e)(code)
-            assert len(got) == rs.N
-            for b, slots in zip(rs.pos_roots, got):
+            got = _pairings(rs, values, field)
+            assert list(got) == list(rs.pos_roots)
+            for b, slots in got.items():
                 want = pair(rs, values, b)
                 assert slots == (want.coeffs + pad)[:e]
                 assert (not any(slots)) == want.is_zero()
