@@ -193,10 +193,10 @@ def _blocks(chi):
 
 
 def _full_width_codes(chi):
-    """The points of Lambda_chi as codes over all e coefficient slots of the
-    ambient field F_{p^e}, and that field."""
+    """The points of Lambda_chi, as weights and as codes over all e
+    coefficient slots of the ambient field F_{p^e}, and that field."""
     weights, ambient = enumerate_lambda_chi(chi)
-    return [_full_width_code(lam.values, ambient.e) for lam in weights], ambient
+    return weights, [_full_width_code(lam.values, ambient.e) for lam in weights], ambient
 
 
 def modular_orbits_full_width(chi):
@@ -204,7 +204,7 @@ def modular_orbits_full_width(chi):
     Lambda_chi + rho = Lambda_chi walked under all of W (orbit_partition_by_key
     keeps the points inside the set), keyed by lambda = eta - rho."""
     rs = chi.rs
-    codes, ambient = _full_width_codes(chi)
+    _weights, codes, ambient = _full_width_codes(chi)
     p, e = ambient.p, ambient.e
 
     def key(code):
@@ -403,9 +403,8 @@ def _leaving_lambda_chi(chi, gens):
     full-width code of every point of Lambda_chi; counts the images, those
     outside Lambda_chi, and those that differ from the point's values moved
     by the reflection matrix (selftest.root_reflection)."""
-    weights, ambient = enumerate_lambda_chi(chi)
+    weights, codes, ambient = _full_width_codes(chi)
     e = ambient.e
-    codes = [_full_width_code(lam.values, e) for lam in weights]
     pointset = set(codes)
     seen = collections.Counter()
     wides = _at_stride(integer_actions(chi.rs, gens, "values", ambient.p), e)
