@@ -1,6 +1,8 @@
 """Byte pins for every selftest-matrix cell, a fixed set of rank-3/4 cells and
 fixed probes
-(F4 modular, quantum unramified on F4, E6 and the types listed in MORE_TORUS,
+(F4 modular, `modular finite-type` on the weights in FINITE_TYPE, `modular
+structure` on the characters in STRUCTURE, quantum unramified on F4, E6 and
+the types listed in MORE_TORUS,
 with eps = 2 and 3 on the types in EPS_TORUS, quantum simplicity at every
 baby-Verma label of the characters in SIMPLICITY, and `verify appendix` and
 `quantum exceptional` per type of the table): the
@@ -41,6 +43,25 @@ RANK34_MODULAR = [
 RANK34_QUANTUM = ["A3", "B3", "C3", "D4"]  # ell = 5, regular unipotent
 
 F4_WEIGHTS = ["0,0,0,0", "1,0,0,0", "0,1,2,0", "1,1,1,1", "4,0,0,3", "2,3,0,1"]
+# (type, p): weights lambda for `modular finite-type`, together reaching every
+# verdict, each accepted pair (A_n/A_{n-1}, B_n/B_{n-1}, B2/A1, C_n read as
+# B_n, G2/A1), an eta + Lambda stabiliser other than Phi, products, and A/D/E
+# witnesses
+FINITE_TYPE = {
+    ("B3", 5): ["0,0,2", "0,3,0", "0,0,0", "4,4,4", "0,3,4", "0,4,AS(1)"],
+    ("C3", 7): ["0,0,5", "0,5,3", "0,0,1", "0,5,6", "AS(1),6,6"],
+    ("G2", 5): ["0,0", "4,4", "AS(1),0"],
+    ("D4", 5): ["0,0,3,3", "0,3,0,4", "0,0,2,3"],
+    ("A3", 5): ["0,3,4", "0,3,0"],
+    ("A1xB2", 5): ["0,4,4", "4,0,2", "0,0,2"],
+    ("B2xG2", 7): ["0,4,6,6", "6,6,0,1", "6,6,0,0", "6,6,AS(1),6"],
+    ("E6", 7): ["1,1,6,2,1,1", "6,4,4,3,4,6", "2,6,3,6,2,3"],
+}
+# (type, p, chi_s, support) for `modular structure`
+STRUCTURE = [
+    ("B2", 5, "0,1", "1"), ("G2", 7, "0,0", "1,2"), ("B3", 7, "1,0,2", ""),
+    ("A2", 5, "AS(1),0", "1"), ("F4", 5, "1,0,0,0", ""), ("A1xB2", 5, "0,0,1", "1,2"),
+]
 F4_TORUS = ["0,0,0,0", "1/5,0,0,0", "1/10,3/10,1/2,0", "2/7,1/14,0,5/14",
             "1/2,1/2,1/3,1/7"]
 E6_TORUS = ["0,0,0,0,0,0", "6/7,13/14,0,1/3,6/7,6/7",
@@ -143,6 +164,13 @@ def cases():
             for cmd in ("poincare", "finite-type", "unramified"):
                 out.append(_probe("modular", cmd, "--type", "F4", "--p", str(p),
                                   "--weight", w))
+    for (t, p), weights in FINITE_TYPE.items():
+        for w in weights:
+            out.append(_probe("modular", "finite-type", "--type", t, "--p", str(p),
+                              "--weight", w))
+    for t, p, chi_s, support in STRUCTURE:
+        out.append(_probe("modular", "structure", "--type", t, "--p", str(p),
+                          "--chi-s", chi_s, "--support", support))
     for t, points in (("F4", F4_TORUS), ("E6", E6_TORUS), *MORE_TORUS.items()):
         for ell in (5, 7):
             for x in points:
