@@ -344,7 +344,7 @@ class Subsystem:
     """A classified closed, negation-stable subset of a root system."""
 
     __slots__ = ("rs", "roots", "basis", "components", "type_str", "order",
-                 "_parabolic", "_coset_poincare", "_component_roots")
+                 "_parabolic", "_coset_poincare")
 
     def __init__(self, rs, roots, basis, components):
         self.rs = rs
@@ -355,7 +355,6 @@ class Subsystem:
         self.order = math.prod(degrees(components))
         self._parabolic = None
         self._coset_poincare = None
-        self._component_roots = None
 
     @property
     def rank(self) -> int:
@@ -363,10 +362,6 @@ class Subsystem:
 
     def index_of_connection(self) -> int:
         return math.prod(weyl_invariants(l, n).index for l, n, _ in self.components)
-
-    def coxeter_components(self):
-        """Component types up to Coxeter-graph equivalence (C->B, B1->A1)."""
-        return sorted(coxeter_type(l, n) for l, n, _ in self.components)
 
     def is_parabolic(self) -> bool:
         """Is this W-conjugate to a standard parabolic subsystem?  That holds
@@ -378,23 +373,6 @@ class Subsystem:
             self._parabolic = not any(b not in self.roots and solve(b) is not None
                                       for b in self.rs.pos_roots)
         return self._parabolic
-
-    def component_roots(self):
-        """The root set of each component, in the order of `components`.  A
-        root lies in the one component whose basis it is not orthogonal to.
-        Computed once per subsystem."""
-        if self._component_roots is None:
-            rs = self.rs
-            values = [[rs.value_vec(a) for a in basis]
-                      for _l, _n, basis in self.components]
-            parts = [set() for _ in self.components]
-            for b in self.roots:
-                cb = rs.coroot(b)
-                k = next(k for k, vs in enumerate(values)
-                         if any(sum(x * y for x, y in zip(cb, v)) for v in vs))
-                parts[k].add(b)
-            self._component_roots = tuple(map(frozenset, parts))
-        return self._component_roots
 
     def coset_poincare(self):
         """Coefficients of W(t)/W_self(t), the length generating function of
@@ -521,22 +499,15 @@ def _classify(rs, S):
     k = len(basis)
     m = [[rs.cartan_int(basis[i], basis[j]) for j in range(k)] for i in range(k)]
     norms = [rs.norm(b) for b in basis]
-    # connected components of the basis graph
-    seen = set()
+    # connected components of the basis graph, in one pass over the nodes:
+    # m[i][j] = 0 iff m[j][i] = 0, so node i joins every earlier component it
+    # is linked to, merging them; the classified components are sorted
+    # afterwards, so the order of the list does not matter
     comps = []
     for i in range(k):
-        if i in seen:
-            continue
-        stack, comp = [i], []
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.append(u)
-            stack.extend(v for v in range(k)
-                         if v not in seen and m[u][v] * m[v][u] > 0)
-        comps.append(sorted(comp))
+        linked = [c for c in comps if any(m[i][j] for j in c)]
+        comps = [c for c in comps if c not in linked]
+        comps.append(sorted(sum(linked, [i])))
     classified = []
     for comp in comps:
         letter, n, order = _classify_component(norms, comp, m)

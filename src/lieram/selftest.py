@@ -15,8 +15,9 @@ closure, group and coset enumeration, the matrix element of a word (its
 inversions, length and dot action), brute-force stabilizers, the Burnside
 count, the orbit partition sorted by a key that keeps only the points of a
 set, the weights of Lambda_chi, the ell-fiber as torus elements, the
-solve-and-close derivation of the exceptional elements and Rabin's
-irreducibility test of a field modulus.  No production
+solve-and-close derivation of the exceptional elements, the finite-type
+verdict of a stabiliser pair by closure and Rabin's irreducibility test of a
+field modulus.  No production
 module imports it; the CLI loads it only for `lieram selftest`.
 """
 
@@ -34,7 +35,6 @@ from .modular import (
     _lambda_base,
     dim_C,
     eta_subsystems,
-    finite_type_verdict,
     is_unramified,
     mod_blocks,
     poincare_series,
@@ -54,7 +54,14 @@ from .quantum import (
     appendix_rows,
     w_t,
 )
-from .rootdata import RootSystem, build_root_system, hypothesis_check, subsystem_classify, two_rho_dot
+from .rootdata import (
+    RootSystem,
+    build_root_system,
+    coxeter_type,
+    hypothesis_check,
+    subsystem_classify,
+    two_rho_dot,
+)
 from .scalars import (
     UnityExp,
     _pgcd,
@@ -138,6 +145,42 @@ def close_up(rs: RootSystem, seed):
                     S.add(s)
                     changed = True
     return frozenset(S)
+
+
+def finite_type_by_closure(rs: RootSystem, small, big, assume_unique_simple=False):
+    """(verdict, witness) of the classified pair small <= big, as in
+    modular.finite_type_verdict, by closing each component of big up from
+    its basis and classifying its intersection with small anew."""
+    witness = {"point_type": small.type_str, "coset_type": big.type_str,
+               "differing_component": None}
+    if small.roots == big.roots:
+        return "semisimple", witness
+    if small.rank != big.rank - 1:
+        return "infinite", witness
+    differing = []
+    for letter, n, basis in big.components:
+        roots = close_up(rs, basis)
+        if not roots <= small.roots:
+            differing.append(((letter, n), roots & small.roots))
+    if len(differing) != 1:
+        return "infinite", witness
+    (big_type, inter) = differing[0]
+    small_sub = subsystem_classify(rs, inter)
+    witness["differing_component"] = {
+        "big": f"{big_type[0]}{big_type[1]}",
+        "small": small_sub.type_str,
+    }
+    if len(small_sub.components) > 1:
+        return "infinite", witness
+    bt = coxeter_type(*big_type)
+    st = coxeter_type(*small_sub.components[0][:2]) if small_sub.components else ("A", 0)
+    ok = ((bt[0] == "A" and st[0] == "A" and st[1] == bt[1] - 1)
+          or (bt[0] == "B" and bt[1] >= 2 and st[1] == bt[1] - 1
+              and (st[0] == "B" or (st[0] == "A" and st[1] == 1)))
+          or (bt == ("G", 2) and st == ("A", 1)))
+    if not ok:
+        return "infinite", witness
+    return ("finite" if assume_unique_simple else "unknown-boundary"), witness
 
 
 def root_reflection(rs: RootSystem, beta) -> WeylElement:
@@ -577,8 +620,9 @@ def oracle_walk_cells():
 def block_stabiliser_mismatches(chi):
     """The blocks of chi (a PChar or QChar) whose stabiliser data, as the
     block walk reads them on Phi', differ from the oracles' on the block's own
-    point: point and coset types, dim, Poincare series, finite-type verdict
-    and witness through eta_subsystems (modular); point and fiber types, dim
+    point: point and coset types, dim, Poincare series through
+    eta_subsystems, and the finite-type verdict and witness by closure on the
+    eta_subsystems pair (modular); point and fiber types, dim
     and the exceptional flag through w_t on t and t^ell (quantum)."""
     rs = chi.rs
     bad = []
@@ -587,7 +631,7 @@ def block_stabiliser_mismatches(chi):
             zero, fp = eta_subsystems(rs, b.eta)
             want = (zero.type_str, fp.type_str, dim_C(rs, b.eta),
                     poincare_series(rs, b.eta) if chi.nilpotent else None,
-                    *finite_type_verdict(rs, b.eta))
+                    *finite_type_by_closure(rs, zero, fp))
             if (b.stab_point_type, b.stab_coset_type, b.dim, b.poincare,
                     b.finite_type, b.finite_type_witness) != want:
                 bad.append(b.lam.key())

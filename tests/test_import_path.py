@@ -17,7 +17,10 @@ place: rootdata.cartan_matrix builds the Dynkin edges, which the per-type
 table of weyl_invariants does not hold, and the root systems and the
 classifier's check take their matrices from it.  The Weyl kernels take one
 coefficient per coordinate: no function takes a slot width, and the
-modular side builds no flat full-width code of its values."""
+modular side builds no flat full-width code of its values.  A subsystem's
+components are decided once, by the classifier, in one pass over its basis:
+the finite-type verdict reads the two classified component lists and
+classifies nothing, and a Subsystem keeps no per-component root sets."""
 
 import ast
 import os
@@ -34,7 +37,7 @@ ORACLES = {
     "burnside_count", "min_coset_reps", "act_modular", "pair", "close_up",
     "root_value", "steinberg_fiber_point", "ell_fiber", "orbit_partition_by_key",
     "word_element", "matrix_inversions", "dot_act_torus", "_delta_tilde_test",
-    "enumerate_lambda_chi", "irreducible_by_rabin",
+    "enumerate_lambda_chi", "irreducible_by_rabin", "finite_type_by_closure",
 }
 
 
@@ -271,3 +274,17 @@ def test_one_function_builds_a_types_cartan_matrix():
     assert rootdata.WeylInvariants._fields == ("d", "degrees", "index")
     assert _callers(trees["rootdata.py"], "cartan_matrix") == {"RootSystem",
                                                                "_classify_component"}
+
+
+def test_subsystem_components_are_decided_once_in_the_classifier():
+    trees = _trees()
+    rd = {node.name: node for node in trees["rootdata.py"].body
+          if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    methods = {node.name for node in rd["Subsystem"].body if isinstance(node, ast.FunctionDef)}
+    assert not methods & {"component_roots", "coxeter_components"}
+    assert not [node for node in ast.walk(rd["_classify"]) if isinstance(node, ast.While)]
+    (verdict,) = [node for node in trees["modular.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_finite_type"]
+    assert [a.arg for a in verdict.args.args] == ["small", "big", "assume_unique_simple"]
+    assert not _called_names(verdict) & {"subsystem_classify", "reflection_stabilizer",
+                                         "close_up"}

@@ -2,6 +2,9 @@
 finite-type verdicts — with brute-force stabilizers as the independent oracle
 for the dimension formula."""
 
+import itertools
+import random
+
 import pytest
 
 from lieram.errors import (
@@ -15,6 +18,7 @@ from lieram.errors import (
 from lieram.modular import (
     ModWeight,
     PChar,
+    _finite_type,
     dim_C,
     eta_subsystems,
     finite_type_verdict,
@@ -25,9 +29,14 @@ from lieram.modular import (
     rho_weight,
     unramified_count,
 )
-from lieram.rootdata import build_root_system
+from lieram.rootdata import build_root_system, subsystem_classify
 from lieram.scalars import make_field
-from lieram.selftest import enumerate_lambda_chi, stabilizer_bruteforce
+from lieram.selftest import (
+    close_up,
+    enumerate_lambda_chi,
+    finite_type_by_closure,
+    stabilizer_bruteforce,
+)
 from lieram.weyl import enumerate_group
 
 
@@ -268,6 +277,45 @@ def test_finite_type_verdicts():
     g2 = build_root_system("G2")
     v, w = finite_type_verdict(g2, ModWeight((f5.zero(), f5.one())))
     assert v == "unknown-boundary"  # (G2, A1)
+
+
+def test_finite_type_matches_the_closure_oracle():
+    # the verdict and witness read off the two component lists equal the
+    # closure oracle's on every pair small <= big of closures of at most 3
+    # positive roots, and on the stabiliser pair of every eta in F_5^r and
+    # of 200 seeded eta over F_25, with either value of assume_unique_simple
+    rng = random.Random(0)
+    f5, f25 = F(5), F(5, 2)
+    verdicts, accepted, two_gone = set(), set(), 0
+    for t in ("A1xB2", "B3", "C3", "G2", "A3"):
+        rs = build_root_system(t)
+        subs = {subsystem_classify(rs, close_up(rs, seed))
+                for k in range(4) for seed in itertools.combinations(rs.pos_roots, k)}
+        pairs = {(small, big) for small in subs for big in subs if small.roots <= big.roots}
+        for small, big in pairs:
+            if small.rank == big.rank - 1:
+                two_gone += sum(not close_up(rs, basis) <= small.roots
+                                for _l, _n, basis in big.components) == 2
+        etas = [ModWeight(map(f5.from_int, x)) for x in itertools.product(range(5), repeat=rs.rank)]
+        etas += [ModWeight(f25.elem((rng.randrange(5), rng.randrange(5))) for _ in range(rs.rank))
+                 for _ in range(200)]
+        for eta in etas:
+            pairs.add(eta_subsystems(rs, eta))
+        for small, big in pairs:
+            for unique in (False, True):
+                want = finite_type_by_closure(rs, small, big, unique)
+                assert _finite_type(small, big, unique) == want, (t, small, big)
+                verdicts.add(want[0])
+                if want[0] == "finite":
+                    d = want[1]["differing_component"]
+                    accepted.add((d["big"], d["small"]))
+        for eta in etas:
+            assert finite_type_verdict(rs, eta) == finite_type_by_closure(
+                rs, *eta_subsystems(rs, eta)), (t, eta)
+    assert verdicts == {"semisimple", "finite", "unknown-boundary", "infinite"}
+    assert accepted >= {("A1", "1"), ("A2", "A1"), ("A3", "A2"), ("B2", "A1"),
+                        ("B3", "B2"), ("C3", "B2"), ("G2", "A1")}
+    assert two_gone
 
 
 def test_regularity_and_structure():
