@@ -1,8 +1,9 @@
 """Byte pins for every selftest-matrix cell, a fixed set of rank-3/4 cells and
 fixed probes
-(F4 modular, `modular finite-type` on the weights in FINITE_TYPE, `modular
-structure` on the characters in STRUCTURE, quantum unramified on F4, E6 and
-the types listed in MORE_TORUS,
+(F4 modular, `modular finite-type` and `unramified` on the weights in
+FINITE_TYPE and `poincare` on those in F_p, `modular structure` on the
+characters in STRUCTURE, quantum unramified on F4, E6 and the types listed
+in MORE_TORUS,
 with eps = 2 and 3 on the types in EPS_TORUS, quantum simplicity at every
 baby-Verma label of the characters in SIMPLICITY, and `verify appendix` and
 `quantum exceptional` per type of the table): the
@@ -166,8 +167,11 @@ def cases():
                                   "--weight", w))
     for (t, p), weights in FINITE_TYPE.items():
         for w in weights:
-            out.append(_probe("modular", "finite-type", "--type", t, "--p", str(p),
-                              "--weight", w))
+            cmds = ["finite-type", "unramified"]
+            if "AS(" not in w:  # poincare refuses a weight outside F_p
+                cmds.append("poincare")
+            for cmd in cmds:
+                out.append(_probe("modular", cmd, "--type", t, "--p", str(p), "--weight", w))
     for t, p, chi_s, support in STRUCTURE:
         out.append(_probe("modular", "structure", "--type", t, "--p", str(p),
                           "--chi-s", chi_s, "--support", support))
