@@ -52,13 +52,12 @@ from .errors import HypothesisFailure, InvariantViolation, LieramError
 from .modular import (
     ModWeight,
     PChar,
+    block_finite_type,
+    block_unramified,
     check_hypotheses,
-    finite_type_verdict,
-    is_unramified,
     mod_blocks,
     poincare_series,
     regularity_and_structure,
-    rho_weight,
     unramified_count,
 )
 from .quantum import (
@@ -365,10 +364,7 @@ def cmd_modular_blocks(args, q):
 
 
 def cmd_modular_unramified(args, q):
-    rs, lam = q.rs, q.point
-    return _emit(args, {**q.head,
-                        "simpleRootCriterion": is_unramified(rs, lam, "simpleRootCriterion"),
-                        "definitional": is_unramified(rs, lam, "definitional")})
+    return _emit(args, {**q.head, **block_unramified(q.rs, q.point)})
 
 
 def cmd_modular_poincare(args, q):
@@ -377,7 +373,7 @@ def cmd_modular_poincare(args, q):
 
 
 def cmd_modular_finite_type(args, q):
-    verdict, witness = finite_type_verdict(q.rs, q.point + rho_weight(q.rs, q.point.field))
+    verdict, witness = block_finite_type(q.rs, q.point)
     return _emit(args, {**q.head, "verdict": verdict, "witness": witness})
 
 

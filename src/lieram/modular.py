@@ -7,6 +7,12 @@ coordinates eta = lambda + rho.  Component dimensions, stabilizers and the
 unramified criteria are all computed on eta; block linkage is the dot action
 on lambda, equivalently the ordinary action on eta.
 
+eta and its pairings live on coefficient slots (a value in F_{p^e} is its e
+coefficients mod p), with no field arithmetic: each probe builds eta and the
+table of eta(h_beta) over the positive roots once and reads its verdicts off
+them.  Both unramified routes stay, the simple-root criterion on eta's own
+coordinates and the definitional test on the whole table.
+
 Characters follow the standard-Levi model: the semisimple part is given by
 its values c_i = chi(h_i) in some F_{p^e}, the nilpotent part by the subset
 of the centralizer subsystem's basis on which it is regular.
@@ -98,8 +104,7 @@ class PChar:
                 "character values must share one ambient field of characteristic p")
         self.field = field
         self.values = tuple(values)
-        vals = _pairings(rs, self.values, field)
-        self.levi = reflection_stabilizer(rs, lambda b: not any(vals[b]))
+        self.levi = _zero(rs, _pairings(rs, _slots(self.values, field), p))
         self.support = support_indices(self.levi, support)
 
     @property
@@ -129,51 +134,70 @@ def _weight(f, coeffs):
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
 
-def _pairings(rs: RootSystem, values, field):
-    """eta(h_beta) for every positive root beta, as its e coefficients mod p
-    (field = F_{p^e}), from the values eta(h_i) in `field`.  Pairing is
-    F_p-linear, so slot t of eta(h_beta) pairs the slot vector of the values
-    holding each value's t-th coefficient, 0 past its length."""
+def _slots(values, field, shift=0):
+    """The values in `field` = F_{p^e} as slot vectors: each value's e
+    coefficients mod p, 0 past its length, with `shift` added to the constant
+    one (shift 1 turns lambda into eta = lambda + rho, as rho(h_i) = 1)."""
     if any(v.field != field for v in values):
         raise ValueError("elements of different fields")
-    pairings = integer_pairings(rs, "values", field.p)
-    pad = (0,) * field.e
-    slots = zip(*((v.coeffs + pad)[:field.e] for v in values))
-    return dict(zip(rs.pos_roots, zip(*map(pairings, slots))))
+    p, pad = field.p, (0,) * field.e
+    return [((c[0] + shift) % p, *c[1:]) for c in ((v.coeffs + pad)[:field.e] for v in values)]
+
+
+def _pairings(rs: RootSystem, slots, p):
+    """eta(h_beta) for every positive root beta, as its e slots mod p, from
+    the slot vectors of the values eta(h_i): pairing is F_p-linear, so slot t
+    of eta(h_beta) pairs the t-th slots."""
+    return dict(zip(rs.pos_roots, zip(*map(integer_pairings(rs, "values", p), zip(*slots)))))
+
+
+def _table(rs: RootSystem, weight: ModWeight, shift=0):
+    """eta = weight + shift * rho on slots, and its table of pairings."""
+    eta = _slots(weight.values, weight.field, shift)
+    return eta, _pairings(rs, eta, weight.field.p)
+
+
+def _zero(rs, table):
+    return reflection_stabilizer(rs, lambda b: not any(table[b]))
+
+
+def _stabilisers(rs, table):
+    # (zero, fp) of a table: {alpha : eta(h_alpha) = 0} and {... in F_p}
+    return _zero(rs, table), reflection_stabilizer(rs, lambda b: not any(table[b][1:]))
 
 
 def eta_subsystems(rs: RootSystem, eta: ModWeight):
     """(zero, fp): the classified subsystems {alpha : eta(h_alpha) = 0} and
     {alpha : eta(h_alpha) in F_p}."""
-    vals = _pairings(rs, eta.values, eta.field)
-    zero = reflection_stabilizer(rs, lambda b: not any(vals[b]))
-    fp = reflection_stabilizer(rs, lambda b: not any(vals[b][1:]))
-    return zero, fp
+    return _stabilisers(rs, _table(rs, eta)[1])
 
 
 def dim_C(rs: RootSystem, eta: ModWeight) -> int:
     """dim of the primary component at eta: [W(eta + Lambda) : W(eta)],
     computed from the classified subsystem orders."""
-    zero, fp = eta_subsystems(rs, eta)
-    return subsystem_index(zero, fp)
+    return subsystem_index(*eta_subsystems(rs, eta))
+
+
+def _fp_unit(slots):
+    return slots[0] and not any(slots[1:])  # the value is in F_p - {0}
+
+
+def block_unramified(rs: RootSystem, lam: ModWeight):
+    """Both unramified tests of the block of the baby Verma with highest
+    weight lam, off one eta = lam + rho and its table.  simpleRootCriterion:
+    no simple alpha with eta(h_alpha) in F_p - {0} (eta's own coordinates).
+    definitional: dim = [W(fp) : W(zero)] is 1, i.e. the two stabilisers of
+    the table coincide (each root set is closed under its own reflections)."""
+    eta, table = _table(rs, lam, 1)
+    return {"simpleRootCriterion": not any(map(_fp_unit, eta)),
+            "definitional": not any(map(_fp_unit, table.values()))}
 
 
 def is_unramified(rs: RootSystem, lam: ModWeight, mode: str = "simpleRootCriterion") -> bool:
-    """Unramified test for the block of the baby Verma with highest weight lam.
-
-    simpleRootCriterion: no simple alpha with (lam+rho)(h_alpha) in F_p - {0}.
-    definitional: the component dimension at eta = lam + rho is 1.
-    """
-    field = lam.field
-    eta = lam + rho_weight(rs, field)
-    if mode == "simpleRootCriterion":
-        for v in eta.values:
-            if v.in_prime_field() and not v.is_zero():
-                return False
-        return True
-    if mode == "definitional":
-        return dim_C(rs, eta) == 1
-    raise ValueError(f"unknown mode {mode!r}")
+    """One of the two tests of block_unramified, by name."""
+    if mode not in ("simpleRootCriterion", "definitional"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return block_unramified(rs, lam)[mode]
 
 
 # -- blocks ------------------------------------------------------------------
@@ -248,7 +272,8 @@ def mod_blocks(chi: PChar, bound=None):
     # eta(h_i) takes p values, etas[i][k] of constant term k; lambda(h_i) = etas[i][k - 1]
     etas = [[_ptrim((k, *b.coeffs[1:])) for k in range(p)] for b in base]
     lams = [t[-1:] + t[:-1] for t in etas]
-    first = _pairings(rs, [ambient.elem(t[k]) for t, k in zip(etas, walked[0][0])], ambient)
+    pad = (0,) * ambient.e
+    first = _pairings(rs, [(t[k] + pad)[:ambient.e] for t, k in zip(etas, walked[0][0])], p)
     if any((not any(v[1:])) != (b in levi.roots) for b, v in first.items()):
         raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
     verdicts = {zero: (_poincare(zero) if chi.nilpotent else None,
@@ -279,8 +304,7 @@ def poincare_series(rs: RootSystem, eta: ModWeight):
     Requires a nilpotent context (all coordinates of eta in F_p)."""
     if not eta.in_lambda():
         raise NotNilpotentContext("Poincare series needs all coordinates in F_p")
-    vals = _pairings(rs, eta.values, eta.field)
-    return _poincare(reflection_stabilizer(rs, lambda b: not any(vals[b])))
+    return _poincare(_zero(rs, _table(rs, eta)[1]))
 
 
 def _poincare(zero):
@@ -303,8 +327,12 @@ def finite_type_verdict(rs: RootSystem, eta: ModWeight,
     the component lists of the two classified stabilizers; nothing is
     classified again.
     """
-    zero, fp = eta_subsystems(rs, eta)
-    return _finite_type(zero, fp, assume_unique_simple)
+    return _finite_type(*eta_subsystems(rs, eta), assume_unique_simple)
+
+
+def block_finite_type(rs: RootSystem, lam: ModWeight):
+    """finite_type_verdict at eta = lam + rho, built on slots."""
+    return _finite_type(*_stabilisers(rs, _table(rs, lam, 1)[1]), False)
 
 
 def _finite_type(small, big, assume_unique_simple):

@@ -108,6 +108,44 @@ def test_tsv_rows_are_built_only_for_tsv(monkeypatch, capsys):
         assert code == 0 and out == (GOLDEN_DIR / name).read_text()
 
 
+# modular probe weights over F_p and with an AS(1) coordinate (F_{p^p})
+PROBE_WEIGHTS = [("D4", "5", "0,3,0,4"), ("C3", "7", "0,0,1"),
+                 ("B3", "5", "0,4,AS(1)"), ("G2", "5", "AS(1),0")]
+
+
+def test_modular_probes_do_no_field_arithmetic(monkeypatch, capsys):
+    # a probe builds eta = lambda + rho and its pairing table on coefficient
+    # slots, once: no FFElem is added or subtracted once its inputs are
+    # resolved (parsing an AS literal checks the solution by subtracting)
+    armed, pairings = [], []
+
+    def guarded(name):
+        original = getattr(scalars.FFElem, name)
+
+        def op(self, other):
+            if armed:
+                pytest.fail(f"FFElem.{name} on the {armed[0]} path")
+            return original(self, other)
+        return op
+    for name in ("__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(scalars.FFElem, name, guarded(name))
+    resolve, count = cli._resolve, modular._pairings
+
+    def resolved(args):
+        q = resolve(args)
+        armed.append(args.command)
+        return q
+    monkeypatch.setattr(cli, "_resolve", resolved)
+    monkeypatch.setattr(modular, "_pairings", lambda *a: pairings.append(1) or count(*a))
+    for t, p, w in PROBE_WEIGHTS:
+        for cmd in ("unramified", "finite-type", "poincare"):
+            armed.clear(), pairings.clear()
+            code = main(["modular", cmd, "--type", t, "--p", p, "--weight", w])
+            capsys.readouterr()
+            refused = cmd == "poincare" and "AS" in w  # eta outside F_p
+            assert (code, len(pairings)) == ((1, 0) if refused else (0, 1)), (cmd, t, w)
+
+
 class _Sha256Writer:
     # a text stream that keeps only the sha256 of what is written to it
     def __init__(self):

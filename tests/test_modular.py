@@ -15,10 +15,14 @@ from lieram.errors import (
     NonPrime,
     NotNilpotentContext,
 )
+from lieram.cli import parse_field_values
 from lieram.modular import (
     ModWeight,
     PChar,
     _finite_type,
+    _slots,
+    block_finite_type,
+    block_unramified,
     dim_C,
     eta_subsystems,
     finite_type_verdict,
@@ -35,9 +39,10 @@ from lieram.selftest import (
     close_up,
     enumerate_lambda_chi,
     finite_type_by_closure,
+    pair,
     stabilizer_bruteforce,
 )
-from lieram.weyl import enumerate_group
+from lieram.weyl import enumerate_group, reflection_stabilizer
 
 
 def F(p, e=1):
@@ -316,6 +321,48 @@ def test_finite_type_matches_the_closure_oracle():
     assert accepted >= {("A1", "1"), ("A2", "A1"), ("A3", "A2"), ("B2", "A1"),
                         ("B3", "B2"), ("C3", "B2"), ("G2", "A1")}
     assert two_gone
+
+
+def _probe_by_field_arithmetic(rs, lam):
+    # eta = lam + rho by ModWeight.__add__, each eta(h_beta) by FFElem
+    # arithmetic (selftest.pair); the two unramified flags and the (zero, fp)
+    # stabilisers read off those values
+    eta = lam + rho_weight(rs, lam.field)
+    vals = {b: pair(rs, eta.values, b) for b in rs.pos_roots}
+    zero = reflection_stabilizer(rs, lambda b: vals[b].is_zero())
+    fp = reflection_stabilizer(rs, lambda b: vals[b].in_prime_field())
+    simple = not any(v.in_prime_field() and not v.is_zero() for v in eta.values)
+    return eta, {"simpleRootCriterion": simple, "definitional": fp.order == zero.order}, zero, fp
+
+
+def test_slot_probes_match_field_arithmetic_on_extension_fields():
+    # every lambda of Lambda_chi for the B2/p=3 mixed-Levi character of
+    # demos/unramified_criteria.py (ambient F_27) and an A2/p=5 AS(1),0
+    # character (ambient F_{5^5}): eta on slots, both unramified flags and
+    # the zero and F_p stabilisers of the slot path against the oracle
+    b2, a2 = build_root_system("B2"), build_root_system("A2")
+    values, field = parse_field_values("AS(1),0", 5, 2)
+    chars = [PChar(b2, 3, values=(F(3).zero(), F(3).one()), support=(0,)),
+             PChar(a2, 5, values=values, support=(0,), field=field)]
+    seen = set()
+    for chi in chars:
+        rs = chi.rs
+        weights, ambient = enumerate_lambda_chi(chi)
+        assert ambient.e > 1
+        for lam in weights:
+            eta, flags, zero, fp = _probe_by_field_arithmetic(rs, lam)
+            assert _slots(lam.values, ambient, 1) == _slots(eta.values, ambient)
+            assert block_unramified(rs, lam) == flags, lam
+            for mode, flag in flags.items():
+                assert is_unramified(rs, lam, mode) == flag
+            assert [s.roots for s in eta_subsystems(rs, eta)] == [zero.roots, fp.roots]
+            assert dim_C(rs, eta) == fp.order // zero.order
+            assert block_finite_type(rs, lam) == finite_type_by_closure(rs, zero, fp)
+            seen.add((rs.type_str, *flags.values(), zero.type_str, fp.type_str))
+    # both flags take both values on each type, with stabilisers other than 1
+    assert {s[:3] for s in seen} >= {("B2", False, False), ("B2", True, True),
+                                     ("A2", False, False), ("A2", True, True)}
+    assert {s[3] for s in seen} - {"1"} and {s[4] for s in seen} - {"1"}
 
 
 def test_regularity_and_structure():

@@ -1,9 +1,10 @@
 """The pairings of all positive roots against the single-root formulas they
 replace on the stabiliser paths: modular._pairings, which pairs each
-coefficient slot through weyl.integer_pairings, against selftest.pair on
-coroot values over F_p, F_{p^2} and F_{p^p} (random coefficients and AS
-literals), and weyl.integer_pairings against selftest.root_value on torus
-points with mixed denominators; seeded, 220 points per type."""
+coefficient slot (modular._slots) through weyl.integer_pairings, against
+selftest.pair on coroot values over F_p, F_{p^2} and F_{p^p} (random
+coefficients and AS literals), and weyl.integer_pairings against
+selftest.root_value on torus points with mixed denominators; seeded, 220
+points per type."""
 
 import math
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from lieram.cli import parse_field_values
-from lieram.modular import _pairings
+from lieram.modular import _pairings, _slots
 from lieram.quantum import TorusElement
 from lieram.rootdata import build_root_system
 from lieram.scalars import DEFAULT_FIELD_BOUND, make_field
@@ -51,7 +52,7 @@ def test_value_pairings_match_pair(type_str):
             e = field.e
             assert kind in ("p", "p2") or e == P
             pad = (0,) * e
-            got = _pairings(rs, values, field)
+            got = _pairings(rs, _slots(values, field), field.p)
             assert list(got) == list(rs.pos_roots)
             for b, slots in got.items():
                 want = pair(rs, values, b)
