@@ -139,7 +139,8 @@ def test_modular_probes_do_no_field_arithmetic(monkeypatch, capsys):
     monkeypatch.setattr(modular, "_pairings", lambda *a: pairings.append(1) or count(*a))
     for t, p, w in PROBE_WEIGHTS:
         for cmd in ("unramified", "finite-type", "poincare"):
-            armed.clear(), pairings.clear()
+            armed.clear()
+            pairings.clear()
             code = main(["modular", cmd, "--type", t, "--p", p, "--weight", w])
             capsys.readouterr()
             refused = cmd == "poincare" and "AS" in w  # eta outside F_p

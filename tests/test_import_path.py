@@ -127,8 +127,8 @@ def test_block_walks_sort_nothing_and_take_no_key():
 
 def test_weyl_kernels_take_one_coefficient_per_coordinate():
     # the reflections are F_p-linear, so no kernel takes a slot count: only
-    # modular._pairings splits an F_{p^e} value into its e coefficient
-    # slots, and no flat full-width code of the values is built
+    # modular._slots splits an F_{p^e} value into its e coefficient slots,
+    # for modular._pairings, and no flat full-width code of the values is built
     trees = _trees()
     widths = [(name, node.name) for name, tree in trees.items()
               for node in ast.walk(tree)
