@@ -127,7 +127,7 @@ def parse_field_values(text: str, p: int, rank: int, bound=None):
             x, _fld = artin_schreier_solve(c, bound)
             values.append(embed(x, ambient))
         elif t == "g" or t.startswith("g^"):  # the generator is kept by its field
-            values.append(ambient.generator() ** (1 if t == "g" else int(t[2:])))
+            values.append(ambient.generator ** (1 if t == "g" else int(t[2:])))
         else:
             values.append(ambient.from_int(int(t)))
     return tuple(values), ambient

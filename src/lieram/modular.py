@@ -308,10 +308,10 @@ def poincare_series(rs: RootSystem, eta: ModWeight):
 
 
 def _poincare(zero):
-    if not zero.is_parabolic():
+    if not zero.is_parabolic:
         raise NoParabolicConjugate(
             "no W-conjugate of eta has a stabilizer generated by simple reflections")
-    return zero.coset_poincare()
+    return zero.coset_poincare
 
 
 def finite_type_verdict(rs: RootSystem, eta: ModWeight,

@@ -218,7 +218,7 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
         raise ValueError(f"unknown direction {direction!r}")
     N = math.lcm(t.N, ell)
     # the exponent k/den of each shift, den | ell | N, is k (N/den) / N
-    shifts = [eps_pow(q, ell, eps).q for q in rs.rho_weight_pairs()]
+    shifts = [eps_pow(q, ell, eps).q for q in rs.rho_weight_pairs]
     return TorusElement.of([n * (N // t.N) + sign * e.numerator * (N // e.denominator)
                             for n, e in zip(t.nums, shifts)], N)
 
@@ -329,7 +329,7 @@ def exceptional_elements(rs: RootSystem):
         "beta_m": None,
     }]
     simple = rs.simple_roots
-    X = rs.fundamental_weights()
+    X = rs.fundamental_weights
     for m in range(r):
         am = rs.a[m]
         D = math.lcm(*(X[i][m].denominator for i in range(r)))

@@ -16,6 +16,11 @@ Node numbering is Bourbaki throughout:
   G_2   1≡2                       (alpha_1 short)
 
 Products are written A1xB2 (case-insensitive, no whitespace).
+
+What a root system or a classified subsystem derives only on demand is a
+functools.cached_property of its owner, computed on the first read and kept
+with it: RootSystem.fundamental_weights, rho_weight_pairs and sum_triples;
+Subsystem.is_parabolic and coset_poincare.
 """
 
 from __future__ import annotations
@@ -146,10 +151,7 @@ class RootSystem:
         self.d = tuple(d)
         self.components = tuple(components)
         self._build_roots()
-        self._fundamental = None
-        self._rho_weight_pairs = None
         self._subsystems = {}  # frozenset of roots -> Subsystem, see subsystem_classify
-        self._triples = None  # see _sum_triples
 
     # -- construction -------------------------------------------------------
 
@@ -212,23 +214,23 @@ class RootSystem:
             self._highest.append(roots[-1])
         self.a = tuple(map(sum, zip(*self._highest)))
 
-    def _sum_triples(self):
+    @functools.cached_property
+    def sum_triples(self):
         """Per root m: -m and, for positive m, the pairs (x, y) of positive
         roots with x + y = m and the pairs (y, m + y); each (x, y, x + y) is
-        one sum triple.  Built on the first call.  A root's coefficients are
+        one sum triple.  Built on the first read.  A root's coefficients are
         at most 6, so its base-16 code adds without carries."""
-        if self._triples is None:
-            pos = self.pos_roots
-            code = [sum(c << 4 * k for k, c in enumerate(b)) for b in pos]
-            root_of = dict(zip(code, pos))
-            table = self._triples = {b: (tuple(-c for c in b), [], []) for b in self._allset}
-            for i, x in enumerate(pos):
-                for cz in sorted(root_of.keys() & map(code[i].__add__, code[i + 1:])):
-                    y, z = root_of[cz - code[i]], root_of[cz]
-                    table[z][1].append((x, y))
-                    table[x][2].append((y, z))
-                    table[y][2].append((x, z))
-        return self._triples
+        pos = self.pos_roots
+        code = [sum(c << 4 * k for k, c in enumerate(b)) for b in pos]
+        root_of = dict(zip(code, pos))
+        table = {b: (tuple(-c for c in b), [], []) for b in self._allset}
+        for i, x in enumerate(pos):
+            for cz in sorted(root_of.keys() & map(code[i].__add__, code[i + 1:])):
+                y, z = root_of[cz - code[i]], root_of[cz]
+                table[z][1].append((x, y))
+                table[x][2].append((y, z))
+                table[y][2].append((x, z))
+        return table
 
     # -- queries -------------------------------------------------------------
 
@@ -269,22 +271,17 @@ class RootSystem:
         """s_i(beta) on the coefficient vector of a root."""
         return b[:i] + (b[i] - self._value[b][i],) + b[i + 1:]
 
+    @functools.cached_property
     def fundamental_weights(self):
         """The alpha-coordinates of the fundamental weights: row i lists
         varpi_i = sum_k X[i][k] alpha_k, the exact solution of C x = e_i."""
-        if self._fundamental is None:
-            solve, r = solve_linear(self.cartan), self.rank
-            self._fundamental = tuple(tuple(solve([int(j == i) for j in range(r)]))
-                                      for i in range(r))
-        return self._fundamental
+        solve, r = solve_linear(self.cartan), self.rank
+        return tuple(tuple(solve([int(j == i) for j in range(r)])) for i in range(r))
 
+    @functools.cached_property
     def rho_weight_pairs(self):
         """The exact rationals (rho, varpi_i) for i = 1..r."""
-        if self._rho_weight_pairs is None:
-            self._rho_weight_pairs = tuple(
-                sum(x[k] * self.d[k] for k in range(self.rank))
-                for x in self.fundamental_weights())
-        return self._rho_weight_pairs
+        return tuple(sum(map(operator.mul, x, self.d)) for x in self.fundamental_weights)
 
     def weyl_order(self) -> int:
         return math.prod(degrees(self.components))
@@ -343,8 +340,8 @@ def two_rho_dot(rs: RootSystem, b) -> int:
 class Subsystem:
     """A classified closed, negation-stable subset of a root system."""
 
-    __slots__ = ("rs", "roots", "basis", "components", "type_str", "order",
-                 "_parabolic", "_coset_poincare")
+    # __dict__ holds is_parabolic and coset_poincare once read
+    __slots__ = ("rs", "roots", "basis", "components", "type_str", "order", "__dict__")
 
     def __init__(self, rs, roots, basis, components):
         self.rs = rs
@@ -353,8 +350,6 @@ class Subsystem:
         self.components = components  # tuple of (letter, rank, basis-subtuple)
         self.type_str = type_string([(l, n) for l, n, _ in components])
         self.order = math.prod(degrees(components))
-        self._parabolic = None
-        self._coset_poincare = None
 
     @property
     def rank(self) -> int:
@@ -363,40 +358,35 @@ class Subsystem:
     def index_of_connection(self) -> int:
         return math.prod(weyl_invariants(l, n).index for l, n, _ in self.components)
 
+    @functools.cached_property
     def is_parabolic(self) -> bool:
         """Is this W-conjugate to a standard parabolic subsystem?  That holds
         exactly when it equals Phi inter span_Q(self) (Bourbaki, Lie Groups
         and Lie Algebras, Ch. VI 1.7): its basis is reduced once, and no
-        positive root outside it may lie in its span.  Computed once."""
-        if self._parabolic is None:
-            solve = solve_linear([[b[i] for b in self.basis] for i in range(self.rs.rank)])
-            self._parabolic = not any(b not in self.roots and solve(b) is not None
-                                      for b in self.rs.pos_roots)
-        return self._parabolic
+        positive root outside it may lie in its span."""
+        solve = solve_linear([[b[i] for b in self.basis] for i in range(self.rs.rank)])
+        return not any(b not in self.roots and solve(b) is not None for b in self.rs.pos_roots)
 
+    @functools.cached_property
     def coset_poincare(self):
         """Coefficients of W(t)/W_self(t), the length generating function of
         the minimal coset representatives when this subsystem is a standard
-        parabolic; each division by [d]_t = (1 - t^d)/(1 - t) is exact.
-        Computed once per subsystem."""
-        if self._coset_poincare is None:
-            series = [1]
-            for d in degrees(self.rs.components):
-                series = [sum(series[max(0, i - d + 1):i + 1])
-                          for i in range(len(series) + d - 1)]
-            for d in degrees(self.components):
-                # times (1 - t), then divided by (1 - t^d) with zero remainder
-                num = [a - b for a, b in zip(series + [0], [0] + series)]
-                series = []
-                for i, c in enumerate(num):
-                    c += series[i - d] if i >= d else 0
-                    if i < len(num) - d:
-                        series.append(c)
-                    elif c:
-                        raise InvariantViolation(
-                            f"[{d}]_t does not divide the Poincare series")
-            self._coset_poincare = tuple(series)
-        return self._coset_poincare
+        parabolic; each division by [d]_t = (1 - t^d)/(1 - t) is exact."""
+        series = [1]
+        for d in degrees(self.rs.components):
+            series = [sum(series[max(0, i - d + 1):i + 1])
+                      for i in range(len(series) + d - 1)]
+        for d in degrees(self.components):
+            # times (1 - t), then divided by (1 - t^d) with zero remainder
+            num = [a - b for a, b in zip(series + [0], [0] + series)]
+            series = []
+            for i, c in enumerate(num):
+                c += series[i - d] if i >= d else 0
+                if i < len(num) - d:
+                    series.append(c)
+                elif c:
+                    raise InvariantViolation(f"[{d}]_t does not divide the Poincare series")
+        return tuple(series)
 
     def __repr__(self):
         return f"Subsystem({self.type_str}, |W|={self.order})"
@@ -409,7 +399,7 @@ def check_closed(rs: RootSystem, roots) -> frozenset:
     third in S: for each positive member, the other two of each of its
     triples lie both in S or both outside."""
     S = frozenset(roots)
-    table = rs._sum_triples()
+    table = rs.sum_triples
     for b in S:
         if b not in table or table[b][0] not in S:
             raise NotClosed(f"{b} in subset but not a root with its negative")
@@ -490,7 +480,7 @@ def subsystem_classify(rs: RootSystem, roots) -> Subsystem:
 
 
 def _classify(rs, S):
-    table = rs._sum_triples()
+    table = rs.sum_triples
     basis = tuple(sorted((b for b in S if rs.is_positive(b)
                           and not any(x in S and y in S for x, y in table[b][1])),
                          key=lambda b: (sum(b), b)))

@@ -7,8 +7,11 @@ lexicographically smallest monic irreducible of degree e, coefficients
 compared constant term first.  The search tests the candidates in that order
 with a root test (Horner at each a in F_p), then Ben-Or's test, which stops
 at a reducible candidate's first factor; Rabin's full test is kept as an
-oracle in lieram.selftest.  Each field keeps the linear form of its absolute
-trace, t_j = Tr(x^j).  All values are immutable.
+oracle in lieram.selftest.  A field derives on the first read, and keeps as
+functools.cached_property attributes, its Frobenius matrix (frobenius_rows),
+the linear form of its absolute trace t_j = Tr(x^j) (trace_form), its
+generator, and the solver of x^p - x = c (as_solver: Frobenius - 1 reduced
+once).  All values are immutable.
 
 Roots of unity are exact rationals mod 1 (`UnityExp(q)` means e^{2*pi*i*q});
 equality is rational equality, nothing is ever a float.
@@ -32,27 +35,18 @@ DEFAULT_FIELD_BOUND = 10**9
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 2
-    return True
+    return _prime_factors(n) == {n}
 
 
 def _prime_factors(n: int) -> set:
+    """The primes dividing n (none for n < 2), by trial division by 2 and the
+    odd q up to the square root of what is left."""
     out, q = set(), 2
     while q * q <= n:
         while n % q == 0:
             out.add(q)
             n //= q
-        q += 1
+        q += 1 if q == 2 else 2
     return out | {n} if n > 1 else out
 
 
@@ -155,14 +149,12 @@ def _smallest_irreducible(p: int, e: int):
 class FieldDescriptor:
     """The field F_{p^e} with its deterministic modulus."""
 
-    __slots__ = ("p", "e", "modulus", "_frob_rows", "_trace_form", "_generator",
-                 "_as_solver")
+    __slots__ = ("p", "e", "modulus", "__dict__")  # __dict__ holds the derived data
 
     def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.modulus = modulus
-        self._frob_rows = self._trace_form = self._generator = self._as_solver = None
 
     @property
     def order(self) -> int:
@@ -202,44 +194,41 @@ class FieldDescriptor:
         for digits in itertools.product(range(self.p), repeat=self.e):
             yield FFElem(self, _ptrim(digits[::-1]))
 
+    @functools.cached_property
     def frobenius_rows(self):
         # matrix of x -> x^p in the power basis, rows over F_p
-        if self._frob_rows is None:
-            cols = []
-            for k in range(self.e):
-                xk = _ptrim([0] * k + [1])
-                img = _ppowmod(xk, self.p, self.modulus, self.p)
-                cols.append(tuple(img[i] if i < len(img) else 0 for i in range(self.e)))
-            self._frob_rows = tuple(tuple(cols[j][i] for j in range(self.e))
-                                    for i in range(self.e))
-        return self._frob_rows
+        cols = []
+        for k in range(self.e):
+            img = _ppowmod(_ptrim([0] * k + [1]), self.p, self.modulus, self.p)
+            cols.append(tuple(img[i] if i < len(img) else 0 for i in range(self.e)))
+        return tuple(zip(*cols))
 
+    @functools.cached_property
     def trace_form(self):
         # t_j = Tr(x^j), the sum of the j-th powers of the e roots of the
         # modulus c_0 + ... + c_{e-1} x^{e-1} + x^e (the Frobenius images of
         # x), read off its coefficients by Newton's identities: t_0 = e and
         # t_j = -(j c_{e-j} + sum_{0<i<j} c_{e-i} t_{j-i}); the absolute trace
         # is F_p-linear, so Tr(v) = sum v_j t_j
-        if self._trace_form is None:
-            p, e, c = self.p, self.e, self.modulus
-            t = [e % p]
-            for j in range(1, e):
-                t.append(-(j * c[e - j] + sum(c[e - i] * t[j - i] for i in range(1, j))) % p)
-            self._trace_form = tuple(t)
-        return self._trace_form
+        p, e, c = self.p, self.e, self.modulus
+        t = [e % p]
+        for j in range(1, e):
+            t.append(-(j * c[e - j] + sum(c[e - i] * t[j - i] for i in range(1, j))) % p)
+        return tuple(t)
 
+    @functools.cached_property
     def generator(self) -> "FFElem":
         """Deterministic multiplicative generator: lex-smallest full-order element."""
-        if self._generator is None:
-            n = self.order - 1
-            factors = _prime_factors(n)
-            for cand in self.elements():
-                if not cand.coeffs:
-                    continue
-                if all(cand ** (n // q) != self.one() for q in factors):
-                    self._generator = cand
-                    break
-        return self._generator
+        n = self.order - 1
+        factors = _prime_factors(n)
+        return next(cand for cand in self.elements() if cand.coeffs
+                    and all(cand ** (n // q) != self.one() for q in factors))
+
+    @functools.cached_property
+    def as_solver(self):
+        """The solver of frob(v) - v = b over F_p: Frobenius - 1 reduced once."""
+        return solve_linear([[(x - (i == j)) % self.p for j, x in enumerate(row)]
+                             for i, row in enumerate(self.frobenius_rows)], self.p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,7 +316,7 @@ class FFElem:
         return self ** (self.field.p ** self.field.e - 2)
 
     def frobenius(self):
-        rows = self.field.frobenius_rows()
+        rows = self.field.frobenius_rows
         p, e = self.field.p, self.field.e
         v = self.coeffs
         out = [0] * e
@@ -346,7 +335,7 @@ class FFElem:
 
     def trace_to_prime(self) -> int:
         """The absolute trace, read off the field's trace form."""
-        return sum(map(operator.mul, self.coeffs, self.field.trace_form())) % self.field.p
+        return sum(map(operator.mul, self.coeffs, self.field.trace_form)) % self.field.p
 
     def as_int(self) -> int:
         """The value as an integer mod p; only valid on prime-field elements."""
@@ -431,7 +420,7 @@ def _subfield_embedding(small: FieldDescriptor, big: FieldDescriptor) -> FFElem:
     lex-smallest root is taken, so the embedding is deterministic.
     """
     p, e, ee = small.p, small.e, big.e
-    h = big.generator() ** ((p**ee - 1) // (p**e - 1))
+    h = big.generator ** ((p**ee - 1) // (p**e - 1))
     roots = []
     z = big.one()
     for _ in range(p**e - 1):
@@ -479,10 +468,7 @@ def artin_schreier_solve(c: FFElem, bound=None):
         target = make_field(p, e * p, bound)
         rhs = embed(c, target)
     ee = target.e
-    if target._as_solver is None:  # v -> frob(v) - v, reduced once per field
-        target._as_solver = solve_linear([[(x - (i == j)) % p for j, x in enumerate(row)]
-                                          for i, row in enumerate(target.frobenius_rows())], p)
-    sol = target._as_solver(rhs.coeffs + (0,) * (ee - len(rhs.coeffs)))
+    sol = target.as_solver(rhs.coeffs + (0,) * (ee - len(rhs.coeffs)))
     if sol is None:
         raise InvariantViolation(f"x^p - x = {rhs} has no solution in F_{p}^{ee}")
     x = FFElem(target, _ptrim(sol))

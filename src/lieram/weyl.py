@@ -39,8 +39,9 @@ A reflection is the rank-one map x -> x - <x, beta> v_beta
 system, which integer_pairings reads too.
 Both sides take their blocks from one walk, block_orbits: mod_blocks on the
 constant terms of eta, q_blocks on the numerators over N.  A block's
-stabiliser lies in W(Phi'), so the walk pairs only the roots of Phi' with it
-and classifies each distinct set of vanishing roots once per walk.  A walk
+stabiliser lies in W(Phi'), so the walk pairs only the roots of Phi' with it,
+and the subsystem memo of the root system classifies each distinct set of
+vanishing roots once.  A walk
 depends only on (root system, Phi', encoding, modulus, axes), not on the
 nilpotent part of chi nor (on the modular side) on the base of Lambda_chi,
 so block_orbits keeps the skeletons of the latest walks, least recently used
@@ -486,19 +487,19 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
 
 def _walk_skeleton(rs, levi, on, modulus, axes):
     # Only roots of Phi' can vanish on a point of the set (see mod_blocks,
-    # q_blocks), so only they are paired, and each distinct set of vanishing
-    # roots is classified once
+    # q_blocks), so only they are paired; the root system's subsystem memo
+    # classifies each distinct set of vanishing roots once
     orbits = orbit_partition(itertools.product(*axes),
                              integer_actions(rs, levi.basis, on, modulus))
     roots = tuple(b for b in rs.pos_roots if b in levi.roots)
+    signed = [(b, tuple(-c for c in b)) for b in roots]
     pairings = integer_pairings(rs, on, modulus, roots=roots)
 
-    @functools.cache
-    def classify(sat):
-        sub = reflection_stabilizer(rs, frozenset(sat).__contains__)
+    def stabiliser(x):
+        sub = subsystem_classify(rs, [r for pm, v in zip(signed, pairings(x)) if not v
+                                      for r in pm])
         return sub, subsystem_index(sub, levi)
-    return tuple((x, size, *classify(tuple(b for b, v in zip(roots, pairings(x)) if not v)))
-                 for x, size in orbits)
+    return tuple((x, size, *stabiliser(x)) for x, size in orbits)
 
 
 class BlockRecord:

@@ -144,7 +144,7 @@ def test_dim_C_examples():
     assert dim_C(a1, ModWeight((f3.one(),))) == 2
     f25 = F(5, 2)
     a2 = build_root_system("A2")
-    g = f25.generator()  # not in F_5
+    g = f25.generator  # not in F_5
     assert dim_C(a2, ModWeight((g, g * 2))) in (1,)  # generic: both trivial
 
 
@@ -197,7 +197,7 @@ def test_is_unramified_examples():
     # A2 over F_25: (lam+rho)(h_1) outside F_5, (lam+rho)(h_2) = 0
     a2 = build_root_system("A2")
     f25 = F(5, 2)
-    g = f25.generator()
+    g = f25.generator
     assert g**5 != g
     lam = ModWeight((g - f25.one(), f25.from_int(-1)))
     assert is_unramified(a2, lam, "simpleRootCriterion")
@@ -238,7 +238,7 @@ def test_poincare_series():
     assert sum(P) == dim_C(e8, eta_e8) and P[-1] == 1 and P == P[::-1]
     with pytest.raises(NotNilpotentContext):
         f25 = F(5, 2)
-        poincare_series(a2, ModWeight((f25.generator(), f25.zero())))
+        poincare_series(a2, ModWeight((f25.generator, f25.zero())))
     # bad primes: W(eta) is not conjugate to a standard parabolic
     for t, p, values in (("G2", 2, (1, 0)), ("F4", 3, (1, 1, 1, 1))):
         with pytest.raises(NoParabolicConjugate):

@@ -20,12 +20,12 @@ from fractions import Fraction
 
 import pytest
 
-from lieram import modular, weyl
+from lieram import modular, rootdata, weyl
 from lieram.cli import parse_field_values
 from lieram.errors import InvariantViolation
 from lieram.modular import ModWeight, PChar, mod_blocks, rho_weight
 from lieram.quantum import QChar, TorusElement, q_blocks
-from lieram.rootdata import Subsystem, build_root_system, subsystem_classify
+from lieram.rootdata import build_root_system, subsystem_classify
 from lieram.scalars import UnityExp, make_field
 from lieram.selftest import (
     block_stabiliser_mismatches,
@@ -599,10 +599,10 @@ def test_stabiliser_work_runs_once_per_point_stabiliser(cell, patched_walk):
             return fn(*args, **kwargs)
         return wrapper
     with patched_walk() as m:
-        m.setattr(weyl, "reflection_stabilizer",
-                  counted("classify", weyl.reflection_stabilizer))
+        m.setattr(chi.rs, "_subsystems", {})  # a fresh memo: every stabiliser is new
+        m.setattr(rootdata, "_classify", counted("classify", rootdata._classify))
         m.setattr(modular, "_finite_type", counted("finite_type", modular._finite_type))
-        m.setattr(Subsystem, "coset_poincare", counted("poincare", Subsystem.coset_poincare))
+        m.setattr(modular, "_poincare", counted("poincare", modular._poincare))
         blocks = _blocks(chi)
         distinct = len({id(b.stabilizer) for b in blocks})
         assert 1 < distinct < len(blocks)

@@ -185,7 +185,7 @@ def _hc_shift_by_fractions(rs, t, ell, direction, eps):
     # with u^den = eps^num, in Fraction arithmetic per coordinate
     sign = {"forward": 1, "back": -1}[direction]
     shifts = []
-    for q in rs.rho_weight_pairs():
+    for q in rs.rho_weight_pairs:
         q = Fraction(q)
         if math.gcd(q.denominator, ell) != 1 or math.gcd(eps, ell) != 1:
             raise NonInvertibleDenominator(q)

@@ -285,9 +285,9 @@ def test_a_fresh_root_system_holds_its_root_data(t):
     assert all(type(n) is int and n > 0 for n in rs._norm.values())
     assert type(rs._highest) is list and len(rs._highest) == len(rs.components)
     assert type(rs.a) is tuple and len(rs.a) == rs.rank
-    assert rs._triples is None
+    assert "sum_triples" not in vars(rs)
     subsystem_classify(rs, roots)
-    assert type(rs._triples) is dict and rs._triples.keys() == roots
+    assert type(vars(rs)["sum_triples"]) is dict and vars(rs)["sum_triples"].keys() == roots
 
 
 def test_subsystem_letter_disambiguation():

@@ -80,7 +80,7 @@ def test_cached_derived_data_matches_a_fresh_computation():
         for roots, sub in list(rs._subsystems.items()):
             assert sub.roots == roots
             fresh = Subsystem(rs, sub.roots, sub.basis, sub.components)
-            assert sub.is_parabolic() == fresh.is_parabolic()
-            assert sub.is_parabolic() == parabolic_by_search(rs, roots, W)
+            assert sub.is_parabolic == fresh.is_parabolic
+            assert sub.is_parabolic == parabolic_by_search(rs, roots, W)
             checked += 1
     assert checked > 20
