@@ -281,7 +281,8 @@ class RootSystem:
     @functools.cached_property
     def rho_weight_pairs(self):
         """The exact rationals (rho, varpi_i) for i = 1..r."""
-        return tuple(sum(map(operator.mul, x, self.d)) for x in self.fundamental_weights)
+        return tuple(sum(x[k] * self.d[k] for k in range(self.rank))
+                     for x in self.fundamental_weights)
 
     def weyl_order(self) -> int:
         return math.prod(degrees(self.components))

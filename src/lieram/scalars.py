@@ -199,9 +199,10 @@ class FieldDescriptor:
         # matrix of x -> x^p in the power basis, rows over F_p
         cols = []
         for k in range(self.e):
-            img = _ppowmod(_ptrim([0] * k + [1]), self.p, self.modulus, self.p)
+            xk = _ptrim([0] * k + [1])
+            img = _ppowmod(xk, self.p, self.modulus, self.p)
             cols.append(tuple(img[i] if i < len(img) else 0 for i in range(self.e)))
-        return tuple(zip(*cols))
+        return tuple(tuple(cols[j][i] for j in range(self.e)) for i in range(self.e))
 
     @functools.cached_property
     def trace_form(self):
@@ -221,8 +222,9 @@ class FieldDescriptor:
         """Deterministic multiplicative generator: lex-smallest full-order element."""
         n = self.order - 1
         factors = _prime_factors(n)
-        return next(cand for cand in self.elements() if cand.coeffs
-                    and all(cand ** (n // q) != self.one() for q in factors))
+        for cand in self.elements():
+            if cand.coeffs and all(cand ** (n // q) != self.one() for q in factors):
+                return cand
 
     @functools.cached_property
     def as_solver(self):

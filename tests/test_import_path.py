@@ -20,7 +20,11 @@ coefficient per coordinate: no function takes a slot width, and the
 modular side builds no flat full-width code of its values.  A subsystem's
 components are decided once, by the classifier, in one pass over its basis:
 the finite-type verdict reads the two classified component lists and
-classifies nothing, and a Subsystem keeps no per-component root sets."""
+classifies nothing, and a Subsystem keeps no per-component root sets.
+What a root system, a subsystem or a field derives once is a cached
+property of that object, with no None sentinel: no production function
+writes another object's private attribute, and the block walk keeps no
+classification cache beside the subsystem memo."""
 
 import ast
 import os
@@ -288,3 +292,65 @@ def test_subsystem_components_are_decided_once_in_the_classifier():
     assert [a.arg for a in verdict.args.args] == ["small", "big", "assume_unique_simple"]
     assert not _called_names(verdict) & {"subsystem_classify", "reflection_stabilizer",
                                          "close_up"}
+
+
+# the data each class derives once, as a functools.cached_property of its own
+CACHED_BY_OWNER = {
+    ("rootdata.py", "RootSystem"): {"fundamental_weights", "rho_weight_pairs", "sum_triples"},
+    ("rootdata.py", "Subsystem"): {"is_parabolic", "coset_poincare"},
+    ("scalars.py", "FieldDescriptor"): {"frobenius_rows", "trace_form", "generator",
+                                        "as_solver"},
+}
+
+
+def _is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _is_private_of_self(node):
+    return (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def test_derived_data_is_cached_by_its_owner():
+    # no None sentinel: an owner neither tests `self._x is None` nor sets an
+    # attribute to None at construction; each derived value is a
+    # cached_property of the class it comes from
+    trees = _trees()
+    for (module, name), cached in CACHED_BY_OWNER.items():
+        (cls,) = [node for node in trees[module].body
+                  if isinstance(node, ast.ClassDef) and node.name == name]
+        methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        assert {m.name for m in methods
+                if "cached_property" in _referenced_names(ast.Module(m.decorator_list, []))
+                } == cached, name
+        for method in methods:
+            for node in ast.walk(method):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                    operands = [node.left, *node.comparators]
+                    assert not (any(map(_is_private_of_self, operands))
+                                and any(map(_is_none, operands))), (name, method.name)
+                if method.name == "__init__" and isinstance(node, ast.Assign):
+                    assert not (_is_none(node.value) and any(
+                        isinstance(t, ast.Attribute) for t in node.targets)), name
+
+
+def test_no_production_function_writes_anothers_private_attribute():
+    # a derived value is stored by its owner (artin_schreier_solve reads the
+    # field's as_solver); a store into a memo by subscript is not such a write
+    for module, tree in _trees().items():
+        if module != "selftest.py":
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and node.attr.startswith("_")):
+                    assert isinstance(node.value, ast.Name) and node.value.id == "self", (
+                        module, node.lineno, ast.unparse(node))
+
+
+def test_the_block_walk_keeps_no_cache_of_its_own():
+    # the subsystem memo of the root system classifies each stabiliser once
+    (walk,) = [node for node in _trees()["weyl.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "_walk_skeleton"]
+    assert not any("cache" in name for name in _referenced_names(walk))
+    assert "subsystem_classify" in _called_names(walk)

@@ -2,6 +2,7 @@
 against exhaustive oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -112,6 +113,25 @@ def test_make_field_idempotent_and_errors():
         make_field(6, 1)
     with pytest.raises(BoundExceeded):
         make_field(3, 30)
+
+
+def test_one_trial_division_agrees_with_a_sieve():
+    # is_prime reads _prime_factors: n is prime iff its one prime factor is n
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, limit, q))
+    assert [n for n in range(-5, limit) if scalars.is_prime(n)] == [
+        n for n in range(2, limit) if sieve[n]]
+    for n in range(-5, limit):
+        factors = scalars._prime_factors(n)
+        assert all(sieve[q] and n % q == 0 for q in factors), n
+        rest = n
+        for q in factors:
+            while rest % q == 0:
+                rest //= q
+        assert (rest == 1) if n >= 1 else not factors, n
 
 
 HUGE_PRIME = 2**61 - 1
