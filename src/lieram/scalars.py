@@ -41,12 +41,13 @@ def is_prime(n: int) -> bool:
 def _prime_factors(n: int) -> set:
     """The primes dividing n (none for n < 2), by trial division by 2 and the
     odd q up to the square root of what is left."""
-    out, q = set(), 2
-    while q * q <= n:
+    out = set()
+    for q in itertools.chain((2,), itertools.count(3, 2)):
+        if q * q > n:
+            break
         while n % q == 0:
             out.add(q)
             n //= q
-        q += 1 if q == 2 else 2
     return out | {n} if n > 1 else out
 
 
