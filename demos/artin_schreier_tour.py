@@ -27,7 +27,7 @@ chi = PChar(rs, 3, values=(F3.from_int(1),))
 weights, ambient = enumerate_lambda_chi(chi)
 print(f"\nLambda_chi for sl2, p=3, chi(h)=1 lives in F_{{3^{ambient.e}}}:")
 for w in weights:
-    print("  lambda(h) =", w.values[0])
+    print("  lambda(h) =", w[0])
 
 blocks = mod_blocks(chi)
 print(f"\nthis regular semisimple character has {len(blocks)} blocks, "

@@ -20,8 +20,8 @@ blocks = mod_blocks(chi)
 
 print(f"{len(blocks)} blocks of U_chi(sl3), p = 5, chi = 0:")
 for b in blocks:
-    lam = ",".join(str(v) for v in b.lam.values)
-    eta = ",".join(str(v) for v in b.eta.values)
+    lam = ",".join(map(str, b.lam))
+    eta = ",".join(map(str, b.eta))
     print(f"  lambda=({lam})  eta=({eta})  dim={b.dim}  "
           f"P={list(b.poincare)}  type={b.finite_type}")
 

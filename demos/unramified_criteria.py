@@ -16,7 +16,7 @@ the Harish-Chandra shift.
 
 from fractions import Fraction
 
-from lieram.modular import PChar, is_unramified, dim_C, rho_weight
+from lieram.modular import PChar, block_unramified, dim_C
 from lieram.quantum import QChar, TorusElement, hc_shift, q_unramified, w_t
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
@@ -25,13 +25,12 @@ from lieram.selftest import enumerate_lambda_chi
 rs = build_root_system("B2")
 chi = PChar(rs, 3, values=(make_field(3, 1).zero(), make_field(3, 1).one()),
             support=(0,))
-weights, ambient = enumerate_lambda_chi(chi)
-rho = rho_weight(rs, ambient)
+weights, _ambient = enumerate_lambda_chi(chi)
 agree = 0
 for lam in weights:
-    a = is_unramified(rs, lam, "simpleRootCriterion")
-    b = is_unramified(rs, lam, "definitional")
-    c = dim_C(rs, lam + rho) == 1
+    flags = block_unramified(rs, lam)
+    a, b = flags["simpleRootCriterion"], flags["definitional"]
+    c = dim_C(rs, tuple(v + 1 for v in lam)) == 1  # at eta = lam + rho
     assert a == b == c
     agree += a
 print(f"B2, p=3, mixed Levi character: {agree}/{len(weights)} weights "

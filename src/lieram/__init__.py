@@ -27,11 +27,8 @@ from .weyl import (  # noqa: F401
 )
 from .modular import (  # noqa: F401
     BlockReport,
-    ModWeight,
     PChar,
     dim_C,
-    finite_type_verdict,
-    is_unramified,
     mod_blocks,
     poincare_series,
     regularity_and_structure,

@@ -50,7 +50,6 @@ from typing import NamedTuple
 
 from .errors import HypothesisFailure, InvariantViolation, LieramError
 from .modular import (
-    ModWeight,
     PChar,
     block_finite_type,
     block_unramified,
@@ -305,7 +304,7 @@ def _qchi_dict(chi):
 def _resolve(args):
     """The inputs of args' subcommand, each resolved and checked once, in the
     order the module docstring gives: a namespace of the bound, the root
-    system rs, the character chi and the point (a ModWeight or
+    system rs, the character chi and the point (a tuple of field values or a
     TorusElement) the command takes, and the head of its payload: command,
     type, p or ell, and chi, weight or torus."""
     q = SimpleNamespace(bound=_bounds(args), head={})
@@ -328,7 +327,7 @@ def _resolve(args):
                           field=field)
             q.head["chi"] = _chi_dict(q.chi)
         else:
-            q.point = ModWeight(values)
+            q.point = values
             q.head["weight"] = [list(v.coeffs) for v in values]
     elif "ell" in args:
         check_root_of_unity(rs, args.ell, args.eps)
@@ -356,7 +355,7 @@ def cmd_modular_blocks(args, q):
     def rows():
         return [["lambda", "eta", "orbit_size", "dim", "unramified",
                  "stab_point", "stab_coset", "poincare", "finite_type"],
-                *([";".join(map(repr, b.lam.values)), ";".join(map(repr, b.eta.values)),
+                *([";".join(map(repr, b.lam)), ";".join(map(repr, b.eta)),
                    b.orbit_size, b.dim, b.unramified, b.stab_point_type, b.stab_coset_type,
                    ",".join(map(str, b.poincare)) if b.poincare else "-", b.finite_type]
                   for b in blocks)]

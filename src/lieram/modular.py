@@ -5,7 +5,10 @@ Two coordinate systems are used side by side and every report carries both:
 highest-weight coordinates lambda (baby Verma labels) and Harish-Chandra
 coordinates eta = lambda + rho.  Component dimensions, stabilizers and the
 unramified criteria are all computed on eta; block linkage is the dot action
-on lambda, equivalently the ordinary action on eta.
+on lambda, equivalently the ordinary action on eta.  A weight in either
+system is the tuple of its values on the basis coroots, one FFElem per
+simple root; the probes take lambda (block_unramified, block_finite_type)
+or eta (eta_subsystems, dim_C, poincare_series).
 
 eta and its pairings live on coefficient slots (a value in F_{p^e} is its e
 coefficients mod p), with no field arithmetic: each probe builds eta and the
@@ -32,45 +35,6 @@ from .weyl import (
     subsystem_index,
     support_indices,
 )
-
-
-class ModWeight:
-    """Element of h* given by its values on the basis coroots."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    @property
-    def field(self):
-        return self.values[0].field
-
-    def key(self):
-        return tuple(v.coeffs for v in self.values)
-
-    def __add__(self, other):
-        return ModWeight(tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        return ModWeight(tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def in_lambda(self) -> bool:
-        """Membership in X/pX: every coordinate is Frobenius-fixed."""
-        return all(v.in_prime_field() for v in self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, ModWeight) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"ModWeight({', '.join(map(str, self.values))})"
-
-
-def rho_weight(rs: RootSystem, field) -> ModWeight:
-    return ModWeight(tuple(field.one() for _ in range(rs.rank)))
 
 
 def check_hypotheses(rs: RootSystem, p: int):
@@ -128,10 +92,6 @@ def _lambda_base(chi: PChar, bound):
     return tuple(embed(x, ambient) for x in sols), ambient
 
 
-def _weight(f, coeffs):
-    return ModWeight(map(f.elem, coeffs))
-
-
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
 
 def _slots(values, field, shift=0):
@@ -147,14 +107,18 @@ def _slots(values, field, shift=0):
 def _pairings(rs: RootSystem, slots, p):
     """eta(h_beta) for every positive root beta, as its e slots mod p, from
     the slot vectors of the values eta(h_i): pairing is F_p-linear, so slot t
-    of eta(h_beta) pairs the t-th slots."""
+    of eta(h_beta) pairs the t-th slots.  ValueError unless there is one slot
+    vector per simple root."""
+    if len(slots) != rs.rank:
+        raise ValueError(f"{len(slots)} values given for rank {rs.rank}")
     return dict(zip(rs.pos_roots, zip(*map(integer_pairings(rs, "values", p), zip(*slots)))))
 
 
-def _table(rs: RootSystem, weight: ModWeight, shift=0):
+def _table(rs: RootSystem, weight, shift=0):
     """eta = weight + shift * rho on slots, and its table of pairings."""
-    eta = _slots(weight.values, weight.field, shift)
-    return eta, _pairings(rs, eta, weight.field.p)
+    field = weight[0].field
+    eta = _slots(weight, field, shift)
+    return eta, _pairings(rs, eta, field.p)
 
 
 def _zero(rs, table):
@@ -166,13 +130,13 @@ def _stabilisers(rs, table):
     return _zero(rs, table), reflection_stabilizer(rs, lambda b: not any(table[b][1:]))
 
 
-def eta_subsystems(rs: RootSystem, eta: ModWeight):
+def eta_subsystems(rs: RootSystem, eta):
     """(zero, fp): the classified subsystems {alpha : eta(h_alpha) = 0} and
     {alpha : eta(h_alpha) in F_p}."""
     return _stabilisers(rs, _table(rs, eta)[1])
 
 
-def dim_C(rs: RootSystem, eta: ModWeight) -> int:
+def dim_C(rs: RootSystem, eta) -> int:
     """dim of the primary component at eta: [W(eta + Lambda) : W(eta)],
     computed from the classified subsystem orders."""
     return subsystem_index(*eta_subsystems(rs, eta))
@@ -182,7 +146,7 @@ def _fp_unit(slots):
     return slots[0] and not any(slots[1:])  # the value is in F_p - {0}
 
 
-def block_unramified(rs: RootSystem, lam: ModWeight):
+def block_unramified(rs: RootSystem, lam):
     """Both unramified tests of the block of the baby Verma with highest
     weight lam, off one eta = lam + rho and its table.  simpleRootCriterion:
     no simple alpha with eta(h_alpha) in F_p - {0} (eta's own coordinates).
@@ -193,23 +157,16 @@ def block_unramified(rs: RootSystem, lam: ModWeight):
             "definitional": not any(map(_fp_unit, table.values()))}
 
 
-def is_unramified(rs: RootSystem, lam: ModWeight, mode: str = "simpleRootCriterion") -> bool:
-    """One of the two tests of block_unramified, by name."""
-    if mode not in ("simpleRootCriterion", "definitional"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return block_unramified(rs, lam)[mode]
-
-
 # -- blocks ------------------------------------------------------------------
 
 class BlockReport(BlockRecord):
     """Per-block record: both coordinate systems, orbit size, dimension,
     unramified flag, stabilizer types, Poincare series, finite-type verdict.
 
-    lam_code and eta_code hold each value's trimmed coefficients; lam and eta
-    are built from them on access.  The blocks whose eta has one point
-    stabiliser (`stabilizer`) share one verdict, so finite_type_witness and
-    to_dict give fresh dicts."""
+    lam_code and eta_code hold each value's trimmed coefficients; lam and eta,
+    the tuples of values, are built from them on access.  The blocks whose
+    eta has one point stabiliser (`stabilizer`) share one verdict, so
+    finite_type_witness and to_dict give fresh dicts."""
 
     __slots__ = ("field", "lam_code", "eta_code", "orbit_size", "stabilizer",
                  "dim", "stab_coset_type", "poincare", "finite_type", "_witness")
@@ -224,11 +181,11 @@ class BlockReport(BlockRecord):
 
     @property
     def lam(self):
-        return _weight(self.field, self.lam_code)
+        return tuple(map(self.field.elem, self.lam_code))
 
     @property
     def eta(self):
-        return _weight(self.field, self.eta_code)
+        return tuple(map(self.field.elem, self.eta_code))
 
     @property
     def finite_type_witness(self):
@@ -296,13 +253,13 @@ def unramified_count(chi: PChar, blocks=None, bound=None):
             "agree": predicted == enumerated}
 
 
-def poincare_series(rs: RootSystem, eta: ModWeight):
+def poincare_series(rs: RootSystem, eta):
     """Coefficients of P(C_eta, t): minimal coset representatives of W(eta),
     once conjugated to a standard parabolic W_J, counted by length.  That sum
     is W(t)/W_J(t), read from the degrees of W and of W(eta)'s type.
 
     Requires a nilpotent context (all coordinates of eta in F_p)."""
-    if not eta.in_lambda():
+    if not all(v.in_prime_field() for v in eta):
         raise NotNilpotentContext("Poincare series needs all coordinates in F_p")
     return _poincare(_zero(rs, _table(rs, eta)[1]))
 
@@ -314,9 +271,9 @@ def _poincare(zero):
     return zero.coset_poincare
 
 
-def finite_type_verdict(rs: RootSystem, eta: ModWeight,
-                        assume_unique_simple: bool = False):
-    """Finite-representation-type classification of the block at eta.
+def block_finite_type(rs: RootSystem, lam, assume_unique_simple: bool = False):
+    """Finite-representation-type classification of the block of the baby
+    Verma with highest weight lam, at eta = lam + rho built on slots.
 
     Returns (verdict, witness).  Necessity: the stabilizer pair must differ in
     rank by one and the differing connected component pair must be one of
@@ -327,12 +284,7 @@ def finite_type_verdict(rs: RootSystem, eta: ModWeight,
     the component lists of the two classified stabilizers; nothing is
     classified again.
     """
-    return _finite_type(*eta_subsystems(rs, eta), assume_unique_simple)
-
-
-def block_finite_type(rs: RootSystem, lam: ModWeight):
-    """finite_type_verdict at eta = lam + rho, built on slots."""
-    return _finite_type(*_stabilisers(rs, _table(rs, lam, 1)[1]), False)
+    return _finite_type(*_stabilisers(rs, _table(rs, lam, 1)[1]), assume_unique_simple)
 
 
 def _finite_type(small, big, assume_unique_simple):

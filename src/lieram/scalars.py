@@ -184,12 +184,6 @@ class FieldDescriptor:
     def elem(self, coeffs) -> "FFElem":
         return FFElem(self, _ptrim([c % self.p for c in coeffs]))
 
-    def gen_x(self) -> "FFElem":
-        # the residue class of x (not necessarily a multiplicative generator)
-        if self.e == 1:
-            return self.zero()
-        return FFElem(self, (0, 1))
-
     def elements(self):
         """All p^e elements, in low-degree-first lex order of coefficients."""
         for digits in itertools.product(range(self.p), repeat=self.e):
@@ -290,10 +284,6 @@ class FFElem:
         self._check(other)
         return FFElem(self.field, _psub(self.coeffs, other.coeffs, self.field.p))
 
-    def __neg__(self):
-        p = self.field.p
-        return FFElem(self.field, tuple((-c) % p for c in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, int):
             p = self.field.p
@@ -345,9 +335,6 @@ class FFElem:
         if len(self.coeffs) > 1:
             raise ValueError("not a prime-field representation")
         return self.coeffs[0] if self.coeffs else 0
-
-    def key(self):
-        return self.coeffs
 
     def __eq__(self, other):
         return (isinstance(other, FFElem) and self.field == other.field
@@ -415,7 +402,8 @@ def solve_linear(A, p=None):
 
 @functools.lru_cache(maxsize=None)
 def _subfield_embedding(small: FieldDescriptor, big: FieldDescriptor) -> FFElem:
-    """Image of small.gen_x() in big: a root of small's modulus in big.
+    """Image in big of x, the class that generates small = F_p[x]/(f) over
+    F_p: a root of small's modulus f in big.
     small must embed in big; embed, the one caller, has checked that.
 
     The roots lie in the degree-e subfield, whose nonzero elements are the
@@ -489,15 +477,6 @@ class UnityExp:
         q = Fraction(q)
         self.q = q - (q.numerator // q.denominator)  # reduce into [0, 1)
 
-    def __add__(self, other):
-        return UnityExp(self.q + other.q)
-
-    def __sub__(self, other):
-        return UnityExp(self.q - other.q)
-
-    def __neg__(self):
-        return UnityExp(-self.q)
-
     def __mul__(self, k: int):
         return UnityExp(self.q * k)
 
@@ -505,9 +484,6 @@ class UnityExp:
 
     def is_one(self):
         return self.q == 0
-
-    def order(self) -> int:
-        return self.q.denominator
 
     def key(self):
         return (self.q.numerator, self.q.denominator)

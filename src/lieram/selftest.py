@@ -30,15 +30,13 @@ from fractions import Fraction
 
 from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate, NotParabolic
 from .modular import (
-    ModWeight,
     PChar,
     _lambda_base,
+    block_unramified,
     dim_C,
     eta_subsystems,
-    is_unramified,
     mod_blocks,
     poincare_series,
-    rho_weight,
     unramified_count,
 )
 from .quantum import (
@@ -149,7 +147,7 @@ def close_up(rs: RootSystem, seed):
 
 def finite_type_by_closure(rs: RootSystem, small, big, assume_unique_simple=False):
     """(verdict, witness) of the classified pair small <= big, as in
-    modular.finite_type_verdict, by closing each component of big up from
+    modular.block_finite_type, by closing each component of big up from
     its basis and classifying its intersection with small anew."""
     witness = {"point_type": small.type_str, "coset_type": big.type_str,
                "differing_component": None}
@@ -319,7 +317,7 @@ def enumerate_lambda_chi(chi: PChar, bound=None):
     """
     _check_points(chi.p ** chi.rs.rank, bound)
     base, ambient = _lambda_base(chi, bound)
-    return [ModWeight(b + ambient.from_int(k) for b, k in zip(base, d))
+    return [tuple(b + ambient.from_int(k) for b, k in zip(base, d))
             for d in itertools.product(range(chi.p), repeat=chi.rs.rank)], ambient
 
 
@@ -634,7 +632,7 @@ def block_stabiliser_mismatches(chi):
                     *finite_type_by_closure(rs, zero, fp))
             if (b.stab_point_type, b.stab_coset_type, b.dim, b.poincare,
                     b.finite_type, b.finite_type_witness) != want:
-                bad.append(b.lam.key())
+                bad.append(tuple(v.coeffs for v in b.lam))
         return bad
     for b in q_blocks(chi):
         point, fiber = w_t(rs, b.rep), w_t(rs, b.rep.pow(chi.ell))
@@ -775,19 +773,18 @@ def suite_criterion_equivalences():
     bad = []
     for t, p, name, chi in modular_cells():
         rs = chi.rs
-        weights, ambient = enumerate_lambda_chi(chi)
-        rho = rho_weight(rs, ambient)
+        weights, _ambient = enumerate_lambda_chi(chi)
         for lam in weights:
-            simple = is_unramified(rs, lam, "simpleRootCriterion")
-            defn = is_unramified(rs, lam, "definitional")
-            dim1 = dim_C(rs, lam + rho) == 1
-            if not (simple == defn == dim1):
-                bad.append(("mod", t, p, name, lam.key()))
+            flags = block_unramified(rs, lam)
+            eta = tuple(v + 1 for v in lam)  # rho(h_i) = 1
+            dim1 = dim_C(rs, eta) == 1
+            if not (flags["simpleRootCriterion"] == flags["definitional"] == dim1):
+                bad.append(("mod", t, p, name, tuple(v.coeffs for v in lam)))
                 break
             # Levi reduction: W(eta + Lambda) is the reflection group of Phi'
-            _zero, fp_sub = eta_subsystems(rs, lam + rho)
+            _zero, fp_sub = eta_subsystems(rs, eta)
             if fp_sub.roots != chi.levi.roots:
-                bad.append(("mod levi", t, p, name, lam.key()))
+                bad.append(("mod levi", t, p, name, tuple(v.coeffs for v in lam)))
                 break
     for t, ell, name, chi in quantum_cells():
         rs = chi.rs
@@ -813,7 +810,7 @@ def _poincare_by_orbit_search(rs, eta, W):
     the first point whose stabilizer is generated by simple reflections and
     count the minimal coset representatives of that parabolic by length."""
     gens = [simple_reflection(rs, j) for j in range(rs.rank)]
-    orbit = orbit_of(eta.values, [lambda t, w=w: w.act_values(t) for w in gens])
+    orbit = orbit_of(eta, [lambda t, w=w: w.act_values(t) for w in gens])
     simples = {tuple(1 if k == j else 0 for k in range(rs.rank)): j
                for j in range(rs.rank)}
     for t in sorted(orbit, key=lambda tt: tuple(v.coeffs for v in tt)):
@@ -860,13 +857,13 @@ def suite_steinberg():
         rs = chi.rs
         blocks = mod_blocks(chi)
         stein = [b for b in blocks
-                 if all(pair(rs, b.eta.values, beta).is_zero()
+                 if all(pair(rs, b.eta, beta).is_zero()
                         for beta in chi.levi.basis)]
         if not stein or any(not (b.dim == 1 and b.unramified) for b in stein):
             bad.append(("mod", t, p, name))
         if chi.nilpotent:
             # the lambda = -rho block is the eta = 0 block
-            if not any(all(v.is_zero() for v in b.eta.values) and b.dim == 1
+            if not any(all(v.is_zero() for v in b.eta) and b.dim == 1
                        for b in blocks):
                 bad.append(("mod -rho", t, p, name))
     for t, ell, name, chi in quantum_cells():

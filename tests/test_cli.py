@@ -16,7 +16,7 @@ import pytest
 
 from lieram import cli, modular, quantum, scalars
 from lieram.cli import main
-from lieram.modular import ModWeight, dim_C
+from lieram.modular import dim_C
 from lieram.quantum import TorusElement, hc_shift
 from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
@@ -99,8 +99,10 @@ def test_tsv_output_is_pinned(name, capsys):
 
 def test_tsv_rows_are_built_only_for_tsv(monkeypatch, capsys):
     # JSON block answers are written off the walked codes: no TSV cell, and
-    # no ModWeight or TorusElement per block, is built for them
-    monkeypatch.setattr(modular, "_weight", lambda *_a: pytest.fail("ModWeight built"))
+    # no weight of field values or TorusElement per block, is built for them
+    for name in ("lam", "eta"):
+        monkeypatch.setattr(modular.BlockReport, name,
+                            property(lambda _b: pytest.fail("weight built")))
     monkeypatch.setattr(quantum.QBlockReport, "rep",
                         property(lambda _b: pytest.fail("TorusElement built")))
     for name in ("modular_blocks_a2_p5.json", "quantum_blocks_a1_l5.json"):
@@ -286,7 +288,7 @@ def test_poincare_e7_beyond_group_bound(capsys):
                          "--weight", "1,1,1,1,1,1,1"], capsys)
     assert code == 0
     P = json.loads(out)["coefficients"]
-    eta = ModWeight((make_field(7, 1).one(),) * 7)
+    eta = (make_field(7, 1).one(),) * 7
     assert len(P) - 1 == 57
     assert sum(P) == 60480 == dim_C(build_root_system("E7"), eta)
     assert P[-1] == 1 and P == P[::-1]

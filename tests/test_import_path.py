@@ -24,7 +24,11 @@ classifies nothing, and a Subsystem keeps no per-component root sets.
 What a root system, a subsystem or a field derives once is a cached
 property of that object, with no None sentinel: no production function
 writes another object's private attribute, and the block walk keeps no
-classification cache beside the subsystem memo."""
+classification cache beside the subsystem memo.  A modular weight is the
+tuple of its field values: no module defines a weight class, rho as a
+weight or a by-name or eta-side twin of a probe, and the modular
+unramified, finite-type and poincare commands reach their answers through
+block_unramified, block_finite_type and poincare_series alone."""
 
 import ast
 import os
@@ -32,6 +36,7 @@ import pathlib
 import subprocess
 import sys
 
+import lieram
 from lieram import rootdata
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lieram"
@@ -353,3 +358,24 @@ def test_the_block_walk_keeps_no_cache_of_its_own():
                if isinstance(node, ast.FunctionDef) and node.name == "_walk_skeleton"]
     assert not any("cache" in name for name in _referenced_names(walk))
     assert "subsystem_classify" in _called_names(walk)
+
+
+# the weight class, rho as a weight, the by-name unramified test and the
+# eta-side finite-type verdict that the tuple-valued probes replaced
+RETIRED = {"ModWeight", "rho_weight", "is_unramified", "finite_type_verdict"}
+
+
+def test_a_modular_weight_is_its_tuple_of_values():
+    trees = _trees()
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & RETIRED
+    assert not set(vars(lieram)) & RETIRED
+    modular = {node.name for node in trees["modular.py"].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    commands = {node.name: node for node in trees["cli.py"].body
+                if isinstance(node, ast.FunctionDef)}
+    for command, probe in (("cmd_modular_unramified", "block_unramified"),
+                           ("cmd_modular_finite_type", "block_finite_type"),
+                           ("cmd_modular_poincare", "poincare_series")):
+        assert _called_names(commands[command]) & modular == {probe}, command

@@ -244,7 +244,7 @@ def test_act_torus_dot_matches_direct_formula():
                           for j, c in enumerate(minv_coords))
             diff = rho_pairs[i] - pairing  # (rho, varpi_i - w^{-1} varpi_i)
             assert diff.denominator == 1  # root-lattice element
-            expect = ordinary[i] + eps_pow(-diff, ell)
+            expect = UnityExp(ordinary[i].q + eps_pow(-diff, ell).q)
             assert out[i] == expect
 
 
@@ -257,7 +257,7 @@ def test_stabilizer_bruteforce_examples():
     assert len(stab) == len(W)
 
     F25 = make_field(5, 2)
-    c = F25.gen_x()  # not Frobenius-fixed
+    c = F25.elem((0, 1))  # x, not Frobenius-fixed
     assert c.frobenius() != c
     eta = (F25.zero(), c)
     stab = stabilizer_bruteforce(W, [eta], lambda w, x: w.act_values(x))
