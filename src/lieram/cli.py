@@ -71,7 +71,7 @@ from .quantum import (
     simplicity_necessary,
     verify_appendix_row,
 )
-from .rootdata import build_root_system
+from .rootdata import build_root_system, check_cartan_type
 from .scalars import artin_schreier_solve, embed, make_field
 
 
@@ -306,42 +306,50 @@ def _resolve(args):
     order the module docstring gives: a namespace of the bound, the root
     system rs, the character chi and the point (a tuple of field values or a
     TorusElement) the command takes, and the head of its payload: command,
-    type, p or ell, and chi, weight or torus."""
+    type, p or ell, and chi, weight or torus.  The type is parsed and checked
+    once; the hypotheses and the values read only its components, so the
+    root system is built after them, before the character checks its
+    support."""
     q = SimpleNamespace(bound=_bounds(args), head={})
     if args.group == "selftest":
         return q
     q.head["command"] = f"{args.group}.{args.command}"
     if args.group == "verify":  # its --type picks rows of the appendix table
         return q
-    rs = q.rs = build_root_system(args.type, q.bound)  # refuses a type above the bound
-    q.head["type"] = rs.type_str
+    comps = check_cartan_type(args.type, q.bound)  # refuses a type above the bound
+    rank = sum(n for _l, n in comps)
     # an empty --chi-s is the zero character (the identity torus element)
-    chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rs.rank))
+    chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rank))
     if args.group == "modular":
         make_field(args.p, 1, q.bound)  # p within the field bound and prime
-        check_hypotheses(rs, args.p)
+        check_hypotheses(comps, args.p)
         q.head["p"] = args.p
-        values, field = parse_field_values(chi_s or args.weight, args.p, rs.rank, q.bound)
-        if chi_s:
-            q.chi = PChar(rs, args.p, values=values, support=parse_support(args.support),
-                          field=field)
-            q.head["chi"] = _chi_dict(q.chi)
-        else:
-            q.point = values
-            q.head["weight"] = [list(v.coeffs) for v in values]
+        values, field = parse_field_values(chi_s or args.weight, args.p, rank, q.bound)
     elif "ell" in args:
-        check_root_of_unity(rs, args.ell, args.eps)
+        check_root_of_unity(comps, args.ell, args.eps)
         q.head["ell"] = args.ell
-        if chi_s:
-            q.chi = QChar(rs, args.ell, chi_s=parse_torus(chi_s, rs.rank),
-                          support=parse_support(args.support), eps=args.eps)
-            q.head["chi"] = _qchi_dict(q.chi)
-        if "torus" in args:
-            q.point = parse_torus(args.torus, rs.rank)
-            q.head["torus"] = q.point.texts()
-            if chi_s and q.point.pow(args.ell) != q.chi.chi_s:
-                raise HypothesisFailure(
-                    f"t^{args.ell} != chi_s: t labels no baby Verma module")
+        # the character's torus, else the point's; given both (quantum
+        # simplicity), the point is parsed after the character's support
+        torus = parse_torus(chi_s or args.torus, rank)
+    rs = q.rs = build_root_system(comps, q.bound)
+    q.head["type"] = rs.type_str
+    if args.group == "modular" and chi_s:
+        q.chi = PChar(rs, args.p, values=values, support=parse_support(args.support),
+                      field=field)
+        q.head["chi"] = _chi_dict(q.chi)
+    elif args.group == "modular":
+        q.point = values
+        q.head["weight"] = [list(v.coeffs) for v in values]
+    elif chi_s:
+        q.chi = QChar(rs, args.ell, chi_s=torus, support=parse_support(args.support),
+                      eps=args.eps)
+        q.head["chi"] = _qchi_dict(q.chi)
+    if "torus" in args:
+        q.point = parse_torus(args.torus, rank) if chi_s else torus
+        q.head["torus"] = q.point.texts()
+        if chi_s and q.point.pow(args.ell) != q.chi.chi_s:
+            raise HypothesisFailure(
+                f"t^{args.ell} != chi_s: t labels no baby Verma module")
     return q
 
 

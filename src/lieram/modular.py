@@ -37,15 +37,16 @@ from .weyl import (
 )
 
 
-def check_hypotheses(rs: RootSystem, p: int):
-    """Raise HypothesisFailure unless p meets the standing hypotheses for rs:
-    an odd good prime with a nondegenerate trace form; NonPrime first unless
-    p is prime."""
+def check_hypotheses(comps, p: int):
+    """Raise HypothesisFailure unless p meets the standing hypotheses for the
+    Cartan type with components `comps` (RootSystem.ctype): an odd good prime
+    with a nondegenerate trace form; NonPrime first unless p is prime.  No
+    root system is built."""
     prime_field(p)
-    hyp = hypothesis_check(rs, p)
+    hyp = hypothesis_check(comps, p)
     if not hyp["ok"]:
         raise HypothesisFailure(
-            f"(type {rs.type_str}, p={p}) fails hypotheses: {hyp}")
+            f"(type {type_string(comps)}, p={p}) fails hypotheses: {hyp}")
 
 
 class PChar:
@@ -56,11 +57,11 @@ class PChar:
     """
 
     def __init__(self, rs, p, values=None, support=(), field=None):
-        check_hypotheses(rs, p)
+        check_hypotheses(rs.ctype, p)
         self.rs = rs
         self.p = p
         if field is None:
-            field = make_field(p, 1) if values is None else values[0].field
+            field = values[0].field if values else make_field(p, 1)
         if values is None:
             values = tuple(field.zero() for _ in range(rs.rank))
         if field.p != p or any(v.field != field for v in values):
@@ -68,7 +69,7 @@ class PChar:
                 "character values must share one ambient field of characteristic p")
         self.field = field
         self.values = tuple(values)
-        self.levi = _zero(rs, _pairings(rs, _slots(self.values, field), p))
+        self.levi = _zero(rs, _table(rs, self.values)[1])
         self.support = support_indices(self.levi, support)
 
     @property
@@ -106,16 +107,17 @@ def _slots(values, field, shift=0):
 
 def _pairings(rs: RootSystem, slots, p):
     """eta(h_beta) for every positive root beta, as its e slots mod p, from
-    the slot vectors of the values eta(h_i): pairing is F_p-linear, so slot t
-    of eta(h_beta) pairs the t-th slots.  ValueError unless there is one slot
-    vector per simple root."""
-    if len(slots) != rs.rank:
-        raise ValueError(f"{len(slots)} values given for rank {rs.rank}")
+    the slot vectors of the values eta(h_i), one per simple root: pairing is
+    F_p-linear, so slot t of eta(h_beta) pairs the t-th slots."""
     return dict(zip(rs.pos_roots, zip(*map(integer_pairings(rs, "values", p), zip(*slots)))))
 
 
 def _table(rs: RootSystem, weight, shift=0):
-    """eta = weight + shift * rho on slots, and its table of pairings."""
+    """eta = weight + shift * rho on slots, and its table of pairings.
+    ValueError, before the field is read, unless weight has one value per
+    simple root: PChar and every probe come through here."""
+    if len(weight) != rs.rank:
+        raise ValueError(f"{len(weight)} values given for rank {rs.rank}")
     field = weight[0].field
     eta = _slots(weight, field, shift)
     return eta, _pairings(rs, eta, field.p)

@@ -104,12 +104,13 @@ def w_t(rs: RootSystem, t: TorusElement):
     return reflection_stabilizer(rs, lambda b: vals[b] == 0)
 
 
-def check_root_of_unity(rs: RootSystem, ell: int, eps: int):
-    """The standing hypotheses on ell and epsilon: ell odd and >= 3, prime to
-    3 when a G2 component is present, and eps coprime to ell."""
+def check_root_of_unity(comps, ell: int, eps: int):
+    """The standing hypotheses on ell and epsilon for the Cartan type with
+    components `comps` (RootSystem.ctype): ell odd and >= 3, prime to 3 when
+    a G2 component is present, and eps coprime to ell."""
     if ell % 2 == 0 or ell < 3:
         raise HypothesisFailure(f"ell = {ell} must be odd and >= 3")
-    if any(l == "G" for l, _, _ in rs.components) and ell % 3 == 0:
+    if any(l == "G" for l, _n in comps) and ell % 3 == 0:
         raise HypothesisFailure(
             f"ell = {ell} must be prime to 3 for G2 components")
     if math.gcd(eps, ell) != 1:
@@ -121,7 +122,7 @@ class QChar:
     support a subset of the basis of Phi' = {beta : beta(chi_s^2) = 1}."""
 
     def __init__(self, rs, ell, chi_s=None, support=(), eps=1):
-        check_root_of_unity(rs, ell, eps)
+        check_root_of_unity(rs.ctype, ell, eps)
         self.rs = rs
         self.ell = ell
         self.eps = eps

@@ -17,6 +17,11 @@ Node numbering is Bourbaki throughout:
 
 Products are written A1xB2 (case-insensitive, no whitespace).
 
+The facts of a type that need no roots come off the type, each cached per
+component type: weyl_invariants, cartan_matrix and highest_root (the marks
+of theta and the word of s_theta, by the dominant ascent).  So
+check_cartan_type and hypothesis_check build no root system.
+
 What a root system or a classified subsystem derives only on demand is a
 functools.cached_property of its owner, computed on the first read and kept
 with it: RootSystem.fundamental_weights, rho_weight_pairs and sum_triples;
@@ -132,6 +137,26 @@ def cartan_matrix(letter, n):
     return tuple(map(tuple, C))
 
 
+@functools.lru_cache(maxsize=None)
+def highest_root(letter, n):
+    """(marks, word) of the highest root theta of a component letter+n, on
+    0-based local nodes: the coefficients a_j of theta = sum_j a_j alpha_j,
+    and the word of the reflection s_theta.  Built once per type by the
+    dominant ascent, on cartan_matrix and the symmetrizers d alone: from a
+    long simple root alpha_i, while some <beta, alpha_k^vee> < 0, beta <-
+    s_k beta, its pairings updated in O(n) by column k.  It ends at the one
+    dominant long root, theta = w alpha_i with w = s_(k_m) ... s_(k_1) for
+    the steps k_1, ..., k_m, and s_theta = w s_i w^-1."""
+    C, d = cartan_matrix(letter, n), weyl_invariants(letter, n).d
+    i = d.index(max(d))
+    beta, v, steps = [int(j == i) for j in range(n)], [row[i] for row in C], []
+    while (k := next((k for k, x in enumerate(v) if x < 0), None)) is not None:
+        beta[k] -= v[k]  # s_k beta = beta - <beta, alpha_k^vee> alpha_k
+        v = [x - v[k] * row[k] for x, row in zip(v, C)]
+        steps.append(k)
+    return tuple(beta), (*steps[::-1], i, *steps)
+
+
 class RootSystem:
     """Immutable container for the combinatorial data of a root system."""
 
@@ -201,17 +226,19 @@ class RootSystem:
             self._coroot[b], self._coroot[nbeta] = cv, tuple(-x for x in cv)
             self._norm[b] = self._norm[nbeta] = nb
         self._allset = frozenset(self._value)
-        # the highest root of a component is its last root in (height,
-        # coefficients) order, if any root is above all the others
+        # the highest root of a component, placed from the marks of its
+        # ascent, must be its last root in (height, coefficients) order and
+        # lie above all the others
         self._highest = []
-        for k, (letter, n, _nodes) in enumerate(self.components):
+        for k, (letter, n, nodes) in enumerate(self.components):
             roots = [b for b in pos if data[b][3] == k]
             if len(roots) != sum(e - 1 for e in weyl_invariants(letter, n).degrees):
                 raise InvariantViolation(
                     f"{letter}{n}: {len(roots)} positive roots, degrees say otherwise")
-            if not all(map(self.leq, roots, itertools.repeat(roots[-1]))):
-                raise InvariantViolation(f"{letter}{n}: no unique maximal root")
-            self._highest.append(roots[-1])
+            theta = (0,) * nodes[0] + highest_root(letter, n)[0] + (0,) * (r - 1 - nodes[-1])
+            if roots[-1] != theta or not all(map(self.leq, roots, itertools.repeat(theta))):
+                raise InvariantViolation(f"{letter}{n}: the highest root is not above every root")
+            self._highest.append(theta)
         self.a = tuple(map(sum, zip(*self._highest)))
 
     @functools.cached_property
@@ -305,20 +332,18 @@ def coxeter_type(letter, rank):
     return (letter, rank)
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_system(canon: str) -> RootSystem:
-    return RootSystem(parse_cartan_type(canon))
-
-
-def build_root_system(ctype, bound=None) -> RootSystem:
-    """Root system for a Cartan type given as a string or component tuple.
-    BoundExceeded, before any table is built or the memo is read, if its
-    root tables would hold more than `bound` (default DEFAULT_GROUP_BOUND)
-    entries: |Phi+| x rank."""
+def _components(ctype):
+    # a Cartan type given as a string or a component tuple, its grammar checked
     if isinstance(ctype, str):
-        comps = parse_cartan_type(ctype)
-    else:
-        comps = tuple(_validate_component(l, n) for l, n in ctype)
+        return parse_cartan_type(ctype)
+    return tuple(_validate_component(l, n) for l, n in ctype)
+
+
+def check_cartan_type(ctype, bound=None):
+    """The components of a Cartan type given as a string or component tuple:
+    its grammar, then BoundExceeded if its root tables would hold more than
+    `bound` (default DEFAULT_GROUP_BOUND) entries: |Phi+| x rank."""
+    comps = _components(ctype)
     cap = DEFAULT_GROUP_BOUND if bound is None else bound
     r = sum(n for _l, n in comps)
     # |Phi+| >= rank: a rank past the square root of the bound is refused
@@ -327,7 +352,18 @@ def build_root_system(ctype, bound=None) -> RootSystem:
                   else ("|Phi+| x rank", r * sum(d - 1 for d in degrees(comps))))
     if size > cap:
         raise BoundExceeded(f"type {type_string(comps)}: {what} = {size} exceeds bound {cap}")
-    return _cached_system(type_string(comps))
+    return comps
+
+
+# one root system per checked component tuple
+_cached_system = functools.lru_cache(maxsize=None)(RootSystem)
+
+
+def build_root_system(ctype, bound=None) -> RootSystem:
+    """Root system for a Cartan type given as a string or component tuple,
+    after check_cartan_type: BoundExceeded before any table is built or the
+    memo is read."""
+    return _cached_system(check_cartan_type(ctype, bound))
 
 
 def two_rho_dot(rs: RootSystem, b) -> int:
@@ -509,13 +545,14 @@ def _classify(rs, S):
 
 def hypothesis_check(ctype, p: int) -> dict:
     """Good-prime and trace-form flags for the standing hypotheses, on a
-    Cartan type (a string or components) or its RootSystem.  p is bad iff it
-    divides a mark of a highest root (Springer-Steinberg, Conjugacy Classes,
-    LNM 131, I.4.3); the trace form of sl_(n+1) degenerates iff p divides
-    n + 1."""
-    rs = ctype if isinstance(ctype, RootSystem) else build_root_system(ctype)
-    good = not any(a % p == 0 for a in rs.a)
-    trace_ok = all(letter != "A" or (n + 1) % p for letter, n in rs.ctype)
+    Cartan type given as a string or components, off the type alone: its
+    grammar is checked, no root system is built.  p is bad iff it divides a
+    mark of a highest root (highest_root; Springer-Steinberg, Conjugacy
+    Classes, LNM 131, I.4.3); the trace form of sl_(n+1) degenerates iff p
+    divides n + 1."""
+    comps = _components(ctype)
+    good = not any(a % p == 0 for letter, n in comps for a in highest_root(letter, n)[0])
+    trace_ok = all(letter != "A" or (n + 1) % p for letter, n in comps)
     return {
         "goodPrime": good,
         "traceFormOK": trace_ok,

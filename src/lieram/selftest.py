@@ -74,7 +74,6 @@ from .scalars import (
 from .weyl import (
     WeylElement,
     _check_points,
-    _word_for_reflection,
     enumerate_group,
     extended_diagram,
     generated_group,
@@ -182,7 +181,8 @@ def finite_type_by_closure(rs: RootSystem, small, big, assume_unique_simple=Fals
 
 
 def root_reflection(rs: RootSystem, beta) -> WeylElement:
-    """s_beta for any root beta."""
+    """s_beta for any root beta: its matrix, and its word s_beta = w s_i
+    w^-1 by descent, simple reflections peeled off beta down to alpha_i."""
     r = rs.rank
     cv = rs.coroot(beta)
     pairings = [sum(cv[t] * rs.cartan[t][i] for t in range(r))  # alpha_i(h_beta)
@@ -191,8 +191,20 @@ def root_reflection(rs: RootSystem, beta) -> WeylElement:
         tuple((1 if i == k else 0) - pairings[i] * beta[k] for i in range(r))
         for k in range(r)
     )
-    word = _word_for_reflection(rs, beta)
-    return WeylElement(rs, m, m, word)
+    b = beta if rs.is_positive(beta) else tuple(-c for c in beta)
+    prefix = []
+    while sum(b) != 1:
+        v = rs.value_vec(b)
+        for i in range(rs.rank):
+            if v[i] > 0 and b != rs.simple_roots[i]:
+                nb = rs.reflect(i, b)
+                if rs.is_positive(nb) and sum(nb) < sum(b):
+                    prefix.append(i)
+                    b = nb
+                    break
+        else:
+            raise InvariantViolation(f"no descent step from the root {b}")
+    return WeylElement(rs, m, m, (*prefix, b.index(1), *prefix[::-1]))
 
 
 def subgroup_elements(sub):
@@ -456,7 +468,7 @@ def modular_cells():
     for t in MATRIX_TYPES:
         rs = build_root_system(t)
         for p in MATRIX_PRIMES:
-            if not hypothesis_check(rs, p)["ok"]:
+            if not hypothesis_check(t, p)["ok"]:
                 continue
             for name, chi in modular_characters(rs, p):
                 yield (t, p, name, chi)

@@ -8,7 +8,9 @@ the rank-one maps of integer_actions on numerators over one denominator
 (word_torus_image; conjugated by quantum.hc_shift it is the quantum dot
 action).  The alcove descent, on such numerators too, returns the
 word of its finite part; it reads theta, theta^vee and the word of s_theta
-from the extended diagram, built once per root system.
+from the extended diagram, built once per root system, which takes the
+marks and the word of s_theta per component from the dominant ascent of
+rootdata.highest_root.
 
 WeylElement stores an element as the integer matrix of its action on
 simple-root coordinates with the inverse matrix (equality is matrix
@@ -60,7 +62,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BoundExceeded, InvalidSupport, InvariantViolation
-from .rootdata import DEFAULT_GROUP_BOUND, RootSystem, subsystem_classify
+from .rootdata import DEFAULT_GROUP_BOUND, RootSystem, highest_root, subsystem_classify
 from .scalars import UnityExp
 
 
@@ -189,26 +191,6 @@ def simple_reflection(rs: RootSystem, j: int) -> WeylElement:
     return WeylElement(rs, m, m, (j,))
 
 
-def _word_for_reflection(rs, beta):
-    # s_beta = w s_i w^{-1} via descent: peel simple reflections off beta
-    b = beta if rs.is_positive(beta) else tuple(-c for c in beta)
-    prefix = []
-    while True:
-        if sum(b) == 1:
-            i = b.index(1)
-            return tuple(prefix) + (i,) + tuple(reversed(prefix))
-        v = rs.value_vec(b)
-        for i in range(rs.rank):
-            if v[i] > 0 and b != rs.simple_roots[i]:
-                nb = rs.reflect(i, b)
-                if rs.is_positive(nb) and sum(nb) < sum(b):
-                    prefix.append(i)
-                    b = nb
-                    break
-        else:
-            raise InvariantViolation(f"no descent step from the root {b}")
-
-
 class ExtendedDiagram(NamedTuple):
     """The extended Dynkin diagram of a root system, per component c: its
     highest root thetas[c], the coroot theta^vee (coroots[c]), the word of
@@ -228,10 +210,11 @@ class ExtendedDiagram(NamedTuple):
 def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
     """The extended Dynkin diagram of rs, built once per root system."""
     thetas = tuple(map(rs.highest_root, range(len(rs.components))))
+    ascents = [(nodes, *highest_root(letter, n)) for letter, n, nodes in rs.components]
     return ExtendedDiagram(
         thetas, tuple(map(rs.coroot, thetas)),
-        tuple(_word_for_reflection(rs, theta) for theta in thetas),
-        tuple((1, *(rs.a[j] for j in nodes)) for _l, _n, nodes in rs.components),
+        tuple(tuple(nodes[k] for k in word) for nodes, _marks, word in ascents),
+        tuple((1, *marks) for _nodes, marks, _word in ascents),
         rs.simple_roots + tuple(tuple(-c for c in theta) for theta in thetas))
 
 

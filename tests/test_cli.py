@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieram import cli, modular, quantum, scalars
+from lieram import cli, modular, quantum, rootdata, scalars
 from lieram.cli import main
 from lieram.modular import dim_C
 from lieram.quantum import TorusElement, hc_shift
@@ -589,6 +589,33 @@ def test_every_subcommand_reports_the_same_first_error(side, capsys):
         errors[case] = captured.err
     assert set(errors.values()) == {errors["blocks"]}
     assert errors["blocks"].startswith("error: " + message)
+
+
+# (command, its values, the message): each refused off the parsed A120 type
+A120_REFUSALS = [
+    *((["modular", c, "--p", "1000003", "--weight", "0"], "values")
+      for c in ("poincare", "unramified", "finite-type")),
+    (["modular", "blocks", "--p", "1000003", "--chi-s", "1"], "values"),
+    (["quantum", "unramified", "--ell", "7", "--torus", "0"], "exponents"),
+    (["quantum", "blocks", "--ell", "7", "--chi-s", "1"], "exponents"),
+]
+
+
+def test_refused_inputs_build_no_root_system(monkeypatch, capsys):
+    # the hypotheses and the value count read the parsed type alone; the
+    # memo is patched too, so that no memoised A120 hides a build
+    monkeypatch.setattr(rootdata.RootSystem, "_build_roots",
+                        lambda _rs: pytest.fail("root system built"))
+    monkeypatch.setattr(rootdata, "_cached_system", lambda _c: pytest.fail("memo read"))
+    for (side, command, *flags), what in A120_REFUSALS:
+        code = main([side, command, "--type", "A120", *flags])
+        assert (code, capsys.readouterr()) == (
+            1, ("", f"error: expected 120 comma-separated {what}, got 1\n")), command
+    # the hypotheses come before the count: 121 = 11^2
+    code = main(["modular", "poincare", "--type", "A120", "--p", "11", "--weight", "0"])
+    assert (code, capsys.readouterr()) == (1, ("", (
+        "error: (type A120, p=11) fails hypotheses: {'goodPrime': True, "
+        "'traceFormOK': False, 'oddPrime': True, 'ok': False}\n")))
 
 
 # (type, highest-weight label, verdict): the alcove descent of each label

@@ -14,8 +14,9 @@ once, in quantum.hc_shift, and the epsilon form of the Delta-tilde test is
 an oracle.  The CLI resolves and checks every subcommand's inputs in one
 front end, before the command runs.  A type's Cartan matrix is built in one
 place: rootdata.cartan_matrix builds the Dynkin edges, which the per-type
-table of weyl_invariants does not hold, and the root systems and the
-classifier's check take their matrices from it.  The Weyl kernels take one
+table of weyl_invariants does not hold, and the root systems, the dominant
+ascent of rootdata.highest_root and the classifier's check take their
+matrices from it.  The Weyl kernels take one
 coefficient per coordinate: no function takes a slot width, and the
 modular side builds no flat full-width code of its values.  A subsystem's
 components are decided once, by the classifier, in one pass over its basis:
@@ -281,7 +282,7 @@ def test_one_function_builds_a_types_cartan_matrix():
     assert not [sub for tree in trees.values() for sub in ast.walk(tree)
                 if isinstance(sub, ast.Attribute) and sub.attr == "edges"]
     assert rootdata.WeylInvariants._fields == ("d", "degrees", "index")
-    assert _callers(trees["rootdata.py"], "cartan_matrix") == {"RootSystem",
+    assert _callers(trees["rootdata.py"], "cartan_matrix") == {"RootSystem", "highest_root",
                                                                "_classify_component"}
 
 

@@ -70,14 +70,14 @@ def test_pchar_validation():
 
 
 def test_a_weight_of_the_wrong_length_is_refused():
-    # r - 1 and r + 1 values: a ValueError, not an answer read off a missing
-    # or extra value, nor a bare IndexError
-    a2, f5 = build_root_system("A2"), F(5)
-    for n in (1, 3):
-        values = (f5.zero(),) * n
-        for probe in (lambda: PChar(a2, 5, values=values), lambda: block_unramified(a2, values),
-                      lambda: poincare_series(a2, values)):
-            with pytest.raises(ValueError, match=f"^{n} values given for rank 2$"):
+    # r - 1 and r + 1 values, and none on a rank-1 type: a ValueError, not an
+    # answer read off a missing or extra value, nor a bare IndexError
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    for rs, p, n in ((a2, 5, 1), (a2, 5, 3), (a1, 3, 0)):
+        values = (F(p).zero(),) * n
+        for probe in (lambda: PChar(rs, p, values=values), lambda: block_unramified(rs, values),
+                      lambda: poincare_series(rs, values)):
+            with pytest.raises(ValueError, match=f"^{n} values given for rank {rs.rank}$"):
                 probe()
 
 

@@ -15,6 +15,7 @@ from lieram.rootdata import (
     _classify_component,
     build_root_system,
     check_closed,
+    highest_root,
     hypothesis_check,
     parse_cartan_type,
     subsystem_classify,
@@ -23,7 +24,7 @@ from lieram.rootdata import (
 )
 from lieram.scalars import make_field
 from lieram.selftest import close_up, pair
-from lieram.weyl import enumerate_group
+from lieram.weyl import enumerate_group, word_images
 
 CLASSICAL_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -384,7 +385,7 @@ def test_hypothesis_check():
     # D3 = A3 has no bad prime; p = 2 still fails as an even prime
     assert hypothesis_check("D3", 2) == {"goodPrime": True, "traceFormOK": True,
                                          "oddPrime": False, "ok": False}
-    assert hypothesis_check(build_root_system("B3"), 2) == hypothesis_check("B3", 2)
+    assert hypothesis_check(build_root_system("B3").ctype, 2) == hypothesis_check("B3", 2)
 
 
 # the bad primes of each type (Springer-Steinberg, Conjugacy Classes, LNM 131,
@@ -414,6 +415,29 @@ def det(C):
             f = M[i][k] / M[k][k]
             M[i] = [a - f * b for a, b in zip(M[i], M[k])]
     return out
+
+
+ASCENT_TYPES = ([f"A{r}" for r in range(1, 13)]
+                + [f"{l}{r}" for l in "BC" for r in range(2, 13)]
+                + [f"D{r}" for r in range(4, 13)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("t", ASCENT_TYPES)
+def test_the_dominant_ascent_gives_theta_and_the_word_of_s_theta(t, monkeypatch):
+    rs = build_root_system(t)
+    ((letter, n),) = rs.ctype
+    marks, word = highest_root(letter, n)
+    assert marks == rs.a and marks == rs.highest_root(0)
+    # s_theta alpha_j = alpha_j - <alpha_j, theta^vee> theta
+    theta, simple = rs.highest_root(0), rs.simple_roots
+    assert word_images(rs, word, simple) == [
+        tuple(a - rs.cartan_int(alpha, theta) * b for a, b in zip(alpha, theta))
+        for alpha in simple]
+    # the good primes come off the type alone, with no root system built
+    monkeypatch.setattr(RootSystem, "_build_roots", lambda _rs: pytest.fail("roots built"))
+    for p in (2, 3, 5, 7):
+        assert hypothesis_check(rs.ctype, p)["goodPrime"] == (p not in bad_primes(t)), p
 
 
 @pytest.mark.parametrize("t", ALL_TYPES)

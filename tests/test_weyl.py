@@ -165,7 +165,7 @@ def test_the_extended_diagram_is_built_once_per_root_system(type_str, monkeypatc
         assert word_images(rs, ext.words[c], [theta]) == [tuple(-x for x in theta)]
     # the descents and the highest-weight test read the table: no theta, word
     # or mark is built again
-    monkeypatch.setattr(weyl, "_word_for_reflection", lambda *_a: pytest.fail("word rebuilt"))
+    monkeypatch.setattr(weyl, "highest_root", lambda *_a: pytest.fail("word rebuilt"))
     monkeypatch.setattr(type(rs), "highest_root", lambda *_a: pytest.fail("theta rebuilt"))
     monkeypatch.setattr(type(rs), "a", property(lambda _rs: pytest.fail("marks rebuilt")),
                         raising=False)

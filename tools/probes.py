@@ -1,0 +1,94 @@
+"""Cold CLI probes: wall time, peak memory and a pinned digest per command.
+
+    python3 tools/probes.py
+
+Runs each command of PROBES once, in order, as a fresh `python3 -m
+lieram.cli` child of this checkout's src/, with PYTHONDONTWRITEBYTECODE=1
+and without LIERAM_BOUND.  Per command it prints one JSON line: the
+command, its wall time in seconds, the child's peak resident set size
+(ru_maxrss from os.wait4) in MB, its exit status, and the sha256 of its
+stdout followed by "exit <status>\\n", with "pinned" true when that digest
+is the one PROBES holds.  The digests were taken at commit fb2acc8, so a
+probe checks the bytes it answers as well as its cost.  Exits 1 when any
+digest differs from its pin.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# the digest of a refusal: no stdout, exit status 1
+REFUSED = "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3"
+
+# (command after `lieram`, sha256 of its stdout and exit status)
+PROBES = (
+    # value counts refused on A120, and the trace-form hypothesis (121 = 11^2)
+    # refused before the count
+    ("modular poincare --type A120 --p 1000003 --weight 0", REFUSED),
+    ("modular unramified --type A120 --p 1000003 --weight 0", REFUSED),
+    ("modular finite-type --type A120 --p 1000003 --weight 0", REFUSED),
+    ("modular blocks --type A120 --p 1000003 --chi-s 1", REFUSED),
+    ("quantum unramified --type A120 --ell 7 --torus 0", REFUSED),
+    ("quantum blocks --type A120 --ell 7 --chi-s 1", REFUSED),
+    ("modular poincare --type A120 --p 11 --weight 0", REFUSED),
+    # the rank-6 and rank-7 block walks
+    ("modular blocks --type E6 --p 7",
+     "444a40332666c4fc5b7f8c0838800d9a3f13d5a270f6f44aac9a4f53c32a92ca"),
+    ("quantum blocks --type E6 --ell 7",
+     "9b5447f2a30ebf1f41258080ede78d4c13f487b0f669a8b545c5b6a05c2bb163"),
+    ("modular blocks --type E7 --p 7",
+     "ffff67ca6be4e3a1269ed4c8a3ed58196d74ebe5050116da5f33adea9c8cb6f3"),
+    ("quantum structure --type E7 --ell 7",
+     "a27d1986616c3d3f96c87a803ce7de35ccab206bcf68bd0ac26bfd08982723da"),
+)
+
+
+def digest(out: bytes, code: int) -> str:
+    return hashlib.sha256(out + b"exit %d\n" % code).hexdigest()
+
+
+def run(argv):
+    """(wall seconds, peak RSS in MB, stdout, exit status) of one cold CLI
+    child; stderr is discarded."""
+    env = {k: v for k, v in os.environ.items() if k != "LIERAM_BOUND"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-m", "lieram.cli", *argv], cwd=ROOT, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        out = proc.stdout.read()
+        _pid, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in KB on Linux
+    return time.perf_counter() - start, usage.ru_maxrss / 1024, out, proc.returncode
+
+
+def measure(probes, runner=run):
+    """One row per (command, pinned digest) of `probes`, yielded as each
+    command is run once by `runner`, in order."""
+    for command, pinned in probes:
+        seconds, rss, out, code = runner(shlex.split(command))
+        sha = digest(out, code)
+        yield {"command": command, "seconds": round(seconds, 3),
+               "peak_rss_mb": round(rss, 1), "exit": code, "sha256": sha,
+               "pinned": sha == pinned}
+
+
+def main(probes=PROBES, runner=run) -> int:
+    ok = True
+    for row in measure(probes, runner):
+        print(json.dumps(row, sort_keys=True), flush=True)
+        ok = ok and row["pinned"]
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
