@@ -546,7 +546,7 @@ def _classify(rs, S):
 def hypothesis_check(ctype, p: int) -> dict:
     """Good-prime and trace-form flags for the standing hypotheses, on a
     Cartan type given as a string or components, off the type alone: its
-    grammar is checked, no root system is built.  p is bad iff it divides a
+    grammar is checked, not its size, and no root system is built.  p is bad iff it divides a
     mark of a highest root (highest_root; Springer-Steinberg, Conjugacy
     Classes, LNM 131, I.4.3); the trace form of sl_(n+1) degenerates iff p
     divides n + 1."""
