@@ -25,7 +25,8 @@ one order; the first failure is the one reported:
 Each command then computes only its own fields.
 
 Input grammars:
-  * Cartan types:   A2, b3, A1xA1 (case-insensitive, no whitespace)
+  * Cartan types:   A2, b3, A1xA1 (case-insensitive; blanks around a factor
+    are ignored)
   * modular values: comma-separated field literals: integers, g^k (g is the
     deterministic generator of the ambient field), or AS(c) for a chosen
     Artin-Schreier solution of x^p - x = c.  Any AS(c) with c != 0 makes the
@@ -71,7 +72,7 @@ from .quantum import (
     simplicity_necessary,
     verify_appendix_row,
 )
-from .rootdata import build_root_system, check_cartan_type
+from .rootdata import check_cartan_type, root_system
 from .scalars import artin_schreier_solve, embed, make_field
 
 
@@ -306,10 +307,10 @@ def _resolve(args):
     order the module docstring gives: a namespace of the bound, the root
     system rs, the character chi and the point (a tuple of field values or a
     TorusElement) the command takes, and the head of its payload: command,
-    type, p or ell, and chi, weight or torus.  The type is parsed and checked
-    once; the hypotheses and the values read only its components, so the
-    root system is built after them, before the character checks its
-    support."""
+    type, p or ell, and chi, weight or torus.  The type is checked once, by
+    check_cartan_type; the hypotheses and the values read only its
+    components, and root_system builds the root system from them after
+    those checks, before the character checks its support."""
     q = SimpleNamespace(bound=_bounds(args), head={})
     if args.group == "selftest":
         return q
@@ -331,7 +332,7 @@ def _resolve(args):
         # the character's torus, else the point's; given both (quantum
         # simplicity), the point is parsed after the character's support
         torus = parse_torus(chi_s or args.torus, rank)
-    rs = q.rs = build_root_system(comps, q.bound)
+    rs = q.rs = root_system(comps)
     q.head["type"] = rs.type_str
     if args.group == "modular" and chi_s:
         q.chi = PChar(rs, args.p, values=values, support=parse_support(args.support),

@@ -39,9 +39,9 @@ from .weyl import (
 
 def check_hypotheses(comps, p: int):
     """Raise HypothesisFailure unless p meets the standing hypotheses for the
-    Cartan type with components `comps` (RootSystem.ctype): an odd good prime
-    with a nondegenerate trace form; NonPrime first unless p is prime.  No
-    root system is built."""
+    Cartan type with components `comps` (what check_cartan_type returns, or
+    RootSystem.ctype): an odd good prime with a nondegenerate trace form;
+    NonPrime first unless p is prime.  No root system is built."""
     prime_field(p)
     hyp = hypothesis_check(comps, p)
     if not hyp["ok"]:

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow
-from .rootdata import RootSystem, build_root_system, parse_cartan_type, subsystem_classify
+from .rootdata import RootSystem, check_cartan_type, root_system, subsystem_classify
 from .scalars import UnityExp, eps_pow
 from .weyl import (
     BlockRecord,
@@ -41,21 +41,21 @@ from .weyl import (
 
 
 def exponent_text(n: int, N: int) -> str:
-    """str(UnityExp(Fraction(n, N))) for n in [0, N): the exponent n/N as a
-    reduced rational, "0/1" for n = 0."""
+    """The exponent n/N, n in [0, N), as a reduced rational "a/b", "0/1" for
+    n = 0, as str(UnityExp) writes it."""
     g = math.gcd(n, N)
     return f"{n // g}/{N // g}"
 
 
 class TorusElement:
     """Torsion point of T: t(K_{varpi_i}) = e^{2 pi i nums[i] / N}, with
-    nums in [0, N) over the least common denominator N, parsed from exact
-    rationals or UnityExps; `exps` views it as UnityExps."""
+    nums in [0, N) over the least common denominator N, built from exact
+    rationals (any value Fraction takes); `exps` views it as UnityExps."""
 
     __slots__ = ("nums", "N")
 
     def __init__(self, exps):
-        qs = [e.q if isinstance(e, UnityExp) else Fraction(e) for e in exps]
+        qs = [Fraction(e) for e in exps]
         self.N = math.lcm(*(q.denominator for q in qs))
         self.nums = tuple(q.numerator * (self.N // q.denominator) % self.N for q in qs)
 
@@ -72,9 +72,6 @@ class TorusElement:
 
     def pow(self, k: int) -> "TorusElement":
         return TorusElement.of([n * k for n in self.nums], self.N)
-
-    def key(self):
-        return tuple(e.key() for e in self.exps)
 
     def __eq__(self, other):
         return isinstance(other, TorusElement) and (self.nums, self.N) == (other.nums, other.N)
@@ -106,8 +103,9 @@ def w_t(rs: RootSystem, t: TorusElement):
 
 def check_root_of_unity(comps, ell: int, eps: int):
     """The standing hypotheses on ell and epsilon for the Cartan type with
-    components `comps` (RootSystem.ctype): ell odd and >= 3, prime to 3 when
-    a G2 component is present, and eps coprime to ell."""
+    components `comps` (what check_cartan_type returns, or RootSystem.ctype):
+    ell odd and >= 3, prime to 3 when a G2 component is present, and eps
+    coprime to ell."""
     if ell % 2 == 0 or ell < 3:
         raise HypothesisFailure(f"ell = {ell} must be odd and >= 3")
     if any(l == "G" for l, _n in comps) and ell % 3 == 0:
@@ -193,7 +191,8 @@ def q_blocks(chi: QChar, bound=None):
     c = [2 * n for n in chi.chi_s.nums]
 
     def axis(ci):
-        # the numerators n of t_i in the order of UnityExp(n/N).key(): (n/g, N/g)
+        # the numerators n of t_i in the order of their reduced exponents
+        # (n/g, N/g), g = gcd(n, N)
         return sorted(((ci + d * D) % N for d in range(ell)),
                       key=lambda n: (n // math.gcd(n, N), N // math.gcd(n, N)))
     # W acts by integer matrices, so orbits stay on (1/N)Z^r
@@ -219,7 +218,7 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
         raise ValueError(f"unknown direction {direction!r}")
     N = math.lcm(t.N, ell)
     # the exponent k/den of each shift, den | ell | N, is k (N/den) / N
-    shifts = [eps_pow(q, ell, eps).q for q in rs.rho_weight_pairs]
+    shifts = [eps_pow(q, ell, eps) for q in rs.rho_weight_pairs]
     return TorusElement.of([n * (N // t.N) + sign * e.numerator * (N // e.denominator)
                             for n, e in zip(t.nums, shifts)], N)
 
@@ -325,7 +324,6 @@ def exceptional_elements(rs: RootSystem):
     out = [{
         "m": 0,
         "torus": TorusElement.of((0,) * r, 1),
-        "root_values": tuple(UnityExp(0) for _ in range(r)),
         "centralizer": subsystem_classify(rs, rs.all_roots()),
         "beta_m": None,
     }]
@@ -353,7 +351,6 @@ def exceptional_elements(rs: RootSystem):
         out.append({
             "m": m + 1,
             "torus": s_m,
-            "root_values": tuple(UnityExp(Fraction(v, N)) for v in vals),
             "centralizer": cent,
             "beta_m": bm,
         })
@@ -416,13 +413,13 @@ def verify_appendix_row(type_str: str, m: int) -> dict:
     alpha^m to beta_m, every inversion has positive alpha_m-coefficient, and
     every inversion is strictly below beta_m, all under Bourbaki numbering
     (the reported convention)."""
-    comps = parse_cartan_type(type_str)
+    comps = check_cartan_type(type_str)
     if len(comps) != 1:
         raise UnknownRow("appendix rows are per irreducible type")
     letter, r = comps[0]
     if not (1 <= m <= r):
         raise UnknownRow(f"m = {m} out of range for {type_str}")
-    rs = build_root_system(type_str)
+    rs = root_system(comps)
     word1, alpha1 = _appendix_word(letter, r, m)
     word = [i - 1 for i in word1]
     gammas = inversion_set(rs, word)

@@ -15,7 +15,8 @@ Node numbering is Bourbaki throughout:
   F_4   1-2=>3-4                  (alpha_1, alpha_2 long)
   G_2   1≡2                       (alpha_1 short)
 
-Products are written A1xB2 (case-insensitive, no whitespace).
+Products are written A1xB2 (case-insensitive; blanks around a factor are
+ignored).
 
 The facts of a type that need no roots come off the type, each cached per
 component type: weyl_invariants, cartan_matrix and highest_root (the marks
@@ -47,36 +48,31 @@ _TYPE_RE = re.compile(r"([A-G])(\d+)")
 DEFAULT_GROUP_BOUND = 10**6
 
 def parse_cartan_type(s: str):
-    """Parse 'A2', 'b3', 'A1xA1', ... into a tuple of (letter, rank) pairs."""
+    """Parse 'A2', 'b3', 'A1xA1', 'a1XB2', ... into a tuple of (letter, rank)
+    pairs, each through _validate_component."""
     if not s:
         raise InvalidType("empty Cartan type")
     comps = []
-    for part in s.strip().split("x"):
+    for part in re.split("[xX]", s.strip()):
         m = _TYPE_RE.fullmatch(part.strip().upper())
         if not m:
             raise InvalidType(f"cannot parse component {part!r}")
-        letter, rank = m.group(1), int(m.group(2))
-        comps.append(_validate_component(letter, rank))
+        comps.append(_validate_component(m.group(1), int(m.group(2))))
     return tuple(comps)
 
 
 def _validate_component(letter, rank):
-    if letter == "A" and rank >= 1:
-        return (letter, rank)
-    if letter in ("B", "C"):
-        if rank == 1:
-            return ("A", 1)
-        if rank >= 2:
-            return (letter, rank)
-    if letter == "D" and rank >= 3:
-        return (letter, rank)
-    if letter == "E" and rank in (6, 7, 8):
-        return (letter, rank)
-    if letter == "F" and rank == 4:
-        return (letter, rank)
-    if letter == "G" and rank == 2:
-        return (letter, rank)
-    raise InvalidType(f"invalid component {letter}{rank}")
+    """The one gate of a component: (letter, rank) with B1 and C1 read as A1,
+    once weyl_invariants lists it (InvalidType otherwise).  A letter that
+    takes rank 9 takes every larger one, so a larger rank is asked as 9 and
+    a huge rank lists no invariants."""
+    if letter in ("B", "C") and rank == 1:
+        letter = "A"
+    try:
+        weyl_invariants(letter, min(rank, 9))
+    except InvalidType:
+        raise InvalidType(f"invalid component {letter}{rank}") from None
+    return (letter, rank)
 
 
 def type_string(comps) -> str:
@@ -98,23 +94,26 @@ class WeylInvariants(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def weyl_invariants(letter, n) -> WeylInvariants:
-    """The invariants of a component letter+n that _validate_component
-    accepts; the one source of per-type data."""
+    """The invariants of a component letter+n: A_n (n >= 1), B_n and C_n
+    (n >= 2), D_n (n >= 3), E6, E7, E8, F4 or G2; InvalidType for any other.
+    The one source of per-type data, and the one list of the components."""
     evens = tuple(range(2, 2 * n + 1, 2))
-    if letter == "A":
+    if letter == "A" and n >= 1:
         return WeylInvariants((1,) * n, tuple(range(2, n + 2)), n + 1)
-    if letter == "B":
+    if letter == "B" and n >= 2:
         return WeylInvariants((2,) * (n - 1) + (1,), evens, 2)
-    if letter == "C":
+    if letter == "C" and n >= 2:
         return WeylInvariants((1,) * (n - 1) + (2,), evens, 2)
-    if letter == "D":
+    if letter == "D" and n >= 3:
         return WeylInvariants((1,) * n, evens[:-1] + (n,), 4)
-    if letter == "E":
+    if letter == "E" and n in (6, 7, 8):
         return WeylInvariants((1,) * n, {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
                                          8: (2, 8, 12, 14, 18, 20, 24, 30)}[n], 9 - n)
-    if letter == "F":
+    if (letter, n) == ("F", 4):
         return WeylInvariants((2, 2, 1, 1), (2, 6, 8, 12), 1)
-    return WeylInvariants((1, 3), (2, 6), 1)  # G2
+    if (letter, n) == ("G", 2):
+        return WeylInvariants((1, 3), (2, 6), 1)
+    raise InvalidType(f"invalid component {letter}{n}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,13 +121,14 @@ def cartan_matrix(letter, n):
     """The Cartan matrix of a component letter+n in Bourbaki order, built
     once per type from its Dynkin edges (a path; D forks at node n - 3; E
     is the chain 0, 2, 3, ..., n - 1 with 1 joined to 3) and the
-    symmetrizers of weyl_invariants."""
+    symmetrizers of weyl_invariants (InvalidType for a component it does
+    not list)."""
+    d = weyl_invariants(letter, n).d
     edges = [(i, i + 1) for i in range(n - 1)]
     if letter == "D":
         edges[-1] = (n - 3, n - 1)
     if letter == "E":
         edges[:2] = (0, 2), (1, 3)
-    d = weyl_invariants(letter, n).d
     C = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for i, j in edges:
         # C[i][j] = (alpha_i, alpha_j) / d_i with (alpha_i, alpha_j) = -max(d_i, d_j)
@@ -332,18 +332,13 @@ def coxeter_type(letter, rank):
     return (letter, rank)
 
 
-def _components(ctype):
-    # a Cartan type given as a string or a component tuple, its grammar checked
-    if isinstance(ctype, str):
-        return parse_cartan_type(ctype)
-    return tuple(_validate_component(l, n) for l, n in ctype)
-
-
 def check_cartan_type(ctype, bound=None):
-    """The components of a Cartan type given as a string or component tuple:
-    its grammar, then BoundExceeded if its root tables would hold more than
-    `bound` (default DEFAULT_GROUP_BOUND) entries: |Phi+| x rank."""
-    comps = _components(ctype)
+    """The components of a Cartan type given as a string or component tuple,
+    each through _validate_component once, then BoundExceeded if its root
+    tables would hold more than `bound` (default DEFAULT_GROUP_BOUND)
+    entries: |Phi+| x rank."""
+    comps = (parse_cartan_type(ctype) if isinstance(ctype, str)
+             else tuple(_validate_component(l, n) for l, n in ctype))
     cap = DEFAULT_GROUP_BOUND if bound is None else bound
     r = sum(n for _l, n in comps)
     # |Phi+| >= rank: a rank past the square root of the bound is refused
@@ -355,15 +350,16 @@ def check_cartan_type(ctype, bound=None):
     return comps
 
 
-# one root system per checked component tuple
-_cached_system = functools.lru_cache(maxsize=None)(RootSystem)
+# the root system of a component tuple that check_cartan_type returned, one
+# per process; the components are not checked again
+root_system = functools.lru_cache(maxsize=None)(RootSystem)
 
 
 def build_root_system(ctype, bound=None) -> RootSystem:
     """Root system for a Cartan type given as a string or component tuple,
     after check_cartan_type: BoundExceeded before any table is built or the
     memo is read."""
-    return _cached_system(check_cartan_type(ctype, bound))
+    return root_system(check_cartan_type(ctype, bound))
 
 
 def two_rho_dot(rs: RootSystem, b) -> int:
@@ -491,7 +487,7 @@ def _classify_component(norms, nodes, m):
         letter, order = "A", walk(min(ends))
     n = len(nodes)
     try:
-        standard = cartan_matrix(*_validate_component(letter, n))
+        standard = cartan_matrix(letter, n)
     except InvalidType:
         standard = None
     if tuple(tuple(m[j][i] for j in order) for i in order) != standard:
@@ -543,14 +539,14 @@ def _classify(rs, S):
     return Subsystem(rs, S, basis, tuple(classified))
 
 
-def hypothesis_check(ctype, p: int) -> dict:
-    """Good-prime and trace-form flags for the standing hypotheses, on a
-    Cartan type given as a string or components, off the type alone: its
-    grammar is checked, not its size, and no root system is built.  p is bad iff it divides a
-    mark of a highest root (highest_root; Springer-Steinberg, Conjugacy
-    Classes, LNM 131, I.4.3); the trace form of sl_(n+1) degenerates iff p
-    divides n + 1."""
-    comps = _components(ctype)
+def hypothesis_check(comps, p: int) -> dict:
+    """Good-prime and trace-form flags for the standing hypotheses on the
+    Cartan type with components `comps` (what check_cartan_type returns, or
+    RootSystem.ctype), off the type alone: no root system is built, and a
+    component weyl_invariants does not list raises InvalidType.  p is bad iff
+    it divides a mark of a highest root (highest_root; Springer-Steinberg,
+    Conjugacy Classes, LNM 131, I.4.3); the trace form of sl_(n+1)
+    degenerates iff p divides n + 1."""
     good = not any(a % p == 0 for letter, n in comps for a in highest_root(letter, n)[0])
     trace_ok = all(letter != "A" or (n + 1) % p for letter, n in comps)
     return {

@@ -13,8 +13,10 @@ the linear form of its absolute trace t_j = Tr(x^j) (trace_form), its
 generator, and the solver of x^p - x = c (as_solver: Frobenius - 1 reduced
 once).  All values are immutable.
 
-Roots of unity are exact rationals mod 1 (`UnityExp(q)` means e^{2*pi*i*q});
-equality is rational equality, nothing is ever a float.
+Roots of unity are exact rationals mod 1: e^{2*pi*i*q} is the Fraction q in
+[0, 1) (eps_pow returns one), or `UnityExp(q)` where a torus point is viewed
+coordinate by coordinate; equality is rational equality, nothing is ever a
+float.
 
 Membership in the prime subfield is read off the representation: the power
 basis starts at 1, so x lies in F_p iff every coefficient after the constant
@@ -485,9 +487,6 @@ class UnityExp:
     def is_one(self):
         return self.q == 0
 
-    def key(self):
-        return (self.q.numerator, self.q.denominator)
-
     def __eq__(self, other):
         return isinstance(other, UnityExp) and self.q == other.q
 
@@ -501,12 +500,13 @@ class UnityExp:
         return f"{self.q.numerator}/{self.q.denominator}"
 
 
-def eps_pow(q, ell: int, eps: int = 1) -> UnityExp:
+def eps_pow(q, ell: int, eps: int = 1) -> Fraction:
     """epsilon^q for rational q whose denominator is invertible mod ell.
 
     epsilon is the primitive ell-th root of unity with exponent eps/ell
     (eps = 1 unless overridden; gcd(eps, ell) must be 1).  The result is the
-    unique ell-th root of unity u with u^denominator = epsilon^numerator.
+    exponent in [0, 1), with denominator dividing ell, of the unique ell-th
+    root of unity u with u^denominator = epsilon^numerator.
     """
     q = q if type(q) is Fraction else Fraction(q)
     num, den = q.numerator, q.denominator
@@ -514,6 +514,4 @@ def eps_pow(q, ell: int, eps: int = 1) -> UnityExp:
         raise NonInvertibleDenominator(f"denominator {den} not invertible mod {ell}")
     if math.gcd(eps, ell) != 1:
         raise NonInvertibleDenominator(f"eps exponent {eps} not coprime to {ell}")
-    u = UnityExp.__new__(UnityExp)  # its one Fraction, already in [0, 1)
-    u.q = Fraction(num * pow(den % ell, -1, ell) * eps % ell, ell)
-    return u
+    return Fraction(num * pow(den % ell, -1, ell) * eps % ell, ell)

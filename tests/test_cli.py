@@ -606,7 +606,7 @@ def test_refused_inputs_build_no_root_system(monkeypatch, capsys):
     # memo is patched too, so that no memoised A120 hides a build
     monkeypatch.setattr(rootdata.RootSystem, "_build_roots",
                         lambda _rs: pytest.fail("root system built"))
-    monkeypatch.setattr(rootdata, "_cached_system", lambda _c: pytest.fail("memo read"))
+    monkeypatch.setattr(cli, "root_system", lambda _c: pytest.fail("memo read"))
     for (side, command, *flags), what in A120_REFUSALS:
         code = main([side, command, "--type", "A120", *flags])
         assert (code, capsys.readouterr()) == (
@@ -629,6 +629,58 @@ E_LABELS = [
     ("E8", "13/14,11/14,1/6,5/7,1/2,1/6,13/14,13/14", False),
     ("E8", "3/7,11/14,1/3,1/21,2/7,2/3,5/14,6/7", True),
 ]
+
+
+# one argv per leaf of cli.GRAMMAR whose --type is a Cartan type, some on
+# products, so that the component gate is counted per component
+TYPED_LEAVES = {
+    ("modular", "blocks"): ["--type", "B2", "--p", "7", "--chi-s", "1,AS(1)"],
+    ("modular", "unramified"): ["--type", "A1xB2", "--p", "5", "--weight", "0,1,2"],
+    ("modular", "poincare"): ["--type", "G2", "--p", "7", "--weight", "0,0"],
+    ("modular", "finite-type"): ["--type", "C3", "--p", "5", "--weight", "1,0,0"],
+    ("modular", "structure"): ["--type", "A2xA1", "--p", "5", "--chi-s", "1,2,0"],
+    ("quantum", "blocks"): ["--type", "B2", "--ell", "7", "--chi-s", "1/3,0"],
+    ("quantum", "unramified"): ["--type", "A1xA2", "--ell", "5", "--torus", "1/5,0,2/5"],
+    ("quantum", "exceptional"): ["--type", "F4"],
+    ("quantum", "simplicity"): ["--type", "A2", "--ell", "5", "--chi-s", "0,0",
+                                "--torus", "1/5,2/5"],
+    ("quantum", "structure"): ["--type", "A2xG2", "--ell", "5"],
+}
+
+
+def test_every_typed_leaf_is_counted():
+    assert set(TYPED_LEAVES) == set(cli.GRAMMAR) - {("verify", "appendix"), ("selftest",)}
+
+
+@pytest.mark.parametrize("leaf", sorted(TYPED_LEAVES), ids=" ".join)
+def test_a_command_checks_its_type_once(leaf, monkeypatch, capsys):
+    # check_cartan_type runs once per command, and the component gate once
+    # per component: the hypotheses read the checked components, and the
+    # root system is built from them without a second check
+    argv = [*leaf, *TYPED_LEAVES[leaf]]
+    components = len(rootdata.parse_cartan_type(argv[argv.index("--type") + 1]))
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    check = counted("type", rootdata.check_cartan_type)
+    monkeypatch.setattr(rootdata, "check_cartan_type", check)
+    monkeypatch.setattr(cli, "check_cartan_type", check)
+    monkeypatch.setattr(rootdata, "_validate_component",
+                        counted("component", rootdata._validate_component))
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == ["type"] + ["component"] * components
+
+
+@pytest.mark.parametrize("spelling", ["A1XB2", "a1Xb2", "A1 x B2"])
+def test_the_type_grammar_is_case_insensitive(spelling, capsys):
+    # the product sign too, in either case; blanks around a factor are ignored
+    outs = []
+    for t in ("a1xb2", spelling):
+        assert main(["modular", "blocks", "--type", t, "--p", "5", "--chi-s", "1,0,2"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].err == "" and '"type": "A1xB2"' in outs[0].out
 
 
 @pytest.mark.parametrize("type_str,torus,verdict", E_LABELS)

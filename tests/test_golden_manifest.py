@@ -2,7 +2,8 @@
 fixed probes
 (F4 modular, `modular finite-type` and `unramified` on the weights in
 FINITE_TYPE and `poincare` on those in F_p, `modular structure` on the
-characters in STRUCTURE, quantum unramified on F4, E6 and the types listed
+characters in STRUCTURE, `quantum structure` on those in Q_STRUCTURE,
+quantum unramified on F4, E6 and the types listed
 in MORE_TORUS,
 with eps = 2 and 3 on the types in EPS_TORUS, quantum simplicity at every
 baby-Verma label of the characters in SIMPLICITY, and `verify appendix` and
@@ -62,6 +63,13 @@ FINITE_TYPE = {
 STRUCTURE = [
     ("B2", 5, "0,1", "1"), ("G2", 7, "0,0", "1,2"), ("B3", 7, "1,0,2", ""),
     ("A2", 5, "AS(1),0", "1"), ("F4", 5, "1,0,0,0", ""), ("A1xB2", 5, "0,0,1", "1,2"),
+]
+# (type, ell, chi_s, support) for `quantum structure`, each with Phi' a
+# standard Levi, where the ell^s prediction holds: regular (A2, G2), Phi' = C3
+# not regular, and Phi' = A1 on a simple root (25 = 5^2 unramified blocks)
+Q_STRUCTURE = [
+    ("A2", 5, "0,0", "1,2"), ("G2", 7, "0,0", "1,2"), ("C3", 5, "1/2,0,0", ""),
+    ("A3", 5, "1/3,0,0", ""),
 ]
 F4_TORUS = ["0,0,0,0", "1/5,0,0,0", "1/10,3/10,1/2,0", "2/7,1/14,0,5/14",
             "1/2,1/2,1/3,1/7"]
@@ -175,6 +183,9 @@ def cases():
     for t, p, chi_s, support in STRUCTURE:
         out.append(_probe("modular", "structure", "--type", t, "--p", str(p),
                           "--chi-s", chi_s, "--support", support))
+    for t, ell, chi_s, support in Q_STRUCTURE:
+        out.append(_probe("quantum", "structure", "--type", t, "--ell", str(ell),
+                          "--chi-s", chi_s, "--support", support))
     for t, points in (("F4", F4_TORUS), ("E6", E6_TORUS), *MORE_TORUS.items()):
         for ell in (5, 7):
             for x in points:
@@ -210,6 +221,13 @@ def test_outputs_match_the_manifest():
     got = digests()
     assert sorted(got) == sorted(pinned)
     assert [k for k in sorted(got) if got[k] != pinned[k]] == []
+
+
+def test_quantum_structure_cells_enumerate_what_they_predict():
+    for t, ell, chi_s, support in Q_STRUCTURE:
+        out = json.loads(_cli(["quantum", "structure", "--type", t, "--ell", str(ell),
+                               "--chi-s", chi_s, "--support", support]))
+        assert out["unramifiedPredicted"] == out["unramifiedEnumerated"], t
 
 
 if __name__ == "__main__":

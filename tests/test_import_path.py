@@ -12,7 +12,8 @@ not walked per query: orbit_of serves only the block partition and the
 group closure.  The quantum side runs on integer numerators: epsilon enters
 once, in quantum.hc_shift, and the epsilon form of the Delta-tilde test is
 an oracle.  The CLI resolves and checks every subcommand's inputs in one
-front end, before the command runs.  A type's Cartan matrix is built in one
+front end, before the command runs: check_cartan_type once, and the root
+system built from the components it returns.  A type's Cartan matrix is built in one
 place: rootdata.cartan_matrix builds the Dynkin edges, which the per-type
 table of weyl_invariants does not hold, and the root systems, the dominant
 ascent of rootdata.highest_root and the classifier's check take their
@@ -232,9 +233,9 @@ def _callers(tree, name):
 def test_epsilon_enters_the_quantum_side_once():
     # alpha(u) = alpha(t) eps^{(rho, alpha)} at u = hc_shift(t), so every
     # epsilon condition is an integer test at u; rationals and roots of
-    # unity are built only where a point is parsed or viewed, in the public
-    # root_values of the exceptional records and in the matrix WeylElement
-    # kept for perfbench (hc_shift reads the exponents eps_pow returns)
+    # unity are built only where a point is parsed or viewed, and in the
+    # matrix WeylElement kept for perfbench (hc_shift adds the Fractions
+    # eps_pow returns)
     trees = _trees()
     production = {name: tree for name, tree in trees.items() if name != "selftest.py"}
     for name, tree in production.items():
@@ -247,7 +248,7 @@ def test_epsilon_enters_the_quantum_side_once():
     built = {name: _callers(tree, "Fraction") | _callers(tree, "UnityExp")
              for name, tree in production.items() if name != "scalars.py"}
     assert built == {**{name: set() for name in built},
-                     "quantum.py": {"TorusElement", "exceptional_elements"},
+                     "quantum.py": {"TorusElement"},
                      "weyl.py": {"WeylElement"}}
     (torus,) = [node for node in trees["quantum.py"].body
                 if isinstance(node, ast.ClassDef) and node.name == "TorusElement"]
@@ -256,8 +257,9 @@ def test_epsilon_enters_the_quantum_side_once():
 
 
 # what resolves or checks a subcommand's inputs in the CLI
-FRONT_END = {"build_root_system", "_bounds", "parse_field_values", "parse_torus",
-             "parse_support", "check_hypotheses", "check_root_of_unity", "PChar", "QChar"}
+FRONT_END = {"check_cartan_type", "root_system", "_bounds", "parse_field_values",
+             "parse_torus", "parse_support", "check_hypotheses", "check_root_of_unity",
+             "PChar", "QChar"}
 
 
 def test_the_cli_resolves_inputs_in_one_front_end():

@@ -26,7 +26,7 @@ from lieram.errors import InvariantViolation
 from lieram.modular import PChar, mod_blocks
 from lieram.quantum import QChar, TorusElement, q_blocks
 from lieram.rootdata import build_root_system, subsystem_classify
-from lieram.scalars import UnityExp, make_field
+from lieram.scalars import make_field
 from lieram.selftest import (
     block_stabiliser_mismatches,
     ell_fiber,
@@ -77,9 +77,15 @@ def quantum_orbits_by_transport(chi):
     gens = [simple_reflection(rs, j) for j in range(rs.rank)]
     classes = orbit_partition_by_key(
         ell_fiber(rs, chi.chi_s, chi.ell),
-        [lambda t, w=w: TorusElement(w.act_torus_exponents(t.exps)) for w in gens],
-        key=lambda t: t.key())
+        [lambda t, w=w: TorusElement(e.q for e in w.act_torus_exponents(t.exps))
+         for w in gens],
+        key=lambda t: tuple(_reduced(e.q) for e in t.exps))
     return [(cls[0], len(cls)) for cls in classes]
+
+
+def _reduced(q):
+    # an exponent in [0, 1) as its reduced (numerator, denominator)
+    return q.numerator, q.denominator
 
 
 def _fp2_character():
@@ -230,7 +236,7 @@ def _walked_and_oracle(chi, patched_walk):
     N = chi.ell * math.lcm(*(e.q.denominator for e in chi.chi_s.exps))
 
     def key(code):
-        return tuple(UnityExp(Fraction(n, N)).key() for n in code)
+        return tuple(_reduced(Fraction(n, N)) for n in code)
     if not chi.levi.basis:
         # no walk runs to patch: whole W-orbits of the fiber codes, cut down
         # to the fiber, are single points, met in the answer's order
@@ -245,7 +251,7 @@ def _walked_and_oracle(chi, patched_walk):
     walks = []
 
     def full_w_orbits(points, gen_actions):
-        # whole W-orbits cut down to the fiber, sorted by UnityExp.key()
+        # whole W-orbits cut down to the fiber, sorted by reduced exponents
         walks.append(gen_actions)
         classes = orbit_partition_by_key(points, gen_actions, key)
         return [(cls[0], len(cls)) for cls in classes]

@@ -156,10 +156,9 @@ def test_hc_shift_round_trip_and_value():
     for num in range(20):
         t = T(Fraction(num, 10))
         back = hc_shift(a1, hc_shift(a1, t, 5, "forward"), 5, "back")
-        assert back == TorusElement((UnityExp(Fraction(num, 10)),))
+        assert back == TorusElement((Fraction(num, 10),))
     # one point, one encoding: equal points hash equally and view equally
-    half = [TorusElement((q,)) for q in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2),
-                                        UnityExp(Fraction(1, 2)), "1/2")]
+    half = [TorusElement((q,)) for q in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), "1/2")]
     half.append(TorusElement.of((5,), 10))
     assert all(t == half[0] and hash(t) == hash(half[0]) for t in half)
     assert {(t.nums, t.N, t.exps) for t in half} == {((1,), 2, (UnityExp(Fraction(1, 2)),))}
@@ -220,9 +219,10 @@ def test_hc_shift_matches_the_fraction_formula():
     # a denominator that is not invertible mod ell, and eps_pow's values
     with pytest.raises(NonInvertibleDenominator):
         eps_pow(Fraction(1, 3), 9)
-    assert eps_pow(Fraction(1, 2), 7, 3) == UnityExp(Fraction(5, 7))  # 2 u = 3 mod 7
-    assert eps_pow(3, 9) == eps_pow("3", 9) == UnityExp(Fraction(1, 3))
-    assert eps_pow(Fraction(-1, 2), 5).q == Fraction(2, 5)
+    assert eps_pow(Fraction(1, 2), 7, 3) == Fraction(5, 7)  # 2 u = 3 mod 7
+    assert eps_pow(3, 9) == eps_pow("3", 9) == Fraction(1, 3)
+    assert eps_pow(Fraction(-1, 2), 5) == Fraction(2, 5)
+    assert type(eps_pow(Fraction(-1, 2), 5)) is Fraction
 
 
 def test_quantum_criteria_coherent_on_sl2():
@@ -256,13 +256,13 @@ def test_dot_linkage_on_fiber():
         fiber = ell_fiber(rs, chi_s, ell)
         for f in fiber:
             for g in fiber:
-                same = any(TorusElement(w.act_torus_exponents(f.exps)) == g
+                same = any(TorusElement(e.q for e in w.act_torus_exponents(f.exps)) == g
                            for w in W)
                 if not same:
                     continue
                 tf = hc_shift(rs, f, ell, "back")
                 tg = hc_shift(rs, g, ell, "back")
-                assert any(TorusElement(dot_act_torus(w, tf.exps, ell=ell)) == tg
+                assert any(TorusElement(e.q for e in dot_act_torus(w, tf.exps, ell=ell)) == tg
                            for w in W)
 
 
@@ -308,7 +308,7 @@ def test_exceptional_elements():
     a3 = build_root_system("A3")
     for rec in exceptional_elements(a3)[1:]:
         assert rec["centralizer"].type_str == "A3"
-        assert all(v.is_one() for v in rec["root_values"])
+        assert all(root_value(a3, rec["torus"], a).is_one() for a in a3.simple_roots)
         assert rec["beta_m"] == tuple(1 if k == rec["m"] - 1 else 0
                                       for k in range(3))
     f4 = build_root_system("F4")
@@ -363,7 +363,6 @@ def test_exceptional_elements_match_solve_and_closure_oracle(type_str):
     for a, b in zip(got, want):
         assert a["m"] == b["m"]
         assert a["torus"] == b["torus"]
-        assert a["root_values"] == b["root_values"]
         assert a["centralizer"].type_str == b["centralizer"].type_str
         assert a["centralizer"].roots == b["centralizer"].roots
         assert a["beta_m"] == b["beta_m"]
@@ -464,7 +463,7 @@ def test_simplicity_necessary():
     want = eps_pow(-2, 5)
     for num in range(20):
         t = T(Fraction(num, 20))
-        expect = (root_value(a1, t, (1,)) * 2) == want
+        expect = (root_value(a1, t, (1,)) * 2).q == want
         assert simplicity_necessary(chi0, t)["holds"] == expect
 
 
@@ -533,8 +532,7 @@ def _labels_by_digits(chi):
             n //= ell
         digits.reverse()
         out.append(TorusElement(tuple(
-            UnityExp(chi.chi_s.exps[i].q / ell + Fraction(digits[i], ell))
-            for i in range(rs.rank))))
+            chi.chi_s.exps[i].q / ell + Fraction(digits[i], ell) for i in range(rs.rank))))
     return out
 
 

@@ -14,6 +14,7 @@ from lieram.rootdata import (
     _classify,
     _classify_component,
     build_root_system,
+    check_cartan_type,
     check_closed,
     highest_root,
     hypothesis_check,
@@ -376,16 +377,18 @@ def test_a_diagram_with_no_bourbaki_type_is_refused(norms, bonds):
 
 
 def test_hypothesis_check():
-    assert hypothesis_check("G2", 3)["goodPrime"] is False
-    assert hypothesis_check("A4", 5)["traceFormOK"] is False
-    rep = hypothesis_check("A2", 7)
+    def check(t, p):
+        return hypothesis_check(parse_cartan_type(t), p)
+    assert check("G2", 3)["goodPrime"] is False
+    assert check("A4", 5)["traceFormOK"] is False
+    rep = check("A2", 7)
     assert rep["goodPrime"] and rep["traceFormOK"] and rep["ok"]
-    assert hypothesis_check("E8", 5)["goodPrime"] is False
-    assert hypothesis_check("A1", 2)["ok"] is False  # p must be odd
+    assert check("E8", 5)["goodPrime"] is False
+    assert check("A1", 2)["ok"] is False  # p must be odd
     # D3 = A3 has no bad prime; p = 2 still fails as an even prime
-    assert hypothesis_check("D3", 2) == {"goodPrime": True, "traceFormOK": True,
-                                         "oddPrime": False, "ok": False}
-    assert hypothesis_check(build_root_system("B3").ctype, 2) == hypothesis_check("B3", 2)
+    assert check("D3", 2) == {"goodPrime": True, "traceFormOK": True,
+                              "oddPrime": False, "ok": False}
+    assert hypothesis_check(build_root_system("B3").ctype, 2) == check("B3", 2)
 
 
 # the bad primes of each type (Springer-Steinberg, Conjugacy Classes, LNM 131,
@@ -449,7 +452,8 @@ def test_weyl_invariants_match_the_root_data(t):
     assert subsystem_classify(rs, rs.all_roots()).index_of_connection() == inv.index == det(C)
     for p in (2, 3, 5, 7):
         assert any(a % p == 0 for a in rs.a) == (p in bad_primes(t)), p
-        assert hypothesis_check(t, p)["goodPrime"] == (p not in bad_primes(t)), p
+        assert hypothesis_check(parse_cartan_type(t), p)["goodPrime"] == (
+            p not in bad_primes(t)), p
     assert sum(e - 1 for e in inv.degrees) == rs.N
     if r <= 4:
         assert len(enumerate_group(rs)) == math.prod(inv.degrees) == rs.weyl_order()
@@ -483,6 +487,23 @@ def test_type_parsing():
     assert parse_cartan_type("D3") == (("D", 3),)
     with pytest.raises(InvalidType):
         parse_cartan_type("")
+    # the product sign in either case, blanks around a factor ignored
+    assert parse_cartan_type("a2XB3") == parse_cartan_type(" A2 x b3 ") == (("A", 2), ("B", 3))
+    with pytest.raises(InvalidType, match="cannot parse component 'A 2'"):
+        parse_cartan_type("A 2xB3")
+    # a huge rank is checked without listing its invariants
+    assert parse_cartan_type("A" + "9" * 30) == (("A", int("9" * 30)),)
+    with pytest.raises(InvalidType, match="invalid component E9999"):
+        parse_cartan_type("E9999")
+
+
+@pytest.mark.parametrize("comps", [(("H", 4),), (("E", 9),), (("A", 2), ("D", 2)),
+                                   (("G", 3),), (("A", 0),)])
+def test_a_malformed_type_is_refused_at_every_public_entry(comps):
+    # no letter falls through to another type's invariants
+    for entry in (build_root_system, check_cartan_type, lambda c: hypothesis_check(c, 5)):
+        with pytest.raises(InvalidType, match="invalid component"):
+            entry(comps)
 
 
 def test_weyl_orders_and_index():
