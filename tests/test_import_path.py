@@ -1,5 +1,8 @@
-"""The brute-force oracles live only in lieram.selftest, which neither
-`import lieram` nor the CLI module loads, and the production modules call
+"""`import lieram` loads only the root-data core (errors, scalars and
+rootdata); the Weyl, modular and quantum layers load when one of their
+public names is first read.  The brute-force oracles live only in
+lieram.selftest, which neither `import lieram` nor the CLI module loads,
+and the production modules call
 none of the single-root or closure oracles.  The block walks generate their
 integer points directly, through neither the ell-fiber of torus elements nor
 the list of weights of Lambda_chi, and both sides walk through the one shared
@@ -33,10 +36,13 @@ unramified, finite-type and poincare commands reach their answers through
 block_unramified, block_finite_type and poincare_series alone."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import lieram
 from lieram import rootdata
@@ -64,14 +70,63 @@ def _called_names(tree):
             and isinstance(node.func, (ast.Name, ast.Attribute))}
 
 
-def test_import_lieram_and_cli_does_not_load_selftest():
+def _fresh(probe):
+    # the stdout of `probe` run in a fresh interpreter on this checkout's src/
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    probe = ("import sys, lieram, lieram.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('lieram')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_lieram_and_cli_does_not_load_selftest():
+    out = _fresh("import sys, lieram, lieram.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('lieram')))")
     assert "'lieram.cli'" in out
     assert "lieram.selftest" not in out
+
+
+# the public names of the package, by the module that defines each
+PUBLIC = {
+    "errors": {"BoundExceeded", "HypothesisFailure", "InvalidSupport", "InvalidType",
+               "InvariantViolation", "LieramError", "NoParabolicConjugate",
+               "NonInvertibleDenominator", "NonPrime", "NotClosed", "NotNilpotentContext",
+               "NotParabolic", "UnknownRow"},
+    "scalars": {"FFElem", "FieldDescriptor", "UnityExp", "artin_schreier_solve", "eps_pow",
+                "make_field"},
+    "rootdata": {"RootSystem", "Subsystem", "build_root_system", "hypothesis_check",
+                 "subsystem_classify", "two_rho_dot"},
+    "weyl": {"alcove_descent", "inversion_set", "orbit_partition", "reflection_stabilizer"},
+    "modular": {"BlockReport", "PChar", "dim_C", "mod_blocks", "poincare_series",
+                "regularity_and_structure", "unramified_count"},
+    "quantum": {"QBlockReport", "QChar", "TorusElement", "exceptional_elements", "hc_shift",
+                "q_blocks", "q_regularity_and_counts", "q_unramified", "simplicity_necessary",
+                "verify_appendix_row", "w_t"},
+}
+
+
+def test_import_lieram_and_set_up_load_only_the_root_data_core():
+    # a module-level import of a later layer in scalars or rootdata would
+    # put its compile cost back on every set-up
+    out = _fresh("import sys, lieram; lieram.build_root_system('B3'); lieram.make_field(5, 2); "
+                 "print(sorted(m for m in sys.modules if m.startswith('lieram')))")
+    assert out == "['lieram', 'lieram.errors', 'lieram.rootdata', 'lieram.scalars']\n"
+    out = _fresh("import sys, lieram; print(lieram.quantum is sys.modules['lieram.quantum'])")
+    assert out == "True\n"
+
+
+def test_every_public_name_is_its_modules_own():
+    assert sum(map(len, PUBLIC.values())) == 47
+    assert sorted(lieram.__all__) == sorted(set().union(*PUBLIC.values()))
+    for module, names in PUBLIC.items():
+        owner = importlib.import_module(f"lieram.{module}")
+        assert getattr(lieram, module) is owner
+        for name in names:
+            assert getattr(lieram, name) is getattr(owner, name), name
+    assert set(dir(lieram)) >= set(lieram.__all__)
+    star = {}
+    exec("from lieram import *", star)
+    assert set(star) - {"__builtins__"} == set(lieram.__all__)
+    with pytest.raises(AttributeError):
+        lieram.no_such_name
 
 
 def test_oracles_are_defined_only_in_selftest():

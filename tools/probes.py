@@ -8,8 +8,9 @@ and without LIERAM_BOUND.  Per command it prints one JSON line: the
 command, its wall time in seconds, the child's peak resident set size
 (ru_maxrss from os.wait4) in MB, its exit status, and the sha256 of its
 stdout followed by "exit <status>\\n", with "pinned" true when that digest
-is the one PROBES holds.  The digests were taken at commit fb2acc8, so a
-probe checks the bytes it answers as well as its cost.  Exits 1 when any
+is the one PROBES holds.  The digests were taken at commit fb2acc8 (the
+last six at 4a97618), so a probe checks the bytes it answers as well as its
+cost.  Exits 1 when any
 digest differs from its pin.
 """
 
@@ -49,6 +50,20 @@ PROBES = (
      "ffff67ca6be4e3a1269ed4c8a3ed58196d74ebe5050116da5f33adea9c8cb6f3"),
     ("quantum structure --type E7 --ell 7",
      "a27d1986616c3d3f96c87a803ce7de35ccab206bcf68bd0ac26bfd08982723da"),
+    # fast answers on E6-E8 (pinned at 4a97618), whose cold time is mostly
+    # start-up and import
+    ("modular poincare --type E8 --p 7 --weight 0,0,0,0,0,0,0,0",
+     "dc8b680f007e08a1197de87e45311afee0ada890f423b6db8648b7376c017b0c"),
+    ("modular unramified --type E7 --p 7 --weight 1,2,3,4,5,6,0",
+     "648113fa902e0e3896b18cb1c63d6b2d5567dc364b02118f4495b6af4e95a63e"),
+    ("modular finite-type --type E6 --p 7 --weight 1,2,3,4,5,6",
+     "528560f89d9687db7babf635aff6ebca18f3db8be044721c9b75ec29fa93e48f"),
+    ("quantum unramified --type E8 --ell 7 --torus 1/2,1/3,0,0,0,0,0,1/5",
+     "e6da350ea944e438900b6a8573e0bf68eba365f4bc841afc5798a23b67edd955"),
+    ("quantum exceptional --type E8",
+     "da7f22976ec3431cace7a535c3334b8faf5ea75de6ff6ba27a191f00512f66cf"),
+    ("verify appendix --type E8",
+     "fbdb3aefe9022a92daf83f60f25fd4d39644d33c153f6c67e58dcd077154a954"),
 )
 
 
