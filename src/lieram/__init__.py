@@ -48,7 +48,7 @@ __all__ = [name for name, value in globals().items()
 
 def __getattr__(name):
     owner = _LAZY.get(name, name)
-    if owner not in ("weyl", "modular", "quantum"):
+    if owner not in _LAZY.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(f"{__name__}.{owner}")
     value = module if name == owner else getattr(module, name)

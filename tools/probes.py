@@ -10,8 +10,7 @@ command, its wall time in seconds, the child's peak resident set size
 stdout followed by "exit <status>\\n", with "pinned" true when that digest
 is the one PROBES holds.  The digests were taken at commit fb2acc8 (the
 last six at 4a97618), so a probe checks the bytes it answers as well as its
-cost.  Exits 1 when any
-digest differs from its pin.
+cost.  Exits 1 when any digest differs from its pin.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ PROBES = (
      "ffff67ca6be4e3a1269ed4c8a3ed58196d74ebe5050116da5f33adea9c8cb6f3"),
     ("quantum structure --type E7 --ell 7",
      "a27d1986616c3d3f96c87a803ce7de35ccab206bcf68bd0ac26bfd08982723da"),
-    # fast answers on E6-E8 (pinned at 4a97618), whose cold time is mostly
-    # start-up and import
+    # fast answers on E6-E8, whose cold time is mostly start-up and import
     ("modular poincare --type E8 --p 7 --weight 0,0,0,0,0,0,0,0",
      "dc8b680f007e08a1197de87e45311afee0ada890f423b6db8648b7376c017b0c"),
     ("modular unramified --type E7 --p 7 --weight 1,2,3,4,5,6,0",
