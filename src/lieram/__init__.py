@@ -8,7 +8,6 @@ public names, or the submodule itself, imports the owning module and binds
 the name here."""
 
 import importlib
-import types
 
 from .errors import (  # noqa: F401
     BoundExceeded,
@@ -28,10 +27,9 @@ from .errors import (  # noqa: F401
 from .scalars import FFElem, FieldDescriptor, UnityExp, artin_schreier_solve, eps_pow, make_field  # noqa: F401
 from .rootdata import RootSystem, Subsystem, build_root_system, hypothesis_check, subsystem_classify, two_rho_dot  # noqa: F401
 
-# the owning module of each public name that loads on first use.  The core
-# above stays eager: the benchmark's traced set-up is the first reader of
-# build_root_system and make_field, and a name bound here on first use while
-# perfbench/tracer.py wraps it would keep the wrapper after the restore
+# the owning module of each public name that loads on first use.  Every
+# command and every layer needs the core above, so it loads with the package;
+# the CLI imports only the layer of the command it runs
 _LAZY = {name: module for module, names in (
     ("weyl", "alcove_descent inversion_set orbit_partition reflection_stabilizer"),
     ("modular", "BlockReport PChar dim_C mod_blocks poincare_series"
@@ -41,9 +39,14 @@ _LAZY = {name: module for module, names in (
                 " verify_appendix_row w_t"),
 ) for name in names.split()}
 
-# the public names: those imported above, less the modules, and the lazy ones
-__all__ = [name for name, value in globals().items()
-           if not name.startswith("_") and not isinstance(value, types.ModuleType)] + [*_LAZY]
+__all__ = [
+    "BoundExceeded", "HypothesisFailure", "InvalidSupport", "InvalidType",
+    "InvariantViolation", "LieramError", "NoParabolicConjugate", "NonInvertibleDenominator",
+    "NonPrime", "NotClosed", "NotNilpotentContext", "NotParabolic", "UnknownRow",
+    "FFElem", "FieldDescriptor", "UnityExp", "artin_schreier_solve", "eps_pow", "make_field",
+    "RootSystem", "Subsystem", "build_root_system", "hypothesis_check", "subsystem_classify",
+    "two_rho_dot", *_LAZY,
+]
 
 
 def __getattr__(name):
@@ -57,7 +60,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(globals().keys() | _LAZY.keys())
+    return sorted(globals().keys() | _LAZY.keys() | set(_LAZY.values()))
 
 
 __version__ = "0.1.0"

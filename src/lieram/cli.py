@@ -50,28 +50,6 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import HypothesisFailure, InvariantViolation, LieramError
-from .modular import (
-    PChar,
-    block_finite_type,
-    block_unramified,
-    check_hypotheses,
-    mod_blocks,
-    poincare_series,
-    regularity_and_structure,
-    unramified_count,
-)
-from .quantum import (
-    QChar,
-    TorusElement,
-    appendix_rows,
-    check_root_of_unity,
-    exceptional_elements,
-    q_blocks,
-    q_regularity_and_counts,
-    q_unramified,
-    simplicity_necessary,
-    verify_appendix_row,
-)
 from .rootdata import check_cartan_type, root_system
 from .scalars import artin_schreier_solve, embed, make_field
 
@@ -133,7 +111,8 @@ def parse_field_values(text: str, p: int, rank: int, bound=None):
     return tuple(values), ambient
 
 
-def parse_torus(text: str, rank: int) -> TorusElement:
+def parse_torus(text: str, rank: int):
+    from .quantum import TorusElement
     tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated exponents, got {len(tokens)}")
@@ -322,11 +301,13 @@ def _resolve(args):
     # an empty --chi-s is the zero character (the identity torus element)
     chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rank))
     if args.group == "modular":
+        from .modular import PChar, check_hypotheses
         make_field(args.p, 1, q.bound)  # p within the field bound and prime
         check_hypotheses(comps, args.p)
         q.head["p"] = args.p
         values, field = parse_field_values(chi_s or args.weight, args.p, rank, q.bound)
     elif "ell" in args:
+        from .quantum import QChar, check_root_of_unity
         check_root_of_unity(comps, args.ell, args.eps)
         q.head["ell"] = args.ell
         # the character's torus, else the point's; given both (quantum
@@ -355,6 +336,7 @@ def _resolve(args):
 
 
 def cmd_modular_blocks(args, q):
+    from .modular import mod_blocks, regularity_and_structure, unramified_count
     blocks = mod_blocks(q.chi, q.bound)
     payload = {**q.head, "blocks": blocks,
                "counts": {"num_blocks": len(blocks), "dim_sum": sum(b.dim for b in blocks),
@@ -372,24 +354,29 @@ def cmd_modular_blocks(args, q):
 
 
 def cmd_modular_unramified(args, q):
+    from .modular import block_unramified
     return _emit(args, {**q.head, **block_unramified(q.rs, q.point)})
 
 
 def cmd_modular_poincare(args, q):
+    from .modular import poincare_series
     coeffs = poincare_series(q.rs, q.point)
     return _emit(args, {**q.head, "coefficients": list(coeffs), "value_at_1": sum(coeffs)})
 
 
 def cmd_modular_finite_type(args, q):
+    from .modular import block_finite_type
     verdict, witness = block_finite_type(q.rs, q.point)
     return _emit(args, {**q.head, "verdict": verdict, "witness": witness})
 
 
 def cmd_modular_structure(args, q):
+    from .modular import regularity_and_structure
     return _emit(args, {**q.head, **regularity_and_structure(q.chi, bound=q.bound)})
 
 
 def cmd_quantum_blocks(args, q):
+    from .quantum import q_blocks, q_regularity_and_counts
     blocks = q_blocks(q.chi, q.bound)
     payload = {**q.head, "blocks": blocks,
                "counts": {"num_blocks": len(blocks), "dim_sum": sum(b.dim for b in blocks)},
@@ -404,6 +391,7 @@ def cmd_quantum_blocks(args, q):
 
 
 def cmd_quantum_unramified(args, q):
+    from .quantum import q_unramified
     payload = {**q.head, "coords": args.coords, "eps": args.eps}
     for coords in ("component", "highestWeight"):
         if args.coords in (coords, "both"):
@@ -412,6 +400,7 @@ def cmd_quantum_unramified(args, q):
 
 
 def cmd_quantum_exceptional(args, q):
+    from .quantum import exceptional_elements
     elements = [{"m": rec["m"], "torus": rec["torus"].texts(),
                  "centralizer_type": rec["centralizer"].type_str,
                  "centralizer_order": rec["centralizer"].order,
@@ -426,15 +415,18 @@ def cmd_quantum_exceptional(args, q):
 
 
 def cmd_quantum_simplicity(args, q):
+    from .quantum import simplicity_necessary
     return _emit(args, {**q.head, "note": "necessary condition only",
                         **simplicity_necessary(q.chi, q.point)})
 
 
 def cmd_quantum_structure(args, q):
+    from .quantum import q_regularity_and_counts
     return _emit(args, {**q.head, **q_regularity_and_counts(q.chi, bound=q.bound)})
 
 
 def cmd_verify_appendix(args, q):
+    from .quantum import appendix_rows, verify_appendix_row
     rows = appendix_rows()
     if args.type is not None:
         want = args.type.strip().upper()

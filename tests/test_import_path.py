@@ -1,9 +1,10 @@
 """`import lieram` loads only the root-data core (errors, scalars and
 rootdata); the Weyl, modular and quantum layers load when one of their
-public names is first read.  The brute-force oracles live only in
-lieram.selftest, which neither `import lieram` nor the CLI module loads,
-and the production modules call
-none of the single-root or closure oracles.  The block walks generate their
+public names is first read, and a CLI command loads only its own group's
+layer: a modular command never loads quantum, nor a quantum or verify
+command modular.  The brute-force oracles live only in lieram.selftest,
+which neither `import lieram` nor the CLI module loads, and the production
+modules call none of the single-root or closure oracles.  The block walks generate their
 integer points directly, through neither the ell-fiber of torus elements nor
 the list of weights of Lambda_chi, and both sides walk through the one shared
 weyl.block_orbits, which walks the points in key order and so sorts
@@ -111,6 +112,29 @@ def test_import_lieram_and_set_up_load_only_the_root_data_core():
     assert out == "['lieram', 'lieram.errors', 'lieram.rootdata', 'lieram.scalars']\n"
     out = _fresh("import sys, lieram; print(lieram.quantum is sys.modules['lieram.quantum'])")
     assert out == "True\n"
+    # the core's public names are bound when the package loads, not on first
+    # read; dir() lists the layers and their names before they load
+    bound, listed = _fresh("import lieram; print(*vars(lieram)); print(*dir(lieram))").splitlines()
+    assert set(bound.split()) >= PUBLIC["errors"] | PUBLIC["scalars"] | PUBLIC["rootdata"]
+    assert not set(bound.split()) & {"weyl", "modular", "quantum"}
+    assert set(listed.split()) >= set().union(PUBLIC, *PUBLIC.values())
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["modular", "poincare", "--type", "A2", "--p", "5", "--weight", "0,0"], ["modular", "weyl"]),
+    (["modular", "blocks", "--type", "A2", "--p", "5"], ["modular", "weyl"]),
+    (["quantum", "unramified", "--type", "A2", "--ell", "5", "--torus", "0,0"],
+     ["quantum", "weyl"]),
+    (["quantum", "exceptional", "--type", "G2"], ["quantum", "weyl"]),
+    (["verify", "appendix", "--type", "G2"], ["quantum", "weyl"]),
+])
+def test_a_cli_command_loads_only_its_own_layer(argv, layers):
+    # a modular command never compiles quantum.py, nor a quantum one modular.py
+    out = _fresh("import sys; from lieram import cli; "
+                 f"rc = cli.main({argv!r}); sys.stdout.flush(); "
+                 "print(rc, sorted(m[7:] for m in sys.modules if m.startswith('lieram.')))")
+    last = out.splitlines()[-1]
+    assert last == f"0 {sorted(['cli', 'errors', 'rootdata', 'scalars', *layers])}"
 
 
 def test_every_public_name_is_its_modules_own():
