@@ -49,6 +49,8 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import NamedTuple
 
+import lieram  # lieram.modular and lieram.quantum load when a command first reads one
+
 from .errors import HypothesisFailure, InvariantViolation, LieramError
 from .rootdata import check_cartan_type, root_system
 from .scalars import artin_schreier_solve, embed, make_field
@@ -112,11 +114,11 @@ def parse_field_values(text: str, p: int, rank: int, bound=None):
 
 
 def parse_torus(text: str, rank: int):
-    from .quantum import TorusElement
     tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated exponents, got {len(tokens)}")
-    return TorusElement(tuple(_literal(Fraction, t, "exact rational") for t in tokens))
+    return lieram.quantum.TorusElement(
+        tuple(_literal(Fraction, t, "exact rational") for t in tokens))
 
 
 def parse_support(text: str):
@@ -301,14 +303,12 @@ def _resolve(args):
     # an empty --chi-s is the zero character (the identity torus element)
     chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rank))
     if args.group == "modular":
-        from .modular import PChar, check_hypotheses
         make_field(args.p, 1, q.bound)  # p within the field bound and prime
-        check_hypotheses(comps, args.p)
+        lieram.modular.check_hypotheses(comps, args.p)
         q.head["p"] = args.p
         values, field = parse_field_values(chi_s or args.weight, args.p, rank, q.bound)
     elif "ell" in args:
-        from .quantum import QChar, check_root_of_unity
-        check_root_of_unity(comps, args.ell, args.eps)
+        lieram.quantum.check_root_of_unity(comps, args.ell, args.eps)
         q.head["ell"] = args.ell
         # the character's torus, else the point's; given both (quantum
         # simplicity), the point is parsed after the character's support
@@ -316,15 +316,15 @@ def _resolve(args):
     rs = q.rs = root_system(comps)
     q.head["type"] = rs.type_str
     if args.group == "modular" and chi_s:
-        q.chi = PChar(rs, args.p, values=values, support=parse_support(args.support),
-                      field=field)
+        q.chi = lieram.modular.PChar(rs, args.p, values=values,
+                                     support=parse_support(args.support), field=field)
         q.head["chi"] = _chi_dict(q.chi)
     elif args.group == "modular":
         q.point = values
         q.head["weight"] = [list(v.coeffs) for v in values]
     elif chi_s:
-        q.chi = QChar(rs, args.ell, chi_s=torus, support=parse_support(args.support),
-                      eps=args.eps)
+        q.chi = lieram.quantum.QChar(rs, args.ell, chi_s=torus,
+                                     support=parse_support(args.support), eps=args.eps)
         q.head["chi"] = _qchi_dict(q.chi)
     if "torus" in args:
         q.point = parse_torus(args.torus, rank) if chi_s else torus
@@ -336,12 +336,11 @@ def _resolve(args):
 
 
 def cmd_modular_blocks(args, q):
-    from .modular import mod_blocks, regularity_and_structure, unramified_count
-    blocks = mod_blocks(q.chi, q.bound)
+    blocks = lieram.modular.mod_blocks(q.chi, q.bound)
     payload = {**q.head, "blocks": blocks,
                "counts": {"num_blocks": len(blocks), "dim_sum": sum(b.dim for b in blocks),
-                          "unramified": unramified_count(q.chi, blocks)},
-               "structure": regularity_and_structure(q.chi, blocks)}
+                          "unramified": lieram.modular.unramified_count(q.chi, blocks)},
+               "structure": lieram.modular.regularity_and_structure(q.chi, blocks)}
 
     def rows():
         return [["lambda", "eta", "orbit_size", "dim", "unramified",
@@ -354,33 +353,29 @@ def cmd_modular_blocks(args, q):
 
 
 def cmd_modular_unramified(args, q):
-    from .modular import block_unramified
-    return _emit(args, {**q.head, **block_unramified(q.rs, q.point)})
+    return _emit(args, {**q.head, **lieram.modular.block_unramified(q.rs, q.point)})
 
 
 def cmd_modular_poincare(args, q):
-    from .modular import poincare_series
-    coeffs = poincare_series(q.rs, q.point)
+    coeffs = lieram.modular.poincare_series(q.rs, q.point)
     return _emit(args, {**q.head, "coefficients": list(coeffs), "value_at_1": sum(coeffs)})
 
 
 def cmd_modular_finite_type(args, q):
-    from .modular import block_finite_type
-    verdict, witness = block_finite_type(q.rs, q.point)
+    verdict, witness = lieram.modular.block_finite_type(q.rs, q.point)
     return _emit(args, {**q.head, "verdict": verdict, "witness": witness})
 
 
 def cmd_modular_structure(args, q):
-    from .modular import regularity_and_structure
-    return _emit(args, {**q.head, **regularity_and_structure(q.chi, bound=q.bound)})
+    structure = lieram.modular.regularity_and_structure(q.chi, bound=q.bound)
+    return _emit(args, {**q.head, **structure})
 
 
 def cmd_quantum_blocks(args, q):
-    from .quantum import q_blocks, q_regularity_and_counts
-    blocks = q_blocks(q.chi, q.bound)
+    blocks = lieram.quantum.q_blocks(q.chi, q.bound)
     payload = {**q.head, "blocks": blocks,
                "counts": {"num_blocks": len(blocks), "dim_sum": sum(b.dim for b in blocks)},
-               "structure": q_regularity_and_counts(q.chi, blocks)}
+               "structure": lieram.quantum.q_regularity_and_counts(q.chi, blocks)}
 
     def rows():
         return [["torus", "orbit_size", "dim", "unramified", "exceptional",
@@ -391,21 +386,20 @@ def cmd_quantum_blocks(args, q):
 
 
 def cmd_quantum_unramified(args, q):
-    from .quantum import q_unramified
     payload = {**q.head, "coords": args.coords, "eps": args.eps}
     for coords in ("component", "highestWeight"):
         if args.coords in (coords, "both"):
-            payload[coords] = q_unramified(q.rs, q.point, coords, args.ell, args.eps)
+            payload[coords] = lieram.quantum.q_unramified(q.rs, q.point, coords, args.ell,
+                                                          args.eps)
     return _emit(args, payload)
 
 
 def cmd_quantum_exceptional(args, q):
-    from .quantum import exceptional_elements
     elements = [{"m": rec["m"], "torus": rec["torus"].texts(),
                  "centralizer_type": rec["centralizer"].type_str,
                  "centralizer_order": rec["centralizer"].order,
                  "beta_m": list(rec["beta_m"]) if rec["beta_m"] else None}
-                for rec in exceptional_elements(q.rs)]
+                for rec in lieram.quantum.exceptional_elements(q.rs)]
 
     def rows():
         return [["m", "torus", "centralizer", "order", "beta_m"],
@@ -415,25 +409,23 @@ def cmd_quantum_exceptional(args, q):
 
 
 def cmd_quantum_simplicity(args, q):
-    from .quantum import simplicity_necessary
     return _emit(args, {**q.head, "note": "necessary condition only",
-                        **simplicity_necessary(q.chi, q.point)})
+                        **lieram.quantum.simplicity_necessary(q.chi, q.point)})
 
 
 def cmd_quantum_structure(args, q):
-    from .quantum import q_regularity_and_counts
-    return _emit(args, {**q.head, **q_regularity_and_counts(q.chi, bound=q.bound)})
+    structure = lieram.quantum.q_regularity_and_counts(q.chi, bound=q.bound)
+    return _emit(args, {**q.head, **structure})
 
 
 def cmd_verify_appendix(args, q):
-    from .quantum import appendix_rows, verify_appendix_row
-    rows = appendix_rows()
+    rows = lieram.quantum.appendix_rows()
     if args.type is not None:
         want = args.type.strip().upper()
         rows = [(t, m) for t, m in rows if t == want]
         if not rows:
             raise LieramError(f"no appendix rows for type {args.type!r}")
-    results = [verify_appendix_row(t, m) for t, m in rows]
+    results = [lieram.quantum.verify_appendix_row(t, m) for t, m in rows]
     payload = {**q.head, "rows": results, "all_ok": all(r["ok"] for r in results)}
 
     def rows():
