@@ -53,7 +53,7 @@ import lieram  # lieram.modular and lieram.quantum load when a command first rea
 
 from .errors import HypothesisFailure, InvariantViolation, LieramError
 from .rootdata import check_cartan_type, root_system
-from .scalars import artin_schreier_solve, embed, make_field
+from .scalars import _ptrim, artin_schreier_solve, embed, make_field
 
 
 class UsageError(Exception):
@@ -88,8 +88,12 @@ def _bounds(args):
 _FIELD_LITERAL = re.compile(r"[+-]?\d+|g(\^[+-]?\d+)?|AS\([+-]?\d+\)")
 
 
-def parse_field_values(text: str, p: int, rank: int, bound=None):
-    """Parse the modular character / weight grammar into FFElem values."""
+def parse_field_slots(text: str, p: int, rank: int, bound=None):
+    """Parse the modular character / weight grammar into slot vectors, each
+    value's e coefficients mod p with 0 past its length, and their ambient
+    field F_{p^e}.  Checked in order: the count of values, each literal,
+    the field bound, then the Artin-Schreier solutions.  An integer literal
+    builds no field element."""
     tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated values, got {len(tokens)}")
@@ -100,17 +104,23 @@ def parse_field_values(text: str, p: int, rank: int, bound=None):
     base = make_field(p, 1, bound)
     needs_ext = any(t.startswith("AS(") and int(t[3:-1]) % p != 0 for t in tokens)
     ambient = make_field(p, p, bound) if needs_ext else base
-    values = []
+    slots = []
     for t in tokens:
-        if t.startswith("AS(") and t.endswith(")"):
-            c = base.from_int(int(t[3:-1]))
-            x, _fld = artin_schreier_solve(c, bound)
-            values.append(embed(x, ambient))
-        elif t == "g" or t.startswith("g^"):  # the generator is kept by its field
-            values.append(ambient.generator ** (1 if t == "g" else int(t[2:])))
+        if t.startswith("AS("):
+            x, _fld = artin_schreier_solve(base.from_int(int(t[3:-1])), bound)
+            coeffs = embed(x, ambient).coeffs
+        elif t[0] == "g":  # the generator is kept by its field
+            coeffs = (ambient.generator ** (1 if t == "g" else int(t[2:]))).coeffs
         else:
-            values.append(ambient.from_int(int(t)))
-    return tuple(values), ambient
+            coeffs = (int(t) % p,)
+        slots.append(coeffs + (0,) * (ambient.e - len(coeffs)))
+    return slots, ambient
+
+
+def parse_field_values(text: str, p: int, rank: int, bound=None):
+    """parse_field_slots, as FFElem values of the ambient field."""
+    slots, field = parse_field_slots(text, p, rank, bound)
+    return tuple(map(field.elem, slots)), field
 
 
 def parse_torus(text: str, rank: int):
@@ -286,12 +296,12 @@ def _qchi_dict(chi):
 def _resolve(args):
     """The inputs of args' subcommand, each resolved and checked once, in the
     order the module docstring gives: a namespace of the bound, the root
-    system rs, the character chi and the point (a tuple of field values or a
-    TorusElement) the command takes, and the head of its payload: command,
-    type, p or ell, and chi, weight or torus.  The type is checked once, by
-    check_cartan_type; the hypotheses and the values read only its
-    components, and root_system builds the root system from them after
-    those checks, before the character checks its support."""
+    system rs, the character chi and the point (a list of slot vectors, see
+    parse_field_slots, or a TorusElement) the command takes, and the head
+    of its payload: command, type, p or ell, and chi, weight or torus.  The
+    type is checked once, by check_cartan_type; the hypotheses and the
+    values read only its components, and root_system builds the root system
+    from them after those checks, before the character checks its support."""
     q = SimpleNamespace(bound=_bounds(args), head={})
     if args.group == "selftest":
         return q
@@ -306,7 +316,7 @@ def _resolve(args):
         make_field(args.p, 1, q.bound)  # p within the field bound and prime
         lieram.modular.check_hypotheses(comps, args.p)
         q.head["p"] = args.p
-        values, field = parse_field_values(chi_s or args.weight, args.p, rank, q.bound)
+        slots, field = parse_field_slots(chi_s or args.weight, args.p, rank, q.bound)
     elif "ell" in args:
         lieram.quantum.check_root_of_unity(comps, args.ell, args.eps)
         q.head["ell"] = args.ell
@@ -316,12 +326,12 @@ def _resolve(args):
     rs = q.rs = root_system(comps)
     q.head["type"] = rs.type_str
     if args.group == "modular" and chi_s:
-        q.chi = lieram.modular.PChar(rs, args.p, values=values,
+        q.chi = lieram.modular.PChar(rs, args.p, values=tuple(map(field.elem, slots)),
                                      support=parse_support(args.support), field=field)
         q.head["chi"] = _chi_dict(q.chi)
     elif args.group == "modular":
-        q.point = values
-        q.head["weight"] = [list(v.coeffs) for v in values]
+        q.point = slots
+        q.head["weight"] = [list(_ptrim(s)) for s in slots]
     elif chi_s:
         q.chi = lieram.quantum.QChar(rs, args.ell, chi_s=torus,
                                      support=parse_support(args.support), eps=args.eps)
@@ -353,16 +363,16 @@ def cmd_modular_blocks(args, q):
 
 
 def cmd_modular_unramified(args, q):
-    return _emit(args, {**q.head, **lieram.modular.block_unramified(q.rs, q.point)})
+    return _emit(args, {**q.head, **lieram.modular.unramified_on_slots(q.rs, q.point, args.p)})
 
 
 def cmd_modular_poincare(args, q):
-    coeffs = lieram.modular.poincare_series(q.rs, q.point)
+    coeffs = lieram.modular.poincare_on_slots(q.rs, q.point, args.p)
     return _emit(args, {**q.head, "coefficients": list(coeffs), "value_at_1": sum(coeffs)})
 
 
 def cmd_modular_finite_type(args, q):
-    verdict, witness = lieram.modular.block_finite_type(q.rs, q.point)
+    verdict, witness = lieram.modular.finite_type_on_slots(q.rs, q.point, args.p)
     return _emit(args, {**q.head, "verdict": verdict, "witness": witness})
 
 
@@ -448,9 +458,19 @@ def cmd_selftest(args, _q):
     return 0 if ok else 1
 
 
+# a value list that starts with a negative literal of either grammar, -1,0
+# or -1/10,2/5; argparse's own pattern takes a lone -1 or -1.5 only
+_NEGATIVE_LIST = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)(,|$)")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse drops a failed write; a failed --help write must reach main.
+    # A negative value list after a space is a value, not a flag.
     # Subparsers take the class of their parent parser.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_LIST
+
     def _print_message(self, message, file=None):
         if message:
             (file or sys.stderr).write(message)

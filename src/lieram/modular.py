@@ -13,8 +13,12 @@ or eta (eta_subsystems, dim_C, poincare_series).
 eta and its pairings live on coefficient slots (a value in F_{p^e} is its e
 coefficients mod p), with no field arithmetic: each probe builds eta and the
 table of eta(h_beta) over the positive roots once and reads its verdicts off
-them.  Both unramified routes stay, the simple-root criterion on eta's own
-coordinates and the definitional test on the whole table.
+them.  The probes run on slot vectors (unramified_on_slots,
+finite_type_on_slots, poincare_on_slots), which the CLI parses its literals
+into; block_unramified, block_finite_type and poincare_series take field
+values and split them into slots first.  Both unramified routes stay, the
+simple-root criterion on eta's own coordinates and the definitional test on
+the whole table.
 
 Characters follow the standard-Levi model: the semisimple part is given by
 its values c_i = chi(h_i) in some F_{p^e}, the nilpotent part by the subset
@@ -69,7 +73,7 @@ class PChar:
                 "character values must share one ambient field of characteristic p")
         self.field = field
         self.values = tuple(values)
-        self.levi = _zero(rs, _table(rs, self.values)[1])
+        self.levi = _zero(rs, _table(rs, *_slots(rs, self.values))[1])
         self.support = support_indices(self.levi, support)
 
     @property
@@ -95,14 +99,19 @@ def _lambda_base(chi: PChar, bound):
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
 
-def _slots(values, field, shift=0):
-    """The values in `field` = F_{p^e} as slot vectors: each value's e
-    coefficients mod p, 0 past its length, with `shift` added to the constant
-    one (shift 1 turns lambda into eta = lambda + rho, as rho(h_i) = 1)."""
+def _slots(rs: RootSystem, values):
+    """(slot vectors, p) of a weight given as values in one field F_{p^e}:
+    each value's e coefficients mod p, 0 past its length.  ValueError,
+    before the field is read, unless the weight has one value per simple
+    root, and for values of different fields: PChar and every probe on
+    field values come through here."""
+    if len(values) != rs.rank:
+        raise ValueError(f"{len(values)} values given for rank {rs.rank}")
+    field = values[0].field
     if any(v.field != field for v in values):
         raise ValueError("elements of different fields")
-    p, pad = field.p, (0,) * field.e
-    return [((c[0] + shift) % p, *c[1:]) for c in ((v.coeffs + pad)[:field.e] for v in values)]
+    pad = (0,) * field.e
+    return [(v.coeffs + pad)[:field.e] for v in values], field.p
 
 
 def _pairings(rs: RootSystem, slots, p):
@@ -112,15 +121,11 @@ def _pairings(rs: RootSystem, slots, p):
     return dict(zip(rs.pos_roots, zip(*map(integer_pairings(rs, "values", p), zip(*slots)))))
 
 
-def _table(rs: RootSystem, weight, shift=0):
-    """eta = weight + shift * rho on slots, and its table of pairings.
-    ValueError, before the field is read, unless weight has one value per
-    simple root: PChar and every probe come through here."""
-    if len(weight) != rs.rank:
-        raise ValueError(f"{len(weight)} values given for rank {rs.rank}")
-    field = weight[0].field
-    eta = _slots(weight, field, shift)
-    return eta, _pairings(rs, eta, field.p)
+def _table(rs: RootSystem, slots, p, shift=0):
+    """eta = weight + shift * rho on the weight's slot vectors (rho(h_i) = 1
+    adds shift to each constant slot), and its table of pairings."""
+    eta = [((s[0] + shift) % p, *s[1:]) for s in slots] if shift else slots
+    return eta, _pairings(rs, eta, p)
 
 
 def _zero(rs, table):
@@ -135,7 +140,7 @@ def _stabilisers(rs, table):
 def eta_subsystems(rs: RootSystem, eta):
     """(zero, fp): the classified subsystems {alpha : eta(h_alpha) = 0} and
     {alpha : eta(h_alpha) in F_p}."""
-    return _stabilisers(rs, _table(rs, eta)[1])
+    return _stabilisers(rs, _table(rs, *_slots(rs, eta))[1])
 
 
 def dim_C(rs: RootSystem, eta) -> int:
@@ -149,12 +154,18 @@ def _fp_unit(slots):
 
 
 def block_unramified(rs: RootSystem, lam):
+    """unramified_on_slots at the slot vectors of the values lam."""
+    return unramified_on_slots(rs, *_slots(rs, lam))
+
+
+def unramified_on_slots(rs: RootSystem, lam, p):
     """Both unramified tests of the block of the baby Verma with highest
-    weight lam, off one eta = lam + rho and its table.  simpleRootCriterion:
-    no simple alpha with eta(h_alpha) in F_p - {0} (eta's own coordinates).
-    definitional: dim = [W(fp) : W(zero)] is 1, i.e. the two stabilisers of
-    the table coincide (each root set is closed under its own reflections)."""
-    eta, table = _table(rs, lam, 1)
+    weight lam (slot vectors mod p, one per simple root), off one eta = lam
+    + rho and its table.  simpleRootCriterion: no simple alpha with
+    eta(h_alpha) in F_p - {0} (eta's own coordinates).  definitional: dim =
+    [W(fp) : W(zero)] is 1, i.e. the two stabilisers of the table coincide
+    (each root set is closed under its own reflections)."""
+    eta, table = _table(rs, lam, p, 1)
     return {"simpleRootCriterion": not any(map(_fp_unit, eta)),
             "definitional": not any(map(_fp_unit, table.values()))}
 
@@ -256,14 +267,20 @@ def unramified_count(chi: PChar, blocks=None, bound=None):
 
 
 def poincare_series(rs: RootSystem, eta):
-    """Coefficients of P(C_eta, t): minimal coset representatives of W(eta),
-    once conjugated to a standard parabolic W_J, counted by length.  That sum
-    is W(t)/W_J(t), read from the degrees of W and of W(eta)'s type.
+    """poincare_on_slots at the slot vectors of the values eta."""
+    return poincare_on_slots(rs, *_slots(rs, eta))
+
+
+def poincare_on_slots(rs: RootSystem, eta, p):
+    """Coefficients of P(C_eta, t) at eta (slot vectors mod p, one per
+    simple root): minimal coset representatives of W(eta), once conjugated
+    to a standard parabolic W_J, counted by length.  That sum is
+    W(t)/W_J(t), read from the degrees of W and of W(eta)'s type.
 
     Requires a nilpotent context (all coordinates of eta in F_p)."""
-    if not all(v.in_prime_field() for v in eta):
+    if any(any(s[1:]) for s in eta):
         raise NotNilpotentContext("Poincare series needs all coordinates in F_p")
-    return _poincare(_zero(rs, _table(rs, eta)[1]))
+    return _poincare(_zero(rs, _table(rs, eta, p)[1]))
 
 
 def _poincare(zero):
@@ -274,8 +291,14 @@ def _poincare(zero):
 
 
 def block_finite_type(rs: RootSystem, lam, assume_unique_simple: bool = False):
+    """finite_type_on_slots at the slot vectors of the values lam."""
+    return finite_type_on_slots(rs, *_slots(rs, lam), assume_unique_simple)
+
+
+def finite_type_on_slots(rs: RootSystem, lam, p, assume_unique_simple: bool = False):
     """Finite-representation-type classification of the block of the baby
-    Verma with highest weight lam, at eta = lam + rho built on slots.
+    Verma with highest weight lam (slot vectors mod p, one per simple root),
+    at eta = lam + rho.
 
     Returns (verdict, witness).  Necessity: the stabilizer pair must differ in
     rank by one and the differing connected component pair must be one of
@@ -286,7 +309,7 @@ def block_finite_type(rs: RootSystem, lam, assume_unique_simple: bool = False):
     the component lists of the two classified stabilizers; nothing is
     classified again.
     """
-    return _finite_type(*_stabilisers(rs, _table(rs, lam, 1)[1]), assume_unique_simple)
+    return _finite_type(*_stabilisers(rs, _table(rs, lam, p, 1)[1]), assume_unique_simple)
 
 
 def _finite_type(small, big, assume_unique_simple):

@@ -26,7 +26,9 @@ check_cartan_type and hypothesis_check build no root system.
 What a root system or a classified subsystem derives only on demand is a
 functools.cached_property of its owner, computed on the first read and kept
 with it: RootSystem.fundamental_weights, rho_weight_pairs and sum_triples;
-Subsystem.is_parabolic and coset_poincare.
+Subsystem.is_parabolic, height_steps and coset_poincare.  A root system
+lists its height steps (each positive root as an earlier root plus a simple
+one) as it builds its roots; weyl.integer_pairings pairs by them.
 """
 
 from __future__ import annotations
@@ -186,7 +188,10 @@ class RootSystem:
         the Cartan matrix added), its norm |b + alpha_i|^2/2 = |b|^2/2 +
         d_i (<b, alpha_i^vee> + 1) and its component; its down-string length
         in direction i is the parent's plus one (0 with no such parent).
-        b + alpha_i is a root iff down_i(b) exceeds <b, alpha_i^vee>."""
+        b + alpha_i is a root iff down_i(b) exceeds <b, alpha_i^vee>.
+        height_steps lists per positive root, in pos_roots order, (position
+        of its first parent, i), the parent listed earlier; (-1, i) for
+        alpha_i."""
         r, C, d = self.rank, self.cartan, self.d
         if any(d[i] * C[i][j] != d[j] * C[j][i] for i in range(r) for j in range(r)):
             raise InvariantViolation(f"{self.type_str}: D C is not symmetric, so no "
@@ -195,29 +200,30 @@ class RootSystem:
         comp = [k for k, (_l, _n, nodes) in enumerate(self.components) for _ in nodes]
         simple = self.simple_roots = tuple(
             tuple(int(i == j) for j in range(r)) for i in range(r))
-        data = {a: (cols[i], [0] * r, d[i], comp[i]) for i, a in enumerate(simple)}
+        data = {a: (cols[i], [0] * r, d[i], comp[i], (-1, i)) for i, a in enumerate(simple)}
         layer, pos = list(simple), []
         while layer:
-            pos += sorted(layer)
             nxt = []
-            for b in layer:
-                v, down, nb, k = data[b]
+            for b in sorted(layer):
+                v, down, nb, k, _step = data[b]
+                pos.append(b)
                 for i in range(r):
                     if down[i] > v[i]:
                         c = b[:i] + (b[i] + 1,) + b[i + 1:]
                         if c not in data:
                             data[c] = (tuple(map(operator.add, v, cols[i])), [0] * r,
-                                       nb + d[i] * (v[i] + 1), k)
+                                       nb + d[i] * (v[i] + 1), k, (len(pos) - 1, i))
                             nxt.append(c)
                         data[c][1][i] = down[i] + 1
             layer = nxt
         self.pos_roots = tuple(pos)
         self.N = len(pos)
         self._posset = frozenset(pos)
+        self.height_steps = tuple(data[b][4] for b in pos)
         # pairings, coroots and norms of every root, negative ones included
         self._value, self._coroot, self._norm = {}, {}, {}
         for b in pos:
-            v, _down, nb, _k = data[b]
+            v, _down, nb, _k, _step = data[b]
             if any(di * bi % nb for di, bi in zip(d, b)):
                 raise InvariantViolation(f"{self.type_str}: coroot of {b} is not integral")
             cv = tuple(di * bi // nb for di, bi in zip(d, b))
@@ -399,6 +405,24 @@ class Subsystem:
         positive root outside it may lie in its span."""
         solve = solve_linear([[b[i] for b in self.basis] for i in range(self.rs.rank)])
         return not any(b not in self.roots and solve(b) is not None for b in self.rs.pos_roots)
+
+    @functools.cached_property
+    def height_steps(self):
+        """(roots, steps): the positive roots in the order of rs.pos_roots
+        and, per root, (position of its parent, k) when it is its parent
+        plus basis root k, the parent listed earlier; (-1, k) for basis root
+        k.  The basis is a base of the subsystem, so every other positive
+        root has such a parent (Humphreys, Introduction to Lie Algebras and
+        Representation Theory, 10.2), and it has a lower height in Phi."""
+        roots = tuple(b for b in self.rs.pos_roots if b in self.roots)
+        at = {b: n for n, b in enumerate(roots)}
+        at[(0,) * self.rs.rank] = -1  # a basis root is no root plus itself
+        steps = tuple(next(((at[c], k) for k, g in enumerate(self.basis)
+                            if (c := tuple(map(operator.sub, b, g))) in at), None)
+                      for b in roots)
+        if None in steps:
+            raise InvariantViolation(f"a root of {self.type_str} is no root plus a basis root")
+        return roots, steps
 
     @functools.cached_property
     def coset_poincare(self):

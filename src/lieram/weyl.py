@@ -38,7 +38,10 @@ is built.  Each axis of the set is listed in the order of its sort key, so
 a block is met first at its least point and keeps that point and its size.
 A reflection is the rank-one map x -> x - <x, beta> v_beta
 (integer_actions), read off the coroot and root-value tables of the root
-system, which integer_pairings reads too.
+system.  integer_pairings pairs a point with every positive root by height,
+r pairings with the simple roots and one addition per root (each root is
+an earlier one plus a simple root, as the root system lists them), and with
+the positive roots of a subsystem over its own basis likewise.
 Both sides take their blocks from one walk, block_orbits: mod_blocks on the
 constant terms of eta, q_blocks on the numerators over N.  A block's
 stabiliser lies in W(Phi'), so the walk pairs only the roots of Phi' with it,
@@ -58,11 +61,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BoundExceeded, InvalidSupport, InvariantViolation
-from .rootdata import DEFAULT_GROUP_BOUND, RootSystem, highest_root, subsystem_classify
+from .rootdata import DEFAULT_GROUP_BOUND, RootSystem, Subsystem, highest_root, subsystem_classify
 from .scalars import UnityExp
 
 
@@ -225,7 +229,8 @@ def alcove_descent(rs: RootSystem, x, D: int):
     (the point is sum_i (x_i / D) alpha_i^vee, so D alpha_j of it is sum_i
     C[i][j] x_i).  The point is first reduced mod Q^vee into [0, 1)^r;
     then s_j is applied while alpha_j(x) < 0, and the affine reflection s_0
-    of a component (in the hyperplane theta = 1) while theta(x) > 1.
+    of a component (in the hyperplane theta = 1) while theta(x) > 1.  The
+    values alpha_j(x) are updated in O(r) per s_j and recomputed after s_0.
     Returns (word, kac): the word (i1, ..., ik) of the finite part w =
     s_{i1} ... s_{ik} of the affine Weyl element used, so x' = w x + (an
     element of Q^vee) lies in the alcove, and kac holds per component the
@@ -235,16 +240,17 @@ def alcove_descent(rs: RootSystem, x, D: int):
     as a simple system the Delta-tilde nodes with Kac coordinate 0, -theta
     standing for s_0.
     """
-    r = rs.rank
     C = rs.cartan
-    n = [v % D for v in x]
     ext = extended_diagram(rs)
     letters = []  # simple reflections in the order applied
+    n = [v % D for v in x]
+    v = [sum(map(operator.mul, col, n)) for col in zip(*C)]  # D alpha_j(x)
     while True:
-        v = [sum(C[i][j] * n[i] for i in range(r)) for j in range(r)]  # D alpha_j(x)
-        j = next((j for j in range(r) if v[j] < 0), None)
+        j = next((j for j, a in enumerate(v) if a < 0), None)
         if j is not None:
+            # s_j moves x by -alpha_j(x) alpha_j^vee, so D alpha(x) by -v_j row j of C
             n[j] -= v[j]
+            v = [b - v[j] * c for b, c in zip(v, C[j])]
             letters.append(j)
             continue
         over = [(k, c) for c, theta in enumerate(ext.thetas) if (k := _dot(theta, v) - D) > 0]
@@ -252,6 +258,7 @@ def alcove_descent(rs: RootSystem, x, D: int):
             break
         k, c = over[0]
         n = [a - k * h for a, h in zip(n, ext.coroots[c])]
+        v = [sum(map(operator.mul, col, n)) for col in zip(*C)]
         letters.extend(ext.words[c])  # the finite part of s_0 is s_theta
     kac = tuple((D - _dot(theta, v),) + tuple(v[j] for j in nodes)
                 for theta, (_l, _n, nodes) in zip(ext.thetas, rs.components))
@@ -324,9 +331,9 @@ def integer_actions(rs: RootSystem, roots, on: str, modulus: int):
     (= p), and s_beta lambda = lambda - lambda(h_beta) beta; on="torus": a
     point lists the exponent numerators of a torus element over the common
     denominator `modulus`, and s_beta t = t - beta(t) beta^vee.  Each map is
-    rank one, x -> x - <x, beta> v_beta: the pairing row is the one
-    integer_pairings reads (beta^vee on values, beta(h_i) on exponents) and
-    v_beta is the other (beta(h_i) on values, beta^vee on exponents).  A
+    rank one, x -> x - <x, beta> v_beta: the pairing row is beta^vee on
+    values and beta(h_i) on exponents, and v_beta is the other row
+    (beta(h_i) on values, beta^vee on exponents).  A
     point with pairing 0 is returned as it is.  The maps are F_p-linear, so
     on values in F_{p^e} they act on each coefficient slot alone.
     """
@@ -353,26 +360,58 @@ def _reflection(pairs, moves, modulus):
 
 
 def integer_pairings(rs: RootSystem, on: str, modulus: int, roots=None):
-    """The values of the roots `roots` (default rs.pos_roots) on a flat
-    integer point of one coefficient per coordinate, as a map from the point
-    to one integer per root, in the order of `roots`: sum_i row_i x_i mod
-    `modulus`, zero iff the root vanishes on the point.
+    """The values of roots on a flat integer point of one coefficient per
+    coordinate, as a map from the point to one integer per root mod
+    `modulus`, zero iff the root vanishes on the point.  `roots` is None for
+    rs.pos_roots, a classified Subsystem for its positive roots (in the
+    order of its height_steps), or a tuple of roots, in its order.
 
     on="torus": a point lists exponent numerators n_i over the common
-    denominator `modulus`; the row is beta(h_i), and the value the numerator
+    denominator `modulus`; the value is sum_i beta(h_i) n_i, the numerator
     of beta(t)'s exponent, so beta(t) = 1 iff it is 0.  on="values": a point
-    lists eta(h_1), ..., eta(h_r) mod p (= `modulus`); the row is beta^vee's
-    coefficients, and the value eta(h_beta).  Values in F_{p^e} pair slot by
-    slot (modular._pairings).
+    lists eta(h_1), ..., eta(h_r) mod p (= `modulus`); the value is
+    eta(h_beta) = u(beta) / (|beta|^2/2) with u(beta) = sum_k d_k b_k eta_k,
+    an exact division, as beta^vee has the integral coefficients d_k b_k /
+    (|beta|^2/2).  Both sums are linear in beta, so a table is paired by
+    height: each generator (simple root, basis root, or each root of a
+    tuple) is paired once, and every other root is its parent's value plus
+    one generator's.  Values in F_{p^e} pair slot by slot (modular._pairings).
     """
-    terms = _pairing_terms(rs, rs.pos_roots if roots is None else tuple(roots), on)
-    return lambda x: tuple(sum(c * x[k] for k, c in ts) % modulus for ts in terms)
+    rows, steps, norms = _height_plan(rs, roots, on)
+
+    def pairings(x):
+        g = [sum(map(operator.mul, row, x)) for row in rows]
+        u = [0] * (len(steps) + 1)  # u[-1] stays 0, the value of no root
+        for n, (j, i) in enumerate(steps):
+            u[n] = u[j] + g[i]
+        if norms is None:
+            return tuple([a % modulus for a in u[:-1]])
+        return tuple([a // n % modulus for a, n in zip(u, norms)])
+    return pairings
+
+
+@functools.lru_cache(maxsize=None)
+def _height_plan(rs, roots, on):
+    # the row of each generator's linear form, the height steps and, on
+    # values of a type with roots of norm above 1, each root's norm
+    if on not in ("torus", "values"):
+        raise ValueError(f"unknown encoding {on!r}")
+    if roots is None:
+        gens, listed, steps = rs.simple_roots, rs.pos_roots, rs.height_steps
+    elif isinstance(roots, Subsystem):
+        gens, (listed, steps) = roots.basis, roots.height_steps
+    else:  # each root of the tuple is a generator of its own
+        gens, listed, steps = roots, roots, tuple((-1, k) for k in range(len(roots)))
+    rows = [rs.value_vec(g) if on == "torus" else tuple(map(operator.mul, rs.d, g)) for g in gens]
+    norms = tuple(map(rs.norm, listed)) if on == "values" else ()
+    return tuple(rows), steps, (norms if max(norms, default=1) > 1 else None)
 
 
 @functools.lru_cache(maxsize=None)
 def _pairing_terms(rs, roots, on):
-    # per root, the (coordinate, coefficient) pairs of its row: beta(h_i)
-    # for exponents, the coroot coefficients beta^vee_i for values
+    # per root, the (coordinate, coefficient) pairs of its row, as
+    # integer_actions pairs and moves: beta(h_i) for exponents, the coroot
+    # coefficients beta^vee_i for values
     if on == "torus":
         rows = map(rs.value_vec, roots)
     elif on == "values":
@@ -474,9 +513,8 @@ def _walk_skeleton(rs, levi, on, modulus, axes):
     # classifies each distinct set of vanishing roots once
     orbits = orbit_partition(itertools.product(*axes),
                              integer_actions(rs, levi.basis, on, modulus))
-    roots = tuple(b for b in rs.pos_roots if b in levi.roots)
-    signed = [(b, tuple(-c for c in b)) for b in roots]
-    pairings = integer_pairings(rs, on, modulus, roots=roots)
+    signed = [(b, tuple(-c for c in b)) for b in levi.height_steps[0]]
+    pairings = integer_pairings(rs, on, modulus, roots=levi)
 
     def stabiliser(x):
         sub = subsystem_classify(rs, [r for pm, v in zip(signed, pairings(x)) if not v

@@ -149,6 +149,90 @@ def test_modular_probes_do_no_field_arithmetic(monkeypatch, capsys):
             assert (code, len(pairings)) == ((1, 0) if refused else (0, 1)), (cmd, t, w)
 
 
+def test_integer_literal_probes_build_no_field_element(monkeypatch, capsys):
+    # the literals are parsed once, straight to slot vectors, and the probes
+    # run on those: an integer-literal probe builds no FFElem at all
+    built = []
+    init = scalars.FFElem.__init__
+    monkeypatch.setattr(scalars.FFElem, "__init__",
+                        lambda self, *a: built.append(1) or init(self, *a))
+    for t, p, w in [*PROBE_WEIGHTS[:2], ("A3", "5", "-1,7,-12"), ("G2", "7", "3,-3")]:
+        for cmd in ("unramified", "finite-type", "poincare"):
+            code = main(["modular", cmd, "--type", t, "--p", p, "--weight", w])
+            assert code == 0 and capsys.readouterr().out
+            assert not built, (cmd, t, w)
+    main(["modular", "unramified", "--type", "A2", "--p", "5", "--weight", "g,0"])
+    assert built  # the count sees a field element where one is built
+
+
+def _values_by_field_arithmetic(text, p, bound=None):
+    # the values of a literal list as built before the slot parser: integers
+    # by from_int, g^k as a power of the generator, AS(c) as an embedded
+    # Artin-Schreier solution, all in the ambient field
+    tokens = [t.strip() for t in text.split(",")]
+    base = make_field(p, 1, bound)
+    ambient = (make_field(p, p, bound) if any(
+        t.startswith("AS(") and int(t[3:-1]) % p for t in tokens) else base)
+    out = []
+    for t in tokens:
+        if t.startswith("AS("):
+            out.append(scalars.embed(
+                scalars.artin_schreier_solve(base.from_int(int(t[3:-1])), bound)[0], ambient))
+        elif t.startswith("g"):
+            out.append(ambient.generator ** (1 if t == "g" else int(t[2:])))
+        else:
+            out.append(ambient.from_int(int(t)))
+    return tuple(out), ambient
+
+
+@pytest.mark.parametrize("text", [
+    "0,1,4", "-1,-7,12", "g,g^2,g^-1", "g^0,g^7,-3", "AS(1),0,2", "AS(0),g,1",
+    "AS(-2),g^-1,-4", "AS(0),AS(0),AS(5)", "3,AS(3),g^3"])
+def test_field_values_are_the_slot_parse(text):
+    values, field = cli.parse_field_values(text, 5, 3)
+    slots, ambient = cli.parse_field_slots(text, 5, 3)
+    assert field == ambient
+    assert (values, field) == _values_by_field_arithmetic(text, 5)
+    assert values == tuple(map(field.elem, slots))
+    assert all(len(s) == field.e for s in slots)
+    assert [list(v.coeffs) for v in values] == [list(scalars._ptrim(s)) for s in slots]
+
+
+@pytest.mark.parametrize("text, p, rank, bound", [
+    ("1,2", 5, 3, None), ("", 5, 1, None), ("1,h,2", 5, 3, None), ("1,2.0", 5, 2, None),
+    ("AS(x),0", 5, 2, None), ("AS(1),0", 5, 2, 100), ("1,g", 4, 2, None),
+    ("1,1", 10**10 + 19, 2, None)])
+def test_malformed_literals_raise_alike_in_both_parses(text, p, rank, bound):
+    errors = []
+    for parse in (cli.parse_field_slots, cli.parse_field_values):
+        with pytest.raises(Exception) as exc:
+            parse(text, p, rank, bound)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular", "unramified", "--type", "A2", "--p", "5", "--weight", "-1,0"],
+    ["modular", "poincare", "--type", "A2", "--p", "5", "--weight", "-1,-3"],
+    ["modular", "blocks", "--type", "A2", "--p", "5", "--chi-s", "-1,2"],
+    ["quantum", "unramified", "--type", "A1", "--ell", "5", "--torus", "-1/10"],
+    ["quantum", "blocks", "--type", "A2", "--ell", "5", "--chi-s", "-2/5,1/5"]])
+def test_a_negative_list_after_a_space_is_a_value(argv, capsys):
+    # argparse's own pattern reads only a lone -1 as a value; a list that
+    # starts with a negative literal of either grammar is one too, and gives
+    # the bytes of the --flag=value form
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert run_cli(argv, capsys) == run_cli(joined, capsys)
+    assert run_cli(argv, capsys)[0] == 0
+
+
+def test_a_flag_is_still_no_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["modular", "unramified", "--weight", "--type", "A2", "--p", "5"])
+    assert exc.value.code == 2
+    assert "--weight: expected one argument" in capsys.readouterr().err
+
+
 class _Sha256Writer:
     # a text stream that keeps only the sha256 of what is written to it
     def __init__(self):

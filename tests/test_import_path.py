@@ -34,7 +34,10 @@ classification cache beside the subsystem memo.  A modular weight is the
 tuple of its field values: no module defines a weight class, rho as a
 weight or a by-name or eta-side twin of a probe, and the modular
 unramified, finite-type and poincare commands reach their answers through
-block_unramified, block_finite_type and poincare_series alone."""
+the slot probes unramified_on_slots, finite_type_on_slots and
+poincare_on_slots alone, on the slot vectors the CLI parses its literals
+into; block_unramified, block_finite_type and poincare_series are those
+probes behind modular._slots, so each verdict has one body."""
 
 import ast
 import importlib
@@ -216,9 +219,10 @@ def test_block_walks_sort_nothing_and_take_no_key():
 
 
 def test_weyl_kernels_take_one_coefficient_per_coordinate():
-    # the reflections are F_p-linear, so no kernel takes a slot count: only
-    # modular._slots splits an F_{p^e} value into its e coefficient slots,
-    # for modular._pairings, and no flat full-width code of the values is built
+    # the reflections are F_p-linear, so no kernel takes a slot count: the
+    # CLI parses literals into slot vectors, modular._slots splits the
+    # F_{p^e} values of the API into their e coefficient slots, both for
+    # modular._pairings, and no flat full-width code of the values is built
     trees = _trees()
     widths = [(name, node.name) for name, tree in trees.items()
               for node in ast.walk(tree)
@@ -336,24 +340,29 @@ def test_epsilon_enters_the_quantum_side_once():
 
 
 # what resolves or checks a subcommand's inputs in the CLI
-FRONT_END = {"check_cartan_type", "root_system", "_bounds", "parse_field_values",
+FRONT_END = {"check_cartan_type", "root_system", "_bounds", "parse_field_slots",
              "parse_torus", "parse_support", "check_hypotheses", "check_root_of_unity",
              "PChar", "QChar"}
 
 
 def test_the_cli_resolves_inputs_in_one_front_end():
     # main calls cli._resolve once, before it dispatches; no command rebuilds
-    # an input, a weight or a torus element
+    # an input, a weight or a torus element; the literals are parsed once,
+    # into slot vectors, and parse_field_values, the same parse as field
+    # values for the API, is called by no CLI function
     tree = _trees()["cli.py"]
-    for name in FRONT_END:
+    for name in FRONT_END - {"parse_field_slots"}:
         assert _callers(tree, name) == {"_resolve"}, name
+    assert _callers(tree, "parse_field_slots") == {"_resolve", "parse_field_values"}
+    assert _callers(tree, "parse_field_values") == set()
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert _calls_of(defs["main"], "_resolve") == 1
     commands = [node for name, node in defs.items() if name.startswith("cmd_")]
     assert len(commands) == 12
     for node in commands:
         assert not _called_names(node) & (FRONT_END | {"ModWeight", "TorusElement",
-                                                        "parse_cartan_type"}), node.name
+                                                        "parse_cartan_type",
+                                                        "parse_field_values"}), node.name
 
 
 def test_one_function_builds_a_types_cartan_matrix():
@@ -384,7 +393,7 @@ def test_subsystem_components_are_decided_once_in_the_classifier():
 # the data each class derives once, as a functools.cached_property of its own
 CACHED_BY_OWNER = {
     ("rootdata.py", "RootSystem"): {"fundamental_weights", "rho_weight_pairs", "sum_triples"},
-    ("rootdata.py", "Subsystem"): {"is_parabolic", "coset_poincare"},
+    ("rootdata.py", "Subsystem"): {"is_parabolic", "height_steps", "coset_poincare"},
     ("scalars.py", "FieldDescriptor"): {"frobenius_rows", "trace_form", "generator",
                                         "as_solver"},
 }
@@ -453,11 +462,14 @@ def test_a_modular_weight_is_its_tuple_of_values():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & RETIRED
     assert not set(vars(lieram)) & RETIRED
-    modular = {node.name for node in trees["modular.py"].body
+    modular = {node.name: node for node in trees["modular.py"].body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     commands = {node.name: node for node in trees["cli.py"].body
                 if isinstance(node, ast.FunctionDef)}
-    for command, probe in (("cmd_modular_unramified", "block_unramified"),
-                           ("cmd_modular_finite_type", "block_finite_type"),
-                           ("cmd_modular_poincare", "poincare_series")):
-        assert _called_names(commands[command]) & modular == {probe}, command
+    for command, api, probe in (
+            ("cmd_modular_unramified", "block_unramified", "unramified_on_slots"),
+            ("cmd_modular_finite_type", "block_finite_type", "finite_type_on_slots"),
+            ("cmd_modular_poincare", "poincare_series", "poincare_on_slots")):
+        assert _called_names(commands[command]) & set(modular) == {probe}, command
+        # the probe on field values is the slot probe behind _slots
+        assert _called_names(modular[api]) == {"_slots", probe}, api

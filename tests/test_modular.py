@@ -20,6 +20,7 @@ from lieram.modular import (
     PChar,
     _finite_type,
     _slots,
+    _table,
     block_finite_type,
     block_unramified,
     dim_C,
@@ -360,7 +361,8 @@ def test_slot_probes_match_field_arithmetic_on_extension_fields():
         assert ambient.e > 1
         for lam in weights:
             eta, flags, zero, fp = _probe_by_field_arithmetic(rs, lam)
-            assert _slots(lam, ambient, 1) == _slots(eta, ambient)
+            assert lam[0].field == eta[0].field == ambient
+            assert _table(rs, *_slots(rs, lam), 1)[0] == _slots(rs, eta)[0]
             assert block_unramified(rs, lam) == flags, lam
             assert [s.roots for s in eta_subsystems(rs, eta)] == [zero.roots, fp.roots]
             assert dim_C(rs, eta) == fp.order // zero.order

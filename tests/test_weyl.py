@@ -1,5 +1,6 @@
 """Weyl elements, actions, stabilizers, cosets, orbits, Burnside oracle."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -145,6 +146,46 @@ def test_alcove_descent_lands_in_the_alcove(type_str):
                 value = sum(b[k] * sum(rs.cartan[i][k] * x[i] for i in range(rs.rank))
                             for k in range(rs.rank))
                 assert (value - s) % den == 0
+
+
+def _descent_by_full_recompute(rs, x, D):
+    # alcove_descent as it read before its O(r) update: every D alpha_j(x)
+    # recomputed after each reflection
+    r, C, ext = rs.rank, rs.cartan, extended_diagram(rs)
+    n, letters = [v % D for v in x], []
+    while True:
+        v = [sum(C[i][j] * n[i] for i in range(r)) for j in range(r)]
+        j = next((j for j in range(r) if v[j] < 0), None)
+        if j is not None:
+            n[j] -= v[j]
+            letters.append(j)
+            continue
+        over = [(k, c) for c, theta in enumerate(ext.thetas)
+                if (k := sum(map(operator.mul, theta, v)) - D) > 0]
+        if not over:
+            break
+        k, c = over[0]
+        n = [a - k * h for a, h in zip(n, ext.coroots[c])]
+        letters.extend(ext.words[c])
+    kac = tuple((D - sum(map(operator.mul, theta, v)),) + tuple(v[j] for j in nodes)
+                for theta, (_l, _n, nodes) in zip(ext.thetas, rs.components))
+    return tuple(letters[::-1]), kac
+
+
+# every type of rank at most 8, and one product
+RANK_8_AND_BELOW = ([f"A{n}" for n in range(1, 9)]
+                    + [f"{letter}{n}" for letter in "BC" for n in range(2, 9)]
+                    + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2", "G2xC3"])
+
+
+@pytest.mark.parametrize("type_str", RANK_8_AND_BELOW)
+def test_alcove_descent_matches_the_full_recompute(type_str):
+    rs = build_root_system(type_str)
+    rng = random.Random(type_str)
+    for _ in range(60):
+        den = rng.choice((1, 2, 5, 6, 14, 30, 77))
+        x = [rng.randrange(-3 * den, 3 * den) for _ in range(rs.rank)]
+        assert alcove_descent(rs, x, den) == _descent_by_full_recompute(rs, x, den), x
 
 
 @pytest.mark.parametrize("type_str", ["A1", "B3", "G2", "F4", "A1xB2", "E8"])
