@@ -104,7 +104,7 @@ def parse_field_slots(text: str, p: int, rank: int, bound=None):
     base = make_field(p, 1, bound)
     needs_ext = any(t.startswith("AS(") and int(t[3:-1]) % p != 0 for t in tokens)
     ambient = make_field(p, p, bound) if needs_ext else base
-    slots = []
+    zero, slots = (0,) * ambient.e, []
     for t in tokens:
         if t.startswith("AS("):
             x, _fld = artin_schreier_solve(base.from_int(int(t[3:-1])), bound)
@@ -113,7 +113,7 @@ def parse_field_slots(text: str, p: int, rank: int, bound=None):
             coeffs = (ambient.generator ** (1 if t == "g" else int(t[2:]))).coeffs
         else:
             coeffs = (int(t) % p,)
-        slots.append(coeffs + (0,) * (ambient.e - len(coeffs)))
+        slots.append(coeffs + zero[len(coeffs):])
     return slots, ambient
 
 

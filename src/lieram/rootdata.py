@@ -408,18 +408,19 @@ class Subsystem:
 
     @functools.cached_property
     def height_steps(self):
-        """(roots, steps): the positive roots in the order of rs.pos_roots
-        and, per root, (position of its parent, k) when it is its parent
-        plus basis root k, the parent listed earlier; (-1, k) for basis root
-        k.  The basis is a base of the subsystem, so every other positive
-        root has such a parent (Humphreys, Introduction to Lie Algebras and
-        Representation Theory, 10.2), and it has a lower height in Phi."""
-        roots = tuple(b for b in self.rs.pos_roots if b in self.roots)
+        """(roots, steps): the basis, then the other positive roots in the
+        order of rs.pos_roots, and per root (position of its parent, k) when
+        it is its parent plus basis root k, the parent listed earlier; (-1,
+        k) for basis root k.  The basis is a base of the subsystem, so every
+        other positive root has such a parent (Humphreys, Introduction to Lie
+        Algebras and Representation Theory, 10.2), of lower height in Phi."""
+        basis = self.basis
+        roots = basis + tuple(b for b in self.rs.pos_roots if b in self.roots and b not in basis)
         at = {b: n for n, b in enumerate(roots)}
-        at[(0,) * self.rs.rank] = -1  # a basis root is no root plus itself
-        steps = tuple(next(((at[c], k) for k, g in enumerate(self.basis)
-                            if (c := tuple(map(operator.sub, b, g))) in at), None)
-                      for b in roots)
+        steps = tuple((-1, k) for k in range(len(basis))) + tuple(
+            next(((at[c], k) for k, g in enumerate(basis)
+                  if (c := tuple(map(operator.sub, b, g))) in at), None)
+            for b in roots[len(basis):])
         if None in steps:
             raise InvariantViolation(f"a root of {self.type_str} is no root plus a basis root")
         return roots, steps

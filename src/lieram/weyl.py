@@ -380,31 +380,34 @@ def integer_pairings(rs: RootSystem, on: str, modulus: int, roots=None):
     rows, steps, norms = _height_plan(rs, roots, on)
 
     def pairings(x):
-        g = [sum(map(operator.mul, row, x)) for row in rows]
-        u = [0] * (len(steps) + 1)  # u[-1] stays 0, the value of no root
-        for n, (j, i) in enumerate(steps):
-            u[n] = u[j] + g[i]
+        u = [sum(map(operator.mul, row, x)) for row in rows]  # the generators
+        for j, i in steps:
+            u.append(u[j] + u[i])
         if norms is None:
-            return tuple([a % modulus for a in u[:-1]])
+            return tuple([a % modulus for a in u])
         return tuple([a // n % modulus for a, n in zip(u, norms)])
     return pairings
 
 
 @functools.lru_cache(maxsize=None)
 def _height_plan(rs, roots, on):
-    # the row of each generator's linear form, the height steps and, on
+    # the rows of the linear forms of the generators, which are listed
+    # first, the (parent, generator) positions of every other root and, on
     # values of a type with roots of norm above 1, each root's norm
     if on not in ("torus", "values"):
         raise ValueError(f"unknown encoding {on!r}")
     if roots is None:
-        gens, listed, steps = rs.simple_roots, rs.pos_roots, rs.height_steps
+        listed, steps = rs.pos_roots, rs.height_steps
     elif isinstance(roots, Subsystem):
-        gens, (listed, steps) = roots.basis, roots.height_steps
+        listed, steps = roots.height_steps
     else:  # each root of the tuple is a generator of its own
-        gens, listed, steps = roots, roots, tuple((-1, k) for k in range(len(roots)))
+        listed, steps = roots, tuple((-1, k) for k in range(len(roots)))
+    at = {i: n for n, (j, i) in enumerate(steps) if j < 0}  # generator i is listed at n
+    gens = listed[:len(at)]
     rows = [rs.value_vec(g) if on == "torus" else tuple(map(operator.mul, rs.d, g)) for g in gens]
     norms = tuple(map(rs.norm, listed)) if on == "values" else ()
-    return tuple(rows), steps, (norms if max(norms, default=1) > 1 else None)
+    return (tuple(rows), tuple((j, at[i]) for j, i in steps[len(at):]),
+            norms if max(norms, default=1) > 1 else None)
 
 
 @functools.lru_cache(maxsize=None)

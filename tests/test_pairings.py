@@ -112,7 +112,9 @@ def test_each_positive_root_is_an_earlier_root_plus_a_simple_one(type_str):
 
 def _check_steps(rs, sub):
     roots, steps = sub.height_steps
-    assert list(roots) == [b for b in rs.pos_roots if b in sub.roots]
+    assert roots[:len(sub.basis)] == sub.basis
+    assert list(roots[len(sub.basis):]) == [b for b in rs.pos_roots
+                                            if b in sub.roots and b not in sub.basis]
     assert len(steps) == len(roots)
     zero = (0,) * rs.rank
     for n, (b, (j, k)) in enumerate(zip(roots, steps)):
