@@ -428,7 +428,7 @@ def reflection_stabilizer(rs: RootSystem, predicate):
     """The classified subsystem {beta : predicate(beta)}, read on the
     positive roots; its Weyl group is <s_beta : predicate(beta)>."""
     sat = [b for b in rs.pos_roots if predicate(b)]
-    return subsystem_classify(rs, sat + [tuple(-c for c in b) for b in sat])
+    return subsystem_classify(rs, sat + [tuple(map(operator.neg, b)) for b in sat])
 
 
 def subsystem_index(sub, big) -> int:
