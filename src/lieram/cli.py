@@ -102,8 +102,6 @@ def parse_field_slots(text: str, p: int, rank: int, bound=None):
             raise UsageError(
                 f"malformed field literal {t!r}: expected an integer, g, g^k or AS(c)")
     base = make_field(p, 1, bound)
-    if "A" not in text and "g" not in text:  # integers: slots of F_p, as below
-        return [(int(t) % p,) for t in tokens], base
     needs_ext = any(t.startswith("AS(") and int(t[3:-1]) % p != 0 for t in tokens)
     ambient = make_field(p, p, bound) if needs_ext else base
     zero, slots = (0,) * ambient.e, []

@@ -73,7 +73,7 @@ class PChar:
                 "character values must share one ambient field of characteristic p")
         self.field = field
         self.values = tuple(values)
-        self.levi = _zero(rs, _table(rs, *_slots(rs, self.values))[1])
+        self.levi = _zero(rs, _table(rs, *_slots(self.values))[1])
         self.support = support_indices(self.levi, support)
 
     @property
@@ -99,19 +99,15 @@ def _lambda_base(chi: PChar, bound):
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
 
-def _slots(rs: RootSystem, values):
-    """(slot vectors, p) of a weight given as values in one field F_{p^e}:
-    each value's e coefficients mod p, 0 past its length.  ValueError,
-    before the field is read, unless the weight has one value per simple
-    root, and for values of different fields: PChar and every probe on
-    field values come through here."""
-    if len(values) != rs.rank:
-        raise ValueError(f"{len(values)} values given for rank {rs.rank}")
-    field = values[0].field
+def _slots(values):
+    """(slot vectors, p) of values in one field F_{p^e}: each value's e
+    coefficients mod p, 0 past its length.  ValueError for values of
+    different fields; no values give no slots and no p, which _table
+    refuses."""
+    field = values[0].field if values else None
     if any(v.field != field for v in values):
         raise ValueError("elements of different fields")
-    pad = (0,) * field.e
-    return [(v.coeffs + pad)[:field.e] for v in values], field.p
+    return [(v.coeffs + (0,) * field.e)[:field.e] for v in values], field and field.p
 
 
 def _pairings(rs: RootSystem, slots, p):
@@ -123,7 +119,11 @@ def _pairings(rs: RootSystem, slots, p):
 
 def _table(rs: RootSystem, slots, p, shift=0):
     """eta = weight + shift * rho on the weight's slot vectors (rho(h_i) = 1
-    adds shift to each constant slot), and its table of pairings."""
+    adds shift to each constant slot), and its table of pairings.
+    ValueError, before p is read, unless the weight has one slot vector per
+    simple root: PChar and every probe come through here."""
+    if len(slots) != rs.rank:
+        raise ValueError(f"{len(slots)} values given for rank {rs.rank}")
     eta = [((s[0] + shift) % p, *s[1:]) for s in slots] if shift else slots
     return eta, _pairings(rs, eta, p)
 
@@ -140,7 +140,7 @@ def _stabilisers(rs, table):
 def eta_subsystems(rs: RootSystem, eta):
     """(zero, fp): the classified subsystems {alpha : eta(h_alpha) = 0} and
     {alpha : eta(h_alpha) in F_p}."""
-    return _stabilisers(rs, _table(rs, *_slots(rs, eta))[1])
+    return _stabilisers(rs, _table(rs, *_slots(eta))[1])
 
 
 def dim_C(rs: RootSystem, eta) -> int:
@@ -155,7 +155,7 @@ def _fp_unit(slots):
 
 def block_unramified(rs: RootSystem, lam):
     """unramified_on_slots at the slot vectors of the values lam."""
-    return unramified_on_slots(rs, *_slots(rs, lam))
+    return unramified_on_slots(rs, *_slots(lam))
 
 
 def unramified_on_slots(rs: RootSystem, lam, p):
@@ -268,7 +268,7 @@ def unramified_count(chi: PChar, blocks=None, bound=None):
 
 def poincare_series(rs: RootSystem, eta):
     """poincare_on_slots at the slot vectors of the values eta."""
-    return poincare_on_slots(rs, *_slots(rs, eta))
+    return poincare_on_slots(rs, *_slots(eta))
 
 
 def poincare_on_slots(rs: RootSystem, eta, p):
@@ -292,7 +292,7 @@ def _poincare(zero):
 
 def block_finite_type(rs: RootSystem, lam, assume_unique_simple: bool = False):
     """finite_type_on_slots at the slot vectors of the values lam."""
-    return finite_type_on_slots(rs, *_slots(rs, lam), assume_unique_simple)
+    return finite_type_on_slots(rs, *_slots(lam), assume_unique_simple)
 
 
 def finite_type_on_slots(rs: RootSystem, lam, p, assume_unique_simple: bool = False):

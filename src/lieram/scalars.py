@@ -56,9 +56,7 @@ def _prime_factors(n: int) -> set:
 # -- dense polynomials over F_p, low-degree-first coefficient tuples --------
 
 def _ptrim(a):
-    if not a or a[-1]:  # nothing to trim
-        return tuple(a)
-    i = len(a) - 1
+    i = len(a)
     while i > 0 and a[i - 1] == 0:
         i -= 1
     return tuple(a[:i])

@@ -25,10 +25,13 @@ from lieram.modular import (
     block_unramified,
     dim_C,
     eta_subsystems,
+    finite_type_on_slots,
     mod_blocks,
+    poincare_on_slots,
     poincare_series,
     regularity_and_structure,
     unramified_count,
+    unramified_on_slots,
 )
 from lieram.rootdata import build_root_system, subsystem_classify
 from lieram.scalars import make_field
@@ -72,12 +75,17 @@ def test_pchar_validation():
 
 def test_a_weight_of_the_wrong_length_is_refused():
     # r - 1 and r + 1 values, and none on a rank-1 type: a ValueError, not an
-    # answer read off a missing or extra value, nor a bare IndexError
+    # answer read off a missing or extra value, nor a bare IndexError; the
+    # same for as many slot vectors given to the slot probes
     a1, a2 = build_root_system("A1"), build_root_system("A2")
     for rs, p, n in ((a2, 5, 1), (a2, 5, 3), (a1, 3, 0)):
-        values = (F(p).zero(),) * n
+        values, slots = (F(p).zero(),) * n, [(0,)] * n
         for probe in (lambda: PChar(rs, p, values=values), lambda: block_unramified(rs, values),
-                      lambda: poincare_series(rs, values)):
+                      lambda: poincare_series(rs, values),
+                      lambda: block_finite_type(rs, values),
+                      lambda: unramified_on_slots(rs, slots, p),
+                      lambda: finite_type_on_slots(rs, slots, p),
+                      lambda: poincare_on_slots(rs, slots, p)):
             with pytest.raises(ValueError, match=f"^{n} values given for rank {rs.rank}$"):
                 probe()
 
@@ -362,7 +370,7 @@ def test_slot_probes_match_field_arithmetic_on_extension_fields():
         for lam in weights:
             eta, flags, zero, fp = _probe_by_field_arithmetic(rs, lam)
             assert lam[0].field == eta[0].field == ambient
-            assert _table(rs, *_slots(rs, lam), 1)[0] == _slots(rs, eta)[0]
+            assert _table(rs, *_slots(lam), 1)[0] == _slots(eta)[0]
             assert block_unramified(rs, lam) == flags, lam
             assert [s.roots for s in eta_subsystems(rs, eta)] == [zero.roots, fp.roots]
             assert dim_C(rs, eta) == fp.order // zero.order

@@ -58,7 +58,7 @@ def test_value_pairings_match_pair(type_str):
             e = field.e
             assert kind in ("p", "p2") or e == P
             pad = (0,) * e
-            got = _pairings(rs, *_slots(rs, values))
+            got = _pairings(rs, *_slots(values))
             assert list(got) == list(rs.pos_roots)
             for b, slots in got.items():
                 want = pair(rs, values, b)
