@@ -163,7 +163,8 @@ def _emit(args, payload, tsv_rows=None):
     return 0
 
 
-# a value no payload holds, put where a layout leaves a hole, and its text
+# a value no payload holds, put where a head or a template leaves a hole, and
+# its text
 _MARK = "\x00"
 _MARK_TEXT = encode_basestring_ascii(_MARK)
 
@@ -179,65 +180,48 @@ class _Texts(dict):
         return text
 
 
+# the % template of each kind of block report and line break, for the process
+_TEMPLATES = {}
+
+
 def _json_pieces(payload):
     """_dumps(payload) + "\n" in pieces.  A non-empty payload["blocks"] is a
     list of block reports (weyl.BlockRecord), each written as _dumps of its
     to_dict in a piece of its own, by one % of a template over the texts of
-    its varying_items().  The layout of a report (_layout) is rendered once
-    per process and shape; per answer and report.stabilizer, one to_dict and
-    the text of each fixed field (outside VARYING), baked with the layout
-    into the template; per answer, the text of each distinct varying value.
-    InvariantViolation, checked on each stabiliser's first report, unless
-    every such value with line breaks sits at one depth, a list item's: each
-    VARYING field of to_dict is a list, or holds no list, tuple or dict."""
+    its varying_items().  Templates are kept for the process in _TEMPLATES,
+    keyed by the report's kind object and the line break; the first report
+    of a kind makes its template, with one to_dict and one _dumps
+    (_template).  Per answer: the head, the text of each distinct varying
+    value, and one % per report.  InvariantViolation, checked on each kind's
+    first report, unless every such value with line breaks sits at one
+    depth, a list item's: each VARYING field of to_dict is a list, or holds
+    no list, tuple or dict."""
     blocks = payload.get("blocks")
     if not blocks:
         yield _dumps(payload) + "\n"
         return
     head, sep, tail = _dumps({**payload, "blocks": [_MARK, _MARK]}).split(_MARK_TEXT)
     nl = sep[1:]  # the line break before each report
-    templates, texts = {}, _Texts(nl + "    ")  # at a list item
+    texts = _Texts(nl + "    ")  # at a list item
     yield head
     for i, b in enumerate(blocks):
-        template = templates.get(b.stabilizer)
+        template = _TEMPLATES.get((b.kind, nl))
         if template is None:
-            template = templates[b.stabilizer] = _template(b, nl)
+            template = _TEMPLATES[b.kind, nl] = _template(b, nl)
         yield (sep if i else "") + template % tuple(map(texts.__getitem__, b.varying_items()))
     yield tail + "\n"
 
 
 def _template(report, nl):
-    """The % template of the reports that share report.stabilizer at line
-    break nl: its layout with the text of each fixed field in place, "%"
-    escaped, and a %s per value of varying_items()."""
+    """The % template of the reports of report.kind at line break nl: its
+    to_dict rendered with _MARK for each value of varying_items(), "%"
+    escaped, and a %s at each mark; no other key or value may be _MARK."""
     d, varying = report.to_dict(), report.VARYING
     if any(type(d[k]) is not list and isinstance(d[k], (list, tuple, dict)) for k in varying):
         raise InvariantViolation(
             f"a VARYING value of {type(report).__name__} is not at the depth of a list item")
-    parts, fixed = _layout(tuple(sorted(d)), varying,
-                           tuple(len(d[k]) if type(d[k]) is list else None for k in varying), nl)
-    parts, inner = list(parts), nl + "  "  # at a report's field
-    for i, k in fixed:
-        parts[i] = _dumps(d[k], inner).replace("%", "%%")
-    return "".join(parts)
-
-
-@functools.cache
-def _layout(keys, varying, lengths, nl):
-    """The layout of a report at line break nl whose to_dict has the sorted
-    keys `keys`, `varying` its VARYING and `lengths` the length of each
-    VARYING list (None for a field that is not a list): the texts between
-    its values, "%" escaped, with a %s for each varying value and a None
-    slot for each fixed field between them; and (index, key) of each slot.
-    Pure, so kept for the process: one entry per report class and shape."""
-    counts = {k: n for k, n in zip(varying, lengths) if n is not None}
-    shape = {k: [_MARK] * counts[k] if k in counts else _MARK for k in keys}
-    pieces = [x.replace("%", "%%") for x in _dumps(shape, nl).split(_MARK_TEXT)]
-    keys = [k for k in keys for _ in range(counts.get(k, 1))]  # of each value
-    parts = [pieces[0]]
-    for k, x in zip(keys, pieces[1:]):
-        parts += ("%s" if k in varying else None, x)
-    return tuple(parts), tuple((2 * i + 1, k) for i, k in enumerate(keys) if k not in varying)
+    d.update((k, [_MARK] * len(d[k]) if type(d[k]) is list else _MARK) for k in varying)
+    return "%s".join(x.replace("%", "%%") for x in _dumps(d, nl).split(_MARK_TEXT))
 
 
 def _dumps(obj, nl="\n"):

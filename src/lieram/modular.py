@@ -27,12 +27,15 @@ of the centralizer subsystem's basis on which it is regular.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate
 from .errors import NotNilpotentContext
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, type_string
 from .scalars import _ptrim, artin_schreier_solve, embed, make_field, prime_field
 from .weyl import (
     BlockRecord,
+    Kind,
     block_orbits,
     integer_pairings,
     reflection_stabilizer,
@@ -172,25 +175,43 @@ def unramified_on_slots(rs: RootSystem, lam, p):
 
 # -- blocks ------------------------------------------------------------------
 
-class BlockReport(BlockRecord):
-    """Per-block record: both coordinate systems, orbit size, dimension,
-    unramified flag, stabilizer types, Poincare series, finite-type verdict.
+class BlockKind(Kind):
+    """What a modular block's point stabiliser fixes, given Phi' and whether
+    chi is nilpotent: the stabiliser, dim = [W(Phi') : W(stabilizer)], the
+    type of Phi', the Poincare series (None unless chi is nilpotent), the
+    finite-type verdict, and the differing component of its witness as a
+    tuple of (key, type) pairs, empty when there is none.  Built by _kind."""
+
+    __slots__ = ("stabilizer", "dim", "stab_coset_type", "poincare", "finite_type", "differing")
+
+
+@functools.cache
+def _kind(zero, levi, nilpotent):
+    # once per (point stabiliser, Phi', nilpotent) in the process; a kind
+    # whose construction raises is not kept
+    verdict, witness = _finite_type(zero, levi, False)
+    differing = tuple((witness["differing_component"] or {}).items())
+    return BlockKind(zero, subsystem_index(zero, levi), levi.type_str,
+                     _poincare(zero) if nilpotent else None, verdict, differing)
+
+
+class BlockReport(BlockRecord, kind=BlockKind):
+    """Per-block record: both coordinate systems, orbit size, and the kind
+    of the block's point stabiliser (BlockKind), through which it reads its
+    dimension, unramified flag, stabilizer types, Poincare series and
+    finite-type verdict.
 
     lam_code and eta_code hold each value's trimmed coefficients; lam and eta,
-    the tuples of values, are built from them on access.  The blocks whose
-    eta has one point stabiliser (`stabilizer`) share one verdict, so
-    finite_type_witness and to_dict give fresh dicts."""
+    the tuples of values, are built from them on access.  The blocks of one
+    kind share its verdict, so finite_type_witness and to_dict give fresh
+    dicts."""
 
-    __slots__ = ("field", "lam_code", "eta_code", "orbit_size", "stabilizer",
-                 "dim", "stab_coset_type", "poincare", "finite_type", "_witness")
+    __slots__ = ("field", "lam_code", "eta_code", "orbit_size", "kind")
     VARYING = ("eta", "lambda", "orbit_size")
 
-    def __init__(self, field, lam_code, eta_code, orbit_size, stabilizer, dim,
-                 stab_coset_type, poincare, finite_type, witness):
+    def __init__(self, field, lam_code, eta_code, orbit_size, kind):
         self.field, self.lam_code, self.eta_code = field, lam_code, eta_code
-        self.orbit_size, self.stabilizer, self.dim = orbit_size, stabilizer, dim
-        self.stab_coset_type, self.poincare = stab_coset_type, poincare
-        self.finite_type, self._witness = finite_type, witness
+        self.orbit_size, self.kind = orbit_size, kind
 
     @property
     def lam(self):
@@ -202,8 +223,8 @@ class BlockReport(BlockRecord):
 
     @property
     def finite_type_witness(self):
-        differing = self._witness["differing_component"]
-        return {**self._witness, "differing_component": differing and dict(differing)}
+        return {"point_type": self.stab_point_type, "coset_type": self.stab_coset_type,
+                "differing_component": dict(self.differing) or None}
 
     def to_dict(self):
         return {
@@ -246,13 +267,10 @@ def mod_blocks(chi: PChar, bound=None):
     first = _pairings(rs, [(t[k] + pad)[:ambient.e] for t, k in zip(etas, walked[0][0])], p)
     if any((not any(v[1:])) != (b in levi.roots) for b, v in first.items()):
         raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
-    verdicts = {zero: (_poincare(zero) if chi.nilpotent else None,
-                       *_finite_type(zero, levi, False))
-                for zero in dict.fromkeys(zero for _x, _size, zero, _dim in walked)}
+    nilpotent = chi.nilpotent
     return [BlockReport(ambient, tuple(map(list.__getitem__, lams, x)),
-                        tuple(map(list.__getitem__, etas, x)), size, zero, dim,
-                        levi.type_str, *verdicts[zero])
-            for x, size, zero, dim in walked]
+                        tuple(map(list.__getitem__, etas, x)), size, _kind(zero, levi, nilpotent))
+            for x, size, zero in walked]
 
 
 def unramified_count(chi: PChar, blocks=None, bound=None):

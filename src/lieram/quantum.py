@@ -20,6 +20,7 @@ on shifted labels.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -28,12 +29,14 @@ from .rootdata import RootSystem, check_cartan_type, root_system, subsystem_clas
 from .scalars import UnityExp, eps_pow
 from .weyl import (
     BlockRecord,
+    Kind,
     alcove_descent,
     block_orbits,
     extended_diagram,
     integer_pairings,
     inversion_set,
     reflection_stabilizer,
+    subsystem_index,
     support_indices,
     word_images,
     word_torus_image,
@@ -139,23 +142,37 @@ class QChar:
                 f"chi_s={self.chi_s!r}, S={self.support})")
 
 
-class QBlockReport(BlockRecord):
-    """Per-block record: the block's fiber point, orbit size, dimension,
-    unramified and exceptional flags, stabilizer types.
+class QBlockKind(Kind):
+    """What a quantum block's point stabiliser fixes, given Phi': the
+    stabiliser, dim = [W(Phi') : W(stabilizer)], the exceptional flag (the
+    stabiliser has full rank) and the type of Phi'.  Built by _kind."""
+
+    __slots__ = ("stabilizer", "dim", "exceptional", "stab_fiber_type")
+
+
+@functools.cache
+def _kind(stab, levi):
+    # once per (point stabiliser, Phi') in the process; a kind whose
+    # construction raises is not kept
+    return QBlockKind(stab, subsystem_index(stab, levi), stab.rank == stab.rs.rank,
+                      levi.type_str)
+
+
+class QBlockReport(BlockRecord, kind=QBlockKind):
+    """Per-block record: the block's fiber point, orbit size, and the kind
+    of its point stabiliser (QBlockKind), through which it reads its
+    dimension, unramified and exceptional flags and stabilizer types.
 
     The point is kept as the numerators of its exponents over one common
     denominator N, each in [0, N), and as their reduced texts "n/N" (torus);
-    rep is built on access.  `stabilizer` is the point stabiliser of t."""
+    rep is built on access."""
 
-    __slots__ = ("numerators", "N", "torus", "orbit_size", "stabilizer", "dim",
-                 "exceptional", "stab_fiber_type")
+    __slots__ = ("numerators", "N", "torus", "orbit_size", "kind")
     VARYING = ("orbit_size", "torus")
 
-    def __init__(self, numerators, N, torus, orbit_size, stabilizer, dim, exceptional,
-                 stab_fiber_type):
+    def __init__(self, numerators, N, torus, orbit_size, kind):
         self.numerators, self.N, self.torus = numerators, N, torus
-        self.orbit_size, self.stabilizer, self.dim = orbit_size, stabilizer, dim
-        self.exceptional, self.stab_fiber_type = exceptional, stab_fiber_type
+        self.orbit_size, self.kind = orbit_size, kind
 
     @property
     def rep(self):
@@ -201,9 +218,8 @@ def q_blocks(chi: QChar, bound=None):
     if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
     texts = {n: exponent_text(n, N) for ci in c for n in axis(ci)}  # once per numerator
-    return [QBlockReport(x, N, tuple(map(texts.__getitem__, x)), size, stab, dim,
-                         stab.rank == rs.rank, levi.type_str)
-            for x, size, stab, dim in walked]
+    return [QBlockReport(x, N, tuple(map(texts.__getitem__, x)), size, _kind(stab, levi))
+            for x, size, stab in walked]
 
 
 def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forward",

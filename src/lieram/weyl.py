@@ -54,7 +54,8 @@ first, while their point sets total at most DEFAULT_GROUP_BOUND, and reuses
 them within the process; the points bound is checked before the memo is
 read.  A regular chi (Phi' empty) neither walks nor is kept: each point is
 its own block, with stabiliser Phi'.  The reports of both sides are
-BlockRecords, built per query.
+BlockRecords, built per query around Kinds, built once per point
+stabiliser and Phi' (and, modular, nilpotency) in the process.
 """
 
 from __future__ import annotations
@@ -494,9 +495,8 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     """The blocks at chi: the orbits of W(Phi'), Phi' = `levi`, on the
     length^r points itertools.product(*axes()), axes() listing r axes of
     `length` values each (encoded as for integer_pairings, each axis in the
-    order of its sort key), as a tuple of (least point, orbit size, sub,
-    [W(Phi') : W(sub)]), sub the classified subsystem of the roots vanishing
-    on the point.  BoundExceeded, before axes() is called
+    order of its sort key), as a tuple of (least point, orbit size, sub),
+    sub the classified subsystem of the roots vanishing on the point.  BoundExceeded, before axes() is called
     and before any walk is reused, when the length^r points exceed `bound`
     (default DEFAULT_GROUP_BOUND).  The walk depends on nothing else, so it
     is memoised per (rs, Phi', encoding, modulus, axes) in this process
@@ -505,7 +505,7 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     points = length ** rs.rank
     _check_points(points, bound)
     if not levi.basis:  # W(Phi') = 1: each point is a block, fixed by Phi' itself
-        return tuple((x, 1, levi, 1) for x in itertools.product(*axes()))
+        return tuple((x, 1, levi) for x in itertools.product(*axes()))
     return _walks.get((rs, levi, on, modulus, tuple(map(tuple, axes()))), points,
                       _walk_skeleton)
 
@@ -519,35 +519,53 @@ def _walk_skeleton(rs, levi, on, modulus, axes):
     signed = [(b, tuple(-c for c in b)) for b in levi.height_steps[0]]
     pairings = integer_pairings(rs, on, modulus, roots=levi)
 
-    def stabiliser(x):
-        sub = subsystem_classify(rs, [r for pm, v in zip(signed, pairings(x)) if not v
-                                      for r in pm])
-        return sub, subsystem_index(sub, levi)
-    return tuple((x, size, *stabiliser(x)) for x, size in orbits)
+    return tuple((x, size, subsystem_classify(rs, [r for pm, v in zip(signed, pairings(x))
+                                                   if not v for r in pm]))
+                 for x, size in orbits)
+
+
+class Kind:
+    """What a block's point stabiliser fixes (BlockRecord.kind).  Its fields
+    are its class's __slots__, given positionally in that order, and are
+    read-only.  Each side builds one kind per key in the process: the point
+    stabiliser, Phi' and, on the modular side, whether chi is nilpotent.  So
+    a kind is equal only to itself, and a caller keys by the kind object."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 class BlockRecord:
     """What the block reports of both sides share.  A report's fields are
-    its class's __slots__, given positionally in that order.  `stabilizer`
-    is the classified subsystem of the roots vanishing on the block's point;
-    it fixes every to_dict field but those its class names in VARYING (sorted
-    keys), whose JSON values varying_items() gives in order, all hashable,
-    each element of a list value on its own.  The class fixes the to_dict
-    keys and which VARYING fields are lists, and `stabilizer` their lengths:
-    cli._json_pieces keeps one layout per class and lengths for the process,
-    bakes the fields outside VARYING into it once per stabiliser and answer
-    as a % template, and writes each report as that template % the texts of
-    its varying_items(); so the texts may hold any character, "%" too."""
+    its class's __slots__, given positionally in that order.  One of them
+    is `kind`, the Kind of the block's point stabiliser `stabilizer` (the
+    classified subsystem of the roots vanishing on the block's point), of
+    the class named by the `kind` keyword of the report class; the report
+    reads each field of its kind, read-only.  The kind fixes every to_dict
+    field outside those its class names in VARYING (sorted keys), and
+    belongs to one report class.  varying_items() gives the JSON values of
+    the VARYING fields in order, all hashable, each element of a list value
+    on its own.  The kind fixes the lengths of the VARYING lists too:
+    cli._json_pieces renders to_dict with a %s for each varying value once
+    per kind and process, and writes each report as its kind's template %
+    the texts of its varying_items(); so the texts may hold any character,
+    "%" too."""
 
     __slots__ = ()
+    stab_point_type = property(operator.attrgetter("kind.stabilizer.type_str"))
+    unramified = property(lambda self: self.dim == 1)
 
-    @property
-    def unramified(self):
-        return self.dim == 1
-
-    @property
-    def stab_point_type(self):
-        return self.stabilizer.type_str
+    def __init_subclass__(cls, kind=Kind):
+        for name in kind.__slots__:
+            setattr(cls, name, property(operator.attrgetter("kind." + name)))
 
 
 def orbit_of(point, gen_actions):

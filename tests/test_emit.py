@@ -15,10 +15,12 @@ import pytest
 from lieram import cli
 from lieram.cli import _dumps, _json_pieces
 from lieram.errors import InvariantViolation
-from lieram.modular import BlockReport, mod_blocks
-from lieram.quantum import QBlockReport
+from lieram.modular import BlockReport, PChar, mod_blocks
+from lieram.quantum import QBlockReport, QChar, q_blocks
+from lieram.rootdata import check_cartan_type, root_system
+from lieram.scalars import make_field
 from lieram.selftest import modular_cells
-from lieram.weyl import BlockRecord
+from lieram.weyl import BlockRecord, Kind
 from test_golden_manifest import cases
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -111,21 +113,21 @@ _B3 = ["quantum", "blocks", "--type", "B3", "--ell", "7"]
 
 
 @pytest.mark.parametrize("argv, again", [
-    # Lambda_chi in F_{7^7}: 28 blocks of 2 point stabilisers
+    # Lambda_chi in F_{7^7}: 28 blocks of 2 point stabilisers, Phi' = A1 in both
     ([*_A2, "--chi-s", "AS(1),0"], [*_A2, "--chi-s", "AS(2),0", "--support", "1"]),
     # a nilpotent cell: 20 blocks of 15 point stabilisers
     ([*_D4, "--support", "1,3"], [*_D4, "--support", "2"]),
-    # N = 42: 70 blocks of 4 point stabilisers
-    ([*_B3, "--chi-s", "1/2,0,1/3", "--support", "1"], [*_B3, "--chi-s", "1/3,0,1/2"]),
+    # N = 42: 70 blocks of 4 point stabilisers; chi_s^2 is the same in both
+    ([*_B3, "--chi-s", "1/2,0,1/3", "--support", "1"], [*_B3, "--chi-s", "0,0,1/3"]),
 ], ids=["argv0", "argv1", "argv2"])
 def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys):
-    # per answer: to_dict once per distinct point stabiliser, on its first
-    # report; no report rendered whole; _dumps once per fixed field (outside
-    # VARYING) and stabiliser, at the depth of a report's field, and once
-    # per distinct value of varying_items(), at the depth of a list item;
-    # besides, the payload head, cut at the marks.  The layout of a report
-    # shape is rendered on the first answer of the process that has it, and
-    # a second answer of the same shapes renders none
+    # In a process that has written no report: to_dict once per report
+    # kind, on its first report, and that to_dict rendered once, with a mark
+    # for each varying value, at the depth of a report; no report rendered
+    # whole.  Per answer: _dumps once per distinct value of varying_items(),
+    # at the depth of a list item, and the payload head, cut at the marks.
+    # A second answer of the same kinds calls no to_dict and renders no
+    # fixed field
     payloads, to_dicts, rendered, depth = [], [], [], [0]
     emit, dumps = cli._emit, cli._dumps
 
@@ -149,9 +151,9 @@ def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys)
         return wrapper
     monkeypatch.setattr(cli, "_emit", recording_emit)
     monkeypatch.setattr(cli, "_dumps", counted_dumps)
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
     for cls in (BlockReport, QBlockReport):
         monkeypatch.setattr(cls, "to_dict", counted(cls.to_dict))
-    cli._layout.cache_clear()
     outs = []
     for answer in (argv, again):
         to_dicts.append([])
@@ -159,51 +161,53 @@ def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys)
         assert cli.main(answer) == 0
         outs.append(capsys.readouterr().out)
     monkeypatch.undo()
-    shapes = []
+    seen = set()
     for payload, out, calls, made in zip(payloads, outs, rendered, to_dicts):
         reports = payload["blocks"]
         firsts = {}
         for b in reports:
-            firsts.setdefault(id(b.stabilizer), b)
+            if b.kind not in seen:
+                firsts.setdefault(b.kind, b)
+        seen.update(firsts)
         assert made == list(firsts.values())
         whole = [b.to_dict() for b in reports]
         assert not [obj for obj, _nl in calls if obj in whole]
-        firsts = [b.to_dict() for b in firsts.values()]
-        fields = [(d[k], "\n      ") for d in firsts for k in sorted(d)
-                  if k not in reports[0].VARYING]
+        marked = [{k: [cli._MARK] * len(v) if k in b.VARYING and type(v) is list
+                   else cli._MARK if k in b.VARYING else v
+                   for k, v in b.to_dict().items()} for b in firsts.values()]
         values = {v for b in reports for v in b.varying_items()}
-        new = []
-        for d in firsts:
-            shape = {k: [cli._MARK] * len(v) if k in reports[0].VARYING and type(v) is list
-                     else cli._MARK for k, v in sorted(d.items())}
-            if shape not in shapes + new:
-                new.append(shape)
-        shapes += new
         expected = [({**payload, "blocks": [cli._MARK] * 2}, "\n"),
-                    *((shape, "\n    ") for shape in new), *fields,
-                    *((v, "\n        ") for v in values)]
+                    *((d, "\n    ") for d in marked), *((v, "\n        ") for v in values)]
         assert sorted(map(repr, calls)) == sorted(map(repr, expected))
         assert out == _reference(_as_dicts(payload)) + "\n"
     first, second = payloads
-    assert 1 < len({id(b.stabilizer) for b in first["blocks"]}) < len(first["blocks"])
+    kinds = {b.kind for b in first["blocks"]}
+    assert 1 < len(kinds) == len({id(b.stabilizer) for b in first["blocks"]}) < len(
+        first["blocks"])
     values = [v for b in first["blocks"] for v in b.varying_items()]
     assert len(set(values)) < len(values) // 4
-    # the second answer is another character of the same shapes
+    # the second answer is another character of the same kinds
     assert outs[0] != outs[1]
-    assert not [obj for obj, nl in rendered[1] if nl == "\n    "]
-    assert cli._layout.cache_info().misses == len(shapes) >= 1
+    assert {b.kind for b in second["blocks"]} == kinds
+    assert to_dicts[1] == []
+    assert [nl for _obj, nl in rendered[1]] == ["\n"] + ["\n        "] * (len(rendered[1]) - 1)
+
+
+class _Fixed(Kind):
+    # a report kind whose one fixed field is `fixed`
+    __slots__ = ("fixed",)
 
 
 class _ToyReport(BlockRecord):
     # a report whose VARYING values are `items` (a list) and `extra`
-    __slots__ = ("stabilizer", "items", "extra")
+    __slots__ = ("kind", "items", "extra")
     VARYING = ("extra", "items")
 
-    def __init__(self, stabilizer, items, extra):
-        self.stabilizer, self.items, self.extra = stabilizer, items, extra
+    def __init__(self, kind, items, extra):
+        self.kind, self.items, self.extra = kind, items, extra
 
     def to_dict(self):
-        return {"extra": self.extra, "fixed": self.stabilizer, "items": list(self.items)}
+        return {"extra": self.extra, "fixed": self.kind.fixed, "items": list(self.items)}
 
     def varying_items(self):
         return (self.extra, *self.items)
@@ -212,27 +216,28 @@ class _ToyReport(BlockRecord):
 def test_texts_are_shared_only_at_one_depth():
     # the list items sit one level below a field's own value: a field that
     # is not a list may hold only values whose text has no line break
-    good = [_ToyReport("s", ((1, (2,)), ()), 3), _ToyReport("t", ((1, (2,)),), "3"),
-            _ToyReport("s", ((), (4, 5)), None)]
+    s = _Fixed("s")
+    good = [_ToyReport(s, ((1, (2,)), ()), 3), _ToyReport(_Fixed("t"), ((1, (2,)),), "3"),
+            _ToyReport(s, ((), (4, 5)), None)]
     payload = {"blocks": good}
     assert "".join(_json_pieces(payload)) == _reference(_as_dicts(payload)) + "\n"
     for extra in ((1, 2), ("x", (3,)), {"a": [1]}):
-        bad = {"blocks": good + [_ToyReport("u", ((1,),), extra)]}
+        bad = {"blocks": good + [_ToyReport(_Fixed("u"), ((1,),), extra)]}
         with pytest.raises(InvariantViolation, match="depth of a list item"):
             list(_json_pieces(bad))
 
 
 class _PercentReport(BlockRecord):
     # a report whose keys and texts hold what % and str.format read
-    __slots__ = ("stabilizer", "items", "extra")
+    __slots__ = ("kind", "items", "extra")
     VARYING = ("%s", "items")
 
-    def __init__(self, stabilizer, items, extra):
-        self.stabilizer, self.items, self.extra = stabilizer, items, extra
+    def __init__(self, kind, items, extra):
+        self.kind, self.items, self.extra = kind, items, extra
 
     def to_dict(self):
         return {"%(x)s": "%%", "%s": self.extra, "items": list(self.items),
-                "{0}%": self.stabilizer}
+                "{0}%": self.kind.fixed}
 
     def varying_items(self):
         return (self.extra, *self.items)
@@ -240,13 +245,42 @@ class _PercentReport(BlockRecord):
 
 def test_percent_signs_and_braces_are_text():
     # in the fixed and varying texts and in the keys of the layout
-    reports = [_PercentReport("%s {0} }{ %", ("%", "%s", "{}", "{0}", "%%s"), "%d"),
-               _PercentReport(("%", "{}"), ("100%", "%(x)s"), "{1}"),
-               _PercentReport("%s {0} }{ %", ("%i", "}", "{", "", "%"), None)]
+    fixed = _Fixed("%s {0} }{ %")
+    reports = [_PercentReport(fixed, ("%", "%s", "{}", "{0}", "%%s"), "%d"),
+               _PercentReport(_Fixed(("%", "{}")), ("100%", "%(x)s"), "{1}"),
+               _PercentReport(fixed, ("%i", "}", "{", "", "%"), None)]
     payload = {"%": "%s", "blocks": reports, "{": "}"}
     pieces = list(_json_pieces(payload))
     assert "".join(pieces) == _reference(_as_dicts(payload)) + "\n"
     assert len(pieces) == len(reports) + 2
+
+
+def test_templates_are_keyed_by_the_kind_not_the_stabiliser(monkeypatch):
+    # One point stabiliser, the same Subsystem object, under kinds that
+    # differ: a nilpotent chi (so Phi' = A3, a Poincare list) against a
+    # semisimple one (null); two semisimple chi of Phi' = A1 and A1xA1 (the
+    # coset type, dim and witness differ); a modular and a quantum answer.
+    # Each pair in both orders, in a process that has written no report
+    rs = root_system(check_cartan_type("A3"))
+    F5 = make_field(5, 1)
+
+    def modular(*values):
+        return mod_blocks(PChar(rs, 5, values=tuple(map(F5.from_int, values))))
+    nilpotent, a1, a1xa1 = modular(0, 0, 0), modular(0, 1, 1), modular(0, 1, 0)
+    quantum = q_blocks(QChar(rs, 7))
+    assert (a1[0].stab_coset_type, a1xa1[0].stab_coset_type) == ("A1", "A1xA1")
+    assert {b.stab_coset_type for b in nilpotent} == {b.stab_fiber_type for b in quantum} == {
+        "A3"}
+    for pair in ((nilpotent, a1), (a1, a1xa1), (nilpotent, quantum)):
+        shared = set.intersection(*({b.stabilizer for b in blocks} for blocks in pair))
+        kinds = [{b.kind for b in blocks if b.stabilizer in shared} for blocks in pair]
+        assert shared and kinds[0].isdisjoint(kinds[1])
+        for order in (pair, pair[::-1]):
+            monkeypatch.setattr(cli, "_TEMPLATES", {})
+            for blocks in order:
+                payload = {"blocks": blocks}
+                assert "".join(_json_pieces(payload)) == _reference(_as_dicts(payload)) + "\n"
+    assert {b.poincare is None for b in nilpotent + a1} == {True, False}
 
 
 ADVERSARIAL = [

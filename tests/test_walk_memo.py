@@ -1,18 +1,20 @@
 """The memo of block walks: weyl.block_orbits keeps the skeleton of each walk
-(least point, orbit size, point stabiliser and index per block) per (root
+(least point, orbit size and point stabiliser per block) per (root
 system, Phi', encoding, modulus, axes), and reuses it within the process.
 The points bound is checked before the memo is read, a failing walk is never
 kept, the retained point sets total at most DEFAULT_GROUP_BOUND, and the
-reports built from a reused walk are the query's own."""
+reports built from a reused walk are the query's own.  The kind of a report
+is kept per point stabiliser and Phi' (and, modular, nilpotency), unless
+its construction raises."""
 
 import collections
 from fractions import Fraction
 
 import pytest
 
-from lieram import weyl
+from lieram import modular, weyl
 from lieram.cli import main
-from lieram.errors import BoundExceeded, InvariantViolation
+from lieram.errors import BoundExceeded, InvariantViolation, NoParabolicConjugate
 from lieram.modular import PChar, mod_blocks
 from lieram.quantum import QChar, TorusElement, q_blocks
 from lieram.rootdata import build_root_system
@@ -138,15 +140,41 @@ def test_a_failing_walk_is_never_kept(walks, monkeypatch):
     assert weyl._walks.points == 7**3
 
 
+def test_a_kind_whose_construction_raises_is_never_kept(walks, monkeypatch):
+    # a Poincare series that raises leaves no kind behind, and the next
+    # query builds every kind of its blocks afresh
+    chi = PChar(build_root_system("A2"), 5)
+    monkeypatch.setattr(chi.rs, "_subsystems", {})  # new stabilisers, of no kept kind
+    kept = modular._kind.cache_info().currsize
+
+    def refuse(_zero):
+        raise NoParabolicConjugate("refused")
+    with monkeypatch.context() as m:
+        m.setattr(modular, "_poincare", refuse)
+        for _ in range(2):
+            with pytest.raises(NoParabolicConjugate, match="refused"):
+                mod_blocks(chi)
+    assert modular._kind.cache_info().currsize == kept
+    blocks = mod_blocks(chi)
+    assert modular._kind.cache_info().currsize == kept + len({b.kind for b in blocks}) > kept + 1
+
+
 def test_a_report_changed_by_a_caller_changes_no_later_answer(walks):
     mod_chi, q_chi = _a2_characters()
     for blocks, chi in ((mod_blocks, mod_chi), (q_blocks, q_chi)):
         first = blocks(chi)
         want = _dicts(first)
+        # a report's kind fields are read-only, on the report and on its kind
         for b in first:
             b.orbit_size = -1
-            b.dim = 0
-            b.stabilizer = None
+            for owner in (b, b.kind):
+                for name in type(b.kind).__slots__:
+                    with pytest.raises(AttributeError):
+                        setattr(owner, name, None)
+                    with pytest.raises(AttributeError):
+                        delattr(owner, name)
+            with pytest.raises(AttributeError):
+                b.kind.other = None
         if blocks is mod_blocks:
             for b in first:
                 b.eta_code = b.lam_code = ()

@@ -9,8 +9,9 @@ command, its wall time in seconds, the child's peak resident set size
 (ru_maxrss from os.wait4) in MB, its exit status, and the sha256 of its
 stdout followed by "exit <status>\\n", with "pinned" true when that digest
 is the one PROBES holds.  The digests were taken at commit fb2acc8 (the
-last six at 4a97618), so a probe checks the bytes it answers as well as its
-cost.  Exits 1 when any digest differs from its pin.
+six fast E6-E8 answers at 4a97618, the E7 and E8 quantum blocks at
+8728c9f), so a probe checks the bytes it answers as well as its cost.
+Exits 1 when any digest differs from its pin.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ PROBES = (
      "ffff67ca6be4e3a1269ed4c8a3ed58196d74ebe5050116da5f33adea9c8cb6f3"),
     ("quantum structure --type E7 --ell 7",
      "a27d1986616c3d3f96c87a803ce7de35ccab206bcf68bd0ac26bfd08982723da"),
+    # one block answer per process, so no report kind is met twice
+    ("quantum blocks --type E7 --ell 7",
+     "09e54adcec1edade7a6f0be22b77fe1d2c59d8856a4218526e700f67c8fbe3d1"),
+    ("quantum blocks --type E8 --ell 5",
+     "51fd3ecc12604953e49179cab684610251c61928b3d89e81c6da3452f5653f74"),
     # fast answers on E6-E8, whose cold time is mostly start-up and import
     ("modular poincare --type E8 --p 7 --weight 0,0,0,0,0,0,0,0",
      "dc8b680f007e08a1197de87e45311afee0ada890f423b6db8648b7376c017b0c"),
