@@ -54,8 +54,8 @@ first, while their point sets total at most DEFAULT_GROUP_BOUND, and reuses
 them within the process; the points bound is checked before the memo is
 read.  A regular chi (Phi' empty) neither walks nor is kept: each point is
 its own block, with stabiliser Phi'.  The reports of both sides are
-BlockRecords, built per query around Kinds, built once per point
-stabiliser and Phi' (and, modular, nilpotency) in the process.
+BlockRecords, built per query; each holds the Kind of its point
+stabiliser, built once per process (see Kind).
 """
 
 from __future__ import annotations
@@ -496,12 +496,13 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     length^r points itertools.product(*axes()), axes() listing r axes of
     `length` values each (encoded as for integer_pairings, each axis in the
     order of its sort key), as a tuple of (least point, orbit size, sub),
-    sub the classified subsystem of the roots vanishing on the point.  BoundExceeded, before axes() is called
-    and before any walk is reused, when the length^r points exceed `bound`
-    (default DEFAULT_GROUP_BOUND).  The walk depends on nothing else, so it
-    is memoised per (rs, Phi', encoding, modulus, axes) in this process
-    (_WalkMemo), unless Phi' is empty: then every point is a block of its
-    own, listed without a walk, and nothing is kept."""
+    sub the classified subsystem of the roots vanishing on the point.
+    BoundExceeded, before axes() is called and before any walk is reused,
+    when the length^r points exceed `bound` (default DEFAULT_GROUP_BOUND).
+    The walk depends on nothing else, so it is memoised per (rs, Phi',
+    encoding, modulus, axes) in this process (_WalkMemo), unless Phi' is
+    empty: then every point is a block of its own, listed without a walk,
+    and nothing is kept."""
     points = length ** rs.rank
     _check_points(points, bound)
     if not levi.basis:  # W(Phi') = 1: each point is a block, fixed by Phi' itself
@@ -518,7 +519,6 @@ def _walk_skeleton(rs, levi, on, modulus, axes):
                              integer_actions(rs, levi.basis, on, modulus))
     signed = [(b, tuple(-c for c in b)) for b in levi.height_steps[0]]
     pairings = integer_pairings(rs, on, modulus, roots=levi)
-
     return tuple((x, size, subsystem_classify(rs, [r for pm, v in zip(signed, pairings(x))
                                                    if not v for r in pm]))
                  for x, size in orbits)
