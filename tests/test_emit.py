@@ -244,7 +244,7 @@ class _PercentReport(BlockRecord):
 
 
 def test_percent_signs_and_braces_are_text():
-    # in the fixed and varying texts and in the keys of the layout
+    # in the fixed and varying texts and in the keys of the template
     fixed = _Fixed("%s {0} }{ %")
     reports = [_PercentReport(fixed, ("%", "%s", "{}", "{0}", "%%s"), "%d"),
                _PercentReport(_Fixed(("%", "{}")), ("100%", "%(x)s"), "{1}"),

@@ -594,7 +594,7 @@ def test_stabiliser_work_runs_once_per_point_stabiliser(cell, patched_walk):
     # one classification, one finite-type verdict and (nilpotent chi) one
     # Poincare series per distinct point stabiliser of the query, not per
     # block; a repeated query reuses the walk and the kinds of its blocks,
-    # and classifies and verdicts nothing
+    # and computes no classification, verdict or series
     chi = ONCE_PER_STABILISER_CELLS[cell]()
     calls = collections.Counter()
 
