@@ -168,19 +168,21 @@ def _emit(args, payload, tsv_rows=None):
 _MARK = "\x00"
 _MARK_TEXT = encode_basestring_ascii(_MARK)
 
+# the line break before each block report: "blocks" is a key of the
+# top-level payload
+_NL = "\n    "
+
 
 class _Texts(dict):
-    """The text of each value at line break `nl`, rendered on first use."""
-
-    def __init__(self, nl):
-        self.nl = nl
+    """The text of each value at a list item of a block report, rendered on
+    first use."""
 
     def __missing__(self, v):
-        text = self[v] = _dumps(v, self.nl)
+        text = self[v] = _dumps(v, _NL + "    ")
         return text
 
 
-# the % template of each kind of block report and line break, for the process
+# the % template of each kind of block report, for the process
 _TEMPLATES = {}
 
 
@@ -189,39 +191,37 @@ def _json_pieces(payload):
     list of block reports (weyl.BlockRecord), each written as _dumps of its
     to_dict in a piece of its own, by one % of a template over the texts of
     its varying_items().  Templates are kept for the process in _TEMPLATES,
-    keyed by the report's kind object and the line break; the first report
-    of a kind makes its template, with one to_dict and one _dumps
-    (_template).  Per answer: the head, the text of each distinct varying
-    value, and one % per report.  InvariantViolation, checked on each kind's
-    first report, unless every such value with line breaks sits at one
-    depth, a list item's: each VARYING field of to_dict is a list, or holds
-    no list, tuple or dict."""
+    keyed by the report's kind object; the first report of a kind makes its
+    template, with one to_dict and one _dumps (_template).  Per answer: the
+    head, the text of each distinct varying value, and one % per report.
+    InvariantViolation, checked on each kind's first report, unless every
+    such value with line breaks sits at one depth, a list item's: each
+    VARYING field of to_dict is a list, or holds no list, tuple or dict."""
     blocks = payload.get("blocks")
     if not blocks:
         yield _dumps(payload) + "\n"
         return
     head, sep, tail = _dumps({**payload, "blocks": [_MARK, _MARK]}).split(_MARK_TEXT)
-    nl = sep[1:]  # the line break before each report
-    texts = _Texts(nl + "    ")  # at a list item
+    texts = _Texts()
     yield head
     for i, b in enumerate(blocks):
-        template = _TEMPLATES.get((b.kind, nl))
+        template = _TEMPLATES.get(b.kind)
         if template is None:
-            template = _TEMPLATES[b.kind, nl] = _template(b, nl)
+            template = _TEMPLATES[b.kind] = _template(b)
         yield (sep if i else "") + template % tuple(map(texts.__getitem__, b.varying_items()))
     yield tail + "\n"
 
 
-def _template(report, nl):
-    """The % template of the reports of report.kind at line break nl: its
-    to_dict rendered with _MARK for each value of varying_items(), "%"
+def _template(report):
+    """The % template of the reports of report.kind: its to_dict rendered at
+    the line break _NL with _MARK for each value of varying_items(), "%"
     escaped, and a %s at each mark; no other key or value may be _MARK."""
     d, varying = report.to_dict(), report.VARYING
     if any(type(d[k]) is not list and isinstance(d[k], (list, tuple, dict)) for k in varying):
         raise InvariantViolation(
             f"a VARYING value of {type(report).__name__} is not at the depth of a list item")
     d.update((k, [_MARK] * len(d[k]) if type(d[k]) is list else _MARK) for k in varying)
-    return "%s".join(x.replace("%", "%%") for x in _dumps(d, nl).split(_MARK_TEXT))
+    return "%s".join(x.replace("%", "%%") for x in _dumps(d, _NL).split(_MARK_TEXT))
 
 
 def _dumps(obj, nl="\n"):

@@ -39,7 +39,6 @@ from .weyl import (
     subsystem_index,
     support_indices,
     word_images,
-    word_torus_image,
 )
 
 
@@ -93,7 +92,10 @@ class TorusElement:
 def _pairings(rs: RootSystem, t: TorusElement):
     """beta(t) for every positive root beta as the numerator of its exponent
     over t's denominator N, so beta(t) = 1 iff it is 0: (dict root ->
-    numerator mod N, N)."""
+    numerator mod N, N).  ValueError unless t has one exponent per simple
+    root: QChar, w_t and every criterion come through here."""
+    if len(t.nums) != rs.rank:
+        raise ValueError(f"{len(t.nums)} exponents given for rank {rs.rank}")
     return dict(zip(rs.pos_roots, integer_pairings(rs, "torus", t.N)(t.nums))), t.N
 
 
@@ -232,6 +234,8 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
     sign = {"forward": 1, "back": -1}.get(direction)
     if sign is None:
         raise ValueError(f"unknown direction {direction!r}")
+    if len(t.nums) != rs.rank:  # before zip would cut it short
+        raise ValueError(f"{len(t.nums)} exponents given for rank {rs.rank}")
     N = math.lcm(t.N, ell)
     # the exponent k/den of each shift, den | ell | N, is k (N/den) / N
     shifts = [eps_pow(q, ell, eps) for q in rs.rho_weight_pairs]
@@ -239,21 +243,21 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
                             for n, e in zip(t.nums, shifts)], N)
 
 
-def _check_simple_system(rs: RootSystem, kac, roots):
-    """Raise InvariantViolation unless the Delta-tilde nodes with Kac
-    coordinate 0 form a simple system of `roots`: each lies in `roots`, and
-    every root is an all-nonnegative or all-nonpositive integer combination
-    of them.  On one component the only relation among the nodes -theta,
-    alpha_j is theta = sum_j a_j alpha_j, so a root's combination is fixed by
-    the vanishing of its coefficient on a node with nonzero Kac coordinate."""
+def _check_simple_system(rs: RootSystem, kac, N: int, roots):
+    """The Delta-tilde nodes whose Kac coordinate (a numerator over N, in
+    [0, N]) is 0 mod N: the nodes integral on the alcove point.
+    InvariantViolation unless each lies in `roots` and the nodes with Kac
+    coordinate 0 form a simple system of `roots`: every root is an
+    all-nonnegative or all-nonpositive integer combination of them.  On one component the only
+    relation among the nodes -theta, alpha_j is theta = sum_j a_j alpha_j, so
+    a root's combination is fixed by the vanishing of its coefficient on a
+    node with nonzero Kac coordinate."""
     diagram = extended_diagram(rs)
     dt = diagram.delta_tilde
-    for c, ((_l, _n, nodes), marks) in enumerate(zip(rs.components, diagram.marks)):
-        coords = kac[c]
+    integral = []
+    for c, ((_l, _n, nodes), marks, coords) in enumerate(zip(rs.components, diagram.marks, kac)):
         ext_nodes = [dt[rs.rank + c]] + [dt[j] for j in nodes]
-        if any(a not in roots for a, s in zip(ext_nodes, coords) if s == 0):
-            raise InvariantViolation(
-                f"a zero Kac node of {rs.type_str} lies outside the roots")
+        integral += [a for a, s in zip(ext_nodes, coords) if s % N == 0]
         free = next(k for k, s in enumerate(coords) if s)
         for b in roots:
             if not any(b[j] for j in nodes):
@@ -269,13 +273,15 @@ def _check_simple_system(rs: RootSystem, kac, roots):
                 raise InvariantViolation(
                     f"the zero Kac nodes of {rs.type_str} do not generate "
                     f"the root {b}")
+    if any(a not in roots for a in integral):
+        raise InvariantViolation(f"an integral Kac node of {rs.type_str} lies outside the roots")
+    return integral
 
 
-def _unramified_at(rs: RootSystem, x, N: int, ell: int, roots=None) -> bool:
-    """beta^{2 ell} = 1 implies beta^2 = 1 at the point with exponent
-    numerators x over N, for every root beta in `roots` (default Phi+)."""
-    return not any(2 * ell * v % N == 0 and 2 * v % N
-                   for v in integer_pairings(rs, "torus", N, roots=roots)(x))
+def _unramified_at(values, N: int, ell: int) -> bool:
+    """beta^{2 ell} = 1 implies beta^2 = 1 for every root beta, given by the
+    numerators over N of the exponents of its values."""
+    return not any(2 * ell * v % N == 0 and 2 * v % N for v in values)
 
 
 def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
@@ -293,21 +299,24 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     component test on Delta-tilde at w u, the ordinary action.  The
     conjugating w comes from the alcove descent of 2 ell u (2 ell t plus an
     even vector) as a word, which maps the saturated roots letter by letter;
-    the simple system is read off its zero Kac coordinates.
+    the simple system is read off its zero Kac coordinates.  The nodes a
+    with a(w u)^{2 ell} = 1 are those with Kac coordinate 0 mod N, each the
+    image w(+-b) of a saturated root b, and a(w u) = (w^-1 a)(u) = +-b(u):
+    the test reads them off the one table of u, and no point is moved.
     """
     if coords == "component":
-        return _unramified_at(rs, point.nums, point.N, ell)
+        vals, N = _pairings(rs, point)
+        return _unramified_at(vals.values(), N, ell)
     if coords != "highestWeight":
         raise ValueError(f"unknown coords {coords!r}")
     u = hc_shift(rs, point, ell, "forward", eps)
     vals, N = _pairings(rs, u)
     sat = [b for b, v in vals.items() if 2 * ell * v % N == 0]
     word, kac = alcove_descent(rs, [2 * ell * n for n in u.nums], N)
-    moved = word_images(rs, word, sat)
-    _check_simple_system(rs, kac, frozenset(moved) | frozenset(
-        tuple(-x for x in b) for b in moved))
-    return _unramified_at(rs, word_torus_image(rs, word, u.nums, N), N, ell,
-                          extended_diagram(rs).delta_tilde)
+    back = {a: b for b, m in zip(sat, word_images(rs, word, sat))
+            for a in (m, tuple(-x for x in m))}  # w(+-b) -> b
+    nodes = _check_simple_system(rs, kac, N, back)
+    return _unramified_at([vals[back[a]] for a in nodes], N, ell)
 
 
 # -- exceptional elements ----------------------------------------------------

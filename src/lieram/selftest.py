@@ -249,8 +249,9 @@ def is_reduced(rs: RootSystem, word) -> bool:
 
 def dot_act_torus(w: WeylElement, qs, ell: int, eps: int = 1):
     """The dot action through the matrix of w: act_torus_exponents
-    conjugated by the Harish-Chandra shift; the oracle for the word action
-    weyl.word_torus_image on shifted labels."""
+    conjugated by the Harish-Chandra shift; the oracle for the simple
+    reflections of weyl.integer_actions on torus numerators, which the
+    block walk applies, acting letter by letter on shifted labels."""
     u = hc_shift(w.rs, TorusElement(e.q for e in qs), ell, "forward", eps)
     moved = TorusElement(e.q for e in w.act_torus_exponents(u.exps))
     return hc_shift(w.rs, moved, ell, "back", eps).exps

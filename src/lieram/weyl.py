@@ -3,14 +3,13 @@
 In production a Weyl element is its word: (i1, ..., ik) stands for w =
 s_{i1} ... s_{ik}, and w acts letter by letter, the last letter first,
 through the root data.  On roots the letters act by RootSystem.reflect
-(word_images, inversion_set); on torus exponents by the ordinary action,
-the rank-one maps of integer_actions on numerators over one denominator
-(word_torus_image; conjugated by quantum.hc_shift it is the quantum dot
-action).  The alcove descent, on such numerators too, returns the
-word of its finite part; it reads theta, theta^vee and the word of s_theta
-from the extended diagram, built once per root system, which takes the
-marks and the word of s_theta per component from the dominant ascent of
-rootdata.highest_root.
+(word_images, inversion_set).  The alcove descent, on torus exponents as
+numerators over one denominator, returns the word of its finite part; it
+reads theta, theta^vee and the word of s_theta from the extended diagram,
+built once per root system, which takes the marks and the word of s_theta
+per component from the dominant ascent of rootdata.highest_root.  No word
+acts on a point: quantum.q_unramified maps roots by the word instead, as
+a(w t) = (w^-1 a)(t).
 
 WeylElement stores an element as the integer matrix of its action on
 simple-root coordinates with the inverse matrix (equality is matrix
@@ -67,7 +66,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BoundExceeded, InvalidSupport, InvariantViolation
-from .rootdata import DEFAULT_GROUP_BOUND, RootSystem, Subsystem, highest_root, subsystem_classify
+from .rootdata import DEFAULT_GROUP_BOUND, RootSystem, highest_root, subsystem_classify
 from .scalars import UnityExp
 
 
@@ -281,16 +280,6 @@ def word_images(rs: RootSystem, word, roots):
     return out
 
 
-def word_torus_image(rs: RootSystem, word, x, N: int):
-    """The exponent numerators over N of w t for the word (i1, ..., ik) of w
-    and t given by its numerators x (a tuple) over N: the ordinary action,
-    the letters acting, the last first, as the maps of integer_actions."""
-    letters = integer_actions(rs, rs.simple_roots, "torus", N)
-    for i in reversed(word):
-        x = letters[i](x)
-    return x
-
-
 def inversion_set(rs: RootSystem, word):
     """gamma_k = s_{i1}...s_{i(k-1)}(alpha_{ik}) for k = 1..len(word).
 
@@ -364,8 +353,8 @@ def integer_pairings(rs: RootSystem, on: str, modulus: int, roots=None):
     """The values of roots on a flat integer point of one coefficient per
     coordinate, as a map from the point to one integer per root mod
     `modulus`, zero iff the root vanishes on the point.  `roots` is None for
-    rs.pos_roots, a classified Subsystem for its positive roots (in the
-    order of its height_steps), or a tuple of roots, in its order.
+    rs.pos_roots, or a classified Subsystem for its positive roots (in the
+    order of its height_steps).
 
     on="torus": a point lists exponent numerators n_i over the common
     denominator `modulus`; the value is sum_i beta(h_i) n_i, the numerator
@@ -374,9 +363,9 @@ def integer_pairings(rs: RootSystem, on: str, modulus: int, roots=None):
     eta(h_beta) = u(beta) / (|beta|^2/2) with u(beta) = sum_k d_k b_k eta_k,
     an exact division, as beta^vee has the integral coefficients d_k b_k /
     (|beta|^2/2).  Both sums are linear in beta, so a table is paired by
-    height: each generator (simple root, basis root, or each root of a
-    tuple) is paired once, and every other root is its parent's value plus
-    one generator's.  Values in F_{p^e} pair slot by slot (modular._pairings).
+    height: each generator (simple root or basis root) is paired once, and
+    every other root is its parent's value plus one generator's.  Values in
+    F_{p^e} pair slot by slot (modular._pairings).
     """
     rows, steps, norms = _height_plan(rs, roots, on)
 
@@ -397,12 +386,7 @@ def _height_plan(rs, roots, on):
     # values of a type with roots of norm above 1, each root's norm
     if on not in ("torus", "values"):
         raise ValueError(f"unknown encoding {on!r}")
-    if roots is None:
-        listed, steps = rs.pos_roots, rs.height_steps
-    elif isinstance(roots, Subsystem):
-        listed, steps = roots.height_steps
-    else:  # each root of the tuple is a generator of its own
-        listed, steps = roots, tuple((-1, k) for k in range(len(roots)))
+    listed, steps = (rs.pos_roots, rs.height_steps) if roots is None else roots.height_steps
     at = {i: n for n, (j, i) in enumerate(steps) if j < 0}  # generator i is listed at n
     gens = listed[:len(at)]
     rows = [rs.value_vec(g) if on == "torus" else tuple(map(operator.mul, rs.d, g)) for g in gens]

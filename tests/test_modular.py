@@ -4,6 +4,7 @@ for the dimension formula."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,7 @@ from lieram.modular import (
     unramified_count,
     unramified_on_slots,
 )
+from lieram.quantum import QChar, TorusElement, hc_shift, q_unramified, simplicity_necessary, w_t
 from lieram.rootdata import build_root_system, subsystem_classify
 from lieram.scalars import make_field
 from lieram.selftest import (
@@ -87,6 +89,23 @@ def test_a_weight_of_the_wrong_length_is_refused():
                       lambda: finite_type_on_slots(rs, slots, p),
                       lambda: poincare_on_slots(rs, slots, p)):
             with pytest.raises(ValueError, match=f"^{n} values given for rank {rs.rank}$"):
+                probe()
+
+
+def test_a_torus_point_of_the_wrong_length_is_refused():
+    # the same refusal on the quantum side: r - 1 and r + 1 exponents, and
+    # none on a rank-1 type, at each public entry point that takes a torus
+    # point; a ValueError, not a Phi' or a fiber read off a cut or padded
+    # point, nor a bare IndexError
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    for rs, ell, n in ((a2, 5, 1), (a2, 5, 3), (a1, 3, 0)):
+        t, chi = TorusElement((Fraction(1, 3),) * n), QChar(rs, ell)
+        for probe in (lambda: QChar(rs, ell, chi_s=t), lambda: w_t(rs, t),
+                      lambda: hc_shift(rs, t, ell), lambda: hc_shift(rs, t, ell, "back"),
+                      lambda: q_unramified(rs, t, "component", ell),
+                      lambda: q_unramified(rs, t, "highestWeight", ell),
+                      lambda: simplicity_necessary(chi, t)):
+            with pytest.raises(ValueError, match=f"^{n} exponents given for rank {rs.rank}$"):
                 probe()
 
 

@@ -44,8 +44,9 @@ from lieram.selftest import (
     quantum_cells,
     root_value,
     steinberg_fiber_point,
+    word_element,
 )
-from lieram.weyl import enumerate_group
+from lieram.weyl import alcove_descent, enumerate_group, extended_diagram
 
 
 def T(*fracs):
@@ -586,16 +587,77 @@ def test_highest_weight_criterion_matches_search_oracle(type_str):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def _delta_tilde_at_the_moved_point(rs, t, ell, eps=1):
+    """The highest-weight criterion by moving the point: u = hc_shift(t)
+    moved by the matrix of the alcove descent's word, then the component
+    test on the Delta-tilde nodes at w u, each paired by root_value."""
+    u = hc_shift(rs, t, ell, "forward", eps)
+    word, _kac = alcove_descent(rs, [2 * ell * n for n in u.nums], u.N)
+    wu = TorusElement(e.q for e in word_element(rs, word).act_torus_exponents(u.exps))
+    values = [root_value(rs, wu, a) for a in extended_diagram(rs).delta_tilde]
+    return not any((v * (2 * ell)).is_one() and not (v * 2).is_one() for v in values)
+
+
+def _descent_kac(rs, t, ell, eps=1):
+    u = hc_shift(rs, t, ell, "forward", eps)
+    return alcove_descent(rs, [2 * ell * n for n in u.nums], u.N)[1], u.N
+
+
+def test_highest_weight_criterion_equals_the_test_at_the_moved_point():
+    # q_unramified pairs the Delta-tilde nodes through u's own table; the
+    # oracle moves u by the matrix of the word and pairs the nodes at w u:
+    # every baby-Verma label of the matrix cells, ...
+    labels = 0
+    for _t, ell, _name, chi in quantum_cells():
+        for lab in _baby_verma_labels(chi):
+            assert (q_unramified(chi.rs, lab, "highestWeight", ell)
+                    == _delta_tilde_at_the_moved_point(chi.rs, lab, ell)), (chi, lab)
+            labels += 1
+    assert labels > 1000
+    # ... seeded labels on E6-E8 and a product type, both epsilons, half of
+    # them back-shifts of points of order dividing 6 (unramified) ...
+    verdicts = []
+    for type_str in ("E6", "E7", "E8", "B2xG2"):
+        rs = build_root_system(type_str)
+        rng = random.Random(type_str)
+        for i in range(40):
+            ell, eps = rng.choice((5, 7, 11, 13)), rng.choice((1, 2))
+            den = ell * rng.choice((1, 2, 3, 6))
+            t = TorusElement(tuple(Fraction(rng.randrange(den), den) for _ in range(rs.rank)))
+            if i % 2:
+                u = TorusElement(tuple(Fraction(rng.randrange(6), 6) for _ in range(rs.rank)))
+                t = hc_shift(rs, u, ell, "back", eps)
+            hw = q_unramified(rs, t, "highestWeight", ell, eps)
+            assert hw == _delta_tilde_at_the_moved_point(rs, t, ell, eps), (type_str, t, ell, eps)
+            verdicts.append(hw)
+    assert 0 < sum(verdicts) < len(verdicts)
+    # ... and t = 1, whose descent ends at a Kac coordinate equal to N
+    for type_str in ("A1", "A2"):
+        rs = build_root_system(type_str)
+        t = TorusElement((0,) * rs.rank)
+        for ell in (3, 5, 7):
+            kac, N = _descent_kac(rs, t, ell)
+            assert any(N in coords for coords in kac)
+            assert (q_unramified(rs, t, "highestWeight", ell)
+                    == _delta_tilde_at_the_moved_point(rs, t, ell))
+
+
 def test_zero_kac_nodes_guard():
+    # the Kac coordinates are numerators over N = 2; the nodes whose
+    # coordinate is 0 mod N are returned
     a2 = build_root_system("A2")
-    half = Fraction(1, 2)
     roots = {(0, 1), (0, -1), (1, 1), (-1, -1)}
-    # Kac coordinates (s_0, s_1, s_2) = (1/2, 1/2, 0): the zero node alpha_2
-    # does not generate alpha_1 + alpha_2
+    # Kac coordinates (s_0, s_1, s_2) = (1, 1, 0): the zero node alpha_2 does
+    # not generate alpha_1 + alpha_2
     with pytest.raises(InvariantViolation):
-        _check_simple_system(a2, ((half, half, 0),), frozenset(roots))
-    # (0, 1/2, 1/2): the zero node -theta = -(alpha_1 + alpha_2) misses alpha_2
+        _check_simple_system(a2, ((1, 1, 0),), 2, frozenset(roots))
+    # (0, 1, 1): the zero node -theta = -(alpha_1 + alpha_2) misses alpha_2
     with pytest.raises(InvariantViolation):
-        _check_simple_system(a2, ((0, half, half),), frozenset(roots))
-    # (0, 1, 0): -theta and alpha_2 are a simple system of these roots
-    _check_simple_system(a2, ((0, 1, 0),), frozenset(roots | {(1, 0), (-1, 0)}))
+        _check_simple_system(a2, ((0, 1, 1),), 2, frozenset(roots))
+    # (0, 2, 0): -theta and alpha_2 are a simple system of these roots, and
+    # alpha_1, at coordinate N, is integral on the point too
+    assert _check_simple_system(a2, ((0, 2, 0),), 2, frozenset(roots | {(1, 0), (-1, 0)})) == [
+        (-1, -1), (1, 0), (0, 1)]
+    # so alpha_1 must lie in the roots as well
+    with pytest.raises(InvariantViolation, match="integral Kac node"):
+        _check_simple_system(a2, ((0, 2, 0),), 2, frozenset(roots))

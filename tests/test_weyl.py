@@ -29,21 +29,30 @@ from lieram.weyl import (
     enumerate_group,
     extended_diagram,
     identity,
+    integer_actions,
     inversion_set,
     orbit_partition,
     reflection_stabilizer,
     simple_reflection,
     word_images,
-    word_torus_image,
 )
 
 
+def word_on_torus(rs, word, t):
+    """w t for the word of w: the letters act on t's numerators, the last
+    first, as the simple reflections of integer_actions, the maps the block
+    walk applies."""
+    letters, x = integer_actions(rs, rs.simple_roots, "torus", t.N), t.nums
+    for i in reversed(word):
+        x = letters[i](x)
+    return TorusElement.of(x, t.N)
+
+
 def dot_by_word(rs, word, qs, ell, eps=1):
-    """The dot action by the production route: the ordinary word action on
+    """The dot action by the production letters: the ordinary word action on
     the Harish-Chandra shifted label, shifted back."""
     u = hc_shift(rs, TorusElement(e.q for e in qs), ell, "forward", eps)
-    moved = TorusElement.of(word_torus_image(rs, word, u.nums, u.N), u.N)
-    return hc_shift(rs, moved, ell, "back", eps).exps
+    return hc_shift(rs, word_on_torus(rs, word, u), ell, "back", eps).exps
 
 
 def test_inversion_sets():
@@ -107,8 +116,8 @@ def test_letters_act_as_the_matrices(type_str):
     for w in enumerate_group(rs):
         assert inversion_set(rs, w.word) == matrix_inversions(rs, w.word)
         assert word_images(rs, w.word, unit) == [w.apply_root(a) for a in unit]
-        assert (TorusElement.of(word_torus_image(rs, w.word, point.nums, point.N), point.N)
-                == TorusElement(e.q for e in w.act_torus_exponents(t)))
+        assert word_on_torus(rs, w.word, point) == TorusElement(
+            e.q for e in w.act_torus_exponents(t))
         for ell in (5, 7):
             assert dot_by_word(rs, w.word, t, ell) == dot_act_torus(w, t, ell)
         assert dot_by_word(rs, w.word, t, 5, eps=2) == dot_act_torus(w, t, 5, eps=2)
