@@ -85,36 +85,39 @@ def _bounds(args):
         raise UsageError(f"LIERAM_BOUND: {exc}") from None
 
 
-_FIELD_LITERAL = re.compile(r"[+-]?\d+|g(\^[+-]?\d+)?|AS\([+-]?\d+\)")
+# field literals, each after a comma
+_FIELD_LITERALS = re.compile(r"(,([+-]?\d+|g(\^[+-]?\d+)?|AS\([+-]?\d+\)))*")
 
 
-def parse_field_slots(text: str, p: int, rank: int, bound=None):
+def parse_field_slots(text: str, p: int, rank: int, bound=None, base=None):
     """Parse the modular character / weight grammar into slot vectors, each
     value's e coefficients mod p with 0 past its length, and their ambient
     field F_{p^e}.  Checked in order: the count of values, each literal,
     the field bound, then the Artin-Schreier solutions.  An integer literal
-    builds no field element."""
-    tokens = [t.strip() for t in text.split(",")] if text.strip() else []
+    builds no field element.  `base` is F_p when the caller has built it
+    under the same bound."""
+    tokens = list(map(str.strip, text.split(","))) if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated values, got {len(tokens)}")
-    for t in tokens:
-        if not _FIELD_LITERAL.fullmatch(t):
-            raise UsageError(
-                f"malformed field literal {t!r}: expected an integer, g, g^k or AS(c)")
-    base = make_field(p, 1, bound)
-    needs_ext = any(t.startswith("AS(") and int(t[3:-1]) % p != 0 for t in tokens)
+    if not _FIELD_LITERALS.fullmatch("".join(map(",".__add__, tokens))):
+        bad = next(t for t in tokens if not _FIELD_LITERALS.fullmatch("," + t))
+        raise UsageError(
+            f"malformed field literal {bad!r}: expected an integer, g, g^k or AS(c)")
+    base = base or make_field(p, 1, bound)
+    needs_ext = "AS(" in text and any(int(t[3:-1]) % p for t in tokens if t[0] == "A")
     ambient = make_field(p, p, bound) if needs_ext else base
-    zero, slots = (0,) * ambient.e, []
-    for t in tokens:
-        if t.startswith("AS("):
-            x, _fld = artin_schreier_solve(base.from_int(int(t[3:-1])), bound)
-            coeffs = embed(x, ambient).coeffs
-        elif t[0] == "g":  # the generator is kept by its field
-            coeffs = (ambient.generator ** (1 if t == "g" else int(t[2:]))).coeffs
-        else:
-            coeffs = (int(t) % p,)
-        slots.append(coeffs + zero[len(coeffs):])
-    return slots, ambient
+    pad = (0,) * (ambient.e - 1)
+    return [(int(t) % p,) + pad if t[0] not in "Ag" else _field_slot(t, base, ambient, bound)
+            for t in tokens], ambient
+
+
+def _field_slot(t, base, ambient, bound):
+    """The slot vector of a g, g^k or AS(c) literal in the ambient field."""
+    if t[0] == "A":
+        x = embed(artin_schreier_solve(base.from_int(int(t[3:-1])), bound)[0], ambient)
+    else:  # the generator is kept by its field
+        x = ambient.generator ** (1 if t == "g" else int(t[2:]))
+    return x.coeffs + (0,) * (ambient.e - len(x.coeffs))
 
 
 def parse_field_values(text: str, p: int, rank: int, bound=None):
@@ -224,11 +227,17 @@ def _template(report):
     return "%s".join(x.replace("%", "%%") for x in _dumps(d, _NL).split(_MARK_TEXT))
 
 
+# the texts of the JSON constants
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _dumps(obj, nl="\n"):
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte: the stdlib
-    encodes with indent in pure Python, never with its C encoder.  Dict keys
-    must be str (TypeError otherwise); `nl` is the current line break.  It
-    dispatches on the exact type of obj, then on isinstance."""
+    encodes with indent in pure Python, never with its C encoder.  The keys
+    of a dict must be str (TypeError otherwise); `nl` is the current line
+    break.  It dispatches on the exact type of obj, then on isinstance.  An
+    int item of a list, and a str, int, bool or None value of a dict, is
+    written in place, with no call of _dumps."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -245,16 +254,14 @@ def _dumps(obj, nl="\n"):
             return "{}"
         inner = nl + "  "
         return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if type(v) is str else str(v) if type(v) is int
+                else _CONSTANTS[v] if v is None or type(v) is bool else _dumps(v, inner))
             for k, v in sorted(obj.items())]) + nl + "}"
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    # a subclass of str, list, tuple or dict, read as json.dumps reads it;
-    # floats and subclasses of int through json.dumps itself
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+    if obj is None or kind is bool:
+        return _CONSTANTS[obj]
+    # a subclass of list, tuple or dict, read as json.dumps reads it; floats
+    # and subclasses of str and int through json.dumps itself
     if isinstance(obj, (list, tuple)):
         return _dumps(list(obj), nl)
     if isinstance(obj, dict):
@@ -295,13 +302,13 @@ def _resolve(args):
     comps = check_cartan_type(args.type, q.bound)  # refuses a type above the bound
     rank = sum(n for _l, n in comps)
     # an empty --chi-s is the zero character (the identity torus element)
-    chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rank))
+    chi_s = "chi_s" in vars(args) and (args.chi_s or ",".join(["0"] * rank))
     if args.group == "modular":
-        make_field(args.p, 1, q.bound)  # p within the field bound and prime
+        base = make_field(args.p, 1, q.bound)  # p within the field bound and prime
         lieram.modular.check_hypotheses(comps, args.p)
         q.head["p"] = args.p
-        slots, field = parse_field_slots(chi_s or args.weight, args.p, rank, q.bound)
-    elif "ell" in args:
+        slots, field = parse_field_slots(chi_s or args.weight, args.p, rank, q.bound, base)
+    elif "ell" in vars(args):
         lieram.quantum.check_root_of_unity(comps, args.ell, args.eps)
         q.head["ell"] = args.ell
         # the character's torus, else the point's; given both (quantum
@@ -315,12 +322,12 @@ def _resolve(args):
         q.head["chi"] = _chi_dict(q.chi)
     elif args.group == "modular":
         q.point = slots
-        q.head["weight"] = [list(_ptrim(s)) for s in slots]
+        q.head["weight"] = [s if s[-1] else _ptrim(s) for s in slots]
     elif chi_s:
         q.chi = lieram.quantum.QChar(rs, args.ell, chi_s=torus,
                                      support=parse_support(args.support), eps=args.eps)
         q.head["chi"] = _qchi_dict(q.chi)
-    if "torus" in args:
+    if "torus" in vars(args):
         q.point = parse_torus(args.torus, rank) if chi_s else torus
         q.head["torus"] = q.point.texts()
         if chi_s and q.point.pow(args.ell) != q.chi.chi_s:
@@ -582,24 +589,25 @@ def _match(argv):
             return None
     start, flags, required = forms[key]
     rest = argv[len(key):]
-    if len(rest) % 2:
+    names, given = rest[::2], set(rest[::2])
+    if len(rest) % 2 or len(given) != len(names) or not required <= given:
         return None
-    ns, seen = dict(start), set()
-    for name, text in zip(rest[::2], rest[1::2]):
-        if name not in flags or name in seen or text[:1] == "-":
+    args = argparse.Namespace()
+    ns = vars(args)
+    ns.update(start)
+    for name, text in zip(names, rest[1::2]):
+        if name not in flags or text[:1] == "-":
             return None
-        seen.add(name)
         dest, convert, choices = flags[name]
-        value = text
         if convert is not None:
             try:
-                value = convert(text)
+                text = convert(text)
             except (TypeError, ValueError, argparse.ArgumentTypeError):
                 return None
-        if choices is not None and value not in choices:
+        if choices is not None and text not in choices:
             return None
-        ns[dest] = value
-    return argparse.Namespace(**ns) if required <= seen else None
+        ns[dest] = text
+    return args
 
 
 def main(argv=None) -> int:

@@ -44,11 +44,13 @@ from .weyl import (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def check_hypotheses(comps, p: int):
     """Raise HypothesisFailure unless p meets the standing hypotheses for the
     Cartan type with components `comps` (what check_cartan_type returns, or
     RootSystem.ctype): an odd good prime with a nondegenerate trace form;
-    NonPrime first unless p is prime.  No root system is built."""
+    NonPrime first unless p is prime.  No root system is built.  A pass is
+    kept for the process; a refusal is raised again on every call."""
     prime_field(p)
     hyp = hypothesis_check(comps, p)
     if not hyp["ok"]:

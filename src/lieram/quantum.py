@@ -106,11 +106,13 @@ def w_t(rs: RootSystem, t: TorusElement):
     return reflection_stabilizer(rs, lambda b: vals[b] == 0)
 
 
+@functools.lru_cache(maxsize=None)
 def check_root_of_unity(comps, ell: int, eps: int):
     """The standing hypotheses on ell and epsilon for the Cartan type with
     components `comps` (what check_cartan_type returns, or RootSystem.ctype):
     ell odd and >= 3, prime to 3 when a G2 component is present, and eps
-    coprime to ell."""
+    coprime to ell.  A pass is kept for the process; a refusal is raised
+    again on every call."""
     if ell % 2 == 0 or ell < 3:
         raise HypothesisFailure(f"ell = {ell} must be odd and >= 3")
     if any(l == "G" for l, _n in comps) and ell % 3 == 0:
@@ -224,34 +226,43 @@ def q_blocks(chi: QChar, bound=None):
             for x, size, stab in walked]
 
 
+# the numerators over ell of the shifts of hc_shift, per (type, ell, eps)
+_SHIFTS = {}
+
+
 def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forward",
              eps: int = 1) -> TorusElement:
     """Coordinate change between baby-Verma highest weights and component
     labels: coordinate i shifts by eps^(rho, varpi_i).  Forward (highest
     weight -> component) adds the shift; "back" removes it; round trip is the
     identity, and the dot action on highest-weight labels is the conjugate of
-    the ordinary action by this map."""
+    the ordinary action by this map.  The shifts are kept in _SHIFTS; a
+    shift eps_pow refuses is refused again on every call."""
     sign = {"forward": 1, "back": -1}.get(direction)
     if sign is None:
         raise ValueError(f"unknown direction {direction!r}")
     if len(t.nums) != rs.rank:  # before zip would cut it short
         raise ValueError(f"{len(t.nums)} exponents given for rank {rs.rank}")
+    key = (rs.ctype, ell, eps)
+    if key not in _SHIFTS:  # each exponent's denominator divides ell
+        _SHIFTS[key] = [int(eps_pow(q, ell, eps) * ell) for q in rs.rho_weight_pairs]
     N = math.lcm(t.N, ell)
-    # the exponent k/den of each shift, den | ell | N, is k (N/den) / N
-    shifts = [eps_pow(q, ell, eps) for q in rs.rho_weight_pairs]
-    return TorusElement.of([n * (N // t.N) + sign * e.numerator * (N // e.denominator)
-                            for n, e in zip(t.nums, shifts)], N)
+    a, b = N // t.N, sign * (N // ell)
+    return TorusElement.of([n * a + k * b for n, k in zip(t.nums, _SHIFTS[key])], N)
 
 
 def _check_simple_system(rs: RootSystem, kac, N: int, roots):
     """The Delta-tilde nodes whose Kac coordinate (a numerator over N, in
-    [0, N]) is 0 mod N: the nodes integral on the alcove point.
-    InvariantViolation unless each lies in `roots` and the nodes with Kac
-    coordinate 0 form a simple system of `roots`: every root is an
-    all-nonnegative or all-nonpositive integer combination of them.  On one component the only
-    relation among the nodes -theta, alpha_j is theta = sum_j a_j alpha_j, so
-    a root's combination is fixed by the vanishing of its coefficient on a
-    node with nonzero Kac coordinate."""
+    [0, N]) is 0 mod N: the nodes integral on the alcove point.  `roots` is
+    a root set closed under negation, given by one root of each pair +-b or
+    by both.  InvariantViolation unless each node or its negative lies in
+    `roots` and the nodes with Kac coordinate 0 form a simple system of the
+    set: every root is an all-nonnegative or all-nonpositive integer
+    combination of them.  The test of -b is the test of b negated, so each
+    given root is tested once.  On one component the only relation among
+    the nodes -theta, alpha_j is theta = sum_j a_j alpha_j, so a root's
+    combination is fixed by the vanishing of its coefficient on a node with
+    nonzero Kac coordinate."""
     diagram = extended_diagram(rs)
     dt = diagram.delta_tilde
     integral = []
@@ -273,7 +284,7 @@ def _check_simple_system(rs: RootSystem, kac, N: int, roots):
                 raise InvariantViolation(
                     f"the zero Kac nodes of {rs.type_str} do not generate "
                     f"the root {b}")
-    if any(a not in roots for a in integral):
+    if any(a not in roots and tuple(-x for x in a) not in roots for a in integral):
         raise InvariantViolation(f"an integral Kac node of {rs.type_str} lies outside the roots")
     return integral
 
@@ -313,10 +324,10 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     vals, N = _pairings(rs, u)
     sat = [b for b, v in vals.items() if 2 * ell * v % N == 0]
     word, kac = alcove_descent(rs, [2 * ell * n for n in u.nums], N)
-    back = {a: b for b, m in zip(sat, word_images(rs, word, sat))
-            for a in (m, tuple(-x for x in m))}  # w(+-b) -> b
+    back = dict(zip(word_images(rs, word, sat), sat))  # w b -> b
     nodes = _check_simple_system(rs, kac, N, back)
-    return _unramified_at([vals[back[a]] for a in nodes], N, ell)
+    # a node is w(+-b), and (-b)(u) = b(u)^-1 passes the test with b(u)
+    return _unramified_at([vals[back.get(a) or back[tuple(-x for x in a)]] for a in nodes], N, ell)
 
 
 # -- exceptional elements ----------------------------------------------------

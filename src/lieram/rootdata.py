@@ -49,9 +49,11 @@ _TYPE_RE = re.compile(r"([A-G])(\d+)")
 # root tables of a Cartan type
 DEFAULT_GROUP_BOUND = 10**6
 
+@functools.lru_cache(maxsize=None)
 def parse_cartan_type(s: str):
     """Parse 'A2', 'b3', 'A1xA1', 'a1XB2', ... into a tuple of (letter, rank)
-    pairs, each through _validate_component."""
+    pairs, each through _validate_component.  A parse is kept for the
+    process; a refusal is not, so it is raised again on every call."""
     if not s:
         raise InvalidType("empty Cartan type")
     comps = []
@@ -338,11 +340,13 @@ def coxeter_type(letter, rank):
     return (letter, rank)
 
 
+@functools.lru_cache(maxsize=None)
 def check_cartan_type(ctype, bound=None):
     """The components of a Cartan type given as a string or component tuple,
     each through _validate_component once, then BoundExceeded if its root
     tables would hold more than `bound` (default DEFAULT_GROUP_BOUND)
-    entries: |Phi+| x rank."""
+    entries: |Phi+| x rank.  An accepted (ctype, bound) is kept for the
+    process; a refusal is not, so it is raised again on every call."""
     comps = (parse_cartan_type(ctype) if isinstance(ctype, str)
              else tuple(_validate_component(l, n) for l, n in ctype))
     cap = DEFAULT_GROUP_BOUND if bound is None else bound

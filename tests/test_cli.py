@@ -736,25 +736,86 @@ def test_every_typed_leaf_is_counted():
     assert set(TYPED_LEAVES) == set(cli.GRAMMAR) - {("verify", "appendix"), ("selftest",)}
 
 
+def clear_checked_facts():
+    # the checks that keep an accepted input for the process
+    for check in (rootdata.parse_cartan_type, rootdata.check_cartan_type,
+                  modular.check_hypotheses, quantum.check_root_of_unity):
+        check.cache_clear()
+
+
 @pytest.mark.parametrize("leaf", sorted(TYPED_LEAVES), ids=" ".join)
 def test_a_command_checks_its_type_once(leaf, monkeypatch, capsys):
-    # check_cartan_type runs once per command, and the component gate once
-    # per component: the hypotheses read the checked components, and the
-    # root system is built from them without a second check
+    # check_cartan_type is asked once per command; on a cold cache it checks
+    # the type, and the component gate runs once per component: the
+    # hypotheses read the checked components, and the root system is built
+    # from them without a second check.  A repeat of the command reuses the
+    # checked type and runs no check.
     argv = [*leaf, *TYPED_LEAVES[leaf]]
     components = len(rootdata.parse_cartan_type(argv[argv.index("--type") + 1]))
     calls = []
-
-    def counted(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
-    check = counted("type", rootdata.check_cartan_type)
-    monkeypatch.setattr(rootdata, "check_cartan_type", check)
-    monkeypatch.setattr(cli, "check_cartan_type", check)
+    real = rootdata._validate_component
     monkeypatch.setattr(rootdata, "_validate_component",
-                        counted("component", rootdata._validate_component))
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
-    assert calls == ["type"] + ["component"] * components
+                        lambda *args: calls.append("component") or real(*args))
+    clear_checked_facts()
+    for checks, gates in ((1, components), (0, 0)):
+        calls.clear()
+        before = rootdata.check_cartan_type.cache_info()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        after = rootdata.check_cartan_type.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
+        assert (after.misses - before.misses, calls) == (checks, ["component"] * gates)
+
+
+# refusals on B4, each at a later step of the documented order than the one
+# before it (the type over the bound, p not prime, p failing the
+# hypotheses, the count of values, a literal; then ell, eps, the count, a
+# literal), most with a later fault too; and two accepted commands on B4
+B4_REFUSALS = [
+    ["modular", "unramified", "--type", "B4", "--p", "9", "--weight", "1,2", "--bound", "63"],
+    ["modular", "unramified", "--type", "B4", "--p", "9", "--weight", "1,2"],
+    ["modular", "unramified", "--type", "B4", "--p", "2", "--weight", "1,2"],
+    ["modular", "unramified", "--type", "B4", "--p", "5", "--weight", "1,x"],
+    ["modular", "unramified", "--type", "B4", "--p", "5", "--weight", "1,x,3,4"],
+    ["quantum", "unramified", "--type", "B4", "--ell", "4", "--eps", "2", "--torus", "1"],
+    ["quantum", "unramified", "--type", "B4", "--ell", "5", "--eps", "5", "--torus", "1"],
+    ["quantum", "unramified", "--type", "B4", "--ell", "5", "--torus", "1/0"],
+    ["quantum", "unramified", "--type", "B4", "--ell", "5", "--torus", "1/0,0,0,0"],
+]
+B4_ACCEPTED = [["modular", "unramified", "--type", "B4", "--p", "5", "--weight", "1,2,3,4"],
+               ["quantum", "unramified", "--type", "B4", "--ell", "5", "--torus", "1/5,0,0,0"]]
+
+
+def outcome(argv, capsys):
+    # exit status, stdout and stderr of one command; a usage error exits 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_cached_acceptance_never_hides_a_refusal(monkeypatch, capsys):
+    # a check keeps what it accepted, never a refusal: after the type, p,
+    # ell and eps are accepted, every refusal comes back, twice in a row,
+    # with the same first failure, message and exit status as on a cold cache
+    clear_checked_facts()
+    cold = [outcome(argv, capsys) for argv in B4_REFUSALS]
+    assert [code for code, _out, _err in cold] == [1, 1, 1, 1, 2, 1, 1, 1, 2]
+    assert len({err for _code, _out, err in cold}) == len(cold)
+    assert cold[2][2].startswith("error: (type B4, p=2) fails hypotheses")
+    for argv in B4_ACCEPTED:
+        assert outcome(argv, capsys)[0] == 0
+    for _repeat in range(2):
+        assert [outcome(argv, capsys) for argv in B4_REFUSALS] == cold
+    # the accepted type under a lower bound: by --bound, then by LIERAM_BOUND
+    refused = (1, "", "error: type B4: |Phi+| x rank = 64 exceeds bound 63\n")
+    assert outcome([*B4_ACCEPTED[0], "--bound", "63"], capsys) == refused
+    monkeypatch.setenv("LIERAM_BOUND", "63")
+    assert [outcome(argv, capsys) for argv in B4_ACCEPTED] == [refused, refused]
+    monkeypatch.delenv("LIERAM_BOUND")
+    assert [outcome(argv, capsys)[0] for argv in B4_ACCEPTED] == [0, 0]
 
 
 @pytest.mark.parametrize("spelling", ["A1XB2", "a1Xb2", "A1 x B2"])

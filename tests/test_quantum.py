@@ -46,7 +46,7 @@ from lieram.selftest import (
     steinberg_fiber_point,
     word_element,
 )
-from lieram.weyl import alcove_descent, enumerate_group, extended_diagram
+from lieram.weyl import alcove_descent, enumerate_group, extended_diagram, word_images
 
 
 def T(*fracs):
@@ -661,3 +661,16 @@ def test_zero_kac_nodes_guard():
     # so alpha_1 must lie in the roots as well
     with pytest.raises(InvariantViolation, match="integral Kac node"):
         _check_simple_system(a2, ((0, 2, 0),), 2, frozenset(roots))
+    # the roots as q_unramified gives them, one of each pair: at ell = 5,
+    # u = (1/14, 1/7) has the one saturated positive root alpha_1, and the
+    # descent's word s_2 s_1 s_2 maps it to -alpha_2, whose negative is the
+    # one node of Kac coordinate 0 over N = 14; under a wrong word the zero
+    # node does not generate the image of alpha_1
+    u = TorusElement((Fraction(1, 14), Fraction(1, 7)))
+    word, kac = alcove_descent(a2, [10 * n for n in u.nums], 14)
+    assert (word, kac) == ((1, 0, 1), ((2, 12, 0),))
+    assert word_images(a2, word, [(1, 0)]) == [(0, -1)]
+    assert _check_simple_system(a2, kac, 14, [(0, -1)]) == [(0, 1)]
+    for wrong in ((), (1, 0)):
+        with pytest.raises(InvariantViolation, match="do not generate"):
+            _check_simple_system(a2, kac, 14, word_images(a2, wrong, [(1, 0)]))
