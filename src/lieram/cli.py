@@ -85,8 +85,8 @@ def _bounds(args):
         raise UsageError(f"LIERAM_BOUND: {exc}") from None
 
 
-# field literals, each after a comma
-_FIELD_LITERALS = re.compile(r"(,([+-]?\d+|g(\^[+-]?\d+)?|AS\([+-]?\d+\)))*")
+# the field literals other than an integer, [+-]?\d+: g, g^k and AS(c)
+_FIELD_SYMBOL = re.compile(r"g(\^[+-]?\d+)?|AS\([+-]?\d+\)")
 
 
 def parse_field_slots(text: str, p: int, rank: int, bound=None, base=None):
@@ -96,13 +96,14 @@ def parse_field_slots(text: str, p: int, rank: int, bound=None, base=None):
     the field bound, then the Artin-Schreier solutions.  An integer literal
     builds no field element.  `base` is F_p when the caller has built it
     under the same bound."""
-    tokens = list(map(str.strip, text.split(","))) if text.strip() else []
+    tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated values, got {len(tokens)}")
-    if not _FIELD_LITERALS.fullmatch("".join(map(",".__add__, tokens))):
-        bad = next(t for t in tokens if not _FIELD_LITERALS.fullmatch("," + t))
-        raise UsageError(
-            f"malformed field literal {bad!r}: expected an integer, g, g^k or AS(c)")
+    for t in tokens:
+        # str.isdecimal reads Unicode category Nd, as \d does
+        if not ((t[1:] if t[:1] in "+-" else t).isdecimal() or _FIELD_SYMBOL.fullmatch(t)):
+            raise UsageError(
+                f"malformed field literal {t!r}: expected an integer, g, g^k or AS(c)")
     base = base or make_field(p, 1, bound)
     needs_ext = "AS(" in text and any(int(t[3:-1]) % p for t in tokens if t[0] == "A")
     ambient = make_field(p, p, bound) if needs_ext else base
@@ -589,15 +590,15 @@ def _match(argv):
             return None
     start, flags, required = forms[key]
     rest = argv[len(key):]
-    names, given = rest[::2], set(rest[::2])
-    if len(rest) % 2 or len(given) != len(names) or not required <= given:
+    if len(rest) % 2:
         return None
-    args = argparse.Namespace()
+    args, seen = argparse.Namespace(), set()
     ns = vars(args)
     ns.update(start)
-    for name, text in zip(names, rest[1::2]):
-        if name not in flags or text[:1] == "-":
+    for name, text in zip(rest[::2], rest[1::2]):
+        if name not in flags or name in seen or text[:1] == "-":
             return None
+        seen.add(name)
         dest, convert, choices = flags[name]
         if convert is not None:
             try:
@@ -607,7 +608,7 @@ def _match(argv):
         if choices is not None and text not in choices:
             return None
         ns[dest] = text
-    return args
+    return args if required <= seen else None
 
 
 def main(argv=None) -> int:
