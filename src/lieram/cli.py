@@ -303,13 +303,13 @@ def _resolve(args):
     comps = check_cartan_type(args.type, q.bound)  # refuses a type above the bound
     rank = sum(n for _l, n in comps)
     # an empty --chi-s is the zero character (the identity torus element)
-    chi_s = "chi_s" in vars(args) and (args.chi_s or ",".join(["0"] * rank))
+    chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rank))
     if args.group == "modular":
         base = make_field(args.p, 1, q.bound)  # p within the field bound and prime
         lieram.modular.check_hypotheses(comps, args.p)
         q.head["p"] = args.p
         slots, field = parse_field_slots(chi_s or args.weight, args.p, rank, q.bound, base)
-    elif "ell" in vars(args):
+    elif "ell" in args:
         lieram.quantum.check_root_of_unity(comps, args.ell, args.eps)
         q.head["ell"] = args.ell
         # the character's torus, else the point's; given both (quantum
@@ -328,7 +328,7 @@ def _resolve(args):
         q.chi = lieram.quantum.QChar(rs, args.ell, chi_s=torus,
                                      support=parse_support(args.support), eps=args.eps)
         q.head["chi"] = _qchi_dict(q.chi)
-    if "torus" in vars(args):
+    if "torus" in args:
         q.point = parse_torus(args.torus, rank) if chi_s else torus
         q.head["torus"] = q.point.texts()
         if chi_s and q.point.pow(args.ell) != q.chi.chi_s:
@@ -600,14 +600,15 @@ def _match(argv):
             return None
         seen.add(name)
         dest, convert, choices = flags[name]
+        value = text
         if convert is not None:
             try:
-                text = convert(text)
+                value = convert(text)
             except (TypeError, ValueError, argparse.ArgumentTypeError):
                 return None
-        if choices is not None and text not in choices:
+        if choices is not None and value not in choices:
             return None
-        ns[dest] = text
+        ns[dest] = value
     return args if required <= seen else None
 
 
