@@ -115,31 +115,40 @@ def _slots(values):
     return [(v.coeffs + (0,) * field.e)[:field.e] for v in values], field and field.p
 
 
+def _values(rs: RootSystem, slots, p):
+    """eta(h_beta) for the positive roots beta, in the order of rs.pos_roots,
+    each as its e slots mod p, from the slot vectors of the values eta(h_i),
+    one per simple root: pairing is F_p-linear, so slot t of eta(h_beta)
+    pairs the t-th slots."""
+    return list(zip(*map(integer_pairings(rs, "values", p), zip(*slots))))
+
+
 def _pairings(rs: RootSystem, slots, p):
-    """eta(h_beta) for every positive root beta, as its e slots mod p, from
-    the slot vectors of the values eta(h_i), one per simple root: pairing is
-    F_p-linear, so slot t of eta(h_beta) pairs the t-th slots."""
-    return dict(zip(rs.pos_roots, zip(*map(integer_pairings(rs, "values", p), zip(*slots)))))
+    """_values by positive root."""
+    return dict(zip(rs.pos_roots, _values(rs, slots, p)))
 
 
 def _table(rs: RootSystem, slots, p, shift=0):
     """eta = weight + shift * rho on the weight's slot vectors (rho(h_i) = 1
-    adds shift to each constant slot), and its table of pairings.
+    adds shift to each constant slot), and its table, _values of eta.
     ValueError, before p is read, unless the weight has one slot vector per
     simple root: PChar and every probe come through here."""
     if len(slots) != rs.rank:
         raise ValueError(f"{len(slots)} values given for rank {rs.rank}")
     eta = [((s[0] + shift) % p, *s[1:]) for s in slots] if shift else slots
-    return eta, _pairings(rs, eta, p)
+    return eta, _values(rs, eta, p)
 
 
 def _zero(rs, table):
+    table = dict(zip(rs.pos_roots, table))
     return reflection_stabilizer(rs, lambda b: not any(table[b]))
 
 
 def _stabilisers(rs, table):
     # (zero, fp) of a table: {alpha : eta(h_alpha) = 0} and {... in F_p}
-    return _zero(rs, table), reflection_stabilizer(rs, lambda b: not any(table[b][1:]))
+    table = dict(zip(rs.pos_roots, table))
+    return (reflection_stabilizer(rs, lambda b: not any(table[b])),
+            reflection_stabilizer(rs, lambda b: not any(table[b][1:])))
 
 
 def eta_subsystems(rs: RootSystem, eta):
@@ -172,7 +181,7 @@ def unramified_on_slots(rs: RootSystem, lam, p):
     (each root set is closed under its own reflections)."""
     eta, table = _table(rs, lam, p, 1)
     return {"simpleRootCriterion": not any(map(_fp_unit, eta)),
-            "definitional": not any(map(_fp_unit, table.values()))}
+            "definitional": not any(map(_fp_unit, table))}
 
 
 # -- blocks ------------------------------------------------------------------

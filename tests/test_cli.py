@@ -131,14 +131,14 @@ def test_modular_probes_do_no_field_arithmetic(monkeypatch, capsys):
         return op
     for name in ("__add__", "__radd__", "__sub__"):
         monkeypatch.setattr(scalars.FFElem, name, guarded(name))
-    resolve, count = cli._resolve, modular._pairings
+    resolve, count = cli._resolve, modular._values
 
     def resolved(args):
         q = resolve(args)
         armed.append(args.command)
         return q
     monkeypatch.setattr(cli, "_resolve", resolved)
-    monkeypatch.setattr(modular, "_pairings", lambda *a: pairings.append(1) or count(*a))
+    monkeypatch.setattr(modular, "_values", lambda *a: pairings.append(1) or count(*a))
     for t, p, w in PROBE_WEIGHTS:
         for cmd in ("unramified", "finite-type", "poincare"):
             armed.clear()
