@@ -140,15 +140,15 @@ def _table(rs: RootSystem, slots, p, shift=0):
 
 
 def _zero(rs, table):
-    table = dict(zip(rs.pos_roots, table))
-    return reflection_stabilizer(rs, lambda b: not any(table[b]))
+    by_root = dict(zip(rs.pos_roots, table))
+    return reflection_stabilizer(rs, lambda b: not any(by_root[b]))
 
 
 def _stabilisers(rs, table):
     # (zero, fp) of a table: {alpha : eta(h_alpha) = 0} and {... in F_p}
-    table = dict(zip(rs.pos_roots, table))
-    return (reflection_stabilizer(rs, lambda b: not any(table[b])),
-            reflection_stabilizer(rs, lambda b: not any(table[b][1:])))
+    by_root = dict(zip(rs.pos_roots, table))
+    return (reflection_stabilizer(rs, lambda b: not any(by_root[b])),
+            reflection_stabilizer(rs, lambda b: not any(by_root[b][1:])))
 
 
 def eta_subsystems(rs: RootSystem, eta):
