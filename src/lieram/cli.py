@@ -89,13 +89,13 @@ def _bounds(args):
 _FIELD_SYMBOL = re.compile(r"g(\^[+-]?\d+)?|AS\([+-]?\d+\)")
 
 
-def parse_field_slots(text: str, p: int, rank: int, bound=None, base=None):
+def parse_field_slots(text: str, base, rank: int, bound=None):
     """Parse the modular character / weight grammar into slot vectors, each
     value's e coefficients mod p with 0 past its length, and their ambient
-    field F_{p^e}.  Checked in order: the count of values, each literal,
-    the field bound, then the Artin-Schreier solutions.  An integer literal
-    builds no field element.  `base` is F_p when the caller has built it
-    under the same bound."""
+    field F_{p^e}; `base` is F_p, built by make_field under the same bound.
+    Checked in order: the count of values, each literal, the bound of
+    F_{p^p} when an AS(c) literal needs it, then the Artin-Schreier
+    solutions.  An integer literal builds no field element."""
     tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated values, got {len(tokens)}")
@@ -104,7 +104,7 @@ def parse_field_slots(text: str, p: int, rank: int, bound=None, base=None):
         if not ((t[1:] if t[:1] in "+-" else t).isdecimal() or _FIELD_SYMBOL.fullmatch(t)):
             raise UsageError(
                 f"malformed field literal {t!r}: expected an integer, g, g^k or AS(c)")
-    base = base or make_field(p, 1, bound)
+    p = base.p
     needs_ext = "AS(" in text and any(int(t[3:-1]) % p for t in tokens if t[0] == "A")
     ambient = make_field(p, p, bound) if needs_ext else base
     pad = (0,) * (ambient.e - 1)
@@ -122,8 +122,9 @@ def _field_slot(t, base, ambient, bound):
 
 
 def parse_field_values(text: str, p: int, rank: int, bound=None):
-    """parse_field_slots, as FFElem values of the ambient field."""
-    slots, field = parse_field_slots(text, p, rank, bound)
+    """parse_field_slots, as FFElem values of the ambient field, after F_p
+    is checked under the bound."""
+    slots, field = parse_field_slots(text, make_field(p, 1, bound), rank, bound)
     return tuple(map(field.elem, slots)), field
 
 
@@ -308,7 +309,7 @@ def _resolve(args):
         base = make_field(args.p, 1, q.bound)  # p within the field bound and prime
         lieram.modular.check_hypotheses(comps, args.p)
         q.head["p"] = args.p
-        slots, field = parse_field_slots(chi_s or args.weight, args.p, rank, q.bound, base)
+        slots, field = parse_field_slots(chi_s or args.weight, base, rank, q.bound)
     elif "ell" in args:
         lieram.quantum.check_root_of_unity(comps, args.ell, args.eps)
         q.head["ell"] = args.ell

@@ -78,7 +78,7 @@ class PChar:
                 "character values must share one ambient field of characteristic p")
         self.field = field
         self.values = tuple(values)
-        self.levi = _zero(rs, _table(rs, *_slots(self.values))[1])
+        self.levi = _zero(rs, _by_root(rs, _table(rs, *_slots(self.values))[1]))
         self.support = support_indices(self.levi, support)
 
     @property
@@ -123,9 +123,14 @@ def _values(rs: RootSystem, slots, p):
     return list(zip(*map(integer_pairings(rs, "values", p), zip(*slots))))
 
 
+def _by_root(rs: RootSystem, table):
+    """A table of _values keyed by positive root."""
+    return dict(zip(rs.pos_roots, table))
+
+
 def _pairings(rs: RootSystem, slots, p):
     """_values by positive root."""
-    return dict(zip(rs.pos_roots, _values(rs, slots, p)))
+    return _by_root(rs, _values(rs, slots, p))
 
 
 def _table(rs: RootSystem, slots, p, shift=0):
@@ -139,22 +144,20 @@ def _table(rs: RootSystem, slots, p, shift=0):
     return eta, _values(rs, eta, p)
 
 
-def _zero(rs, table):
-    by_root = dict(zip(rs.pos_roots, table))
+def _zero(rs, by_root):
+    # {alpha : eta(h_alpha) = 0} of a table keyed by root
     return reflection_stabilizer(rs, lambda b: not any(by_root[b]))
 
 
-def _stabilisers(rs, table):
-    # (zero, fp) of a table: {alpha : eta(h_alpha) = 0} and {... in F_p}
-    by_root = dict(zip(rs.pos_roots, table))
-    return (reflection_stabilizer(rs, lambda b: not any(by_root[b])),
-            reflection_stabilizer(rs, lambda b: not any(by_root[b][1:])))
+def _stabilisers(rs, by_root):
+    # (zero, fp) of a table keyed by root: _zero and {alpha : eta(h_alpha) in F_p}
+    return _zero(rs, by_root), reflection_stabilizer(rs, lambda b: not any(by_root[b][1:]))
 
 
 def eta_subsystems(rs: RootSystem, eta):
     """(zero, fp): the classified subsystems {alpha : eta(h_alpha) = 0} and
     {alpha : eta(h_alpha) in F_p}."""
-    return _stabilisers(rs, _table(rs, *_slots(eta))[1])
+    return _stabilisers(rs, _by_root(rs, _table(rs, *_slots(eta))[1]))
 
 
 def dim_C(rs: RootSystem, eta) -> int:
@@ -309,7 +312,7 @@ def poincare_on_slots(rs: RootSystem, eta, p):
     Requires a nilpotent context (all coordinates of eta in F_p)."""
     if any(any(s[1:]) for s in eta):
         raise NotNilpotentContext("Poincare series needs all coordinates in F_p")
-    return _poincare(_zero(rs, _table(rs, eta, p)[1]))
+    return _poincare(_zero(rs, _by_root(rs, _table(rs, eta, p)[1])))
 
 
 def _poincare(zero):
@@ -338,7 +341,8 @@ def finite_type_on_slots(rs: RootSystem, lam, p, assume_unique_simple: bool = Fa
     the component lists of the two classified stabilizers; nothing is
     classified again.
     """
-    return _finite_type(*_stabilisers(rs, _table(rs, lam, p, 1)[1]), assume_unique_simple)
+    return _finite_type(*_stabilisers(rs, _by_root(rs, _table(rs, lam, p, 1)[1])),
+                        assume_unique_simple)
 
 
 def _finite_type(small, big, assume_unique_simple):

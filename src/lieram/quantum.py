@@ -226,8 +226,11 @@ def q_blocks(chi: QChar, bound=None):
             for x, size, stab in walked]
 
 
-# the numerators over ell of the shifts of hc_shift, per (type, ell, eps)
-_SHIFTS = {}
+@functools.cache
+def _shifts(rs: RootSystem, ell: int, eps: int):
+    """The numerators over ell of the shifts of hc_shift: eps_pow of each
+    (rho, varpi_i) has a denominator dividing ell.  A refusal is not kept."""
+    return tuple(int(eps_pow(q, ell, eps) * ell) for q in rs.rho_weight_pairs)
 
 
 def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forward",
@@ -236,19 +239,18 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
     labels: coordinate i shifts by eps^(rho, varpi_i).  Forward (highest
     weight -> component) adds the shift; "back" removes it; round trip is the
     identity, and the dot action on highest-weight labels is the conjugate of
-    the ordinary action by this map.  The shifts are kept in _SHIFTS; a
-    shift eps_pow refuses is refused again on every call."""
+    the ordinary action by this map.  The shifts are kept per (rs, ell,
+    eps) by _shifts; a shift eps_pow refuses is refused again on every
+    call."""
     sign = {"forward": 1, "back": -1}.get(direction)
     if sign is None:
         raise ValueError(f"unknown direction {direction!r}")
     if len(t.nums) != rs.rank:  # before zip would cut it short
         raise ValueError(f"{len(t.nums)} exponents given for rank {rs.rank}")
-    key = (rs.ctype, ell, eps)
-    if key not in _SHIFTS:  # each exponent's denominator divides ell
-        _SHIFTS[key] = [int(eps_pow(q, ell, eps) * ell) for q in rs.rho_weight_pairs]
+    shifts = _shifts(rs, ell, eps)
     N = math.lcm(t.N, ell)
     a, b = N // t.N, sign * (N // ell)
-    return TorusElement.of([n * a + k * b for n, k in zip(t.nums, _SHIFTS[key])], N)
+    return TorusElement.of([n * a + k * b for n, k in zip(t.nums, shifts)], N)
 
 
 def _check_simple_system(rs: RootSystem, kac, N: int, roots):

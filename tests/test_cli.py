@@ -190,7 +190,7 @@ def _values_by_field_arithmetic(text, p, bound=None):
     "AS(-2),g^-1,-4", "AS(0),AS(0),AS(5)", "3,AS(3),g^3"])
 def test_field_values_are_the_slot_parse(text):
     values, field = cli.parse_field_values(text, 5, 3)
-    slots, ambient = cli.parse_field_slots(text, 5, 3)
+    slots, ambient = cli.parse_field_slots(text, make_field(5, 1), 3)
     assert field == ambient
     assert (values, field) == _values_by_field_arithmetic(text, 5)
     assert values == tuple(map(field.elem, slots))
@@ -203,10 +203,12 @@ def test_field_values_are_the_slot_parse(text):
     ("AS(x),0", 5, 2, None), ("AS(1),0", 5, 2, 100), ("1,g", 4, 2, None),
     ("1,1", 10**10 + 19, 2, None)])
 def test_malformed_literals_raise_alike_in_both_parses(text, p, rank, bound):
+    # parse_field_slots on F_p checked under the same bound
     errors = []
-    for parse in (cli.parse_field_slots, cli.parse_field_values):
+    for parse in (lambda: cli.parse_field_slots(text, make_field(p, 1, bound), rank, bound),
+                  lambda: cli.parse_field_values(text, p, rank, bound)):
         with pytest.raises(Exception) as exc:
-            parse(text, p, rank, bound)
+            parse()
         errors.append((type(exc.value), str(exc.value)))
     assert errors[0] == errors[1]
 

@@ -317,14 +317,15 @@ def test_epsilon_enters_the_quantum_side_once():
     # alpha(u) = alpha(t) eps^{(rho, alpha)} at u = hc_shift(t), so every
     # epsilon condition is an integer test at u; rationals and roots of
     # unity are built only where a point is parsed or viewed, and in the
-    # matrix WeylElement kept for perfbench (hc_shift adds the Fractions
-    # eps_pow returns)
+    # matrix WeylElement kept for perfbench (hc_shift adds the numerators of
+    # the Fractions eps_pow returns, which _shifts keeps for it alone)
     trees = _trees()
     production = {name: tree for name, tree in trees.items() if name != "selftest.py"}
     for name, tree in production.items():
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not defined & {"act_torus", "hc_shift_vector"}, name
-        assert _callers(tree, "eps_pow") == ({"hc_shift"} if name == "quantum.py" else set()), name
+        assert _callers(tree, "eps_pow") == ({"_shifts"} if name == "quantum.py" else set()), name
+        assert _callers(tree, "_shifts") == ({"hc_shift"} if name == "quantum.py" else set()), name
         if name != "rootdata.py":
             assert _calls_of(tree, "two_rho_dot") == 0, name
     # scalars.py, where UnityExp and eps_pow live, aside

@@ -1,6 +1,6 @@
 """Exact work counts of answers in process: bytecodes and Python calls.
 
-    python3 tools/work.py [--warmup CMD] [--top K] ARGV...
+    python3 tools/work.py [--top K] ARGV...
     python3 tools/work.py --workload W [--top K]
 
 ARGV is a command after `lieram`.  The script answers a warm-up command in
@@ -8,10 +8,10 @@ this process, then ARGV, with stdout captured, and prints for ARGV one JSON
 line: the bytecodes it ran (sys.settrace opcode events) and the calls
 cProfile counts (Python and built-in functions), then its K functions with
 the most calls (default 10) as "calls function" lines.  The warm-up is
---warmup, by default ARGV's own command on another input: the first of
---weight, --torus or --chi-s set to a list of as many zeros, or to ones
-(1/2 for a quantum exponent) when it is all zeros already; a command with
-none of these flags warms up on ARGV itself.
+ARGV's own command on another input: the first of --weight, --torus or
+--chi-s set to a list of as many zeros, or to ones (1/2 for a quantum
+exponent) when it is all zeros already; a command with none of these flags
+warms up on ARGV itself.
 
 --workload W counts one seed-0 round of perfbench's workload W the way
 perfbench/worker.py runs it: its set-up (root systems and fields), its
@@ -35,7 +35,6 @@ import io
 import json
 import os
 import pstats
-import shlex
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -109,10 +108,10 @@ def _top(per_function, k, scale=1):
             sorted(per_function.items(), key=lambda item: (-item[1], item[0]))[:k]]
 
 
-def answer_counts(argv, warmup=None, top=10):
+def answer_counts(argv, top=10):
     """The output lines for one answer of ARGV after its warm-up."""
     with _captured():
-        _cli(warmup_argv(argv) if warmup is None else shlex.split(warmup))()
+        _cli(warmup_argv(argv))()
     bytecodes, calls, per_function = count(_cli(argv))
     row = {"command": " ".join(argv), "bytecodes": bytecodes, "calls": calls}
     return [json.dumps(row, sort_keys=True), *_top(per_function, top)]
@@ -150,14 +149,13 @@ def workload_counts(name, top=10):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", help="a workload of perfbench/workloads.py")
-    ap.add_argument("--warmup", help="the warm-up command, after `lieram`")
     ap.add_argument("--top", type=int, default=10)
     ap.add_argument("argv", nargs=argparse.REMAINDER)
     args = ap.parse_args(argv)
     if (args.workload is None) == (not args.argv):
         ap.error("give either ARGV or --workload")
     lines = (workload_counts(args.workload, args.top) if args.workload
-             else answer_counts(args.argv, args.warmup, args.top))
+             else answer_counts(args.argv, args.top))
     for line in lines:
         print(line)
     return 0
