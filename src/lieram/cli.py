@@ -44,8 +44,10 @@ import json
 import os
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import getitem
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -154,8 +156,8 @@ def _literal(convert, text, what):
 
 
 def _emit(args, payload, tsv_rows=None):
-    """Write payload as JSON, a list of block reports one report at a time
-    (see _json_pieces), or under --format tsv the rows that `tsv_rows` (a
+    """Write payload as JSON, a list of blocks one block at a time (see
+    _json_pieces), or under --format tsv the rows that `tsv_rows` (a
     function, called only then) builds, by default one per payload key."""
     if args.format == "json":
         for piece in _json_pieces(payload):
@@ -173,59 +175,65 @@ def _emit(args, payload, tsv_rows=None):
 _MARK = "\x00"
 _MARK_TEXT = encode_basestring_ascii(_MARK)
 
-# the line break before each block report: "blocks" is a key of the
-# top-level payload
+# the line break before each block: "blocks" is a key of the top-level payload
 _NL = "\n    "
 
-
-class _Texts(dict):
-    """The text of each value at a list item of a block report, rendered on
-    first use."""
-
-    def __missing__(self, v):
-        text = self[v] = _dumps(v, _NL + "    ")
-        return text
-
-
-# the % template of each kind of block report, for the process
+# for the process: the % template of each kind of block, keyed by the kind
+# object, and the texts of each coordinate table, keyed by its id (the entry
+# keeps the table, so the id is not reused)
 _TEMPLATES = {}
+_TEXTS = {}
+
+
+def _texts(table):
+    """The texts of a coordinate table's values, as list items of a block,
+    by coordinate value; rendered once per table and process."""
+    entry = _TEXTS.get(id(table))
+    if entry is None:
+        items = table.items() if isinstance(table, Mapping) else enumerate(table)
+        entry = _TEXTS[id(table)] = table, {k: _dumps(v, _NL + "    ") for k, v in items}
+    return entry[1]
 
 
 def _json_pieces(payload):
     """_dumps(payload) + "\n" in pieces.  A non-empty payload["blocks"] is a
-    list of block reports (weyl.BlockRecord), each written as _dumps of its
-    to_dict in a piece of its own, by one % of a template over the texts of
-    its varying_items().  Templates are kept for the process in _TEMPLATES,
-    keyed by the report's kind object; the first report of a kind makes its
-    template, with one to_dict and one _dumps (_template).  Per answer: the
-    head, the text of each distinct varying value, and one % per report.
-    InvariantViolation, checked on each kind's first report, unless every
-    such value with line breaks sits at one depth, a list item's: each
-    VARYING field of to_dict is a list, or holds no list, tuple or dict."""
+    weyl.BlockList, each block written as _dumps of its report's to_dict in
+    a piece of its own, by one % of its kind's template (_template) over the
+    texts of its orbit size and of its point's coordinates in each table
+    (_texts), in the order of the keys; no report is built but the first of
+    each kind in the process.  Per answer: the head and one % per block."""
     blocks = payload.get("blocks")
     if not blocks:
         yield _dumps(payload) + "\n"
         return
     head, sep, tail = _dumps({**payload, "blocks": [_MARK, _MARK]}).split(_MARK_TEXT)
-    texts = _Texts()
+    keys = sorted(blocks.tables)
+    before = [_texts(t) for k in keys if k < "orbit_size" for t in blocks.tables[k]]
+    after = [_texts(t) for k in keys if k > "orbit_size" for t in blocks.tables[k]]
+    # a point's coordinates, once per table of a key before or after orbit_size
+    nb, na = len(before) // len(blocks.points[0]), len(after) // len(blocks.points[0])
     yield head
-    for i, b in enumerate(blocks):
-        template = _TEMPLATES.get(b.kind)
+    for i, (x, size, kind) in enumerate(zip(blocks.points, blocks.sizes, blocks.kinds)):
+        template = _TEMPLATES.get(kind)
         if template is None:
-            template = _TEMPLATES[b.kind] = _template(b)
-        yield (sep if i else "") + template % tuple(map(texts.__getitem__, b.varying_items()))
+            template = _TEMPLATES[kind] = _template(blocks, i)
+        yield (sep if i else "") + template % (
+            *map(getitem, before, x * nb), size, *map(getitem, after, x * na))
     yield tail + "\n"
 
 
-def _template(report):
-    """The % template of the reports of report.kind: its to_dict rendered at
-    the line break _NL with _MARK for each value of varying_items(), "%"
-    escaped, and a %s at each mark; no other key or value may be _MARK."""
-    d, varying = report.to_dict(), report.VARYING
-    if any(type(d[k]) is not list and isinstance(d[k], (list, tuple, dict)) for k in varying):
-        raise InvariantViolation(
-            f"a VARYING value of {type(report).__name__} is not at the depth of a list item")
-    d.update((k, [_MARK] * len(d[k]) if type(d[k]) is list else _MARK) for k in varying)
+def _template(blocks, i):
+    """The % template of the blocks of blocks.kinds[i]: the to_dict of block
+    i rendered at the line break _NL with _MARK for its orbit size and for
+    each item of a table's key, "%" escaped, and a %s at each mark; no other
+    key or value may be _MARK.  InvariantViolation unless each table's key
+    holds a list of one item per coordinate."""
+    d = blocks[i].to_dict()
+    r = len(blocks.points[i])
+    if any(type(d[k]) is not list or len(d[k]) != r for k in blocks.tables):
+        raise InvariantViolation("a table of the blocks is not a list item per coordinate")
+    d.update((k, [_MARK] * r) for k in blocks.tables)
+    d["orbit_size"] = _MARK
     return "%s".join(x.replace("%", "%%") for x in _dumps(d, _NL).split(_MARK_TEXT))
 
 
@@ -341,7 +349,7 @@ def _resolve(args):
 def cmd_modular_blocks(args, q):
     blocks = lieram.modular.mod_blocks(q.chi, q.bound)
     payload = {**q.head, "blocks": blocks,
-               "counts": {"num_blocks": len(blocks), "dim_sum": sum(b.dim for b in blocks),
+               "counts": {"num_blocks": len(blocks), "dim_sum": blocks.dim_sum,
                           "unramified": lieram.modular.unramified_count(q.chi, blocks)},
                "structure": lieram.modular.regularity_and_structure(q.chi, blocks)}
 
@@ -377,7 +385,7 @@ def cmd_modular_structure(args, q):
 def cmd_quantum_blocks(args, q):
     blocks = lieram.quantum.q_blocks(q.chi, q.bound)
     payload = {**q.head, "blocks": blocks,
-               "counts": {"num_blocks": len(blocks), "dim_sum": sum(b.dim for b in blocks)},
+               "counts": {"num_blocks": len(blocks), "dim_sum": blocks.dim_sum},
                "structure": lieram.quantum.q_regularity_and_counts(q.chi, blocks)}
 
     def rows():

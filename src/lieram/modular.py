@@ -28,12 +28,14 @@ of the centralizer subsystem's basis on which it is regular.
 from __future__ import annotations
 
 import functools
+from operator import getitem
 
 from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate
 from .errors import NotNilpotentContext
-from .rootdata import RootSystem, coxeter_type, hypothesis_check, type_string
+from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify, type_string
 from .scalars import _ptrim, artin_schreier_solve, embed, make_field, prime_field
 from .weyl import (
+    BlockList,
     BlockRecord,
     Kind,
     block_orbits,
@@ -95,11 +97,24 @@ class PChar:
                 f"c=({', '.join(map(str, self.values))}), S={self.support})")
 
 
-def _lambda_base(chi: PChar, bound):
-    # one point of Lambda_chi, as values in the ambient field, and that field
-    sols, fields = zip(*(artin_schreier_solve(c.frobenius(), bound) for c in chi.values))
-    ambient = max(fields, key=lambda f: f.e)
-    return tuple(embed(x, ambient) for x in sols), ambient
+@functools.lru_cache(maxsize=None)
+def _solved(c, bound):
+    # a solution x of x^p - x = c^p, a point of Lambda_chi at a coordinate
+    # of value c, and its field, once per (value, bound) in the process; a
+    # refusal is not kept
+    return artin_schreier_solve(c.frobenius(), bound)
+
+
+@functools.lru_cache(maxsize=None)
+def _codes(x, ambient):
+    # the trimmed codes of eta(h_i) and of lambda(h_i) = eta(h_i) - 1 per
+    # constant term k of eta, for the base value x of Lambda_chi (in the
+    # field of x, embedded in ambient): eta's code k is x's with constant
+    # term k, lambda's eta's code k - 1; once per (value, field) in the
+    # process
+    rest = embed(x, ambient).coeffs[1:]
+    etas = tuple(_ptrim((k, *rest)) for k in range(ambient.p))
+    return etas, etas[-1:] + etas[:-1]
 
 
 # -- stabilizer subsystems on Harish-Chandra labels --------------------------
@@ -149,15 +164,19 @@ def _zero(rs, by_root):
     return reflection_stabilizer(rs, lambda b: not any(by_root[b]))
 
 
-def _stabilisers(rs, by_root):
-    # (zero, fp) of a table keyed by root: _zero and {alpha : eta(h_alpha) in F_p}
-    return _zero(rs, by_root), reflection_stabilizer(rs, lambda b: not any(by_root[b][1:]))
+def _stabilisers(rs, eta, table):
+    # (zero, fp) of eta's slot vectors and its table: _zero and {alpha :
+    # eta(h_alpha) in F_p}, every root when every eta(h_i) is in F_p
+    by_root = _by_root(rs, table)
+    fp = (reflection_stabilizer(rs, lambda b: not any(by_root[b][1:]))
+          if any(any(s[1:]) for s in eta) else subsystem_classify(rs, rs.all_roots()))
+    return _zero(rs, by_root), fp
 
 
 def eta_subsystems(rs: RootSystem, eta):
     """(zero, fp): the classified subsystems {alpha : eta(h_alpha) = 0} and
     {alpha : eta(h_alpha) in F_p}."""
-    return _stabilisers(rs, _by_root(rs, _table(rs, *_slots(eta))[1]))
+    return _stabilisers(rs, *_table(rs, *_slots(eta)))
 
 
 def dim_C(rs: RootSystem, eta) -> int:
@@ -220,12 +239,8 @@ class BlockReport(BlockRecord, kind=BlockKind):
     kind share its verdict, so finite_type_witness and to_dict give fresh
     dicts."""
 
-    __slots__ = ("field", "lam_code", "eta_code", "orbit_size", "kind")
-    VARYING = ("eta", "lambda", "orbit_size")
-
-    def __init__(self, field, lam_code, eta_code, orbit_size, kind):
-        self.field, self.lam_code, self.eta_code = field, lam_code, eta_code
-        self.orbit_size, self.kind = orbit_size, kind
+    __slots__ = ()
+    FIELDS = ("field", "lam_code", "eta_code", "orbit_size", "kind")
 
     @property
     def lam(self):
@@ -241,26 +256,18 @@ class BlockReport(BlockRecord, kind=BlockKind):
                 "differing_component": dict(self.differing) or None}
 
     def to_dict(self):
-        return {
-            "lambda": list(map(list, self.lam_code)),
-            "eta": list(map(list, self.eta_code)),
-            "orbit_size": self.orbit_size,
-            "dim": self.dim,
-            "unramified": self.unramified,
-            "stabilizer_types": {"point": self.stab_point_type,
-                                 "coset": self.stab_coset_type},
-            "poincare": list(self.poincare) if self.poincare is not None else None,
-            "finite_type": self.finite_type,
-            "finite_type_witness": self.finite_type_witness,
-        }
-
-    def varying_items(self):
-        return (*self.eta_code, *self.lam_code, self.orbit_size)
+        return {"lambda": list(map(list, self.lam_code)), "eta": list(map(list, self.eta_code)),
+                "orbit_size": self.orbit_size, "dim": self.dim, "unramified": self.unramified,
+                "stabilizer_types": {"point": self.stab_point_type, "coset": self.stab_coset_type},
+                "poincare": list(self.poincare) if self.poincare is not None else None,
+                "finite_type": self.finite_type, "finite_type_witness": self.finite_type_witness}
 
 
 def mod_blocks(chi: PChar, bound=None):
     """Blocks of the reduced algebra at chi: the partition of Lambda_chi under
-    the dot action (ordinary action on eta = lambda + rho) of Stab_W(chi).
+    the dot action (ordinary action on eta = lambda + rho) of Stab_W(chi),
+    as a BlockList of BlockReports, with the tables "eta" and "lambda" of
+    each coordinate's codes by the constant term of eta.
     BoundExceeded when the ambient field of Lambda_chi, or the p^r points of
     Lambda_chi, exceed `bound` (each check has its own default); the points
     are counted before any is listed.  eta(h_beta)^p - eta(h_beta) =
@@ -273,27 +280,27 @@ def mod_blocks(chi: PChar, bound=None):
     # the constant terms of eta = lambda + rho (rho is 1 in each), in lambda order
     walked = block_orbits(rs, levi, "values", p, p,
                           lambda: [[(k + 1) % p for k in range(p)]] * rs.rank, bound)
-    base, ambient = _lambda_base(chi, bound)
-    # eta(h_i) takes p values, etas[i][k] of constant term k; lambda(h_i) = etas[i][k - 1]
-    etas = [[_ptrim((k, *b.coeffs[1:])) for k in range(p)] for b in base]
-    lams = [t[-1:] + t[:-1] for t in etas]
+    # Lambda_chi's base, in the ambient field, is one solution per coordinate
+    sols, fields = zip(*(_solved(c, bound) for c in chi.values))
+    ambient = max(fields, key=lambda f: f.e)
+    etas, lams = zip(*(_codes(x, ambient) for x in sols))
     pad = (0,) * ambient.e
     first = _pairings(rs, [(t[k] + pad)[:ambient.e] for t, k in zip(etas, walked[0][0])], p)
     if any((not any(v[1:])) != (b in levi.roots) for b, v in first.items()):
         raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
-    nilpotent = chi.nilpotent
-    return [BlockReport(ambient, tuple(map(list.__getitem__, lams, x)),
-                        tuple(map(list.__getitem__, etas, x)), size, _kind(zero, levi, nilpotent))
-            for x, size, zero in walked]
+    return BlockList(walked, lambda sub: _kind(sub, levi, chi.nilpotent),
+                     {"eta": etas, "lambda": lams},
+                     lambda x, size, kind: BlockReport(ambient, tuple(map(getitem, lams, x)),
+                                                       tuple(map(getitem, etas, x)), size, kind))
 
 
 def unramified_count(chi: PChar, blocks=None, bound=None):
-    """Predicted p^s (s = r - rank Phi') versus enumerated unramified blocks."""
+    """Predicted p^s (s = r - rank Phi') versus enumerated unramified blocks
+    (a BlockList of chi, mod_blocks' by default)."""
     if blocks is None:
         blocks = mod_blocks(chi, bound)
     s = chi.rs.rank - len(chi.levi.basis)
-    predicted = chi.p**s
-    enumerated = sum(1 for b in blocks if b.unramified)
+    predicted, enumerated = chi.p**s, blocks.dims[1]
     return {"predicted": predicted, "enumerated": enumerated, "s": s,
             "agree": predicted == enumerated}
 
@@ -341,8 +348,7 @@ def finite_type_on_slots(rs: RootSystem, lam, p, assume_unique_simple: bool = Fa
     the component lists of the two classified stabilizers; nothing is
     classified again.
     """
-    return _finite_type(*_stabilisers(rs, _by_root(rs, _table(rs, lam, p, 1)[1])),
-                        assume_unique_simple)
+    return _finite_type(*_stabilisers(rs, *_table(rs, lam, p, 1)), assume_unique_simple)
 
 
 def _finite_type(small, big, assume_unique_simple):
@@ -373,10 +379,7 @@ def regularity_and_structure(chi: PChar, blocks=None, bound=None):
     regular = chi.regular
     out = {"regular": regular, "fullyAzumaya": regular, "descriptor": None}
     if regular:
-        if blocks is None:
-            blocks = mod_blocks(chi, bound)
-        out["descriptor"] = {
-            "matrix_size": chi.p**chi.rs.N,
-            "local_dims": sorted(b.dim for b in blocks),
-        }
+        blocks = mod_blocks(chi, bound) if blocks is None else blocks
+        out["descriptor"] = {"matrix_size": chi.p**chi.rs.N,
+                             "local_dims": sorted(blocks.dims.elements())}
     return out

@@ -23,11 +23,14 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import getitem
+from types import MappingProxyType
 
 from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow
 from .rootdata import RootSystem, check_cartan_type, root_system, subsystem_classify
 from .scalars import UnityExp, eps_pow
 from .weyl import (
+    BlockList,
     BlockRecord,
     Kind,
     alcove_descent,
@@ -171,36 +174,37 @@ class QBlockReport(BlockRecord, kind=QBlockKind):
     denominator N, each in [0, N), and as their reduced texts "n/N" (torus);
     rep is built on access."""
 
-    __slots__ = ("numerators", "N", "torus", "orbit_size", "kind")
-    VARYING = ("orbit_size", "torus")
-
-    def __init__(self, numerators, N, torus, orbit_size, kind):
-        self.numerators, self.N, self.torus = numerators, N, torus
-        self.orbit_size, self.kind = orbit_size, kind
+    __slots__ = ()
+    FIELDS = ("numerators", "N", "torus", "orbit_size", "kind")
 
     @property
     def rep(self):
         return TorusElement.of(self.numerators, self.N)
 
     def to_dict(self):
-        return {
-            "torus": list(self.torus),
-            "orbit_size": self.orbit_size,
-            "dim": self.dim,
-            "unramified": self.unramified,
-            "exceptional": self.exceptional,
-            "stabilizer_types": {"point": self.stab_point_type,
-                                 "fiber": self.stab_fiber_type},
-        }
+        return {"torus": list(self.torus), "orbit_size": self.orbit_size, "dim": self.dim,
+                "unramified": self.unramified, "exceptional": self.exceptional,
+                "stabilizer_types": {"point": self.stab_point_type, "fiber": self.stab_fiber_type}}
 
-    def varying_items(self):
-        return (self.orbit_size, *self.torus)
+
+@functools.cache
+def _axis(c, D, ell):
+    # a read-only table of the text of each numerator n over N = ell D of
+    # the ell values of t_i, t_i^ell = e^(2 pi i c / D), listed in the order
+    # of their reduced exponents (n/g, N/g), g = gcd(n, N); once per (c, D,
+    # ell) in the process
+    N = ell * D
+    return MappingProxyType({n: exponent_text(n, N) for n in sorted(
+        ((c + d * D) % N for d in range(ell)),
+        key=lambda n: (n // math.gcd(n, N), N // math.gcd(n, N)))})
 
 
 def q_blocks(chi: QChar, bound=None):
     """Blocks of the quantized algebra at chi: the partition of the fiber
-    {t : t^ell = chi_s^2} under the ordinary action of Stab_W(chi_s^2); dimD
-    is the index [W(t^ell) : W(t)] of classified subsystem orders.
+    {t : t^ell = chi_s^2} under the ordinary action of Stab_W(chi_s^2), as
+    a BlockList of QBlockReports with the table "torus" of each
+    coordinate's exponent texts by numerator; dimD is the index [W(t^ell) :
+    W(t)] of classified subsystem orders.
     BoundExceeded when the ell^r fiber points exceed `bound` (default 10^6);
     they are counted before any is listed.  Only roots of Phi' = chi.levi
     can vanish on t, as beta(t)^ell = beta(chi_s^2); InvariantViolation
@@ -209,21 +213,16 @@ def q_blocks(chi: QChar, bound=None):
     # the fiber as exponent numerators over N = ell D, D the denominator of
     # chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
     D, N = chi.chi_s.N, ell * chi.chi_s.N
-    c = [2 * n for n in chi.chi_s.nums]
-
-    def axis(ci):
-        # the numerators n of t_i in the order of their reduced exponents
-        # (n/g, N/g), g = gcd(n, N)
-        return sorted(((ci + d * D) % N for d in range(ell)),
-                      key=lambda n: (n // math.gcd(n, N), N // math.gcd(n, N)))
     # W acts by integer matrices, so orbits stay on (1/N)Z^r
-    walked = block_orbits(rs, levi, "torus", N, ell, lambda: list(map(axis, c)), bound)
+    walked = block_orbits(rs, levi, "torus", N, ell,
+                          lambda: [_axis(2 * n, D, ell) for n in chi.chi_s.nums], bound)
     first = integer_pairings(rs, "torus", N)(walked[0][0])
     if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
         raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
-    texts = {n: exponent_text(n, N) for ci in c for n in axis(ci)}  # once per numerator
-    return [QBlockReport(x, N, tuple(map(texts.__getitem__, x)), size, _kind(stab, levi))
-            for x, size, stab in walked]
+    texts = tuple(_axis(2 * n, D, ell) for n in chi.chi_s.nums)
+    return BlockList(walked, lambda sub: _kind(sub, levi), {"torus": texts},
+                     lambda x, size, kind: QBlockReport(x, N, tuple(map(getitem, texts, x)),
+                                                        size, kind))
 
 
 @functools.cache
@@ -528,25 +527,11 @@ def q_regularity_and_counts(chi: QChar, blocks=None, bound=None):
     if blocks is None:
         blocks = q_blocks(chi, bound)
     regular = chi.regular
-    simple_in_levi = sum(1 for a in rs.simple_roots if a in chi.levi.roots)
-    s = rs.rank - simple_in_levi
+    s = rs.rank - sum(1 for a in rs.simple_roots if a in chi.levi.roots)
     index = chi.levi.index_of_connection()
     coprime = math.gcd(chi.ell, index) == 1
-    enumerated = sum(1 for b in blocks if b.unramified)
-    out = {
-        "regular": regular,
-        "fullyAzumaya": regular,
-        "s": s,
-        "coprimalityOK": coprime,
-        "index_of_connection": index,
-        "unramifiedPredicted": chi.ell**s if coprime else None,
-        "unramifiedEnumerated": enumerated,
-        "eps": chi.eps,
-        "descriptor": None,
-    }
-    if regular:
-        out["descriptor"] = {
-            "matrix_size": chi.ell**rs.N,
-            "local_dims": sorted(b.dim for b in blocks),
-        }
-    return out
+    return {"regular": regular, "fullyAzumaya": regular, "s": s, "coprimalityOK": coprime,
+            "index_of_connection": index, "unramifiedPredicted": chi.ell**s if coprime else None,
+            "unramifiedEnumerated": blocks.dims[1], "eps": chi.eps,
+            "descriptor": {"matrix_size": chi.ell**rs.N,
+                           "local_dims": sorted(blocks.dims.elements())} if regular else None}

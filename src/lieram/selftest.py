@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate, NotParabolic
 from .modular import (
     PChar,
-    _lambda_base,
+    _solved,
     block_unramified,
     dim_C,
     eta_subsystems,
@@ -67,6 +67,7 @@ from .scalars import (
     _ppowmod,
     _prime_factors,
     _psub,
+    embed,
     eps_pow,
     make_field,
     solve_linear,
@@ -329,7 +330,9 @@ def enumerate_lambda_chi(chi: PChar, bound=None):
     points counted before any is listed.
     """
     _check_points(chi.p ** chi.rs.rank, bound)
-    base, ambient = _lambda_base(chi, bound)
+    sols, fields = zip(*(_solved(c, bound) for c in chi.values))
+    ambient = max(fields, key=lambda f: f.e)
+    base = [embed(x, ambient) for x in sols]
     return [tuple(b + ambient.from_int(k) for b, k in zip(base, d))
             for d in itertools.product(range(chi.p), repeat=chi.rs.rank)], ambient
 

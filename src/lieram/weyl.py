@@ -52,9 +52,12 @@ so block_orbits keeps the skeletons of the latest walks, least recently used
 first, while their point sets total at most DEFAULT_GROUP_BOUND, and reuses
 them within the process; the points bound is checked before the memo is
 read.  A regular chi (Phi' empty) neither walks nor is kept: each point is
-its own block, with stabiliser Phi'.  The reports of both sides are
-BlockRecords, built per query; each holds the Kind of its point
-stabiliser, built once per process (see Kind).
+its own block, with stabiliser Phi'.  An orbit of |W(Phi')| points is free,
+so no root vanishes on it and its stabiliser is not classified.  Both sides
+answer with a BlockList: the walk's columns (points, orbit sizes and the
+Kind of each point stabiliser, built once per process, see Kind) and the
+answer's per-coordinate tables; a block's report, a BlockRecord, is a view
+built when the list is read.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -479,33 +484,37 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     """The blocks at chi: the orbits of W(Phi'), Phi' = `levi`, on the
     length^r points itertools.product(*axes()), axes() listing r axes of
     `length` values each (encoded as for integer_pairings, each axis in the
-    order of its sort key), as a tuple of (least point, orbit size, sub),
-    sub the classified subsystem of the roots vanishing on the point.
-    BoundExceeded, before axes() is called and before any walk is reused,
-    when the length^r points exceed `bound` (default DEFAULT_GROUP_BOUND).
-    The walk depends on nothing else, so it is memoised per (rs, Phi',
-    encoding, modulus, axes) in this process (_WalkMemo), unless Phi' is
-    empty: then every point is a block of its own, listed without a walk,
-    and nothing is kept."""
+    order of its sort key), as three columns: the least points, the orbit
+    sizes and the subs, sub the classified subsystem of the roots vanishing
+    on the point.  BoundExceeded, before axes() is called and before any
+    walk is reused, when the length^r points exceed `bound` (default
+    DEFAULT_GROUP_BOUND).  The walk depends on nothing else, so it is
+    memoised per (rs, Phi', encoding, modulus, axes) in this process
+    (_WalkMemo), unless Phi' is empty: then every point is a block of its
+    own, listed without a walk, and nothing is kept."""
     points = length ** rs.rank
     _check_points(points, bound)
     if not levi.basis:  # W(Phi') = 1: each point is a block, fixed by Phi' itself
-        return tuple((x, 1, levi) for x in itertools.product(*axes()))
+        walked = tuple(itertools.product(*axes()))
+        return walked, (1,) * len(walked), (levi,) * len(walked)
     return _walks.get((rs, levi, on, modulus, tuple(map(tuple, axes()))), points,
                       _walk_skeleton)
 
 
 def _walk_skeleton(rs, levi, on, modulus, axes):
     # Only roots of Phi' can vanish on a point of the set (see mod_blocks,
-    # q_blocks), so only they are paired; the root system's subsystem memo
-    # classifies each distinct set of vanishing roots once
-    orbits = orbit_partition(itertools.product(*axes),
-                             integer_actions(rs, levi.basis, on, modulus))
+    # q_blocks), so only they are paired, and none on a free orbit (of
+    # |W(Phi')| points): its reflection would fix the point.  The root
+    # system's subsystem memo classifies each distinct set of vanishing
+    # roots once
+    points, sizes = zip(*orbit_partition(itertools.product(*axes),
+                                         integer_actions(rs, levi.basis, on, modulus)))
     signed = [(b, tuple(-c for c in b)) for b in levi.height_steps[0]]
     pairings = integer_pairings(rs, on, modulus, roots=levi)
-    return tuple((x, size, subsystem_classify(rs, [r for pm, v in zip(signed, pairings(x))
-                                                   if not v for r in pm]))
-                 for x, size in orbits)
+    return points, sizes, tuple(
+        subsystem_classify(rs, [r for pm, v in zip(signed, pairings(x)) if not v for r in pm]
+                           if size < levi.order else ())
+        for x, size in zip(points, sizes))
 
 
 class Kind:
@@ -527,29 +536,62 @@ class Kind:
     __delattr__ = __setattr__
 
 
-class BlockRecord:
-    """What the block reports of both sides share.  A report's fields are
-    its class's __slots__, given positionally in that order.  One of them
-    is `kind`, the Kind of the block's point stabiliser `stabilizer` (the
-    classified subsystem of the roots vanishing on the block's point), of
-    the class named by the `kind` keyword of the report class; the report
-    reads each field of its kind, read-only.  The kind fixes every to_dict
-    field outside those its class names in VARYING (sorted keys), and
-    belongs to one report class.  varying_items() gives the JSON values of
-    the VARYING fields in order, all hashable, each element of a list value
-    on its own.  The kind fixes the lengths of the VARYING lists too:
-    cli._json_pieces renders to_dict with a %s for each varying value once
-    per kind and process, and writes each report as its kind's template %
-    the texts of its varying_items(); so the texts may hold any character,
-    "%" too."""
+class BlockRecord(tuple):
+    """The report of one block, a read-only view that a BlockList builds when
+    it is read.  Its fields are its class's FIELDS, given positionally in
+    that order.  One of them is `orbit_size`, and one is `kind`, the Kind of
+    the block's point stabiliser `stabilizer` (the classified subsystem of
+    the roots vanishing on the block's point), of the class named by the
+    `kind` keyword of the report class; the report reads each field of its
+    kind.  The kind fixes every to_dict field but orbit_size and the keys of
+    the list's tables, and belongs to one report class."""
 
     __slots__ = ()
+    FIELDS = ()
     stab_point_type = property(operator.attrgetter("kind.stabilizer.type_str"))
     unramified = property(lambda self: self.dim == 1)
 
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, fields)
+
     def __init_subclass__(cls, kind=Kind):
+        for i, name in enumerate(cls.FIELDS):
+            setattr(cls, name, property(operator.itemgetter(i)))
         for name in kind.__slots__:
             setattr(cls, name, property(operator.attrgetter("kind." + name)))
+
+
+class BlockList(Sequence):
+    """The blocks of one answer, as columns: the least points and orbit
+    sizes of `walked` (what block_orbits returns), the Kind of each block,
+    kind(sub) of its sub, built once per distinct sub, and the answer's
+    tables.  tables maps a to_dict key of the reports to r per-coordinate
+    tables, each indexed by a point's coordinate: the report of point x
+    lists tables[key][i][x[i]] under that key, in coordinate order.  dims
+    counts the blocks of each dimension and dim_sum sums their dimensions,
+    both read off one count over the kinds.  len, iteration and indexing (an
+    index or a slice) build the reports, views made by view(point, orbit
+    size, kind), in the walk's order."""
+
+    __slots__ = ("points", "sizes", "kinds", "tables", "dims", "dim_sum", "_view")
+
+    def __init__(self, walked, kind, tables, view):
+        self.points, self.sizes, subs = walked
+        kinds = {sub: kind(sub) for sub in dict.fromkeys(subs)}  # in the order met
+        self.kinds, self.tables, self._view = tuple(map(kinds.__getitem__, subs)), tables, view
+        self.dims = Counter(map(operator.attrgetter("dim"), self.kinds))
+        self.dim_sum = sum(d * n for d, n in self.dims.items())
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._view(self.points[i], self.sizes[i], self.kinds[i])
+
+    def __iter__(self):
+        return map(self._view, self.points, self.sizes, self.kinds)
 
 
 def orbit_of(point, gen_actions):

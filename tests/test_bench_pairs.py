@@ -4,11 +4,13 @@ a gain that wins 9 of 10 pairs by more than the parent's interquartile
 range, read in the metric's own direction.  And its stop path, with git,
 the clones and the runs stubbed: a run that fails an answer or exits
 nonzero stops the pairs, and the runs made so far are written with no
-summary."""
+summary.  After a clean pair set each side's work counts are written side by
+side, with tools/work.py stubbed."""
 
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -70,11 +72,13 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
     METRICS = [m["name"] for m in json.load(_fh)["end_to_end"]]
 
 
-def _run_pairs(bench_pairs, monkeypatch, tmp_path, stop_at=None, how=None):
-    """main on 3 pairs of one workload, with git, clone and run_once stubbed;
-    run number `stop_at` (from 1) fails an answer (how="failed") or exits
-    nonzero (how="exit").  Returns the written output, the sides in the order
-    run, and main's SystemExit (None when it returned)."""
+def _run_pairs(bench_pairs, monkeypatch, tmp_path, stop_at=None, how=None,
+               run_work=lambda checkout, workload: ({}, None)):
+    """main on 3 pairs of one workload, with git, clone, run_once and
+    run_work stubbed; run number `stop_at` (from 1) fails an answer
+    (how="failed") or exits nonzero (how="exit").  Returns the written
+    output, the sides in the order run, and main's SystemExit (None when it
+    returned)."""
     order = []
 
     def run_once(checkout, workload, seed, trace):
@@ -89,6 +93,7 @@ def _run_pairs(bench_pairs, monkeypatch, tmp_path, stop_at=None, how=None):
     monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "0" * 40)
     monkeypatch.setattr(bench_pairs, "clone", lambda commit, where: where)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "run_work", run_work)
     out = tmp_path / "BENCH.json"
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "HEAD~1", "HEAD", "--out", str(out),
                                       "--pairs", "3", "--workload", "quantum",
@@ -121,6 +126,7 @@ def test_a_run_that_fails_stops_the_pairs(bench_pairs, monkeypatch, tmp_path, ho
     assert out["stopped"].startswith("change ")
     assert [(r["pair"], r["side"]) for r in out["runs"]] == [
         (0, "parent"), (0, "change"), (1, "change")]
+    assert "work" not in out
     last = out["runs"][-1]
     if how == "exit":
         assert "metrics" not in last and last["error"] == "perfbench/run.py exited 2"
@@ -128,3 +134,52 @@ def test_a_run_that_fails_stops_the_pairs(bench_pairs, monkeypatch, tmp_path, ho
     else:
         assert last["failed"] == 1 and set(last["metrics"]) == set(METRICS)
         assert out["stopped"] == "change failed 1 of 10 answers on quantum seed 0"
+
+
+def test_each_side_records_its_work_counts(bench_pairs, monkeypatch, tmp_path):
+    # once the pairs have run: one count per side and workload, in that
+    # side's clone, joined per label with the relative change of the
+    # bytecodes; a side whose count did not finish gives its error
+    calls = []
+
+    def run_work(checkout, workload):
+        side = os.path.basename(checkout)
+        calls.append((side, workload))
+        scale = 0.75 if side == "change" else 1
+        return {"quantum blocks": {"label": "quantum blocks", "answers": 17,
+                                   "bytecodes": 400 * scale, "calls": 40 * scale}}, None
+    out, _order, stopped = _run_pairs(bench_pairs, monkeypatch, tmp_path, run_work=run_work)
+    assert stopped is None and calls == [("parent", "quantum"), ("change", "quantum")]
+    assert out["work"] == [{"workload": "quantum", "label": "quantum blocks",
+                            "parent_answers": 17, "parent_bytecodes": 400, "parent_calls": 40,
+                            "change_answers": 17, "change_bytecodes": 300.0,
+                            "change_calls": 30.0, "relative_bytecodes": -0.25}]
+
+    def failing(checkout, workload):
+        if os.path.basename(checkout) == "change":
+            return None, "tools/work.py exited 1"
+        return run_work(checkout, workload)
+    out, _order, stopped = _run_pairs(bench_pairs, monkeypatch, tmp_path, run_work=failing)
+    assert stopped is None
+    assert out["work"] == [{"workload": "quantum", "change_error": "tools/work.py exited 1"}]
+
+
+def test_work_counts_are_read_per_label(bench_pairs, monkeypatch):
+    # tools/work.py's JSON rows keyed by label, its top-function lines
+    # skipped; a nonzero exit is an error with its stderr
+    rows = [{"workload": "quantum", "label": label, "answers": 2, "bytecodes": 10.5,
+             "calls": 3.0} for label in ("quantum blocks", "verify appendix")]
+    stdout = "\n".join([json.dumps(rows[0]), "12 src/lieram/cli.py:1(main)",
+                         json.dumps(rows[1]), "3 len"]) + "\n"
+    seen = []
+
+    def run(cmd, cwd, **kwargs):
+        seen.append((cmd[1:], cwd))
+        code = 0 if cwd == "ok" else 1
+        return subprocess.CompletedProcess(cmd, code, stdout, "boom" if code else "")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_work("ok", "quantum") == ({row["label"]: row for row in rows}, None)
+    counts, error = bench_pairs.run_work("bad", "quantum")
+    assert counts is None and error.endswith("in bad exited 1:\nboom")
+    assert seen == [(["tools/work.py", "--workload", "quantum", "--top", "0"], where)
+                    for where in ("ok", "bad")]

@@ -1,13 +1,15 @@
 """cli._dumps against json.dumps(..., sort_keys=True, indent=2), which it
 replaces on every JSON answer: the same bytes on the golden payloads, on the
 payloads of the pinned manifest cells and on adversarial values; a dict key
-that is not a str is a TypeError.  Block lists are written one report at a
-time (cli._json_pieces); joined, the pieces are the same bytes as the
-reference on every block answer of the manifest."""
+that is not a str is a TypeError.  Block lists are written one block at a
+time from their columns (cli._json_pieces); joined, the pieces are the same
+bytes as the reference on every block answer of the manifest."""
 
 import json
 import pathlib
 import random
+from collections.abc import Mapping
+from operator import getitem
 from typing import NamedTuple
 
 import pytest
@@ -20,7 +22,7 @@ from lieram.quantum import QBlockReport, QChar, q_blocks
 from lieram.rootdata import check_cartan_type, root_system
 from lieram.scalars import make_field
 from lieram.selftest import modular_cells
-from lieram.weyl import BlockRecord, Kind
+from lieram.weyl import BlockList, BlockRecord, Kind
 from test_golden_manifest import cases
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -107,6 +109,10 @@ def test_streamed_blocks_match_the_reference(emitted):
                if p["command"] == "quantum.blocks" for x in p["chi"]["chi_s"])
 
 
+def _values(table):
+    return list(table.values() if isinstance(table, Mapping) else table)
+
+
 _A2 = ["modular", "blocks", "--type", "A2", "--p", "7"]
 _D4 = ["modular", "blocks", "--type", "D4", "--p", "5"]
 _B3 = ["quantum", "blocks", "--type", "B3", "--ell", "7"]
@@ -121,13 +127,13 @@ _B3 = ["quantum", "blocks", "--type", "B3", "--ell", "7"]
     ([*_B3, "--chi-s", "1/2,0,1/3", "--support", "1"], [*_B3, "--chi-s", "0,0,1/3"]),
 ], ids=["argv0", "argv1", "argv2"])
 def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys):
-    # In a process that has written no report: to_dict once per report
-    # kind, on its first report, and that to_dict rendered once, with a mark
-    # for each varying value, at the depth of a report; no report rendered
-    # whole.  Per answer: _dumps once per distinct value of varying_items(),
-    # at the depth of a list item, and the payload head, cut at the marks.
-    # A second answer of the same kinds calls no to_dict and renders no
-    # fixed field
+    # In a process that has written no block: to_dict once per kind, on its
+    # first block, and that to_dict rendered once, with a mark for the orbit
+    # size and each table item, at the depth of a block; no report rendered
+    # whole.  Each coordinate table's values are rendered once per process,
+    # at the depth of a list item, and each answer renders its head, cut at
+    # the marks.  A second answer of the same kinds calls no to_dict and
+    # renders no fixed field, nor a table the first answer rendered
     payloads, to_dicts, rendered, depth = [], [], [], [0]
     emit, dumps = cli._emit, cli._dumps
 
@@ -152,6 +158,7 @@ def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys)
     monkeypatch.setattr(cli, "_emit", recording_emit)
     monkeypatch.setattr(cli, "_dumps", counted_dumps)
     monkeypatch.setattr(cli, "_TEMPLATES", {})
+    monkeypatch.setattr(cli, "_TEXTS", {})
     for cls in (BlockReport, QBlockReport):
         monkeypatch.setattr(cls, "to_dict", counted(cls.to_dict))
     outs = []
@@ -161,98 +168,110 @@ def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys)
         assert cli.main(answer) == 0
         outs.append(capsys.readouterr().out)
     monkeypatch.undo()
-    seen = set()
+    seen, tables_seen = set(), {}
     for payload, out, calls, made in zip(payloads, outs, rendered, to_dicts):
-        reports = payload["blocks"]
+        blocks = payload["blocks"]
         firsts = {}
-        for b in reports:
+        for b in blocks:
             if b.kind not in seen:
                 firsts.setdefault(b.kind, b)
         seen.update(firsts)
         assert made == list(firsts.values())
-        whole = [b.to_dict() for b in reports]
+        whole = [b.to_dict() for b in blocks]
         assert not [obj for obj, _nl in calls if obj in whole]
-        marked = [{k: [cli._MARK] * len(v) if k in b.VARYING and type(v) is list
-                   else cli._MARK if k in b.VARYING else v
+        marked = [{k: [cli._MARK] * len(v) if k in blocks.tables
+                   else cli._MARK if k == "orbit_size" else v
                    for k, v in b.to_dict().items()} for b in firsts.values()]
-        values = {v for b in reports for v in b.varying_items()}
+        new = {id(t): t for tables in blocks.tables.values() for t in tables
+               if id(t) not in tables_seen}
+        tables_seen.update(new)
         expected = [({**payload, "blocks": [cli._MARK] * 2}, "\n"),
-                    *((d, "\n    ") for d in marked), *((v, "\n        ") for v in values)]
+                    *((d, "\n    ") for d in marked),
+                    *((v, "\n        ") for t in new.values() for v in _values(t))]
         assert sorted(map(repr, calls)) == sorted(map(repr, expected))
         assert out == _reference(_as_dicts(payload)) + "\n"
     first, second = payloads
     kinds = {b.kind for b in first["blocks"]}
     assert 1 < len(kinds) == len({id(b.stabilizer) for b in first["blocks"]}) < len(
         first["blocks"])
-    values = [v for b in first["blocks"] for v in b.varying_items()]
-    assert len(set(values)) < len(values) // 4
-    # the second answer is another character of the same kinds
+    # the second answer is another character of the same kinds, which
+    # shares a coordinate table with the first
     assert outs[0] != outs[1]
     assert {b.kind for b in second["blocks"]} == kinds
     assert to_dicts[1] == []
     assert [nl for _obj, nl in rendered[1]] == ["\n"] + ["\n        "] * (len(rendered[1]) - 1)
+    assert len(rendered[1]) < 1 + sum(
+        len(_values(t)) for tables in second["blocks"].tables.values() for t in tables)
 
 
 class _Fixed(Kind):
-    # a report kind whose one fixed field is `fixed`
-    __slots__ = ("fixed",)
+    # a block kind whose one fixed field is `fixed`
+    __slots__ = ("fixed", "dim")
 
 
-class _ToyReport(BlockRecord):
-    # a report whose VARYING values are `items` (a list) and `extra`
-    __slots__ = ("kind", "items", "extra")
-    VARYING = ("extra", "items")
-
-    def __init__(self, kind, items, extra):
-        self.kind, self.items, self.extra = kind, items, extra
+class _ToyReport(BlockRecord, kind=_Fixed):
+    # a block whose one table key is "items"
+    __slots__ = ()
+    FIELDS = ("items", "orbit_size", "kind")
 
     def to_dict(self):
-        return {"extra": self.extra, "fixed": self.kind.fixed, "items": list(self.items)}
+        return {"fixed": self.fixed, "items": list(self.items), "orbit_size": self.orbit_size}
 
-    def varying_items(self):
-        return (self.extra, *self.items)
+
+def _toy(report, rows, tables, key="items"):
+    # a BlockList of `report` views of (point, size, kind) rows over the
+    # coordinate tables `tables` of one key; each kind is its own sub
+    points, sizes, kinds = zip(*rows)
+    return BlockList((points, sizes, kinds), lambda kind: kind, {key: tables},
+                     lambda x, size, kind: report(tuple(map(getitem, tables, x)), size, kind))
 
 
 def test_texts_are_shared_only_at_one_depth():
-    # the list items sit one level below a field's own value: a field that
-    # is not a list may hold only values whose text has no line break
-    s = _Fixed("s")
-    good = [_ToyReport(s, ((1, (2,)), ()), 3), _ToyReport(_Fixed("t"), ((1, (2,)),), "3"),
-            _ToyReport(s, ((), (4, 5)), None)]
+    # a table's values are the list items of its key, of any shape; a
+    # to_dict that writes the key as anything but a list of one item per
+    # coordinate is refused
+    s, t = _Fixed("s", 1), _Fixed("t", 2)
+    tables = ((1, (2,)), "3", None, ()), {"a": (), 7: (4, 5), None: "x"}
+    good = _toy(_ToyReport, [((0, "a"), 3, s), ((1, 7), 1, t), ((3, None), 2, s),
+                             ((0, 7), 4, s)], tables)
     payload = {"blocks": good}
     assert "".join(_json_pieces(payload)) == _reference(_as_dicts(payload)) + "\n"
-    for extra in ((1, 2), ("x", (3,)), {"a": [1]}):
-        bad = {"blocks": good + [_ToyReport(_Fixed("u"), ((1,),), extra)]}
-        with pytest.raises(InvariantViolation, match="depth of a list item"):
-            list(_json_pieces(bad))
+    assert good.dims == {1: 3, 2: 1} and good.dim_sum == 5
+    for shape in (tuple, lambda items: dict(enumerate(items)), lambda items: list(items)[:1]):
+        class _Bad(_ToyReport):
+            __slots__ = ()
+
+            def to_dict(self, shape=shape):
+                return {**super().to_dict(), "items": shape(self.items)}
+        with pytest.raises(InvariantViolation, match="list item per coordinate"):
+            list(_json_pieces({"blocks": _toy(_Bad, [((0, "a"), 1, _Fixed("u", 1))], tables)}))
 
 
-class _PercentReport(BlockRecord):
-    # a report whose keys and texts hold what % and str.format read
-    __slots__ = ("kind", "items", "extra")
-    VARYING = ("%s", "items")
-
-    def __init__(self, kind, items, extra):
-        self.kind, self.items, self.extra = kind, items, extra
+class _PercentReport(_ToyReport):
+    # a block whose keys and texts hold what % and str.format read: the
+    # table keys "%s", before orbit_size, and "{0}%", after it
+    __slots__ = ()
 
     def to_dict(self):
-        return {"%(x)s": "%%", "%s": self.extra, "items": list(self.items),
-                "{0}%": self.kind.fixed}
-
-    def varying_items(self):
-        return (self.extra, *self.items)
+        return {"%(x)s": "%%", "%s": list(self.items), "orbit_size": self.orbit_size,
+                "{0}%": list(self.items), "}": self.fixed}
 
 
 def test_percent_signs_and_braces_are_text():
-    # in the fixed and varying texts and in the keys of the template
-    fixed = _Fixed("%s {0} }{ %")
-    reports = [_PercentReport(fixed, ("%", "%s", "{}", "{0}", "%%s"), "%d"),
-               _PercentReport(_Fixed(("%", "{}")), ("100%", "%(x)s"), "{1}"),
-               _PercentReport(fixed, ("%i", "}", "{", "", "%"), None)]
-    payload = {"%": "%s", "blocks": reports, "{": "}"}
+    # in the fixed and table texts and in the keys of the template
+    fixed = _Fixed("%s {0} }{ %", 1)
+    tables = ("%", "%s", "{}", "{0}", "%%s"), ("100%", "%(x)s", "%i", "}")
+    rows = [((0, 1), 1, fixed), ((4, 0), 2, _Fixed(("%", "{}"), 1)), ((2, 3), 3, fixed)]
+    points, sizes, kinds = zip(*rows)
+
+    def view(x, size, kind):
+        return _PercentReport(tuple(map(getitem, tables, x)), size, kind)
+    blocks = BlockList((points, sizes, kinds), lambda kind: kind, {"%s": tables, "{0}%": tables},
+                       view)
+    payload = {"%": "%s", "blocks": blocks, "{": "}"}
     pieces = list(_json_pieces(payload))
     assert "".join(pieces) == _reference(_as_dicts(payload)) + "\n"
-    assert len(pieces) == len(reports) + 2
+    assert len(pieces) == len(blocks) + 2
 
 
 def test_templates_are_keyed_by_the_kind_not_the_stabiliser(monkeypatch):
@@ -280,7 +299,7 @@ def test_templates_are_keyed_by_the_kind_not_the_stabiliser(monkeypatch):
             for blocks in order:
                 payload = {"blocks": blocks}
                 assert "".join(_json_pieces(payload)) == _reference(_as_dicts(payload)) + "\n"
-    assert {b.poincare is None for b in nilpotent + a1} == {True, False}
+    assert {b.poincare is None for b in [*nilpotent, *a1]} == {True, False}
 
 
 ADVERSARIAL = [

@@ -14,6 +14,7 @@ walk."""
 
 import collections
 import contextlib
+import functools
 import math
 import random
 from fractions import Fraction
@@ -553,6 +554,9 @@ def test_a_corrupted_lambda_chi_base_is_refused(monkeypatch):
         return solve(rhs.field.one() if rhs.is_zero() else rhs, bound)
 
     monkeypatch.setattr(modular, "artin_schreier_solve", corrupted)
+    # the process keeps each value's solution: a fresh table asks the
+    # corrupted solver, and what it answers goes with the test
+    monkeypatch.setattr(modular, "_solved", functools.lru_cache(modular._solved.__wrapped__))
     with pytest.raises(InvariantViolation, match="F_p are not Phi'"):
         mod_blocks(chi)
 

@@ -160,30 +160,34 @@ def test_a_kind_whose_construction_raises_is_never_kept(walks, monkeypatch):
 
 
 def test_a_report_changed_by_a_caller_changes_no_later_answer(walks):
+    # a report is a read-only view: its fields and its kind's take no
+    # assignment.  What a view returns is fresh or immutable, and so are the
+    # tables of its list, so a caller that changes them changes no answer
     mod_chi, q_chi = _a2_characters()
     for blocks, chi in ((mod_blocks, mod_chi), (q_blocks, q_chi)):
         first = blocks(chi)
         want = _dicts(first)
-        # a report's kind fields are read-only, on the report and on its kind
         for b in first:
-            b.orbit_size = -1
-            for owner in (b, b.kind):
-                for name in type(b.kind).__slots__:
+            kind_fields = type(b.kind).__slots__
+            for owner, names in ((b, type(b).FIELDS + kind_fields), (b.kind, kind_fields)):
+                for name in names:
                     with pytest.raises(AttributeError):
                         setattr(owner, name, None)
                     with pytest.raises(AttributeError):
                         delattr(owner, name)
-            with pytest.raises(AttributeError):
-                b.kind.other = None
-        if blocks is mod_blocks:
-            for b in first:
-                b.eta_code = b.lam_code = ()
+                with pytest.raises(AttributeError):
+                    owner.other = None
+            if blocks is mod_blocks:
+                for value in (*b.lam, *b.eta):
+                    value.coeffs = (1, 2)
                 b.finite_type_witness["point_type"] = "changed"
-                if b.finite_type_witness["differing_component"]:
-                    b.finite_type_witness["differing_component"]["small"] = "changed"
-        else:
-            for b in first:
-                b.numerators = ()
+            else:
+                b.rep.nums = ()
+        for tables in first.tables.values():
+            for table in tables:
+                with pytest.raises(TypeError):
+                    table[0] = "changed"
+        assert _dicts(first) == want
         assert _dicts(blocks(chi)) == want
     assert sum(walks.values()) == 2
 

@@ -31,6 +31,14 @@ direction and a pair tied counting for neither side:
   gain_resolved     the change is better in at least 9 of 10 pairs, and its
                     median is better than the parent's by more than the
                     parent's interquartile range.
+
+Once the pairs have all run, each side also counts its work:
+`python3 tools/work.py --workload W --top 0` in its clone, for every
+workload, gives one seed-0 round's average bytecodes and Python calls per
+query label.  `work` lists one row per workload and label with both sides'
+counts and the relative change of the bytecodes; a side whose count did not
+finish gives its error in place of its counts.  Counts are not time: the
+timed pairs decide.
 """
 
 from __future__ import annotations
@@ -69,6 +77,41 @@ def run_once(checkout, workload, seed, trace):
                       f"{proc.stderr[-2000:]}")
     env = json.loads(next(line[4:] for line in lines if line.startswith("env ")))
     return env, json.loads(lines[-1])
+
+
+def run_work(checkout, workload):
+    """The rows tools/work.py prints for one seed-0 round of `workload` in
+    `checkout`, keyed by query label, or None and the reason it did not
+    finish."""
+    cmd = [sys.executable, "tools/work.py", "--workload", workload, "--top", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return None, (f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                      f"{proc.stderr[-2000:]}")
+    rows = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    return {row["label"]: row for row in rows}, None
+
+
+def work_rows(checkouts, workloads):
+    """Per workload and query label, both sides' work counts (run_work); one
+    row with each side's error for a workload whose counts did not finish."""
+    rows = []
+    for workload in workloads:
+        counts = {side: run_work(checkout, workload) for side, checkout in checkouts.items()}
+        failed = {f"{side}_error": error for side, (_rows, error) in counts.items() if error}
+        if failed:
+            rows.append({"workload": workload, **failed})
+            continue
+        for label in dict.fromkeys(label for side_rows, _error in counts.values()
+                                   for label in side_rows):
+            row = {"workload": workload, "label": label}
+            for side, (side_rows, _error) in counts.items():
+                row.update((f"{side}_{name}", side_rows.get(label, {}).get(name))
+                           for name in ("answers", "bytecodes", "calls"))
+            if row["parent_bytecodes"] and row["change_bytecodes"]:
+                row["relative_bytecodes"] = row["change_bytecodes"] / row["parent_bytecodes"] - 1
+            rows.append(row)
+    return rows
 
 
 def summarize(runs, metrics):
@@ -167,6 +210,7 @@ def main():
         checkouts = {side: clone(commit, os.path.join(args.workdir or tmp, side))
                      for side, commit in commits.items()}
         runs, stopped = pair_runs(checkouts, workloads, seeds, metrics, args)
+        work = None if stopped else work_rows(checkouts, workloads)
     seconds = sorted({r["seconds"] for r in runs if "seconds" in r})
     out = {
         "what": (f"Alternating parent/change pairs of `python3 perfbench/run.py --workload W "
@@ -184,6 +228,7 @@ def main():
         out.update({"claim_met": False, "stopped": stopped, "summary": None})
     else:
         out["summary"] = summarize(runs, bench["end_to_end"])
+        out["work"] = work
     out["runs"] = runs
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)

@@ -10,7 +10,8 @@ command, its wall time in seconds, the child's peak resident set size
 stdout followed by "exit <status>\\n", with "pinned" true when that digest
 is the one PROBES holds.  The digests were taken at commit fb2acc8 (the
 six fast E6-E8 answers at 4a97618, the E7 and E8 quantum blocks at
-8728c9f), so a probe checks the bytes it answers as well as its cost.
+8728c9f, the regular E6 quantum cell at 1c5205b), so a probe checks the
+bytes it answers as well as its cost.
 Exits 1 when any digest differs from its pin.
 """
 
@@ -55,6 +56,9 @@ PROBES = (
      "09e54adcec1edade7a6f0be22b77fe1d2c59d8856a4218526e700f67c8fbe3d1"),
     ("quantum blocks --type E8 --ell 5",
      "51fd3ecc12604953e49179cab684610251c61928b3d89e81c6da3452f5653f74"),
+    # a regular chi (Phi' empty): 117 649 blocks of one point each, no walk
+    ('quantum blocks --type E6 --ell 7 --chi-s 1/2,1/3,1/5,1/11,1/13,1/17 --support ""',
+     "03fa11e17f12b7fabb70f87d9d9331c23b762be88c76f50bffe4e4be7f0153ed"),
     # fast answers on E6-E8, whose cold time is mostly start-up and import
     ("modular poincare --type E8 --p 7 --weight 0,0,0,0,0,0,0,0",
      "dc8b680f007e08a1197de87e45311afee0ada890f423b6db8648b7376c017b0c"),
