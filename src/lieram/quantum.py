@@ -27,7 +27,8 @@ from operator import getitem
 from types import MappingProxyType
 
 from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow
-from .rootdata import RootSystem, check_cartan_type, root_system, subsystem_classify
+from .rootdata import (RootSystem, check_cartan_type, classify_basis, degrees, root_system,
+                       subsystem_classify)
 from .scalars import UnityExp, eps_pow
 from .weyl import (
     BlockList,
@@ -252,42 +253,35 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
     return TorusElement.of([n * a + k * b for n, k in zip(t.nums, shifts)], N)
 
 
-def _check_simple_system(rs: RootSystem, kac, N: int, roots):
-    """The Delta-tilde nodes whose Kac coordinate (a numerator over N, in
-    [0, N]) is 0 mod N: the nodes integral on the alcove point.  `roots` is
-    a root set closed under negation, given by one root of each pair +-b or
-    by both.  InvariantViolation unless each node or its negative lies in
-    `roots` and the nodes with Kac coordinate 0 form a simple system of the
-    set: every root is an all-nonnegative or all-nonpositive integer
-    combination of them.  The test of -b is the test of b negated, so each
-    given root is tested once.  On one component the only relation among
-    the nodes -theta, alpha_j is theta = sum_j a_j alpha_j, so a root's
-    combination is fixed by the vanishing of its coefficient on a node with
-    nonzero Kac coordinate."""
-    diagram = extended_diagram(rs)
-    dt = diagram.delta_tilde
-    integral = []
-    for c, ((_l, _n, nodes), marks, coords) in enumerate(zip(rs.components, diagram.marks, kac)):
-        ext_nodes = [dt[rs.rank + c]] + [dt[j] for j in nodes]
-        integral += [a for a, s in zip(ext_nodes, coords) if s % N == 0]
-        free = next(k for k, s in enumerate(coords) if s)
-        for b in roots:
-            if not any(b[j] for j in nodes):
-                continue
-            ext = (0,) + tuple(b[j] for j in nodes)
-            # marks[free] times the combination with coefficient 0 on the free
-            # node: integral iff every entry is divisible by marks[free]
-            m = marks[free]
-            coeffs = [m * e - ext[free] * a for e, a in zip(ext, marks)]
-            if not (all(x == 0 for x, s in zip(coeffs, coords) if s)
-                    and all(x % m == 0 for x in coeffs)
-                    and (min(coeffs) >= 0 or max(coeffs) <= 0)):
-                raise InvariantViolation(
-                    f"the zero Kac nodes of {rs.type_str} do not generate "
-                    f"the root {b}")
-    if any(a not in roots and tuple(-x for x in a) not in roots for a in integral):
-        raise InvariantViolation(f"an integral Kac node of {rs.type_str} lies outside the roots")
-    return integral
+@functools.cache
+def _span_count(rs: RootSystem, J) -> int:
+    """|Phi inter ZJ| for a tuple J of Delta-tilde nodes, a proper subset on
+    each component: J is a simple system of Phi inter ZJ, the roots integral
+    at a point of the alcove whose Kac coordinates vanish on J alone (Kac,
+    Infinite-Dimensional Lie Algebras, Ch. 8), so it holds twice the
+    positive roots of J's classified type.  Kept per (root system, J)."""
+    return 2 * sum(d - 1 for d in degrees(classify_basis(rs, J)))
+
+
+def _integral_nodes(rs: RootSystem, word, kac, N: int, sat):
+    """The Delta-tilde nodes a whose Kac coordinate (a numerator over N, in
+    [0, N]) is 0 mod N, the nodes integral on the alcove point, mapped back
+    by w^-1 for the word of w and each written as the positive root +-w^-1 a.
+    `sat` is the set of positive saturated roots.  InvariantViolation unless
+    each image lies in `sat` and |Phi inter ZJ| = 2 |sat| for the nodes J of
+    Kac coordinate exactly 0.  Saturation is integrality on a lattice, so
+    w^-1 J inside +-sat puts w^-1 (Phi inter ZJ) inside +-sat, and equal
+    counts make w^-1 J a simple system of the saturated roots."""
+    dt = extended_diagram(rs).delta_tilde
+    ext = [(a, s) for c, ((_l, _n, ids), coords) in enumerate(zip(rs.components, kac))
+           for a, s in zip((dt[rs.rank + c], *map(dt.__getitem__, ids)), coords)]
+    images = [b if rs.is_positive(b) else tuple(-x for x in b)
+              for b in word_images(rs, word[::-1], [a for a, s in ext if s % N == 0])]
+    if (not all(b in sat for b in images)
+            or _span_count(rs, tuple(a for a, s in ext if s == 0)) != 2 * len(sat)):
+        raise InvariantViolation(f"the integral Kac nodes of {rs.type_str} do not map "
+                                 "to a simple system of the saturated roots")
+    return images
 
 
 def _unramified_at(values, N: int, ell: int) -> bool:
@@ -310,12 +304,17 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     alpha(t)^2 = eps^{-(2 rho, alpha)}.  At u = hc_shift(t) this is the
     component test on Delta-tilde at w u, the ordinary action.  The
     conjugating w comes from the alcove descent of 2 ell u (2 ell t plus an
-    even vector) as a word, which maps the saturated roots letter by letter;
-    the simple system is read off its zero Kac coordinates.  The nodes a
-    with a(w u)^{2 ell} = 1 are those with Kac coordinate 0 mod N, each the
-    image w(+-b) of a saturated root b, and a(w u) = (w^-1 a)(u) = +-b(u):
-    the test reads them off the one table of u, and no point is moved.
+    even vector) as a word.  The nodes a with a(w u)^{2 ell} = 1 are those
+    with Kac coordinate 0 mod N; the word maps only them back, and a(w u) =
+    (w^-1 a)(u): the test reads them off the one table of u, and no point is
+    moved.  _integral_nodes checks that each w^-1 a is a saturated root up
+    to sign and that the nodes of Kac coordinate 0 span as many roots as
+    are saturated, which makes them a simple system of the conjugated set.
+
+    HypothesisFailure, as QChar, unless ell and eps meet the standing
+    hypotheses (check_root_of_unity).
     """
+    check_root_of_unity(rs.ctype, ell, eps)
     if coords == "component":
         vals, N = _pairings(rs, point)
         return _unramified_at(vals.values(), N, ell)
@@ -323,12 +322,10 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
         raise ValueError(f"unknown coords {coords!r}")
     u = hc_shift(rs, point, ell, "forward", eps)
     vals, N = _pairings(rs, u)
-    sat = [b for b, v in vals.items() if 2 * ell * v % N == 0]
+    sat = {b for b, v in vals.items() if 2 * ell * v % N == 0}
     word, kac = alcove_descent(rs, [2 * ell * n for n in u.nums], N)
-    back = dict(zip(word_images(rs, word, sat), sat))  # w b -> b
-    nodes = _check_simple_system(rs, kac, N, back)
-    # a node is w(+-b), and (-b)(u) = b(u)^-1 passes the test with b(u)
-    return _unramified_at([vals[back.get(a) or back[tuple(-x for x in a)]] for a in nodes], N, ell)
+    # a node a is w(+-b), and (-b)(u) = b(u)^-1 passes the test with b(u)
+    return _unramified_at([vals[b] for b in _integral_nodes(rs, word, kac, N, sat)], N, ell)
 
 
 # -- exceptional elements ----------------------------------------------------

@@ -546,8 +546,13 @@ def _classify(rs, S):
     basis = tuple(sorted((b for b in S if rs.is_positive(b)
                           and not any(x in S and y in S for x, y in table[b][1])),
                          key=lambda b: (sum(b), b)))
-    if not basis:
-        return Subsystem(rs, S, (), ())
+    return Subsystem(rs, S, basis, classify_basis(rs, basis))
+
+
+def classify_basis(rs: RootSystem, basis):
+    """The components of the root system with simple system `basis` (roots
+    of rs), sorted: (letter, rank, the component's basis in Bourbaki
+    order), each through _classify_component."""
     k = len(basis)
     m = [[rs.cartan_int(basis[i], basis[j]) for j in range(k)] for i in range(k)]
     norms = [rs.norm(b) for b in basis]
@@ -564,8 +569,7 @@ def _classify(rs, S):
     for comp in comps:
         letter, n, order = _classify_component(norms, comp, m)
         classified.append((letter, n, tuple(basis[i] for i in order)))
-    classified.sort(key=lambda t: (t[0], t[1], t[2]))
-    return Subsystem(rs, S, basis, tuple(classified))
+    return tuple(sorted(classified))
 
 
 def hypothesis_check(comps, p: int) -> dict:

@@ -6,10 +6,10 @@ through the root data.  On roots the letters act by RootSystem.reflect
 (word_images, inversion_set).  The alcove descent, on torus exponents as
 numerators over one denominator, returns the word of its finite part; it
 reads theta, theta^vee and the word of s_theta from the extended diagram,
-built once per root system, which takes the marks and the word of s_theta
-per component from the dominant ascent of rootdata.highest_root.  No word
-acts on a point: quantum.q_unramified maps roots by the word instead, as
-a(w t) = (w^-1 a)(t).
+built once per root system, which takes the word of s_theta per component
+from the dominant ascent of rootdata.highest_root.  No word acts on a
+point: quantum.q_unramified maps the integral Delta-tilde nodes back by the
+reversed word instead, as a(w t) = (w^-1 a)(t).
 
 WeylElement stores an element as the integer matrix of its action on
 simple-root coordinates with the inverse matrix (equality is matrix
@@ -202,16 +202,13 @@ def simple_reflection(rs: RootSystem, j: int) -> WeylElement:
 
 class ExtendedDiagram(NamedTuple):
     """The extended Dynkin diagram of a root system, per component c: its
-    highest root thetas[c], the coroot theta^vee (coroots[c]), the word of
-    s_theta (words[c]), and the marks of its nodes -theta, alpha_j (j over
-    the component's nodes), marks[c] = (1, a_j, ...), so that the marks
-    times the nodes sum to 0.  delta_tilde lists the simple roots, then
-    -theta per component."""
+    highest root thetas[c], the coroot theta^vee (coroots[c]) and the word
+    of s_theta (words[c]).  delta_tilde lists the simple roots, then -theta
+    per component."""
 
     thetas: tuple
     coroots: tuple
     words: tuple
-    marks: tuple
     delta_tilde: tuple
 
 
@@ -219,11 +216,10 @@ class ExtendedDiagram(NamedTuple):
 def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
     """The extended Dynkin diagram of rs, built once per root system."""
     thetas = tuple(map(rs.highest_root, range(len(rs.components))))
-    ascents = [(nodes, *highest_root(letter, n)) for letter, n, nodes in rs.components]
     return ExtendedDiagram(
         thetas, tuple(map(rs.coroot, thetas)),
-        tuple(tuple(nodes[k] for k in word) for nodes, _marks, word in ascents),
-        tuple((1, *marks) for _nodes, marks, _word in ascents),
+        tuple(tuple(nodes[k] for k in highest_root(letter, n)[1])
+              for letter, n, nodes in rs.components),
         rs.simple_roots + tuple(tuple(-c for c in theta) for theta in thetas))
 
 

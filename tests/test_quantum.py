@@ -17,7 +17,7 @@ from lieram.errors import (
 )
 from lieram.quantum import (
     QChar,
-    _check_simple_system,
+    _integral_nodes,
     TorusElement,
     appendix_rows,
     beta_minimal,
@@ -645,33 +645,75 @@ def test_highest_weight_criterion_equals_the_test_at_the_moved_point():
 
 def test_zero_kac_nodes_guard():
     # the Kac coordinates are numerators over N = 2; the nodes whose
-    # coordinate is 0 mod N are returned
+    # coordinate is 0 mod N are mapped back by the word, here the empty one,
+    # and returned as positive roots
     a2 = build_root_system("A2")
-    roots = {(0, 1), (0, -1), (1, 1), (-1, -1)}
-    # Kac coordinates (s_0, s_1, s_2) = (1, 1, 0): the zero node alpha_2 does
-    # not generate alpha_1 + alpha_2
-    with pytest.raises(InvariantViolation):
-        _check_simple_system(a2, ((1, 1, 0),), 2, frozenset(roots))
+    sat = {(0, 1), (1, 1)}
+    # Kac coordinates (s_0, s_1, s_2) = (1, 1, 0): the zero node alpha_2
+    # spans 2 roots, not the 4 of +-sat
+    with pytest.raises(InvariantViolation, match="simple system"):
+        _integral_nodes(a2, (), ((1, 1, 0),), 2, sat)
     # (0, 1, 1): the zero node -theta = -(alpha_1 + alpha_2) misses alpha_2
-    with pytest.raises(InvariantViolation):
-        _check_simple_system(a2, ((0, 1, 1),), 2, frozenset(roots))
+    with pytest.raises(InvariantViolation, match="simple system"):
+        _integral_nodes(a2, (), ((0, 1, 1),), 2, sat)
     # (0, 2, 0): -theta and alpha_2 are a simple system of these roots, and
     # alpha_1, at coordinate N, is integral on the point too
-    assert _check_simple_system(a2, ((0, 2, 0),), 2, frozenset(roots | {(1, 0), (-1, 0)})) == [
-        (-1, -1), (1, 0), (0, 1)]
-    # so alpha_1 must lie in the roots as well
-    with pytest.raises(InvariantViolation, match="integral Kac node"):
-        _check_simple_system(a2, ((0, 2, 0),), 2, frozenset(roots))
-    # the roots as q_unramified gives them, one of each pair: at ell = 5,
-    # u = (1/14, 1/7) has the one saturated positive root alpha_1, and the
-    # descent's word s_2 s_1 s_2 maps it to -alpha_2, whose negative is the
-    # one node of Kac coordinate 0 over N = 14; under a wrong word the zero
-    # node does not generate the image of alpha_1
+    assert _integral_nodes(a2, (), ((0, 2, 0),), 2, sat | {(1, 0)}) == [
+        (1, 1), (1, 0), (0, 1)]
+    # so alpha_1 must be saturated as well
+    with pytest.raises(InvariantViolation, match="simple system"):
+        _integral_nodes(a2, (), ((0, 2, 0),), 2, sat)
+    # the saturated roots as q_unramified gives them: at ell = 5, u = (1/14,
+    # 1/7) has the one saturated positive root alpha_1, and the descent's
+    # word s_2 s_1 s_2 maps the one node of Kac coordinate 0 over N = 14,
+    # alpha_2, back to -alpha_1; under a wrong word its image is alpha_2 or
+    # theta, no saturated root
     u = TorusElement((Fraction(1, 14), Fraction(1, 7)))
     word, kac = alcove_descent(a2, [10 * n for n in u.nums], 14)
     assert (word, kac) == ((1, 0, 1), ((2, 12, 0),))
-    assert word_images(a2, word, [(1, 0)]) == [(0, -1)]
-    assert _check_simple_system(a2, kac, 14, [(0, -1)]) == [(0, 1)]
+    assert word_images(a2, word[::-1], [(0, 1)]) == [(-1, 0)]
+    assert _integral_nodes(a2, word, kac, 14, {(1, 0)}) == [(1, 0)]
     for wrong in ((), (1, 0)):
-        with pytest.raises(InvariantViolation, match="do not generate"):
-            _check_simple_system(a2, kac, 14, word_images(a2, wrong, [(1, 0)]))
+        with pytest.raises(InvariantViolation, match="simple system"):
+            _integral_nodes(a2, wrong, kac, 14, {(1, 0)})
+
+
+def _proper_node_sets(rs, rng):
+    """Every proper subset J of Delta-tilde of an irreducible type of rank
+    at most 6, and a seeded sample of 64 of them on a larger rank."""
+    dt = extended_diagram(rs).delta_tilde
+    masks = range(2 ** len(dt) - 1)
+    if rs.rank > 6:
+        masks = rng.sample(masks, 64)
+    return [tuple(a for k, a in enumerate(dt) if mask >> k & 1) for mask in masks]
+
+
+def test_the_span_count_is_the_size_of_the_closure():
+    # |Phi inter ZJ| from the classified type of J against the closure of
+    # J and -J: every proper J of every irreducible type of rank <= 6, and
+    # 64 seeded ones on each type of rank 7 and 8
+    rng = random.Random(43)
+    sets = 0
+    for type_str in ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                     + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+                     + ["E6", "E7", "E8", "F4", "G2"]):
+        rs = build_root_system(type_str)
+        for J in _proper_node_sets(rs, rng):
+            closure = close_up(rs, list(J) + [tuple(-x for x in a) for a in J])
+            assert quantum._span_count(rs, J) == len(closure), (type_str, J)
+            sets += 1
+    assert sets == 1773
+
+
+def test_q_unramified_refuses_outside_the_standing_hypotheses():
+    # as QChar does: ell odd and >= 3, eps prime to ell, ell prime to 3 on G2
+    a2, g2 = build_root_system("A2"), build_root_system("G2")
+    t = T(Fraction(1, 4), Fraction(1, 2))
+    cases = [(a2, t, ell, 1) for ell in (0, 1, 4, -3)]
+    cases += [(a2, t, 5, 5), (g2, T(0, Fraction(1, 3)), 9, 1)]
+    for rs, point, ell, eps in cases:
+        with pytest.raises(HypothesisFailure):
+            QChar(rs, ell, eps=eps)
+        for coords in ("component", "highestWeight"):
+            with pytest.raises(HypothesisFailure):
+                q_unramified(rs, point, coords, ell, eps)

@@ -9,7 +9,7 @@ import pytest
 from lieram import weyl
 from lieram.errors import BoundExceeded, InvariantViolation, NotParabolic
 from lieram.quantum import TorusElement, hc_shift, q_unramified
-from lieram.rootdata import build_root_system
+from lieram.rootdata import build_root_system, highest_root
 from lieram.scalars import UnityExp, eps_pow, make_field
 from lieram.selftest import (
     act_modular,
@@ -203,14 +203,14 @@ def test_the_extended_diagram_is_built_once_per_root_system(type_str, monkeypatc
     ext = extended_diagram(rs)
     assert extended_diagram(rs) is ext
     assert ext.delta_tilde[:rs.rank] == rs.simple_roots
-    for c, (_l, _n, nodes) in enumerate(rs.components):
+    for c, (letter, n, nodes) in enumerate(rs.components):
         theta = rs.highest_root(c)
         assert ext.thetas[c] == theta and ext.coroots[c] == rs.coroot(theta)
         assert ext.delta_tilde[rs.rank + c] == tuple(-x for x in theta)
-        # the marks times the nodes -theta, alpha_j sum to 0
+        # the marks, 1 on -theta, times the nodes -theta, alpha_j sum to 0
+        marks = (1, *highest_root(letter, n)[0])
         nodes_ext = [ext.delta_tilde[rs.rank + c]] + [rs.simple_roots[j] for j in nodes]
-        assert ext.marks[c][0] == 1
-        assert [sum(m * b[k] for m, b in zip(ext.marks[c], nodes_ext))
+        assert [sum(m * b[k] for m, b in zip(marks, nodes_ext))
                 for k in range(rs.rank)] == [0] * rs.rank
         assert word_images(rs, ext.words[c], [theta]) == [tuple(-x for x in theta)]
     # the descents and the highest-weight test read the table: no theta, word
