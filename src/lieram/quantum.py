@@ -324,7 +324,7 @@ def q_unramified(rs: RootSystem, point: TorusElement, coords: str, ell: int,
     vals, N = _pairings(rs, u)
     sat = {b for b, v in vals.items() if 2 * ell * v % N == 0}
     word, kac = alcove_descent(rs, [2 * ell * n for n in u.nums], N)
-    # a node a is w(+-b), and (-b)(u) = b(u)^-1 passes the test with b(u)
+    # w^-1 a is +-b for a saturated b, and (-b)(u) = b(u)^-1 passes the test with b(u)
     return _unramified_at([vals[b] for b in _integral_nodes(rs, word, kac, N, sat)], N, ell)
 
 
