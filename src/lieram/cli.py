@@ -197,29 +197,46 @@ def _texts(table):
 
 def _json_pieces(payload):
     """_dumps(payload) + "\n" in pieces.  A non-empty payload["blocks"] is a
-    weyl.BlockList, each block written as _dumps of its report's to_dict in
-    a piece of its own, by one % of its kind's template (_template) over the
-    texts of its orbit size and of its point's coordinates in each table
-    (_texts), in the order of the keys; no report is built but the first of
-    each kind in the process.  Per answer: the head and one % per block."""
+    weyl.BlockList, whose blocks are written as _dumps of each report's
+    to_dict, at one depth, so their text does not depend on the rest of the
+    payload.  The list's first rendering writes each block in a piece of its
+    own (_block_pieces) and keeps no text, so an answer met once holds none;
+    the second keeps the joined text of its blocks on the list (its `json`),
+    and every later one writes that text in one piece.  Per answer: the
+    head, then the blocks, then the tail."""
     blocks = payload.get("blocks")
     if not blocks:
         yield _dumps(payload) + "\n"
         return
     head, sep, tail = _dumps({**payload, "blocks": [_MARK, _MARK]}).split(_MARK_TEXT)
+    yield head
+    if blocks.json is None:
+        blocks.json = False  # rendered once
+        yield from _block_pieces(blocks, sep)
+    else:
+        if blocks.json is False:
+            blocks.json = "".join(_block_pieces(blocks, sep))
+        yield blocks.json
+    yield tail + "\n"
+
+
+def _block_pieces(blocks, sep):
+    """The blocks of a BlockList, each a piece of _dumps of its report's
+    to_dict at the line break _NL, after `sep` but the first: one % of its
+    kind's template (_template) over the texts of its orbit size and of its
+    point's coordinates in each table (_texts), in the order of the keys; no
+    report is built but the first of each kind in the process."""
     keys = sorted(blocks.tables)
     before = [_texts(t) for k in keys if k < "orbit_size" for t in blocks.tables[k]]
     after = [_texts(t) for k in keys if k > "orbit_size" for t in blocks.tables[k]]
     # a point's coordinates, once per table of a key before or after orbit_size
     nb, na = len(before) // len(blocks.points[0]), len(after) // len(blocks.points[0])
-    yield head
     for i, (x, size, kind) in enumerate(zip(blocks.points, blocks.sizes, blocks.kinds)):
         template = _TEMPLATES.get(kind)
         if template is None:
             template = _TEMPLATES[kind] = _template(blocks, i)
         yield (sep if i else "") + template % (
             *map(getitem, before, x * nb), size, *map(getitem, after, x * na))
-    yield tail + "\n"
 
 
 def _template(blocks, i):

@@ -38,6 +38,8 @@ from .weyl import (
     BlockList,
     BlockRecord,
     Kind,
+    _check_points,
+    _lists,
     block_orbits,
     integer_pairings,
     reflection_stabilizer,
@@ -268,20 +270,30 @@ def mod_blocks(chi: PChar, bound=None):
     the dot action (ordinary action on eta = lambda + rho) of Stab_W(chi),
     as a BlockList of BlockReports, with the tables "eta" and "lambda" of
     each coordinate's codes by the constant term of eta.
-    BoundExceeded when the ambient field of Lambda_chi, or the p^r points of
-    Lambda_chi, exceed `bound` (each check has its own default); the points
-    are counted before any is listed.  eta(h_beta)^p - eta(h_beta) =
-    chi(h_beta)^p, so eta(h_beta) is in F_p iff beta is in Phi' = chi.levi,
-    and only then can it vanish; InvariantViolation unless the first eta,
-    paired in full, agrees.
-    The walk runs on the r constant terms of eta: Lambda_chi + rho = Lambda_chi
-    = base + F_p^r, and generators fixing chi keep the base's other slots."""
+    BoundExceeded when the p^r points of Lambda_chi, or then its ambient
+    field, exceed `bound` (each check has its own default); the points are
+    counted before any is listed.  The list depends on chi only through
+    (rs, p, chi_s), not on the support, so it is kept per (root system, p,
+    chi_s) in weyl._lists, read only after both bound checks have passed: a
+    repeated chi_s returns the same read-only list."""
+    _check_points(chi.p ** chi.rs.rank, bound)
+    # Lambda_chi's base, in the ambient field, is one solution per coordinate
+    solved = [_solved(c, bound) for c in chi.values]
+    return _lists.get(("values", chi.rs, chi.field, tuple(v.coeffs for v in chi.values)),
+                      lambda: _block_list(chi, solved, bound))
+
+
+def _block_list(chi, solved, bound):
+    # eta(h_beta)^p - eta(h_beta) = chi(h_beta)^p, so eta(h_beta) is in F_p
+    # iff beta is in Phi' = chi.levi, and only then can it vanish;
+    # InvariantViolation unless the first eta, paired in full, agrees.  The
+    # walk runs on the r constant terms of eta: Lambda_chi + rho = Lambda_chi
+    # = base + F_p^r, and generators fixing chi keep the base's other slots
     rs, levi, p = chi.rs, chi.levi, chi.p
     # the constant terms of eta = lambda + rho (rho is 1 in each), in lambda order
     walked = block_orbits(rs, levi, "values", p, p,
                           lambda: [[(k + 1) % p for k in range(p)]] * rs.rank, bound)
-    # Lambda_chi's base, in the ambient field, is one solution per coordinate
-    sols, fields = zip(*(_solved(c, bound) for c in chi.values))
+    sols, fields = zip(*solved)
     ambient = max(fields, key=lambda f: f.e)
     etas, lams = zip(*(_codes(x, ambient) for x in sols))
     pad = (0,) * ambient.e
@@ -381,5 +393,5 @@ def regularity_and_structure(chi: PChar, blocks=None, bound=None):
     if regular:
         blocks = mod_blocks(chi, bound) if blocks is None else blocks
         out["descriptor"] = {"matrix_size": chi.p**chi.rs.N,
-                             "local_dims": sorted(blocks.dims.elements())}
+                             "local_dims": blocks.local_dims}
     return out

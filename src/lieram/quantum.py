@@ -34,6 +34,8 @@ from .weyl import (
     BlockList,
     BlockRecord,
     Kind,
+    _check_points,
+    _lists,
     alcove_descent,
     block_orbits,
     extended_diagram,
@@ -207,9 +209,18 @@ def q_blocks(chi: QChar, bound=None):
     coordinate's exponent texts by numerator; dimD is the index [W(t^ell) :
     W(t)] of classified subsystem orders.
     BoundExceeded when the ell^r fiber points exceed `bound` (default 10^6);
-    they are counted before any is listed.  Only roots of Phi' = chi.levi
-    can vanish on t, as beta(t)^ell = beta(chi_s^2); InvariantViolation
-    unless the first t agrees."""
+    they are counted before any is listed.  The list depends on chi only
+    through (rs, ell, chi_s), not on the support nor on eps, so it is kept
+    per (root system, ell, chi_s) in weyl._lists, read only after the bound
+    check has passed: a repeated chi_s returns the same read-only list."""
+    rs, ell, chi_s = chi.rs, chi.ell, chi.chi_s
+    _check_points(ell ** rs.rank, bound)
+    return _lists.get(("torus", rs, ell, chi_s.nums, chi_s.N), lambda: _block_list(chi, bound))
+
+
+def _block_list(chi, bound):
+    # only roots of Phi' = chi.levi can vanish on t, as beta(t)^ell =
+    # beta(chi_s^2); InvariantViolation unless the first t agrees
     rs, levi, ell = chi.rs, chi.levi, chi.ell
     # the fiber as exponent numerators over N = ell D, D the denominator of
     # chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
@@ -241,7 +252,11 @@ def hc_shift(rs: RootSystem, t: TorusElement, ell: int, direction: str = "forwar
     identity, and the dot action on highest-weight labels is the conjugate of
     the ordinary action by this map.  The shifts are kept per (rs, ell,
     eps) by _shifts; a shift eps_pow refuses is refused again on every
-    call."""
+    call.
+
+    HypothesisFailure, as QChar, unless ell and eps meet the standing
+    hypotheses (check_root_of_unity), before anything else is read."""
+    check_root_of_unity(rs.ctype, ell, eps)
     sign = {"forward": 1, "back": -1}.get(direction)
     if sign is None:
         raise ValueError(f"unknown direction {direction!r}")
@@ -531,4 +546,4 @@ def q_regularity_and_counts(chi: QChar, blocks=None, bound=None):
             "index_of_connection": index, "unramifiedPredicted": chi.ell**s if coprime else None,
             "unramifiedEnumerated": blocks.dims[1], "eps": chi.eps,
             "descriptor": {"matrix_size": chi.ell**rs.N,
-                           "local_dims": sorted(blocks.dims.elements())} if regular else None}
+                           "local_dims": blocks.local_dims} if regular else None}

@@ -26,13 +26,16 @@ check_cartan_type and hypothesis_check build no root system.
 What a root system or a classified subsystem derives only on demand is a
 functools.cached_property of its owner, computed on the first read and kept
 with it: RootSystem.fundamental_weights, rho_weight_pairs and sum_triples;
-Subsystem.is_parabolic, height_steps and coset_poincare.  A root system
-lists its height steps (each positive root as an earlier root plus a simple
-one) as it builds its roots; weyl.integer_pairings pairs by them.
+Subsystem.is_parabolic, height_steps and coset_poincare, which reads the
+series of its degrees from coset_series, kept per pair of degree lists.  A
+root system lists its height steps (each positive root as an earlier root
+plus a simple one) as it builds its roots; weyl.integer_pairings pairs by
+them.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -405,10 +408,15 @@ class Subsystem:
     def is_parabolic(self) -> bool:
         """Is this W-conjugate to a standard parabolic subsystem?  That holds
         exactly when it equals Phi inter span_Q(self) (Bourbaki, Lie Groups
-        and Lie Algebras, Ch. VI 1.7): its basis is reduced once, and no
-        positive root outside it may lie in its span."""
-        solve = solve_linear([[b[i] for b in self.basis] for i in range(self.rs.rank)])
-        return not any(b not in self.roots and solve(b) is not None for b in self.rs.pos_roots)
+        and Lie Algebras, Ch. VI 1.7).  Its basis is reduced once, by
+        solve_linear, and no solution is built: the consistency rows of that
+        reduction vanish exactly on the span, so it is parabolic iff they
+        all vanish on |self+| positive roots, its own."""
+        rows = solve_linear([[b[i] for b in self.basis] for i in range(self.rs.rank)]).consistency
+        inside = self.rs.pos_roots
+        for row in rows:
+            inside = [b for b in inside if not sum(map(operator.mul, row, b))]
+        return len(inside) == len(self.roots) // 2
 
     @functools.cached_property
     def height_steps(self):
@@ -433,25 +441,37 @@ class Subsystem:
     def coset_poincare(self):
         """Coefficients of W(t)/W_self(t), the length generating function of
         the minimal coset representatives when this subsystem is a standard
-        parabolic; each division by [d]_t = (1 - t^d)/(1 - t) is exact."""
-        series = [1]
-        for d in degrees(self.rs.components):
-            series = [sum(series[max(0, i - d + 1):i + 1])
-                      for i in range(len(series) + d - 1)]
-        for d in degrees(self.components):
-            # times (1 - t), then divided by (1 - t^d) with zero remainder
-            num = [a - b for a, b in zip(series + [0], [0] + series)]
-            series = []
-            for i, c in enumerate(num):
-                c += series[i - d] if i >= d else 0
-                if i < len(num) - d:
-                    series.append(c)
-                elif c:
-                    raise InvariantViolation(f"[{d}]_t does not divide the Poincare series")
-        return tuple(series)
+        parabolic; it depends only on the degrees of W and of this
+        subsystem's type, so it is read from coset_series, kept per pair."""
+        return coset_series(degrees(self.rs.components), tuple(sorted(degrees(self.components))))
 
     def __repr__(self):
         return f"Subsystem({self.type_str}, |W|={self.order})"
+
+
+@functools.cache
+def coset_series(big, small):
+    """Coefficients of prod [d]_t over the degrees `big` divided by prod
+    [d]_t over the degrees `small`, [d]_t = 1 + t + ... + t^(d-1) = (1 -
+    t^d)/(1 - t): W(t)/W_J(t) for the degrees of W and of W_J.  A degree
+    of both lists cancels; each remaining division must be exact
+    (InvariantViolation otherwise).  Kept per pair of degree tuples for the
+    process; a refusal is not kept."""
+    big, small = collections.Counter(big), collections.Counter(small)
+    series = [1]
+    for d in (big - small).elements():
+        series = [sum(series[max(0, i - d + 1):i + 1]) for i in range(len(series) + d - 1)]
+    for d in (small - big).elements():
+        # times (1 - t), then divided by (1 - t^d) with zero remainder
+        num = [a - b for a, b in zip(series + [0], [0] + series)]
+        series = []
+        for i, c in enumerate(num):
+            c += series[i - d] if i >= d else 0
+            if i < len(num) - d:
+                series.append(c)
+            elif c:
+                raise InvariantViolation(f"[{d}]_t does not divide the Poincare series")
+    return tuple(series)
 
 
 def check_closed(rs: RootSystem, roots) -> frozenset:

@@ -368,7 +368,10 @@ def solve_linear(A, p=None):
     mod p over F_p), or is None when A x = b is inconsistent.  Fraction-free:
     rows of [A | I] are combined with integer multipliers and divided by their
     gcd over Q, reduced mod p over F_p; the identity columns record the row
-    operations E, so each b costs one product E b."""
+    operations E, so each b costs one product E b.  The rows of E past the
+    pivots are the solver's `consistency` rows: A x = b is consistent iff
+    each of them is orthogonal to b, so they vanish exactly on the column
+    span of A."""
     m, n = len(A), (len(A[0]) if A else 0)
     rows = [[x % p if p else x for x in row] + [int(i == j) for j in range(m)]
             for i, row in enumerate(A)]
@@ -399,6 +402,7 @@ def solve_linear(A, p=None):
         for c, v, d in zip(pivots, y, lead):
             x[c] = v * d % p if p else Fraction(v, d)
         return x
+    solve.consistency = tuple(map(tuple, E[len(pivots):]))
     return solve
 
 

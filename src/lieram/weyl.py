@@ -52,7 +52,13 @@ so block_orbits keeps the skeletons of the latest walks, least recently used
 first, while their point sets total at most DEFAULT_GROUP_BOUND, and reuses
 them within the process; the points bound is checked before the memo is
 read.  A regular chi (Phi' empty) neither walks nor is kept: each point is
-its own block, with stabiliser Phi'.  An orbit of |W(Phi')| points is free,
+its own block, with stabiliser Phi'.  A whole block list depends on chi
+only through chi_s (the blocks are the W(Phi')-orbits on the point set of
+chi_s), so mod_blocks and q_blocks keep their lists per (root system, p or
+ell, chi_s) while they total at most BLOCK_LIST_BOUND blocks, read after
+every bound check: a repeated chi_s returns the same read-only list, for
+any support.  One weighted LRU class, _LRU, keeps both the walks and the
+lists.  An orbit of |W(Phi')| points is free,
 so no root vanishes on it and its stabiliser is not classified.  Both sides
 answer with a BlockList: the walk's columns (points, orbit sizes and the
 Kind of each point stabiliser, built once per process, see Kind) and the
@@ -68,6 +74,7 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import BoundExceeded, InvalidSupport, InvariantViolation
@@ -445,34 +452,44 @@ def _check_points(points, bound):
         raise BoundExceeded(f"{points} points to walk exceeds bound {bound}")
 
 
-class _WalkMemo:
-    """The skeletons of the latest walks, least recently used first, keyed by
-    (rs, Phi', encoding, modulus, axes), while their point sets total at
-    most DEFAULT_GROUP_BOUND: the least recently used are dropped first,
-    and a walk of more points (under a raised bound) is not kept.  Only a
-    finished walk is stored."""
+class _LRU:
+    """The latest values, least recently used first, each kept with its
+    weight while their weights total at most `bound`: the least recently
+    used are dropped first, and a value heavier than the bound is not kept.
+    Only a finished value is stored, so a make() that raises keeps nothing.
+    One class serves the block walks (weighed by the points walked) and the
+    block lists of mod_blocks and q_blocks (weighed by their blocks)."""
 
-    def __init__(self):
+    def __init__(self, bound):
+        self.bound = bound
         self.clear()
 
     def clear(self):
-        self.walks, self.points = {}, 0
+        self.entries, self.total = {}, 0
 
-    def get(self, args, points, walk):
-        # walk(*args), of `points` points, from the memo when kept there
-        entry = self.walks.pop(args, None)
+    def get(self, ident, make, weight=len):
+        # make(), of weight weight(make()), kept under ident: from the memo
+        # when kept there
+        entry = self.entries.pop(ident, None)
         if entry is None:
-            entry = (points, walk(*args))
-            if points > DEFAULT_GROUP_BOUND:
-                return entry[1]
-            self.points += points
-        self.walks[args] = entry  # last in order: the most recently used
-        while self.points > DEFAULT_GROUP_BOUND:
-            self.points -= self.walks.pop(next(iter(self.walks)))[0]
+            value = make()
+            entry = (weight(value), value)
+            if entry[0] > self.bound:
+                return value
+            self.total += entry[0]
+        self.entries[ident] = entry  # last in order: the most recently used
+        while self.total > self.bound:
+            self.total -= self.entries.pop(next(iter(self.entries)))[0]
         return entry[1]
 
 
-_walks = _WalkMemo()
+# the most blocks the kept lists of mod_blocks and q_blocks hold together
+BLOCK_LIST_BOUND = 1024
+
+# the skeletons of the latest walks, keyed by (rs, Phi', encoding, modulus,
+# axes), and the latest block lists, keyed by (encoding, rs, p or ell, chi_s)
+_walks = _LRU(DEFAULT_GROUP_BOUND)
+_lists = _LRU(BLOCK_LIST_BOUND)
 
 
 def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
@@ -493,8 +510,8 @@ def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
     if not levi.basis:  # W(Phi') = 1: each point is a block, fixed by Phi' itself
         walked = tuple(itertools.product(*axes()))
         return walked, (1,) * len(walked), (levi,) * len(walked)
-    return _walks.get((rs, levi, on, modulus, tuple(map(tuple, axes()))), points,
-                      _walk_skeleton)
+    key = (rs, levi, on, modulus, tuple(map(tuple, axes())))
+    return _walks.get(key, lambda: _walk_skeleton(*key), lambda _walked: points)
 
 
 def _walk_skeleton(rs, levi, on, modulus, axes):
@@ -564,19 +581,29 @@ class BlockList(Sequence):
     tables.  tables maps a to_dict key of the reports to r per-coordinate
     tables, each indexed by a point's coordinate: the report of point x
     lists tables[key][i][x[i]] under that key, in coordinate order.  dims
-    counts the blocks of each dimension and dim_sum sums their dimensions,
-    both read off one count over the kinds.  len, iteration and indexing (an
-    index or a slice) build the reports, views made by view(point, orbit
-    size, kind), in the walk's order."""
+    counts the blocks of each dimension (a read-only mapping) and dim_sum
+    sums their dimensions, both read off one count over the kinds.  len,
+    iteration and indexing (an index or a slice) build the reports, views
+    made by view(point, orbit size, kind), in the walk's order.  The
+    columns, tables and counts are read-only, so one list can answer every
+    caller that asks for it; `json` is left to the CLI, which keeps there
+    what it has rendered of the list (cli._json_pieces), None until then."""
 
-    __slots__ = ("points", "sizes", "kinds", "tables", "dims", "dim_sum", "_view")
+    __slots__ = ("points", "sizes", "kinds", "tables", "dims", "dim_sum", "_view", "json")
 
     def __init__(self, walked, kind, tables, view):
         self.points, self.sizes, subs = walked
         kinds = {sub: kind(sub) for sub in dict.fromkeys(subs)}  # in the order met
-        self.kinds, self.tables, self._view = tuple(map(kinds.__getitem__, subs)), tables, view
-        self.dims = Counter(map(operator.attrgetter("dim"), self.kinds))
-        self.dim_sum = sum(d * n for d, n in self.dims.items())
+        self.kinds, self._view = tuple(map(kinds.__getitem__, subs)), view
+        self.tables = MappingProxyType(dict(tables))
+        dims = Counter(map(operator.attrgetter("dim"), self.kinds))
+        self.dims, self.dim_sum = MappingProxyType(dims), sum(d * n for d, n in dims.items())
+        self.json = None
+
+    @property
+    def local_dims(self):
+        """The dimension of every block, sorted."""
+        return sorted(Counter(self.dims).elements())
 
     def __len__(self):
         return len(self.points)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import pytest
 
-from lieram import cli
+from lieram import cli, weyl
 from lieram.cli import _dumps, _json_pieces
 from lieram.errors import InvariantViolation
 from lieram.modular import BlockReport, PChar, mod_blocks
@@ -75,7 +75,9 @@ def test_manifest_payloads(emitted):
 def test_streamed_blocks_match_the_reference(emitted):
     # every block answer of the manifest: the CLI cells as recorded, and the
     # cells whose character lies outside F_p (the manifest's "api" cells)
-    # with the payload they would have; one piece per report
+    # with the payload they would have.  A list's first rendering writes one
+    # piece per report; the second and later ones write the same bytes, the
+    # blocks in one piece
     calls, _docs = emitted
     blocks = [payload for payload in calls if "blocks" in payload]
     for _t, _p, _name, chi in modular_cells():
@@ -84,9 +86,11 @@ def test_streamed_blocks_match_the_reference(emitted):
                            "blocks": mod_blocks(chi)})
     bad = []
     for i, payload in enumerate(blocks):
-        pieces = list(_json_pieces(payload))
-        if ("".join(pieces) != _reference(_as_dicts(payload)) + "\n"
-                or len(pieces) != len(payload["blocks"]) + 2):
+        payload["blocks"].json = None  # as if no answer had written it yet
+        renderings = [list(_json_pieces(payload)) for _ in range(3)]
+        want = _reference(_as_dicts(payload)) + "\n"
+        if ({"".join(pieces) for pieces in renderings} != {want}
+                or list(map(len, renderings)) != [len(payload["blocks"]) + 2, 3, 3]):
             bad.append(i)
     assert bad == []
     assert "".join(_json_pieces({"blocks": []})) == '{\n  "blocks": []\n}\n'
@@ -127,13 +131,15 @@ _B3 = ["quantum", "blocks", "--type", "B3", "--ell", "7"]
     ([*_B3, "--chi-s", "1/2,0,1/3", "--support", "1"], [*_B3, "--chi-s", "0,0,1/3"]),
 ], ids=["argv0", "argv1", "argv2"])
 def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys):
-    # In a process that has written no block: to_dict once per kind, on its
-    # first block, and that to_dict rendered once, with a mark for the orbit
-    # size and each table item, at the depth of a block; no report rendered
-    # whole.  Each coordinate table's values are rendered once per process,
-    # at the depth of a list item, and each answer renders its head, cut at
-    # the marks.  A second answer of the same kinds calls no to_dict and
-    # renders no fixed field, nor a table the first answer rendered
+    # In a process that has written no block and keeps no block list, so
+    # that the first answer is its list's first rendering: to_dict once per
+    # kind, on its first block, and that to_dict rendered once, with a mark
+    # for the orbit size and each table item, at the depth of a block; no
+    # report rendered whole.  Each coordinate table's values are rendered
+    # once per process, at the depth of a list item, and each answer renders
+    # its head, cut at the marks.  A second answer of the same kinds (in
+    # argv1 the same list, which the memo keeps) calls no to_dict and renders
+    # no fixed field, nor a table the first answer rendered
     payloads, to_dicts, rendered, depth = [], [], [], [0]
     emit, dumps = cli._emit, cli._dumps
 
@@ -159,6 +165,9 @@ def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys)
     monkeypatch.setattr(cli, "_dumps", counted_dumps)
     monkeypatch.setattr(cli, "_TEMPLATES", {})
     monkeypatch.setattr(cli, "_TEXTS", {})
+    # no kept list: the first answer is its list's first rendering
+    monkeypatch.setattr(weyl._lists, "entries", {})
+    monkeypatch.setattr(weyl._lists, "total", 0)
     for cls in (BlockReport, QBlockReport):
         monkeypatch.setattr(cls, "to_dict", counted(cls.to_dict))
     outs = []

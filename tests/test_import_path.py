@@ -182,8 +182,10 @@ def test_production_modules_call_no_single_root_or_closure_oracle():
 
 
 def test_block_walks_build_no_point_objects():
+    # the public entry points and the lists they keep
     trees = _trees()
-    for module, name in (("modular.py", "mod_blocks"), ("quantum.py", "q_blocks")):
+    for module, name in (("modular.py", "mod_blocks"), ("quantum.py", "q_blocks"),
+                         ("modular.py", "_block_list"), ("quantum.py", "_block_list")):
         (walk,) = [node for node in trees[module].body
                    if isinstance(node, ast.FunctionDef) and node.name == name]
         assert not _called_names(walk) & {"ell_fiber", "enumerate_lambda_chi"}, name
@@ -204,15 +206,15 @@ def test_cli_reads_no_report_encoding():
 def test_block_walks_sort_nothing_and_take_no_key():
     # the points are walked in key order, so each orbit's first point is
     # its least: no key callback and no sort in the walk, nor in the memo
-    # that keeps the walks in order of use
+    # that keeps the walks (and the block lists) in order of use
     body = _trees()["weyl.py"].body
     defs = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
     (memo,) = [node for node in body
-               if isinstance(node, ast.ClassDef) and node.name == "_WalkMemo"]
-    defs.update((f"_WalkMemo.{node.name}", node) for node in memo.body
+               if isinstance(node, ast.ClassDef) and node.name == "_LRU"]
+    defs.update((f"_LRU.{node.name}", node) for node in memo.body
                 if isinstance(node, ast.FunctionDef))
-    for name in ("orbit_partition", "block_orbits", "_walk_skeleton", "_WalkMemo.get",
-                 "_WalkMemo.clear"):
+    for name in ("orbit_partition", "block_orbits", "_walk_skeleton", "_LRU.get",
+                 "_LRU.clear"):
         params = {a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)}
         assert "key" not in params, name
         assert not _called_names(defs[name]) & {"sorted", "sort", "list"}, name

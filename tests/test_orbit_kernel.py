@@ -8,9 +8,9 @@ carry along), and the selftest oracle of its premise, |W.chi| |W(Phi')| =
 stabiliser data, read on Phi' and memoised per query, equal the oracles' on
 the block's own point, and are computed once per distinct point stabiliser;
 the guards refuse a point set off Phi'.  A test that patches a function
-the walk calls empties the memo of walks first (the patched_walk fixture)
-and checks that the patched function ran, so it never passes on a memoised
-walk."""
+the walk calls empties the memos of walks and block lists first (the
+patched_walk fixture) and checks that the patched function ran, so it never
+passes on a memoised walk or list."""
 
 import collections
 import contextlib
@@ -171,18 +171,24 @@ def test_integer_maps_are_the_simple_reflections(t):
 @pytest.fixture
 def patched_walk(monkeypatch):
     """A context manager for block walks under patched weyl functions: it
-    yields a monkeypatch context, and empties the memo of walks on entry, so
-    the next query walks with the patches rather than reuse a walk, and on
-    exit, so no walk made under the patches outlives them."""
+    yields a monkeypatch context, and empties the memos of walks and of
+    block lists on entry, so the next query walks with the patches rather
+    than reuse a walk or a list, and on exit, so no walk or list made under
+    the patches outlives them."""
     @contextlib.contextmanager
     def patched():
-        weyl._walks.clear()
+        _clear_memos()
         try:
             with monkeypatch.context() as m:
                 yield m
         finally:
-            weyl._walks.clear()
+            _clear_memos()
     return patched
+
+
+def _clear_memos():
+    weyl._walks.clear()
+    weyl._lists.clear()
 
 
 # -- the stabiliser walk against the full-W walk ------------------------------
@@ -557,6 +563,9 @@ def test_a_corrupted_lambda_chi_base_is_refused(monkeypatch):
     # the process keeps each value's solution: a fresh table asks the
     # corrupted solver, and what it answers goes with the test
     monkeypatch.setattr(modular, "_solved", functools.lru_cache(modular._solved.__wrapped__))
+    # and an empty memo of block lists, so no list kept for chi answers
+    monkeypatch.setattr(weyl._lists, "entries", {})
+    monkeypatch.setattr(weyl._lists, "total", 0)
     with pytest.raises(InvariantViolation, match="F_p are not Phi'"):
         mod_blocks(chi)
 
@@ -568,6 +577,7 @@ def test_a_fiber_point_outside_the_levi_is_refused():
     chi = QChar(rs, 5, chi_s=TorusElement((Fraction(1, 3), Fraction(1, 3))))
     assert chi.levi.roots == frozenset()
     chi.chi_s = TorusElement((0, 0))
+    _clear_memos()  # no list kept for chi_s = 1 answers in its place
     with pytest.raises(InvariantViolation, match="outside Phi'"):
         q_blocks(chi)
 

@@ -2,12 +2,15 @@
 its cost and whether the digest of its stdout and exit status is the pinned
 one, and any digest off its pin makes the exit status 1.  Every probe is an
 argv the CLI reads, and one cold refusal runs for real: the A120 trace-form
-refusal, whose digest is the pinned empty-stdout exit-1 digest."""
+refusal, whose digest is the pinned empty-stdout exit-1 digest.  With --work
+each row also carries the bytecodes and calls tools/work.py counts for the
+command's answer (the child stubbed)."""
 
 import importlib.util
 import json
 import os
 import shlex
+import subprocess
 
 import pytest
 
@@ -66,3 +69,42 @@ def test_a_cold_refusal_runs_in_a_child(probes):
     seconds, rss, out, code = probes.run(argv)
     assert (out, code) == (b"", 1)
     assert seconds > 0 and rss > 0
+
+
+def test_work_adds_each_probes_counts(probes, capsys):
+    # --work: one count per command, in order, after its timed run; without
+    # it, no count is made and the rows carry none
+    runner, calls = stub({"a --x 1": (b"{}\n", 0), "b": (b"", 1)})
+    counted = []
+
+    def counter(argv):
+        counted.append(argv)
+        return {"a": 1200.5, "b": 30}[argv[0]], {"a": 40, "b": 2}[argv[0]]
+    pins = [("a --x 1", probes.digest(b"{}\n", 0)), ("b", probes.REFUSED)]
+    assert probes.main(pins, runner, ["--work"], counter) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert counted == calls == [["a", "--x", "1"], ["b"]]
+    assert [(row["bytecodes"], row["calls"], row["pinned"]) for row in rows] == [
+        (1200.5, 40, True), (30, 2, True)]
+    counted.clear()
+    assert probes.main(pins, runner, [], counter) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert counted == [] and not any("bytecodes" in row for row in rows)
+
+
+def test_work_reads_the_counts_of_tools_work(probes, monkeypatch):
+    # the child is tools/work.py with --top 0 and the probe's argv, without
+    # LIERAM_BOUND; its first line gives the counts
+    seen = []
+
+    def run(cmd, **kwargs):
+        seen.append((cmd, kwargs))
+        line = json.dumps({"command": " ".join(cmd[4:]), "bytecodes": 5321, "calls": 77})
+        return subprocess.CompletedProcess(cmd, 0, line + "\n12 lieram.cli:1(main)\n", "")
+    monkeypatch.setattr(probes.subprocess, "run", run)
+    monkeypatch.setenv("LIERAM_BOUND", "10")
+    assert probes.work(["modular", "poincare", "--type", "A2"]) == (5321, 77)
+    ((cmd, kwargs),) = seen
+    assert cmd[1:] == [os.path.join(ROOT, "tools", "work.py"), "--top", "0",
+                       "modular", "poincare", "--type", "A2"]
+    assert "LIERAM_BOUND" not in kwargs["env"] and kwargs["check"]

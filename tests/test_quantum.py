@@ -195,7 +195,8 @@ def _hc_shift_by_fractions(rs, t, ell, direction, eps):
 
 def test_hc_shift_matches_the_fraction_formula():
     # every manifest type, ell in 5..13, every eps coprime to ell, both
-    # directions, at points whose denominators meet ell and do not
+    # directions, at points whose denominators meet ell and do not.  An eps
+    # that is not, and ell = 9 on G2, fail the standing hypotheses
     calls = 0
     for name in MANIFEST_TYPES:
         rs = build_root_system(name)
@@ -205,9 +206,9 @@ def test_hc_shift_matches_the_fraction_formula():
         for ell in (5, 7, 9, 11, 13):
             points_ell = points + [T(*[Fraction(k, ell) for k in range(1, r + 1)])]
             for eps in range(1, 2 * ell):
-                if math.gcd(eps, ell) != 1:
-                    for _again in range(2):  # a refused shift is not kept
-                        with pytest.raises(NonInvertibleDenominator):
+                if math.gcd(eps, ell) != 1 or (name, ell) == ("G2", 9):
+                    for _again in range(2):  # a refusal is not kept
+                        with pytest.raises(HypothesisFailure):
                             hc_shift(rs, points[0], ell, "forward", eps)
                     continue
                 for t in points_ell:
@@ -717,3 +718,21 @@ def test_q_unramified_refuses_outside_the_standing_hypotheses():
         for coords in ("component", "highestWeight"):
             with pytest.raises(HypothesisFailure):
                 q_unramified(rs, point, coords, ell, eps)
+
+
+def test_hc_shift_refuses_outside_the_standing_hypotheses():
+    # as QChar and q_unramified do, in both directions and before the shift
+    # is read: a bare ZeroDivisionError at ell = 0, a shift at ell = 4 and
+    # ell = -3, and NonInvertibleDenominator at eps = ell = 5 are refusals
+    a2, g2 = build_root_system("A2"), build_root_system("G2")
+    t = T(Fraction(1, 4), Fraction(1, 2))
+    cases = [(a2, t, ell, 1) for ell in (0, 4, -3)]
+    cases += [(a2, t, 5, 5), (g2, T(0, Fraction(1, 3)), 9, 1)]
+    for rs, point, ell, eps in cases:
+        for direction in ("forward", "back"):
+            for _again in range(2):  # a refusal is not kept
+                with pytest.raises(HypothesisFailure):
+                    hc_shift(rs, point, ell, direction, eps)
+    # within the hypotheses the same points shift
+    assert hc_shift(a2, t, 5).texts() == ["9/20", "7/10"]
+    assert hc_shift(g2, T(0, Fraction(1, 3)), 7).N == 21

@@ -3,6 +3,7 @@ against exhaustive oracles."""
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -414,6 +415,26 @@ def test_several_right_hand_sides_give_what_one_at_a_time_gives():
             assert together == [solve_by_fractions(A, b, p) for b in bs]
 
 
+def test_consistency_rows_vanish_exactly_on_the_span():
+    # over Q and over F_p: b is a combination of the columns of A iff every
+    # consistency row is orthogonal to b (mod p), and there are m - rank A
+    # of them
+    rng = random.Random(1999)
+    for p in (None, 3, 7):
+        for _ in range(80):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            A = _deficient(rng, m, n)
+            solve = solve_linear(A, p)
+            rank = n - len(_free_columns(A, p))
+            assert len(solve.consistency) == m - rank
+            bs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(8)]
+            bs += [_times(A, [rng.randint(-2, 2) for _ in range(n)], p) for _ in range(8)]
+            for b in bs:
+                values = [sum(map(operator.mul, row, b)) for row in solve.consistency]
+                vanish = not any(v % p if p else v for v in values)
+                assert vanish == (solve_by_fractions(A, b, p) is not None)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_solver_over_fp_against_brute_force(p):
     rng = random.Random(p)
@@ -495,6 +516,7 @@ def _count_reductions(monkeypatch, module):
         def counted_solve(b):
             seen["solves"] += 1
             return solve(b)
+        counted_solve.consistency = solve.consistency
         return counted_solve
     monkeypatch.setattr(module, "solve_linear", counted)
     return seen
@@ -507,12 +529,12 @@ def test_is_parabolic_reduces_once_per_subsystem(monkeypatch, simple):
     seen = _count_reductions(monkeypatch, rootdata)
     sub = subsystem_classify(rs, close_up(rs, gens))
     assert sub.is_parabolic and sub.is_parabolic
-    assert len(seen["reductions"]) == 1
-    assert seen["solves"] == rs.N - sum(map(rs.is_positive, sub.roots)) > 1
+    # the consistency rows of the one reduction decide it: no solve
+    assert seen == {"reductions": [(4, None)], "solves": 0}
     # the long roots of F4 form a D4, which is not parabolic
     long_roots = [b for b in rs.all_roots() if rs.norm(b) == 2]
     assert not subsystem_classify(rs, long_roots).is_parabolic
-    assert len(seen["reductions"]) == 2
+    assert seen == {"reductions": [(4, None)] * 2, "solves": 0}
 
 
 def test_fundamental_weights_reduce_once(monkeypatch):

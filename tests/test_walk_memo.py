@@ -21,9 +21,16 @@ from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
 
 
+def _clear():
+    # the memos of walks and of block lists: a list kept from an earlier
+    # answer would answer without a walk
+    weyl._walks.clear()
+    weyl._lists.clear()
+
+
 @pytest.fixture
 def walks(monkeypatch):
-    """An empty memo, emptied again at the end of the test, and a counter of
+    """Empty memos, emptied again at the end of the test, and a counter of
     the walks made (calls of weyl._walk_skeleton) in between."""
     made = collections.Counter()
     skeleton = weyl._walk_skeleton
@@ -31,10 +38,10 @@ def walks(monkeypatch):
     def counted(rs, levi, on, modulus, axes):
         made[rs.type_str, on, modulus] += 1
         return skeleton(rs, levi, on, modulus, axes)
-    weyl._walks.clear()
+    _clear()
     monkeypatch.setattr(weyl, "_walk_skeleton", counted)
     yield made
-    weyl._walks.clear()
+    _clear()
 
 
 def _dicts(blocks):
@@ -87,7 +94,7 @@ def test_a_support_sweep_walks_once(walks):
     swept = [_dicts(mod_blocks(PChar(a3, 7, support=s))) for s in supports]
     assert walks == {("A3", "values", 7): 1}
     for support, answer in zip(supports, swept):
-        weyl._walks.clear()
+        _clear()
         assert _dicts(mod_blocks(PChar(a3, 7, support=support))) == answer
     assert walks == {("A3", "values", 7): 9}
     assert {answer[0]["poincare"] is None for answer in swept} == {False}
@@ -114,11 +121,11 @@ def test_a_regular_character_keeps_no_walk(walks, monkeypatch):
         assert len(answer) == points
         assert {(b.orbit_size, b.dim) for b in answer} == {(1, 1)}
         assert {id(b.stabilizer) for b in answer} == {id(chi.levi)}
-        assert (weyl._walks.walks, weyl._walks.points) == ({}, 0)
+        assert (weyl._walks.entries, weyl._walks.total) == ({}, 0)
     assert walks == {} and partitions == []
     mod_blocks(PChar(a2, 5))
     assert len(partitions) == 1
-    assert weyl._walks.points == 25
+    assert weyl._walks.total == 25
 
 
 def test_a_failing_walk_is_never_kept(walks, monkeypatch):
@@ -134,10 +141,10 @@ def test_a_failing_walk_is_never_kept(walks, monkeypatch):
             with pytest.raises(InvariantViolation, match="a walk left it"):
                 q_blocks(chi)
     assert walks == {("B3", "torus", 42): 3}
-    assert (weyl._walks.walks, weyl._walks.points) == ({}, 0)
+    assert (weyl._walks.entries, weyl._walks.total) == ({}, 0)
     assert q_blocks(chi)
     assert walks == {("B3", "torus", 42): 4}
-    assert weyl._walks.points == 7**3
+    assert weyl._walks.total == 7**3
 
 
 def test_a_kind_whose_construction_raises_is_never_kept(walks, monkeypatch):
@@ -223,8 +230,10 @@ def test_a_witness_or_dict_changed_by_a_caller_changes_no_other_report(walks):
 def test_the_retained_points_stay_within_the_default_bound(walks, monkeypatch):
     # with a budget of 75 points: A2 (25), then B2 (25), A2 used again,
     # then G2 (49 points) drops B2, the least recently used, and a walk of
-    # more than 75 points (A3/p5, 125, under a raised bound) is not kept
-    monkeypatch.setattr(weyl, "DEFAULT_GROUP_BOUND", 75)
+    # more than 75 points (A3/p5, 125, under a raised bound) is not kept.
+    # No block list is kept, so every answer asks the memo of walks
+    monkeypatch.setattr(weyl._walks, "bound", 75)
+    monkeypatch.setattr(weyl._lists, "bound", 0)
     F5 = make_field(5, 1)
     a2 = PChar(build_root_system("A2"), 5)
     b2 = PChar(build_root_system("B2"), 5, values=(F5.one(), F5.zero()))
@@ -232,15 +241,15 @@ def test_the_retained_points_stay_within_the_default_bound(walks, monkeypatch):
     a3 = PChar(build_root_system("A3"), 5)
     for chi in (a2, b2, a2, g2):
         mod_blocks(chi)
-        assert weyl._walks.points <= 75
+        assert weyl._walks.total <= 75
     assert walks == {("A2", "values", 5): 1, ("B2", "values", 5): 1, ("G2", "values", 7): 1}
-    assert weyl._walks.points == 25 + 49
+    assert weyl._walks.total == 25 + 49
     mod_blocks(a3, 10**6)
     mod_blocks(a2)
     assert walks[("A2", "values", 5)] == 1
     mod_blocks(b2)  # drops G2, now the least recently used
     assert walks[("B2", "values", 5)] == 2
-    assert weyl._walks.points == 25 + 25
+    assert weyl._walks.total == 25 + 25
     mod_blocks(a3, 10**6)
     assert walks[("A3", "values", 5)] == 2
-    assert sum(points for points, _walk in weyl._walks.walks.values()) == weyl._walks.points
+    assert sum(points for points, _walk in weyl._walks.entries.values()) == weyl._walks.total

@@ -1,6 +1,6 @@
 """Cold CLI probes: wall time, peak memory and a pinned digest per command.
 
-    python3 tools/probes.py
+    python3 tools/probes.py [--work]
 
 Runs each command of PROBES once, in order, as a fresh `python3 -m
 lieram.cli` child of this checkout's src/, with PYTHONDONTWRITEBYTECODE=1
@@ -13,10 +13,17 @@ six fast E6-E8 answers at 4a97618, the E7 and E8 quantum blocks at
 8728c9f, the regular E6 quantum cell at 1c5205b), so a probe checks the
 bytes it answers as well as its cost.
 Exits 1 when any digest differs from its pin.
+
+With --work each row also carries the exact work of the command's answer,
+"bytecodes" and "calls", as tools/work.py counts them in a child of its
+own: in process, after a warm-up answer of the same command on another
+input (or, for a command without a value flag, on itself).  Counts do not
+depend on the host's speed.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -94,24 +101,44 @@ def run(argv):
     return time.perf_counter() - start, usage.ru_maxrss / 1024, out, proc.returncode
 
 
-def measure(probes, runner=run):
+def work(argv):
+    """(bytecodes, calls) of one answer of argv, from the first line
+    `python3 tools/work.py --top 0 ARGV` prints in a child, without
+    LIERAM_BOUND."""
+    env = {k: v for k, v in os.environ.items() if k != "LIERAM_BOUND"}
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "work.py"), "--top", "0", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    row = json.loads(done.stdout.splitlines()[0])
+    return row["bytecodes"], row["calls"]
+
+
+def measure(probes, runner=run, counter=None):
     """One row per (command, pinned digest) of `probes`, yielded as each
-    command is run once by `runner`, in order."""
+    command is run once by `runner`, in order; with a `counter`, each row
+    also holds the bytecodes and calls counter(argv) gives."""
     for command, pinned in probes:
-        seconds, rss, out, code = runner(shlex.split(command))
+        argv = shlex.split(command)
+        seconds, rss, out, code = runner(argv)
         sha = digest(out, code)
-        yield {"command": command, "seconds": round(seconds, 3),
+        row = {"command": command, "seconds": round(seconds, 3),
                "peak_rss_mb": round(rss, 1), "exit": code, "sha256": sha,
                "pinned": sha == pinned}
+        if counter is not None:
+            row["bytecodes"], row["calls"] = counter(argv)
+        yield row
 
 
-def main(probes=PROBES, runner=run) -> int:
+def main(probes=PROBES, runner=run, argv=(), counter=work) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--work", action="store_true",
+                    help="count each answer's bytecodes and calls (tools/work.py)")
+    args = ap.parse_args(argv)
     ok = True
-    for row in measure(probes, runner):
+    for row in measure(probes, runner, counter if args.work else None):
         print(json.dumps(row, sort_keys=True), flush=True)
         ok = ok and row["pinned"]
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(argv=sys.argv[1:]))
