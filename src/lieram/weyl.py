@@ -52,18 +52,17 @@ so block_orbits keeps the skeletons of the latest walks, least recently used
 first, while their point sets total at most DEFAULT_GROUP_BOUND, and reuses
 them within the process; the points bound is checked before the memo is
 read.  A regular chi (Phi' empty) neither walks nor is kept: each point is
-its own block, with stabiliser Phi'.  A whole block list depends on chi
-only through chi_s (the blocks are the W(Phi')-orbits on the point set of
-chi_s), so mod_blocks and q_blocks keep their lists per (root system, p or
-ell, chi_s) while they total at most BLOCK_LIST_BOUND blocks, read after
-every bound check: a repeated chi_s returns the same read-only list, for
-any support.  One weighted LRU class, _LRU, keeps both the walks and the
-lists.  An orbit of |W(Phi')| points is free,
+its own block, with stabiliser Phi'.  An orbit of |W(Phi')| points is free,
 so no root vanishes on it and its stabiliser is not classified.  Both sides
 answer with a BlockList: the walk's columns (points, orbit sizes and the
 Kind of each point stabiliser, built once per process, see Kind) and the
 answer's per-coordinate tables; a block's report, a BlockRecord, is a view
-built when the list is read.
+built when the list is read.  A whole list depends on chi only through
+chi_s (the blocks are the W(Phi')-orbits on the point set of chi_s), so
+mod_blocks and q_blocks keep their lists per (root system, p or ell, chi_s)
+while they total at most BLOCK_LIST_BOUND blocks, read after every bound
+check: a repeated chi_s returns the same read-only list, for any support.
+One weighted LRU class, _LRU, keeps both the walks and the lists.
 """
 
 from __future__ import annotations
@@ -603,7 +602,8 @@ class BlockList(Sequence):
     @property
     def local_dims(self):
         """The dimension of every block, sorted."""
-        return sorted(Counter(self.dims).elements())
+        return sorted(itertools.chain.from_iterable(map(itertools.repeat, self.dims,
+                                                        self.dims.values())))
 
     def __len__(self):
         return len(self.points)
