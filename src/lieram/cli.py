@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -206,18 +207,16 @@ def _json_pieces(payload):
     head, then the blocks, then the tail."""
     blocks = payload.get("blocks")
     if not blocks:
-        yield _dumps(payload) + "\n"
-        return
+        return [_dumps(payload) + "\n"]
     head, sep, tail = _dumps({**payload, "blocks": [_MARK, _MARK]}).split(_MARK_TEXT)
-    yield head
     if blocks.json is None:
         blocks.json = False  # rendered once
-        yield from _block_pieces(blocks, sep)
+        body = _block_pieces(blocks, sep)
     else:
         if blocks.json is False:
             blocks.json = "".join(_block_pieces(blocks, sep))
-        yield blocks.json
-    yield tail + "\n"
+        body = [blocks.json]
+    return itertools.chain([head], body, [tail + "\n"])
 
 
 def _block_pieces(blocks, sep):
