@@ -185,6 +185,9 @@ _NL = "\n    "
 _TEMPLATES = {}
 _TEXTS = {}
 
+# the most blocks a list may have for its joined JSON text to be kept
+BLOCK_LIST_BOUND = 1024
+
 
 def _texts(table):
     """The texts of a coordinate table's values, as list items of a block,
@@ -203,14 +206,15 @@ def _json_pieces(payload):
     payload.  The list's first rendering writes each block in a piece of its
     own (_block_pieces) and keeps no text, so an answer met once holds none;
     the second keeps the joined text of its blocks on the list (its `json`),
-    and every later one writes that text in one piece.  Per answer: the
-    head, then the blocks, then the tail."""
+    unless it has more than BLOCK_LIST_BOUND blocks, and every later one
+    writes that text in one piece.  Per answer: the head, then the blocks,
+    then the tail."""
     blocks = payload.get("blocks")
     if not blocks:
         return [_dumps(payload) + "\n"]
     head, sep, tail = _dumps({**payload, "blocks": [_MARK, _MARK]}).split(_MARK_TEXT)
-    if blocks.json is None:
-        blocks.json = False  # rendered once
+    if blocks.json is None or len(blocks) > BLOCK_LIST_BOUND:
+        blocks.json = False  # rendered once, or too many blocks to keep the text of
         body = _block_pieces(blocks, sep)
     else:
         if blocks.json is False:

@@ -39,8 +39,7 @@ from .weyl import (
     BlockRecord,
     Kind,
     _check_points,
-    _lists,
-    block_orbits,
+    block_list,
     integer_pairings,
     reflection_stabilizer,
     subsystem_index,
@@ -272,38 +271,35 @@ def mod_blocks(chi: PChar, bound=None):
     each coordinate's codes by the constant term of eta.
     BoundExceeded when the p^r points of Lambda_chi, or then its ambient
     field, exceed `bound` (each check has its own default); the points are
-    counted before any is listed.  The list depends on chi only through
-    (rs, p, chi_s), not on the support, so it is kept per (root system, p,
-    chi_s) in weyl._lists, read only after both bound checks have passed: a
-    repeated chi_s returns the same read-only list."""
-    _check_points(chi.p ** chi.rs.rank, bound)
-    # Lambda_chi's base, in the ambient field, is one solution per coordinate
-    solved = [_solved(c, bound) for c in chi.values]
-    return _lists.get(("values", chi.rs, chi.field, tuple(v.coeffs for v in chi.values)),
-                      lambda: _block_list(chi, solved, bound))
-
-
-def _block_list(chi, solved, bound):
-    # eta(h_beta)^p - eta(h_beta) = chi(h_beta)^p, so eta(h_beta) is in F_p
-    # iff beta is in Phi' = chi.levi, and only then can it vanish;
-    # InvariantViolation unless the first eta, paired in full, agrees.  The
-    # walk runs on the r constant terms of eta: Lambda_chi + rho = Lambda_chi
-    # = base + F_p^r, and generators fixing chi keep the base's other slots
+    counted before any is listed, and both checks come before the walk memo
+    is read.  The list depends on chi only through its walk (weyl.block_list:
+    rs, Phi', p), the ambient field and the code tables, which fix whether
+    chi is nilpotent, so it is kept on its walk while those are equal: a
+    repeated chi_s returns the same read-only list, for any support."""
     rs, levi, p = chi.rs, chi.levi, chi.p
-    # the constant terms of eta = lambda + rho (rho is 1 in each), in lambda order
-    walked = block_orbits(rs, levi, "values", p, p,
-                          lambda: [[(k + 1) % p for k in range(p)]] * rs.rank, bound)
-    sols, fields = zip(*solved)
+    _check_points(p ** rs.rank, bound)
+    # Lambda_chi's base, in the ambient field, is one solution per coordinate
+    sols, fields = zip(*[_solved(c, bound) for c in chi.values])
     ambient = max(fields, key=lambda f: f.e)
     etas, lams = zip(*(_codes(x, ambient) for x in sols))
-    pad = (0,) * ambient.e
-    first = _pairings(rs, [(t[k] + pad)[:ambient.e] for t, k in zip(etas, walked[0][0])], p)
-    if any((not any(v[1:])) != (b in levi.roots) for b, v in first.items()):
-        raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
-    return BlockList(walked, lambda sub: _kind(sub, levi, chi.nilpotent),
-                     {"eta": etas, "lambda": lams},
-                     lambda x, size, kind: BlockReport(ambient, tuple(map(getitem, lams, x)),
-                                                       tuple(map(getitem, etas, x)), size, kind))
+
+    def make(walked):
+        # eta(h_beta)^p - eta(h_beta) = chi(h_beta)^p, so eta(h_beta) is in
+        # F_p iff beta is in Phi', and only then can it vanish;
+        # InvariantViolation unless the first eta, paired in full, agrees
+        pad = (0,) * ambient.e
+        first = _pairings(rs, [(t[k] + pad)[:ambient.e] for t, k in zip(etas, walked[0][0])], p)
+        if any((not any(v[1:])) != (b in levi.roots) for b, v in first.items()):
+            raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
+        return BlockList(walked, lambda sub: _kind(sub, levi, chi.nilpotent),
+                         {"eta": etas, "lambda": lams},
+                         lambda x, size, kind: BlockReport(ambient, tuple(map(getitem, lams, x)),
+                                                           tuple(map(getitem, etas, x)), size, kind))
+    # the walk runs on the r constant terms of eta = lambda + rho (rho is 1
+    # in each), in lambda order: Lambda_chi + rho = Lambda_chi = base +
+    # F_p^r, and generators fixing chi keep the base's other slots
+    return block_list(rs, levi, "values", p, [[(k + 1) % p for k in range(p)]] * rs.rank,
+                      (ambient, etas, lams), make)
 
 
 def unramified_count(chi: PChar, blocks=None, bound=None):

@@ -35,9 +35,8 @@ from .weyl import (
     BlockRecord,
     Kind,
     _check_points,
-    _lists,
     alcove_descent,
-    block_orbits,
+    block_list,
     extended_diagram,
     integer_pairings,
     inversion_set,
@@ -209,32 +208,29 @@ def q_blocks(chi: QChar, bound=None):
     coordinate's exponent texts by numerator; dimD is the index [W(t^ell) :
     W(t)] of classified subsystem orders.
     BoundExceeded when the ell^r fiber points exceed `bound` (default 10^6);
-    they are counted before any is listed.  The list depends on chi only
-    through (rs, ell, chi_s), not on the support nor on eps, so it is kept
-    per (root system, ell, chi_s) in weyl._lists, read only after the bound
-    check has passed: a repeated chi_s returns the same read-only list."""
-    rs, ell, chi_s = chi.rs, chi.ell, chi.chi_s
-    _check_points(ell ** rs.rank, bound)
-    return _lists.get(("torus", rs, ell, chi_s.nums, chi_s.N), lambda: _block_list(chi, bound))
-
-
-def _block_list(chi, bound):
-    # only roots of Phi' = chi.levi can vanish on t, as beta(t)^ell =
-    # beta(chi_s^2); InvariantViolation unless the first t agrees
+    they are counted before any is listed and before the walk memo is read.
+    The list depends on chi only through its walk (weyl.block_list: rs,
+    Phi', N and the fiber's axes, whose texts are its table), not on the
+    support nor on eps, so it is kept on its walk: a repeated chi_s, or
+    another of the same fiber, returns the same read-only list."""
     rs, levi, ell = chi.rs, chi.levi, chi.ell
+    _check_points(ell ** rs.rank, bound)
     # the fiber as exponent numerators over N = ell D, D the denominator of
     # chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
     D, N = chi.chi_s.N, ell * chi.chi_s.N
-    # W acts by integer matrices, so orbits stay on (1/N)Z^r
-    walked = block_orbits(rs, levi, "torus", N, ell,
-                          lambda: [_axis(2 * n, D, ell) for n in chi.chi_s.nums], bound)
-    first = integer_pairings(rs, "torus", N)(walked[0][0])
-    if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
-        raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
     texts = tuple(_axis(2 * n, D, ell) for n in chi.chi_s.nums)
-    return BlockList(walked, lambda sub: _kind(sub, levi), {"torus": texts},
-                     lambda x, size, kind: QBlockReport(x, N, tuple(map(getitem, texts, x)),
-                                                        size, kind))
+
+    def make(walked):
+        # only roots of Phi' can vanish on t, as beta(t)^ell =
+        # beta(chi_s^2); InvariantViolation unless the first t agrees
+        first = integer_pairings(rs, "torus", N)(walked[0][0])
+        if any(not v and b not in levi.roots for b, v in zip(rs.pos_roots, first)):
+            raise InvariantViolation("a root outside Phi' vanishes on a fiber point")
+        return BlockList(walked, lambda sub: _kind(sub, levi), {"torus": texts},
+                         lambda x, size, kind: QBlockReport(x, N, tuple(map(getitem, texts, x)),
+                                                            size, kind))
+    # W acts by integer matrices, so orbits stay on (1/N)Z^r
+    return block_list(rs, levi, "torus", N, texts, (), make)
 
 
 @functools.cache

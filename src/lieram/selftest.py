@@ -595,7 +595,7 @@ def walked_orbit_times_levi_is_w(chi):
     under the rank-one simple reflections of integer_actions, acting slot by
     slot, so no element of W is built and rank-6 cells stay cheap.  That
     W(Phi') is all of Stab_W(chi) (Steinberg, Torsion in reductive groups)
-    is what weyl.block_orbits takes as given."""
+    is what weyl.block_list takes as given."""
     rs = chi.rs
     if isinstance(chi, PChar):
         pad = (0,) * chi.field.e

@@ -41,34 +41,34 @@ system.  integer_pairings pairs a point with every positive root by height,
 r pairings with the simple roots and one addition per root (each root is
 an earlier one plus a simple root, as the root system lists them), and with
 the positive roots of a subsystem over its own basis likewise.
-Both sides take their blocks from one walk, block_orbits: mod_blocks on the
-constant terms of eta, q_blocks on the numerators over N.  A block's
+Both sides take their blocks from one entry point, block_list: mod_blocks
+walks the constant terms of eta, q_blocks the numerators over N.  A block's
 stabiliser lies in W(Phi'), so the walk pairs only the roots of Phi' with it,
 and the subsystem memo of the root system classifies each distinct set of
-vanishing roots once.  A walk
-depends only on (root system, Phi', encoding, modulus, axes), not on the
-nilpotent part of chi nor (on the modular side) on the base of Lambda_chi,
-so block_orbits keeps the skeletons of the latest walks, least recently used
-first, while their point sets total at most DEFAULT_GROUP_BOUND, and reuses
-them within the process; the points bound is checked before the memo is
-read.  A regular chi (Phi' empty) neither walks nor is kept: each point is
-its own block, with stabiliser Phi'.  An orbit of |W(Phi')| points is free,
-so no root vanishes on it and its stabiliser is not classified.  Both sides
-answer with a BlockList: the walk's columns (points, orbit sizes and the
-Kind of each point stabiliser, built once per process, see Kind) and the
-answer's per-coordinate tables; a block's report, a BlockRecord, is a view
-built when the list is read.  A whole list depends on chi only through
-chi_s (the blocks are the W(Phi')-orbits on the point set of chi_s), so
-mod_blocks and q_blocks keep their lists per (root system, p or ell, chi_s)
-while they total at most BLOCK_LIST_BOUND blocks, read after every bound
-check: a repeated chi_s returns the same read-only list, for any support.
-One weighted LRU class, _LRU, keeps both the walks and the lists.
+vanishing roots once.  A walk depends only on (root system, Phi', encoding,
+modulus, axes), not on the nilpotent part of chi nor (on the modular side)
+on the base of Lambda_chi, so block_list keeps the latest walks, least
+recently used first, while their point sets total at most
+DEFAULT_GROUP_BOUND, and reuses them within the process.  Each kept walk
+also keeps the latest BlockList built on it, returned again while the
+inputs of its view are equal (on the quantum side always, on the modular
+side the ambient field and the eta and lambda code tables): a repeated
+chi_s, or another chi_s of the same walk and view, returns the same
+read-only list, for any support.  The callers check the points bound
+before the memo is read.  A regular chi (Phi' empty) neither walks nor is
+kept: each point is its own block, with stabiliser Phi'.  An orbit of
+|W(Phi')| points is free, so no root vanishes on it and its stabiliser is
+not classified.  A BlockList holds the walk's columns (points, orbit sizes
+and the Kind of each point stabiliser, built once per process, see Kind)
+and the answer's per-coordinate tables; a block's report, a BlockRecord,
+is a view built when the list is read.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from collections.abc import Sequence
@@ -452,12 +452,11 @@ def _check_points(points, bound):
 
 
 class _LRU:
-    """The latest values, least recently used first, each kept with its
-    weight while their weights total at most `bound`: the least recently
-    used are dropped first, and a value heavier than the bound is not kept.
-    Only a finished value is stored, so a make() that raises keeps nothing.
-    One class serves the block walks (weighed by the points walked) and the
-    block lists of mod_blocks and q_blocks (weighed by their blocks)."""
+    """The latest values, least recently used first, each kept with the
+    weight its caller gives while their weights total at most `bound`: the
+    least recently used are dropped first, and a value heavier than the
+    bound is not kept.  Only a finished value is stored, so a make() that
+    raises keeps nothing."""
 
     def __init__(self, bound):
         self.bound = bound
@@ -466,51 +465,47 @@ class _LRU:
     def clear(self):
         self.entries, self.total = {}, 0
 
-    def get(self, ident, make, weight=len):
-        # make(), of weight weight(make()), kept under ident: from the memo
-        # when kept there
+    def get(self, ident, weight, make):
+        # make(), kept under ident with its weight: from the memo when kept there
         entry = self.entries.pop(ident, None)
         if entry is None:
-            value = make()
-            entry = (weight(value), value)
-            if entry[0] > self.bound:
-                return value
-            self.total += entry[0]
+            entry = (weight, make())
+            if weight > self.bound:
+                return entry[1]
+            self.total += weight
         self.entries[ident] = entry  # last in order: the most recently used
         while self.total > self.bound:
             self.total -= self.entries.pop(next(iter(self.entries)))[0]
         return entry[1]
 
 
-# the most blocks the kept lists of mod_blocks and q_blocks hold together
-BLOCK_LIST_BOUND = 1024
-
-# the skeletons of the latest walks, keyed by (rs, Phi', encoding, modulus,
-# axes), and the latest block lists, keyed by (encoding, rs, p or ell, chi_s)
+# per (rs, Phi', encoding, modulus, axes), weighed by its points: the
+# skeleton of the walk, the inputs of the latest list's view (None before
+# the first list) and that list
 _walks = _LRU(DEFAULT_GROUP_BOUND)
-_lists = _LRU(BLOCK_LIST_BOUND)
 
 
-def block_orbits(rs: RootSystem, levi, on: str, modulus: int, length: int, axes,
-                 bound=None):
-    """The blocks at chi: the orbits of W(Phi'), Phi' = `levi`, on the
-    length^r points itertools.product(*axes()), axes() listing r axes of
-    `length` values each (encoded as for integer_pairings, each axis in the
-    order of its sort key), as three columns: the least points, the orbit
-    sizes and the subs, sub the classified subsystem of the roots vanishing
-    on the point.  BoundExceeded, before axes() is called and before any
-    walk is reused, when the length^r points exceed `bound` (default
-    DEFAULT_GROUP_BOUND).  The walk depends on nothing else, so it is
-    memoised per (rs, Phi', encoding, modulus, axes) in this process
-    (_WalkMemo), unless Phi' is empty: then every point is a block of its
-    own, listed without a walk, and nothing is kept."""
-    points = length ** rs.rank
-    _check_points(points, bound)
+def block_list(rs: RootSystem, levi, on: str, modulus: int, axes, inputs, make):
+    """The BlockList of the blocks at chi, make(walked) for the walk of the
+    orbits of W(Phi'), Phi' = `levi`, on the points itertools.product(*axes),
+    `axes` listing r axes (encoded as for integer_pairings, each axis in the
+    order of its sort key).  walked holds three columns: the least points,
+    the orbit sizes and the subs, sub the classified subsystem of the roots
+    vanishing on the point.  The caller checks the points bound first.  The
+    walk depends on nothing else, so it is kept per (rs, Phi', encoding,
+    modulus, axes) in this process, weighed by its points, with the latest
+    list made on it: that list is returned again while `inputs`, what its
+    view reads besides the walk (never None), are equal.  When Phi' is
+    empty every point is a block of its own, listed without a walk, and
+    nothing is kept."""
     if not levi.basis:  # W(Phi') = 1: each point is a block, fixed by Phi' itself
-        walked = tuple(itertools.product(*axes()))
-        return walked, (1,) * len(walked), (levi,) * len(walked)
-    key = (rs, levi, on, modulus, tuple(map(tuple, axes())))
-    return _walks.get(key, lambda: _walk_skeleton(*key), lambda _walked: points)
+        walked = tuple(itertools.product(*axes))
+        return make((walked, (1,) * len(walked), (levi,) * len(walked)))
+    key = (rs, levi, on, modulus, tuple(map(tuple, axes)))
+    kept = _walks.get(key, math.prod(map(len, axes)), lambda: [_walk_skeleton(*key), None, None])
+    if kept[1] != inputs:
+        kept[1:] = inputs, make(kept[0])
+    return kept[2]
 
 
 def _walk_skeleton(rs, levi, on, modulus, axes):
@@ -575,7 +570,7 @@ class BlockRecord(tuple):
 
 class BlockList(Sequence):
     """The blocks of one answer, as columns: the least points and orbit
-    sizes of `walked` (what block_orbits returns), the Kind of each block,
+    sizes of `walked` (what block_list walks), the Kind of each block,
     kind(sub) of its sub, built once per distinct sub, and the answer's
     tables.  tables maps a to_dict key of the reports to r per-coordinate
     tables, each indexed by a point's coordinate: the report of point x

@@ -1,10 +1,13 @@
-"""Block lists kept per (root system, p or ell, chi_s) in one process
-(weyl._lists): a list depends on chi only through chi_s, so answers that
-share chi_s share one list, and from the list's second rendering on the CLI
-writes its blocks from the text kept on it.  Every answer is the cold one
-byte for byte, in any order; an answer met once keeps no text; a bound below
-a kept list's points or field still refuses it; and the kept lists hold at
-most the memo's bound of blocks, the least recently used dropped first."""
+"""Block lists kept on their walks in one process (weyl._walks): a list
+depends on chi only through its walk and, on the modular side, the ambient
+field and code tables of its view, so answers that share those share one
+list, and from the list's second rendering on the CLI writes its blocks
+from the text kept on it, unless the list has more than
+cli.BLOCK_LIST_BOUND blocks.  Every answer is the cold one byte for byte, in
+any order; an answer met once keeps no text; a bound below a kept list's
+points or field still refuses it; and the kept walks, with their lists,
+hold at most DEFAULT_GROUP_BOUND points, the least recently used dropped
+first."""
 
 import itertools
 import os
@@ -19,7 +22,7 @@ import pytest
 from lieram import cli, modular, quantum, weyl
 from lieram.modular import PChar, mod_blocks
 from lieram.quantum import QChar, TorusElement, q_blocks
-from lieram.rootdata import build_root_system
+from lieram.rootdata import DEFAULT_GROUP_BOUND, build_root_system
 from lieram.scalars import make_field
 
 NILPOTENT = [["modular", "blocks", "--type", "A3", "--p", "5", "--chi-s", "0,0,0",
@@ -47,20 +50,27 @@ def pins():
 
 @pytest.fixture
 def lists(monkeypatch):
-    """An empty memo of block lists for the test; what the test keeps goes
-    with it.  Yields the memo and a count of the lists built per side."""
-    monkeypatch.setattr(weyl._lists, "entries", {})
-    monkeypatch.setattr(weyl._lists, "total", 0)
+    """An empty memo of walks for the test; what the test keeps goes with
+    it.  Yields the memo and the lists built per side, in order."""
+    monkeypatch.setattr(weyl._walks, "entries", {})
+    monkeypatch.setattr(weyl._walks, "total", 0)
     monkeypatch.delenv("LIERAM_BOUND", raising=False)
-    built = {"modular": 0, "quantum": 0}
+    built = {"modular": [], "quantum": []}
     for name, module in (("modular", modular), ("quantum", quantum)):
-        make = module._block_list
+        def counted(*args, name=name):
+            built[name].append(weyl.BlockList(*args))
+            return built[name][-1]
+        monkeypatch.setattr(module, "BlockList", counted)
+    return weyl._walks, built
 
-        def counted(*args, make=make, name=name):
-            built[name] += 1
-            return make(*args)
-        monkeypatch.setattr(module, "_block_list", counted)
-    return weyl._lists, built
+
+def _kept(memo):
+    # the list kept on each walk, by the walk's key
+    return {key: kept[2] for key, (_points, kept) in memo.entries.items()}
+
+
+def _built(built):
+    return {name: len(made) for name, made in built.items()}
 
 
 def _answer(argv, capsys):
@@ -77,10 +87,11 @@ def test_answers_that_share_chi_s_share_one_list(order, pins, lists, capsys):
         random.Random(45).shuffle(sequence)
     assert [argv for argv in sequence if _answer(argv, capsys) != pins[" ".join(argv)]] == []
     assert {code for code, _out, _err in pins.values()} == {0}
-    # one nilpotent list for the 8 supports, one semisimple and one quantum
-    assert built == {"modular": 2, "quantum": 1}
-    texts = {key[0] + (" nilpotent" if key[0] == "values" and not any(key[3]) else ""):
-             blocks.json for key, (_weight, blocks) in memo.entries.items()}
+    # one nilpotent list for the 8 supports, one semisimple and one quantum,
+    # each on a walk of its own
+    assert _built(built) == {"modular": 2, "quantum": 1}
+    texts = {key[2] + (" nilpotent" if key[1].rank == key[0].rank else ""): blocks.json
+             for key, blocks in _kept(memo).items()}
     assert set(texts) == {"values nilpotent", "values", "torus"}
     # rendered 9 times, the nilpotent list keeps its text; the other two,
     # rendered once, keep none
@@ -99,20 +110,60 @@ def test_a_repeated_chi_s_is_the_same_list(lists):
     q_first = q_blocks(QChar(a3, 5, chi_s=chi_s))
     assert all(q_blocks(QChar(a3, 5, chi_s=chi_s, support=s, eps=eps)) is q_first
                for s in ((), (0,)) for eps in (1, 2))
-    assert built == {"modular": 1, "quantum": 1}
-    # another p, ell or chi_s is another list
+    assert _built(built) == {"modular": 1, "quantum": 1}
+    # another p, ell or fiber is another walk, and so another list
     assert mod_blocks(PChar(a3, 7)) is not first
     assert q_blocks(QChar(a3, 7, chi_s=chi_s)) is not q_first
     assert q_blocks(QChar(a3, 5, chi_s=TorusElement((Fraction(2, 3), 0, 0)))) is not q_first
-    assert built == {"modular": 2, "quantum": 3}
-    assert memo.total == sum(len(blocks) for _w, blocks in memo.entries.values())
+    assert _built(built) == {"modular": 2, "quantum": 3} and len(memo.entries) == 5
+    assert mod_blocks(PChar(a3, 5)) is first
 
 
-def test_an_answer_met_once_keeps_no_text(lists, capsys, monkeypatch):
-    # 50 distinct block answers, none repeated: every list is kept (under a
-    # bound raised for the test), and each was rendered once and holds no text
+def test_a_quantum_chi_s_of_the_same_fiber_is_the_same_list(lists, capsys):
+    # B2/ell=5: chi_s = (1/2, 0) and (0, 1/2) square to 1, so they have one
+    # fiber and one walk, and the list of the first answers the second byte
+    # for byte as a cold child does
     memo, built = lists
-    monkeypatch.setattr(memo, "bound", 10**6)
+    argvs = [["quantum", "blocks", "--type", "B2", "--ell", "5", "--chi-s", chi_s]
+             for chi_s in ("1/2,0", "0,1/2")]
+    b2 = build_root_system("B2")
+    first, second = (q_blocks(QChar(b2, 5, chi_s=TorusElement(exps)))
+                     for exps in ((Fraction(1, 2), 0), (0, Fraction(1, 2))))
+    assert second is first and _built(built) == {"modular": 0, "quantum": 1}
+    assert len(memo.entries) == 1
+    for argv in argvs:
+        assert _answer(argv, capsys) == _cold(argv)
+    assert _built(built) == {"modular": 0, "quantum": 1}
+
+
+def test_a_modular_chi_s_of_the_same_walk_is_another_list(lists):
+    # B3/p5: chi_s = (1, 0, 2) and twice it have the same Phi' (alpha_2 and
+    # its negative), so the same walk, but other Artin-Schreier bases, so
+    # other code tables: the walk is reused and each gets a list of its own;
+    # a repeated chi_s again takes the list kept last on the walk
+    memo, built = lists
+    b3 = build_root_system("B3")
+    F5 = make_field(5, 1)
+    chis = [PChar(b3, 5, values=tuple(map(F5.from_int, values)))
+            for values in ((1, 0, 2), (2, 0, 4))]
+    assert chis[0].levi is chis[1].levi and chis[0].levi.basis
+    walked = []
+    skeleton = weyl._walk_skeleton
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(weyl, "_walk_skeleton", lambda *key: walked.append(key) or skeleton(*key))
+        first, second = map(mod_blocks, chis)
+        assert mod_blocks(chis[1]) is second
+    assert len(walked) == 1 and len(memo.entries) == 1
+    assert second is not first and _built(built) == {"modular": 2, "quantum": 0}
+    assert first.points is second.points
+    assert [b.to_dict() for b in first] != [b.to_dict() for b in second]
+    assert [b.to_dict() for b in mod_blocks(chis[0])] == [b.to_dict() for b in first]
+
+
+def test_an_answer_met_once_keeps_no_text(lists, capsys):
+    # 50 distinct block answers, none repeated: each list was rendered once
+    # and holds no text
+    memo, built = lists
     answers = [["modular", "blocks", "--type", "A2", "--p", "5", "--chi-s", f"{a},{b}"]
                for a in range(5) for b in range(5)]
     answers += [["quantum", "blocks", "--type", "A2", "--ell", "5", "--chi-s", f"{a}/5,{b}/5"]
@@ -120,10 +171,22 @@ def test_an_answer_met_once_keeps_no_text(lists, capsys, monkeypatch):
     for argv in answers:
         code, out, _err = _answer(argv, capsys)
         assert code == 0 and out
-    assert built == {"modular": 25, "quantum": 25} and len(memo.entries) == 50
-    assert {blocks.json for _w, blocks in memo.entries.values()} == {False}
+    assert _built(built) == {"modular": 25, "quantum": 25}
+    assert {blocks.json for made in built.values() for blocks in made} == {False}
+    assert {blocks.json for blocks in _kept(memo).values()} == {False}
 
 
+def test_a_long_list_keeps_no_text(lists, capsys):
+    # A4/p7 at chi_s = (0, 1, 1, 1): Phi' = A1 on 7^4 points, 1372 blocks,
+    # more than the bound of a kept text; rendered three times from one
+    # kept list, it keeps none, and every answer is the cold one
+    memo, built = lists
+    argv = ["modular", "blocks", "--type", "A4", "--p", "7", "--chi-s", "0,1,1,1"]
+    answers = [_answer(argv, capsys) for _ in range(3)]
+    (blocks,) = _kept(memo).values()
+    assert len(blocks) == 1372 > cli.BLOCK_LIST_BOUND
+    assert _built(built)["modular"] == 1 and blocks.json is False
+    assert answers == [_cold(argv)] * 3
 @pytest.mark.parametrize("argv, bound, refusal", [
     (["modular", "blocks", "--type", "A3", "--p", "5"], "124",
      "error: 125 points to walk exceeds bound 124\n"),
@@ -144,24 +207,25 @@ def test_a_bound_below_a_kept_list_still_refuses_it(argv, bound, refusal, lists,
 
 
 def test_the_kept_blocks_stay_within_the_bound(lists, monkeypatch):
-    # with a bound of 60 blocks: A2/p5 regular lists of 25 blocks each and
-    # the A2/p7 regular list of 49, the least recently used dropped first;
-    # a list of more blocks than the bound (A3/p5 regular, 125) is not kept
+    # the memo is weighed by the points of each walk, counted before it, at
+    # most DEFAULT_GROUP_BOUND in all.  Under a bound of 150: A2/p5 (25)
+    # and G2/p7 (49) are kept with their lists, A3/p5 (125) then drops both,
+    # a walk of more points than the bound (B3/p7, 343) is not kept, and
+    # A2 again fits beside A3, at 150 points
     memo, built = lists
-    assert (memo.bound, weyl._walks.bound) == (weyl.BLOCK_LIST_BOUND, weyl.DEFAULT_GROUP_BOUND)
-    monkeypatch.setattr(memo, "bound", 60)
-    F5, F7 = make_field(5, 1), make_field(7, 1)
-    a2, a3 = build_root_system("A2"), build_root_system("A3")
-    x, y, z = (PChar(a2, 5, values=(F5.from_int(1), F5.from_int(k))) for k in (1, 2, 3))
-    big = PChar(a3, 5, values=(F5.one(),) * 3)
-    wide = PChar(a2, 7, values=(F7.one(), F7.one()))
-    for chi in (x, y, x, z, big, y, wide, wide):
-        mod_blocks(chi)
-        assert memo.total <= 60
-        assert memo.total == sum(len(blocks) for _w, blocks in memo.entries.values())
-    # x, y, x again (kept), z drops y, big is not kept, y drops x, wide drops
-    # z and y, and wide again is kept
-    assert built["modular"] == 6
-    assert [len(blocks) for _w, blocks in memo.entries.values()] == [49]
-    mod_blocks(big)
-    assert built["modular"] == 7 and memo.total == 49
+    assert memo.bound == DEFAULT_GROUP_BOUND
+    monkeypatch.setattr(memo, "bound", 150)
+    chis = [PChar(build_root_system(t), p) for t, p in (("A2", 5), ("G2", 7), ("A3", 5),
+                                                         ("B3", 7), ("A2", 5))]
+    kept = []
+    for chi in chis:
+        blocks = mod_blocks(chi, 10**6)
+        assert memo.total <= 150
+        assert memo.total == sum(len(key[4][0]) ** len(key[4]) for key in memo.entries)
+        assert all(lst.points is walked[0] for _points, (walked, _inputs, lst)
+                   in memo.entries.values())
+        kept.append([key[0].type_str for key in memo.entries])
+        # the answer's list is kept on its walk, the most recently used, if kept
+        assert (list(_kept(memo).values())[-1] is blocks) == (chi.rs.type_str != "B3")
+    assert kept == [["A2"], ["A2", "G2"], ["A3"], ["A3"], ["A3", "A2"]]
+    assert _built(built)["modular"] == 5

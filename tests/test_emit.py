@@ -165,9 +165,9 @@ def test_each_text_is_rendered_once_per_answer(argv, again, monkeypatch, capsys)
     monkeypatch.setattr(cli, "_dumps", counted_dumps)
     monkeypatch.setattr(cli, "_TEMPLATES", {})
     monkeypatch.setattr(cli, "_TEXTS", {})
-    # no kept list: the first answer is its list's first rendering
-    monkeypatch.setattr(weyl._lists, "entries", {})
-    monkeypatch.setattr(weyl._lists, "total", 0)
+    # no kept walk, so no kept list: the first answer is its list's first rendering
+    monkeypatch.setattr(weyl._walks, "entries", {})
+    monkeypatch.setattr(weyl._walks, "total", 0)
     for cls in (BlockReport, QBlockReport):
         monkeypatch.setattr(cls, "to_dict", counted(cls.to_dict))
     outs = []

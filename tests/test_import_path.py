@@ -7,7 +7,7 @@ which neither `import lieram` nor the CLI module loads, and the production
 modules call none of the single-root or closure oracles.  The block walks generate their
 integer points directly, through neither the ell-fiber of torus elements nor
 the list of weights of Lambda_chi, and both sides walk through the one shared
-weyl.block_orbits, which walks the points in key order and so sorts
+weyl.block_list, which walks the points in key order and so sorts
 nothing, nor does the memo that keeps its walks; the CLI reads no block report's integer layout.  Each matrix is
 reduced once: no production module calls the solver from a loop.  A Weyl
 element is its word in production: no production module builds or applies
@@ -182,10 +182,9 @@ def test_production_modules_call_no_single_root_or_closure_oracle():
 
 
 def test_block_walks_build_no_point_objects():
-    # the public entry points and the lists they keep
+    # the public entry points, with the lists they make on their walks
     trees = _trees()
-    for module, name in (("modular.py", "mod_blocks"), ("quantum.py", "q_blocks"),
-                         ("modular.py", "_block_list"), ("quantum.py", "_block_list")):
+    for module, name in (("modular.py", "mod_blocks"), ("quantum.py", "q_blocks")):
         (walk,) = [node for node in trees[module].body
                    if isinstance(node, ast.FunctionDef) and node.name == name]
         assert not _called_names(walk) & {"ell_fiber", "enumerate_lambda_chi"}, name
@@ -206,14 +205,14 @@ def test_cli_reads_no_report_encoding():
 def test_block_walks_sort_nothing_and_take_no_key():
     # the points are walked in key order, so each orbit's first point is
     # its least: no key callback and no sort in the walk, nor in the memo
-    # that keeps the walks (and the block lists) in order of use
+    # that keeps the walks (with their block lists) in order of use
     body = _trees()["weyl.py"].body
     defs = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
     (memo,) = [node for node in body
                if isinstance(node, ast.ClassDef) and node.name == "_LRU"]
     defs.update((f"_LRU.{node.name}", node) for node in memo.body
                 if isinstance(node, ast.FunctionDef))
-    for name in ("orbit_partition", "block_orbits", "_walk_skeleton", "_LRU.get",
+    for name in ("orbit_partition", "block_list", "_walk_skeleton", "_LRU.get",
                  "_LRU.clear"):
         params = {a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)}
         assert "key" not in params, name

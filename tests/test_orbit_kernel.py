@@ -171,10 +171,10 @@ def test_integer_maps_are_the_simple_reflections(t):
 @pytest.fixture
 def patched_walk(monkeypatch):
     """A context manager for block walks under patched weyl functions: it
-    yields a monkeypatch context, and empties the memos of walks and of
-    block lists on entry, so the next query walks with the patches rather
-    than reuse a walk or a list, and on exit, so no walk or list made under
-    the patches outlives them."""
+    yields a monkeypatch context, and empties the memo of walks (and so of
+    the block lists kept on them) on entry, so the next query walks with
+    the patches rather than reuse a walk or a list, and on exit, so no walk
+    or list made under the patches outlives them."""
     @contextlib.contextmanager
     def patched():
         _clear_memos()
@@ -188,7 +188,6 @@ def patched_walk(monkeypatch):
 
 def _clear_memos():
     weyl._walks.clear()
-    weyl._lists.clear()
 
 
 # -- the stabiliser walk against the full-W walk ------------------------------
@@ -396,7 +395,7 @@ def _watch_walks(m):
 
 def _walk_generators(chi, patched_walk):
     """The generators mod_blocks walks Lambda_chi with: the roots of the
-    reflection maps block_orbits builds."""
+    reflection maps weyl.block_list walks with."""
     gens = []
 
     def recording(rs, roots, *args):
@@ -563,9 +562,9 @@ def test_a_corrupted_lambda_chi_base_is_refused(monkeypatch):
     # the process keeps each value's solution: a fresh table asks the
     # corrupted solver, and what it answers goes with the test
     monkeypatch.setattr(modular, "_solved", functools.lru_cache(modular._solved.__wrapped__))
-    # and an empty memo of block lists, so no list kept for chi answers
-    monkeypatch.setattr(weyl._lists, "entries", {})
-    monkeypatch.setattr(weyl._lists, "total", 0)
+    # and an empty memo of walks, so no list kept on chi's walk answers
+    monkeypatch.setattr(weyl._walks, "entries", {})
+    monkeypatch.setattr(weyl._walks, "total", 0)
     with pytest.raises(InvariantViolation, match="F_p are not Phi'"):
         mod_blocks(chi)
 
@@ -577,7 +576,7 @@ def test_a_fiber_point_outside_the_levi_is_refused():
     chi = QChar(rs, 5, chi_s=TorusElement((Fraction(1, 3), Fraction(1, 3))))
     assert chi.levi.roots == frozenset()
     chi.chi_s = TorusElement((0, 0))
-    _clear_memos()  # no list kept for chi_s = 1 answers in its place
+    _clear_memos()  # no list kept on the walk of chi_s = 1 answers in its place
     with pytest.raises(InvariantViolation, match="outside Phi'"):
         q_blocks(chi)
 

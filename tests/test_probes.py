@@ -6,11 +6,14 @@ refusal, whose digest is the pinned empty-stdout exit-1 digest.  With --work
 each row also carries the bytecodes and calls tools/work.py counts for the
 command's answer (the child stubbed)."""
 
+import hashlib
 import importlib.util
 import json
 import os
 import shlex
 import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -29,19 +32,24 @@ def probes():
 
 
 def stub(outputs):
-    # a runner answering each argv from `outputs`, and the argvs it was given
+    # a runner answering each argv with the digest of its (stdout, exit
+    # status) in `outputs`, and the argvs it was given
     calls = []
 
     def runner(argv):
         calls.append(argv)
         out, code = outputs[" ".join(argv)]
-        return 0.25, 17.0, out, code
+        return 0.25, 17.0, digest(out, code), code
     return runner, calls
+
+
+def digest(out, code):
+    return hashlib.sha256(out + b"exit %d\n" % code).hexdigest()
 
 
 def test_each_row_checks_its_digest_against_the_pin(probes, capsys):
     runner, calls = stub({"a --x 1": (b"{}\n", 0), "b": (b"", 1)})
-    pins = [("a --x 1", probes.digest(b"{}\n", 0)), ("b", probes.REFUSED)]
+    pins = [("a --x 1", digest(b"{}\n", 0)), ("b", probes.REFUSED)]
     assert probes.main(pins, runner) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert calls == [["a", "--x", "1"], ["b"]]
@@ -53,7 +61,7 @@ def test_each_row_checks_its_digest_against_the_pin(probes, capsys):
 def test_a_digest_off_its_pin_fails_the_run(probes, capsys):
     # the same stdout with another exit status is another digest
     runner, _calls = stub({"a": (b"{}\n", 0), "b": (b"{}\n", 1)})
-    pins = [("a", probes.digest(b"{}\n", 0)), ("b", probes.digest(b"{}\n", 0))]
+    pins = [("a", digest(b"{}\n", 0)), ("b", digest(b"{}\n", 0))]
     assert probes.main(pins, runner) == 1
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["pinned"] for row in rows] == [True, False]
@@ -61,14 +69,28 @@ def test_a_digest_off_its_pin_fails_the_run(probes, capsys):
 
 def test_every_probe_is_a_cli_command(probes):
     assert all(cli._match(shlex.split(command)) for command, _pin in probes.PROBES)
-    assert probes.digest(b"", 1) == probes.REFUSED
+    assert digest(b"", 1) == probes.REFUSED
 
 
 def test_a_cold_refusal_runs_in_a_child(probes):
     argv = shlex.split("modular poincare --type A120 --p 11 --weight 0")
-    seconds, rss, out, code = probes.run(argv)
-    assert (out, code) == (b"", 1)
+    seconds, rss, sha, code = probes.run(argv)
+    assert (sha, code) == (probes.REFUSED, 1)
     assert seconds > 0 and rss > 0
+
+
+def test_a_long_stdout_is_hashed_as_it_is_read(probes):
+    # a child writing 6 MB: the digest of its whole stdout and exit status,
+    # while this process never holds as much as 1 MB more
+    script = "import sys; sys.stdout.buffer.write(bytes(range(256)) * 24576); sys.exit(3)"
+    tracemalloc.start()
+    try:
+        sha, code, _usage = probes.hashed_child([sys.executable, "-c", script], dict(os.environ))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (sha, code) == (digest(bytes(range(256)) * 24576, 3), 3)
+    assert peak < 2**20
 
 
 def test_work_adds_each_probes_counts(probes, capsys):
@@ -80,7 +102,7 @@ def test_work_adds_each_probes_counts(probes, capsys):
     def counter(argv):
         counted.append(argv)
         return {"a": 1200.5, "b": 30}[argv[0]], {"a": 40, "b": 2}[argv[0]]
-    pins = [("a --x 1", probes.digest(b"{}\n", 0)), ("b", probes.REFUSED)]
+    pins = [("a --x 1", digest(b"{}\n", 0)), ("b", probes.REFUSED)]
     assert probes.main(pins, runner, ["--work"], counter) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert counted == calls == [["a", "--x", "1"], ["b"]]

@@ -1,4 +1,4 @@
-"""The memo of block walks: weyl.block_orbits keeps the skeleton of each walk
+"""The memo of block walks: weyl.block_list keeps the skeleton of each walk
 (least point, orbit size and point stabiliser per block) per (root
 system, Phi', encoding, modulus, axes), and reuses it within the process.
 The points bound is checked before the memo is read, a failing walk is never
@@ -22,10 +22,9 @@ from lieram.scalars import make_field
 
 
 def _clear():
-    # the memos of walks and of block lists: a list kept from an earlier
-    # answer would answer without a walk
+    # the memo of walks, with the block lists kept on them: a list kept from
+    # an earlier answer would answer without a walk
     weyl._walks.clear()
-    weyl._lists.clear()
 
 
 @pytest.fixture
@@ -230,10 +229,9 @@ def test_a_witness_or_dict_changed_by_a_caller_changes_no_other_report(walks):
 def test_the_retained_points_stay_within_the_default_bound(walks, monkeypatch):
     # with a budget of 75 points: A2 (25), then B2 (25), A2 used again,
     # then G2 (49 points) drops B2, the least recently used, and a walk of
-    # more than 75 points (A3/p5, 125, under a raised bound) is not kept.
-    # No block list is kept, so every answer asks the memo of walks
+    # more than 75 points (A3/p5, 125, under a raised bound) is not kept,
+    # nor is the list made on it
     monkeypatch.setattr(weyl._walks, "bound", 75)
-    monkeypatch.setattr(weyl._lists, "bound", 0)
     F5 = make_field(5, 1)
     a2 = PChar(build_root_system("A2"), 5)
     b2 = PChar(build_root_system("B2"), 5, values=(F5.one(), F5.zero()))

@@ -49,6 +49,33 @@ def test_the_warm_up_answers_the_same_command_on_another_input(work):
                              "--chi-s", "0,0"])[-1] == "1/2,1/2"
     argv = ["quantum", "exceptional", "--type", "G2"]
     assert work.warmup_argv(argv) == argv
+    # no --chi-s, or an empty one, is the zero character
+    assert work.warmup_argv(["modular", "blocks", "--type", "A3", "--p", "5"])[-2:] == [
+        "--chi-s", "1,1,1"]
+    assert work.warmup_argv(["quantum", "structure", "--type", "B2", "--ell", "5",
+                             "--chi-s", ""])[-2:] == ["--chi-s", "1/2,1/2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular", "blocks", "--type", "A3", "--p", "5"],
+    ["quantum", "blocks", "--type", "B2", "--ell", "5"],
+])
+def test_the_counted_answer_is_not_the_warm_up_s(argv, work, monkeypatch):
+    # the warm-up walks another Phi' or fiber, so the counted answer makes a
+    # walk of its own and adds its entry to the memo
+    from lieram import weyl
+    monkeypatch.setattr(weyl._walks, "entries", {})
+    monkeypatch.setattr(weyl._walks, "total", 0)
+    sizes, count = [], work.count
+
+    def counted(fn):
+        sizes.append(len(weyl._walks.entries))
+        out = count(fn)
+        sizes.append(len(weyl._walks.entries))
+        return out
+    monkeypatch.setattr(work, "count", counted)
+    work.answer_counts(argv, 0)
+    assert sizes[1] == sizes[0] + 1
 
 
 def test_a_workload_round_is_counted_per_label():

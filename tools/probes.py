@@ -8,10 +8,12 @@ and without LIERAM_BOUND.  Per command it prints one JSON line: the
 command, its wall time in seconds, the child's peak resident set size
 (ru_maxrss from os.wait4) in MB, its exit status, and the sha256 of its
 stdout followed by "exit <status>\\n", with "pinned" true when that digest
-is the one PROBES holds.  The digests were taken at commit fb2acc8 (the
-six fast E6-E8 answers at 4a97618, the E7 and E8 quantum blocks at
-8728c9f, the regular E6 quantum cell at 1c5205b), so a probe checks the
-bytes it answers as well as its cost.
+is the one PROBES holds.  The stdout is hashed in chunks as it is read, so
+this process holds none of it and its own peak stays small.  The digests
+were taken at commit fb2acc8 (the six fast E6-E8 answers at 4a97618, the
+E7 and E8 quantum blocks at 8728c9f, the regular E6 quantum cell at
+1c5205b, the E7 cell of Phi' = A1 at 30135ed), so a probe checks the bytes
+it answers as well as its cost.
 Exits 1 when any digest differs from its pin.
 
 With --work each row also carries the exact work of the command's answer,
@@ -66,6 +68,9 @@ PROBES = (
     # a regular chi (Phi' empty): 117 649 blocks of one point each, no walk
     ('quantum blocks --type E6 --ell 7 --chi-s 1/2,1/3,1/5,1/11,1/13,1/17 --support ""',
      "03fa11e17f12b7fabb70f87d9d9331c23b762be88c76f50bffe4e4be7f0153ed"),
+    # Phi' = A1 on 7^7 points: 470 596 blocks, 154 759 557 bytes of stdout
+    ('quantum blocks --type E7 --ell 7 --chi-s 1/2,1/3,1/5,1/11,1/13,1/17,1/19 --support ""',
+     "0edffa41c0bba5de20ab17f92ab9518975b03caeaa3e6c9976dcb5e6dcc098da"),
     # fast answers on E6-E8, whose cold time is mostly start-up and import
     ("modular poincare --type E8 --p 7 --weight 0,0,0,0,0,0,0,0",
      "dc8b680f007e08a1197de87e45311afee0ada890f423b6db8648b7376c017b0c"),
@@ -82,23 +87,29 @@ PROBES = (
 )
 
 
-def digest(out: bytes, code: int) -> str:
-    return hashlib.sha256(out + b"exit %d\n" % code).hexdigest()
-
-
 def run(argv):
-    """(wall seconds, peak RSS in MB, stdout, exit status) of one cold CLI
+    """(wall seconds, peak RSS in MB, digest, exit status) of one cold CLI
     child; stderr is discarded."""
     env = {k: v for k, v in os.environ.items() if k != "LIERAM_BOUND"}
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
-    with subprocess.Popen([sys.executable, "-m", "lieram.cli", *argv], cwd=ROOT, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
-        out = proc.stdout.read()
+    sha, code, usage = hashed_child([sys.executable, "-m", "lieram.cli", *argv], env)
+    # ru_maxrss is in KB on Linux
+    return time.perf_counter() - start, usage.ru_maxrss / 1024, sha, code
+
+
+def hashed_child(args, env):
+    """(digest, exit status, resource usage) of a child run from the root
+    of the checkout, its stdout hashed in chunks of 64 KB as it is read."""
+    sha = hashlib.sha256()
+    with subprocess.Popen(args, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            sha.update(chunk)
         _pid, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
-    # ru_maxrss is in KB on Linux
-    return time.perf_counter() - start, usage.ru_maxrss / 1024, out, proc.returncode
+    sha.update(b"exit %d\n" % proc.returncode)
+    return sha.hexdigest(), proc.returncode, usage
 
 
 def work(argv):
@@ -118,8 +129,7 @@ def measure(probes, runner=run, counter=None):
     also holds the bytecodes and calls counter(argv) gives."""
     for command, pinned in probes:
         argv = shlex.split(command)
-        seconds, rss, out, code = runner(argv)
-        sha = digest(out, code)
+        seconds, rss, sha, code = runner(argv)
         row = {"command": command, "seconds": round(seconds, 3),
                "peak_rss_mb": round(rss, 1), "exit": code, "sha256": sha,
                "pinned": sha == pinned}

@@ -10,8 +10,10 @@ cProfile counts (Python and built-in functions), then its K functions with
 the most calls (default 10) as "calls function" lines.  The warm-up is
 ARGV's own command on another input: the first of --weight, --torus or
 --chi-s set to a list of as many zeros, or to ones (1/2 for a quantum
-exponent) when it is all zeros already; a command with none of these flags
-warms up on ARGV itself.
+exponent) when it is all zeros already.  A command that takes --chi-s but
+was given none, or an empty one, has the zero character, so it warms up
+with --chi-s set to ones (1/2); a command with none of these flags warms
+up on ARGV itself.
 
 --workload W counts one seed-0 round of perfbench's workload W the way
 perfbench/worker.py runs it: its set-up (root systems and fields), its
@@ -45,15 +47,22 @@ _VALUE_FLAGS = ("--weight", "--torus", "--chi-s")
 
 def warmup_argv(argv):
     """ARGV's own command on another input (see the module docstring)."""
+    from lieram.cli import GRAMMAR
+    from lieram.rootdata import check_cartan_type
     argv = list(argv)
-    for flag in _VALUE_FLAGS:
-        if flag in argv[:-1]:
-            i = argv.index(flag) + 1
+    flag = next((flag for flag in _VALUE_FLAGS if flag in argv[:-1]), None)
+    leaf = GRAMMAR.get(tuple(argv[:2]))
+    if flag is None and leaf and any(f.name == "--chi-s" for f in leaf[1]):
+        flag, argv = "--chi-s", [*argv, "--chi-s", ""]
+    if flag is not None:
+        i = argv.index(flag) + 1
+        if argv[i]:
             count = argv[i].count(",") + 1
-            zeros = ",".join(["0"] * count)
-            other = "1/2" if argv[0] == "quantum" else "1"
-            argv[i] = zeros if argv[i] != zeros else ",".join([other] * count)
-            break
+        else:  # the zero character, of the type's rank
+            count = sum(n for _l, n in check_cartan_type(argv[argv.index("--type") + 1]))
+        zeros = ",".join(["0"] * count)
+        other = "1/2" if argv[0] == "quantum" else "1"
+        argv[i] = zeros if argv[i] not in (zeros, "") else ",".join([other] * count)
     return argv
 
 
