@@ -536,6 +536,7 @@ _TORUS = _Flag("--torus", required=True, help="torus exponents of the point")
 # into the namespace argparse would build; argparse parses every other form
 # (--help, abbreviations, --flag=value, flags before the group, repeated or
 # unknown flags, bad values), so its messages and exit statuses are its own.
+# The parser is built only for those and for a usage error's usage line.
 # (The module docstring is the text of `lieram --help`, so this note is here.)
 GRAMMAR = {
     ("modular", "blocks"): (cmd_modular_blocks, (_TYPE, _P, *_MOD_CHI)),
@@ -580,7 +581,7 @@ def build_parser():
             p = groups[key[0]].add_parser(key[1], parents=[common])
         for flag in flags:
             _add(p, flag)
-        p.set_defaults(func=fn, parser=p)  # its usage line goes with a UsageError
+        p.set_defaults(func=fn)
         top.leaves[key] = p
     return top
 
@@ -595,12 +596,12 @@ def _parser():
 @functools.cache
 def _exact_forms():
     """Per leaf of GRAMMAR: the namespace argparse fills before it reads a
-    flag, the leaf's flags by name, and the names of its required flags."""
-    leaves = _parser().leaves
+    flag, the leaf's flags by name, and the names of its required flags;
+    read off GRAMMAR, with no parser built."""
     forms = {}
     for key, (fn, flags) in GRAMMAR.items():
         start = {f.dest: f.default for f in _TOP + flags}
-        start.update(zip(("group", "command"), key), func=fn, parser=leaves[key])
+        start.update(zip(("group", "command"), key), func=fn)
         forms[key] = (start, {f.name: (f.dest, f.type, f.choices) for f in _COMMON + flags},
                       {f.name for f in flags if f.required})
     return forms
@@ -652,7 +653,8 @@ def main(argv=None) -> int:
             if sys.stdout is sys.__stdout__:
                 sys.stdout.flush()  # while a failure can still be reported
     except UsageError as exc:
-        args.parser.error(str(exc))
+        key = (args.group, args.command) if "command" in args else (args.group,)
+        _parser().leaves[key].error(str(exc))  # the leaf's usage line, then exit 2
     except LieramError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

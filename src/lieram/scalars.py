@@ -324,10 +324,6 @@ class FFElem:
     def is_zero(self):
         return not self.coeffs
 
-    def in_prime_field(self):
-        """F_p-membership: no coefficient after the constant term."""
-        return len(self.coeffs) <= 1
-
     def trace_to_prime(self) -> int:
         """The absolute trace, read off the field's trace form."""
         return sum(map(operator.mul, self.coeffs, self.field.trace_form)) % self.field.p

@@ -13,9 +13,11 @@ reversed word instead, as a(w t) = (w^-1 a)(t).
 
 WeylElement stores an element as the integer matrix of its action on
 simple-root coordinates with the inverse matrix (equality is matrix
-equality), and enumerate_group lists W by closure.  No production path
-builds one: they serve the oracles in lieram.selftest, whose word_element is
-the matrix route for a word, and perfbench, which binds them by name.  Their
+equality), and enumerate_group lists W by closure.  Its length and the rows
+of its two coordinate actions are cached properties, built on first read.
+No production path builds one: they serve the oracles in lieram.selftest,
+whose word_element is the matrix route for a word, and perfbench, which
+binds enumerate_group, act_values and act_torus_exponents by name.  Their
 actions on raw coordinate tuples:
   * roots            beta -> w(beta)                 (coefficient vectors)
   * coroot values    lambda(h_i) -> (w lambda)(h_i)  (any coefficient ring)
@@ -94,37 +96,23 @@ def _identity_matrix(n):
 
 
 class WeylElement:
-    __slots__ = ("rs", "M", "Minv", "word", "_length", "_vrows", "_trows")
+    # __dict__ holds the cached_property values
+    __slots__ = ("rs", "M", "Minv", "word", "__dict__")
 
     def __init__(self, rs, M, Minv, word):
         self.rs = rs
         self.M = M
         self.Minv = Minv
         self.word = word
-        self._length = None
-        self._vrows = None
-        self._trows = None
 
     def apply_root(self, b):
         M = self.M
         r = self.rs.rank
         return tuple(sum(M[i][j] * b[j] for j in range(r)) for i in range(r))
 
-    def apply_root_inv(self, b):
-        M = self.Minv
-        r = self.rs.rank
-        return tuple(sum(M[i][j] * b[j] for j in range(r)) for i in range(r))
-
-    @property
+    @functools.cached_property
     def length(self) -> int:
-        if self._length is None:
-            self._length = sum(
-                1 for b in self.rs.pos_roots if min(self.apply_root(b)) < 0
-            )
-        return self._length
-
-    def inverse(self):
-        return WeylElement(self.rs, self.Minv, self.M, tuple(reversed(self.word)))
+        return sum(1 for b in self.rs.pos_roots if min(self.apply_root(b)) < 0)
 
     def __mul__(self, other):
         return WeylElement(
@@ -134,21 +122,17 @@ class WeylElement:
             self.word + other.word,
         )
 
+    @functools.cached_property
     def _value_rows(self):
         # row i = coroot coefficients of w^{-1}(alpha_i)
-        if self._vrows is None:
-            r = self.rs.rank
-            self._vrows = tuple(
-                self.rs.coroot(tuple(self.Minv[k][i] for k in range(r)))
-                for i in range(r)
-            )
-        return self._vrows
+        r = self.rs.rank
+        return tuple(self.rs.coroot(tuple(self.Minv[k][i] for k in range(r)))
+                     for i in range(r))
 
     def act_values(self, values):
         """(w lambda)(h_i) from lambda's values on the basis coroots."""
-        rows = self._value_rows()
         out = []
-        for row in rows:
+        for row in self._value_rows:
             acc = None
             for c, v in zip(row, values):
                 term = v * c
@@ -156,26 +140,19 @@ class WeylElement:
             out.append(acc)
         return tuple(out)
 
+    @functools.cached_property
     def _torus_rows(self):
         # row i, column j = coroot coefficients of w(alpha_j), coordinate i
-        if self._trows is None:
-            r = self.rs.rank
-            cols = [self.rs.coroot(tuple(self.M[k][j] for k in range(r)))
-                    for j in range(r)]
-            self._trows = tuple(tuple(cols[j][i] for j in range(r))
-                                for i in range(r))
-        return self._trows
+        r = self.rs.rank
+        cols = [self.rs.coroot(tuple(self.M[k][j] for k in range(r))) for j in range(r)]
+        return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
 
     def act_torus_exponents(self, qs):
         """(w t)(K_{varpi_i}) = t(K_{w^{-1} varpi_i}) on exponent vectors."""
-        rows = self._torus_rows()
         return tuple(
             UnityExp(sum(Fraction(c) * q.q for c, q in zip(row, qs)))
-            for row in rows
+            for row in self._torus_rows
         )
-
-    def is_identity(self):
-        return self.M == _identity_matrix(self.rs.rank)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.M == other.M

@@ -846,19 +846,46 @@ def test_quantum_unramified_exceptional_types(type_str, torus, verdict, capsys):
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    run_cli(GOLDEN["quantum_exceptional_g2.json"], capsys)
+    # --format=json is a form _match does not read, so argparse parses it
+    cli._parser.cache_clear()
+    run_cli(["--format=json", *GOLDEN["quantum_exceptional_g2.json"]], capsys)
+    assert cli._parser.cache_info().currsize == 1
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
-    code, out = run_cli(GOLDEN["modular_unramified_a1_p3.json"], capsys)
+    code, out = run_cli(["--format=json", *GOLDEN["modular_unramified_a1_p3.json"]], capsys)
     assert code == 0
     assert out == (GOLDEN_DIR / "modular_unramified_a1_p3.json").read_text()
 
 
-def test_parser_is_not_built_at_import():
+def _child(code, *argv):
     src = str(pathlib.Path(cli.__file__).parents[1])
-    probe = "import lieram.cli as c; print(c._parser.cache_info().currsize)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout == "0\n"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"})
+
+
+def test_parser_is_not_built_at_import():
+    done = _child("import lieram.cli as c; print(c._parser.cache_info().currsize)")
+    assert (done.returncode, done.stdout) == (0, "0\n")
+    # nor by an answer to an argv of the exact form: its bytes, then the
+    # parser cache's size, on stderr
+    probe = ("import sys, lieram.cli as c; code = c.main(sys.argv[1:]); "
+             "sys.stderr.write(f'{code} {c._parser.cache_info().currsize}')")
+    name = "quantum_blocks_a1_l5.json"
+    done = _child(probe, *GOLDEN[name])
+    assert done.stderr == "0 0"
+    assert done.stdout == (GOLDEN_DIR / name).read_text()
+
+
+def test_a_usage_error_on_the_exact_form_keeps_its_usage_line():
+    # the usage line and message argparse's leaf parser wrote when every
+    # namespace carried it, now from the parser built for the error alone
+    done = _child("import sys, lieram.cli as c; sys.exit(c.main())",
+                  "modular", "blocks", "--type", "A2", "--p", "5", "--chi-s", "AS(x),0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "usage: lieram modular blocks [-h] [--format {json,tsv}] [--bound BOUND] --type\n"
+        "                             TYPE --p P [--chi-s CHI_S] [--support SUPPORT]\n"
+        "lieram modular blocks: error: malformed field literal 'AS(x)': "
+        "expected an integer, g, g^k or AS(c)\n")
 
 
 def test_reused_parser_keeps_formats_apart(capsys):

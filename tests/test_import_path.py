@@ -398,6 +398,7 @@ CACHED_BY_OWNER = {
     ("rootdata.py", "Subsystem"): {"is_parabolic", "height_steps", "coset_poincare"},
     ("scalars.py", "FieldDescriptor"): {"frobenius_rows", "trace_form", "generator",
                                         "as_solver"},
+    ("weyl.py", "WeylElement"): {"length", "_value_rows", "_torus_rows"},
 }
 
 
