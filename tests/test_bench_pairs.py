@@ -183,3 +183,45 @@ def test_work_counts_are_read_per_label(bench_pairs, monkeypatch):
     assert counts is None and error.endswith("in bad exited 1:\nboom")
     assert seen == [(["tools/work.py", "--workload", "quantum", "--top", "0"], where)
                     for where in ("ok", "bad")]
+
+
+def test_probe_pairs_time_every_probe_cold_on_both_sides(bench_pairs, monkeypatch, tmp_path):
+    # --probes: each probe once per side per pair, the parent first in even
+    # pairs, from each side's clone; per probe both medians, the parent's
+    # quartiles, the pairs won and each side's pinned verdict
+    pins = (("a --x 1", "pa"), ("b", "pb"))
+    calls = []
+
+    def run(argv, root):
+        side = os.path.basename(root)
+        command = " ".join(argv)
+        calls.append((side, command))
+        # the change's last run of b is off its pin
+        sha = "off" if (side, command) == ("change", "b") and len(calls) > 8 else dict(pins)[
+            command]
+        seconds = (0.9 if side == "change" else 1.0) + 0.001 * len(calls)
+        return seconds, 20.0 if side == "change" else 18.0, sha, 0
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "clone", lambda commit, where: where)
+    monkeypatch.setattr(bench_pairs.probes, "run", run)
+    monkeypatch.setattr(bench_pairs.probes, "PROBES", pins)
+    out = tmp_path / "PROBES.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "HEAD~1", "HEAD", "--probes", "--out",
+                                      str(out), "--pairs", "3", "--workdir", str(tmp_path)])
+    bench_pairs.main()
+    got = json.loads(out.read_text())
+    assert calls == [(side, command) for k in range(3) for command, _pin in pins
+                     for side in (("parent", "change") if k % 2 == 0 else ("change", "parent"))]
+    assert len(got["runs"]) == 12 and {r["exit"] for r in got["runs"]} == {0}
+    a, b = got["probes"]
+    assert (a["command"], a["pairs"], b["command"]) == ("a --x 1", 3, "b")
+    assert (a["parent_pinned"], a["change_pinned"]) == (True, True)
+    assert (b["parent_pinned"], b["change_pinned"]) == (True, False)
+    assert a["seconds"]["change_lower_in_pairs"] == 3
+    assert a["peak_rss_mb"]["change_lower_in_pairs"] == 0
+    assert a["peak_rss_mb"]["parent_median"] == 18.0
+    assert a["peak_rss_mb"]["relative_change"] == pytest.approx(1 / 9)
+    parent = sorted(r["seconds"] for r in got["runs"]
+                    if (r["side"], r["command"]) == ("parent", "a --x 1"))
+    assert (a["seconds"]["parent_q1"], a["seconds"]["parent_median"]) == (
+        pytest.approx((parent[0] + parent[1]) / 2), parent[1])

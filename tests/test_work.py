@@ -84,3 +84,21 @@ def test_a_workload_round_is_counted_per_label():
         "modular blocks": 8, "modular poincare": 12, "modular finite-type": 8,
         "modular unramified": 32}
     assert all(row["bytecodes"] > row["calls"] > 0 for row in rows)
+
+
+@pytest.mark.parametrize("argv,spellings", [
+    (["quantum", "blocks", "--type", "B2", "--ell", "5", "--chi-s", "0,0"],
+     ["0/1,0/1", "0, 0"]),
+    (["modular", "blocks", "--type", "A3", "--p", "5", "--chi-s", "0,0,0"], ["5,10,0"]),
+])
+def test_a_zero_spelled_otherwise_warms_up_as_zero(argv, spellings, work):
+    # the warm-up reads the value as the CLI does, so another spelling of
+    # zero warms up on ones as well, and its answer walks as the canonical
+    # one does; a Fraction literal parses in a few more bytecodes than "0"
+    assert work.warmup_argv(argv)[-1] in ("1/2,1/2", "1,1,1")
+    canonical = json.loads(run("--top", "0", *argv)[0])["bytecodes"]
+    for text in spellings:
+        spelled = [*argv[:-1], text]
+        assert work.warmup_argv(spelled) == work.warmup_argv(argv)
+        bytecodes = json.loads(run("--top", "0", *spelled)[0])["bytecodes"]
+        assert abs(bytecodes - canonical) <= canonical / 100, (text, bytecodes, canonical)

@@ -39,6 +39,21 @@ query label.  `work` lists one row per workload and label with both sides'
 counts and the relative change of the bytecodes; a side whose count did not
 finish gives its error in place of its counts.  Counts are not time: the
 timed pairs decide.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --probes --out F [--pairs 10]
+
+With --probes the pairs time the cold CLI instead: every command of
+tools/probes.py's PROBES, run as probes.run runs it (a fresh `python3 -m
+lieram.cli` child of the side's clone, with PYTHONDONTWRITEBYTECODE=1 and
+without LIERAM_BOUND, its stdout hashed in chunks as it is read).  In pair
+k each probe runs once on each side, one after the other, the parent first
+when k is even.  The output holds every run (wall seconds, the child's peak
+RSS in MB, exit status and digest) and, per probe, for `seconds` and
+`peak_rss_mb`: both medians, the parent's quartiles, the number of pairs in
+which the change's value was lower and the relative change of the medians;
+and each side's pinned verdict, true when every run of that side gave the
+digest PROBES holds.  No bound is applied and no gain is judged: the
+rows describe the cold cost, the benchmark's workloads decide.
 """
 
 from __future__ import annotations
@@ -46,12 +61,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+import probes  # noqa: E402  (tools/probes.py)
 
 
 def git(*args, cwd=ROOT):
@@ -114,6 +133,20 @@ def work_rows(checkouts, workloads):
     return rows
 
 
+def compare(side):
+    """One metric's values by pair, side = {"parent": {pair: value},
+    "change": {pair: value}}: both medians, the parent's quartiles
+    (inclusive method), the pairs in which the change's value was lower and
+    the relative change of the medians."""
+    parent, change = list(side["parent"].values()), list(side["change"].values())
+    q1, _q2, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    pm, cm = statistics.median(parent), statistics.median(change)
+    return {"parent_median": pm, "change_median": cm, "parent_q1": q1, "parent_q3": q3,
+            "change_lower_in_pairs": sum(side["change"][k] < v
+                                         for k, v in side["parent"].items()),
+            "relative_change": (cm - pm) / pm}
+
+
 def summarize(runs, metrics):
     """The summary rows of `runs` per workload, seed, trace and metric, the
     metrics given as BENCHMARK.json's end_to_end entries (name, better,
@@ -129,25 +162,22 @@ def summarize(runs, metrics):
             side = {s: {r["pair"]: r["metrics"][metric] for r in cell if r["side"] == s}
                     for s in ("parent", "change")}
             parent, change = list(side["parent"].values()), list(side["change"].values())
-            q1, _q2, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-            pm, cm = statistics.median(parent), statistics.median(change)
+            row = compare(side)
+            pm, cm = row["parent_median"], row["change_median"]
+            iqr = row["parent_q3"] - row["parent_q1"]
             # sign * value is lower where the value is better
             sign = 1 if spec["better"] == "lower" else -1
             wins = sum(sign * side["change"][k] < sign * v for k, v in side["parent"].items())
             every_run_better = max(sign * v for v in change) < min(sign * v for v in parent)
             summary.append({
                 "workload": workload, "seed": seed, "trace": trace, "metric": metric,
-                "pairs": len(parent), "parent_median": pm, "change_median": cm,
-                "parent_q1": q1, "parent_q3": q3,
+                "pairs": len(parent), **row,
                 "change_min": min(change), "change_max": max(change),
                 "parent_min": min(parent), "parent_max": max(parent),
-                "change_lower_in_pairs": sum(side["change"][k] < v
-                                             for k, v in side["parent"].items()),
-                "relative_change": (cm - pm) / pm,
                 "bound": bound, "better": spec["better"],
                 "worse_than_bound": sign * (cm - pm) > bound * pm,
-                "unresolved": q3 - q1 > bound * pm and not every_run_better,
-                "gain_resolved": wins * 10 >= 9 * len(parent) and sign * (pm - cm) > q3 - q1,
+                "unresolved": iqr > bound * pm and not every_run_better,
+                "gain_resolved": wins * 10 >= 9 * len(parent) and sign * (pm - cm) > iqr,
             })
     return summary
 
@@ -184,6 +214,39 @@ def pair_runs(checkouts, workloads, seeds, metrics, args):
     return runs, None
 
 
+def probe_pairs(checkouts, pairs):
+    """Every cold probe run, pair by pair and probe by probe, the parent side
+    first in even pairs."""
+    runs = []
+    for k in range(pairs):
+        for command, _pin in probes.PROBES:
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                seconds, rss, sha, code = probes.run(shlex.split(command), checkouts[side])
+                runs.append({"pair": k, "side": side, "command": command,
+                             "seconds": seconds, "peak_rss_mb": rss, "exit": code,
+                             "sha256": sha})
+            print(f"pair {k} {command}: " + ", ".join(
+                f"{r['side']} {r['seconds']:.3f} s {r['peak_rss_mb']:.1f} MB"
+                for r in runs[-2:]), flush=True)
+    return runs
+
+
+def summarize_probes(runs):
+    """One row per probe of `runs`: compare's figures for its wall seconds
+    and its peak RSS, and each side's pinned verdict."""
+    rows = []
+    for command, pin in probes.PROBES:
+        mine = [r for r in runs if r["command"] == command]
+        row = {"command": command, "pairs": len(mine) // 2}
+        for side in ("parent", "change"):
+            row[f"{side}_pinned"] = all(r["sha256"] == pin for r in mine if r["side"] == side)
+        for metric in ("seconds", "peak_rss_mb"):
+            row[metric] = compare({s: {r["pair"]: r[metric] for r in mine if r["side"] == s}
+                                   for s in ("parent", "change")})
+        rows.append(row)
+    return rows
+
+
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
@@ -198,9 +261,13 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--claim", default="none")
     ap.add_argument("--workdir")
+    ap.add_argument("--probes", action="store_true",
+                    help="time tools/probes.py's cold CLI commands instead of the benchmark")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 (the quartiles need two values)")
+    if args.probes:
+        return main_probes(args)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = args.seed or [0]
     metrics = [m["name"] for m in bench["end_to_end"]]
@@ -235,6 +302,27 @@ def main():
         fh.write("\n")
     if stopped:
         sys.exit(f"bench_pairs: {stopped}; {len(runs)} runs written to {args.out}")
+
+
+def main_probes(args):
+    commits = {"parent": git("rev-parse", args.parent + "^{commit}"),
+               "change": git("rev-parse", args.change + "^{commit}")}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        checkouts = {side: clone(commit, os.path.join(args.workdir or tmp, side))
+                     for side, commit in commits.items()}
+        runs = probe_pairs(checkouts, args.pairs)
+    out = {
+        "what": (f"Alternating parent/change pairs of every tools/probes.py command, each run "
+                 f"cold as `python3 -m lieram.cli` from its side's clean git clone, "
+                 f"PYTHONDONTWRITEBYTECODE=1, LIERAM_BOUND unset; {args.pairs} pairs, the "
+                 "pair index deciding which side ran first (even: parent first); written "
+                 "by tools/bench_pairs.py --probes."),
+        "parent": commits["parent"], "change": commits["change"], "claim": args.claim,
+        "probes": summarize_probes(runs), "runs": runs,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -87,22 +87,23 @@ PROBES = (
 )
 
 
-def run(argv):
+def run(argv, root=ROOT):
     """(wall seconds, peak RSS in MB, digest, exit status) of one cold CLI
-    child; stderr is discarded."""
+    child of the checkout at `root`; stderr is discarded."""
     env = {k: v for k, v in os.environ.items() if k != "LIERAM_BOUND"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update(PYTHONPATH=str(pathlib.Path(root) / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
-    sha, code, usage = hashed_child([sys.executable, "-m", "lieram.cli", *argv], env)
+    sha, code, usage = hashed_child([sys.executable, "-m", "lieram.cli", *argv], env, root)
     # ru_maxrss is in KB on Linux
     return time.perf_counter() - start, usage.ru_maxrss / 1024, sha, code
 
 
-def hashed_child(args, env):
-    """(digest, exit status, resource usage) of a child run from the root
-    of the checkout, its stdout hashed in chunks of 64 KB as it is read."""
+def hashed_child(args, env, cwd=ROOT):
+    """(digest, exit status, resource usage) of a child run from `cwd` (the
+    root of this checkout), its stdout hashed in chunks of 64 KB as it is
+    read."""
     sha = hashlib.sha256()
-    with subprocess.Popen(args, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+    with subprocess.Popen(args, cwd=cwd, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL) as proc:
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             sha.update(chunk)

@@ -10,7 +10,8 @@ cProfile counts (Python and built-in functions), then its K functions with
 the most calls (default 10) as "calls function" lines.  The warm-up is
 ARGV's own command on another input: the first of --weight, --torus or
 --chi-s set to a list of as many zeros, or to ones (1/2 for a quantum
-exponent) when it is all zeros already.  A command that takes --chi-s but
+exponent) when the command reads it as all zeros already (compared by
+value, so 0/1,0/1 or 5,10,0 at p = 5 counts as zero).  A command that takes --chi-s but
 was given none, or an empty one, has the zero character, so it warms up
 with --chi-s set to ones (1/2); a command with none of these flags warms
 up on ARGV itself.
@@ -56,14 +57,32 @@ def warmup_argv(argv):
         flag, argv = "--chi-s", [*argv, "--chi-s", ""]
     if flag is not None:
         i = argv.index(flag) + 1
-        if argv[i]:
+        if argv[i].strip():
             count = argv[i].count(",") + 1
         else:  # the zero character, of the type's rank
             count = sum(n for _l, n in check_cartan_type(argv[argv.index("--type") + 1]))
-        zeros = ",".join(["0"] * count)
         other = "1/2" if argv[0] == "quantum" else "1"
-        argv[i] = zeros if argv[i] not in (zeros, "") else ",".join([other] * count)
+        argv[i] = ",".join([other if _is_zero(argv, argv[i], count) else "0"] * count)
     return argv
+
+
+def _is_zero(argv, text, count):
+    """Whether ARGV's command reads the value list `text` as all zeros (an
+    empty one is the zero character): parsed as the CLI parses it, so that
+    0/1,0/1 on the quantum side or 5,10,0 at p = 5 is zero too.  A list the
+    CLI refuses is not zero."""
+    from lieram import cli
+    from lieram.errors import LieramError
+    from lieram.scalars import make_field
+    if not text.strip():
+        return True
+    try:
+        if argv[0] == "quantum":
+            return not any(cli.parse_torus(text, count).nums)
+        base = make_field(int(argv[argv.index("--p") + 1]), 1)
+        return not any(map(any, cli.parse_field_slots(text, base, count)[0]))
+    except (cli.UsageError, LieramError, ValueError, IndexError):
+        return False
 
 
 def _count_opcodes(counter):
