@@ -5,7 +5,10 @@ range, read in the metric's own direction.  And its stop path, with git,
 the clones and the runs stubbed: a run that fails an answer or exits
 nonzero stops the pairs, and the runs made so far are written with no
 summary.  After a clean pair set each side's work counts are written side by
-side, with tools/work.py stubbed."""
+side, with tools/work.py stubbed.  With --probes every cold probe runs once
+per side and pair from that side's clone (the runner stubbed), and each
+probe's row holds both medians, the parent's quartiles, the pairs won and
+both sides' pinned verdicts."""
 
 import importlib.util
 import json

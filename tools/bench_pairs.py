@@ -266,8 +266,6 @@ def main():
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 (the quartiles need two values)")
-    if args.probes:
-        return main_probes(args)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = args.seed or [0]
     metrics = [m["name"] for m in bench["end_to_end"]]
@@ -276,6 +274,8 @@ def main():
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         checkouts = {side: clone(commit, os.path.join(args.workdir or tmp, side))
                      for side, commit in commits.items()}
+        if args.probes:
+            return write_probes(args, commits, probe_pairs(checkouts, args.pairs))
         runs, stopped = pair_runs(checkouts, workloads, seeds, metrics, args)
         work = None if stopped else work_rows(checkouts, workloads)
     seconds = sorted({r["seconds"] for r in runs if "seconds" in r})
@@ -304,13 +304,8 @@ def main():
         sys.exit(f"bench_pairs: {stopped}; {len(runs)} runs written to {args.out}")
 
 
-def main_probes(args):
-    commits = {"parent": git("rev-parse", args.parent + "^{commit}"),
-               "change": git("rev-parse", args.change + "^{commit}")}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        checkouts = {side: clone(commit, os.path.join(args.workdir or tmp, side))
-                     for side, commit in commits.items()}
-        runs = probe_pairs(checkouts, args.pairs)
+def write_probes(args, commits, runs):
+    """Write the cold probe runs and their rows per probe to args.out."""
     out = {
         "what": (f"Alternating parent/change pairs of every tools/probes.py command, each run "
                  f"cold as `python3 -m lieram.cli` from its side's clean git clone, "

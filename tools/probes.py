@@ -14,7 +14,9 @@ were taken at commit fb2acc8 (the six fast E6-E8 answers at 4a97618, the
 E7 and E8 quantum blocks at 8728c9f, the regular E6 quantum cell at
 1c5205b, the E7 cell of Phi' = A1 at 30135ed), so a probe checks the bytes
 it answers as well as its cost.
-Exits 1 when any digest differs from its pin.
+Exits 1 when any digest differs from its pin.  `tools/bench_pairs.py
+PARENT CHANGE --probes` runs the same commands in alternating pairs of two
+commits.
 
 With --work each row also carries the exact work of the command's answer,
 "bytecodes" and "calls", as tools/work.py counts them in a child of its
@@ -99,9 +101,9 @@ def run(argv, root=ROOT):
 
 
 def hashed_child(args, env, cwd=ROOT):
-    """(digest, exit status, resource usage) of a child run from `cwd` (the
-    root of this checkout), its stdout hashed in chunks of 64 KB as it is
-    read."""
+    """(digest, exit status, resource usage) of a child run from `cwd` (by
+    default the root of this checkout), its stdout hashed in chunks of 64 KB
+    as it is read."""
     sha = hashlib.sha256()
     with subprocess.Popen(args, cwd=cwd, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL) as proc:

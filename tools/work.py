@@ -10,8 +10,8 @@ cProfile counts (Python and built-in functions), then its K functions with
 the most calls (default 10) as "calls function" lines.  The warm-up is
 ARGV's own command on another input: the first of --weight, --torus or
 --chi-s set to a list of as many zeros, or to ones (1/2 for a quantum
-exponent) when the command reads it as all zeros already (compared by
-value, so 0/1,0/1 or 5,10,0 at p = 5 counts as zero).  A command that takes --chi-s but
+exponent) when the command reads it as all zeros already (by value, so
+0/1,0/1, or 5,10,0 at p = 5, is zero).  A command that takes --chi-s but
 was given none, or an empty one, has the zero character, so it warms up
 with --chi-s set to ones (1/2); a command with none of these flags warms
 up on ARGV itself.
