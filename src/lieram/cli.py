@@ -7,15 +7,16 @@ verify appendix, selftest.
 Output is deterministic: JSON with sorted keys (the machine format) or a flat
 TSV projection.  Exit status: 0 success, 1 domain error, 2 usage error.
 The single --bound flag (mirrored by the LIERAM_BOUND environment variable)
-caps the field size (default 10^9), the points a block walk visits (default
-10^6) and, with the default of the points, the root tables of the Cartan
-type: |Phi+| x rank entries.
+caps the work of each check of lieram.errors.BOUNDS; without it each check
+has its own default: type 10^6 (rank^2, then |Phi+| x rank), field 10^9
+(p^e), points 10^6 (the points a block walk visits) and group 10^6 (|W|,
+in the oracles only).
 
 Every subcommand's inputs are resolved and checked once, before it runs, in
 one order; the first failure is the one reported:
   1. the bound: --bound, else LIERAM_BOUND;
-  2. the Cartan type: its grammar, then |Phi+| x rank against the bound,
-     before its root system is built;
+  2. the Cartan type: its grammar, then rank^2 and |Phi+| x rank against
+     the type bound, before its root system is built;
   3. the standing hypotheses: on p (modular: p within the field bound,
      prime, then the hypotheses), or on ell and eps (quantum);
   4. the character, --chi-s (empty: the zero character) then --support, or
@@ -107,20 +108,24 @@ def parse_field_slots(text: str, base, rank: int, bound=None):
         if not ((t[1:] if t[:1] in "+-" else t).isdecimal() or _FIELD_SYMBOL.fullmatch(t)):
             raise UsageError(
                 f"malformed field literal {t!r}: expected an integer, g, g^k or AS(c)")
+    # the integer of each literal: its value, k of g^k (1 for g), c of AS(c)
+    ks = [_literal(int, t[3:-1] if t[0] == "A" else (t[2:] or "1") if t[0] == "g" else t,
+                   "field literal", t) for t in tokens]
     p = base.p
-    needs_ext = "AS(" in text and any(int(t[3:-1]) % p for t in tokens if t[0] == "A")
+    needs_ext = "AS(" in text and any(k % p for t, k in zip(tokens, ks) if t[0] == "A")
     ambient = make_field(p, p, bound) if needs_ext else base
     pad = (0,) * (ambient.e - 1)
-    return [(int(t) % p,) + pad if t[0] not in "Ag" else _field_slot(t, base, ambient, bound)
-            for t in tokens], ambient
+    return [(k % p,) + pad if t[0] not in "Ag" else _field_slot(t, k, base, ambient, bound)
+            for t, k in zip(tokens, ks)], ambient
 
 
-def _field_slot(t, base, ambient, bound):
-    """The slot vector of a g, g^k or AS(c) literal in the ambient field."""
+def _field_slot(t, k, base, ambient, bound):
+    """The slot vector of a g, g^k or AS(c) literal, of integer k (c), in the
+    ambient field."""
     if t[0] == "A":
-        x = embed(artin_schreier_solve(base.from_int(int(t[3:-1])), bound)[0], ambient)
+        x = embed(artin_schreier_solve(base.from_int(k), bound)[0], ambient)
     else:  # the generator is kept by its field
-        x = ambient.generator ** (1 if t == "g" else int(t[2:]))
+        x = ambient.generator ** k
     return x.coeffs + (0,) * (ambient.e - len(x.coeffs))
 
 
@@ -149,11 +154,12 @@ def parse_support(text: str):
     return tuple(i - 1 for i in out)
 
 
-def _literal(convert, text, what):
+def _literal(convert, text, what, shown=None):
+    # convert(text), else a usage error naming `shown` (default: text)
     try:
         return convert(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed {what} {text!r}") from None
+        raise UsageError(f"malformed {what} {text if shown is None else shown!r}") from None
 
 
 def _emit(args, payload, tsv_rows=None):
@@ -516,8 +522,8 @@ _TOP = (_Flag("--format", default="json", choices=("json", "tsv")),
         _Flag("--bound", _bound_value))
 _COMMON = (_Flag("--format", default=argparse.SUPPRESS, choices=("json", "tsv")),
            _Flag("--bound", _bound_value, argparse.SUPPRESS,
-                 help="cap for field size, points a block walk visits and |Phi+| x rank "
-                      "of the type (defaults 10^9 / 10^6 / 10^6; env LIERAM_BOUND)"))
+                 help="cap on each check's work, else its default: type 10^6 (|Phi+| x rank), "
+                      "field 10^9 (p^e), points 10^6, group 10^6 (|W|); env LIERAM_BOUND"))
 _TYPE = _Flag("--type", required=True)
 _P = _Flag("--p", int, required=True)
 _WEIGHT = _Flag("--weight", required=True, help="coroot values (field literals)")

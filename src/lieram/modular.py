@@ -31,14 +31,13 @@ import functools
 from operator import getitem
 
 from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate
-from .errors import NotNilpotentContext
+from .errors import NotNilpotentContext, charge
 from .rootdata import RootSystem, coxeter_type, hypothesis_check, subsystem_classify, type_string
 from .scalars import _ptrim, artin_schreier_solve, embed, make_field, prime_field
 from .weyl import (
     BlockList,
     BlockRecord,
     Kind,
-    _check_points,
     block_list,
     integer_pairings,
     reflection_stabilizer,
@@ -270,14 +269,15 @@ def mod_blocks(chi: PChar, bound=None):
     as a BlockList of BlockReports, with the tables "eta" and "lambda" of
     each coordinate's codes by the constant term of eta.
     BoundExceeded when the p^r points of Lambda_chi, or then its ambient
-    field, exceed `bound` (each check has its own default); the points are
-    counted before any is listed, and both checks come before the walk memo
-    is read.  The list depends on chi only through its walk (weyl.block_list:
-    rs, Phi', p), the ambient field and the code tables, which fix whether
-    chi is nilpotent, so it is kept on its walk while those are equal: a
-    repeated chi_s returns the same read-only list, for any support."""
+    field, exceed `bound` (the "points" and "field" checks of
+    errors.BOUNDS); the points are counted before any is listed, and both
+    checks come before the walk memo is read.  The list depends on chi only
+    through its walk (weyl.block_list: rs, Phi', p), the ambient field and
+    the code tables, which fix whether chi is nilpotent, so it is kept on its
+    walk while those are equal: a repeated chi_s returns the same read-only
+    list, for any support."""
     rs, levi, p = chi.rs, chi.levi, chi.p
-    _check_points(p ** rs.rank, bound)
+    charge("points", bound, p ** rs.rank)
     # Lambda_chi's base, in the ambient field, is one solution per coordinate
     sols, fields = zip(*[_solved(c, bound) for c in chi.values])
     ambient = max(fields, key=lambda f: f.e)

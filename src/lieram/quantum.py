@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import getitem
 from types import MappingProxyType
 
-from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow
+from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow, charge
 from .rootdata import (RootSystem, check_cartan_type, classify_basis, degrees, root_system,
                        subsystem_classify)
 from .scalars import UnityExp, eps_pow
@@ -34,7 +34,6 @@ from .weyl import (
     BlockList,
     BlockRecord,
     Kind,
-    _check_points,
     alcove_descent,
     block_list,
     extended_diagram,
@@ -207,14 +206,15 @@ def q_blocks(chi: QChar, bound=None):
     a BlockList of QBlockReports with the table "torus" of each
     coordinate's exponent texts by numerator; dimD is the index [W(t^ell) :
     W(t)] of classified subsystem orders.
-    BoundExceeded when the ell^r fiber points exceed `bound` (default 10^6);
-    they are counted before any is listed and before the walk memo is read.
+    BoundExceeded when the ell^r fiber points exceed `bound` (the "points"
+    check of errors.BOUNDS); they are counted before any is listed and
+    before the walk memo is read.
     The list depends on chi only through its walk (weyl.block_list: rs,
     Phi', N and the fiber's axes, whose texts are its table), not on the
     support nor on eps, so it is kept on its walk: a repeated chi_s, or
     another of the same fiber, returns the same read-only list."""
     rs, levi, ell = chi.rs, chi.levi, chi.ell
-    _check_points(ell ** rs.rank, bound)
+    charge("points", bound, ell ** rs.rank)
     # the fiber as exponent numerators over N = ell D, D the denominator of
     # chi_s: t_i = (2 q_i + d) / ell, and 2 q_i D = c_i
     D, N = chi.chi_s.N, ell * chi.chi_s.N

@@ -43,14 +43,10 @@ import operator
 import re
 from typing import NamedTuple
 
-from .errors import BoundExceeded, InvalidType, InvariantViolation, NotClosed
+from .errors import InvalidType, InvariantViolation, NotClosed, charge
 from .scalars import solve_linear
 
 _TYPE_RE = re.compile(r"([A-G])(\d+)")
-
-# the default cap on the points a block walk visits and on the entries of the
-# root tables of a Cartan type
-DEFAULT_GROUP_BOUND = 10**6
 
 @functools.lru_cache(maxsize=None)
 def parse_cartan_type(s: str):
@@ -64,7 +60,12 @@ def parse_cartan_type(s: str):
         m = _TYPE_RE.fullmatch(part.strip().upper())
         if not m:
             raise InvalidType(f"cannot parse component {part!r}")
-        comps.append(_validate_component(m.group(1), int(m.group(2))))
+        letter, digits = m.groups()
+        try:
+            rank = int(digits)
+        except ValueError:  # more digits than int() reads
+            raise InvalidType(f"rank of component {letter} has {len(digits)} digits") from None
+        comps.append(_validate_component(letter, rank))
     return tuple(comps)
 
 
@@ -346,20 +347,17 @@ def coxeter_type(letter, rank):
 @functools.lru_cache(maxsize=None)
 def check_cartan_type(ctype, bound=None):
     """The components of a Cartan type given as a string or component tuple,
-    each through _validate_component once, then BoundExceeded if its root
-    tables would hold more than `bound` (default DEFAULT_GROUP_BOUND)
-    entries: |Phi+| x rank.  An accepted (ctype, bound) is kept for the
+    each through _validate_component once, then BoundExceeded if rank^2,
+    then |Phi+| x rank (the entries of its root tables), exceeds `bound`
+    (the "type" check of errors.BOUNDS).  An accepted (ctype, bound) is kept for the
     process; a refusal is not, so it is raised again on every call."""
     comps = (parse_cartan_type(ctype) if isinstance(ctype, str)
              else tuple(_validate_component(l, n) for l, n in ctype))
-    cap = DEFAULT_GROUP_BOUND if bound is None else bound
-    r = sum(n for _l, n in comps)
+    r, ts = sum(n for _l, n in comps), type_string(comps)
     # |Phi+| >= rank: a rank past the square root of the bound is refused
     # before its degrees are listed
-    what, size = (("rank^2", r * r) if r * r > cap
-                  else ("|Phi+| x rank", r * sum(d - 1 for d in degrees(comps))))
-    if size > cap:
-        raise BoundExceeded(f"type {type_string(comps)}: {what} = {size} exceeds bound {cap}")
+    charge("type", bound, r * r, ts, "rank^2")
+    charge("type", bound, r * sum(d - 1 for d in degrees(comps)), ts, "|Phi+| x rank")
     return comps
 
 

@@ -31,9 +31,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import BoundExceeded, InvariantViolation, NonInvertibleDenominator, NonPrime
-
-DEFAULT_FIELD_BOUND = 10**9
+from .errors import InvariantViolation, NonInvertibleDenominator, NonPrime, charge
 
 
 def is_prime(n: int) -> bool:
@@ -247,12 +245,11 @@ def prime_field(p: int) -> FieldDescriptor:
 
 def make_field(p: int, e: int, bound=None) -> FieldDescriptor:
     """The deterministic descriptor of F_{p^e}; idempotent for fixed (p, e).
-    BoundExceeded when p^e exceeds `bound` (default DEFAULT_FIELD_BOUND),
-    checked before p is tested for primality (by prime_field); then NonPrime."""
-    bound = DEFAULT_FIELD_BOUND if bound is None else bound
-    # p^e >= 2^e, so an e past the bit length of the bound exceeds it unpowered
-    if e >= 1 and p >= 2 and (e > bound.bit_length() or p**e > bound):
-        raise BoundExceeded(f"field size {p}^{e} exceeds bound {bound}")
+    BoundExceeded when p^e exceeds `bound` (the "field" check of
+    errors.BOUNDS), checked before p is tested for primality (by
+    prime_field); then NonPrime."""
+    if e >= 1 and p >= 2:
+        charge("field", bound, p, e=e)
     prime_field(p)
     if e < 1:
         raise NonPrime(f"extension degree {e} must be >= 1")

@@ -29,6 +29,7 @@ import time
 from fractions import Fraction
 
 from .errors import HypothesisFailure, InvariantViolation, NoParabolicConjugate, NotParabolic
+from .errors import charge
 from .modular import (
     PChar,
     _solved,
@@ -74,7 +75,6 @@ from .scalars import (
 )
 from .weyl import (
     WeylElement,
-    _check_points,
     enumerate_group,
     extended_diagram,
     generated_group,
@@ -329,7 +329,7 @@ def enumerate_lambda_chi(chi: PChar, bound=None):
     F_p-translate in lex order.  BoundExceeded as in mod_blocks, the p^r
     points counted before any is listed.
     """
-    _check_points(chi.p ** chi.rs.rank, bound)
+    charge("points", bound, chi.p ** chi.rs.rank)
     sols, fields = zip(*(_solved(c, bound) for c in chi.values))
     ambient = max(fields, key=lambda f: f.e)
     base = [embed(x, ambient) for x in sols]

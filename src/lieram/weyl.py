@@ -34,9 +34,10 @@ torus is simply connected), generated by the reflections s_beta, beta in
 the basis of Phi'; the walk takes that as given, and lieram.selftest checks
 |W.chi| |W(Phi')| = |W| as an oracle.  So the walk visits each point of the
 set once and reaches no point outside it (orbit_partition raises if it
-does), and the points bound counts the set alone, checked before any axis
-is built.  Each axis of the set is listed in the order of its sort key, so
-a block is met first at its least point and keeps that point and its size.
+does), and the points bound counts the set alone: the callers charge it
+to the "points" check of errors.BOUNDS before any axis is built.  Each axis
+of the set is listed in the order of its sort key, so a block is met first
+at its least point and keeps that point and its size.
 A reflection is the rank-one map x -> x - <x, beta> v_beta
 (integer_actions), read off the coroot and root-value tables of the root
 system.  integer_pairings pairs a point with every positive root by height,
@@ -50,20 +51,20 @@ and the subsystem memo of the root system classifies each distinct set of
 vanishing roots once.  A walk depends only on (root system, Phi', encoding,
 modulus, axes), not on the nilpotent part of chi nor (on the modular side)
 on the base of Lambda_chi, so block_list keeps the latest walks, least
-recently used first, while their point sets total at most
-DEFAULT_GROUP_BOUND, and reuses them within the process.  Each kept walk
-also keeps the latest BlockList built on it, returned again while the
-inputs of its view are equal (on the quantum side always, on the modular
-side the ambient field and the eta and lambda code tables): a repeated
-chi_s, or another chi_s of the same walk and view, returns the same
-read-only list, for any support.  The callers check the points bound
-before the memo is read.  A regular chi (Phi' empty) neither walks nor is
-kept: each point is its own block, with stabiliser Phi'.  An orbit of
-|W(Phi')| points is free, so no root vanishes on it and its stabiliser is
-not classified.  A BlockList holds the walk's columns (points, orbit sizes
-and the Kind of each point stabiliser, built once per process, see Kind)
-and the answer's per-coordinate tables; a block's report, a BlockRecord,
-is a view built when the list is read.
+recently used first, while their point sets total at most the default of
+the points check, and reuses them within the process.  Each kept walk also
+keeps the latest BlockList built on it, returned again while the inputs of
+its view are equal (on the quantum side always, on the modular side the
+ambient field and the eta and lambda code tables): a repeated chi_s, or
+another chi_s of the same walk and view, returns the same read-only list,
+for any support.  The callers charge the points before the memo is read.
+A regular chi (Phi' empty) neither walks nor is kept: each point is its own
+block, with stabiliser Phi'.  An orbit of |W(Phi')| points is free, so no
+root vanishes on it and its stabiliser is not classified.  A BlockList holds
+the walk's columns (points, orbit sizes and the Kind of each point
+stabiliser, built once per process, see Kind) and the answer's
+per-coordinate tables; a block's report, a BlockRecord, is a view built
+when the list is read.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import BoundExceeded, InvalidSupport, InvariantViolation
-from .rootdata import DEFAULT_GROUP_BOUND, RootSystem, highest_root, subsystem_classify
+from .errors import BOUNDS, InvalidSupport, InvariantViolation, charge
+from .rootdata import RootSystem, highest_root, subsystem_classify
 from .scalars import UnityExp
 
 
@@ -274,15 +275,13 @@ def inversion_set(rs: RootSystem, word):
             for k, i in enumerate(word)]
 
 
-def generated_group(rs: RootSystem, gens, order: int, type_str: str,
-                    bound: int = DEFAULT_GROUP_BOUND):
+def generated_group(rs: RootSystem, gens, order: int, type_str: str, bound=None):
     """The elements of the group generated by the Weyl elements `gens`, of
     the classified order `order` (type `type_str`), by breadth-first closure,
     sorted by (length, word).  BoundExceeded when the order exceeds the
-    bound; InvariantViolation unless the closure has exactly `order`
-    elements."""
-    if order > bound:
-        raise BoundExceeded(f"|W({type_str})| = {order} exceeds bound {bound}")
+    bound (the "group" check of errors.BOUNDS); InvariantViolation unless
+    the closure has exactly `order` elements."""
+    charge("group", bound, order, type_str)
     seen = orbit_of(identity(rs), [g.__mul__ for g in gens])
     if len(seen) != order:
         raise InvariantViolation(
@@ -291,7 +290,7 @@ def generated_group(rs: RootSystem, gens, order: int, type_str: str,
     return tuple(sorted(seen, key=lambda w: (w.length, w.word)))
 
 
-def enumerate_group(rs: RootSystem, bound: int = DEFAULT_GROUP_BOUND):
+def enumerate_group(rs: RootSystem, bound=None):
     """All Weyl group elements by breadth-first closure over the generators."""
     gens = [simple_reflection(rs, j) for j in range(rs.rank)]
     return generated_group(rs, gens, rs.weyl_order(), rs.type_str, bound)
@@ -422,12 +421,6 @@ def support_indices(levi, support):
     return support
 
 
-def _check_points(points, bound):
-    bound = DEFAULT_GROUP_BOUND if bound is None else bound
-    if points > bound:
-        raise BoundExceeded(f"{points} points to walk exceeds bound {bound}")
-
-
 class _LRU:
     """The latest values, least recently used first, each kept with the
     weight its caller gives while their weights total at most `bound`: the
@@ -459,7 +452,7 @@ class _LRU:
 # per (rs, Phi', encoding, modulus, axes), weighed by its points: the
 # skeleton of the walk, the inputs of the latest list's view (None before
 # the first list) and that list
-_walks = _LRU(DEFAULT_GROUP_BOUND)
+_walks = _LRU(BOUNDS["points"][0])
 
 
 def block_list(rs: RootSystem, levi, on: str, modulus: int, axes, inputs, make):

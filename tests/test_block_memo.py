@@ -6,8 +6,8 @@ from the text kept on it, unless the list has more than
 cli.BLOCK_LIST_BOUND blocks.  Every answer is the cold one byte for byte, in
 any order; an answer met once keeps no text; a bound below a kept list's
 points or field still refuses it; and the kept walks, with their lists,
-hold at most DEFAULT_GROUP_BOUND points, the least recently used dropped
-first."""
+hold at most the default of the points check (errors.BOUNDS), the least
+recently used dropped first."""
 
 import itertools
 import os
@@ -22,7 +22,8 @@ import pytest
 from lieram import cli, modular, quantum, weyl
 from lieram.modular import PChar, mod_blocks
 from lieram.quantum import QChar, TorusElement, q_blocks
-from lieram.rootdata import DEFAULT_GROUP_BOUND, build_root_system
+from lieram.errors import BOUNDS
+from lieram.rootdata import build_root_system
 from lieram.scalars import make_field
 
 NILPOTENT = [["modular", "blocks", "--type", "A3", "--p", "5", "--chi-s", "0,0,0",
@@ -208,12 +209,12 @@ def test_a_bound_below_a_kept_list_still_refuses_it(argv, bound, refusal, lists,
 
 def test_the_kept_blocks_stay_within_the_bound(lists, monkeypatch):
     # the memo is weighed by the points of each walk, counted before it, at
-    # most DEFAULT_GROUP_BOUND in all.  Under a bound of 150: A2/p5 (25)
-    # and G2/p7 (49) are kept with their lists, A3/p5 (125) then drops both,
-    # a walk of more points than the bound (B3/p7, 343) is not kept, and
-    # A2 again fits beside A3, at 150 points
+    # most the points check's default in all.  Under a bound of 150: A2/p5
+    # (25) and G2/p7 (49) are kept with their lists, A3/p5 (125) then drops
+    # both, a walk of more points than the bound (B3/p7, 343) is not kept,
+    # and A2 again fits beside A3, at 150 points
     memo, built = lists
-    assert memo.bound == DEFAULT_GROUP_BOUND
+    assert memo.bound == BOUNDS["points"][0]
     monkeypatch.setattr(memo, "bound", 150)
     chis = [PChar(build_root_system(t), p) for t, p in (("A2", 5), ("G2", 7), ("A3", 5),
                                                          ("B3", 7), ("A2", 5))]

@@ -502,6 +502,30 @@ def test_the_library_bounds_the_type_before_its_root_system_is_built():
     assert done.stdout == "type A99999: rank^2 = 9999800001 exceeds bound 1000000\n"
 
 
+# an integer of more digits than str() writes (4300 by default)
+LONG = "1" * 4400
+
+
+@pytest.mark.parametrize("argv, counted", [
+    (["quantum", "blocks", "--type", "A2", "--ell", "9" * 2200],
+     "a 14617-bit number points to walk"),
+    (["quantum", "exceptional", "--type", "A" + "1" * 2500],
+     f"type A{'1' * 2500}: rank^2 = a 16604-bit number"),
+])
+def test_a_refusal_too_long_to_print_names_its_bit_length(argv, counted):
+    # ell^2 has 4400 digits and rank^2 5000: the refusal names their bit
+    # lengths in one error line, not a traceback from str()
+    done = _run_capped(argv)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {counted} exceeds bound 1000000\n"
+
+
+def test_a_rank_too_long_to_read_is_an_invalid_type(capsys):
+    assert main(["quantum", "exceptional", "--type", "A" + LONG]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: rank of component A has 4400 digits\n")
+
+
 def test_the_type_bound_is_inclusive(capsys):
     argv = ["modular", "poincare", "--type", "A2", "--p", "5", "--weight", "0,0"]
     # |Phi+| x rank = 3 x 2 for A2
@@ -549,6 +573,12 @@ MALFORMED = {
                 "--support", "a"],
     "negative-bound": ["modular", "blocks", "--type", "A2", "--p", "5",
                        "--bound", "-1"],
+    # literals of more digits than int() reads
+    "long-integer": ["modular", "blocks", "--type", "A1", "--p", "5", "--chi-s", LONG],
+    "long-as-literal": ["modular", "unramified", "--type", "A1", "--p", "5",
+                        "--weight", f"AS({LONG})"],
+    "long-g-power": ["modular", "unramified", "--type", "A1", "--p", "5",
+                     "--weight", f"g^{LONG}"],
 }
 
 
@@ -559,7 +589,7 @@ def test_malformed_literal_is_a_usage_error(case, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: lieram ")
+    assert captured.err.startswith("usage: lieram " + " ".join(MALFORMED[case][:2]))
     assert "error: " in captured.err and "Traceback" not in captured.err
 
 

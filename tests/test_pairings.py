@@ -21,7 +21,8 @@ from lieram.cli import parse_field_values
 from lieram.modular import _pairings, _slots
 from lieram.quantum import TorusElement
 from lieram.rootdata import build_root_system
-from lieram.scalars import DEFAULT_FIELD_BOUND, make_field
+from lieram.errors import BOUNDS
+from lieram.scalars import make_field
 from lieram.selftest import pair, root_value
 from lieram.weyl import integer_pairings, reflection_stabilizer
 
@@ -38,7 +39,7 @@ def _field_point(rng, rank, kind):
         tokens = [rng.choice([f"AS({rng.randrange(1, P)})", str(rng.randrange(P)), "g^7"])
                   for _ in range(rank)]
         tokens[rng.randrange(rank)] = f"AS({rng.randrange(1, P)})"  # ambient F_{p^p}
-        return parse_field_values(",".join(tokens), P, rank, DEFAULT_FIELD_BOUND)[0]
+        return parse_field_values(",".join(tokens), P, rank, BOUNDS["field"][0])[0]
     field = make_field(P, {"p": 1, "p2": 2, "pp": P}[kind])
     return tuple(
         field.elem([rng.randrange(P) for _ in range(field.e)]) if rng.random() < 0.5

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lieram import cli, rootdata, scalars
-from lieram.errors import BoundExceeded, NonInvertibleDenominator, NonPrime
+from lieram.errors import BOUNDS, BoundExceeded, NonInvertibleDenominator, NonPrime
 from lieram.rootdata import RootSystem, parse_cartan_type, subsystem_classify
 from lieram.scalars import (
     UnityExp,
@@ -144,7 +144,7 @@ def primality_tests_only_within_the_field_bound(monkeypatch):
     trial division up to sqrt(2^61 - 1) would run for minutes, so the field
     bound must be checked first."""
     def is_prime(n):
-        if n > scalars.DEFAULT_FIELD_BOUND:
+        if n > BOUNDS["field"][0]:
             raise AssertionError(f"is_prime({n}) called before the field bound")
         return real(n)
     real = scalars.is_prime

@@ -2,10 +2,10 @@
 (least point, orbit size and point stabiliser per block) per (root
 system, Phi', encoding, modulus, axes), and reuses it within the process.
 The points bound is checked before the memo is read, a failing walk is never
-kept, the retained point sets total at most DEFAULT_GROUP_BOUND, and the
-reports built from a reused walk are the query's own.  The kind of a report
-is kept per point stabiliser and Phi' (and, modular, nilpotency), unless
-its construction raises."""
+kept, the retained point sets total at most the points check's default, and
+the reports built from a reused walk are the query's own.  The kind of a
+report is kept per point stabiliser and Phi' (and, modular, nilpotency),
+unless its construction raises."""
 
 import collections
 from fractions import Fraction

@@ -53,6 +53,12 @@ PROBES = (
     ("quantum unramified --type A120 --ell 7 --torus 0", REFUSED),
     ("quantum blocks --type A120 --ell 7 --chi-s 1", REFUSED),
     ("modular poincare --type A120 --p 11 --weight 0", REFUSED),
+    # one refusal per check of errors.BOUNDS the command line reaches: the
+    # type (|Phi+| x rank = 1 008 126), the field (p above 10^9) and the
+    # points (7^8 = 5 764 801)
+    ("quantum exceptional --type A126", REFUSED),
+    ("modular blocks --type A1 --p 1000000007", REFUSED),
+    ("modular blocks --type E8 --p 7", REFUSED),
     # the rank-6 and rank-7 block walks
     ("modular blocks --type E6 --p 7",
      "444a40332666c4fc5b7f8c0838800d9a3f13d5a270f6f44aac9a4f53c32a92ca"),
