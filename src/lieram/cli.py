@@ -109,8 +109,11 @@ def parse_field_slots(text: str, base, rank: int, bound=None):
             raise UsageError(
                 f"malformed field literal {t!r}: expected an integer, g, g^k or AS(c)")
     # the integer of each literal: its value, k of g^k (1 for g), c of AS(c)
-    ks = [_literal(int, t[3:-1] if t[0] == "A" else (t[2:] or "1") if t[0] == "g" else t,
-                   "field literal", t) for t in tokens]
+    try:
+        ks = [int(t[3:-1] if t[0] == "A" else (t[2:] or "1") if t[0] == "g" else t)
+              for t in tokens]
+    except ValueError:  # more digits than int() reads
+        raise UsageError("malformed field literal: more digits than int() reads") from None
     p = base.p
     needs_ext = "AS(" in text and any(k % p for t, k in zip(tokens, ks) if t[0] == "A")
     ambient = make_field(p, p, bound) if needs_ext else base
@@ -154,12 +157,11 @@ def parse_support(text: str):
     return tuple(i - 1 for i in out)
 
 
-def _literal(convert, text, what, shown=None):
-    # convert(text), else a usage error naming `shown` (default: text)
+def _literal(convert, text, what):
     try:
         return convert(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed {what} {text if shown is None else shown!r}") from None
+        raise UsageError(f"malformed {what} {text!r}") from None
 
 
 def _emit(args, payload, tsv_rows=None):

@@ -13,11 +13,11 @@ raised.
 
 
 class LieramError(Exception):
-    """A domain failure; the CLI writes its message after "error: " and exits 1."""
+    pass
 
 
 class NonPrime(LieramError):
-    """p is not prime, or an extension degree is below 1."""
+    pass
 
 
 class BoundExceeded(LieramError):
@@ -25,44 +25,43 @@ class BoundExceeded(LieramError):
 
 
 class NonInvertibleDenominator(LieramError):
-    """A denominator or an eps exponent is not invertible mod ell."""
+    pass
 
 
 class InvalidType(LieramError):
-    """A Cartan type that does not parse, names no root system or does not
-    fit the command."""
+    pass
 
 
 class NotClosed(LieramError):
-    """A set of roots that is not a closed subsystem."""
+    pass
 
 
 class NotParabolic(LieramError):
-    """A generator that is not a simple reflection."""
+    pass
 
 
 class NotNilpotentContext(LieramError):
-    """A Poincare series asked of a weight with a coordinate outside F_p."""
+    pass
 
 
 class NoParabolicConjugate(LieramError):
-    """No W-conjugate of a point has a parabolic stabilizer."""
+    pass
 
 
 class UnknownRow(LieramError):
-    """A type or an m that the appendix table has no row for."""
+    pass
 
 
 class InvalidSupport(LieramError):
-    """A support index outside the basis of Phi'."""
+    pass
 
 
 class HypothesisFailure(LieramError):
-    """The standing hypotheses fail, or a point labels no baby Verma module."""
+    pass
 
 
 class InvariantViolation(LieramError):
-    """An internal identity fails: a defect of the engine, not of the input."""
+    pass
 
 
 # each check by name, in the order a command meets them, with its default cap

@@ -60,12 +60,11 @@ def parse_cartan_type(s: str):
         m = _TYPE_RE.fullmatch(part.strip().upper())
         if not m:
             raise InvalidType(f"cannot parse component {part!r}")
-        letter, digits = m.groups()
         try:
-            rank = int(digits)
-        except ValueError:  # more digits than int() reads
-            raise InvalidType(f"rank of component {letter} has {len(digits)} digits") from None
-        comps.append(_validate_component(letter, rank))
+            comps.append(_validate_component(m.group(1), int(m.group(2))))
+        except ValueError:  # a rank of more digits than int() reads
+            raise InvalidType(
+                f"rank of component {m.group(1)} has {len(m.group(2))} digits") from None
     return tuple(comps)
 
 
