@@ -110,7 +110,7 @@ def parse_field_slots(text: str, base, rank: int, bound=None):
                 f"malformed field literal {t!r}: expected an integer, g, g^k or AS(c)")
     # the integer of each literal: its value, k of g^k (1 for g), c of AS(c)
     try:
-        ks = [int(t[3:-1] if t[0] == "A" else (t[2:] or "1") if t[0] == "g" else t)
+        ks = [int(t if t[0] not in "Ag" else t[3:-1] if t[0] == "A" else t[2:] or "1")
               for t in tokens]
     except ValueError:  # more digits than int() reads
         raise UsageError("malformed field literal: more digits than int() reads") from None

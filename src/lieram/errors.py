@@ -86,7 +86,7 @@ def charge(check, bound, n, *args, e=1):
     cap = BOUNDS[check][0] if bound is None else bound
     # n^e >= 2^e, so an e past the bit length of the cap exceeds it unpowered
     if e > cap.bit_length() and n >= 2 or n ** e > cap:
-        what = BOUNDS[check][1].format(*map(_text, args), n=_text(n), e=_text(e))
+        what = BOUNDS[check][1].format(*args, n=_text(n), e=_text(e))
         raise BoundExceeded(f"{what} exceeds bound {_text(cap)}")
 
 
