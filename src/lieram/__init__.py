@@ -2,10 +2,12 @@
 reduced enveloping algebras in characteristic p and quantized enveloping
 algebras at roots of unity.
 
-`import lieram` loads the root-data core (errors, scalars, rootdata).  The
-Weyl, modular and quantum layers load on first use: reading one of their
-public names, or the submodule itself, imports the owning module and binds
-the name here."""
+`import lieram` loads the root-data core (errors, rootdata).  The finite
+fields (scalars) and the Weyl, modular and quantum layers load on first use:
+reading one of their public names, or the submodule itself, imports the
+owning module and binds the name here.  Only the modular side loads the
+finite fields; the quantum side works in exact rationals and torus
+exponents."""
 
 import importlib
 
@@ -24,17 +26,18 @@ from .errors import (  # noqa: F401
     NotParabolic,
     UnknownRow,
 )
-from .scalars import FFElem, FieldDescriptor, UnityExp, artin_schreier_solve, eps_pow, make_field  # noqa: F401
 from .rootdata import RootSystem, Subsystem, build_root_system, hypothesis_check, subsystem_classify, two_rho_dot  # noqa: F401
 
 # the owning module of each public name that loads on first use.  Every
 # command and every layer needs the core above, so it loads with the package;
-# the CLI imports only the layer of the command it runs
+# the CLI imports only the layer of the command it runs, and the finite
+# fields only for a modular command
 _LAZY = {name: module for module, names in (
-    ("weyl", "alcove_descent inversion_set orbit_partition reflection_stabilizer"),
+    ("scalars", "FFElem FieldDescriptor artin_schreier_solve make_field"),
+    ("weyl", "UnityExp alcove_descent inversion_set orbit_partition reflection_stabilizer"),
     ("modular", "BlockReport PChar dim_C mod_blocks poincare_series"
                 " regularity_and_structure unramified_count"),
-    ("quantum", "QBlockReport QChar TorusElement exceptional_elements hc_shift q_blocks"
+    ("quantum", "QBlockReport QChar TorusElement eps_pow exceptional_elements hc_shift q_blocks"
                 " q_regularity_and_counts q_unramified simplicity_necessary"
                 " verify_appendix_row w_t"),
 ) for name in names.split()}
@@ -43,7 +46,6 @@ __all__ = [
     "BoundExceeded", "HypothesisFailure", "InvalidSupport", "InvalidType",
     "InvariantViolation", "LieramError", "NoParabolicConjugate", "NonInvertibleDenominator",
     "NonPrime", "NotClosed", "NotNilpotentContext", "NotParabolic", "UnknownRow",
-    "FFElem", "FieldDescriptor", "UnityExp", "artin_schreier_solve", "eps_pow", "make_field",
     "RootSystem", "Subsystem", "build_root_system", "hypothesis_check", "subsystem_classify",
     "two_rho_dot", *_LAZY,
 ]

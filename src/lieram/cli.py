@@ -43,6 +43,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -53,11 +54,12 @@ from operator import getitem
 from types import SimpleNamespace
 from typing import NamedTuple
 
-import lieram  # lieram.modular and lieram.quantum load when a command first reads one
+# lieram.modular, lieram.quantum and the finite fields of lieram.scalars load
+# when a command first reads one: no quantum or verify command loads scalars
+import lieram
 
 from .errors import HypothesisFailure, InvariantViolation, LieramError
 from .rootdata import check_cartan_type, root_system
-from .scalars import _ptrim, artin_schreier_solve, embed, make_field
 
 
 class UsageError(Exception):
@@ -116,7 +118,7 @@ def parse_field_slots(text: str, base, rank: int, bound=None):
         raise UsageError("malformed field literal: more digits than int() reads") from None
     p = base.p
     needs_ext = "AS(" in text and any(k % p for t, k in zip(tokens, ks) if t[0] == "A")
-    ambient = make_field(p, p, bound) if needs_ext else base
+    ambient = lieram.scalars.make_field(p, p, bound) if needs_ext else base
     pad = (0,) * (ambient.e - 1)
     return [(k % p,) + pad if t[0] not in "Ag" else _field_slot(t, k, base, ambient, bound)
             for t, k in zip(tokens, ks)], ambient
@@ -126,7 +128,8 @@ def _field_slot(t, k, base, ambient, bound):
     """The slot vector of a g, g^k or AS(c) literal, of integer k (c), in the
     ambient field."""
     if t[0] == "A":
-        x = embed(artin_schreier_solve(base.from_int(k), bound)[0], ambient)
+        fields = lieram.scalars
+        x = fields.embed(fields.artin_schreier_solve(base.from_int(k), bound)[0], ambient)
     else:  # the generator is kept by its field
         x = ambient.generator ** k
     return x.coeffs + (0,) * (ambient.e - len(x.coeffs))
@@ -135,16 +138,37 @@ def _field_slot(t, k, base, ambient, bound):
 def parse_field_values(text: str, p: int, rank: int, bound=None):
     """parse_field_slots, as FFElem values of the ambient field, after F_p
     is checked under the bound."""
-    slots, field = parse_field_slots(text, make_field(p, 1, bound), rank, bound)
+    slots, field = parse_field_slots(text, lieram.scalars.make_field(p, 1, bound), rank, bound)
     return tuple(map(field.elem, slots)), field
 
 
 def parse_torus(text: str, rank: int):
+    """The torus element of comma-separated exact rationals, each taken and
+    refused as Fraction takes a string (_rational)."""
     tokens = [t.strip() for t in text.split(",")] if text.strip() else []
     if len(tokens) != rank:
         raise LieramError(f"expected {rank} comma-separated exponents, got {len(tokens)}")
-    return lieram.quantum.TorusElement(
-        tuple(_literal(Fraction, t, "exact rational") for t in tokens))
+    pairs = [_rational(t) for t in tokens]
+    N = math.lcm(*(d for _n, d in pairs))
+    return lieram.quantum.TorusElement.of([n * (N // d) for n, d in pairs], N)
+
+
+def _rational(t):
+    """(numerator, denominator > 0) of the exact rational Fraction(t): an
+    integer or n/d by int() alone, any other form (decimal, exponent) by
+    Fraction, which refuses what no form takes (UsageError).  int() would
+    also take blanks around n and d and a sign on d, which Fraction refuses,
+    so n must end and d start with a digit."""
+    n, slash, d = t.partition("/")
+    if n[-1:].isdecimal() and (not slash or d[:1].isdecimal()):
+        try:
+            num, den = int(n), int(d) if slash else 1
+        except ValueError:  # more digits than int() reads, or a misplaced "_"
+            den = 0
+        if den:
+            return num, den
+    q = _literal(Fraction, t, "exact rational")
+    return q.numerator, q.denominator
 
 
 def parse_support(text: str):
@@ -342,7 +366,7 @@ def _resolve(args):
     # an empty --chi-s is the zero character (the identity torus element)
     chi_s = "chi_s" in args and (args.chi_s or ",".join(["0"] * rank))
     if args.group == "modular":
-        base = make_field(args.p, 1, q.bound)  # p within the field bound and prime
+        base = lieram.scalars.make_field(args.p, 1, q.bound)  # p within the field bound and prime
         lieram.modular.check_hypotheses(comps, args.p)
         q.head["p"] = args.p
         slots, field = parse_field_slots(chi_s or args.weight, base, rank, q.bound)
@@ -360,7 +384,7 @@ def _resolve(args):
         q.head["chi"] = _chi_dict(q.chi)
     elif args.group == "modular":
         q.point = slots
-        q.head["weight"] = [s if s[-1] else _ptrim(s) for s in slots]
+        q.head["weight"] = [s if s[-1] else lieram.scalars._ptrim(s) for s in slots]
     elif chi_s:
         q.chi = lieram.quantum.QChar(rs, args.ell, chi_s=torus,
                                      support=parse_support(args.support), eps=args.eps)

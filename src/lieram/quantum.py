@@ -26,14 +26,15 @@ from fractions import Fraction
 from operator import getitem
 from types import MappingProxyType
 
-from .errors import HypothesisFailure, InvalidType, InvariantViolation, UnknownRow, charge
+from .errors import (HypothesisFailure, InvalidType, InvariantViolation, NonInvertibleDenominator,
+                     UnknownRow, charge)
 from .rootdata import (RootSystem, check_cartan_type, classify_basis, degrees, root_system,
                        subsystem_classify)
-from .scalars import UnityExp, eps_pow
 from .weyl import (
     BlockList,
     BlockRecord,
     Kind,
+    UnityExp,
     alcove_descent,
     block_list,
     extended_diagram,
@@ -231,6 +232,23 @@ def q_blocks(chi: QChar, bound=None):
                                                             size, kind))
     # W acts by integer matrices, so orbits stay on (1/N)Z^r
     return block_list(rs, levi, "torus", N, texts, (), make)
+
+
+def eps_pow(q, ell: int, eps: int = 1) -> Fraction:
+    """epsilon^q for rational q whose denominator is invertible mod ell.
+
+    epsilon is the primitive ell-th root of unity with exponent eps/ell
+    (eps = 1 unless overridden; gcd(eps, ell) must be 1).  The result is the
+    exponent in [0, 1), with denominator dividing ell, of the unique ell-th
+    root of unity u with u^denominator = epsilon^numerator.
+    """
+    q = q if type(q) is Fraction else Fraction(q)
+    num, den = q.numerator, q.denominator
+    if math.gcd(den, ell) != 1:
+        raise NonInvertibleDenominator(f"denominator {den} not invertible mod {ell}")
+    if math.gcd(eps, ell) != 1:
+        raise NonInvertibleDenominator(f"eps exponent {eps} not coprime to {ell}")
+    return Fraction(num * pow(den % ell, -1, ell) * eps % ell, ell)
 
 
 @functools.cache

@@ -31,6 +31,10 @@ series of its degrees from coset_series, kept per pair of degree lists.  A
 root system lists its height steps (each positive root as an earlier root
 plus a simple one) as it builds its roots; weyl.integer_pairings pairs by
 them.
+
+The one exact linear solver, solve_linear over Q or F_p, lives here with its
+readers: the fundamental weights, the parabolic test of a subsystem, and the
+Artin-Schreier solver of a finite field (scalars.FieldDescriptor.as_solver).
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ import itertools
 import math
 import operator
 import re
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidType, InvariantViolation, NotClosed, charge
-from .scalars import solve_linear
 
 _TYPE_RE = re.compile(r"([A-G])(\d+)")
 
@@ -136,7 +140,7 @@ def cartan_matrix(letter, n):
         edges[-1] = (n - 3, n - 1)
     if letter == "E":
         edges[:2] = (0, 2), (1, 3)
-    C = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    C = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
     for i, j in edges:
         # C[i][j] = (alpha_i, alpha_j) / d_i with (alpha_i, alpha_j) = -max(d_i, d_j)
         s = -max(d[i], d[j])
@@ -154,12 +158,13 @@ def highest_root(letter, n):
     s_k beta, its pairings updated in O(n) by column k.  It ends at the one
     dominant long root, theta = w alpha_i with w = s_(k_m) ... s_(k_1) for
     the steps k_1, ..., k_m, and s_theta = w s_i w^-1."""
-    C, d = cartan_matrix(letter, n), weyl_invariants(letter, n).d
+    cols, d = list(zip(*cartan_matrix(letter, n))), weyl_invariants(letter, n).d
     i = d.index(max(d))
-    beta, v, steps = [int(j == i) for j in range(n)], [row[i] for row in C], []
-    while (k := next((k for k, x in enumerate(v) if x < 0), None)) is not None:
+    beta, v, steps = [0] * i + [1] + [0] * (n - 1 - i), cols[i], []
+    # the first k with v[k] < 0, while there is one
+    while (k := next(itertools.compress(range(n), map((0).__gt__, v)), None)) is not None:
         beta[k] -= v[k]  # s_k beta = beta - <beta, alpha_k^vee> alpha_k
-        v = [x - v[k] * row[k] for x, row in zip(v, C)]
+        v = tuple(map(operator.sub, v, map(v[k].__mul__, cols[k])))
         steps.append(k)
     return tuple(beta), (*steps[::-1], i, *steps)
 
@@ -196,15 +201,17 @@ class RootSystem:
         b + alpha_i is a root iff down_i(b) exceeds <b, alpha_i^vee>.
         height_steps lists per positive root, in pos_roots order, (position
         of its first parent, i), the parent listed earlier; (-1, i) for
-        alpha_i."""
+        alpha_i.  The coroots, their integrality test and the negative roots
+        are read off the columns of the positive roots' coefficients and
+        pairings, one map per coordinate."""
         r, C, d = self.rank, self.cartan, self.d
-        if any(d[i] * C[i][j] != d[j] * C[j][i] for i in range(r) for j in range(r)):
+        cols = list(zip(*C))
+        # the columns of D C are its rows when it is symmetric
+        if (dc := [tuple(map(operator.mul, d, col)) for col in cols]) != list(zip(*dc)):
             raise InvariantViolation(f"{self.type_str}: D C is not symmetric, so no "
                                      "invariant form gives the root norms")
-        cols = [tuple(row[i] for row in C) for i in range(r)]
         comp = [k for k, (_l, _n, nodes) in enumerate(self.components) for _ in nodes]
-        simple = self.simple_roots = tuple(
-            tuple(int(i == j) for j in range(r)) for i in range(r))
+        simple = self.simple_roots = tuple((0,) * i + (1,) + (0,) * (r - 1 - i) for i in range(r))
         data = {a: (cols[i], [0] * r, d[i], comp[i], (-1, i)) for i, a in enumerate(simple)}
         layer, pos = list(simple), []
         while layer:
@@ -212,42 +219,43 @@ class RootSystem:
             for b in sorted(layer):
                 v, down, nb, k, _step = data[b]
                 pos.append(b)
-                for i in range(r):
-                    if down[i] > v[i]:
-                        c = b[:i] + (b[i] + 1,) + b[i + 1:]
-                        if c not in data:
-                            data[c] = (tuple(map(operator.add, v, cols[i])), [0] * r,
-                                       nb + d[i] * (v[i] + 1), k, (len(pos) - 1, i))
-                            nxt.append(c)
-                        data[c][1][i] = down[i] + 1
+                for i in itertools.compress(range(r), map(operator.gt, down, v)):
+                    c = b[:i] + (b[i] + 1,) + b[i + 1:]
+                    if c not in data:
+                        data[c] = (tuple(map(operator.add, v, cols[i])), [0] * r,
+                                   nb + d[i] * (v[i] + 1), k, (len(pos) - 1, i))
+                        nxt.append(c)
+                    data[c][1][i] = down[i] + 1
             layer = nxt
-        self.pos_roots = tuple(pos)
+        pos = self.pos_roots = tuple(pos)
         self.N = len(pos)
         self._posset = frozenset(pos)
-        self.height_steps = tuple(data[b][4] for b in pos)
-        # pairings, coroots and norms of every root, negative ones included
-        self._value, self._coroot, self._norm = {}, {}, {}
-        for b in pos:
-            v, _down, nb, _k, _step = data[b]
-            if any(di * bi % nb for di, bi in zip(d, b)):
-                raise InvariantViolation(f"{self.type_str}: coroot of {b} is not integral")
-            cv = tuple(di * bi // nb for di, bi in zip(d, b))
-            nbeta = tuple(-c for c in b)
-            self._value[b], self._value[nbeta] = v, tuple(-x for x in v)
-            self._coroot[b], self._coroot[nbeta] = cv, tuple(-x for x in cv)
-            self._norm[b] = self._norm[nbeta] = nb
+        values, _down, norms, comps, self.height_steps = zip(*map(data.__getitem__, pos))
+        # coordinate i of the coroot of b is d_i b_i / |b|^2/2
+        coeffs = list(zip(*pos))
+        scaled = [list(map(di.__mul__, col)) for di, col in zip(d, coeffs)]
+        if any(any(map(operator.mod, col, norms)) for col in scaled):
+            b = next(b for b, nb in zip(pos, norms) if any(di * bi % nb for di, bi in zip(d, b)))
+            raise InvariantViolation(f"{self.type_str}: coroot of {b} is not integral")
+        coroots = list(zip(*(map(operator.floordiv, col, norms) for col in scaled)))
+        # every root, each positive one followed by its negative
+        roots = list(_and_negated(pos))
+        self._value = dict(zip(roots, _and_negated(values)))
+        self._coroot = dict(zip(roots, _and_negated(coroots)))
+        self._norm = dict(zip(roots, itertools.chain.from_iterable(zip(norms, norms))))
         self._allset = frozenset(self._value)
         # the highest root of a component, placed from the marks of its
-        # ascent, must be its last root in (height, coefficients) order and
-        # lie above all the others
+        # ascent, must be a root and lie above all the others: the
+        # componentwise max of the positive roots is the marks on its nodes
+        top = tuple(map(max, coeffs))
         self._highest = []
         for k, (letter, n, nodes) in enumerate(self.components):
-            roots = [b for b in pos if data[b][3] == k]
-            if len(roots) != sum(e - 1 for e in weyl_invariants(letter, n).degrees):
+            if comps.count(k) != sum(e - 1 for e in weyl_invariants(letter, n).degrees):
                 raise InvariantViolation(
-                    f"{letter}{n}: {len(roots)} positive roots, degrees say otherwise")
-            theta = (0,) * nodes[0] + highest_root(letter, n)[0] + (0,) * (r - 1 - nodes[-1])
-            if roots[-1] != theta or not all(map(self.leq, roots, itertools.repeat(theta))):
+                    f"{letter}{n}: {comps.count(k)} positive roots, degrees say otherwise")
+            marks = highest_root(letter, n)[0]
+            theta = (0,) * nodes[0] + marks + (0,) * (r - 1 - nodes[-1])
+            if theta not in self._posset or top[nodes[0]:nodes[-1] + 1] != marks:
                 raise InvariantViolation(f"{letter}{n}: the highest root is not above every root")
             self._highest.append(theta)
         self.a = tuple(map(sum, zip(*self._highest)))
@@ -329,6 +337,13 @@ class RootSystem:
         return f"RootSystem({self.type_str})"
 
 
+def _and_negated(vectors):
+    """Each of equal-length integer vectors, then its negative, negated by
+    one map per coordinate."""
+    negated = zip(*(map(operator.neg, col) for col in zip(*vectors)))
+    return itertools.chain.from_iterable(zip(vectors, negated))
+
+
 def degrees(components):
     """Degrees of the basic invariants of a product of (letter, rank, ...)."""
     return tuple(d for letter, n, *_ in components for d in weyl_invariants(letter, n).degrees)
@@ -375,6 +390,53 @@ def build_root_system(ctype, bound=None) -> RootSystem:
 def two_rho_dot(rs: RootSystem, b) -> int:
     """(2*rho, beta) for beta in the root lattice, short roots of length^2 2."""
     return sum(bi * 2 * di for bi, di in zip(b, rs.d))
+
+
+# -- the one exact linear solver --------------------------------------------
+
+def solve_linear(A, p=None):
+    """Reduce the integer m x n matrix A once, over Q (p None) or over F_p, and
+    return the solver of A x = b for any number of right-hand sides b: x has
+    its free unknowns set to 0, so it is deterministic (Fractions over Q, ints
+    mod p over F_p), or is None when A x = b is inconsistent.  Fraction-free:
+    rows of [A | I] are combined with integer multipliers and divided by their
+    gcd over Q, reduced mod p over F_p; the identity columns record the row
+    operations E, so each b costs one product E b.  The rows of E past the
+    pivots are the solver's `consistency` rows: A x = b is consistent iff
+    each of them is orthogonal to b, so they vanish exactly on the column
+    span of A."""
+    m, n = len(A), (len(A[0]) if A else 0)
+    rows = [[x % p if p else x for x in row] + [int(i == j) for j in range(m)]
+            for i, row in enumerate(A)]
+    pivots = []
+    for col in range(n):
+        k = len(pivots)
+        piv = next((i for i in range(k, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top, a = rows[k], rows[k][col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != k:
+                row = [a * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                rows[i] = [x % p for x in row] if p else [x // g for x in row]
+        pivots.append(col)
+    E = [row[n:] for row in rows]
+    lead = [pow(row[c], -1, p) if p else row[c] for row, c in zip(rows, pivots)]
+
+    def solve(b):
+        y = [sum(map(operator.mul, e, b)) for e in E]
+        y = [v % p for v in y] if p else y
+        if any(y[len(pivots):]):
+            return None
+        x = [0 if p else Fraction(0)] * n
+        for c, v, d in zip(pivots, y, lead):
+            x[c] = v * d % p if p else Fraction(v, d)
+        return x
+    solve.consistency = tuple(map(tuple, E[len(pivots):]))
+    return solve
 
 
 # -- subsystems ------------------------------------------------------------

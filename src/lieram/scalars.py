@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: finite fields F_{p^e}, roots of unity, and the one
-linear solver over Q or F_p.
+"""Finite fields F_{p^e}: primality, the deterministic modulus, field
+elements, subfield embeddings and Artin-Schreier solutions.
 
 Field elements are coefficient tuples over F_p in the basis 1, x, ..., x^{e-1}
 of F_p[x]/(f), where f is the deterministic modulus for (p, e): the
@@ -11,27 +11,25 @@ oracle in lieram.selftest.  A field derives on the first read, and keeps as
 functools.cached_property attributes, its Frobenius matrix (frobenius_rows),
 the linear form of its absolute trace t_j = Tr(x^j) (trace_form), its
 generator, and the solver of x^p - x = c (as_solver: Frobenius - 1 reduced
-once).  All values are immutable.
-
-Roots of unity are exact rationals mod 1: e^{2*pi*i*q} is the Fraction q in
-[0, 1) (eps_pow returns one), or `UnityExp(q)` where a torus point is viewed
-coordinate by coordinate; equality is rational equality, nothing is ever a
-float.
+once by rootdata.solve_linear).  All values are immutable.
 
 Membership in the prime subfield is read off the representation: the power
 basis starts at 1, so x lies in F_p iff every coefficient after the constant
 term is 0 (the Frobenius fixed points x^p == x, in any field F_{p^e}).
+
+Only the modular side loads this module: the quantum side works in exact
+rationals and torus exponents (roots of unity are weyl.UnityExp and
+quantum.eps_pow), never in a finite field.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
-from fractions import Fraction
 
-from .errors import InvariantViolation, NonInvertibleDenominator, NonPrime, charge
+from .errors import InvariantViolation, NonPrime, charge
+from .rootdata import solve_linear
 
 
 def is_prime(n: int) -> bool:
@@ -60,15 +58,10 @@ def _ptrim(a):
     return tuple(a[:i])
 
 
-def _padd(a, b, p):
+def _padd(a, b, p, sign=1):
+    """a + sign * b."""
     n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+    return _ptrim([((a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0)) % p
                    for i in range(n)])
 
 
@@ -130,7 +123,7 @@ def _irreducible(f, p, e):
     x = t = (0, 1)
     for i in range(2, e // 2 + 1):
         t = _ppowmod(t, p * p if i == 2 else p, f, p)  # x^{p^i} mod f
-        if len(_pgcd(_psub(t, x, p), f, p)) != 1:
+        if len(_pgcd(_padd(t, x, p, -1), f, p)) != 1:
             return False
     return True
 
@@ -191,13 +184,10 @@ class FieldDescriptor:
 
     @functools.cached_property
     def frobenius_rows(self):
-        # matrix of x -> x^p in the power basis, rows over F_p
-        cols = []
-        for k in range(self.e):
-            xk = _ptrim([0] * k + [1])
-            img = _ppowmod(xk, self.p, self.modulus, self.p)
-            cols.append(tuple(img[i] if i < len(img) else 0 for i in range(self.e)))
-        return tuple(tuple(cols[j][i] for j in range(self.e)) for i in range(self.e))
+        # matrix of x -> x^p in the power basis, rows over F_p: column k is
+        # the image of x^k
+        cols = [_ppowmod((0,) * k + (1,), self.p, self.modulus, self.p) for k in range(self.e)]
+        return tuple(tuple(c[i] if i < len(c) else 0 for c in cols) for i in range(self.e))
 
     @functools.cached_property
     def trace_form(self):
@@ -281,7 +271,7 @@ class FFElem:
         if isinstance(other, int):
             other = self.field.from_int(other)
         self._check(other)
-        return FFElem(self.field, _psub(self.coeffs, other.coeffs, self.field.p))
+        return FFElem(self.field, _padd(self.coeffs, other.coeffs, self.field.p, -1))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -308,15 +298,9 @@ class FFElem:
         return self ** (self.field.p ** self.field.e - 2)
 
     def frobenius(self):
-        rows = self.field.frobenius_rows
-        p, e = self.field.p, self.field.e
-        v = self.coeffs
-        out = [0] * e
-        for j, vj in enumerate(v):
-            if vj:
-                for i in range(e):
-                    out[i] = (out[i] + rows[i][j] * vj) % p
-        return FFElem(self.field, _ptrim(out))
+        p, v = self.field.p, self.coeffs
+        return FFElem(self.field, _ptrim([sum(map(operator.mul, row, v)) % p
+                                          for row in self.field.frobenius_rows]))
 
     def is_zero(self):
         return not self.coeffs
@@ -352,51 +336,6 @@ class FFElem:
             else:
                 parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "+".join(parts)
-
-
-def solve_linear(A, p=None):
-    """Reduce the integer m x n matrix A once, over Q (p None) or over F_p, and
-    return the solver of A x = b for any number of right-hand sides b: x has
-    its free unknowns set to 0, so it is deterministic (Fractions over Q, ints
-    mod p over F_p), or is None when A x = b is inconsistent.  Fraction-free:
-    rows of [A | I] are combined with integer multipliers and divided by their
-    gcd over Q, reduced mod p over F_p; the identity columns record the row
-    operations E, so each b costs one product E b.  The rows of E past the
-    pivots are the solver's `consistency` rows: A x = b is consistent iff
-    each of them is orthogonal to b, so they vanish exactly on the column
-    span of A."""
-    m, n = len(A), (len(A[0]) if A else 0)
-    rows = [[x % p if p else x for x in row] + [int(i == j) for j in range(m)]
-            for i, row in enumerate(A)]
-    pivots = []
-    for col in range(n):
-        k = len(pivots)
-        piv = next((i for i in range(k, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[k], rows[piv] = rows[piv], rows[k]
-        top, a = rows[k], rows[k][col]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != k:
-                row = [a * x - f * y for x, y in zip(row, top)]
-                g = math.gcd(*row)
-                rows[i] = [x % p for x in row] if p else [x // g for x in row]
-        pivots.append(col)
-    E = [row[n:] for row in rows]
-    lead = [pow(row[c], -1, p) if p else row[c] for row, c in zip(rows, pivots)]
-
-    def solve(b):
-        y = [sum(map(operator.mul, e, b)) for e in E]
-        y = [v % p for v in y] if p else y
-        if any(y[len(pivots):]):
-            return None
-        x = [0 if p else Fraction(0)] * n
-        for c, v, d in zip(pivots, y, lead):
-            x[c] = v * d % p if p else Fraction(v, d)
-        return x
-    solve.consistency = tuple(map(tuple, E[len(pivots):]))
-    return solve
 
 
 @functools.lru_cache(maxsize=None)
@@ -465,50 +404,3 @@ def artin_schreier_solve(c: FFElem, bound=None):
     if x.frobenius() - x != rhs:
         raise InvariantViolation(f"{x} does not solve x^p - x = {rhs}")
     return x, target
-
-
-class UnityExp:
-    """The root of unity e^{2*pi*i*q} for an exact rational q mod 1."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q):
-        q = Fraction(q)
-        self.q = q - (q.numerator // q.denominator)  # reduce into [0, 1)
-
-    def __mul__(self, k: int):
-        return UnityExp(self.q * k)
-
-    __rmul__ = __mul__
-
-    def is_one(self):
-        return self.q == 0
-
-    def __eq__(self, other):
-        return isinstance(other, UnityExp) and self.q == other.q
-
-    def __hash__(self):
-        return hash(self.q)
-
-    def __repr__(self):
-        return f"e({self.q})"
-
-    def __str__(self):
-        return f"{self.q.numerator}/{self.q.denominator}"
-
-
-def eps_pow(q, ell: int, eps: int = 1) -> Fraction:
-    """epsilon^q for rational q whose denominator is invertible mod ell.
-
-    epsilon is the primitive ell-th root of unity with exponent eps/ell
-    (eps = 1 unless overridden; gcd(eps, ell) must be 1).  The result is the
-    exponent in [0, 1), with denominator dividing ell, of the unique ell-th
-    root of unity u with u^denominator = epsilon^numerator.
-    """
-    q = q if type(q) is Fraction else Fraction(q)
-    num, den = q.numerator, q.denominator
-    if math.gcd(den, ell) != 1:
-        raise NonInvertibleDenominator(f"denominator {den} not invertible mod {ell}")
-    if math.gcd(eps, ell) != 1:
-        raise NonInvertibleDenominator(f"eps exponent {eps} not coprime to {ell}")
-    return Fraction(num * pow(den % ell, -1, ell) * eps % ell, ell)

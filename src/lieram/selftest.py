@@ -45,6 +45,7 @@ from .quantum import (
     TorusElement,
     _appendix_word,
     _pairings,
+    eps_pow,
     hc_shift,
     q_blocks,
     q_regularity_and_counts,
@@ -58,22 +59,21 @@ from .rootdata import (
     build_root_system,
     coxeter_type,
     hypothesis_check,
+    solve_linear,
     subsystem_classify,
     two_rho_dot,
 )
 from .scalars import (
-    UnityExp,
+    _padd,
     _pgcd,
     _pmod,
     _ppowmod,
     _prime_factors,
-    _psub,
     embed,
-    eps_pow,
     make_field,
-    solve_linear,
 )
 from .weyl import (
+    UnityExp,
     WeylElement,
     enumerate_group,
     extended_diagram,
@@ -101,7 +101,7 @@ def irreducible_by_rabin(f, p: int, e: int) -> bool:
         powers.append(_ppowmod(powers[-1], p, f, p))
     if powers[e] != _pmod(x, f, p):
         return False
-    return all(len(_pgcd(_psub(powers[e // q], x, p), f, p)) == 1
+    return all(len(_pgcd(_padd(powers[e // q], x, p, -1), f, p)) == 1
                for q in _prime_factors(e))
 
 

@@ -22,6 +22,9 @@ actions on raw coordinate tuples:
   * roots            beta -> w(beta)                 (coefficient vectors)
   * coroot values    lambda(h_i) -> (w lambda)(h_i)  (any coefficient ring)
   * torus exponents  t(K_{varpi_i}) -> (w t)(K_{varpi_i})  (UnityExps)
+UnityExp, the root of unity e^{2 pi i q} for an exact rational q mod 1, is
+the view of a torus coordinate that act_torus_exponents returns and
+quantum.TorusElement.exps gives; only the oracles and tests read it.
 
 Block partitions walk orbits on flat integer encodings instead, and build no
 element, one coefficient per coordinate: torus exponents as numerators mod a
@@ -81,7 +84,6 @@ from typing import NamedTuple
 
 from .errors import BOUNDS, InvalidSupport, InvariantViolation, charge
 from .rootdata import RootSystem, highest_root, subsystem_classify
-from .scalars import UnityExp
 
 
 def _matmul(a, b):
@@ -164,6 +166,36 @@ class WeylElement:
     def __repr__(self):
         w = "".join(f"s{i + 1}" for i in self.word) if self.word else "e"
         return f"W[{w}]"
+
+
+class UnityExp:
+    """The root of unity e^{2*pi*i*q} for an exact rational q mod 1."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        q = Fraction(q)
+        self.q = q - (q.numerator // q.denominator)  # reduce into [0, 1)
+
+    def __mul__(self, k: int):
+        return UnityExp(self.q * k)
+
+    __rmul__ = __mul__
+
+    def is_one(self):
+        return self.q == 0
+
+    def __eq__(self, other):
+        return isinstance(other, UnityExp) and self.q == other.q
+
+    def __hash__(self):
+        return hash(self.q)
+
+    def __repr__(self):
+        return f"e({self.q})"
+
+    def __str__(self):
+        return f"{self.q.numerator}/{self.q.denominator}"
 
 
 def identity(rs: RootSystem) -> WeylElement:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -1049,3 +1050,73 @@ def test_an_appendix_type_without_rows_is_named_as_typed(name, err, capsys):
     # the refusal quotes the --type value, so an empty or blank one shows
     assert main(["verify", "appendix", "--type", name]) == 1
     assert capsys.readouterr() == ("", err)
+
+
+def _torus_by_fraction(text, rank):
+    """parse_torus as it read each exponent: Fraction's string parser, the
+    point built from the Fractions; (nums, N), or the UsageError text."""
+    tokens = [t.strip() for t in text.split(",")] if text.strip() else []
+    assert len(tokens) == rank
+    try:
+        t = TorusElement(tuple(Fraction(t) for t in tokens))
+    except (ValueError, ZeroDivisionError):
+        bad = next(t for t in tokens if not _fraction_takes(t))
+        return f"malformed exact rational {bad!r}"
+    return t.nums, t.N
+
+
+def _fraction_takes(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _torus_read(text, rank):
+    try:
+        t = cli.parse_torus(text, rank)
+    except cli.UsageError as exc:
+        return str(exc)
+    return t.nums, t.N
+
+
+# every form Fraction takes from a string: integers and n/d (signs, "_"
+# between digits, leading zeros, any Unicode decimal digits), decimals and
+# exponents; and forms it refuses, some of which int() alone would take
+TORUS_TAKEN = ["0", "-0", "+3", "7", "1/2", "-1/2", "+1/2", "3/6", "-9/3", "0/5", "10/4",
+               "007/010", "1_0/2_0", "1_000", "0.5", "-.5", "5.", "+5.25", "1e3", "1E-2",
+               "-2.5e-1", "1_0.5e1_0", "١/٣", "２/３", " 1/3 ", "\t-2/7　"]
+TORUS_REFUSED = ["", "1/", "/2", "1/0", "0/0", "1/-2", "1/+2", "1 /2", "1/ 2", "- 1", "1__0",
+                 "_1", "1_", "1_/2", "1/_2", "1/2/3", "0x10", "1.5/2", "1/2.5", "inf", "nan",
+                 "1e", "e3", "--1", "+-1", "1 2", "1/2e3", "١/0", "²", "1" * 4400,
+                 "1" * 4400 + "/3", "1/" + "3" * 4400]
+
+
+@pytest.mark.parametrize("text", TORUS_TAKEN + TORUS_REFUSED)
+def test_a_torus_exponent_is_read_as_fraction_reads_it(text):
+    # parse_torus reads an integer or n/d with int() alone: every literal
+    # gives the point, or the refusal, that Fraction's parser gave
+    if text.strip():  # alone, a blank text is no exponent at all
+        want = _torus_by_fraction(text, 1)
+        assert (type(want) is tuple) == (text in TORUS_TAKEN)
+        assert _torus_read(text, 1) == want
+    # beside other exponents, the first refused one is named
+    for other in ("1/3", "-2.5", "x"):
+        joined = f"{other},{text}"
+        assert _torus_read(joined, 2) == _torus_by_fraction(joined, 2), joined
+
+
+def test_torus_exponents_drawn_at_random_are_read_as_fraction_reads_them():
+    rng = random.Random(49)
+    alphabet = "0123456789/+-._eE ١２x"
+    taken = 0
+    for _ in range(4000):
+        text = ",".join("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                        for _ in range(3))
+        if len([t for t in text.split(",") if t.strip()]) != 3:
+            continue
+        want = _torus_by_fraction(text, 3)
+        taken += type(want) is tuple
+        assert _torus_read(text, 3) == want, text
+    assert taken > 30

@@ -1,8 +1,8 @@
-"""`import lieram` loads only the root-data core (errors, scalars and
-rootdata); the Weyl, modular and quantum layers load when one of their
-public names is first read, and a CLI command loads only its own group's
-layer: a modular command never loads quantum, nor a quantum or verify
-command modular.  The brute-force oracles live only in lieram.selftest,
+"""`import lieram` loads only the root-data core (errors and rootdata); the
+finite fields (scalars) and the Weyl, modular and quantum layers load when
+one of their public names is first read, and a CLI command loads only its
+own group's layer: a modular command never loads quantum, nor a quantum or
+verify command modular or the finite fields.  The brute-force oracles live only in lieram.selftest,
 which neither `import lieram` nor the CLI module loads, and the production
 modules call none of the single-root or closure oracles.  The block walks generate their
 integer points directly, through neither the ell-fiber of torus elements nor
@@ -94,23 +94,35 @@ PUBLIC = {
                "InvariantViolation", "LieramError", "NoParabolicConjugate",
                "NonInvertibleDenominator", "NonPrime", "NotClosed", "NotNilpotentContext",
                "NotParabolic", "UnknownRow"},
-    "scalars": {"FFElem", "FieldDescriptor", "UnityExp", "artin_schreier_solve", "eps_pow",
-                "make_field"},
+    "scalars": {"FFElem", "FieldDescriptor", "artin_schreier_solve", "make_field"},
     "rootdata": {"RootSystem", "Subsystem", "build_root_system", "hypothesis_check",
                  "subsystem_classify", "two_rho_dot"},
-    "weyl": {"alcove_descent", "inversion_set", "orbit_partition", "reflection_stabilizer"},
+    "weyl": {"UnityExp", "alcove_descent", "inversion_set", "orbit_partition",
+             "reflection_stabilizer"},
     "modular": {"BlockReport", "PChar", "dim_C", "mod_blocks", "poincare_series",
                 "regularity_and_structure", "unramified_count"},
-    "quantum": {"QBlockReport", "QChar", "TorusElement", "exceptional_elements", "hc_shift",
+    "quantum": {"QBlockReport", "QChar", "TorusElement", "eps_pow", "exceptional_elements",
+                "hc_shift",
                 "q_blocks", "q_regularity_and_counts", "q_unramified", "simplicity_necessary",
                 "verify_appendix_row", "w_t"},
 }
 
 
+# the 33 Cartan types of the benchmark's quantum workload, A1 up to E8
+QUANTUM_TYPES = [f"{letter}{n}" for letter, ranks in (
+    ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)), ("D", range(3, 9)),
+    ("E", range(6, 9)), ("F", (4,)), ("G", (2,))) for n in ranks]
+
+
 def test_import_lieram_and_set_up_load_only_the_root_data_core():
-    # a module-level import of a later layer in scalars or rootdata would
-    # put its compile cost back on every set-up
-    out = _fresh("import sys, lieram; lieram.build_root_system('B3'); lieram.make_field(5, 2); "
+    # a module-level import of a later layer in rootdata would put its
+    # compile cost back on every set-up; the quantum set-up (its root
+    # systems up to E8) compiles no finite-field code
+    out = _fresh(f"import sys, lieram; [lieram.build_root_system(t) for t in {QUANTUM_TYPES!r}]; "
+                 "print(sorted(m for m in sys.modules if m.startswith('lieram')))")
+    assert out == "['lieram', 'lieram.errors', 'lieram.rootdata']\n"
+    # the modular set-up builds its fields, which loads them alone
+    out = _fresh("import sys, lieram; lieram.make_field(5, 2); "
                  "print(sorted(m for m in sys.modules if m.startswith('lieram')))")
     assert out == "['lieram', 'lieram.errors', 'lieram.rootdata', 'lieram.scalars']\n"
     out = _fresh("import sys, lieram; print(lieram.quantum is sys.modules['lieram.quantum'])")
@@ -118,26 +130,42 @@ def test_import_lieram_and_set_up_load_only_the_root_data_core():
     # the core's public names are bound when the package loads, not on first
     # read; dir() lists the layers and their names before they load
     bound, listed = _fresh("import lieram; print(*vars(lieram)); print(*dir(lieram))").splitlines()
-    assert set(bound.split()) >= PUBLIC["errors"] | PUBLIC["scalars"] | PUBLIC["rootdata"]
-    assert not set(bound.split()) & {"weyl", "modular", "quantum"}
+    assert set(bound.split()) >= PUBLIC["errors"] | PUBLIC["rootdata"]
+    assert not set(bound.split()) & {"scalars", "weyl", "modular", "quantum", *PUBLIC["scalars"]}
     assert set(listed.split()) >= set().union(PUBLIC, *PUBLIC.values())
 
 
-@pytest.mark.parametrize("argv, layers", [
-    (["modular", "poincare", "--type", "A2", "--p", "5", "--weight", "0,0"], ["modular", "weyl"]),
-    (["modular", "blocks", "--type", "A2", "--p", "5"], ["modular", "weyl"]),
-    (["quantum", "unramified", "--type", "A2", "--ell", "5", "--torus", "0,0"],
-     ["quantum", "weyl"]),
-    (["quantum", "exceptional", "--type", "G2"], ["quantum", "weyl"]),
-    (["verify", "appendix", "--type", "G2"], ["quantum", "weyl"]),
-])
-def test_a_cli_command_loads_only_its_own_layer(argv, layers):
-    # a modular command never compiles quantum.py, nor a quantum one modular.py
+# an argv of each leaf of cli.GRAMMAR but selftest, which loads every layer
+LEAF_ARGV = {
+    ("modular", "blocks"): ["--type", "A2", "--p", "5"],
+    ("modular", "unramified"): ["--type", "A2", "--p", "5", "--weight", "0,0"],
+    ("modular", "poincare"): ["--type", "A2", "--p", "5", "--weight", "0,0"],
+    ("modular", "finite-type"): ["--type", "A2", "--p", "5", "--weight", "0,0"],
+    ("modular", "structure"): ["--type", "A2", "--p", "5"],
+    ("quantum", "blocks"): ["--type", "A2", "--ell", "5", "--chi-s", "0,1/2"],
+    ("quantum", "unramified"): ["--type", "A2", "--ell", "5", "--torus", "0,0"],
+    ("quantum", "exceptional"): ["--type", "G2"],
+    ("quantum", "simplicity"): ["--type", "A2", "--ell", "5", "--torus", "0,0"],
+    ("quantum", "structure"): ["--type", "A2", "--ell", "5"],
+    ("verify", "appendix"): ["--type", "G2"],
+}
+
+
+def test_every_leaf_but_selftest_has_an_argv():
+    from lieram import cli
+    assert set(LEAF_ARGV) == set(cli.GRAMMAR) - {("selftest",)}
+
+
+@pytest.mark.parametrize("leaf", sorted(LEAF_ARGV), ids=" ".join)
+def test_a_cli_command_loads_only_its_own_layer(leaf):
+    # a modular command never compiles quantum.py, nor a quantum or verify
+    # one modular.py or the finite fields of scalars.py
+    argv = [*leaf, *LEAF_ARGV[leaf]]
     out = _fresh("import sys; from lieram import cli; "
                  f"rc = cli.main({argv!r}); sys.stdout.flush(); "
                  "print(rc, sorted(m[7:] for m in sys.modules if m.startswith('lieram.')))")
-    last = out.splitlines()[-1]
-    assert last == f"0 {sorted(['cli', 'errors', 'rootdata', 'scalars', *layers])}"
+    layers = ["modular", "scalars"] if leaf[0] == "modular" else ["quantum"]
+    assert out.splitlines()[-1] == f"0 {sorted(['cli', 'errors', 'rootdata', 'weyl', *layers])}"
 
 
 def test_every_public_name_is_its_modules_own():
@@ -317,9 +345,11 @@ def _callers(tree, name):
 def test_epsilon_enters_the_quantum_side_once():
     # alpha(u) = alpha(t) eps^{(rho, alpha)} at u = hc_shift(t), so every
     # epsilon condition is an integer test at u; rationals and roots of
-    # unity are built only where a point is parsed or viewed, and in the
-    # matrix WeylElement kept for perfbench (hc_shift adds the numerators of
-    # the Fractions eps_pow returns, which _shifts keeps for it alone)
+    # unity are built only where a point is parsed or viewed, in the matrix
+    # WeylElement kept for perfbench and the UnityExp beside it, in eps_pow
+    # (hc_shift adds the numerators of the Fractions eps_pow returns, which
+    # _shifts keeps for it alone), and where the one exact solver returns
+    # its solutions over Q
     trees = _trees()
     production = {name: tree for name, tree in trees.items() if name != "selftest.py"}
     for name, tree in production.items():
@@ -329,12 +359,12 @@ def test_epsilon_enters_the_quantum_side_once():
         assert _callers(tree, "_shifts") == ({"hc_shift"} if name == "quantum.py" else set()), name
         if name != "rootdata.py":
             assert _calls_of(tree, "two_rho_dot") == 0, name
-    # scalars.py, where UnityExp and eps_pow live, aside
     built = {name: _callers(tree, "Fraction") | _callers(tree, "UnityExp")
-             for name, tree in production.items() if name != "scalars.py"}
+             for name, tree in production.items()}
     assert built == {**{name: set() for name in built},
-                     "quantum.py": {"TorusElement"},
-                     "weyl.py": {"WeylElement"}}
+                     "quantum.py": {"TorusElement", "eps_pow"},
+                     "rootdata.py": {"solve_linear"},
+                     "weyl.py": {"WeylElement", "UnityExp"}}
     (torus,) = [node for node in trees["quantum.py"].body
                 if isinstance(node, ast.ClassDef) and node.name == "TorusElement"]
     assert {node.name for node in torus.body if isinstance(node, ast.FunctionDef)

@@ -15,8 +15,7 @@ import random
 import pytest
 
 from lieram import rootdata
-from lieram.rootdata import build_root_system, degrees, subsystem_classify
-from lieram.scalars import solve_linear
+from lieram.rootdata import build_root_system, degrees, solve_linear, subsystem_classify
 
 
 def _zero_set(rs, eta, p):

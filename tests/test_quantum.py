@@ -21,6 +21,7 @@ from lieram.quantum import (
     TorusElement,
     appendix_rows,
     beta_minimal,
+    eps_pow,
     exceptional_elements,
     exponent_text,
     hc_shift,
@@ -32,7 +33,7 @@ from lieram.quantum import (
     w_t,
 )
 from lieram.rootdata import build_root_system
-from lieram.scalars import UnityExp, eps_pow
+from lieram.weyl import UnityExp
 from lieram import quantum
 from lieram.selftest import (
     _baby_verma_labels,

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from lieram import rootdata
 from lieram.errors import BoundExceeded, InvalidType, InvariantViolation, NotClosed
 from lieram.rootdata import (
     RootSystem,
+    WeylInvariants,
     _classify,
     _classify_component,
     build_root_system,
@@ -290,6 +292,96 @@ def test_a_fresh_root_system_holds_its_root_data(t):
     assert "sum_triples" not in vars(rs)
     subsystem_classify(rs, roots)
     assert type(vars(rs)["sum_triples"]) is dict and vars(rs)["sum_triples"].keys() == roots
+
+
+# sha256 of each type's root data, as the walk by height stored it with one
+# generator expression per root for its coroot, integrality test and
+# negatives (root_data_digest); the walk must store the same data
+ROOT_DATA_SHA256 = {
+    "A1": "9ba3cf8a9e1c03dc6daa0317e8a5346bf218514b51213198fc5d22dc21a77d13",
+    "A2": "90b93108eade4e31d32c67b190b394c3f1ca4d7ef8072577811da522b99608ce",
+    "A3": "bab867034ab7e7e818d4061366d4cd8eaae362213903e5081c752b38a7a3120c",
+    "A4": "7bda775e1c48f65b9adc80c87f8260425716fcc19560c422af003a024c25d5e8",
+    "A5": "4e5015c3e0156146416658d6dfd303fc0641cf1e063b91c01f798c5fac72978e",
+    "A6": "80529defaac51a0d9e25cc9e97d99ec1d2cef6a83408af007dee22875c38cf60",
+    "A7": "f78f0c4ae6450bfdfd83e7a2107bd2c17df0717ca68f1de0f835a9b2c4c91b74",
+    "A8": "83d9672bf93052cabf990253648bd6f0809779f282186fae9c6a71e2655a38ae",
+    "B2": "f6eb00155a735bb5df94de3552485d8b8d41aefd077879c22c58f01f69515dc2",
+    "B3": "522e08913b439c739ee7af4c8c754d5f977b1ff68330ea5425dc189d77985e9a",
+    "B4": "e48f5fd5c9a6678a07ce0605944880bf9ddfe6558861e29d0a589bd3371cc030",
+    "B5": "2590ce96f1cea253d703b024d4d3c056667956441ee2b1b707a2439d34b63f4f",
+    "B6": "7d46b802e4054c27d777fdc7c1d2c387c3a7973a69ffda6948da6399777ccfc2",
+    "B7": "879c132ec98fc98241cabeb99f0923e61622f80c24a2a4901e12ef957aa1c583",
+    "B8": "f21485baa26d81782b7e40a2f66e53a039bd1ded975acad92de181fe32cd3945",
+    "C2": "d12abe2dc4f3c1dc4b3cffad6008c75531f6d706a4072cade2e41c505c0a6a3e",
+    "C3": "71fcbcc778979d16d7cf63b36cddad4516da35ffe370fe1d25fd5eb0874c268c",
+    "C4": "6e2aee3424689c289cece8860fbe4b8d5374ec6bc1c38d2ccf491d5bf38ddcac",
+    "C5": "1dd15df51d9be3d1ed4b9bc17469a64ea6092ff6c07c1270de22cf6e55135bef",
+    "C6": "99cdbc2ae1c527f8c114844932ebdfc640569887b6f8aa942e369019a7d5a5dc",
+    "C7": "f831a8b4991e5fb6c8c83048b5fba561b694d9200b4498eb6769addbd41ec1fb",
+    "C8": "1c96b321f1d1728b09f9203905295e388f5fa0307ce6dd5f22bf0716f0c58ed4",
+    "D3": "c9aa55576c71378654063466ee9541888dd85046ad80c0d931c2eb3557922f4d",
+    "D4": "40ca3a4327a916b87bdb5e8733894211af090b72f1a895c52a7aa96c43ba1bc5",
+    "D5": "de2d836fdb0c783356811d220f377d6cb3a52b2a0b5538304158c73cfff13ef5",
+    "D6": "93b77d1a796b17caa2b425e5afed58d9d8ef56dd9f55fb1ce58ed44fb7c989ca",
+    "D7": "cdedc95993641f1e7d45be000020f7b0e522e0fab0d3d88d9be5ebbac6e9e188",
+    "D8": "f9afcfd2280c14f78b088add36fd059addb0606961f876bb418a5b8ae0b175f5",
+    "E6": "c7713fd265a42ce52bc6dcf1e7df983c85271bc493deea0f393278446dd9152a",
+    "E7": "f1aa1350980acf01de5c274833a56c9930ed6fdee6ad5058a0cc33337861481a",
+    "E8": "550e860014926e48a8dd38414315ed72e7b0a4303fbee2230161f86b65355b17",
+    "F4": "834ee7a52696fdfd321ad254d953aea20c7f9cc4eff198e0e57337714dd30dda",
+    "G2": "5f5ff72b224662af1a3613865c30535fa945efe9e11ace0db63a1a94af65b7b3",
+    "A2xB3xG2": "e1f027b8a421eed70e19c92939b70e129acf5648c667ff128ce7425b1f402335",
+    "E6xG2": "3136d01c4e1e9eca16d9ebff8f5b7d7d351761965b02345598c7fc5c52ed6583",
+}
+
+
+def root_data_digest(rs):
+    """sha256 of pos_roots and height_steps, the pairings, coroot and norm of
+    every root (in sorted order), the highest roots and the marks."""
+    data = (rs.pos_roots, rs.height_steps,
+            [(b, rs.value_vec(b), rs.coroot(b), rs.norm(b)) for b in sorted(rs.all_roots())],
+            [rs.highest_root(k) for k in range(len(rs.components))], rs.a)
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("t", ROOT_DATA_SHA256)
+def test_the_root_data_of_each_type_is_pinned(t):
+    assert root_data_digest(RootSystem(parse_cartan_type(t))) == ROOT_DATA_SHA256[t]
+
+
+def _a2_built_with(monkeypatch, **patched):
+    """A fresh A2 root system, built with each rootdata function named in
+    `patched` returning the given value for A2."""
+    for name, value in patched.items():
+        real = getattr(rootdata, name)
+        monkeypatch.setattr(rootdata, name, lambda letter, n, real=real, value=value:
+                            value if (letter, n) == ("A", 2) else real(letter, n))
+    return RootSystem((("A", 2),))
+
+
+def test_the_walk_refuses_a_cartan_matrix_with_no_invariant_form(monkeypatch):
+    with pytest.raises(InvariantViolation, match="A2: D C is not symmetric"):
+        _a2_built_with(monkeypatch, cartan_matrix=((2, -1), (-2, 2)))
+
+
+def test_the_walk_refuses_a_coroot_that_is_not_integral(monkeypatch):
+    # D C is symmetric for d = (4, 1), but the matrix is no Cartan matrix:
+    # alpha_1 + alpha_2 has norm 3, and 4 * 1 / 3 is no integer
+    with pytest.raises(InvariantViolation, match=r"A2: coroot of \(1, 1\) is not integral"):
+        _a2_built_with(monkeypatch, cartan_matrix=((2, Fraction(-1, 2)), (-2, 2)),
+                       weyl_invariants=WeylInvariants((4, 1), (2, 3), 3))
+
+
+def test_the_walk_refuses_a_root_count_the_degrees_do_not_give(monkeypatch):
+    with pytest.raises(InvariantViolation, match="A2: 3 positive roots, degrees say otherwise"):
+        _a2_built_with(monkeypatch, weyl_invariants=WeylInvariants((1, 1), (2, 4), 3))
+
+
+@pytest.mark.parametrize("marks", [(1, 0), (2, 1)])
+def test_the_walk_refuses_marks_that_are_not_above_every_root(monkeypatch, marks):
+    with pytest.raises(InvariantViolation, match="A2: the highest root is not above every root"):
+        _a2_built_with(monkeypatch, highest_root=(marks, (0,)))
 
 
 def test_subsystem_letter_disambiguation():

@@ -1,4 +1,5 @@
-"""Field and root-of-unity arithmetic and the one linear solver, checked
+"""Field and root-of-unity arithmetic (scalars, weyl.UnityExp and
+quantum.eps_pow) and the one linear solver (rootdata.solve_linear), checked
 against exhaustive oracles."""
 
 import itertools
@@ -11,15 +12,10 @@ import pytest
 
 from lieram import cli, rootdata, scalars
 from lieram.errors import BOUNDS, BoundExceeded, NonInvertibleDenominator, NonPrime
-from lieram.rootdata import RootSystem, parse_cartan_type, subsystem_classify
-from lieram.scalars import (
-    UnityExp,
-    artin_schreier_solve,
-    embed,
-    eps_pow,
-    make_field,
-    solve_linear,
-)
+from lieram.quantum import eps_pow
+from lieram.rootdata import RootSystem, parse_cartan_type, solve_linear, subsystem_classify
+from lieram.scalars import artin_schreier_solve, embed, make_field
+from lieram.weyl import UnityExp
 from lieram.selftest import close_up, irreducible_by_rabin
 
 
@@ -507,7 +503,7 @@ def _count_reductions(monkeypatch, module):
     """Count the reductions solve_linear makes when `module` calls it, and
     the right-hand sides their solvers are given."""
     seen = {"reductions": [], "solves": 0}
-    reduce = scalars.solve_linear
+    reduce = rootdata.solve_linear
 
     def counted(A, p=None):
         seen["reductions"].append((len(A), p))

@@ -8,9 +8,10 @@ import pytest
 
 from lieram import weyl
 from lieram.errors import BoundExceeded, InvariantViolation, NotParabolic
-from lieram.quantum import TorusElement, hc_shift, q_unramified
+from lieram.quantum import TorusElement, eps_pow, hc_shift, q_unramified
 from lieram.rootdata import build_root_system, highest_root
-from lieram.scalars import UnityExp, eps_pow, make_field
+from lieram.scalars import make_field
+from lieram.weyl import UnityExp
 from lieram.selftest import (
     act_modular,
     burnside_count,
