@@ -135,37 +135,39 @@ def test_import_lieram_and_set_up_load_only_the_root_data_core():
     assert set(listed.split()) >= set().union(PUBLIC, *PUBLIC.values())
 
 
-# an argv of each leaf of cli.GRAMMAR but selftest, which loads every layer
-LEAF_ARGV = {
-    ("modular", "blocks"): ["--type", "A2", "--p", "5"],
-    ("modular", "unramified"): ["--type", "A2", "--p", "5", "--weight", "0,0"],
-    ("modular", "poincare"): ["--type", "A2", "--p", "5", "--weight", "0,0"],
-    ("modular", "finite-type"): ["--type", "A2", "--p", "5", "--weight", "0,0"],
-    ("modular", "structure"): ["--type", "A2", "--p", "5"],
-    ("quantum", "blocks"): ["--type", "A2", "--ell", "5", "--chi-s", "0,1/2"],
-    ("quantum", "unramified"): ["--type", "A2", "--ell", "5", "--torus", "0,0"],
-    ("quantum", "exceptional"): ["--type", "G2"],
-    ("quantum", "simplicity"): ["--type", "A2", "--ell", "5", "--torus", "0,0"],
-    ("quantum", "structure"): ["--type", "A2", "--ell", "5"],
-    ("verify", "appendix"): ["--type", "G2"],
-}
+MODULAR, QUANTUM = ["modular", "scalars", "weyl"], ["quantum", "weyl"]
+
+# an argv of each leaf of cli.GRAMMAR but selftest, which loads every layer,
+# with the layers it loads
+LEAF_ARGVS = [
+    (["modular", "poincare", "--type", "A2", "--p", "5", "--weight", "0,0"], MODULAR),
+    (["modular", "blocks", "--type", "A2", "--p", "5"], MODULAR),
+    (["quantum", "unramified", "--type", "A2", "--ell", "5", "--torus", "0,0"], QUANTUM),
+    (["quantum", "exceptional", "--type", "G2"], QUANTUM),
+    (["verify", "appendix", "--type", "G2"], QUANTUM),
+    (["modular", "unramified", "--type", "A2", "--p", "5", "--weight", "0,0"], MODULAR),
+    (["modular", "finite-type", "--type", "A2", "--p", "5", "--weight", "0,0"], MODULAR),
+    (["modular", "structure", "--type", "A2", "--p", "5"], MODULAR),
+    (["quantum", "blocks", "--type", "A2", "--ell", "5", "--chi-s", "0,1/2"], QUANTUM),
+    (["quantum", "simplicity", "--type", "A2", "--ell", "5", "--torus", "0,0"], QUANTUM),
+    (["quantum", "structure", "--type", "A2", "--ell", "5"], QUANTUM),
+]
 
 
 def test_every_leaf_but_selftest_has_an_argv():
     from lieram import cli
-    assert set(LEAF_ARGV) == set(cli.GRAMMAR) - {("selftest",)}
+    assert sorted(tuple(argv[:2]) for argv, _ in LEAF_ARGVS) == sorted(
+        set(cli.GRAMMAR) - {("selftest",)})
 
 
-@pytest.mark.parametrize("leaf", sorted(LEAF_ARGV), ids=" ".join)
-def test_a_cli_command_loads_only_its_own_layer(leaf):
+@pytest.mark.parametrize("argv, layers", LEAF_ARGVS)
+def test_a_cli_command_loads_only_its_own_layer(argv, layers):
     # a modular command never compiles quantum.py, nor a quantum or verify
     # one modular.py or the finite fields of scalars.py
-    argv = [*leaf, *LEAF_ARGV[leaf]]
     out = _fresh("import sys; from lieram import cli; "
                  f"rc = cli.main({argv!r}); sys.stdout.flush(); "
                  "print(rc, sorted(m[7:] for m in sys.modules if m.startswith('lieram.')))")
-    layers = ["modular", "scalars"] if leaf[0] == "modular" else ["quantum"]
-    assert out.splitlines()[-1] == f"0 {sorted(['cli', 'errors', 'rootdata', 'weyl', *layers])}"
+    assert out.splitlines()[-1] == f"0 {sorted(['cli', 'errors', 'rootdata', *layers])}"
 
 
 def test_every_public_name_is_its_modules_own():
