@@ -140,7 +140,7 @@ def cartan_matrix(letter, n):
         edges[-1] = (n - 3, n - 1)
     if letter == "E":
         edges[:2] = (0, 2), (1, 3)
-    C = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
+    C = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for i, j in edges:
         # C[i][j] = (alpha_i, alpha_j) / d_i with (alpha_i, alpha_j) = -max(d_i, d_j)
         s = -max(d[i], d[j])
@@ -158,13 +158,12 @@ def highest_root(letter, n):
     s_k beta, its pairings updated in O(n) by column k.  It ends at the one
     dominant long root, theta = w alpha_i with w = s_(k_m) ... s_(k_1) for
     the steps k_1, ..., k_m, and s_theta = w s_i w^-1."""
-    cols, d = list(zip(*cartan_matrix(letter, n))), weyl_invariants(letter, n).d
+    C, d = cartan_matrix(letter, n), weyl_invariants(letter, n).d
     i = d.index(max(d))
-    beta, v, steps = [0] * i + [1] + [0] * (n - 1 - i), cols[i], []
-    # the first k with v[k] < 0, while there is one
-    while (k := next(itertools.compress(range(n), map((0).__gt__, v)), None)) is not None:
+    beta, v, steps = [int(j == i) for j in range(n)], [row[i] for row in C], []
+    while (k := next((k for k, x in enumerate(v) if x < 0), None)) is not None:
         beta[k] -= v[k]  # s_k beta = beta - <beta, alpha_k^vee> alpha_k
-        v = tuple(map(operator.sub, v, map(v[k].__mul__, cols[k])))
+        v = [x - v[k] * row[k] for x, row in zip(v, C)]
         steps.append(k)
     return tuple(beta), (*steps[::-1], i, *steps)
 
