@@ -59,7 +59,7 @@ from typing import NamedTuple
 import lieram
 
 from .errors import HypothesisFailure, InvariantViolation, LieramError
-from .rootdata import check_cartan_type, root_system
+from .rootdata import check_cartan_type, root_system, type_string
 
 
 class UsageError(Exception):
@@ -359,7 +359,9 @@ def _resolve(args):
     if args.group == "selftest":
         return q
     q.head["command"] = f"{args.group}.{args.command}"
-    if args.group == "verify":  # its --type picks rows of the appendix table
+    if args.group == "verify":  # its --type, if given, picks rows of the appendix table
+        if args.type is not None:
+            q.type_str = type_string(check_cartan_type(args.type, q.bound))
         return q
     comps = check_cartan_type(args.type, q.bound)  # refuses a type above the bound
     rank = sum(n for _l, n in comps)
@@ -484,8 +486,7 @@ def cmd_quantum_structure(args, q):
 def cmd_verify_appendix(args, q):
     rows = lieram.quantum.appendix_rows()
     if args.type is not None:
-        want = args.type.strip().upper()
-        rows = [(t, m) for t, m in rows if t == want]
+        rows = [(t, m) for t, m in rows if t == q.type_str]
         if not rows:
             raise LieramError(f"no appendix rows for type {args.type!r}")
     results = [lieram.quantum.verify_appendix_row(t, m) for t, m in rows]

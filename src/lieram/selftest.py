@@ -82,6 +82,7 @@ from .weyl import (
     orbit_of,
     reflection_stabilizer,
     simple_reflection,
+    word_element,
 )
 
 MATRIX_TYPES = ("A1", "A2", "A3", "B2", "G2")
@@ -182,16 +183,9 @@ def finite_type_by_closure(rs: RootSystem, small, big, assume_unique_simple=Fals
 
 
 def root_reflection(rs: RootSystem, beta) -> WeylElement:
-    """s_beta for any root beta: its matrix, and its word s_beta = w s_i
-    w^-1 by descent, simple reflections peeled off beta down to alpha_i."""
-    r = rs.rank
-    cv = rs.coroot(beta)
-    pairings = [sum(cv[t] * rs.cartan[t][i] for t in range(r))  # alpha_i(h_beta)
-                for i in range(r)]
-    m = tuple(
-        tuple((1 if i == k else 0) - pairings[i] * beta[k] for i in range(r))
-        for k in range(r)
-    )
+    """s_beta for any root beta, built by word_element on its word s_beta =
+    w s_i w^-1, found by descent: simple reflections peeled off beta down
+    to alpha_i."""
     b = beta if rs.is_positive(beta) else tuple(-c for c in beta)
     prefix = []
     while sum(b) != 1:
@@ -205,7 +199,7 @@ def root_reflection(rs: RootSystem, beta) -> WeylElement:
                     break
         else:
             raise InvariantViolation(f"no descent step from the root {b}")
-    return WeylElement(rs, m, m, (*prefix, b.index(1), *prefix[::-1]))
+    return word_element(rs, (*prefix, b.index(1), *prefix[::-1]))
 
 
 def subgroup_elements(sub):
@@ -213,25 +207,6 @@ def subgroup_elements(sub):
     the classified subsystem `sub`."""
     gens = [root_reflection(sub.rs, b) for b in sub.basis]
     return generated_group(sub.rs, gens, sub.order, sub.type_str)
-
-
-def word_element(rs: RootSystem, word) -> WeylElement:
-    """s_{i1} s_{i2} ... s_{ik} for the word (i1, ..., ik) as a matrix
-    element, built once from the images of the simple roots under the
-    letters: the matrix oracle for the letter-by-letter production route."""
-    word = tuple(word)
-    r = rs.rank
-
-    def columns(letters):
-        # column j = image of alpha_j, the first letter applied first
-        cols = []
-        for b in rs.simple_roots:
-            for i in letters:
-                b = rs.reflect(i, b)
-            cols.append(b)
-        return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-
-    return WeylElement(rs, columns(word[::-1]), columns(word), word)
 
 
 def matrix_inversions(rs: RootSystem, word):

@@ -15,10 +15,12 @@ WeylElement stores an element as the integer matrix of its action on
 simple-root coordinates with the inverse matrix (equality is matrix
 equality), and enumerate_group lists W by closure.  Its length and the rows
 of its two coordinate actions are cached properties, built on first read.
-No production path builds one: they serve the oracles in lieram.selftest,
-whose word_element is the matrix route for a word, and perfbench, which
-binds enumerate_group, act_values and act_torus_exponents by name.  Their
-actions on raw coordinate tuples:
+word_element builds one from its word and the Cartan matrix alone
+(identity and simple_reflection are it on () and (j,)), and every other
+element is a product of two.  No production path builds one: they serve
+the oracles in lieram.selftest and perfbench, which binds enumerate_group,
+act_values and act_torus_exponents by name.  Their actions on raw
+coordinate tuples:
   * roots            beta -> w(beta)                 (coefficient vectors)
   * coroot values    lambda(h_i) -> (w lambda)(h_i)  (any coefficient ring)
   * torus exponents  t(K_{varpi_i}) -> (w t)(K_{varpi_i})  (UnityExps)
@@ -92,10 +94,6 @@ def _matmul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def _identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 class WeylElement:
@@ -198,22 +196,31 @@ class UnityExp:
         return f"{self.q.numerator}/{self.q.denominator}"
 
 
+def word_element(rs: RootSystem, word) -> WeylElement:
+    """s_{i1} s_{i2} ... s_{ik} for the word (i1, ..., ik), from the Cartan
+    matrix alone: column j of M is w(alpha_j), the last letter acting first,
+    each s_i moving b by -(sum_k C[i][k] b_k) alpha_i; Minv is the same
+    construction on the reversed word.  Every other WeylElement is a
+    product of two."""
+    word, r, C = tuple(word), rs.rank, rs.cartan
+
+    def matrix(letters):
+        cols = [[int(k == j) for k in range(r)] for j in range(r)]
+        for b in cols:
+            for i in reversed(letters):
+                b[i] -= sum(map(operator.mul, C[i], b))
+        return tuple(zip(*cols))
+
+    return WeylElement(rs, matrix(word), matrix(word[::-1]), word)
+
+
 def identity(rs: RootSystem) -> WeylElement:
-    m = _identity_matrix(rs.rank)
-    return WeylElement(rs, m, m, ())
+    return word_element(rs, ())
 
 
 def simple_reflection(rs: RootSystem, j: int) -> WeylElement:
     """s_j (0-based index)."""
-    r = rs.rank
-    rows = []
-    for k in range(r):
-        if k != j:
-            rows.append(tuple(1 if i == k else 0 for i in range(r)))
-        else:
-            rows.append(tuple((1 if i == j else 0) - rs.cartan[j][i] for i in range(r)))
-    m = tuple(rows)
-    return WeylElement(rs, m, m, (j,))
+    return word_element(rs, (j,))
 
 
 class ExtendedDiagram(NamedTuple):

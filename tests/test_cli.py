@@ -1030,7 +1030,7 @@ def test_a_full_stdout_is_one_error_line():
 
 @pytest.mark.parametrize("argv, err", [
     (["selftest", "--suite", ""], "error: unknown suite ''; choose from "),
-    (["verify", "appendix", "--type", ""], "error: no appendix rows for type "),
+    (["verify", "appendix", "--type", ""], "error: empty Cartan type"),
 ], ids=["suite", "appendix-type"])
 def test_an_empty_filter_name_is_refused(argv, err, capsys):
     # an empty --suite or appendix --type names nothing; it is not read as
@@ -1042,13 +1042,35 @@ def test_an_empty_filter_name_is_refused(argv, err, capsys):
 
 
 @pytest.mark.parametrize("name, err", [
-    ("", "error: no appendix rows for type ''\n"),
-    (" ", "error: no appendix rows for type ' '\n"),
-    ("Z9", "error: no appendix rows for type 'Z9'\n"),
-], ids=["empty", "blank", "unknown"])
+    ("", "error: empty Cartan type\n"),
+    (" ", "error: cannot parse component ''\n"),
+    ("Z9", "error: cannot parse component 'Z9'\n"),
+    ("A1xA1", "error: no appendix rows for type 'A1xA1'\n"),
+], ids=["empty", "blank", "unknown", "product"])
 def test_an_appendix_type_without_rows_is_named_as_typed(name, err, capsys):
-    # the refusal quotes the --type value, so an empty or blank one shows
+    # the type grammar refuses an empty, blank or unknown --type first; a
+    # type it reads that has no rows is quoted as typed
     assert main(["verify", "appendix", "--type", name]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("name", ["b1", "C1"])
+def test_an_appendix_type_b1_or_c1_lists_the_a1_rows(name, capsys):
+    # the one type grammar reads B1 and C1 as A1, as every typed leaf does
+    a1 = run_cli(["verify", "appendix", "--type", "A1"], capsys)
+    assert run_cli(["verify", "appendix", "--type", name], capsys) == a1
+    assert a1[0] == 0 and '"type": "A1"' in a1[1]
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--type", "E8", "--bound", "5"], "error: type E8: rank^2 = 64 exceeds bound 5\n"),
+    (["--type", "E9"], "error: invalid component E9\n"),
+], ids=["bound", "invalid"])
+def test_an_appendix_type_is_refused_as_on_a_typed_leaf(flags, err, capsys):
+    # the type check, then the type bound, before any row is read
+    assert main(["verify", "appendix", *flags]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert main(["quantum", "exceptional", *flags]) == 1
     assert capsys.readouterr() == ("", err)
 
 

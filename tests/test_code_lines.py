@@ -57,3 +57,15 @@ def test_the_totals_leave_selftest_out_once(code_lines, tmp_path, capsys):
         "    20      9  total",
         "    18      8  total without selftest.py",
     ]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["no-such-dir"], ["a.py"], [".", "."]])
+def test_anything_but_one_directory_prints_the_usage_and_exits_2(
+        code_lines, tmp_path, monkeypatch, capsys, args):
+    # a mistyped path is an error, not an empty package of 0 lines
+    (tmp_path / "a.py").write_text(FIXTURE)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        code_lines.main(args)
+    assert exit_.value.code == 2
+    assert capsys.readouterr() == ("", "usage: python3 tools/code_lines.py [DIR]\n")

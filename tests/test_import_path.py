@@ -57,7 +57,7 @@ ORACLES = {
     "root_reflection", "subgroup_elements", "is_reduced", "stabilizer_bruteforce",
     "burnside_count", "min_coset_reps", "act_modular", "pair", "close_up",
     "root_value", "steinberg_fiber_point", "ell_fiber", "orbit_partition_by_key",
-    "word_element", "matrix_inversions", "dot_act_torus", "_delta_tilde_test",
+    "matrix_inversions", "dot_act_torus", "_delta_tilde_test",
     "enumerate_lambda_chi", "irreducible_by_rabin", "finite_type_by_closure",
 }
 
@@ -278,8 +278,9 @@ def test_each_matrix_is_reduced_outside_loops():
 
 
 # the matrix elements weyl.py keeps for perfbench/tracer.py and
-# perfbench/selfcheck.py, which bind them by name
-MATRIX_KEPT = {"WeylElement", "_matmul", "_identity_matrix", "identity",
+# perfbench/selfcheck.py, which bind them by name, with word_element, the
+# one builder of an element, which the oracles in selftest.py call
+MATRIX_KEPT = {"WeylElement", "_matmul", "word_element", "identity",
                "simple_reflection", "generated_group", "enumerate_group"}
 MATRIX_NAMES = {"WeylElement", "word_element", "identity", "simple_reflection",
                 "apply_root", "act_torus_exponents", "_matmul"}

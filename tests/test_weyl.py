@@ -125,7 +125,7 @@ def test_letters_act_as_the_matrices(type_str):
 
 
 def test_word_matrix_consistency():
-    for t in ("G2", "B3"):
+    for t in ("A3", "B3", "C3", "G2"):
         rs = build_root_system(t)
         for w in enumerate_group(rs):
             v = word_element(rs, w.word)
@@ -361,6 +361,29 @@ def test_root_reflection_matches_simple():
         s = root_reflection(b2, b)
         assert s * s == identity(b2)
         assert {s.apply_root(g) for g in b2.all_roots()} == set(b2.all_roots())
+
+
+@pytest.mark.parametrize("type_str", [*(f"A{n}" for n in range(1, 7)),
+                                      *(f"B{n}" for n in range(2, 7)),
+                                      *(f"C{n}" for n in range(3, 7)),
+                                      "D4", "D5", "D6", "G2", "F4", "E6"])
+def test_root_reflection_is_the_reflection_in_its_root(type_str):
+    # s_beta by what it must be: beta -> -beta, the identity on the roots
+    # orthogonal to beta under (alpha_i, alpha_j) = d_i C[i][j], an
+    # involution, a permutation of Phi
+    rs = build_root_system(type_str)
+    r, C, d = rs.rank, rs.cartan, rs.d
+    assert all(d[i] * C[i][j] == d[j] * C[j][i] for i in range(r) for j in range(r))
+    roots = rs.all_roots()
+    e = identity(rs)
+    for b in roots:
+        s = root_reflection(rs, b)
+        assert s.apply_root(b) == tuple(-c for c in b)
+        for g in roots:
+            if sum(b[i] * d[i] * C[i][j] * g[j] for i in range(r) for j in range(r)) == 0:
+                assert s.apply_root(g) == g
+        assert s * s == e
+        assert {s.apply_root(g) for g in roots} == roots
 
 
 def test_min_coset_reps():

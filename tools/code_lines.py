@@ -7,7 +7,8 @@ only a comment, and not part of a docstring (the string that opens a
 module, class or function body); every line of a statement that spans
 lines counts, and so does every line of a string that is not a docstring.
 One row per module (lines, code lines, name), then the totals, and the
-totals without selftest.py.
+totals without selftest.py.  Anything but one directory (a path that is
+not one, --help, two arguments) prints the usage line and exits 2.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ def count(source: str):
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     directory = pathlib.Path(args[0]) if args else ROOT / "src" / "lieram"
+    if len(args) > 1 or not directory.is_dir():
+        print("usage: python3 tools/code_lines.py [DIR]", file=sys.stderr)
+        sys.exit(2)
     rows = [(path.name, *count(path.read_text())) for path in sorted(directory.glob("*.py"))]
     for name, lines, code in rows:
         print(f"{lines:6} {code:6}  {name}")
