@@ -11,14 +11,15 @@ order and all suites enumerate exhaustively (no randomness anywhere).
 
 This module also holds the brute-force oracles that the suites and the tests
 compare the production paths against: single-root pairings, root-set
-closure, group and coset enumeration, the matrix element of a word (its
-inversions, length and dot action), brute-force stabilizers, the Burnside
-count, the orbit partition sorted by a key that keeps only the points of a
-set, the weights of Lambda_chi, the ell-fiber as torus elements, the
-solve-and-close derivation of the exceptional elements, the finite-type
+closure, group and coset enumeration, a root's reflection and the
+inversions, length and dot action of a word through the matrix that
+weyl.word_element builds from the Cartan matrix, brute-force stabilizers,
+the Burnside count, the orbit partition sorted by a key that keeps only the
+points of a set, the weights of Lambda_chi, the ell-fiber as torus elements,
+the solve-and-close derivation of the exceptional elements, the finite-type
 verdict of a stabiliser pair by closure and Rabin's irreducibility test of a
-field modulus.  No production
-module imports it; the CLI loads it only for `lieram selftest`.
+field modulus.  No production module imports it; the CLI loads it only for
+`lieram selftest`.
 """
 
 from __future__ import annotations
