@@ -22,7 +22,10 @@ the whole table.
 
 Characters follow the standard-Levi model: the semisimple part is given by
 its values c_i = chi(h_i) in some F_{p^e}, the nilpotent part by the subset
-of the centralizer subsystem's basis on which it is regular.
+of the centralizer subsystem's basis on which it is regular.  Regularity
+(PChar.regular) and the structure record (regularity_and_structure) are the
+ones the quantum side reads too, weyl.is_regular and weyl.structure_record
+at q = p.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from .weyl import (
     Kind,
     block_list,
     integer_pairings,
+    is_regular,
     reflection_stabilizer,
+    structure_record,
     subsystem_index,
     support_indices,
 )
@@ -89,8 +94,8 @@ class PChar:
 
     @property
     def regular(self) -> bool:
-        """Regular under the standard-Levi model: support = full basis of Phi'."""
-        return set(self.support) == set(range(len(self.levi.basis)))
+        """weyl.is_regular: the support is the whole basis of Phi'."""
+        return is_regular(self.levi, self.support)
 
     def __repr__(self):
         return (f"PChar({self.rs.type_str}, p={self.p}, "
@@ -141,11 +146,6 @@ def _values(rs: RootSystem, slots, p):
 def _by_root(rs: RootSystem, table):
     """A table of _values keyed by positive root."""
     return dict(zip(rs.pos_roots, table))
-
-
-def _pairings(rs: RootSystem, slots, p):
-    """_values by positive root."""
-    return _by_root(rs, _values(rs, slots, p))
 
 
 def _table(rs: RootSystem, slots, p, shift=0):
@@ -288,8 +288,8 @@ def mod_blocks(chi: PChar, bound=None):
         # F_p iff beta is in Phi', and only then can it vanish;
         # InvariantViolation unless the first eta, paired in full, agrees
         pad = (0,) * ambient.e
-        first = _pairings(rs, [(t[k] + pad)[:ambient.e] for t, k in zip(etas, walked[0][0])], p)
-        if any((not any(v[1:])) != (b in levi.roots) for b, v in first.items()):
+        first = _values(rs, [(t[k] + pad)[:ambient.e] for t, k in zip(etas, walked[0][0])], p)
+        if any((not any(v[1:])) != (b in levi.roots) for b, v in zip(rs.pos_roots, first)):
             raise InvariantViolation("the roots with eta(h_beta) in F_p are not Phi'")
         return BlockList(walked, lambda sub: _kind(sub, levi, chi.nilpotent),
                          {"eta": etas, "lambda": lams},
@@ -382,12 +382,9 @@ def _finite_type(small, big, assume_unique_simple):
 
 
 def regularity_and_structure(chi: PChar, blocks=None, bound=None):
-    """Regularity under the standard-Levi model and, when regular, the
-    matrix-algebra structure descriptor Mat_{p^N} over the local components."""
-    regular = chi.regular
-    out = {"regular": regular, "fullyAzumaya": regular, "descriptor": None}
-    if regular:
-        blocks = mod_blocks(chi, bound) if blocks is None else blocks
-        out["descriptor"] = {"matrix_size": chi.p**chi.rs.N,
-                             "local_dims": blocks.local_dims}
-    return out
+    """The structure record of chi at p (weyl.structure_record): regularity
+    under the standard-Levi model and, when regular, the descriptor Mat_{p^N}
+    over the local components, read off `blocks` (a BlockList of chi),
+    mod_blocks' by default, which then walks only when chi is regular."""
+    return structure_record(chi, chi.p,
+                            lambda: mod_blocks(chi, bound) if blocks is None else blocks)

@@ -16,6 +16,10 @@ block is u^2, living in {f : f^ell = chi_s^2}.  epsilon enters only there:
 alpha(u) = alpha(t) eps^{(rho, alpha)}, so alpha(t)^2 = eps^{-(2 rho, alpha)}
 is the integer test alpha(u)^2 = 1, and the dot action is the ordinary one
 on shifted labels.
+
+Regularity (QChar.regular) and the structure record that
+q_regularity_and_counts extends with its counts are the ones the modular
+side reads too, weyl.is_regular and weyl.structure_record at q = ell.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from .weyl import (
     extended_diagram,
     integer_pairings,
     inversion_set,
+    is_regular,
     reflection_stabilizer,
+    structure_record,
     subsystem_index,
     support_indices,
     word_images,
@@ -144,7 +150,8 @@ class QChar:
 
     @property
     def regular(self) -> bool:
-        return set(self.support) == set(range(len(self.levi.basis)))
+        """weyl.is_regular: the support is the whole basis of Phi'."""
+        return is_regular(self.levi, self.support)
 
     def __repr__(self):
         return (f"QChar({self.rs.type_str}, ell={self.ell}, "
@@ -546,18 +553,17 @@ def simplicity_necessary(chi: QChar, t: TorusElement) -> dict:
 
 
 def q_regularity_and_counts(chi: QChar, blocks=None, bound=None):
-    """Regularity/fully-Azumaya flags, the predicted ell^s unramified count
-    (emitted only under the coprimality hypothesis on Phi'), the enumerated
-    count, and the structure descriptor for regular characters."""
+    """The structure record of chi at ell (weyl.structure_record: the
+    regularity and fully-Azumaya flags, and the descriptor Mat_{ell^N} for
+    a regular chi), with the predicted ell^s unramified count (emitted only
+    under the coprimality hypothesis on Phi'), the enumerated count of
+    `blocks` (a BlockList of chi, q_blocks' by default) and eps."""
     rs = chi.rs
     if blocks is None:
         blocks = q_blocks(chi, bound)
-    regular = chi.regular
     s = rs.rank - sum(1 for a in rs.simple_roots if a in chi.levi.roots)
     index = chi.levi.index_of_connection()
     coprime = math.gcd(chi.ell, index) == 1
-    return {"regular": regular, "fullyAzumaya": regular, "s": s, "coprimalityOK": coprime,
+    return {**structure_record(chi, chi.ell, lambda: blocks), "s": s, "coprimalityOK": coprime,
             "index_of_connection": index, "unramifiedPredicted": chi.ell**s if coprime else None,
-            "unramifiedEnumerated": blocks.dims[1], "eps": chi.eps,
-            "descriptor": {"matrix_size": chi.ell**rs.N,
-                           "local_dims": blocks.local_dims} if regular else None}
+            "unramifiedEnumerated": blocks.dims[1], "eps": chi.eps}

@@ -76,6 +76,7 @@ from .scalars import (
 from .weyl import (
     UnityExp,
     WeylElement,
+    _ring_sum,
     enumerate_group,
     extended_diagram,
     generated_group,
@@ -109,12 +110,7 @@ def irreducible_by_rabin(f, p: int, e: int) -> bool:
 
 def pair(rs: RootSystem, values, b):
     """lambda(h_beta) for lambda given by its values on the basis coroots."""
-    cv = rs.coroot(b)
-    acc = None
-    for c, v in zip(cv, values):
-        term = v * c
-        acc = term if acc is None else acc + term
-    return acc
+    return _ring_sum(rs.coroot(b), values)
 
 
 def root_value(rs: RootSystem, t: TorusElement, beta) -> UnityExp:

@@ -22,7 +22,8 @@ the oracles in lieram.selftest and perfbench, which binds enumerate_group,
 act_values and act_torus_exponents by name.  Their actions on raw
 coordinate tuples:
   * roots            beta -> w(beta)                 (coefficient vectors)
-  * coroot values    lambda(h_i) -> (w lambda)(h_i)  (any coefficient ring)
+  * coroot values    lambda(h_i) -> (w lambda)(h_i)  (any coefficient ring,
+                     summed by _ring_sum, as the oracle selftest.pair is)
   * torus exponents  t(K_{varpi_i}) -> (w t)(K_{varpi_i})  (UnityExps)
 UnityExp, the root of unity e^{2 pi i q} for an exact rational q mod 1, is
 the view of a torus coordinate that act_torus_exponents returns and
@@ -32,7 +33,7 @@ Block partitions walk orbits on flat integer encodings instead, and build no
 element, one coefficient per coordinate: torus exponents as numerators mod a
 common denominator N, coroot values mod p.  A reflection is F_p-linear, so
 values in F_{p^e} are e such points, one per coefficient slot, each acted on
-and paired alone (modular._pairings).  A block is an orbit of Stab_W(chi)
+and paired alone (modular._values).  A block is an orbit of Stab_W(chi)
 on the point set of chi.  Under the standing hypotheses Stab_W(chi) =
 W(Phi') (Steinberg, Torsion in reductive groups; on the quantum side the
 torus is simply connected), generated by the reflections s_beta, beta in
@@ -70,6 +71,14 @@ the walk's columns (points, orbit sizes and the Kind of each point
 stabiliser, built once per process, see Kind) and the answer's
 per-coordinate tables; a block's report, a BlockRecord, is a view built
 when the list is read.
+
+Both sides also read a character's regularity and its structure record
+here, beside support_indices, which normalises its support: is_regular (the
+support is the whole basis of Phi') is PChar.regular and QChar.regular, and
+structure_record builds what modular.regularity_and_structure returns and
+quantum.q_regularity_and_counts extends: the regularity and fully-Azumaya
+flags and, for a regular chi, the descriptor Mat_{q^N} (q = p or ell) over
+the local components, the block dimensions of its BlockList.
 """
 
 from __future__ import annotations
@@ -94,6 +103,14 @@ def _matmul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def _ring_sum(coeffs, values):
+    # sum_k values[k] * coeffs[k] over any ring, started at the first term
+    # (no zero of the ring is needed), None without terms; for act_values
+    # and the oracle selftest.pair
+    terms = map(operator.mul, values, coeffs)
+    return functools.reduce(operator.add, terms, next(terms, None))
 
 
 class WeylElement:
@@ -132,14 +149,7 @@ class WeylElement:
 
     def act_values(self, values):
         """(w lambda)(h_i) from lambda's values on the basis coroots."""
-        out = []
-        for row in self._value_rows:
-            acc = None
-            for c, v in zip(row, values):
-                term = v * c
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return tuple(out)
+        return tuple(_ring_sum(row, values) for row in self._value_rows)
 
     @functools.cached_property
     def _torus_rows(self):
@@ -387,7 +397,7 @@ def integer_pairings(rs: RootSystem, on: str, modulus: int, roots=None):
     (|beta|^2/2).  Both sums are linear in beta, so a table is paired by
     height: each generator (simple root or basis root) is paired once, and
     every other root is its parent's value plus one generator's.  Values in
-    F_{p^e} pair slot by slot (modular._pairings).
+    F_{p^e} pair slot by slot (modular._values).
     """
     rows, steps, norms = _height_plan(rs, roots, on)
 
@@ -458,6 +468,25 @@ def support_indices(levi, support):
                 f"support index {s + 1} outside the basis of Phi' "
                 f"(rank {len(levi.basis)}, indices from 1)")
     return support
+
+
+def is_regular(levi, support) -> bool:
+    """Regularity under the standard-Levi model, on both sides: the support,
+    as support_indices gives it, is the whole basis of Phi' = `levi`."""
+    return len(support) == len(levi.basis)
+
+
+def structure_record(chi, q: int, blocks):
+    """The structure record of a character chi of either side (its root
+    system rs and its `regular` flag) at q = p or ell: `regular`,
+    `fullyAzumaya` (the same flag) and `descriptor`, None unless chi is
+    regular, and then the factor algebra over the regular sheet, Mat_{q^N}
+    over the local components: their dimensions, sorted, are the local_dims
+    of the BlockList blocks() returns, called only then."""
+    regular = chi.regular
+    return {"regular": regular, "fullyAzumaya": regular,
+            "descriptor": {"matrix_size": q ** chi.rs.N, "local_dims": blocks().local_dims}
+            if regular else None}
 
 
 class _LRU:

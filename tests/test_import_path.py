@@ -37,7 +37,9 @@ unramified, finite-type and poincare commands reach their answers through
 the slot probes unramified_on_slots, finite_type_on_slots and
 poincare_on_slots alone, on the slot vectors the CLI parses its literals
 into; block_unramified, block_finite_type and poincare_series are those
-probes behind modular._slots, so each verdict has one body."""
+probes behind modular._slots, so each verdict has one body.  Both sides
+read one regularity, weyl.is_regular, and build their structure records
+through one function, weyl.structure_record."""
 
 import ast
 import importlib
@@ -253,7 +255,7 @@ def test_weyl_kernels_take_one_coefficient_per_coordinate():
     # the reflections are F_p-linear, so no kernel takes a slot count: the
     # CLI parses literals into slot vectors, modular._slots splits the
     # F_{p^e} values of the API into their e coefficient slots, both for
-    # modular._pairings, and no flat full-width code of the values is built
+    # modular._values, and no flat full-width code of the values is built
     trees = _trees()
     widths = [(name, node.name) for name, tree in trees.items()
               for node in ast.walk(tree)
@@ -509,3 +511,38 @@ def test_a_modular_weight_is_its_tuple_of_values():
         assert _called_names(commands[command]) & set(modular) == {probe}, command
         # the probe on field values is the slot probe behind _slots
         assert _called_names(modular[api]) == {"_slots", probe}, api
+
+
+# the keys of a character's structure record
+RECORD_KEYS = {"regular", "fullyAzumaya", "descriptor", "matrix_size", "local_dims"}
+
+
+def test_both_sides_read_one_regularity_and_one_structure_record():
+    # the regular sheet is one statement for U_chi(g) and U_eps(g):
+    # weyl.is_regular, the support is the whole basis of Phi', is the one
+    # definition of regularity, which PChar.regular and QChar.regular call,
+    # and weyl.structure_record is the one writer of the record's keys, which
+    # both structure functions call
+    trees = _trees()
+    defined = sorted((name, node.name) for name, tree in trees.items()
+                     for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and node.name in ("is_regular", "structure_record"))
+    assert defined == [("weyl.py", "is_regular"), ("weyl.py", "structure_record")]
+    writers = {(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               for sub in ast.walk(node) if isinstance(sub, ast.Dict)
+               and {k.value for k in sub.keys if isinstance(k, ast.Constant)} & RECORD_KEYS}
+    assert writers == {("weyl.py", "structure_record")}
+    for module, char, record in (("modular.py", "PChar", "regularity_and_structure"),
+                                 ("quantum.py", "QChar", "q_regularity_and_counts")):
+        tree = trees[module]
+        assert _callers(tree, "is_regular") == {char}, module
+        assert _callers(tree, "structure_record") == {record}, module
+        (cls,) = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == char]
+        (regular,) = [node for node in cls.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "regular"]
+        assert _called_names(regular) == {"is_regular"}, char
+    for name, tree in trees.items():
+        if name not in ("modular.py", "quantum.py"):
+            assert not _callers(tree, "is_regular"), name

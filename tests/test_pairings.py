@@ -1,8 +1,9 @@
 """The pairings of all positive roots against the single-root formulas they
-replace on the stabiliser paths: modular._pairings, which pairs each
-coefficient slot (modular._slots) through weyl.integer_pairings, against
-selftest.pair on coroot values over F_p, F_{p^2} and F_{p^p} (random
-coefficients and AS literals), and weyl.integer_pairings against
+replace on the stabiliser paths: modular._values keyed by root
+(modular._by_root), which pairs each coefficient slot (modular._slots)
+through weyl.integer_pairings, against selftest.pair on coroot values over
+F_p, F_{p^2} and F_{p^p} (random coefficients and AS literals), and
+weyl.integer_pairings against
 selftest.root_value on torus points with mixed denominators; seeded, 220
 points per type (55 torus points on ranks 7 and 8).  The types bring in
 root norms 1, 2 and 3 and the largest tables.  integer_pairings pairs by
@@ -18,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from lieram.cli import parse_field_values
-from lieram.modular import _pairings, _slots
+from lieram.modular import _by_root, _slots, _values
 from lieram.quantum import TorusElement
 from lieram.rootdata import build_root_system
 from lieram.errors import BOUNDS
@@ -59,7 +60,7 @@ def test_value_pairings_match_pair(type_str):
             e = field.e
             assert kind in ("p", "p2") or e == P
             pad = (0,) * e
-            got = _pairings(rs, *_slots(values))
+            got = _by_root(rs, _values(rs, *_slots(values)))
             assert list(got) == list(rs.pos_roots)
             for b, slots in got.items():
                 want = pair(rs, values, b)
